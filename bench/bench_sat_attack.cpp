@@ -15,8 +15,6 @@
 //    measured above timer noise.
 #include "bench/common.hpp"
 
-#include <algorithm>
-
 #include "attacks/sat_attack.hpp"
 #include "locking/rll.hpp"
 #include "sat/instances.hpp"
@@ -195,102 +193,6 @@ int main(int argc, char** argv) {
          util::fmt(seconds, 3)});
     benchx::emit(throughput, args,
                  "attack propagation throughput (seeded, aggregated)");
-  }
-
-  // ---- DIP encoding: incremental cone template vs per-DIP copy ------------
-  // Phase-2 acceptance workload: the same 40 seeded c880/K=32 attacks run
-  // under both encodings. Lex-min canonicalization makes the recovered keys
-  // a function of the locked/oracle pair alone, so "keys identical" is a
-  // hard correctness check, and the speedup column is the incremental
-  // loop's headline.
-  {
-    const auto original =
-        netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 1);
-    const auto rll = lock::rll_lock(original, 32, 7);
-    const auto dmux = lock::dmux_lock(original, 32, 7);
-    const int reps = args.quick ? 3 : 20;
-
-    struct ModeRun {
-      double seconds = 0.0;
-      std::uint64_t conflicts = 0;
-      std::uint64_t peak_vars = 0;
-      std::vector<netlist::Key> keys;
-    };
-    const auto run_mode = [&](attack::DipEncoding encoding) {
-      attack::SatAttackConfig config;
-      config.dip_encoding = encoding;
-      const attack::SatAttack mode_attacker(config);
-      ModeRun run;
-      util::Timer timer;
-      for (int rep = 0; rep < reps; ++rep) {
-        for (const auto* design : {&rll, &dmux}) {
-          const auto result = mode_attacker.attack(design->netlist, original);
-          run.conflicts += result.total_conflicts;
-          for (const auto& it : result.iterations) {
-            run.peak_vars = std::max(run.peak_vars, it.new_vars);
-          }
-          run.keys.push_back(result.recovered_key);
-        }
-      }
-      run.seconds = timer.elapsed_seconds();
-      return run;
-    };
-    const ModeRun incremental = run_mode(attack::DipEncoding::kConeTemplate);
-    const ModeRun baseline = run_mode(attack::DipEncoding::kFullCopy);
-    const bool keys_identical = incremental.keys == baseline.keys;
-    const double speedup = incremental.seconds > 0.0
-                               ? baseline.seconds / incremental.seconds
-                               : 0.0;
-
-    util::Table encoding({"mode", "attacks", "conflicts", "max vars/DIP",
-                          "time (s)", "speedup", "keys identical"});
-    encoding.add_row({"per-DIP copy", std::to_string(2 * reps),
-                      std::to_string(baseline.conflicts),
-                      std::to_string(baseline.peak_vars),
-                      util::fmt(baseline.seconds, 3), "1.00",
-                      keys_identical ? "yes" : "NO"});
-    encoding.add_row({"cone template", std::to_string(2 * reps),
-                      std::to_string(incremental.conflicts),
-                      std::to_string(incremental.peak_vars),
-                      util::fmt(incremental.seconds, 3),
-                      util::fmt(speedup, 2),
-                      keys_identical ? "yes" : "NO"});
-    benchx::emit(encoding, args,
-                 "DIP encoding — incremental cone template vs per-DIP copy");
-  }
-
-  // ---- preprocessing: miter simplification on/off -------------------------
-  {
-    const auto original =
-        netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 1);
-    const auto dmux = lock::dmux_lock(original, 32, 7);
-    const int reps = args.quick ? 2 : 10;
-
-    util::Table pre({"preprocess", "attacks", "conflicts", "props",
-                     "time (s)", "keys identical"});
-    std::vector<netlist::Key> keys_off;
-    std::vector<netlist::Key> keys_on;
-    for (const bool enabled : {false, true}) {
-      attack::SatAttackConfig config;
-      config.preprocess.enabled = enabled;
-      const attack::SatAttack pre_attacker(config);
-      std::uint64_t conflicts = 0;
-      std::uint64_t props = 0;
-      auto& keys = enabled ? keys_on : keys_off;
-      util::Timer timer;
-      for (int rep = 0; rep < reps; ++rep) {
-        const auto result = pre_attacker.attack(dmux.netlist, original);
-        conflicts += result.total_conflicts;
-        props += result.total_propagations;
-        keys.push_back(result.recovered_key);
-      }
-      const double seconds = timer.elapsed_seconds();
-      pre.add_row({enabled ? "on" : "off", std::to_string(reps),
-                   std::to_string(conflicts), std::to_string(props),
-                   util::fmt(seconds, 3),
-                   enabled ? (keys_on == keys_off ? "yes" : "NO") : "-"});
-    }
-    benchx::emit(pre, args, "preprocessing — miter simplification on/off");
   }
   return 0;
 }

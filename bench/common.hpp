@@ -7,8 +7,9 @@
 //
 // With --json (or BENCH_JSON=1 in the environment), every emitted table is
 // also collected into a machine-readable BENCH_<binary>.json file — the
-// benchmark name, total wall time, and all metric rows — so the perf
-// trajectory can be tracked across PRs without scraping ASCII tables.
+// benchmark name, total wall time, the host (core count and build type),
+// and all metric rows — so the perf trajectory can be tracked across PRs
+// without scraping ASCII tables.
 //
 // Solver-core metrics in bench_sat_attack's JSON (per row, stringified):
 // "props" (unit propagations), "Mprops/s" (propagation throughput),
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/autolock.hpp"
@@ -94,6 +96,11 @@ struct JsonSink {
     if (!out) return;
     out << "{\n  \"bench\": \"" << json_escape(bench_name) << "\",\n"
         << "  \"seconds\": " << timer.elapsed_seconds() << ",\n"
+        << "  \"hardware_concurrency\": "
+        << std::thread::hardware_concurrency() << ",\n"
+        // AUTOLOCK_BUILD_TYPE is defined for every bench by CMakeLists.txt.
+        << "  \"build_type\": \"" << json_escape(AUTOLOCK_BUILD_TYPE)
+        << "\",\n"
         << "  \"sections\": [\n";
     for (std::size_t s = 0; s < sections.size(); ++s) {
       const Section& section = sections[s];

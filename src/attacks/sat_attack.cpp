@@ -3,9 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sat/backend.hpp"
 #include "sat/cnf.hpp"
-#include "sat/preprocess.hpp"
 #include "util/timer.hpp"
 
 namespace autolock::attack {
@@ -39,7 +37,11 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
   const auto key_nodes = locked.key_inputs();
   const std::size_t key_bits = key_nodes.size();
   if (key_bits == 0) {
-    result.success = true;
+    // Nothing to recover, but the pair must still be proven equivalent:
+    // a keyless design that differs from the oracle is not a completion
+    // of it under any key.
+    result.success = sat::check_equivalent(locked, Key{}, oracle, Key{});
+    result.infeasible = !result.success;
     result.seconds = timer.elapsed_seconds();
     return result;
   }
@@ -59,65 +61,17 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
   // solves reuse the same solver — learnt clauses and VSIDS state survive
   // across all of it.
   //
-  // In cone-template mode the second copy shares the key-independent
-  // remainder with the first (it is identical in both), so the initial
-  // miter grows by one key cone instead of one whole circuit — every DIP
-  // search then propagates a much smaller formula. The full-copy baseline
-  // keeps the classic two-full-copies miter.
+  // The second copy shares the key-independent remainder with the first
+  // (it is identical in both), so the initial miter grows by one key cone
+  // instead of one whole circuit — every DIP search then propagates a much
+  // smaller formula.
   sat::ConeTemplate cone(locked);
   const Encoding enc1 = sat::encode_netlist(solver, locked);
-  const Encoding enc2 =
-      config_.dip_encoding == DipEncoding::kConeTemplate
-          ? cone.encode_shared_copy(solver, enc1)
-          : sat::encode_netlist(solver, locked, enc1.primary_input_var,
-                                std::nullopt);
-  std::vector<Var> pi_vars = enc1.primary_input_var;
-  std::vector<Var> key1_vars = enc1.key_var;
-  std::vector<Var> key2_vars = enc2.key_var;
-  Var miter_var = sat::make_miter(solver, enc1, enc2);
-
-  // Optional phase-2 preprocessing of the initial miter formula. The
-  // attack's interface variables (DIP extraction reads PI models, IO
-  // constraints reference key variables, the loop assumes the miter) are
-  // frozen so elimination cannot remove them; a frozen variable the
-  // preprocessor *fixed* at level 0 is re-materialized as a fresh pinned
-  // variable, which keeps every downstream path uniform.
-  if (config_.preprocess.enabled) {
-    std::vector<Var> frozen;
-    frozen.reserve(pi_vars.size() + 2 * key_bits + 1);
-    frozen.insert(frozen.end(), pi_vars.begin(), pi_vars.end());
-    frozen.insert(frozen.end(), key1_vars.begin(), key1_vars.end());
-    frozen.insert(frozen.end(), key2_vars.begin(), key2_vars.end());
-    frozen.push_back(miter_var);
-
-    sat::Preprocessor pre(config_.preprocess);
-    const bool feasible = pre.run(solver.export_cnf(), frozen);
-    sat::Solver simplified;
-    if (config_.conflict_budget != 0) {
-      simplified.set_conflict_budget(config_.conflict_budget);
-    }
-    if (!feasible || !pre.load_into(simplified)) {
-      // The raw miter formula is satisfiable by construction (any key
-      // pair is a model), so this is unreachable short of a preprocessor
-      // defect; report honestly rather than solving on a dead formula.
-      result.infeasible = true;
-      result.seconds = timer.elapsed_seconds();
-      return result;
-    }
-    solver = std::move(simplified);
-    const auto materialize = [&](Var original) {
-      const Var mapped = pre.map(original);
-      if (mapped >= 0) return mapped;
-      const Var fresh = solver.new_var();  // frozen ⇒ mapped or fixed
-      solver.add_clause(make_lit(fresh, pre.fixed_value(original) != 1));
-      return fresh;
-    };
-    for (Var& v : pi_vars) v = materialize(v);
-    for (Var& v : key1_vars) v = materialize(v);
-    for (Var& v : key2_vars) v = materialize(v);
-    miter_var = materialize(miter_var);
-  }
-  const Lit miter_lit = make_lit(miter_var, false);
+  const Encoding enc2 = cone.encode_shared_copy(solver, enc1);
+  const std::vector<Var>& pi_vars = enc1.primary_input_var;
+  const std::vector<Var>& key1_vars = enc1.key_var;
+  const std::vector<Var>& key2_vars = enc2.key_var;
+  const Lit miter_lit = make_lit(sat::make_miter(solver, enc1, enc2), false);
 
   const std::size_t primary_count = pi_vars.size();
 
@@ -163,27 +117,9 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     const std::vector<bool> response = oracle_sim.run_single(dip, Key{});
 
     // Append the IO constraint (both copies must map dip -> response).
-    bool consistent = true;
-    if (config_.dip_encoding == DipEncoding::kConeTemplate) {
-      consistent = cone.bind_dip(dip, response) &&
-                   cone.encode_copy(solver, key1_vars) &&
-                   cone.encode_copy(solver, key2_vars);
-    } else {
-      // Baseline: two fresh pinned copies of the whole circuit. The DIP
-      // inputs are pinned as level-0 facts BEFORE each copy is encoded,
-      // so add_clause's level-0 simplification constant-folds the input
-      // cones while encoding.
-      for (const auto& key_vars : {key1_vars, key2_vars}) {
-        const Encoding pinned = sat::encode_netlist(
-            solver, locked, sat::pin_constants(solver, dip), key_vars);
-        for (std::size_t o = 0; o < pinned.output_var.size(); ++o) {
-          consistent = solver.add_clause(make_lit(pinned.output_var[o],
-                                                  !response[o])) &&
-                       consistent;
-        }
-      }
-      consistent = consistent && solver.okay();
-    }
+    const bool consistent = cone.bind_dip(dip, response) &&
+                            cone.encode_copy(solver, key1_vars) &&
+                            cone.encode_copy(solver, key2_vars);
     result.iterations.push_back(
         {solver.num_vars() - vars_before,
          solver.num_clauses() - clauses_before, solver.stats().arena_bytes,
@@ -218,57 +154,33 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
   // forcing each to 0 when some consistent key allows it. Every query is
   // an assumption solve on the warm solver. A kUnknown (conflict budget)
   // aborts canonicalization but keeps the (valid) witness key.
-  if (config_.canonicalize_key) {
-    std::vector<Lit> prefix;
-    prefix.reserve(key_bits);
-    for (std::size_t b = 0; b < key_bits; ++b) {
-      if (!result.recovered_key[b]) {
-        // The current witness model already has this bit at 0.
-        prefix.push_back(make_lit(key1_vars[b], true));
-        continue;
+  std::vector<Lit> prefix;
+  prefix.reserve(key_bits);
+  for (std::size_t b = 0; b < key_bits; ++b) {
+    if (!result.recovered_key[b]) {
+      // The current witness model already has this bit at 0.
+      prefix.push_back(make_lit(key1_vars[b], true));
+      continue;
+    }
+    prefix.push_back(make_lit(key1_vars[b], true));  // try 0
+    const SolveResult bit_res = solver.solve(prefix);
+    if (bit_res == SolveResult::kSat) {
+      // Adopt the new witness: this bit drops to 0 and the undecided
+      // suffix must be re-read from the new model.
+      for (std::size_t j = b; j < key_bits; ++j) {
+        result.recovered_key[j] = solver.model_value(key1_vars[j]);
       }
-      prefix.push_back(make_lit(key1_vars[b], true));  // try 0
-      const SolveResult bit_res = solver.solve(prefix);
-      if (bit_res == SolveResult::kSat) {
-        // Adopt the new witness: this bit drops to 0 and the undecided
-        // suffix must be re-read from the new model.
-        for (std::size_t j = b; j < key_bits; ++j) {
-          result.recovered_key[j] = solver.model_value(key1_vars[j]);
-        }
-      } else if (bit_res == SolveResult::kUnsat) {
-        prefix.back() = make_lit(key1_vars[b], false);  // forced to 1
-      } else {
-        prefix.pop_back();  // budget: keep the witness key as-is
-        break;
-      }
+    } else if (bit_res == SolveResult::kUnsat) {
+      prefix.back() = make_lit(key1_vars[b], false);  // forced to 1
+    } else {
+      prefix.pop_back();  // budget: keep the witness key as-is
+      break;
     }
   }
 
-  // Verify functional correctness of the recovered key with a fresh
-  // miter. With a portfolio command, the in-tree solver races the
-  // external one — this is the only solve whose model is never read, so
-  // racing cannot perturb the (deterministic) trajectory.
-  if (!config_.portfolio_command.empty()) {
-    sat::Portfolio portfolio;
-    portfolio.add(sat::CdclBackend{});
-    portfolio.add(
-        sat::DimacsSubprocessBackend(config_.portfolio_command, "external"));
-    const sat::BackendResult verdict = portfolio.solve(
-        sat::export_equivalence_cnf(locked, result.recovered_key, oracle,
-                                    Key{}),
-        {}, config_.pool);
-    result.verify_backend = verdict.backend;
-    result.success = verdict.result == SolveResult::kUnsat;
-    result.budget_exhausted = result.budget_exhausted ||
-                              verdict.result == SolveResult::kUnknown;
-  } else {
-    sat::EquivCheckOptions options;
-    options.preprocess = config_.preprocess;
-    result.verify_backend = "cdcl";
-    result.success =
-        sat::check_equivalent(locked, result.recovered_key, oracle, Key{},
-                              options);
-  }
+  // Verify functional correctness of the recovered key with a fresh miter.
+  result.success =
+      sat::check_equivalent(locked, result.recovered_key, oracle, Key{});
   return finish(std::move(result));
 }
 

@@ -8,14 +8,13 @@
 // space by adding IO constraints; when no DIP remains, any key consistent
 // with all recorded IO pairs is functionally correct.
 //
-// SAT core phase 2 made the loop fully incremental: one growing formula
-// holds the miter and every DIP's IO constraints, so learnt clauses and
-// VSIDS state carry across iterations, and the default kConeTemplate
-// encoding (sat::ConeTemplate) simulates the key-independent logic to
-// constants once per DIP instead of re-encoding two full circuit copies.
-// The recovered key is canonicalized (lexicographically smallest
-// consistent key) so it is a function of the locked/oracle pair alone, not
-// of the DIP trajectory or encoding mode.
+// The loop is fully incremental: one growing formula holds the miter and
+// every DIP's IO constraints, so learnt clauses and VSIDS state carry
+// across iterations, and each DIP is encoded through sat::ConeTemplate,
+// which simulates the key-independent logic to constants once per DIP and
+// encodes only the key-dependent cone per copy. The recovered key is
+// canonicalized (lexicographically smallest consistent key) so it is a
+// function of the locked/oracle pair alone, not of the DIP trajectory.
 //
 // In this repo the SAT attack serves the multi-objective extension (the
 // AutoLock research plan's "set of distinct attacks"): MUX locking is not
@@ -24,30 +23,12 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 #include "netlist/simulator.hpp"
-#include "sat/preprocess.hpp"
-
-namespace autolock::util {
-class ThreadPool;
-}
 
 namespace autolock::attack {
-
-/// How a DIP's IO constraints enter the growing formula.
-enum class DipEncoding {
-  /// Encode-once cone template (default): per DIP, key-independent logic
-  /// is simulated to constants once (shared by both copies) and only the
-  /// key-dependent cone is encoded per copy, with constant folding.
-  kConeTemplate,
-  /// Per-DIP-copy baseline: two fresh pinned copies of the whole locked
-  /// netlist per DIP. Kept for A/B benchmarking (bench_sat_attack races
-  /// the two modes) and as the reference the template is tested against.
-  kFullCopy,
-};
 
 struct SatAttackConfig {
   /// Abort after this many DIP iterations (0 = unlimited).
@@ -55,33 +36,10 @@ struct SatAttackConfig {
   /// Per-solve conflict budget (0 = unlimited). When exhausted the attack
   /// reports failure with `budget_exhausted` set.
   std::uint64_t conflict_budget = 0;
-  DipEncoding dip_encoding = DipEncoding::kConeTemplate;
-  /// Canonicalize the recovered key to the lexicographically smallest key
-  /// consistent with all IO constraints (a few extra assumption solves on
-  /// the warm solver). At termination the consistent set equals the
-  /// functionally-correct set, so the canonical key is identical across
-  /// encoding modes and DIP orders — this is what makes the
-  /// incremental-vs-baseline bit-identity check meaningful. When off, the
-  /// key is whatever model the final solve happens to produce.
-  bool canonicalize_key = true;
-  /// When enabled, the initial miter formula is simplified by the
-  /// SatELite-style Preprocessor (PI/key/miter variables frozen) before
-  /// the DIP loop, and the final verification query is preprocessed too.
-  sat::PreprocessConfig preprocess;
-  /// External DIMACS solver command template ("{cnf}" is replaced with a
-  /// CNF path, e.g. "kissat -q {cnf}") raced against the in-tree solver
-  /// on the final verification query — the one solve whose model is never
-  /// read, so racing cannot perturb the attack trajectory. Empty: in-tree
-  /// solver only.
-  std::string portfolio_command;
-  /// Pool to race portfolio backends on (borrowed, not owned). Null: the
-  /// backends run sequentially, in-tree solver first.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Per-DIP-iteration formula growth, surfaced so benches and tests can see
-/// the incremental path's footprint (kConeTemplate grows by the key cone,
-/// kFullCopy by two whole circuit copies).
+/// the incremental path's footprint (at most two key cones per DIP).
 struct DipIterationStats {
   std::uint64_t new_vars = 0;     // solver variables added by this DIP
   std::uint64_t new_clauses = 0;  // problem clauses added by this DIP
@@ -97,7 +55,8 @@ struct SatAttackResult {
   /// pairing, or corrupted responses). Detected either by the cone
   /// template's key-independent output check or by the IO constraints
   /// going UNSAT at level 0 — the loop stops immediately instead of
-  /// solving on a dead formula.
+  /// solving on a dead formula. A locked netlist with no key inputs is
+  /// infeasible exactly when it is not equivalent to the oracle.
   bool infeasible = false;
   netlist::Key recovered_key;
   std::size_t dip_iterations = 0;
@@ -112,9 +71,6 @@ struct SatAttackResult {
   double mean_lbd = 0.0;
   /// One entry per DIP iteration (empty when the key count is zero).
   std::vector<DipIterationStats> iterations;
-  /// Backend that answered the final verification query ("cdcl" unless a
-  /// portfolio_command won the race; empty if verification never ran).
-  std::string verify_backend;
   double seconds = 0.0;
 };
 

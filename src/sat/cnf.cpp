@@ -206,8 +206,7 @@ std::vector<Var> pin_constants(Solver& solver, const std::vector<bool>& bits) {
 }
 
 bool check_equivalent(const Netlist& a, const netlist::Key& a_key,
-                      const Netlist& b, const netlist::Key& b_key,
-                      const EquivCheckOptions& options) {
+                      const Netlist& b, const netlist::Key& b_key) {
   if (a.primary_inputs().size() != b.primary_inputs().size() ||
       a.outputs().size() != b.outputs().size()) {
     return false;
@@ -222,28 +221,7 @@ bool check_equivalent(const Netlist& a, const netlist::Key& a_key,
   const Encoding enc_b = encode_netlist(solver, b, enc_a.primary_input_var,
                                         pin_constants(solver, b_key));
   const Var miter = make_miter(solver, enc_a, enc_b);
-  if (!options.preprocess.enabled) {
-    const SolveResult result = solver.solve({make_lit(miter, false)});
-    if (result == SolveResult::kUnknown) {
-      throw std::runtime_error("check_equivalent: budget exhausted");
-    }
-    return result == SolveResult::kUnsat;
-  }
-  // Preprocessed path: assert the miter as a unit fact (so the whole
-  // difference cone is subject to elimination — only the verdict matters,
-  // no model maps back) and simplify before solving.
-  if (!solver.add_clause(make_lit(miter, false))) {
-    return true;  // miter unsatisfiable at level 0: outputs proven equal
-  }
-  Preprocessor pre(options.preprocess);
-  if (!pre.run(solver.export_cnf())) {
-    return true;
-  }
-  Solver simplified;
-  if (!pre.load_into(simplified)) {
-    return true;
-  }
-  const SolveResult result = simplified.solve();
+  const SolveResult result = solver.solve({make_lit(miter, false)});
   if (result == SolveResult::kUnknown) {
     throw std::runtime_error("check_equivalent: budget exhausted");
   }
@@ -253,28 +231,6 @@ bool check_equivalent(const Netlist& a, const netlist::Key& a_key,
 bool check_unlocks(const Netlist& locked, const netlist::Key& key,
                    const Netlist& original) {
   return check_equivalent(locked, key, original, netlist::Key{});
-}
-
-DimacsCnf export_equivalence_cnf(const Netlist& a, const netlist::Key& a_key,
-                                 const Netlist& b, const netlist::Key& b_key) {
-  if (a.primary_inputs().size() != b.primary_inputs().size() ||
-      a.outputs().size() != b.outputs().size()) {
-    throw std::invalid_argument("export_equivalence_cnf: interface mismatch");
-  }
-  if (a.key_inputs().size() != a_key.size() ||
-      b.key_inputs().size() != b_key.size()) {
-    throw std::invalid_argument("export_equivalence_cnf: key length mismatch");
-  }
-  Solver solver;
-  const Encoding enc_a =
-      encode_netlist(solver, a, std::nullopt, pin_constants(solver, a_key));
-  const Encoding enc_b = encode_netlist(solver, b, enc_a.primary_input_var,
-                                        pin_constants(solver, b_key));
-  const Var miter = make_miter(solver, enc_a, enc_b);
-  // A false return leaves the solver level-0 UNSAT; export_cnf then emits
-  // the empty clause, which is exactly the right answer (equivalent).
-  solver.add_clause(make_lit(miter, false));
-  return solver.export_cnf();
 }
 
 // ---------------------------------------------------------------------------

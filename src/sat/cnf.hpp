@@ -13,7 +13,6 @@
 
 #include "netlist/netlist.hpp"
 #include "netlist/simulator.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/solver.hpp"
 
 namespace autolock::sat {
@@ -57,9 +56,8 @@ Var make_miter(Solver& solver, const Encoding& a, const Encoding& b);
 /// constant folding and literal aliasing: a cone gate whose fanins folded
 /// to constants or a single literal costs zero fresh variables and zero
 /// clauses. Compared with encoding a fresh pinned copy of the whole
-/// netlist per DIP (the kFullCopy baseline in attacks/sat_attack.cpp),
-/// the per-DIP formula growth is proportional to the key cone, not the
-/// circuit.
+/// netlist per DIP, the per-DIP formula growth is proportional to the key
+/// cone, not the circuit.
 ///
 /// bind_dip() doubles as the oracle consistency check: a key-independent
 /// output that already contradicts the response proves NO key can match
@@ -115,33 +113,14 @@ class ConeTemplate {
   std::unique_ptr<bool[]> fanin_values_;  // eval_gate_bits input buffer
 };
 
-struct EquivCheckOptions {
-  /// When enabled, the miter CNF (with the miter output asserted as a
-  /// unit clause) is run through the Preprocessor before solving. No
-  /// variables need freezing: equivalence checking only consumes the
-  /// SAT/UNSAT verdict, never a model.
-  PreprocessConfig preprocess;
-};
-
 /// Proves or refutes equivalence of two netlists under fixed keys.
 /// Interfaces (primary input count / output count) must match.
 /// Returns true iff equivalent (miter UNSAT).
 bool check_equivalent(const netlist::Netlist& a, const netlist::Key& a_key,
-                      const netlist::Netlist& b, const netlist::Key& b_key,
-                      const EquivCheckOptions& options = {});
+                      const netlist::Netlist& b, const netlist::Key& b_key);
 
 /// Convenience: locked netlist vs. its original under the correct key.
 bool check_unlocks(const netlist::Netlist& locked, const netlist::Key& key,
                    const netlist::Netlist& original);
-
-/// The equivalence query of check_equivalent as a standalone CNF (miter
-/// output asserted): SATISFIABLE iff the netlists differ under the fixed
-/// keys. This is the handoff format for the backend portfolio
-/// (sat/backend.hpp) — any external DIMACS solver can answer it. Throws
-/// std::invalid_argument on interface or key-length mismatch.
-DimacsCnf export_equivalence_cnf(const netlist::Netlist& a,
-                                 const netlist::Key& a_key,
-                                 const netlist::Netlist& b,
-                                 const netlist::Key& b_key);
 
 }  // namespace autolock::sat

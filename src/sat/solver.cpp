@@ -595,11 +595,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
         backtrack(0);
         return SolveResult::kUnknown;
       }
-      if (interrupt_ != nullptr &&
-          interrupt_->load(std::memory_order_relaxed)) {
-        backtrack(0);
-        return SolveResult::kUnknown;
-      }
       // Budget the learnt DB against the live count (deleted clauses no
       // longer count against the limit after a reduction/GC).
       if (learnts_.size() > learnt_limit_) {
@@ -642,11 +637,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
       break;
     }
     if (next == kUndefLit) {
-      if (interrupt_ != nullptr &&
-          interrupt_->load(std::memory_order_relaxed)) {
-        backtrack(0);
-        return SolveResult::kUnknown;
-      }
       ++stats_.decisions;
       next = pick_branch_lit();
       if (next == kUndefLit) {

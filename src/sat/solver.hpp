@@ -14,7 +14,6 @@
 // and the oracle-guided SAT attack (attacks/sat_attack.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
@@ -66,8 +65,7 @@ class Solver {
   }
 
   /// Solves under the given assumptions. kUnknown is returned only when the
-  /// conflict budget (if set) is exhausted or the interrupt flag (if set)
-  /// goes true mid-solve.
+  /// conflict budget (if set) is exhausted.
   SolveResult solve(const std::vector<Lit>& assumptions = {});
 
   /// Model access (valid after kSat). Unassigned (don't-care) vars read
@@ -80,14 +78,6 @@ class Solver {
   /// 0 disables the budget (default).
   void set_conflict_budget(std::uint64_t max_conflicts) noexcept {
     conflict_budget_ = max_conflicts;
-  }
-
-  /// Cooperative cancellation for portfolio racing (sat/backend.hpp): while
-  /// the flag reads true, solve() aborts with kUnknown at the next decision
-  /// or conflict. nullptr (default) disables the check. The pointed-to flag
-  /// must outlive every solve() call.
-  void set_interrupt(const std::atomic<bool>* stop) noexcept {
-    interrupt_ = stop;
   }
 
   /// Live-learnt-clause count that triggers the next reduce_db(). Mostly a
@@ -135,10 +125,9 @@ class Solver {
   void write_dimacs(std::ostream& out) const;
 
   /// The same problem clauses (plus level-0 unit facts) as an in-memory
-  /// CNF over this solver's variable numbering — the handoff format for
-  /// the preprocessor (sat/preprocess.hpp) and the portfolio backends
-  /// (sat/backend.hpp). An unsatisfiable-at-level-0 solver exports the
-  /// empty clause.
+  /// CNF over this solver's variable numbering (what write_dimacs
+  /// serializes). An unsatisfiable-at-level-0 solver exports the empty
+  /// clause.
   DimacsCnf export_cnf() const;
 
  private:
@@ -237,7 +226,6 @@ class Solver {
 
   std::uint64_t conflict_budget_ = 0;
   std::uint64_t learnt_limit_ = 4096;
-  const std::atomic<bool>* interrupt_ = nullptr;
   Stats stats_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 
@@ -57,8 +56,31 @@ TEST(SatAttack, ZeroKeyBitsTrivialSuccess) {
   const SatAttack attacker;
   const auto result = attacker.attack(original, original);
   EXPECT_TRUE(result.success);
+  EXPECT_FALSE(result.infeasible);
   EXPECT_EQ(result.dip_iterations, 0u);
   EXPECT_TRUE(result.recovered_key.empty());
+}
+
+TEST(SatAttack, ZeroKeyBitsNonEquivalentReportsInfeasible) {
+  // Regression: a keyless "locked" design used to be reported as a
+  // successful attack without proof. AND against an OR oracle differs on
+  // two of four inputs, so no (empty) key can unlock it.
+  Netlist locked;
+  const auto a = locked.add_input("a");
+  const auto b = locked.add_input("b");
+  locked.mark_output(locked.add_gate(netlist::GateType::kAnd, {a, b}, "g"),
+                     "o");
+  Netlist oracle;
+  const auto oa = oracle.add_input("a");
+  const auto ob = oracle.add_input("b");
+  oracle.mark_output(oracle.add_gate(netlist::GateType::kOr, {oa, ob}, "g"),
+                     "o");
+
+  const auto result = SatAttack().attack(locked, oracle);
+  EXPECT_FALSE(result.success);
+  EXPECT_TRUE(result.infeasible);
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_EQ(result.dip_iterations, 0u);
 }
 
 TEST(SatAttack, InterfaceMismatchThrows) {
@@ -173,7 +195,7 @@ TEST(SatAttack, KeyedOracleThrows) {
 /// second is key-dependent (out2 = (a & b) ^ k), paired with an "oracle"
 /// whose first output is inverted (¬(a & b)) — no key assignment can make
 /// the locked circuit match it, on any input. Used to pin the
-/// inconsistent-oracle detection on both DIP encodings.
+/// inconsistent-oracle detection.
 struct InconsistentPair {
   Netlist locked;
   Netlist oracle;
@@ -201,24 +223,34 @@ TEST(SatAttack, InconsistentOracleReportsInfeasible) {
   // response no key can produce must stop the attack with `infeasible`,
   // not keep solving on a level-0-dead formula and report a random key.
   const InconsistentPair pair;
-  for (const DipEncoding encoding :
-       {DipEncoding::kConeTemplate, DipEncoding::kFullCopy}) {
-    SatAttackConfig config;
-    config.dip_encoding = encoding;
-    const auto result = SatAttack(config).attack(pair.locked, pair.oracle);
-    EXPECT_TRUE(result.infeasible)
-        << "encoding " << static_cast<int>(encoding);
-    EXPECT_FALSE(result.success);
-    EXPECT_FALSE(result.budget_exhausted);
-    EXPECT_GE(result.dip_iterations, 1u);  // detected while constraining
-  }
+  const auto result = SatAttack().attack(pair.locked, pair.oracle);
+  EXPECT_TRUE(result.infeasible);
+  EXPECT_FALSE(result.success);
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_GE(result.dip_iterations, 1u);  // detected while constraining
 }
 
-TEST(SatAttack, IncrementalAndFullCopyRecoverIdenticalKeys) {
+/// The lexicographically smallest functionally-correct key (bit 0 most
+/// significant), found by proving candidate keys one by one in order.
+/// Test-only reference for the attack's canonicalization; K must be small.
+Key brute_force_lex_min_key(const Netlist& locked, const Netlist& original) {
+  const std::size_t key_bits = locked.key_inputs().size();
+  Key key(key_bits);
+  for (std::uint64_t value = 0; value < (std::uint64_t{1} << key_bits);
+       ++value) {
+    for (std::size_t b = 0; b < key_bits; ++b) {
+      key[b] = ((value >> (key_bits - 1 - b)) & 1) != 0;
+    }
+    if (sat::check_equivalent(locked, key, original, Key{})) return key;
+  }
+  return {};  // no correct key: the lock is not a completion of `original`
+}
+
+TEST(SatAttack, RecoveredKeyIsBruteForceLexMin) {
   // With lex-min canonicalization the recovered key is a function of the
-  // locked/oracle pair alone: the cone-template incremental path and the
-  // per-DIP-copy baseline must agree bit for bit even though their DIP
-  // trajectories differ. Seeded c432 (RLL) and c880 (D-MUX) workloads.
+  // locked/oracle pair alone: it must be the first correct key in
+  // lexicographic order, whatever DIP trajectory led there. Seeded c432
+  // and c880 RLL and D-MUX locks, small enough to enumerate.
   struct Workload {
     netlist::gen::ProfileId profile;
     std::uint64_t seed;
@@ -226,29 +258,22 @@ TEST(SatAttack, IncrementalAndFullCopyRecoverIdenticalKeys) {
     std::size_t key_bits;
   };
   const Workload workloads[] = {
-      {netlist::gen::ProfileId::kC432, 3, true, 16},
-      {netlist::gen::ProfileId::kC432, 21, false, 12},
-      {netlist::gen::ProfileId::kC880, 5, false, 12},
-      {netlist::gen::ProfileId::kC880, 7, true, 16},
+      {netlist::gen::ProfileId::kC432, 3, true, 8},
+      {netlist::gen::ProfileId::kC432, 21, false, 8},
+      {netlist::gen::ProfileId::kC880, 5, false, 8},
+      {netlist::gen::ProfileId::kC880, 7, true, 8},
   };
   for (const auto& w : workloads) {
     const Netlist original = netlist::gen::make_profile(w.profile, w.seed);
     const auto design = w.rll
                             ? lock::rll_lock(original, w.key_bits, w.seed + 2)
                             : lock::dmux_lock(original, w.key_bits, w.seed + 2);
-
-    SatAttackConfig incremental;
-    incremental.dip_encoding = DipEncoding::kConeTemplate;
-    const auto inc = SatAttack(incremental).attack(design.netlist, original);
-
-    SatAttackConfig baseline;
-    baseline.dip_encoding = DipEncoding::kFullCopy;
-    const auto base = SatAttack(baseline).attack(design.netlist, original);
-
-    ASSERT_TRUE(inc.success) << "seed " << w.seed;
-    ASSERT_TRUE(base.success) << "seed " << w.seed;
-    EXPECT_EQ(inc.recovered_key, base.recovered_key)
-        << "canonical keys diverged (seed " << w.seed << ")";
+    const auto result = SatAttack().attack(design.netlist, original);
+    ASSERT_TRUE(result.success) << "seed " << w.seed;
+    EXPECT_EQ(result.recovered_key,
+              brute_force_lex_min_key(design.netlist, original))
+        << "recovered key is not the lex-min correct key (seed " << w.seed
+        << ")";
   }
 }
 
@@ -257,59 +282,19 @@ TEST(SatAttack, PerIterationStatsTrackFormulaGrowth) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 5);
   const auto design = lock::dmux_lock(original, 12, 9);
 
-  SatAttackConfig incremental;  // defaults: cone template
-  const auto inc = SatAttack(incremental).attack(design.netlist, original);
-  ASSERT_TRUE(inc.success);
-  ASSERT_EQ(inc.iterations.size(), inc.dip_iterations);
-
-  SatAttackConfig baseline;
-  baseline.dip_encoding = DipEncoding::kFullCopy;
-  const auto base = SatAttack(baseline).attack(design.netlist, original);
-  ASSERT_TRUE(base.success);
-  ASSERT_EQ(base.iterations.size(), base.dip_iterations);
+  const auto result = SatAttack().attack(design.netlist, original);
+  ASSERT_TRUE(result.success);
+  ASSERT_EQ(result.iterations.size(), result.dip_iterations);
 
   // The whole point of the cone template: per-DIP growth proportional to
-  // the key cone, not the circuit. Every incremental iteration must add
-  // fewer variables than any full-copy iteration adds.
-  std::uint64_t inc_max_vars = 0;
-  for (const auto& it : inc.iterations) {
-    inc_max_vars = std::max(inc_max_vars, it.new_vars);
+  // the key cone, not the circuit. Each DIP encodes at most one folded
+  // cone per key copy.
+  const sat::ConeTemplate cone(design.netlist);
+  ASSERT_LT(cone.cone_size(), design.netlist.size());
+  for (const auto& it : result.iterations) {
+    EXPECT_LE(it.new_vars, 2 * cone.cone_size());
     EXPECT_GT(it.arena_bytes, 0u);
   }
-  std::uint64_t base_min_vars = ~std::uint64_t{0};
-  for (const auto& it : base.iterations) {
-    base_min_vars = std::min(base_min_vars, it.new_vars);
-  }
-  EXPECT_LT(inc_max_vars, base_min_vars);
-}
-
-TEST(SatAttack, PreprocessedAttackAgreesWithPlain) {
-  const Netlist original =
-      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
-  const auto design = lock::rll_lock(original, 16, 7);
-
-  const auto plain = SatAttack().attack(design.netlist, original);
-  SatAttackConfig config;
-  config.preprocess.enabled = true;
-  const auto preprocessed = SatAttack(config).attack(design.netlist, original);
-
-  ASSERT_TRUE(plain.success);
-  ASSERT_TRUE(preprocessed.success);
-  // Different formula, possibly different trajectory — but the canonical
-  // key is trajectory-independent.
-  EXPECT_EQ(preprocessed.recovered_key, plain.recovered_key);
-}
-
-TEST(SatAttack, PortfolioVerificationReportsBackend) {
-  const Netlist original = netlist::gen::c17();
-  const auto design = lock::rll_lock(original, 3, 5);
-  SatAttackConfig config;
-  // Unavailable external binary: the portfolio must fall back to the
-  // in-tree backend and still verify.
-  config.portfolio_command = "autolock-no-such-solver {cnf}";
-  const auto result = SatAttack(config).attack(design.netlist, original);
-  ASSERT_TRUE(result.success);
-  EXPECT_EQ(result.verify_backend, "cdcl");
 }
 
 class SatAttackSweep

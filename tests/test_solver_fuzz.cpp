@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "sat/instances.hpp"
-#include "sat/preprocess.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::sat {
@@ -226,96 +225,6 @@ TEST(SolverFuzz, AssumptionsAgreeWithUnitClauses) {
       }
     }
   }
-}
-
-// Preprocessing soundness over the full 3000-CNF corpus (both seed ranges
-// used above): SatELite-style simplification must preserve the SAT/UNSAT
-// verdict exactly, every model of the simplified formula must extend to a
-// model of the original clauses, and frozen variables must stay reachable
-// (mapped or fixed, never silently eliminated).
-TEST(SolverFuzz, PreprocessAgreesWithPlain) {
-  PreprocessConfig config;
-  config.enabled = true;
-  config.bve_growth = 2;  // let elimination actually fire on tiny CNFs
-  std::size_t eliminated_total = 0;
-  std::size_t subsumed_total = 0;
-  int corpus_index = 0;
-  for (const std::uint64_t base : {0xF0220000ull, 0xA5500000ull}) {
-    const int iterations = base == 0xF0220000ull ? 2400 : 600;
-    for (int iter = 0; iter < iterations; ++iter, ++corpus_index) {
-      const std::uint64_t seed = base + iter;
-      const RandomCnf cnf = make_random_cnf(seed);
-
-      Solver plain;
-      for (int v = 0; v < cnf.vars; ++v) plain.new_var();
-      for (const auto& clause : cnf.clauses) plain.add_clause(clause);
-      const SolveResult plain_result = plain.solve();
-      ASSERT_NE(plain_result, SolveResult::kUnknown);
-
-      DimacsCnf dimacs;
-      dimacs.num_vars = cnf.vars;
-      dimacs.clauses = cnf.clauses;
-
-      // Every third instance freezes a couple of variables, mimicking how
-      // the attack protects key/input variables.
-      std::vector<Var> frozen;
-      if (corpus_index % 3 == 0) {
-        util::Rng rng(seed ^ 0xF60EEull);
-        frozen.push_back(static_cast<Var>(rng.next_below(cnf.vars)));
-        frozen.push_back(static_cast<Var>(rng.next_below(cnf.vars)));
-      }
-
-      Preprocessor pre(config);
-      const bool consistent = pre.run(dimacs, frozen);
-      if (!consistent) {
-        ASSERT_EQ(plain_result, SolveResult::kUnsat)
-            << "preprocessor claims level-0 UNSAT on a satisfiable formula "
-            << "(seed " << seed << ")";
-        continue;
-      }
-      for (const Var v : frozen) {
-        ASSERT_TRUE(pre.map(v) >= 0 || pre.fixed_value(v) != -1)
-            << "frozen variable eliminated (seed " << seed << ")";
-      }
-
-      Solver simplified;
-      ASSERT_TRUE(pre.load_into(simplified))
-          << "simplified formula conflicts at level 0 after a clean run() "
-          << "(seed " << seed << ")";
-      const SolveResult pre_result = simplified.solve();
-      ASSERT_NE(pre_result, SolveResult::kUnknown);
-      ASSERT_EQ(pre_result, plain_result)
-          << "preprocessing changed the verdict (seed " << seed << ")";
-
-      if (pre_result == SolveResult::kSat) {
-        std::vector<bool> model(
-            static_cast<std::size_t>(pre.simplified().num_vars));
-        for (std::size_t v = 0; v < model.size(); ++v) {
-          model[v] = simplified.model_value(static_cast<Var>(v));
-        }
-        const std::vector<bool> full = pre.extend_model(model);
-        ASSERT_EQ(full.size(), static_cast<std::size_t>(cnf.vars));
-        for (const auto& clause : cnf.clauses) {
-          bool satisfied = false;
-          for (const Lit lit : clause) {
-            if (full[lit_var(lit)] != lit_sign(lit)) {
-              satisfied = true;
-              break;
-            }
-          }
-          ASSERT_TRUE(satisfied)
-              << "extended model violates an original clause (seed " << seed
-              << ")";
-        }
-      }
-      eliminated_total += pre.stats().vars_eliminated;
-      subsumed_total += pre.stats().clauses_subsumed;
-    }
-  }
-  // The sweep must exercise the interesting paths, not just pass formulas
-  // through untouched.
-  EXPECT_GT(eliminated_total, 1000u);
-  EXPECT_GT(subsumed_total, 100u);
 }
 
 // Incremental reuse across GC runs: one solver alternates between (a) a
