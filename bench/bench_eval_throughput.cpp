@@ -1,14 +1,12 @@
 // End-to-end evaluation hot-path throughput: decode, single-design attack
-// evaluation, and full GA generations per second, measured on the legacy
-// (allocating) paths and the workspace (allocation-free) paths side by
-// side. The attack mix is the seeded-GA workload the AutoLock loop runs
-// per individual: structural link prediction + SCOPE.
+// evaluation, and full GA generations per second on the workspace
+// (allocation-free) evaluation path, plus corruption probes, MuxLink GNN
+// attacks, compound-genotype decode and GA thread scaling. The attack mix
+// is the seeded-GA workload the AutoLock loop runs per individual:
+// structural link prediction + SCOPE.
 //
-// This is the benchmark future perf PRs are measured against: run with
-// --json to refresh BENCH_bench_eval_throughput.json. The "speedup" column
-// of the GA section is the acceptance metric (workspace generations/s over
-// legacy generations/s); trajectories are identical in both modes, pinned
-// by tests/test_workspace.cpp.
+// Run with --json to refresh BENCH_bench_eval_throughput.json; the JSON
+// records the host's core count and build type next to the rows.
 #include "bench/common.hpp"
 
 #include <thread>
@@ -39,21 +37,15 @@ struct Measurement {
 
 Measurement time_decodes(const netlist::Netlist& original,
                          const lock::SiteContext& context,
-                         const lock::Genotype& genes,
-                         std::size_t iters, bool workspace_mode) {
+                         const lock::Genotype& genes, std::size_t iters) {
   eval::EvalWorkspace workspace;
   std::size_t guard = 0;
   util::Timer timer;
   for (std::size_t i = 0; i < iters; ++i) {
     util::Rng repair(0xDEC0DEULL + i);
-    if (workspace_mode) {
-      lock::apply_genotype_into(workspace.design, original, context, genes,
-                                repair, workspace.reach);
-      guard += workspace.design.netlist.size();
-    } else {
-      auto design = lock::apply_genotype(original, context, genes, repair);
-      guard += design.netlist.size();
-    }
+    lock::apply_genotype_into(workspace.design, original, context, genes,
+                              repair, workspace.reach);
+    guard += workspace.design.netlist.size();
   }
   Measurement m;
   m.seconds = timer.elapsed_seconds();
@@ -62,11 +54,9 @@ Measurement time_decodes(const netlist::Netlist& original,
   return m;
 }
 
-eval::EvalPipelineConfig attack_mix_config(bool workspaces,
-                                           std::uint64_t seed) {
+eval::EvalPipelineConfig attack_mix_config(std::uint64_t seed) {
   eval::EvalPipelineConfig config;
   config.attacks = {"structural", "scope"};
-  config.workspaces = workspaces;
   config.seed = seed;
   return config;
 }
@@ -84,8 +74,7 @@ int main(int argc, char** argv) {
 
   util::Table decode_table({"circuit", "K", "mode", "decodes/s", "seconds"});
   util::Table eval_table({"circuit", "K", "mode", "evals/s", "seconds"});
-  util::Table ga_table(
-      {"circuit", "K", "mode", "gens/s", "seconds", "evals", "speedup"});
+  util::Table ga_table({"circuit", "K", "mode", "gens/s", "seconds", "evals"});
   util::Table corruption_table(
       {"circuit", "K", "mode", "probes/s", "seconds", "speedup"});
   util::Table gnn_table(
@@ -93,10 +82,9 @@ int main(int argc, char** argv) {
   util::Table scaling_table(
       {"circuit", "K", "mode", "gens/s", "seconds", "speedup"});
   util::Table compound_table({"circuit", "K", "mode", "rate/s", "seconds"});
-  // Context for the scaling section: on a 1-core host (the CI container)
-  // parallel_for_sharded degenerates to the serial loop and the speedup
-  // column is expected to sit at 1.0x — that shape is the host's fault, not
-  // a sharding regression, and the note column says so in the JSON.
+  // Context for the scaling section: on a 1-core host parallel_for_sharded
+  // degenerates to the serial loop, so the section is skipped there and the
+  // note column says so in the JSON.
   util::Table host_table({"metric", "mode", "note", "value"});
   {
     const unsigned cores = std::thread::hardware_concurrency();
@@ -116,18 +104,18 @@ int main(int argc, char** argv) {
 
     // ---- decode throughput ------------------------------------------------
     const std::size_t decode_iters = args.quick ? 50 : 400;
-    for (const bool workspace_mode : {false, true}) {
-      const Measurement m = time_decodes(original, context, genes,
-                                         decode_iters, workspace_mode);
+    {
+      const Measurement m =
+          time_decodes(original, context, genes, decode_iters);
       decode_table.add_row({std::string(info.name), std::to_string(w.key_bits),
-                            workspace_mode ? "workspace" : "legacy",
-                            util::fmt(m.rate, 1), util::fmt(m.seconds, 3)});
+                            "workspace", util::fmt(m.rate, 1),
+                            util::fmt(m.seconds, 3)});
     }
 
     // ---- single-evaluation throughput (structural + scope) ----------------
-    const std::size_t eval_iters = args.quick ? 3 : 10;
-    for (const bool workspace_mode : {false, true}) {
-      eval::EvalPipelineConfig config = attack_mix_config(workspace_mode, 0);
+    {
+      const std::size_t eval_iters = args.quick ? 3 : 10;
+      eval::EvalPipelineConfig config = attack_mix_config(0);
       config.cache = false;
       eval::EvalPipeline pipeline(original, config);
       auto mutable_genes = genes;
@@ -137,8 +125,7 @@ int main(int argc, char** argv) {
       }
       const double s = timer.elapsed_seconds();
       eval_table.add_row(
-          {std::string(info.name), std::to_string(w.key_bits),
-           workspace_mode ? "workspace" : "legacy",
+          {std::string(info.name), std::to_string(w.key_bits), "workspace",
            util::fmt(static_cast<double>(eval_iters) / s, 2),
            util::fmt(s, 3)});
     }
@@ -148,23 +135,16 @@ int main(int argc, char** argv) {
     ga_config.population = 12;
     ga_config.generations = args.quick ? 2 : 4;
     ga_config.seed = 42;
-    double legacy_gens_per_s = 0.0;
-    for (const bool workspace_mode : {false, true}) {
-      eval::EvalPipeline pipeline(
-          original, attack_mix_config(workspace_mode, ga_config.seed));
+    {
+      eval::EvalPipeline pipeline(original, attack_mix_config(ga_config.seed));
       ga::GeneticAlgorithm ga(original, ga_config);
       util::Timer timer;
       const auto result = ga.run(w.key_bits, pipeline);
       const double s = timer.elapsed_seconds();
-      const double gens_per_s =
-          static_cast<double>(ga_config.generations) / s;
-      if (!workspace_mode) legacy_gens_per_s = gens_per_s;
       ga_table.add_row(
-          {std::string(info.name), std::to_string(w.key_bits),
-           workspace_mode ? "workspace" : "legacy", util::fmt(gens_per_s, 3),
-           util::fmt(s, 3), std::to_string(result.evaluations),
-           workspace_mode ? util::fmt(gens_per_s / legacy_gens_per_s, 2) + "x"
-                          : "1.00x"});
+          {std::string(info.name), std::to_string(w.key_bits), "workspace",
+           util::fmt(static_cast<double>(ga_config.generations) / s, 3),
+           util::fmt(s, 3), std::to_string(result.evaluations)});
     }
     // ---- corruption probe throughput: single-key loop vs multi-key lanes --
     // The pipeline's probe shape: 64 wrong keys sharing 4 random vectors.
@@ -267,8 +247,8 @@ int main(int argc, char** argv) {
     // MUX sections above, but each genotype carries RLL XOR/XNOR sites and
     // one Anti-SAT block alongside the MUX pairs, so the decode exercises
     // every gene arm plus the wider key layout (K column = decoded key
-    // bits, not gene count). Rows: decode rate in both allocation modes,
-    // then compound GA generations/s through run(spec, pipeline).
+    // bits, not gene count). Rows: decode rate, then compound GA
+    // generations/s through run(spec, pipeline).
     {
       lock::GenotypeSpec spec;
       spec.mux_sites = w.key_bits;
@@ -279,16 +259,12 @@ int main(int argc, char** argv) {
           lock::random_genotype(context, spec, compound_rng);
       const std::size_t compound_bits =
           lock::key_layout(compound_genes).size();
-      for (const bool workspace_mode : {false, true}) {
-        const Measurement m = time_decodes(original, context, compound_genes,
-                                           decode_iters, workspace_mode);
-        compound_table.add_row(
-            {std::string(info.name), std::to_string(compound_bits),
-             workspace_mode ? "decode workspace" : "decode legacy",
-             util::fmt(m.rate, 1), util::fmt(m.seconds, 3)});
-      }
-      eval::EvalPipeline pipeline(
-          original, attack_mix_config(true, ga_config.seed));
+      const Measurement m =
+          time_decodes(original, context, compound_genes, decode_iters);
+      compound_table.add_row(
+          {std::string(info.name), std::to_string(compound_bits),
+           "decode workspace", util::fmt(m.rate, 1), util::fmt(m.seconds, 3)});
+      eval::EvalPipeline pipeline(original, attack_mix_config(ga_config.seed));
       ga::GeneticAlgorithm ga(original, ga_config);
       util::Timer timer;
       const auto result = ga.run(spec, pipeline);
@@ -310,8 +286,7 @@ int main(int argc, char** argv) {
       double single_thread_rate = 0.0;
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                         std::size_t{4}}) {
-        eval::EvalPipelineConfig config =
-            attack_mix_config(true, ga_config.seed);
+        eval::EvalPipelineConfig config = attack_mix_config(ga_config.seed);
         config.threads = threads;
         eval::EvalPipeline pipeline(original, config);
         ga::GeneticAlgorithm ga(original, ga_config);

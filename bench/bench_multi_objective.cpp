@@ -44,10 +44,11 @@ int main(int argc, char** argv) {
   eval::AttackOptions gnn_options;
   gnn_options.muxlink = benchx::muxlink_fast();
   const auto gnn = eval::make_attack("muxlink", gnn_options);
+  eval::EvalWorkspace workspace;
   int member = 0;
   for (const auto& individual : result.front) {
     const auto design = engine.decode(individual.genes);
-    const double gnn_acc = gnn->evaluate(design).accuracy;
+    const double gnn_acc = gnn->evaluate(design, workspace).accuracy;
     front.add_row({std::to_string(member++),
                    util::fmt_pct(individual.objectives[0]),
                    util::fmt(individual.objectives[1]),

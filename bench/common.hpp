@@ -31,6 +31,7 @@
 #include "core/autolock.hpp"
 #include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
+#include "eval/workspace.hpp"
 #include "netlist/generator.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -191,11 +192,14 @@ inline attack::MuxLinkConfig muxlink_thorough() {
 inline double mean_muxlink_accuracy(const lock::LockedDesign& design,
                                     int seeds) {
   double total = 0.0;
+  eval::EvalWorkspace workspace;
   for (int s = 0; s < seeds; ++s) {
     eval::AttackOptions options;
     options.muxlink = muxlink_thorough();
     options.muxlink.seed = 0xBEEF + static_cast<std::uint64_t>(s) * 7919;
-    total += eval::make_attack("muxlink", options)->evaluate(design).accuracy;
+    total += eval::make_attack("muxlink", options)
+                 ->evaluate(design, workspace)
+                 .accuracy;
   }
   return total / seeds;
 }

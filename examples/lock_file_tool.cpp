@@ -22,10 +22,11 @@
 #include "attacks/muxlink.hpp"
 #include "core/autolock.hpp"
 #include "eval/registry.hpp"
+#include "eval/workspace.hpp"
 #include "locking/antisat.hpp"
 #include "locking/rll.hpp"
 #include "locking/verify.hpp"
-#include "netlist/bench_io.hpp"
+#include "netlist/bench_stream.hpp"
 #include "netlist/generator.hpp"
 
 namespace {
@@ -37,14 +38,14 @@ int cmd_gen(int argc, char** argv) {
   const auto profile = netlist::gen::profile_by_name(argv[2]);
   const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
   const auto circuit = netlist::gen::make_profile(profile, seed);
-  netlist::bench::save_file(circuit, argv[3]);
+  netlist::bench::stream_save_file(circuit, argv[3]);
   std::printf("wrote %s (%zu gates)\n", argv[3], circuit.stats().gates);
   return 0;
 }
 
 int cmd_stats(int argc, char** argv) {
   if (argc < 3) return 1;
-  const auto circuit = netlist::bench::load_file(argv[2]);
+  const auto circuit = netlist::bench::stream_load_file(argv[2]);
   const auto stats = circuit.stats();
   std::printf("%s: %zu PIs, %zu key inputs, %zu POs, %zu gates, depth %zu\n",
               circuit.name().c_str(), stats.primary_inputs, stats.key_inputs,
@@ -54,7 +55,7 @@ int cmd_stats(int argc, char** argv) {
 
 int cmd_lock(int argc, char** argv) {
   if (argc < 5) return 1;
-  const auto original = netlist::bench::load_file(argv[2]);
+  const auto original = netlist::bench::stream_load_file(argv[2]);
   const auto key_bits = static_cast<std::size_t>(std::atoi(argv[4]));
   const std::string scheme = argc > 5 ? argv[5] : "dmux";
   const std::uint64_t seed = argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1;
@@ -83,7 +84,7 @@ int cmd_lock(int argc, char** argv) {
     std::fprintf(stderr, "internal error: locking failed verification\n");
     return 2;
   }
-  netlist::bench::save_file(design.netlist, argv[3]);
+  netlist::bench::stream_save_file(design.netlist, argv[3]);
   std::printf("wrote %s  scheme=%s  K=%zu\nkey = ", argv[3], scheme.c_str(),
               design.key.size());
   for (const bool bit : design.key) std::printf("%d", bit ? 1 : 0);
@@ -93,7 +94,7 @@ int cmd_lock(int argc, char** argv) {
 
 int cmd_attack(int argc, char** argv) {
   if (argc < 3) return 1;
-  const auto locked = netlist::bench::load_file(argv[2]);
+  const auto locked = netlist::bench::stream_load_file(argv[2]);
   if (locked.key_inputs().empty()) {
     std::printf("no key inputs found — nothing to attack\n");
     return 0;
@@ -126,8 +127,8 @@ int cmd_attacks() {
 // from the command line by name.
 int cmd_report(int argc, char** argv) {
   if (argc < 4) return 1;
-  const auto locked = netlist::bench::load_file(argv[2]);
-  const auto original = netlist::bench::load_file(argv[3]);
+  const auto locked = netlist::bench::stream_load_file(argv[2]);
+  const auto original = netlist::bench::stream_load_file(argv[3]);
   const auto key_nodes = locked.key_inputs();
   if (key_nodes.empty()) {
     std::printf("no key inputs found — nothing to attack\n");
@@ -169,8 +170,10 @@ int cmd_report(int argc, char** argv) {
 
   std::printf("%-18s %9s %10s %9s %10s\n", "attack", "accuracy", "precision",
               "decided", "recovered");
+  eval::EvalWorkspace workspace;
   for (const auto& name : names) {
-    const auto report = eval::make_attack(name, options)->evaluate(design);
+    const auto report =
+        eval::make_attack(name, options)->evaluate(design, workspace);
     std::printf("%-18s %8.1f%% %9.1f%% %8.1f%% %10s\n", name.c_str(),
                 100.0 * report.accuracy, 100.0 * report.precision,
                 100.0 * report.decided_fraction,

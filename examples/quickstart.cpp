@@ -12,6 +12,7 @@
 
 #include "core/autolock.hpp"
 #include "eval/registry.hpp"
+#include "eval/workspace.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 
@@ -69,9 +70,10 @@ int main() {
   options.oracle = &original;  // the SAT attack is oracle-guided
   options.muxlink.epochs = 10;
   options.muxlink.max_train_links = 400;
+  eval::EvalWorkspace workspace;
   for (const auto& name : eval::AttackRegistry::instance().names()) {
     const eval::AttackReport sweep =
-        eval::make_attack(name, options)->evaluate(report.locked);
+        eval::make_attack(name, options)->evaluate(report.locked, workspace);
     std::printf("  %-18s accuracy %5.1f%%  key recovery %5.1f%%  %s  (%.2fs)\n",
                 name.c_str(), 100.0 * sweep.accuracy,
                 100.0 * sweep.key_recovery,

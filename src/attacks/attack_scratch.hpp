@@ -5,8 +5,9 @@
 // hard-negative sampling and subgraph extraction, the flat-optimizer
 // buffers behind SCOPE's area queries, and assorted reusable vectors. Every
 // attack resets the pieces it uses, so a scratch can be handed from design
-// to design (and attack to attack) freely — results are bit-identical to
-// the allocating legacy paths, which remain available for one-shot callers.
+// to design (and attack to attack) freely — results are bit-identical to a
+// fresh scratch. The one-shot attack(locked) overloads run on exactly that:
+// a local AttackScratch.
 #pragma once
 
 #include <vector>

@@ -17,19 +17,8 @@ int decide_from_areas(std::size_t area0, std::size_t area1) {
 }  // namespace
 
 ScopeResult ScopeAttack::attack(const netlist::Netlist& locked) const {
-  ScopeResult result;
-  const std::size_t key_bits = locked.key_inputs().size();
-  result.predicted_bits.reserve(key_bits);
-  result.areas.reserve(key_bits);
-  for (std::size_t bit = 0; bit < key_bits; ++bit) {
-    const auto zero = netlist::optimize_with_key_bit(locked, bit, false);
-    const auto one = netlist::optimize_with_key_bit(locked, bit, true);
-    const std::size_t area0 = zero.stats().gates;
-    const std::size_t area1 = one.stats().gates;
-    result.predicted_bits.push_back(decide_from_areas(area0, area1));
-    result.areas.emplace_back(area0, area1);
-  }
-  return result;
+  AttackScratch scratch;
+  return attack(locked, scratch);
 }
 
 ScopeResult ScopeAttack::attack(const netlist::Netlist& locked,

@@ -39,12 +39,14 @@ struct ScopeScore {
 
 class ScopeAttack {
  public:
+  /// One-shot variant: runs attack(locked, scratch) on a local scratch.
   ScopeResult attack(const netlist::Netlist& locked) const;
 
-  /// Scratch-reusing variant: the per-hypothesis areas come from the flat
-  /// gate-count optimizer (netlist::optimized_gate_count_with_key_bit)
-  /// instead of two fully materialized synthesis runs per key bit. Areas —
-  /// and therefore every decision — are identical to attack(locked).
+  /// The per-hypothesis areas come from the flat gate-count optimizer
+  /// (netlist::optimized_gate_count_with_key_bit), so no synthesized netlist
+  /// is materialized. Each area equals the gate count of
+  /// netlist::optimize_with_key_bit for the same (bit, value), the
+  /// reference the tests pin it against.
   ScopeResult attack(const netlist::Netlist& locked,
                      AttackScratch& scratch) const;
 

@@ -42,12 +42,6 @@ class MuxLinkAdapter : public Attack {
 
   const std::string& name() const noexcept override { return name_; }
 
-  AttackReport evaluate(const lock::LockedDesign& design) const override {
-    util::Timer timer;
-    const auto score = attack::MuxLinkAttack(config_).run(design);
-    return from_muxlink_score(name_, score, timer.elapsed_seconds());
-  }
-
   AttackReport evaluate(const lock::LockedDesign& design,
                         EvalWorkspace& workspace) const override {
     util::Timer timer;
@@ -68,12 +62,6 @@ class StructuralAdapter : public Attack {
 
   const std::string& name() const noexcept override { return name_; }
 
-  AttackReport evaluate(const lock::LockedDesign& design) const override {
-    util::Timer timer;
-    const auto score = attack::StructuralLinkPredictor(config_).run(design);
-    return from_muxlink_score(name_, score, timer.elapsed_seconds());
-  }
-
   AttackReport evaluate(const lock::LockedDesign& design,
                         EvalWorkspace& workspace) const override {
     util::Timer timer;
@@ -90,11 +78,6 @@ class StructuralAdapter : public Attack {
 class ScopeAdapter : public Attack {
  public:
   const std::string& name() const noexcept override { return name_; }
-
-  AttackReport evaluate(const lock::LockedDesign& design) const override {
-    util::Timer timer;
-    return from_scope_score(attack::ScopeAttack().run(design), timer);
-  }
 
   AttackReport evaluate(const lock::LockedDesign& design,
                         EvalWorkspace& workspace) const override {
@@ -133,7 +116,8 @@ class SatAdapter : public Attack {
 
   const std::string& name() const noexcept override { return name_; }
 
-  AttackReport evaluate(const lock::LockedDesign& design) const override {
+  AttackReport evaluate(const lock::LockedDesign& design,
+                        EvalWorkspace&) const override {
     const auto result = attack::SatAttack(config_).attack(design.netlist,
                                                           *oracle_);
     AttackReport report;

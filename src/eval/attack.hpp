@@ -65,19 +65,14 @@ class Attack {
   /// Stable registry name ("muxlink", "scope", ...).
   virtual const std::string& name() const noexcept = 0;
 
-  /// Runs the attack on `design` and scores it against the ground-truth key.
-  virtual AttackReport evaluate(const lock::LockedDesign& design) const = 0;
-
-  /// Workspace-reusing variant: adapters with an allocation-free path
-  /// override this to route scratch state through `workspace`; the result
-  /// must be identical to evaluate(design). The workspace is exclusively
-  /// the caller's for the duration of the call (one per pool shard), so
-  /// overrides need no internal synchronization.
+  /// Runs the attack on `design` and scores it against the ground-truth key,
+  /// routing scratch state through `workspace`. The report must not depend
+  /// on what the workspace evaluated before (a fresh EvalWorkspace is the
+  /// one-shot caller's choice). The workspace is exclusively the caller's
+  /// for the duration of the call (one per pool shard), so implementations
+  /// need no internal synchronization.
   virtual AttackReport evaluate(const lock::LockedDesign& design,
-                                EvalWorkspace& workspace) const {
-    (void)workspace;
-    return evaluate(design);
-  }
+                                EvalWorkspace& workspace) const = 0;
 };
 
 }  // namespace autolock::eval

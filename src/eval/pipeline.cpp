@@ -67,14 +67,6 @@ void EvalPipeline::ensure_workspaces(std::size_t count) {
   }
 }
 
-std::vector<AttackReport> EvalPipeline::reports(
-    const LockedDesign& design) const {
-  std::vector<AttackReport> result;
-  result.reserve(attacks_.size());
-  for (const auto& attack : attacks_) result.push_back(attack->evaluate(design));
-  return result;
-}
-
 const EvalPipeline::OracleBlocks& EvalPipeline::oracle_blocks(
     std::size_t netlist_size, std::size_t vectors, util::Rng vec_rng) const {
   const std::uint64_t key =
@@ -96,6 +88,10 @@ const EvalPipeline::OracleBlocks& EvalPipeline::oracle_blocks(
 
 double EvalPipeline::corruption(const LockedDesign& design,
                                 EvalWorkspace* workspace) const {
+  if (workspace == nullptr) {
+    EvalWorkspace local;
+    return corruption(design, &local);
+  }
   // Mix the configured seed into the probe streams: two same-size designs
   // under different pipeline seeds must not share vectors or wrong keys
   // (and the same seed must reproduce exactly).
@@ -116,14 +112,10 @@ double EvalPipeline::corruption(const LockedDesign& design,
   const std::size_t vectors =
       std::max<std::size_t>(1, config_.corruption_vectors / want_keys);
 
-  netlist::KeyBatch local_batch;
-  netlist::KeyBatch& batch =
-      workspace != nullptr ? workspace->key_batch : local_batch;
+  netlist::KeyBatch& batch = workspace->key_batch;
   batch.reset(design.key.size());
   // Lane 0: all bits flipped — the historical single-key adversarial proxy.
-  netlist::Key local_wrong;
-  netlist::Key& wrong =
-      workspace != nullptr ? workspace->wrong_key : local_wrong;
+  netlist::Key& wrong = workspace->wrong_key;
   wrong = design.key;
   for (std::size_t b = 0; b < wrong.size(); ++b) wrong[b] = !wrong[b];
   batch.push(wrong);
@@ -144,31 +136,16 @@ double EvalPipeline::corruption(const LockedDesign& design,
     batch.push(wrong);
   }
 
-  std::vector<double> local_errors;
-  std::vector<double>& errors =
-      workspace != nullptr ? workspace->key_errors : local_errors;
-  if (workspace != nullptr) {
-    // Rebind the workspace's simulator slot to the design under test: the
-    // order/input captures and the per-word value buffers are all reused,
-    // and the oracle reference blocks come from the shared cache.
-    workspace->locked_sim.rebind(design.netlist);
-    const OracleBlocks& blocks =
-        oracle_blocks(design.netlist.size(), vectors, vec_rng);
-    netlist::Simulator::multi_key_error_rate(workspace->locked_sim, batch,
-                                             blocks.in_words, blocks.ref_words,
-                                             vectors, workspace->sim, errors);
-  } else {
-    // Legacy allocating path (workspaces=false): same probe set, same
-    // results, fresh buffers per call.
-    const netlist::Simulator locked_sim(design.netlist);
-    netlist::SimScratch scratch;
-    std::vector<std::uint64_t> in_words, ref_words;
-    netlist::Simulator::multi_key_error_rate(
-        locked_sim, batch, *oracle_sim_, netlist::Key{}, vectors, vec_rng,
-        scratch, in_words, ref_words, errors);
-    corruption_sweeps_.fetch_add((vectors + 63) / 64,
-                                 std::memory_order_relaxed);
-  }
+  std::vector<double>& errors = workspace->key_errors;
+  // Rebind the workspace's simulator slot to the design under test: the
+  // order/input captures and the per-word value buffers are all reused,
+  // and the oracle reference blocks come from the shared cache.
+  workspace->locked_sim.rebind(design.netlist);
+  const OracleBlocks& blocks =
+      oracle_blocks(design.netlist.size(), vectors, vec_rng);
+  netlist::Simulator::multi_key_error_rate(workspace->locked_sim, batch,
+                                           blocks.in_words, blocks.ref_words,
+                                           vectors, workspace->sim, errors);
   corruption_probes_.fetch_add(batch.size() * vectors,
                                std::memory_order_relaxed);
   corruption_sweeps_.fetch_add(vectors, std::memory_order_relaxed);
@@ -186,13 +163,15 @@ ga::Evaluation EvalPipeline::score(const LockedDesign& design,
         "EvalPipeline: scalar fitness requested but neither attacks nor a "
         "fitness_override are configured");
   }
+  if (workspace == nullptr) {
+    EvalWorkspace local;
+    return score(design, &local);
+  }
   ga::Evaluation eval;
   double accuracy = 0.0;
   double precision = 0.0;
   for (const auto& attack : attacks_) {
-    const AttackReport report = workspace != nullptr
-                                    ? attack->evaluate(design, *workspace)
-                                    : attack->evaluate(design);
+    const AttackReport report = attack->evaluate(design, *workspace);
     accuracy += report.accuracy;
     precision += report.precision;
   }
@@ -222,13 +201,14 @@ std::vector<double> EvalPipeline::score_objectives(
         "EvalPipeline: objectives requested but neither attacks nor an "
         "objectives_override are configured");
   }
+  if (workspace == nullptr) {
+    EvalWorkspace local;
+    return score_objectives(design, &local);
+  }
   std::vector<double> objectives;
   objectives.reserve(num_objectives());
   for (const auto& attack : attacks_) {
-    const AttackReport report = workspace != nullptr
-                                    ? attack->evaluate(design, *workspace)
-                                    : attack->evaluate(design);
-    objectives.push_back(report.accuracy);
+    objectives.push_back(attack->evaluate(design, *workspace).accuracy);
   }
   if (config_.corruption_objective) {
     objectives.push_back(1.0 - std::min(corruption(design, workspace), 0.5) /
@@ -256,18 +236,11 @@ ga::Evaluation EvalPipeline::evaluate(ga::Genotype& genes,
   }
   ga::Genotype pre_repair;
   if (config_.cache) pre_repair = genes;
-  ga::Evaluation eval;
-  if (config_.workspaces) {
-    ensure_workspaces(1);
-    EvalWorkspace& workspace = *workspaces_.front();
-    decode_into(workspace, genes, repair_seed);
-    genes = workspace.design.genes;  // write repaired genes back
-    eval = score(workspace.design, &workspace);
-  } else {
-    LockedDesign design = decode(genes, repair_seed);
-    genes = design.genes;
-    eval = score(design);
-  }
+  ensure_workspaces(1);
+  EvalWorkspace& workspace = *workspaces_.front();
+  decode_into(workspace, genes, repair_seed);
+  genes = workspace.design.genes;  // write repaired genes back
+  const ga::Evaluation eval = score(workspace.design, &workspace);
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   if (config_.cache) {
     // Store under the pre-repair genes too: a later duplicate of the
@@ -290,18 +263,12 @@ std::vector<double> EvalPipeline::evaluate_objectives(
   }
   ga::Genotype pre_repair;
   if (config_.cache) pre_repair = genes;
-  std::vector<double> objectives;
-  if (config_.workspaces) {
-    ensure_workspaces(1);
-    EvalWorkspace& workspace = *workspaces_.front();
-    decode_into(workspace, genes, repair_seed);
-    genes = workspace.design.genes;
-    objectives = score_objectives(workspace.design, &workspace);
-  } else {
-    LockedDesign design = decode(genes, repair_seed);
-    genes = design.genes;
-    objectives = score_objectives(design);
-  }
+  ensure_workspaces(1);
+  EvalWorkspace& workspace = *workspaces_.front();
+  decode_into(workspace, genes, repair_seed);
+  genes = workspace.design.genes;
+  std::vector<double> objectives =
+      score_objectives(workspace.design, &workspace);
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   if (config_.cache) {
     objective_cache_.store(pre_repair, objectives);
@@ -355,29 +322,21 @@ EvalPipeline::BatchStats EvalPipeline::evaluate_batch(
     pre_repair.reserve(pending.size());
     for (const std::size_t i : pending) pre_repair.push_back(population[i].genes);
   }
-  const bool use_workspaces = config_.workspaces;
   const auto eval_one = [&](std::size_t shard, std::size_t idx) {
     const std::size_t i = pending[idx];
-    if (use_workspaces) {
-      EvalWorkspace& workspace = *workspaces_[shard];
-      decode_into(workspace, population[i].genes,
-                  batch_repair_seed(generation, i));
-      population[i].genes = workspace.design.genes;
-      result_of(population[i]) = compute(workspace.design, &workspace);
-    } else {
-      LockedDesign design =
-          decode(population[i].genes, batch_repair_seed(generation, i));
-      population[i].genes = design.genes;
-      result_of(population[i]) = compute(design, nullptr);
-    }
+    EvalWorkspace& workspace = *workspaces_[shard];
+    decode_into(workspace, population[i].genes,
+                batch_repair_seed(generation, i));
+    population[i].genes = workspace.design.genes;
+    result_of(population[i]) = compute(workspace.design, &workspace);
     evaluations_.fetch_add(1, std::memory_order_relaxed);
   };
   util::ThreadPool* pool = worker_pool();
   if (pool != nullptr && pending.size() > 1) {
-    if (use_workspaces) ensure_workspaces(std::min(pending.size(), pool->size()));
+    ensure_workspaces(std::min(pending.size(), pool->size()));
     pool->parallel_for_sharded(pending.size(), eval_one);
   } else {
-    if (use_workspaces) ensure_workspaces(1);
+    ensure_workspaces(1);
     for (std::size_t idx = 0; idx < pending.size(); ++idx) eval_one(0, idx);
   }
   // Cache stores run sequentially in index order after the batch: the

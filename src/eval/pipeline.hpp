@@ -72,13 +72,6 @@ struct EvalPipelineConfig {
   /// Borrowed external pool (not owned; must outlive the pipeline).
   util::ThreadPool* pool = nullptr;
 
-  /// Route evaluations through per-worker EvalWorkspaces (the
-  /// allocation-free hot path: reused decode buffers, CSR attack graphs,
-  /// epoch-stamped traversal marks, flat-optimizer area queries, simulator
-  /// scratch). Results are bit-identical either way; disable only to
-  /// measure the legacy allocating paths (bench_eval_throughput does).
-  bool workspaces = true;
-
   /// Disable to force one attack run per evaluate call (single-trajectory
   /// heuristics count proposals, not unique genotypes).
   bool cache = true;
@@ -131,11 +124,10 @@ class EvalPipeline {
 
   // ---- scoring an already-decoded design (no cache) ----------------------
 
-  /// Runs every configured attack and returns the raw reports.
-  std::vector<AttackReport> reports(const lock::LockedDesign& design) const;
   /// Scalar fitness of a design: 1 - mean accuracy (+ corruption term).
-  /// When `workspace` is non-null the attacks and the corruption
-  /// measurement run through its scratch state (identical results).
+  /// The attacks and the corruption measurement run through `workspace`'s
+  /// scratch state, or through a call-local EvalWorkspace when it is null
+  /// (identical results either way).
   ga::Evaluation score(const lock::LockedDesign& design,
                        EvalWorkspace* workspace = nullptr) const;
   /// Objective vector of a design: per-attack accuracy (+ corruption).

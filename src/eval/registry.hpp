@@ -1,9 +1,10 @@
 // By-name construction of attack adapters. Any bench, example, or config
 // file can sweep attacks from a string list:
 //
+//   eval::EvalWorkspace workspace;  // reusable across attacks and designs
 //   for (const auto& name : eval::AttackRegistry::instance().names()) {
 //     auto attack = eval::make_attack(name, options);
-//     const eval::AttackReport report = attack->evaluate(design);
+//     const eval::AttackReport report = attack->evaluate(design, workspace);
 //     ...
 //   }
 //

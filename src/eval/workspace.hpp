@@ -4,12 +4,8 @@
 //
 // One evaluation = decode the genotype into a locked netlist, run the
 // configured attacks against it, and (optionally) measure wrong-key output
-// corruption. Every stage used to allocate its working set per call:
-// apply_genotype deep-copied the netlist and allocated O(V) visited vectors
-// per cycle check, each attack rebuilt its AttackGraph as n heap vectors
-// plus a std::map, SCOPE materialized two full synthesis netlists per key
-// bit, and corruption built a fresh Simulator with fresh value buffers.
-// The workspace hoists all of that into per-worker state:
+// corruption. The workspace holds every stage's working set as per-worker
+// state, so none of them allocates in steady state:
 //
 //   design   — the decode target; its netlist reuses node/name storage
 //   reach    — epoch-stamped DFS marks for decode-time cycle checks
@@ -18,8 +14,10 @@
 //
 // Workspaces hold no result state: an evaluation through a freshly
 // constructed workspace and through a thousand-times-reused one are
-// bit-identical (pinned by test_workspace.cpp), which is what lets
-// EvalPipeline hand them to whichever pool shard picks up the individual.
+// bit-identical (pinned by test_workspace.cpp and, per registered attack,
+// test_eval.cpp), which is what lets EvalPipeline hand them to whichever
+// pool shard picks up the individual — and lets one-shot callers pass a
+// fresh EvalWorkspace to Attack::evaluate.
 #pragma once
 
 #include "attacks/attack_scratch.hpp"

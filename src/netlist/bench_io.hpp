@@ -10,9 +10,12 @@
 // artifact releases): inputs whose name starts with "keyinput" are key
 // inputs; the integer suffix gives the key-bit index. MUX gates are written
 // MUX(select, in0, in1).
+//
+// This header is the in-memory face of the one `.bench` implementation in
+// bench_stream.{hpp,cpp}: parse() and write() run the streaming reader and
+// writer over a string. Files go through stream_load_file/stream_save_file.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -20,21 +23,17 @@
 
 namespace autolock::netlist::bench {
 
-/// Parses BENCH text. Throws std::runtime_error with a line number on
-/// malformed input (unknown gate, undefined operand, duplicate definition,
-/// arity violation, combinational cycle).
+/// Parses BENCH text (stream_parse over an in-memory stream). Throws
+/// std::runtime_error with a line number on malformed input (unknown gate,
+/// undefined operand, duplicate definition, arity violation, combinational
+/// cycle).
 Netlist parse(std::string_view text, std::string circuit_name = "bench");
 
-/// Reads and parses a .bench file.
-Netlist load_file(const std::string& path);
-
-/// Serializes in BENCH syntax: inputs, outputs, then gate lines in
-/// topological order. Key inputs are emitted as ordinary INPUT lines (their
-/// names carry the convention). parse(write(n)) reproduces the structure.
+/// Serializes in BENCH syntax (stream_write into a string): inputs, outputs,
+/// then gate lines in topological order. Key inputs are emitted as ordinary
+/// INPUT lines (their names carry the convention). parse(write(n))
+/// reproduces the structure.
 std::string write(const Netlist& netlist);
-
-/// Writes to a file (throws on I/O failure).
-void save_file(const Netlist& netlist, const std::string& path);
 
 /// Largest key-bit index accepted in a key-input name. Indices beyond this
 /// (or digit runs that overflow int) are rejected: key_bit_index returns

@@ -31,8 +31,10 @@ std::string_view trim(std::string_view s) noexcept {
                            std::to_string(line_no) + ": " + message);
 }
 
-/// Mirrors the key-shape probe in bench_io.cpp: "keyinput" + digits,
-/// regardless of whether the index fits kMaxKeyBitIndex.
+/// True iff `name` is "keyinput" followed by one or more digits — the key
+/// naming *shape*, regardless of whether the index fits kMaxKeyBitIndex.
+/// Turns out-of-range indices into parse errors instead of silently
+/// demoting them to primary inputs.
 bool has_key_input_shape(std::string_view name) noexcept {
   constexpr std::string_view kPrefix = "keyinput";
   if (name.size() <= kPrefix.size()) return false;
@@ -46,9 +48,8 @@ bool has_key_input_shape(std::string_view name) noexcept {
 constexpr std::uint32_t kNoTid = static_cast<std::uint32_t>(-1);
 
 /// Scan-local string interner: every distinct signal name is copied once
-/// into a flat char arena and afterwards addressed by a dense u32 id — the
-/// replacement for the one-std::string-per-occurrence pending records of
-/// the in-memory parser. Open-addressed (power-of-two, linear probing) over
+/// into a flat char arena and afterwards addressed by a dense u32 id, so
+/// no pending record owns a heap string. Open-addressed (power-of-two, linear probing) over
 /// FNV-1a hashes; lookups touch no heap strings.
 class NamePool {
  public:
@@ -105,8 +106,8 @@ class NamePool {
   std::vector<std::uint32_t> buckets_;
 };
 
-/// Flat counterparts of the in-memory parser's pending records: names are
-/// pool ids, operands live in one shared flat vector.
+/// Pending declarations, recorded during the scan and materialized after
+/// it: names are pool ids, operands live in one shared flat vector.
 struct PendingPort {
   std::uint32_t tid = kNoTid;
   std::size_t line_no = 0;
@@ -128,9 +129,7 @@ struct ScanState {
   std::vector<std::uint32_t> operands;  // flat [op_begin, op_end) storage
 };
 
-/// One line of the grammar — the same decision sequence (and the same
-/// diagnostics, in the same order) as the in-memory parser's scan loop,
-/// operating on views into the chunk buffer.
+/// One line of the grammar, operating on views into the chunk buffer.
 void scan_line(std::string_view line, std::size_t line_no, ScanState& s) {
   const std::size_t hash_pos = line.find('#');
   if (hash_pos != std::string_view::npos) line = line.substr(0, hash_pos);
@@ -139,6 +138,8 @@ void scan_line(std::string_view line, std::size_t line_no, ScanState& s) {
 
   const std::size_t eq = line.find('=');
   const std::size_t first_open = line.find('(');
+  // An '=' inside the parentheses of a directive ("INPUT(a=b)") would slip
+  // through as a bogus BUF alias named "INPUT(a"; diagnose it.
   if (eq != std::string_view::npos && first_open != std::string_view::npos &&
       first_open < eq) {
     fail(line_no, "unexpected '=' after '('");
@@ -223,6 +224,8 @@ void scan_line(std::string_view line, std::size_t line_no, ScanState& s) {
       std::size_t comma = args.find(',', start);
       if (comma == std::string_view::npos) comma = args.size();
       const std::string_view operand = trim(args.substr(start, comma - start));
+      // "AND(a,,b)" / "AND(a,)" must not drop the empty slot: that would
+      // shift every later operand (fatal for MUX fanin order).
       if (operand.empty()) fail(line_no, "empty operand");
       s.operands.push_back(s.pool.intern(operand));
       start = comma + 1;
@@ -239,6 +242,8 @@ void scan_line(std::string_view line, std::size_t line_no, ScanState& s) {
 /// Scan phase: reads `in` chunk by chunk, feeding complete lines (views
 /// into the chunk buffer) to scan_line and carrying the partial last line
 /// to the front of the next read. A line longer than the buffer doubles it.
+/// A read that fails with bad() (e.g. EISDIR on a directory) throws rather
+/// than ending the scan as if it were end of file.
 void scan_stream(std::istream& in, std::size_t chunk_bytes, ScanState& s) {
   std::vector<char> buf(std::max<std::size_t>(chunk_bytes, 64));
   std::size_t have = 0;
@@ -248,6 +253,7 @@ void scan_stream(std::istream& in, std::size_t chunk_bytes, ScanState& s) {
     if (!eof) {
       if (have == buf.size()) buf.resize(buf.size() * 2);
       in.read(buf.data() + have, static_cast<std::streamsize>(buf.size() - have));
+      if (in.bad()) throw std::runtime_error("bench read error");
       const std::size_t got = static_cast<std::size_t>(in.gcount());
       have += got;
       if (got == 0) eof = true;
@@ -277,10 +283,9 @@ Netlist stream_parse(std::istream& in, std::string circuit_name,
   ScanState s;
   scan_stream(in, chunk_bytes, s);
 
-  // Build phase: the same definition checks, the same dependency DFS and
-  // the same diagnostics as the in-memory parser, over pool ids instead of
-  // string keys. def_flag mirrors its `defined` map (inputs + materialized
-  // gates), gate_of its `gate_by_name`.
+  // Build phase: definition checks and a dependency DFS over pool ids.
+  // def_flag marks defined names (inputs + materialized gates), gate_of
+  // maps a name to the gate declaring it.
   const std::size_t pool_n = s.pool.size();
   std::vector<std::uint8_t> def_flag(pool_n, 0);
   std::vector<std::uint32_t> gate_of(pool_n, kNoTid);
@@ -304,8 +309,8 @@ Netlist stream_parse(std::istream& in, std::string circuit_name,
     gate_of[tid] = i;
   }
 
-  // Dependency DFS in declaration order — must replicate the in-memory
-  // parser exactly (including pushing every unresolved operand per visit):
+  // Dependency DFS in declaration order (bench files may use a signal
+  // before defining it), pushing every unresolved operand per visit:
   // mat_order is the node-creation order, and with it the NameId order.
   std::vector<std::uint8_t> state(s.gates.size(), 0);  // 0=new 1=visiting 2=done
   std::vector<std::uint32_t> stack;
@@ -352,8 +357,8 @@ Netlist stream_parse(std::istream& in, std::string circuit_name,
     }
   }
 
-  // Materialize. One intern_batch in node-creation order gives every name
-  // the exact NameId the in-memory parse would have assigned it.
+  // Materialize. One intern_batch in node-creation order assigns every
+  // name its NameId.
   Netlist netlist(std::move(circuit_name));
   netlist.names()->reserve(s.inputs.size() + mat_order.size());
   netlist.reserve_nodes(s.inputs.size() + mat_order.size(), s.inputs.size());

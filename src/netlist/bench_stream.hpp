@@ -1,30 +1,27 @@
-// Streaming `.bench` reader/writer.
+// Streaming `.bench` reader/writer — the repo's one `.bench` implementation
+// (grammar in bench_io.hpp; bench_io's parse() and write() are thin string
+// wrappers over stream_parse() and stream_write()).
 //
-// The in-memory bench_io::parse() needs the whole file text resident plus
-// one std::string per pending name before it builds a single node — at a
-// million gates that is hundreds of megabytes of transient text and tens of
-// millions of small-string allocations. This module reads the file in fixed
-// chunks and scans lines in place (string_views into the chunk buffer, names
-// copied once into a flat arena keyed by a local interner), then builds the
-// exact same Netlist:
+// The reader works in fixed chunks and scans lines in place (string_views
+// into the chunk buffer, names copied once into a flat arena keyed by a
+// local interner), then builds the Netlist:
 //
-//   - identical structure AND identical NameIds: names are interned into the
-//     new netlist's table in parse()'s order (inputs in declaration order,
+//   - deterministic structure and NameIds: names are interned into the new
+//     netlist's table in node-creation order (inputs in declaration order,
 //     then gates in dependency-DFS materialization order) through one
-//     NameTable::intern_batch call, so every node of the streamed result
-//     carries the same NameId as the in-memory parse of the same bytes;
-//   - identical diagnostics: every malformed input fails with the same
-//     "bench parse error at line N: ..." message parse() produces, in the
-//     same precedence order (scan errors over build errors);
+//     NameTable::intern_batch call, independent of the chunk size;
+//   - line-numbered diagnostics: every malformed input fails with a
+//     "bench parse error at line N: ..." message, scan errors taking
+//     precedence over build errors; a stream read error is reported as
+//     such, never as end of file;
 //   - bounded memory: peak transient state is the chunk buffer plus flat
 //     per-gate records (POD, one u32 per operand) — never one heap string
 //     per line and never the whole file.
 //
-// The writer mirrors bench_io::write() byte for byte but emits into a
-// std::ostream as it goes (bench_io::write() is implemented on top of it),
-// so a million-gate netlist serializes without building the full text in
-// memory. Round-trip equivalence against the in-memory paths is pinned by
-// tests/test_bench_stream.cpp.
+// The writer emits into a std::ostream as it goes, so a million-gate
+// netlist serializes without building the full text in memory. Chunk-size
+// independence, the exact diagnostics and the write/read round trip are
+// pinned by tests/test_bench_stream.cpp.
 #pragma once
 
 #include <cstddef>
@@ -38,20 +35,21 @@ namespace autolock::netlist::bench {
 /// Default chunk size for the streaming reader.
 inline constexpr std::size_t kStreamChunkBytes = std::size_t{1} << 20;
 
-/// Parses BENCH text from a stream in `chunk_bytes`-sized reads. Identical
-/// result (structure, NameIds, node order) and identical error messages to
-/// bench_io::parse() over the same bytes. A line longer than the chunk size
-/// is handled by growing the carry buffer, not an error.
+/// Parses BENCH text from a stream in `chunk_bytes`-sized reads. The result
+/// (structure, NameIds, node order) and every error message are independent
+/// of `chunk_bytes`. A line longer than the chunk size is handled by growing
+/// the carry buffer, not an error. Throws std::runtime_error on malformed
+/// input and when the stream reports a read error.
 Netlist stream_parse(std::istream& in, std::string circuit_name = "bench",
                      std::size_t chunk_bytes = kStreamChunkBytes);
 
-/// Opens and stream-parses a .bench file (circuit name derived from the
-/// path exactly like bench_io::load_file).
+/// Opens and stream-parses a .bench file. The circuit name is the file name
+/// without directory and extension ("dir/c432.bench" -> "c432").
 Netlist stream_load_file(const std::string& path,
                          std::size_t chunk_bytes = kStreamChunkBytes);
 
-/// Serializes in BENCH syntax directly into `out` — the exact byte sequence
-/// bench_io::write() returns, without materializing it.
+/// Serializes in BENCH syntax directly into `out`, without materializing the
+/// text (bench_io::write() captures exactly these bytes into a string).
 void stream_write(const Netlist& netlist, std::ostream& out);
 
 /// Streams the netlist into a file (throws on I/O failure).

@@ -6,7 +6,7 @@
 // match each circuit's published interface size, gate count, depth and
 // rough gate-type mix (see DESIGN.md §4 — the attacks and the GA depend on
 // graph-structural statistics, not on the specific Boolean function).
-// Real .bench files drop in unchanged through bench::load_file.
+// Real .bench files drop in unchanged through bench::stream_load_file.
 #pragma once
 
 #include <array>

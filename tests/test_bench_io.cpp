@@ -185,29 +185,6 @@ TEST(BenchParse, ErrorDuplicateInputHasLineNumber) {
   EXPECT_NE(what.find("line 2"), std::string::npos) << what;
 }
 
-TEST(BenchFile, MalformedFixturesRejectedWithLineNumbers) {
-  const std::string dir = AUTOLOCK_TEST_DATA_DIR;
-  const struct {
-    const char* file;
-    const char* line_tag;
-  } cases[] = {
-      {"/malformed_unbalanced.bench", "line 5"},
-      {"/malformed_eq_in_directive.bench", "line 3"},
-      {"/malformed_empty_operand.bench", "line 5"},
-      {"/malformed_key_index.bench", "line 3"},
-  };
-  for (const auto& test_case : cases) {
-    try {
-      (void)load_file(dir + test_case.file);
-      FAIL() << test_case.file << " parsed without error";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(test_case.line_tag),
-                std::string::npos)
-          << test_case.file << ": " << e.what();
-    }
-  }
-}
-
 TEST(BenchRoundTrip, C17PreservesStructureAndFunction) {
   const Netlist original = gen::c17();
   const Netlist reparsed = parse(write(original), "c17rt");
@@ -240,19 +217,6 @@ TEST_P(BenchRoundTripSweep, RandomCircuitsSurviveRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BenchRoundTripSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-TEST(BenchFile, SaveAndLoad) {
-  const Netlist original = gen::c17();
-  const std::string path = ::testing::TempDir() + "/c17_test.bench";
-  save_file(original, path);
-  const Netlist loaded = load_file(path);
-  EXPECT_EQ(loaded.name(), "c17_test");
-  EXPECT_EQ(loaded.stats().gates, original.stats().gates);
-}
-
-TEST(BenchFile, LoadMissingFileThrows) {
-  EXPECT_THROW(load_file("/nonexistent/nope.bench"), std::runtime_error);
-}
 
 TEST(BenchWrite, AliasedOutputGetsBufLine) {
   Netlist n;

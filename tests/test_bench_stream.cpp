@@ -17,8 +17,8 @@
 namespace autolock::netlist::bench {
 namespace {
 
-/// The streaming contract: stream_parse over the same bytes produces the
-/// same netlist as parse — node for node, with identical NameIds.
+/// The streaming contract: every chunking of the same bytes produces the
+/// same netlist — node for node, with identical NameIds.
 void expect_identical(const Netlist& a, const Netlist& b) {
   ASSERT_EQ(a.size(), b.size());
   for (NodeId v = 0; v < a.size(); ++v) {
@@ -45,14 +45,9 @@ Netlist stream_parse_text(const std::string& text,
   return stream_parse(in, "bench", chunk_bytes);
 }
 
-TEST(BenchStream, C17MatchesInMemoryParse) {
-  const std::string text = write(gen::c17());
-  expect_identical(parse(text), stream_parse_text(text));
-}
-
 TEST(BenchStream, ChunkBoundariesDoNotChangeTheResult) {
   const std::string text = write(gen::c17());
-  const Netlist reference = parse(text);
+  const Netlist reference = stream_parse_text(text);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   std::size_t{64}, kStreamChunkBytes}) {
     expect_identical(reference, stream_parse_text(text, chunk));
@@ -72,9 +67,10 @@ c0 = CONST0
 alias = mid
 OUTPUT(alias)
 )";
-  const Netlist reference = parse(text);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{13},
-                                  kStreamChunkBytes}) {
+  const Netlist reference = stream_parse_text(text);
+  EXPECT_EQ(reference.key_inputs().size(), 1u);
+  EXPECT_EQ(reference.outputs().size(), 2u);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{13}}) {
     expect_identical(reference, stream_parse_text(text, chunk));
   }
 }
@@ -86,8 +82,7 @@ TEST(BenchStream, RandomCircuitsMatchAcrossChunkSizes) {
     config.outputs = 5;
     config.gates = 80;
     const std::string text = write(gen::make_random(config, seed));
-    const Netlist reference = parse(text);
-    expect_identical(reference, stream_parse_text(text));
+    const Netlist reference = stream_parse_text(text);
     expect_identical(reference, stream_parse_text(text, 17));
   }
 }
@@ -100,8 +95,8 @@ TEST(BenchStream, LayeredCircuitRoundTrips) {
   config.layers = 12;
   const Netlist original = gen::make_layered(config, 5);
   const std::string text = write(original);
-  const Netlist reference = parse(text);
-  expect_identical(reference, stream_parse_text(text));
+  const Netlist reference = stream_parse_text(text);
+  expect_identical(reference, stream_parse_text(text, 31));
   // The reparse is functionally the original circuit.
   const Simulator sim_a(original);
   const Simulator sim_b(reference);
@@ -110,24 +105,26 @@ TEST(BenchStream, LayeredCircuitRoundTrips) {
       Simulator::equivalent_on_random_vectors(sim_a, {}, sim_b, {}, 64, rng));
 }
 
-TEST(BenchStream, StreamWriteMatchesInMemoryWrite) {
-  gen::RandomCircuitConfig config;
-  config.primary_inputs = 8;
-  config.outputs = 4;
-  config.gates = 40;
-  const Netlist original = gen::make_random(config, 11);
-  std::ostringstream out;
-  stream_write(original, out);
-  EXPECT_EQ(out.str(), write(original));
-}
-
 TEST(BenchStream, FileRoundTripPreservesEverything) {
   const Netlist original = gen::c17();
   const std::string path = "test_bench_stream_tmp.bench";
   stream_save_file(original, path);
   const Netlist reparsed = stream_load_file(path);
   std::remove(path.c_str());
-  expect_identical(parse(write(original), "test_bench_stream_tmp"), reparsed);
+  EXPECT_EQ(reparsed.name(), "test_bench_stream_tmp");
+  std::istringstream in(write(original));
+  expect_identical(stream_parse(in, "test_bench_stream_tmp"), reparsed);
+}
+
+TEST(BenchStream, MissingFileThrows) {
+  EXPECT_THROW(stream_load_file("/nonexistent/nope.bench"),
+               std::runtime_error);
+}
+
+TEST(BenchStream, ReadErrorIsNotEndOfFile) {
+  // Opening a directory succeeds; the first read fails (EISDIR). That must
+  // surface as an error, not as an empty netlist.
+  EXPECT_THROW(stream_load_file(AUTOLOCK_TEST_DATA_DIR), std::runtime_error);
 }
 
 std::string stream_parse_error(const std::string& text,
@@ -140,80 +137,98 @@ std::string stream_parse_error(const std::string& text,
   return "";
 }
 
-std::string parse_error(const std::string& text) {
+/// The exact diagnostic at the default chunk size and at pathological ones,
+/// and through the bench_io::parse string wrapper.
+void expect_parse_error(const std::string& text, const std::string& expected) {
+  EXPECT_EQ(stream_parse_error(text), expected);
+  EXPECT_EQ(stream_parse_error(text, 1), expected);
+  EXPECT_EQ(stream_parse_error(text, 3), expected);
   try {
     (void)parse(text);
+    ADD_FAILURE() << "parse() accepted malformed input";
   } catch (const std::runtime_error& e) {
-    return e.what();
+    EXPECT_EQ(std::string(e.what()), expected);
   }
-  return "";
 }
 
-TEST(BenchStream, MalformedFixturesProduceIdenticalErrors) {
+TEST(BenchStream, MalformedFixturesProducePinnedErrors) {
   const std::string dir = AUTOLOCK_TEST_DATA_DIR;
-  const char* files[] = {
-      "/malformed_unbalanced.bench",
-      "/malformed_eq_in_directive.bench",
-      "/malformed_empty_operand.bench",
-      "/malformed_key_index.bench",
+  const struct {
+    const char* file;
+    const char* message;
+  } cases[] = {
+      {"/malformed_unbalanced.bench",
+       "bench parse error at line 5: unbalanced parentheses"},
+      {"/malformed_eq_in_directive.bench",
+       "bench parse error at line 3: unexpected '=' after '('"},
+      {"/malformed_empty_operand.bench",
+       "bench parse error at line 5: empty operand"},
+      {"/malformed_key_index.bench",
+       "bench parse error at line 3: key input index out of range in "
+       "'keyinput99999999999'"},
   };
-  for (const char* file : files) {
-    std::ifstream in(dir + file);
-    ASSERT_TRUE(in) << file;
+  for (const auto& test_case : cases) {
+    SCOPED_TRACE(test_case.file);
+    std::ifstream in(dir + test_case.file);
+    ASSERT_TRUE(in);
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    const std::string expected = parse_error(text);
-    ASSERT_FALSE(expected.empty()) << file;
-    // Same message through every chunking, including pathological sizes.
-    EXPECT_EQ(stream_parse_error(text), expected) << file;
-    EXPECT_EQ(stream_parse_error(text, 1), expected) << file;
+    expect_parse_error(buffer.str(), test_case.message);
     try {
-      (void)stream_load_file(dir + file);
-      FAIL() << file << " parsed without error";
+      (void)stream_load_file(dir + test_case.file);
+      ADD_FAILURE() << "parsed without error";
     } catch (const std::runtime_error& e) {
-      EXPECT_EQ(std::string(e.what()), expected) << file;
+      EXPECT_EQ(std::string(e.what()), test_case.message);
     }
   }
 }
 
-TEST(BenchStream, SyntheticErrorCasesMatchInMemoryMessages) {
-  const char* cases[] = {
-      "INPUT(a)\nOUTPUT(y)\ny = AND(a,,a)\n",       // empty operand
-      "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n",         // unknown gate type
-      "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n",            // duplicate input
-      "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n",   // undefined operand
-      "INPUT(a)\nOUTPUT(y)\ny = BUF(z)\nz = BUF(y)\n",  // cycle
-      "INPUT(a)\nOUTPUT(ghost)\na2 = BUF(a)\n",     // undefined output
-      "INPUT(a)\nWIDGET(a)\n",                      // unknown directive
-      "INPUT(a)\ny = AND(a\nOUTPUT(y)\n",           // unbalanced parens
-      "INPUT(keyinput99999999999)\nOUTPUT(keyinput99999999999)\n",
-      "INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\ny = NOT(a)\n",  // duplicate def
+TEST(BenchStream, SyntheticErrorCasesProducePinnedErrors) {
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"INPUT(a)\nOUTPUT(y)\ny = AND(a,,a)\n",
+       "bench parse error at line 3: empty operand"},
+      {"INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n",
+       "bench parse error at line 3: unknown gate type 'FROB'"},
+      {"INPUT(a)\nINPUT(a)\nOUTPUT(a)\n",
+       "bench parse error at line 2: duplicate input 'a'"},
+      {"INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n",
+       "bench parse error at line 3: undefined operand 'ghost'"},
+      {"INPUT(a)\nOUTPUT(y)\ny = BUF(z)\nz = BUF(y)\n",
+       "bench parse error at line 4: combinational cycle through 'y'"},
+      {"INPUT(a)\nOUTPUT(ghost)\na2 = BUF(a)\n",
+       "bench parse error at line 2: undefined output 'ghost'"},
+      {"INPUT(a)\nWIDGET(a)\n",
+       "bench parse error at line 2: unknown directive 'WIDGET'"},
+      {"INPUT(a)\ny = AND(a\nOUTPUT(y)\n",
+       "bench parse error at line 2: unbalanced parentheses"},
+      {"INPUT(keyinput99999999999)\nOUTPUT(keyinput99999999999)\n",
+       "bench parse error at line 1: key input index out of range in "
+       "'keyinput99999999999'"},
+      {"INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\ny = NOT(a)\n",
+       "bench parse error at line 4: duplicate definition of 'y'"},
   };
-  for (const char* text : cases) {
-    const std::string expected = parse_error(text);
-    ASSERT_FALSE(expected.empty()) << text;
-    EXPECT_EQ(stream_parse_error(text), expected) << text;
-    EXPECT_EQ(stream_parse_error(text, 3), expected) << text;
+  for (const auto& test_case : cases) {
+    SCOPED_TRACE(test_case.text);
+    expect_parse_error(test_case.text, test_case.message);
   }
 }
 
 // ---- round-trip fuzz -------------------------------------------------------
 //
 // Writer/reader round trip over randomly shaped layered netlists: for every
-// config draw, stream_write must emit exactly the in-memory writer's bytes,
-// and re-reading those bytes (at several chunk sizes) must reproduce the
-// parsed netlist node for node and NameId for NameId, still functionally
-// identical to the generated circuit.
+// config draw, re-reading the written bytes at pathological chunk sizes must
+// reproduce the default-chunk parse node for node and NameId for NameId,
+// and that parse must be functionally identical to the generated circuit.
 
 void expect_round_trip(const Netlist& original, const netlist::Key& key = {}) {
   std::ostringstream out;
   stream_write(original, out);
   const std::string text = out.str();
-  ASSERT_EQ(text, write(original));
 
-  const Netlist reference = parse(text, original.name());
-  expect_identical(reference, stream_parse_text(text));
+  const Netlist reference = stream_parse_text(text);
   expect_identical(reference, stream_parse_text(text, 1));
   expect_identical(reference, stream_parse_text(text, 29));
 
@@ -302,7 +317,7 @@ TEST(BenchStream, LongLinesSpanManyChunks) {
     operands += "verylonginputname" + std::to_string(i);
   }
   text += "y = AND(" + operands + ")\n";
-  const Netlist reference = parse(text);
+  const Netlist reference = stream_parse_text(text);
   expect_identical(reference, stream_parse_text(text, 16));
 }
 

@@ -1,7 +1,8 @@
 // Tests for the unified attack-oracle & evaluation subsystem (src/eval/):
 //   - AttackRegistry by-name construction and error handling;
 //   - conformance: every registered attack runs on the same small locked
-//     design and produces an in-range, fully-populated AttackReport;
+//     design and produces an in-range, fully-populated AttackReport that
+//     does not depend on what its EvalWorkspace evaluated before;
 //   - FitnessCache regression for the genotype-hash-collision bug (the old
 //     GA cache keyed on a 64-bit digest and silently served wrong fitness
 //     on collision; the cache now keys on the full genotype);
@@ -16,6 +17,7 @@
 #include "eval/fitness_cache.hpp"
 #include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
+#include "eval/workspace.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/generator.hpp"
 
@@ -83,7 +85,8 @@ TEST(AttackConformance, EveryRegisteredAttackPopulatesReportInRange) {
     const auto attack = make_attack(name, options);
     ASSERT_NE(attack, nullptr);
     EXPECT_EQ(attack->name(), name);
-    const AttackReport report = attack->evaluate(design);
+    EvalWorkspace workspace;
+    const AttackReport report = attack->evaluate(design, workspace);
     EXPECT_EQ(report.attack, name);
     EXPECT_EQ(report.key_bits, 6u);
     EXPECT_GE(report.accuracy, 0.0);
@@ -105,9 +108,40 @@ TEST(AttackConformance, SatRecoversMuxKeyThroughAdapter) {
   const Netlist original = netlist::gen::c17();
   const auto design = lock::dmux_lock(original, 2, 7);
   const auto attack = make_attack("sat", fast_options(original));
-  const AttackReport report = attack->evaluate(design);
+  EvalWorkspace workspace;
+  const AttackReport report = attack->evaluate(design, workspace);
   EXPECT_TRUE(report.key_recovered);
   EXPECT_EQ(report.accuracy, 1.0);
+}
+
+TEST(AttackConformance, FreshAndWarmedWorkspacesGiveIdenticalReports) {
+  // One-shot callers pass a fresh EvalWorkspace, the pipeline a per-shard
+  // one that has evaluated other designs (and other attacks) before. Every
+  // registered attack must report the same thing either way.
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 11);
+  const auto design = lock::dmux_lock(original, 6, 3);
+  const auto other = lock::dmux_lock(original, 12, 99);
+  const AttackOptions options = fast_options(original);
+
+  EvalWorkspace warmed;
+  warmed.reserve(original, 12);
+  for (const auto& name : AttackRegistry::instance().names()) {
+    SCOPED_TRACE(name);
+    const auto attack = make_attack(name, options);
+    EvalWorkspace fresh;
+    const AttackReport expected = attack->evaluate(design, fresh);
+    (void)attack->evaluate(other, warmed);  // dirty every buffer it uses
+    const AttackReport actual = attack->evaluate(design, warmed);
+    EXPECT_EQ(actual.attack, expected.attack);
+    EXPECT_EQ(actual.key_bits, expected.key_bits);
+    EXPECT_EQ(actual.accuracy, expected.accuracy);
+    EXPECT_EQ(actual.precision, expected.precision);
+    EXPECT_EQ(actual.decided_fraction, expected.decided_fraction);
+    EXPECT_EQ(actual.attacked_fraction, expected.attacked_fraction);
+    EXPECT_EQ(actual.key_recovery, expected.key_recovery);
+    EXPECT_EQ(actual.key_recovered, expected.key_recovered);
+  }
 }
 
 // ---- fitness cache: the collision regression -----------------------------

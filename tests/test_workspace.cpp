@@ -1,16 +1,15 @@
-// The allocation-free evaluation hot path must be a pure performance
-// change: per-worker EvalWorkspaces, CSR attack graphs, the flat-optimizer
-// area queries, epoch-stamped traversals and buffer-reusing decode must all
-// produce bit-identical results to the legacy allocating paths — across
-// thread counts, and whether a workspace is fresh or has evaluated a
-// thousand designs before. These tests pin every one of those equivalences
-// plus the two behavioural fixes that rode along (repaired-genotype cache
-// keys, corruption RNG seed mixing).
+// The allocation-free evaluation path must compute exactly what the
+// straightforward references compute: the flat-optimizer area queries match
+// full synthesis, the CSR attack graph matches an independently built
+// adjacency, buffer-reusing decode matches apply_genotype — across thread
+// counts, and whether a workspace is fresh or has evaluated a thousand
+// designs before. Pinned GA/NSGA-II trajectories freeze the end-to-end
+// results, alongside two behavioural fixes (repaired-genotype cache keys,
+// corruption RNG seed mixing).
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "attacks/attack_scratch.hpp"
 #include "attacks/scope.hpp"
 #include "core/ga.hpp"
 #include "core/nsga2.hpp"
@@ -33,15 +32,14 @@ Netlist profile(netlist::gen::ProfileId id, std::uint64_t seed) {
   return netlist::gen::make_profile(id, seed);
 }
 
-eval::EvalPipelineConfig attack_mix(bool workspaces, std::uint64_t seed) {
+eval::EvalPipelineConfig attack_mix(std::uint64_t seed) {
   eval::EvalPipelineConfig config;
   config.attacks = {"structural", "scope"};
-  config.workspaces = workspaces;
   config.seed = seed;
   return config;
 }
 
-// ---- flat optimizer vs legacy synthesis ------------------------------------
+// ---- flat optimizer vs reference synthesis ---------------------------------
 
 TEST(FlatOptimizer, GateCountMatchesLegacySynthesisOnMuxLocking) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 3);
@@ -78,15 +76,21 @@ TEST(FlatOptimizer, GateCountMatchesLegacySynthesisOnRll) {
   }
 }
 
-TEST(FlatOptimizer, ScopeScratchPathMatchesLegacyAttack) {
+TEST(FlatOptimizer, ScopeAreasMatchReferenceSynthesis) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 7);
-  const auto design = lock::dmux_lock(original, 10, 7);
-  const attack::ScopeAttack scope;
-  const auto legacy = scope.attack(design.netlist);
-  attack::AttackScratch scratch;
-  const auto fast = scope.attack(design.netlist, scratch);
-  ASSERT_EQ(fast.predicted_bits, legacy.predicted_bits);
-  ASSERT_EQ(fast.areas, legacy.areas);
+  for (const auto& design :
+       {lock::dmux_lock(original, 10, 7), lock::rll_lock(original, 10, 7)}) {
+    const auto result = attack::ScopeAttack().attack(design.netlist);
+    std::vector<std::pair<std::size_t, std::size_t>> reference;
+    for (std::size_t bit = 0; bit < design.key.size(); ++bit) {
+      reference.emplace_back(
+          netlist::optimize_with_key_bit(design.netlist, bit, false)
+              .gate_count(),
+          netlist::optimize_with_key_bit(design.netlist, bit, true)
+              .gate_count());
+    }
+    EXPECT_EQ(result.areas, reference);
+  }
 }
 
 TEST(FlatOptimizer, GateCountAccessorMatchesStats) {
@@ -264,33 +268,6 @@ TEST(WorkspaceDecode, MatchesApplyGenotypeAndSurvivesReuse) {
 
 // ---- pipeline equivalences -------------------------------------------------
 
-TEST(WorkspacePipeline, LegacyAndWorkspaceGaTrajectoriesIdentical) {
-  const Netlist original = profile(netlist::gen::ProfileId::kC432, 31);
-  ga::GaConfig config;
-  config.population = 8;
-  config.generations = 3;
-  config.seed = 2024;
-
-  ga::GaResult results[2];
-  for (const bool workspaces : {false, true}) {
-    eval::EvalPipeline pipeline(original, attack_mix(workspaces, config.seed));
-    ga::GeneticAlgorithm ga(original, config);
-    results[workspaces ? 1 : 0] = ga.run(10, pipeline);
-  }
-  const auto& legacy = results[0];
-  const auto& fast = results[1];
-  EXPECT_EQ(fast.evaluations, legacy.evaluations);
-  EXPECT_EQ(fast.best.genes, legacy.best.genes);
-  EXPECT_EQ(fast.best.eval.fitness, legacy.best.eval.fitness);
-  ASSERT_EQ(fast.history.size(), legacy.history.size());
-  for (std::size_t g = 0; g < legacy.history.size(); ++g) {
-    EXPECT_EQ(fast.history[g].best_fitness, legacy.history[g].best_fitness);
-    EXPECT_EQ(fast.history[g].mean_fitness, legacy.history[g].mean_fitness);
-    EXPECT_EQ(fast.history[g].worst_fitness, legacy.history[g].worst_fitness);
-    EXPECT_EQ(fast.history[g].cache_hits, legacy.history[g].cache_hits);
-  }
-}
-
 TEST(WorkspacePipeline, ThreadCountDoesNotChangeGaTrajectory) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 37);
   ga::GaConfig config;
@@ -301,7 +278,7 @@ TEST(WorkspacePipeline, ThreadCountDoesNotChangeGaTrajectory) {
   ga::GaResult results[2];
   int slot = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    auto pipeline_config = attack_mix(true, config.seed);
+    auto pipeline_config = attack_mix(config.seed);
     pipeline_config.threads = threads;
     eval::EvalPipeline pipeline(original, pipeline_config);
     ga::GeneticAlgorithm ga(original, config);
@@ -320,28 +297,6 @@ TEST(WorkspacePipeline, ThreadCountDoesNotChangeGaTrajectory) {
   }
 }
 
-TEST(WorkspacePipeline, LegacyAndWorkspaceNsga2FrontsIdentical) {
-  const Netlist original = profile(netlist::gen::ProfileId::kC432, 41);
-  ga::Nsga2Config config;
-  config.population = 8;
-  config.generations = 2;
-  config.seed = 4242;
-
-  ga::Nsga2Result results[2];
-  for (const bool workspaces : {false, true}) {
-    eval::EvalPipeline pipeline(original, attack_mix(workspaces, config.seed));
-    ga::Nsga2 nsga2(original, config);
-    results[workspaces ? 1 : 0] = nsga2.run(8, pipeline);
-  }
-  EXPECT_EQ(results[1].evaluations, results[0].evaluations);
-  EXPECT_EQ(results[1].front_size_history, results[0].front_size_history);
-  ASSERT_EQ(results[1].front.size(), results[0].front.size());
-  for (std::size_t i = 0; i < results[0].front.size(); ++i) {
-    EXPECT_EQ(results[1].front[i].genes, results[0].front[i].genes);
-    EXPECT_EQ(results[1].front[i].objectives, results[0].front[i].objectives);
-  }
-}
-
 TEST(WorkspacePipeline, FreshAndReusedWorkspacesAgree) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 43);
   const lock::SiteContext context(original);
@@ -349,7 +304,7 @@ TEST(WorkspacePipeline, FreshAndReusedWorkspacesAgree) {
   auto genes_a = lock::random_genotype(context, 8, rng);
   auto genes_b = lock::random_genotype(context, 8, rng);
 
-  auto config = attack_mix(true, 9);
+  auto config = attack_mix(9);
   config.cache = false;
   eval::EvalPipeline reused_pipeline(original, config);
   // The reused pipeline evaluates b first, warming (and dirtying) its
@@ -380,7 +335,7 @@ TEST(WorkspacePipeline, PinnedGaTrajectory) {
   config.population = 8;
   config.generations = 3;
   config.seed = 2024;
-  eval::EvalPipeline pipeline(original, attack_mix(true, config.seed));
+  eval::EvalPipeline pipeline(original, attack_mix(config.seed));
   ga::GeneticAlgorithm ga(original, config);
   const auto result = ga.run(10, pipeline);
 
@@ -415,7 +370,7 @@ TEST(WorkspacePipeline, PinnedNsga2Trajectory) {
   config.population = 8;
   config.generations = 3;
   config.seed = 2025;
-  eval::EvalPipeline pipeline(original, attack_mix(true, config.seed));
+  eval::EvalPipeline pipeline(original, attack_mix(config.seed));
   ga::Nsga2 nsga2(original, config);
   const auto result = nsga2.run(10, pipeline);
 
@@ -448,7 +403,7 @@ TEST(WorkspacePipeline, RepairedGenotypeHitsCacheUnderPreRepairKey) {
   // decode-time repair.
   genes[2].f_j = genes[2].f_i;
 
-  eval::EvalPipeline pipeline(original, attack_mix(true, 5));
+  eval::EvalPipeline pipeline(original, attack_mix(5));
   auto first = genes;
   (void)pipeline.evaluate(first, 0);
   ASSERT_NE(first, genes) << "expected the invalid gene to be repaired";
@@ -476,7 +431,7 @@ TEST(WorkspacePipeline, CorruptionMixesConfiguredSeed) {
   const auto genes = lock::random_genotype(context, 8, rng);
 
   const auto corruption_for = [&](std::uint64_t seed) {
-    eval::EvalPipeline pipeline(original, attack_mix(true, seed));
+    eval::EvalPipeline pipeline(original, attack_mix(seed));
     const auto design = pipeline.decode(genes, 0);
     return pipeline.corruption(design);
   };
