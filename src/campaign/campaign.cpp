@@ -7,6 +7,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -196,7 +197,11 @@ LockJob run_lock_job(const CampaignSpec& spec, const CircuitAxis& circuit,
   }
 
   LockJob job;
-  job.design = pipeline.decode(best);
+  // Decode the winner in the shard's workspace and take the design over:
+  // the job keeps it for its attack cells, and the workspace regrows its
+  // own on the next decode, so no shard holds a second design copy.
+  pipeline.decode_into(pipeline.workspace(), best);
+  job.design = std::move(pipeline.workspace().design);
 
   LockResult& lock = job.summary;
   lock.circuit = circuit.name;
@@ -317,12 +322,15 @@ void json_string(std::ostream& os, std::string_view text) {
       case '\\': os << "\\\\"; break;
       case '\n': os << "\\n"; break;
       case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u001f";  // control chars never appear in axis names
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          os << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xF];
         } else {
           os << c;
         }
+      }
     }
   }
   os << '"';
@@ -468,51 +476,69 @@ CampaignResult run(const CampaignSpec& spec_in) {
     pool = std::make_unique<util::ThreadPool>(spec.threads);
   }
   const std::size_t shards = pool ? pool->size() : 1;
-
-  std::size_t max_key_bits = 0;
-  for (const auto& scheme : spec.schemes) {
-    max_key_bits = std::max(max_key_bits, scheme.spec.key_bits());
-  }
+  // Runs fn(shard, i) for every i in [0, n) on the pool's shards, or on
+  // shard 0 of the calling thread when there is no pool.
+  const auto fan_out =
+      [&pool](std::size_t n,
+              const std::function<void(std::size_t, std::size_t)>& fn) {
+        if (pool) {
+          pool->parallel_for_sharded(n, fn);
+        } else {
+          for (std::size_t i = 0; i < n; ++i) fn(0, i);
+        }
+      };
 
   for (const CircuitAxis& circuit : spec.circuits) {
     const netlist::Netlist original = build_circuit(circuit.name);
 
-    // One pipeline per circuit serves every lock job. The cache stays OFF:
-    // the heuristics' budget contract wants one attack run per proposal,
-    // and a cache warmed by one lock job must never change what a later
-    // job computes (quick and full runs share cells only because every
-    // job is state-free given its axis seed).
+    // Every lock job of the circuit runs on an identically configured
+    // pipeline. The cache stays OFF: the heuristics' budget contract wants
+    // one attack run per proposal, and a cache warmed by one lock job must
+    // never change what a later job computes. With the cache off, a job is
+    // state-free given its axis seed, so which shard's pipeline runs it
+    // cannot change its result (and quick and full runs share cells).
     eval::EvalPipelineConfig pipeline_config;
     pipeline_config.attacks = spec.fitness_attacks;
     pipeline_config.attack_options.muxlink = spec.muxlink;
     pipeline_config.cache = false;
     pipeline_config.seed = axis_seed(spec.seed, circuit.name, "", "pipeline");
-    pipeline_config.pool = pool.get();
-    eval::EvalPipeline pipeline(original, pipeline_config);
 
-    // Warm workspace family for the attack sweep: one per pool shard,
-    // pre-sized for the largest scheme.
-    std::vector<std::unique_ptr<eval::EvalWorkspace>> workspaces;
-    workspaces.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      workspaces.push_back(std::make_unique<eval::EvalWorkspace>());
-      workspaces.back()->reserve(original, max_key_bits);
-    }
+    // One pipeline per pool shard, built on the shard's first use. The
+    // pipelines are pool-less: the lock jobs already fan out over the pool,
+    // so the population batches inside a job run sequentially on their
+    // shard's pipeline (a nested fan-out on the same pool would throw).
+    std::vector<std::unique_ptr<eval::EvalPipeline>> pipelines(shards);
+    const auto shard_pipeline = [&](std::size_t shard) -> eval::EvalPipeline& {
+      if (!pipelines[shard]) {
+        pipelines[shard] =
+            std::make_unique<eval::EvalPipeline>(original, pipeline_config);
+      }
+      return *pipelines[shard];
+    };
 
-    // Lock jobs run sequentially (population batches fan out internally;
-    // distinct batches on one pipeline must not overlap).
-    std::vector<LockJob> jobs;
-    jobs.reserve(spec.schemes.size() * circuit.optimizers.size());
+    // The lock jobs (scheme x optimizer) fan out across the pool; each
+    // writes its preallocated slot, so the job order is enumeration order
+    // no matter which shard runs which job.
+    struct JobPlan {
+      const SchemeAxis* scheme;
+      const std::string* optimizer;
+    };
+    std::vector<JobPlan> job_plans;
+    job_plans.reserve(spec.schemes.size() * circuit.optimizers.size());
     for (const SchemeAxis& scheme : spec.schemes) {
       for (const std::string& optimizer : circuit.optimizers) {
-        jobs.push_back(
-            run_lock_job(spec, circuit, scheme, optimizer, original, pipeline));
+        job_plans.push_back({&scheme, &optimizer});
       }
     }
+    std::vector<LockJob> jobs(job_plans.size());
+    fan_out(jobs.size(), [&](std::size_t shard, std::size_t index) {
+      jobs[index] = run_lock_job(spec, circuit, *job_plans[index].scheme,
+                                 *job_plans[index].optimizer, original,
+                                 shard_pipeline(shard));
+    });
 
-    // The circuit's attack cells fan out across the pool; each writes its
-    // preallocated slot, so the result order is enumeration order no
-    // matter which shard runs which cell.
+    // Then the circuit's attack cells fan out the same way, each running
+    // through its shard pipeline's warm workspace.
     struct CellPlan {
       const LockJob* job;
       const std::string* attack;
@@ -525,16 +551,11 @@ CampaignResult run(const CampaignSpec& spec_in) {
       }
     }
     std::vector<CellResult> cells(plans.size());
-    const auto run_one = [&](std::size_t shard, std::size_t index) {
+    fan_out(cells.size(), [&](std::size_t shard, std::size_t index) {
       cells[index] = run_cell(spec, circuit, *plans[index].job,
                               *plans[index].attack, original,
-                              *workspaces[shard]);
-    };
-    if (pool) {
-      pool->parallel_for_sharded(plans.size(), run_one);
-    } else {
-      for (std::size_t i = 0; i < plans.size(); ++i) run_one(0, i);
-    }
+                              shard_pipeline(shard).workspace());
+    });
 
     for (LockJob& job : jobs) result.locks.push_back(std::move(job.summary));
     for (CellResult& cell : cells) result.cells.push_back(std::move(cell));

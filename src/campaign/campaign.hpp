@@ -8,12 +8,13 @@
 //   x circuit (ISCAS profiles, synth100k)
 //   x optimizer (ga / nsga2 / hillclimb / random)
 //
-// and runs it as one sweep. Per circuit the runner builds ONE EvalPipeline
-// (shared SiteContext, fitness cache, oracle simulator) and one warm
-// EvalWorkspace per pool shard; lock jobs (circuit x scheme x optimizer)
-// evolve a genotype through that pipeline sequentially, then the attack
-// cells of the circuit fan out on the ThreadPool. Every cell runs
-// lock -> decode -> attack -> verify:
+// and runs it as one sweep. Per circuit the runner gives each ThreadPool
+// shard one pool-less EvalPipeline (SiteContext, oracle simulator, warm
+// EvalWorkspace). The lock jobs (circuit x scheme x optimizer) fan out on
+// the pool, each evolving a genotype on its shard's pipeline with the
+// population batches run sequentially; then the circuit's attack cells fan
+// out the same way, each through its shard pipeline's workspace. Every
+// cell runs lock -> decode -> attack -> verify:
 //
 //   - correct-key equivalence: SAT miter proof that the decoded design
 //     under its correct key matches the original (sat::check_unlocks);
@@ -93,8 +94,9 @@ struct CampaignSpec {
   OptimizerBudget budget;
 
   std::uint64_t seed = 1;
-  /// Worker threads for cell fan-out and population batches: 0 = hardware
-  /// concurrency, 1 = sequential. The report is identical either way.
+  /// Worker threads the lock jobs and then the attack cells of each
+  /// circuit fan out over: 0 = hardware concurrency, 1 = sequential. The
+  /// report is identical either way.
   std::size_t threads = 1;
 
   // ---- verification stage -------------------------------------------------

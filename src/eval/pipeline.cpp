@@ -236,8 +236,7 @@ ga::Evaluation EvalPipeline::evaluate(ga::Genotype& genes,
   }
   ga::Genotype pre_repair;
   if (config_.cache) pre_repair = genes;
-  ensure_workspaces(1);
-  EvalWorkspace& workspace = *workspaces_.front();
+  EvalWorkspace& workspace = this->workspace();
   decode_into(workspace, genes, repair_seed);
   genes = workspace.design.genes;  // write repaired genes back
   const ga::Evaluation eval = score(workspace.design, &workspace);
@@ -263,8 +262,7 @@ std::vector<double> EvalPipeline::evaluate_objectives(
   }
   ga::Genotype pre_repair;
   if (config_.cache) pre_repair = genes;
-  ensure_workspaces(1);
-  EvalWorkspace& workspace = *workspaces_.front();
+  EvalWorkspace& workspace = this->workspace();
   decode_into(workspace, genes, repair_seed);
   genes = workspace.design.genes;
   std::vector<double> objectives =
@@ -275,6 +273,11 @@ std::vector<double> EvalPipeline::evaluate_objectives(
     if (genes != pre_repair) objective_cache_.store(genes, objectives);
   }
   return objectives;
+}
+
+EvalWorkspace& EvalPipeline::workspace() {
+  ensure_workspaces(1);
+  return *workspaces_.front();
 }
 
 util::ThreadPool* EvalPipeline::worker_pool() {

@@ -156,6 +156,13 @@ class EvalPipeline {
   std::vector<double> evaluate_objectives(ga::Genotype& genes,
                                           std::uint64_t repair_seed = 0);
 
+  /// The workspace evaluate() and evaluate_objectives() decode and score
+  /// through (also shard 0 of the batch path). Between evaluations callers
+  /// may run their own attacks through it (attack results never depend on
+  /// workspace state) or move its decoded design out (the next decode
+  /// rebuilds it); never while this pipeline is evaluating.
+  EvalWorkspace& workspace();
+
   struct BatchStats {
     std::size_t cache_hits = 0;
     std::size_t evaluated = 0;  // attack/fitness invocations (cache misses)
@@ -175,7 +182,10 @@ class EvalPipeline {
   /// serialized by the caller — the per-shard workspaces (and the
   /// workspace pool growth in ensure_workspaces) are not guarded against
   /// two simultaneous batches. Every optimizer in core/ calls this from
-  /// its single driver thread.
+  /// its single driver thread. Callers that run whole optimizer jobs in
+  /// parallel give each pool shard its own pool-less pipeline instead (as
+  /// campaign::run does): the batches then run sequentially on the shard,
+  /// and no fan-out nests inside another on the same pool.
   BatchStats evaluate_population(std::vector<ga::Individual>& population,
                                  std::size_t generation);
 

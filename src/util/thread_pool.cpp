@@ -3,8 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <stdexcept>
 
 namespace autolock::util {
+
+namespace {
+
+/// The pool whose worker_loop runs on this thread (null off-pool).
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -27,6 +35,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -51,6 +60,11 @@ void ThreadPool::parallel_for_sharded(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& fn,
     std::size_t grain) {
+  // Every worker would block below waiting for tasks queued behind it.
+  if (current_pool == this) {
+    throw std::logic_error(
+        "ThreadPool: nested parallel_for from one of the pool's own workers");
+  }
   if (n == 0) return;
   if (grain == 0) grain = 1;
 

@@ -1,6 +1,6 @@
 // Fixed-size thread pool with a blocking parallel_for, used to evaluate GA
 // population fitness concurrently (each individual's MuxLink attack run is
-// independent).
+// independent) and to fan out a campaign's lock jobs and attack cells.
 #pragma once
 
 #include <condition_variable>
@@ -32,6 +32,11 @@ class ThreadPool {
   /// from the shared counter: 1 gives the finest load balancing (GA
   /// individuals with very uneven attack costs), larger grains amortize the
   /// atomic traffic for cheap uniform bodies.
+  ///
+  /// Not reentrant: a call from one of this pool's own workers (a body that
+  /// fans out on the pool running it) throws std::logic_error instead of
+  /// deadlocking on tasks queued behind the blocked workers. Work nested
+  /// inside a fan-out must run sequentially or on a different pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 1);
 
@@ -39,7 +44,8 @@ class ThreadPool {
   /// shard executing it (in [0, min(n, size()))). One shard runs strictly
   /// sequentially, so shard-indexed scratch state (e.g. one EvalWorkspace
   /// per shard) needs no synchronization. Index-to-shard assignment is
-  /// timing-dependent; callers must not let it influence results.
+  /// timing-dependent; callers must not let it influence results. The same
+  /// nested-call rule as parallel_for applies.
   void parallel_for_sharded(
       std::size_t n,
       const std::function<void(std::size_t shard, std::size_t index)>& fn,

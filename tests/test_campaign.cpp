@@ -7,6 +7,7 @@
 //     shared axes (the quick-vs-committed-full CI diff contract);
 //   - axis_seed depends on axis NAMES (with separator, so ("ab","c") and
 //     ("a","bc") differ) and not on enumeration order;
+//   - to_json escapes every control character by its byte value;
 //   - check_report_invariants accepts a sane report and names each
 //     violated invariant;
 //   - resolve-time validation rejects unknown circuit/attack/optimizer
@@ -58,11 +59,15 @@ TEST_F(CampaignQuick, ReportIsByteDeterministicAcrossRunsAndThreads) {
   const campaign::CampaignResult rerun = campaign::run(campaign::quick_spec());
   EXPECT_EQ(campaign::to_json(rerun), reference);
 
-  campaign::CampaignSpec threaded = campaign::quick_spec();
-  threaded.threads = 3;
-  const campaign::CampaignResult parallel = campaign::run(threaded);
-  EXPECT_EQ(campaign::to_json(parallel), reference)
-      << "report depends on the thread count";
+  // 2 is the benchmark's pool size; 9 gives more shards than the quick
+  // matrix has lock jobs (8), so some shards only ever run attack cells.
+  for (const std::size_t threads : {2u, 3u, 9u}) {
+    campaign::CampaignSpec threaded = campaign::quick_spec();
+    threaded.threads = threads;
+    const campaign::CampaignResult parallel = campaign::run(threaded);
+    EXPECT_EQ(campaign::to_json(parallel), reference)
+        << "report depends on the thread count (" << threads << " threads)";
+  }
 }
 
 TEST_F(CampaignQuick, SubMatrixReproducesFullMatrixCells) {
@@ -112,6 +117,20 @@ TEST(CampaignSeeds, DependOnAxisNamesNotOrder) {
   // an empty attack, cell streams a real name — they must never collide).
   EXPECT_NE(campaign::axis_seed(1, "c432", "dmux", "ga"),
             campaign::axis_seed(1, "c432", "dmux", "ga", "sat"));
+}
+
+TEST(CampaignJson, EscapesControlCharactersByByteValue) {
+  // Campaign and scheme names are free-form: every control character must
+  // serialize as the \u00XX escape of its own byte.
+  campaign::CampaignResult result;
+  result.spec.name = "a\rb\x01" "c\x1f\"\\\n\t";
+  result.spec.schemes = {{"s\x7f\x02", lock::GenotypeSpec{.mux_sites = 8}}};
+  const std::string json = campaign::to_json(result);
+  EXPECT_NE(json.find(R"("campaign": "a\u000db\u0001c\u001f\"\\\n\t")"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"name\": \"s\x7f\\u0002\""), std::string::npos)
+      << json;
 }
 
 eval::AttackReport sane_report() {

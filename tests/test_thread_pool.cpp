@@ -55,6 +55,25 @@ TEST(ThreadPool, PropagatesException) {
       std::runtime_error);
 }
 
+TEST(ThreadPool, NestedCallFromWorkerThrows) {
+  // A body that fans out on the pool running it would park every worker on
+  // tasks queued behind them; the inner call must throw instead, and the
+  // outer call must rethrow that and return.
+  ThreadPool pool(2);
+  std::atomic<int> inner_runs{0};
+  EXPECT_THROW(pool.parallel_for(2,
+                                 [&](std::size_t) {
+                                   pool.parallel_for(
+                                       4, [&](std::size_t) { ++inner_runs; });
+                                 }),
+               std::logic_error);
+  EXPECT_EQ(inner_runs.load(), 0);
+  // The pool stays usable, and a call from off-pool threads still works.
+  std::atomic<int> total{0};
+  pool.parallel_for(8, [&](std::size_t) { ++total; });
+  EXPECT_EQ(total.load(), 8);
+}
+
 TEST(ThreadPool, ExceptionStillCompletesOtherWork) {
   ThreadPool pool(2);
   std::atomic<int> done{0};
