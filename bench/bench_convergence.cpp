@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     config.ga.seed = seed;
     config.threads = 1;
     AutoLock driver(config);
-    histories.push_back(driver.run(original, key_bits).history);
+    histories.push_back(driver.run(original, {.mux_sites = key_bits}).history);
   }
 
   util::Table table({"generation", "best fitness (mean over seeds)",

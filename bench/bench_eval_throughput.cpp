@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
       eval::EvalPipeline pipeline(original, attack_mix_config(ga_config.seed));
       ga::GeneticAlgorithm ga(original, ga_config);
       util::Timer timer;
-      const auto result = ga.run(w.key_bits, pipeline);
+      const auto result = ga.run({.mux_sites = w.key_bits}, pipeline);
       const double s = timer.elapsed_seconds();
       ga_table.add_row(
           {std::string(info.name), std::to_string(w.key_bits), "workspace",
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
         eval::EvalPipeline pipeline(original, config);
         ga::GeneticAlgorithm ga(original, ga_config);
         util::Timer timer;
-        const auto result = ga.run(w.key_bits, pipeline);
+        const auto result = ga.run({.mux_sites = w.key_bits}, pipeline);
         const double s = timer.elapsed_seconds();
         (void)result;
         const double gens_per_s =

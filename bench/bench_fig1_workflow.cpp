@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   util::Timer timer;
   AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, key_bits);
+  const AutoLockReport report = driver.run(original, {.mux_sites = key_bits});
 
   stages.add_row({"3. population init",
                   std::to_string(config.ga.population) +

@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
 
     util::Timer timer;
     AutoLock driver(config);
-    const AutoLockReport report = driver.run(original, test_case.key_bits);
+    const AutoLockReport report =
+        driver.run(original, {.mux_sites = test_case.key_bits});
     const bool verified = lock::verify_unlocks(report.locked, original);
     const double drop_pp = 100.0 * report.accuracy_drop;
     drops.add(drop_pp);

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       ga::GeneticAlgorithm engine(original, config);
       eval::EvalPipeline pipeline(
           original, make_pipeline_config(seed, true, 0xDEC0DEULL));
-      const auto result = engine.run(key_bits, pipeline);
+      const auto result = engine.run({.mux_sites = key_bits}, pipeline);
       final_fit.add(result.best.eval.fitness);
       final_acc.add(result.best.eval.attack_accuracy);
       half_fit.add(result.history[result.history.size() / 2].best_fitness);
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     config.seed = seed;
     eval::EvalPipeline pipeline(original,
                                 make_pipeline_config(seed, false, 0xE7A1ULL));
-    return ga::simulated_annealing(pipeline, key_bits, config);
+    return ga::simulated_annealing(pipeline, {.mux_sites = key_bits}, config);
   });
   add_heuristic("hill climbing", [&](std::uint64_t seed) {
     ga::HillClimbConfig config;
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     config.seed = seed;
     eval::EvalPipeline pipeline(original,
                                 make_pipeline_config(seed, false, 0xE7A1ULL));
-    return ga::hill_climb(pipeline, key_bits, config);
+    return ga::hill_climb(pipeline, {.mux_sites = key_bits}, config);
   });
   add_heuristic("random search", [&](std::uint64_t seed) {
     ga::RandomSearchConfig config;
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     config.seed = seed;
     eval::EvalPipeline pipeline(original,
                                 make_pipeline_config(seed, false, 0xE7A1ULL));
-    return ga::random_search(pipeline, key_bits, config);
+    return ga::random_search(pipeline, {.mux_sites = key_bits}, config);
   });
 
   benchx::emit(table, args,

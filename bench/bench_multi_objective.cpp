@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   eval::EvalPipeline pipeline(original, std::move(pipeline_config));
 
   util::Timer timer;
-  const ga::Nsga2Result result = engine.run(key_bits, pipeline);
+  const ga::Nsga2Result result = engine.run({.mux_sites = key_bits}, pipeline);
 
   util::Table front({"front member", "structural acc (min)",
                      "1 - corruption (min)", "GNN MuxLink acc (post-hoc)"});

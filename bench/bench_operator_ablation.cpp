@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
       config.ga.seed = seed;
       config.threads = 1;
       AutoLock driver(config);
-      const AutoLockReport report = driver.run(original, key_bits);
+      const AutoLockReport report =
+          driver.run(original, {.mux_sites = key_bits});
       final_fitness.add(report.history.back().best_fitness);
       final_acc.add(report.final_accuracy);
       initial_fitness.add(report.history.front().best_fitness);

@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
       config.threads = 1;
       AutoLock driver(config);
       designs.push_back(
-          {"AutoLock", driver.run(original, test_case.key_bits).locked});
+          {"AutoLock",
+           driver.run(original, {.mux_sites = test_case.key_bits}).locked});
     }
 
     for (const auto& [scheme, design] : designs) {

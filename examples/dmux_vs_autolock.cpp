@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   config.ga.seed = 1;
   config.threads = 1;
   AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, key_bits);
+  const AutoLockReport report = driver.run(original, {.mux_sites = key_bits});
 
   const auto evolved_score = evaluator.run(report.locked);
   std::printf("  evolved design: MuxLink accuracy %.1f%% (thorough re-eval)\n",

@@ -14,8 +14,14 @@
 //        (default: every attack in the registry)
 //   lock_file_tool attacks                                list registered attacks
 //   lock_file_tool stats <in.bench>                       print circuit statistics
+//
+// Exit status: 0 on success, 1 with usage on a missing argument or unknown
+// command, 2 on a bad argument value (unknown scheme, non-numeric K or seed)
+// or any other error.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,10 +39,40 @@ namespace {
 
 using namespace autolock;
 
+void print_usage() {
+  std::fprintf(stderr,
+               "usage:\n"
+               "  lock_file_tool gen <profile> <out.bench> [seed]\n"
+               "  lock_file_tool stats <in.bench>\n"
+               "  lock_file_tool lock <in.bench> <out.bench> <K> "
+               "[dmux|rll|antisat|compound|autolock] [seed]\n"
+               "  lock_file_tool attack <locked.bench>\n"
+               "  lock_file_tool report <locked.bench> <original.bench> "
+               "[attack...]\n"
+               "  lock_file_tool attacks\n");
+}
+
+/// A bad argument value: main prints the message plus usage and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses the whole of `text` as an unsigned integer, or throws UsageError.
+std::uint64_t parse_unsigned(const char* text, const char* what) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw UsageError(std::string(what) + " must be an unsigned integer, got '" +
+                     text + "'");
+  }
+  return value;
+}
+
 int cmd_gen(int argc, char** argv) {
   if (argc < 4) return 1;
   const auto profile = netlist::gen::profile_by_name(argv[2]);
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
+  const std::uint64_t seed = argc > 4 ? parse_unsigned(argv[4], "seed") : 1;
   const auto circuit = netlist::gen::make_profile(profile, seed);
   netlist::bench::stream_save_file(circuit, argv[3]);
   std::printf("wrote %s (%zu gates)\n", argv[3], circuit.stats().gates);
@@ -55,10 +91,10 @@ int cmd_stats(int argc, char** argv) {
 
 int cmd_lock(int argc, char** argv) {
   if (argc < 5) return 1;
-  const auto original = netlist::bench::stream_load_file(argv[2]);
-  const auto key_bits = static_cast<std::size_t>(std::atoi(argv[4]));
+  const auto key_bits = static_cast<std::size_t>(parse_unsigned(argv[4], "K"));
   const std::string scheme = argc > 5 ? argv[5] : "dmux";
-  const std::uint64_t seed = argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1;
+  const std::uint64_t seed = argc > 6 ? parse_unsigned(argv[6], "seed") : 1;
+  const auto original = netlist::bench::stream_load_file(argv[2]);
 
   lock::LockedDesign design;
   if (scheme == "rll") {
@@ -75,9 +111,11 @@ int cmd_lock(int argc, char** argv) {
     config.ga.population = 10;
     config.ga.generations = 5;
     config.ga.seed = seed;
-    design = AutoLock(config).run(original, key_bits).locked;
-  } else {
+    design = AutoLock(config).run(original, {.mux_sites = key_bits}).locked;
+  } else if (scheme == "dmux") {
     design = lock::dmux_lock(original, key_bits, seed);
+  } else {
+    throw UsageError("unknown scheme '" + scheme + "'");
   }
 
   if (!lock::verify_unlocks(design, original)) {
@@ -194,21 +232,14 @@ int main(int argc, char** argv) {
     else if (command == "attack") status = cmd_attack(argc, argv);
     else if (command == "attacks") status = cmd_attacks();
     else if (command == "report") status = cmd_report(argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage();
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  if (status == 1) {
-    std::fprintf(stderr,
-                 "usage:\n"
-                 "  lock_file_tool gen <profile> <out.bench> [seed]\n"
-                 "  lock_file_tool stats <in.bench>\n"
-                 "  lock_file_tool lock <in.bench> <out.bench> <K> "
-                 "[dmux|rll|antisat|compound|autolock] [seed]\n"
-                 "  lock_file_tool attack <locked.bench>\n"
-                 "  lock_file_tool report <locked.bench> <original.bench> "
-                 "[attack...]\n"
-                 "  lock_file_tool attacks\n");
-  }
+  if (status == 1) print_usage();
   return status;
 }

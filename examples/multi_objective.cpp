@@ -37,7 +37,7 @@ int main() {
 
   std::printf("evolving %zu-bit lockings of %s with NSGA-II...\n", kKeyBits,
               original.name().c_str());
-  const ga::Nsga2Result result = engine.run(kKeyBits, pipeline);
+  const ga::Nsga2Result result = engine.run({.mux_sites = kKeyBits}, pipeline);
 
   std::printf("\nPareto front (%zu members, %zu evaluations):\n",
               result.front.size(), result.evaluations);

@@ -48,7 +48,7 @@ int main() {
   config.ga.generations = 6;
   config.ga.seed = 7;
   AutoLock autolock(config);
-  const AutoLockReport report = autolock.run(original, kKeyBits);
+  const AutoLockReport report = autolock.run(original, {.mux_sites = kKeyBits});
 
   std::printf("AutoLock:        MuxLink accuracy %.1f%% -> %.1f%%  "
               "(drop %.1f pp, %zu evaluations, %.1fs)\n",

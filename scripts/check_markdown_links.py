@@ -6,7 +6,9 @@ bench/README.md) for inline markdown links and verifies that every
 relative link resolves to an existing file or directory in the repo.
 External links (http/https/mailto) and pure in-page anchors are skipped —
 CI has no business depending on the network, and anchor drift is caught in
-review. Exits non-zero listing every broken link.
+review. It also checks that the coverage map in tests/README.md has
+exactly one row per tests/test_*.cpp file. Exits non-zero listing every
+broken link and every coverage-map mismatch.
 
 Usage: python3 scripts/check_markdown_links.py [repo_root]
 """
@@ -18,6 +20,9 @@ from pathlib import Path
 # [text](target) — excluding images is unnecessary; image paths must exist
 # too. Nested parens in URLs are not used in this repo's docs.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+# A coverage-map row in tests/README.md: | `test_name` | what it pins |
+COVERAGE_ROW_RE = re.compile(r"^\| `(test_\w+)` \|", re.MULTILINE)
 
 DOC_GLOBS = [
     "README.md",
@@ -61,6 +66,22 @@ def check_file(root: Path, path: Path):
     return broken
 
 
+def check_test_map(root: Path):
+    """Mismatches between tests/README.md rows and tests/test_*.cpp files."""
+    readme = root / "tests" / "README.md"
+    if not readme.is_file():
+        return ["tests/README.md is missing"]
+    rows = COVERAGE_ROW_RE.findall(readme.read_text(encoding="utf-8"))
+    files = {path.stem for path in (root / "tests").glob("test_*.cpp")}
+    problems = [f"tests/{name}.cpp has no row in tests/README.md"
+                for name in sorted(files - set(rows))]
+    problems += [f"tests/README.md row `{name}` has no tests/{name}.cpp"
+                 for name in sorted(set(rows) - files)]
+    problems += [f"tests/README.md has {rows.count(name)} rows for `{name}`"
+                 for name in sorted(set(rows)) if rows.count(name) > 1]
+    return problems
+
+
 def main():
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent.parent
     failures = 0
@@ -73,10 +94,15 @@ def main():
     if checked == 0:
         print("no documentation files found — wrong root?")
         return 1
-    if failures:
-        print(f"{failures} broken link(s) across {checked} files")
+    map_problems = check_test_map(root)
+    for problem in map_problems:
+        print(f"COVERAGE MAP {problem}")
+    if failures or map_problems:
+        print(f"{failures} broken link(s) across {checked} files, "
+              f"{len(map_problems)} coverage-map mismatch(es)")
         return 1
-    print(f"ok: {checked} files, no broken relative links")
+    print(f"ok: {checked} files, no broken relative links, "
+          f"tests/README.md lists every tests/test_*.cpp")
     return 0
 
 

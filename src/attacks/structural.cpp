@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "attacks/attack_scratch.hpp"
-#include "netlist/analysis.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::attack {

@@ -39,7 +39,7 @@ ga::Evaluation AutoLock::evaluate(const lock::LockedDesign& design,
 }
 
 AutoLockReport AutoLock::run(const netlist::Netlist& original,
-                             std::size_t key_bits) {
+                             const lock::GenotypeSpec& spec) {
   util::Timer timer;
 
   ga::GaConfig ga_config = config_.ga;
@@ -52,7 +52,7 @@ AutoLockReport AutoLock::run(const netlist::Netlist& original,
   ga::GeneticAlgorithm engine(original, ga_config);
   eval::EvalPipeline pipeline(original, pipeline_config());
 
-  ga::GaResult ga_result = engine.run(key_bits, pipeline);
+  ga::GaResult ga_result = engine.run(spec, pipeline);
 
   AutoLockReport report;
   report.history = std::move(ga_result.history);
@@ -73,7 +73,7 @@ AutoLockReport AutoLock::run(const netlist::Netlist& original,
   report.locked = engine.decode(ga_result.best.genes);
   report.locked.netlist.set_name(original.name() + "_autolock");
   report.seconds = timer.elapsed_seconds();
-  util::log_info("AutoLock(", original.name(), ", K=", key_bits,
+  util::log_info("AutoLock(", original.name(), ", K=", spec.key_bits(),
                  "): accuracy ", report.initial_mean_accuracy, " -> ",
                  report.final_accuracy, " in ", report.evaluations,
                  " evaluations, ", report.seconds, "s");

@@ -76,8 +76,10 @@ class AutoLock {
  public:
   explicit AutoLock(AutoLockConfig config = {});
 
-  /// Runs the full workflow on `original` with key length `key_bits`.
-  AutoLockReport run(const netlist::Netlist& original, std::size_t key_bits);
+  /// Runs the full workflow on `original`, evolving genotypes of `spec`'s
+  /// shape ({.mux_sites = K} is the paper's K-bit D-MUX).
+  AutoLockReport run(const netlist::Netlist& original,
+                     const lock::GenotypeSpec& spec);
 
   const AutoLockConfig& config() const noexcept { return config_; }
 

@@ -72,20 +72,14 @@ void GeneticAlgorithm::mutate(Genotype& genes, util::Rng& rng) const {
                            config_.key_flip_rate, rng);
 }
 
-GaResult GeneticAlgorithm::run(std::size_t key_bits, const FitnessFn& fitness,
+GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
+                               const FitnessFn& fitness,
                                util::ThreadPool* pool) {
   eval::EvalPipelineConfig pipeline_config;
   pipeline_config.fitness_override = fitness;
   pipeline_config.seed = config_.seed;
   pipeline_config.pool = pool;
   eval::EvalPipeline pipeline(*original_, std::move(pipeline_config));
-  return run(key_bits, pipeline);
-}
-
-GaResult GeneticAlgorithm::run(std::size_t key_bits,
-                               eval::EvalPipeline& pipeline) {
-  lock::GenotypeSpec spec;
-  spec.mux_sites = key_bits;
   return run(spec, pipeline);
 }
 

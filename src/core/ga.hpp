@@ -6,9 +6,8 @@
 // plus optional RLL and Anti-SAT genes for compound locking. Decoding
 // (apply_genotype) produces the locked netlist; the fitness function runs
 // an attack on it ("the fitness of each genotype is measured by MuxLink
-// accuracy, where lower accuracy indicates higher fitness"). MUX-only runs
-// (the run(key_bits, ...) overloads) reproduce the historical MUX-only
-// trajectories bit for bit.
+// accuracy, where lower accuracy indicates higher fitness"). A MUX-only
+// spec ({.mux_sites = K}) is the paper's D-MUX genotype.
 //
 // Operators (paper §II: selection, crossover, mutation):
 //   selection: tournament or roulette-wheel
@@ -107,21 +106,17 @@ class GeneticAlgorithm {
   /// `original` must outlive the GA.
   GeneticAlgorithm(const netlist::Netlist& original, GaConfig config);
 
-  /// Runs the full loop of the paper's Fig. 1: N random D-MUX lockings of
-  /// `key_bits` bits seed the population; evolve for `generations` or until
-  /// the fitness target. All evaluation goes through `pipeline`, which must
-  /// have been built on the same original netlist.
-  GaResult run(std::size_t key_bits, eval::EvalPipeline& pipeline);
-
-  /// Scheme-polymorphic variant: the population seeds from random mixed
-  /// genotypes of `spec`'s shape (MUX + RLL + Anti-SAT genes), and every
-  /// operator dispatches per gene kind. run(key_bits, ...) is exactly
-  /// run({.mux_sites = key_bits}, ...).
+  /// Runs the full loop of the paper's Fig. 1: N random lockings of
+  /// `spec`'s shape (MUX + RLL + Anti-SAT genes; {.mux_sites = K} is the
+  /// paper's D-MUX) seed the population, and every operator dispatches per
+  /// gene kind; evolve for `generations` or until the fitness target. All
+  /// evaluation goes through `pipeline`, which must have been built on the
+  /// same original netlist.
   GaResult run(const lock::GenotypeSpec& spec, eval::EvalPipeline& pipeline);
 
   /// Convenience wrapper: builds a sequential single-use EvalPipeline around
   /// `fitness` (borrowing `pool` for population fan-out when given) and runs.
-  GaResult run(std::size_t key_bits, const FitnessFn& fitness,
+  GaResult run(const lock::GenotypeSpec& spec, const FitnessFn& fitness,
                util::ThreadPool* pool = nullptr);
 
   /// Decodes a genotype exactly like the GA does internally (for callers

@@ -71,18 +71,12 @@ HeuristicResult random_search(eval::EvalPipeline& pipeline,
   return result;
 }
 
-HeuristicResult random_search(eval::EvalPipeline& pipeline,
-                              std::size_t key_bits,
-                              const RandomSearchConfig& config) {
-  return random_search(pipeline, lock::GenotypeSpec{.mux_sites = key_bits},
-                       config);
-}
-
 HeuristicResult random_search(const netlist::Netlist& original,
-                              std::size_t key_bits, const FitnessFn& fitness,
+                              const lock::GenotypeSpec& spec,
+                              const FitnessFn& fitness,
                               const RandomSearchConfig& config) {
   eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return random_search(pipeline, key_bits, config);
+  return random_search(pipeline, spec, config);
 }
 
 HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
@@ -127,17 +121,12 @@ HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
   return result;
 }
 
-HeuristicResult hill_climb(eval::EvalPipeline& pipeline, std::size_t key_bits,
-                           const HillClimbConfig& config) {
-  return hill_climb(pipeline, lock::GenotypeSpec{.mux_sites = key_bits},
-                    config);
-}
-
 HeuristicResult hill_climb(const netlist::Netlist& original,
-                           std::size_t key_bits, const FitnessFn& fitness,
+                           const lock::GenotypeSpec& spec,
+                           const FitnessFn& fitness,
                            const HillClimbConfig& config) {
   eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return hill_climb(pipeline, key_bits, config);
+  return hill_climb(pipeline, spec, config);
 }
 
 HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
@@ -178,19 +167,12 @@ HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
   return result;
 }
 
-HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
-                                    std::size_t key_bits,
-                                    const AnnealingConfig& config) {
-  return simulated_annealing(pipeline,
-                             lock::GenotypeSpec{.mux_sites = key_bits}, config);
-}
-
 HeuristicResult simulated_annealing(const netlist::Netlist& original,
-                                    std::size_t key_bits,
+                                    const lock::GenotypeSpec& spec,
                                     const FitnessFn& fitness,
                                     const AnnealingConfig& config) {
   eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return simulated_annealing(pipeline, key_bits, config);
+  return simulated_annealing(pipeline, spec, config);
 }
 
 }  // namespace autolock::ga

@@ -43,19 +43,15 @@ struct RandomSearchConfig {
 /// expect a pipeline built on the same original netlist with caching
 /// disabled (every proposal counts as one evaluation).
 ///
-/// Like the GA and NSGA-II, every heuristic has a scheme-polymorphic
-/// GenotypeSpec overload (proposals drawn by random_genotype(context, spec,
-/// rng), moves dispatched per gene kind); the key_bits overloads are exactly
-/// the pure-MUX spec {.mux_sites = key_bits} and keep their historical
-/// trajectories (a pure-MUX spec draws the identical RNG stream).
+/// Like the GA and NSGA-II, every heuristic is scheme-polymorphic:
+/// proposals are drawn by random_genotype(context, spec, rng) and moves are
+/// dispatched per gene kind.
 HeuristicResult random_search(eval::EvalPipeline& pipeline,
                               const lock::GenotypeSpec& spec,
                               const RandomSearchConfig& config);
-HeuristicResult random_search(eval::EvalPipeline& pipeline,
-                              std::size_t key_bits,
-                              const RandomSearchConfig& config);
 HeuristicResult random_search(const netlist::Netlist& original,
-                              std::size_t key_bits, const FitnessFn& fitness,
+                              const lock::GenotypeSpec& spec,
+                              const FitnessFn& fitness,
                               const RandomSearchConfig& config);
 
 struct HillClimbConfig {
@@ -72,10 +68,9 @@ struct HillClimbConfig {
 HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
                            const lock::GenotypeSpec& spec,
                            const HillClimbConfig& config);
-HeuristicResult hill_climb(eval::EvalPipeline& pipeline, std::size_t key_bits,
-                           const HillClimbConfig& config);
 HeuristicResult hill_climb(const netlist::Netlist& original,
-                           std::size_t key_bits, const FitnessFn& fitness,
+                           const lock::GenotypeSpec& spec,
+                           const FitnessFn& fitness,
                            const HillClimbConfig& config);
 
 struct AnnealingConfig {
@@ -91,11 +86,8 @@ struct AnnealingConfig {
 HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
                                     const lock::GenotypeSpec& spec,
                                     const AnnealingConfig& config);
-HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
-                                    std::size_t key_bits,
-                                    const AnnealingConfig& config);
 HeuristicResult simulated_annealing(const netlist::Netlist& original,
-                                    std::size_t key_bits,
+                                    const lock::GenotypeSpec& spec,
                                     const FitnessFn& fitness,
                                     const AnnealingConfig& config);
 

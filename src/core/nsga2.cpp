@@ -107,7 +107,8 @@ void Nsga2::assign_crowding(std::vector<MoIndividual>& population,
   }
 }
 
-Nsga2Result Nsga2::run(std::size_t key_bits, std::size_t num_objectives,
+Nsga2Result Nsga2::run(const lock::GenotypeSpec& spec,
+                       std::size_t num_objectives,
                        const MultiFitnessFn& fitness,
                        util::ThreadPool* pool) {
   eval::EvalPipelineConfig pipeline_config;
@@ -120,12 +121,6 @@ Nsga2Result Nsga2::run(std::size_t key_bits, std::size_t num_objectives,
   // and the callback may be stateful. Attack-configured pipelines cache.
   pipeline_config.cache = false;
   eval::EvalPipeline pipeline(*original_, std::move(pipeline_config));
-  return run(key_bits, pipeline);
-}
-
-Nsga2Result Nsga2::run(std::size_t key_bits, eval::EvalPipeline& pipeline) {
-  lock::GenotypeSpec spec;
-  spec.mux_sites = key_bits;
   return run(spec, pipeline);
 }
 

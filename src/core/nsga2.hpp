@@ -60,16 +60,13 @@ class Nsga2 {
 
   /// Runs NSGA-II with all evaluation through `pipeline` (built on the same
   /// original netlist); the objective count is pipeline.num_objectives().
-  Nsga2Result run(std::size_t key_bits, eval::EvalPipeline& pipeline);
-
-  /// Scheme-polymorphic variant: seeds from random mixed genotypes of
-  /// `spec`'s shape; operators dispatch per gene kind via core/gene_ops.hpp.
-  /// run(key_bits, ...) is exactly run({.mux_sites = key_bits}, ...).
+  /// Seeds from random genotypes of `spec`'s shape; operators dispatch per
+  /// gene kind via core/gene_ops.hpp.
   Nsga2Result run(const lock::GenotypeSpec& spec, eval::EvalPipeline& pipeline);
 
   /// Convenience wrapper: builds a sequential single-use EvalPipeline around
   /// `fitness` (borrowing `pool` when given) and runs.
-  Nsga2Result run(std::size_t key_bits, std::size_t num_objectives,
+  Nsga2Result run(const lock::GenotypeSpec& spec, std::size_t num_objectives,
                   const MultiFitnessFn& fitness,
                   util::ThreadPool* pool = nullptr);
 

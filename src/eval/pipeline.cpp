@@ -33,13 +33,6 @@ EvalPipeline::EvalPipeline(const netlist::Netlist& original,
 
 EvalPipeline::~EvalPipeline() = default;
 
-std::vector<std::string> EvalPipeline::attack_names() const {
-  std::vector<std::string> names;
-  names.reserve(attacks_.size());
-  for (const auto& attack : attacks_) names.push_back(attack->name());
-  return names;
-}
-
 std::size_t EvalPipeline::num_objectives() const noexcept {
   if (config_.objectives_override) return config_.objectives_override_arity;
   return attacks_.size() + (config_.corruption_objective ? 1 : 0);

@@ -106,8 +106,6 @@ class EvalPipeline {
   const netlist::Netlist& original() const noexcept { return *original_; }
   const lock::SiteContext& context() const noexcept { return context_; }
   const EvalPipelineConfig& config() const noexcept { return config_; }
-  /// Names of the configured attacks (empty in override mode).
-  std::vector<std::string> attack_names() const;
   /// Objective count of the multi-objective path.
   std::size_t num_objectives() const noexcept;
 

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "locking/decode_topo.hpp"
-#include "netlist/analysis.hpp"
 #include "netlist/netlist.hpp"
 #include "util/epoch_flags.hpp"
 #include "util/rng.hpp"

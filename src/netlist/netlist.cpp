@@ -457,18 +457,20 @@ std::vector<bool> Netlist::live_mask() const {
 }
 
 std::size_t Netlist::depth() const {
-  const auto& order = topological_order();
-  std::vector<std::size_t> level(nodes_.size(), 0);
-  std::size_t max_level = 0;
-  for (NodeId v : order) {
-    const Node& node = nodes_[v];
-    if (node.fanins.empty()) continue;
+  std::vector<std::size_t> level;
+  node_levels_into(*this, level);
+  return level.empty() ? 0 : *std::max_element(level.begin(), level.end());
+}
+
+void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out) {
+  out.assign(netlist.size(), 0);
+  for (NodeId v : netlist.topological_order()) {
     std::size_t best = 0;
-    for (NodeId fanin : node.fanins) best = std::max(best, level[fanin]);
-    level[v] = best + 1;
-    max_level = std::max(max_level, level[v]);
+    for (NodeId fanin : netlist.node(v).fanins) {
+      best = std::max(best, out[fanin] + 1);
+    }
+    out[v] = best;
   }
-  return max_level;
 }
 
 std::size_t Netlist::gate_count() const noexcept {

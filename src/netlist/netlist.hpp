@@ -286,4 +286,9 @@ class Netlist {
   std::uint64_t structural_version_ = 0;
 };
 
+/// Gate level of every node into `out` (sources at 0; level = 1 + max
+/// fanin level); depth() is the largest entry. Buffer-reusing, for attack
+/// hot paths that recompute levels for every candidate design.
+void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out);
+
 }  // namespace autolock::netlist

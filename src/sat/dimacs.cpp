@@ -94,20 +94,6 @@ DimacsCnf read_dimacs_file(const std::string& path) {
   return read_dimacs(in);
 }
 
-void write_dimacs(std::ostream& out, const DimacsCnf& cnf) {
-  out << "p cnf " << cnf.num_vars << ' ' << cnf.clauses.size() << '\n';
-  for (const auto& clause : cnf.clauses) {
-    for (const Lit lit : clause) out << to_dimacs(lit) << ' ';
-    out << "0\n";
-  }
-}
-
-void write_dimacs_file(const std::string& path, const DimacsCnf& cnf) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("dimacs: cannot open " + path);
-  write_dimacs(out, cnf);
-}
-
 bool load_into(Solver& solver, const DimacsCnf& cnf) {
   solver.reserve_vars(static_cast<std::size_t>(cnf.num_vars));
   while (solver.num_vars() < static_cast<std::size_t>(cnf.num_vars)) {

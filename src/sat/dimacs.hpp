@@ -1,10 +1,9 @@
-// DIMACS CNF reader/writer.
+// DIMACS CNF reader.
 //
-// Lets the solver ingest standard CNF benchmarks and dump attack miters so
-// any external SAT solver can cross-check this one's verdicts. The reader
-// is strict: malformed headers, out-of-range literals, unterminated
-// clauses, and clause-count mismatches are rejected with
-// std::runtime_error rather than silently patched up.
+// Lets the solver ingest standard CNF benchmarks (the tests/data/*.cnf
+// fixtures). The reader is strict: malformed headers, out-of-range
+// literals, unterminated clauses, and clause-count mismatches are rejected
+// with std::runtime_error rather than silently patched up.
 #pragma once
 
 #include <iosfwd>
@@ -21,14 +20,9 @@ class Solver;
 struct DimacsCnf {
   int num_vars = 0;
   std::vector<std::vector<Lit>> clauses;
-
-  bool operator==(const DimacsCnf&) const = default;
 };
 
-/// DIMACS literal (±(var+1), never 0) <-> internal literal.
-constexpr int to_dimacs(Lit lit) noexcept {
-  return lit_sign(lit) ? -(lit_var(lit) + 1) : lit_var(lit) + 1;
-}
+/// DIMACS literal (±(var+1), never 0) -> internal literal.
 constexpr Lit from_dimacs(int dimacs_lit) noexcept {
   return dimacs_lit < 0 ? make_lit(-dimacs_lit - 1, true)
                         : make_lit(dimacs_lit - 1, false);
@@ -39,10 +33,6 @@ constexpr Lit from_dimacs(int dimacs_lit) noexcept {
 /// span lines or share one. Throws std::runtime_error on malformed input.
 DimacsCnf read_dimacs(std::istream& in);
 DimacsCnf read_dimacs_file(const std::string& path);
-
-/// Writes `p cnf V C` followed by one clause per line.
-void write_dimacs(std::ostream& out, const DimacsCnf& cnf);
-void write_dimacs_file(const std::string& path, const DimacsCnf& cnf);
 
 /// Declares any missing variables on `solver` and adds every clause.
 /// Returns false if the formula is unsatisfiable at level 0 (same contract

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <ostream>
 #include <stdexcept>
-
-#include "sat/dimacs.hpp"
 
 namespace autolock::sat {
 
@@ -653,37 +650,6 @@ bool Solver::model_value(Var var) const {
     throw std::out_of_range("Solver::model_value: bad var");
   }
   return assign_[var] == LBool::kTrue;
-}
-
-DimacsCnf Solver::export_cnf() const {
-  DimacsCnf cnf;
-  cnf.num_vars = static_cast<int>(num_vars());
-  if (!ok_) {
-    cnf.clauses.emplace_back();  // the empty clause
-    return cnf;
-  }
-  // Level-0 facts are part of the problem (original unit clauses and their
-  // consequences; clauses satisfied by them were dropped at add time).
-  const std::size_t unit_count =
-      trail_lim_.empty() ? trail_.size() : trail_lim_[0];
-  cnf.clauses.reserve(unit_count + clauses_.size());
-  for (std::size_t i = 0; i < unit_count; ++i) {
-    cnf.clauses.push_back({trail_[i]});
-  }
-  for (const ClauseRef ref : clauses_) {
-    const Clause clause = arena_[ref];
-    const std::uint32_t size = clause.size();
-    std::vector<Lit>& lits = cnf.clauses.emplace_back();
-    lits.reserve(size);
-    for (std::uint32_t i = 0; i < size; ++i) {
-      lits.push_back(clause[i]);
-    }
-  }
-  return cnf;
-}
-
-void Solver::write_dimacs(std::ostream& out) const {
-  sat::write_dimacs(out, export_cnf());
 }
 
 }  // namespace autolock::sat

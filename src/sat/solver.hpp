@@ -15,15 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "sat/clause_allocator.hpp"
 
 namespace autolock::sat {
-
-struct DimacsCnf;
 
 enum class SolveResult { kSat, kUnsat, kUnknown };
 
@@ -117,18 +114,6 @@ class Solver {
   const Stats& stats() const noexcept { return stats_; }
 
   bool okay() const noexcept { return ok_; }
-
-  /// Writes the problem clauses (plus level-0 unit facts) in DIMACS CNF
-  /// format, for cross-checking with external solvers. Learnt clauses are
-  /// not exported. An unsatisfiable-at-level-0 solver exports the empty
-  /// clause.
-  void write_dimacs(std::ostream& out) const;
-
-  /// The same problem clauses (plus level-0 unit facts) as an in-memory
-  /// CNF over this solver's variable numbering (what write_dimacs
-  /// serializes). An unsatisfiable-at-level-0 solver exports the empty
-  /// clause.
-  DimacsCnf export_cnf() const;
 
  private:
   enum class LBool : std::uint8_t { kTrue, kFalse, kUndef };

@@ -25,7 +25,7 @@ TEST(AutoLock, RunsEndToEndAndVerifies) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
   AutoLock driver(fast_config(7));
-  const AutoLockReport report = driver.run(original, 16);
+  const AutoLockReport report = driver.run(original, {.mux_sites = 16});
   EXPECT_EQ(report.locked.key.size(), 16u);
   EXPECT_EQ(report.history.size(), 5u);
   EXPECT_GT(report.evaluations, 0u);
@@ -40,7 +40,7 @@ TEST(AutoLock, FinalAccuracyNotWorseThanInitialBest) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
   AutoLock driver(fast_config(11));
-  const AutoLockReport report = driver.run(original, 16);
+  const AutoLockReport report = driver.run(original, {.mux_sites = 16});
   EXPECT_LE(report.final_accuracy, report.initial_best_accuracy + 1e-12);
   EXPECT_LE(report.initial_best_accuracy, report.initial_mean_accuracy + 1e-12);
 }
@@ -52,7 +52,7 @@ TEST(AutoLock, TargetAccuracyStopsEarly) {
   config.ga.generations = 40;
   config.target_accuracy = 0.95;  // trivially reachable
   AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, 12);
+  const AutoLockReport report = driver.run(original, {.mux_sites = 12});
   EXPECT_TRUE(report.reached_target);
   EXPECT_LT(report.history.size(), 41u);
 }
@@ -79,7 +79,7 @@ TEST(AutoLock, GnnFitnessPathWorks) {
   config.ga.population = 4;
   config.ga.generations = 1;
   AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, 8);
+  const AutoLockReport report = driver.run(original, {.mux_sites = 8});
   EXPECT_EQ(report.locked.key.size(), 8u);
   EXPECT_TRUE(lock::verify_unlocks(report.locked, original));
 }
@@ -94,7 +94,7 @@ TEST(AutoLock, BothFitnessPathWorks) {
   config.ga.population = 4;
   config.ga.generations = 1;
   AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, 6);
+  const AutoLockReport report = driver.run(original, {.mux_sites = 6});
   EXPECT_EQ(report.locked.key.size(), 6u);
 }
 
@@ -103,8 +103,8 @@ TEST(AutoLock, DeterministicForSameConfig) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 15);
   AutoLock a(fast_config(29));
   AutoLock b(fast_config(29));
-  const AutoLockReport ra = a.run(original, 10);
-  const AutoLockReport rb = b.run(original, 10);
+  const AutoLockReport ra = a.run(original, {.mux_sites = 10});
+  const AutoLockReport rb = b.run(original, {.mux_sites = 10});
   EXPECT_EQ(ra.final_accuracy, rb.final_accuracy);
   EXPECT_EQ(ra.locked.key, rb.locked.key);
 }
@@ -113,7 +113,7 @@ TEST(AutoLock, ReportAccountsDrop) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 17);
   AutoLock driver(fast_config(31));
-  const AutoLockReport report = driver.run(original, 12);
+  const AutoLockReport report = driver.run(original, {.mux_sites = 12});
   EXPECT_NEAR(report.accuracy_drop,
               report.initial_mean_accuracy - report.final_accuracy, 1e-12);
 }

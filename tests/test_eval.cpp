@@ -276,7 +276,7 @@ TEST(EvalPipeline, GaRunsEntirelyThroughPipeline) {
   ga_config.generations = 4;
   ga_config.seed = 21;
   ga::GeneticAlgorithm engine(original, ga_config);
-  const ga::GaResult result = engine.run(10, pipeline);
+  const ga::GaResult result = engine.run({.mux_sites = 10}, pipeline);
 
   // Every GA evaluation was one pipeline fitness call — no side channels —
   // and elites/duplicates were served by the cache.
@@ -295,7 +295,7 @@ TEST(EvalPipeline, MismatchedNetlistThrows) {
   };
   EvalPipeline pipeline(a, std::move(config));
   ga::GeneticAlgorithm engine(b, {});
-  EXPECT_THROW(engine.run(4, pipeline), std::invalid_argument);
+  EXPECT_THROW(engine.run({.mux_sites = 4}, pipeline), std::invalid_argument);
 }
 
 TEST(EvalPipeline, ParallelBatchMatchesSequential) {

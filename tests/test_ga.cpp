@@ -48,7 +48,7 @@ TEST(Ga, ImprovesSyntheticFitness) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 2);
   GeneticAlgorithm engine(original, small_config(7));
-  const GaResult result = engine.run(16, count_ones_fitness);
+  const GaResult result = engine.run({.mux_sites = 16}, count_ones_fitness);
   ASSERT_FALSE(result.history.empty());
   // Key-bit flipping is trivially learnable: final best must beat initial.
   EXPECT_GT(result.history.back().best_fitness,
@@ -60,7 +60,7 @@ TEST(Ga, ElitismMakesBestFitnessMonotone) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
   GeneticAlgorithm engine(original, small_config(11));
-  const GaResult result = engine.run(12, count_ones_fitness);
+  const GaResult result = engine.run({.mux_sites = 12}, count_ones_fitness);
   for (std::size_t g = 1; g < result.history.size(); ++g) {
     EXPECT_GE(result.history[g].best_fitness,
               result.history[g - 1].best_fitness - 1e-12);
@@ -72,8 +72,8 @@ TEST(Ga, DeterministicForSameSeed) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 4);
   GeneticAlgorithm a(original, small_config(13));
   GeneticAlgorithm b(original, small_config(13));
-  const GaResult ra = a.run(8, count_ones_fitness);
-  const GaResult rb = b.run(8, count_ones_fitness);
+  const GaResult ra = a.run({.mux_sites = 8}, count_ones_fitness);
+  const GaResult rb = b.run({.mux_sites = 8}, count_ones_fitness);
   EXPECT_EQ(ra.best.eval.fitness, rb.best.eval.fitness);
   ASSERT_EQ(ra.best.genes.size(), rb.best.genes.size());
   for (std::size_t i = 0; i < ra.best.genes.size(); ++i) {
@@ -88,7 +88,7 @@ TEST(Ga, FitnessTargetStopsEarly) {
   config.generations = 50;
   config.fitness_target = 0.6;
   GeneticAlgorithm engine(original, config);
-  const GaResult result = engine.run(10, count_ones_fitness);
+  const GaResult result = engine.run({.mux_sites = 10}, count_ones_fitness);
   EXPECT_TRUE(result.reached_target);
   EXPECT_LT(result.history.size(), 51u);
   EXPECT_GE(result.best.eval.fitness, 0.6);
@@ -98,7 +98,7 @@ TEST(Ga, CacheAvoidsReevaluatingElites) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 6);
   GeneticAlgorithm engine(original, small_config(19));
-  const GaResult result = engine.run(8, count_ones_fitness);
+  const GaResult result = engine.run({.mux_sites = 8}, count_ones_fitness);
   std::size_t hits = 0;
   for (const auto& stats : result.history) hits += stats.cache_hits;
   EXPECT_GT(hits, 0u);
@@ -110,7 +110,7 @@ TEST(Ga, BestGenotypeDecodesToVerifiedLocking) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 7);
   GeneticAlgorithm engine(original, small_config(23));
-  const GaResult result = engine.run(12, count_ones_fitness);
+  const GaResult result = engine.run({.mux_sites = 12}, count_ones_fitness);
   const lock::LockedDesign design = engine.decode(result.best.genes);
   EXPECT_EQ(design.key.size(), 12u);
   EXPECT_TRUE(lock::verify_unlocks(design, original));
@@ -122,7 +122,7 @@ TEST(Ga, RouletteSelectionAlsoImproves) {
   GaConfig config = small_config(29);
   config.selection = SelectionOp::kRoulette;
   GeneticAlgorithm engine(original, config);
-  const GaResult result = engine.run(12, count_ones_fitness);
+  const GaResult result = engine.run({.mux_sites = 12}, count_ones_fitness);
   EXPECT_GE(result.history.back().best_fitness,
             result.history.front().best_fitness);
 }
@@ -133,7 +133,7 @@ TEST(Ga, UniformCrossoverAlsoImproves) {
   GaConfig config = small_config(31);
   config.crossover = CrossoverOp::kUniform;
   GeneticAlgorithm engine(original, config);
-  const GaResult result = engine.run(12, count_ones_fitness);
+  const GaResult result = engine.run({.mux_sites = 12}, count_ones_fitness);
   EXPECT_GE(result.history.back().best_fitness,
             result.history.front().best_fitness);
 }
@@ -144,8 +144,8 @@ TEST(Ga, ParallelEvaluationMatchesSequentialBest) {
   GeneticAlgorithm a(original, small_config(37));
   GeneticAlgorithm b(original, small_config(37));
   util::ThreadPool pool(3);
-  const GaResult seq = a.run(8, count_ones_fitness, nullptr);
-  const GaResult par = b.run(8, count_ones_fitness, &pool);
+  const GaResult seq = a.run({.mux_sites = 8}, count_ones_fitness, nullptr);
+  const GaResult par = b.run({.mux_sites = 8}, count_ones_fitness, &pool);
   // The evolution path is identical (same seeds, same deterministic
   // fitness), so results must agree.
   EXPECT_EQ(seq.best.eval.fitness, par.best.eval.fitness);
@@ -157,7 +157,7 @@ TEST(Ga, HistoryRecordsEveryGeneration) {
   GaConfig config = small_config(41);
   config.generations = 5;
   GeneticAlgorithm engine(original, config);
-  const GaResult result = engine.run(8, count_ones_fitness);
+  const GaResult result = engine.run({.mux_sites = 8}, count_ones_fitness);
   EXPECT_EQ(result.history.size(), 6u);  // gen 0 + 5
   for (std::size_t g = 0; g < result.history.size(); ++g) {
     EXPECT_EQ(result.history[g].generation, g);

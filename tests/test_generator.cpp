@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "netlist/analysis.hpp"
+#include <algorithm>
+#include <vector>
+
 #include "netlist/bench_io.hpp"
 
 namespace autolock::netlist::gen {
@@ -144,66 +146,19 @@ TEST(Generator, ScaleProfilesAscendingAndLookupByName) {
   EXPECT_THROW(make_scale_profile("synthbogus", 1), std::invalid_argument);
 }
 
-TEST(Analysis, UndirectedAdjacencySymmetric) {
-  const Netlist n = make_profile(ProfileId::kC432, 3);
-  const auto adj = undirected_adjacency(n);
-  for (NodeId v = 0; v < n.size(); ++v) {
-    for (NodeId w : adj[v]) {
-      EXPECT_TRUE(std::binary_search(adj[w].begin(), adj[w].end(), v));
-    }
-  }
-}
-
 TEST(Analysis, NodeLevelsMonotone) {
-  const Netlist n = make_profile(ProfileId::kC880, 3);
-  const auto levels = node_levels(n);
-  for (NodeId v = 0; v < n.size(); ++v) {
-    for (NodeId fanin : n.node(v).fanins) {
-      EXPECT_LT(levels[fanin], levels[v]);
+  std::vector<std::size_t> levels;
+  for (const ProfileId id : {ProfileId::kC432, ProfileId::kC880}) {
+    const Netlist n = make_profile(id, 3);
+    node_levels_into(n, levels);
+    ASSERT_EQ(levels.size(), n.size());
+    for (NodeId v = 0; v < n.size(); ++v) {
+      for (NodeId fanin : n.node(v).fanins) {
+        EXPECT_LT(levels[fanin], levels[v]);
+      }
     }
+    EXPECT_EQ(n.depth(), *std::max_element(levels.begin(), levels.end()));
   }
-}
-
-TEST(Analysis, TransitiveFanoutReachesOutputsOnly) {
-  Netlist n;
-  const auto a = n.add_input("a");
-  const auto b = n.add_input("b");
-  const auto g1 = n.add_gate(GateType::kNot, {a}, "g1");
-  const auto g2 = n.add_gate(GateType::kAnd, {g1, b}, "g2");
-  const auto g3 = n.add_gate(GateType::kNot, {b}, "g3");
-  n.mark_output(g2);
-  n.mark_output(g3);
-  const auto fanouts = n.fanouts();
-  const auto reach = transitive_fanout(n, a, fanouts);
-  EXPECT_TRUE(reach[g1]);
-  EXPECT_TRUE(reach[g2]);
-  EXPECT_FALSE(reach[g3]);
-  EXPECT_FALSE(reach[a]);  // excludes the source itself
-  EXPECT_FALSE(reach[b]);
-}
-
-TEST(Analysis, KHopNeighborhoodRespectsRadius) {
-  // Chain: a - g1 - g2 - g3 - g4.
-  Netlist n;
-  const auto a = n.add_input("a");
-  const auto g1 = n.add_gate(GateType::kNot, {a}, "g1");
-  const auto g2 = n.add_gate(GateType::kNot, {g1}, "g2");
-  const auto g3 = n.add_gate(GateType::kNot, {g2}, "g3");
-  const auto g4 = n.add_gate(GateType::kNot, {g3}, "g4");
-  n.mark_output(g4);
-  const auto adj = undirected_adjacency(n);
-  const auto hood = k_hop_neighborhood(adj, {a}, 2);
-  EXPECT_EQ(hood.members.size(), 3u);  // a, g1, g2
-  for (std::size_t i = 0; i < hood.members.size(); ++i) {
-    EXPECT_LE(hood.distance[i], 2u);
-  }
-}
-
-TEST(Analysis, KHopNeighborhoodMaxNodesCap) {
-  const Netlist n = make_profile(ProfileId::kC880, 3);
-  const auto adj = undirected_adjacency(n);
-  const auto hood = k_hop_neighborhood(adj, {0}, 10, 16);
-  EXPECT_LE(hood.members.size(), 16u);
 }
 
 }  // namespace

@@ -26,7 +26,8 @@ TEST(RandomSearch, RespectsBudgetAndTrajectoryMonotone) {
   RandomSearchConfig config;
   config.evaluations = 30;
   config.seed = 3;
-  const HeuristicResult result = random_search(original, 12, count_ones, config);
+  const HeuristicResult result =
+      random_search(original, {.mux_sites = 12}, count_ones, config);
   EXPECT_EQ(result.evaluations, 30u);
   EXPECT_EQ(result.trajectory.size(), 30u);
   for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
@@ -41,7 +42,8 @@ TEST(HillClimb, ImprovesOnSyntheticObjective) {
   HillClimbConfig config;
   config.evaluations = 80;
   config.seed = 5;
-  const HeuristicResult result = hill_climb(original, 12, count_ones, config);
+  const HeuristicResult result =
+      hill_climb(original, {.mux_sites = 12}, count_ones, config);
   EXPECT_EQ(result.evaluations, 80u);
   // Key-bit flipping is a perfect hill-climbing landscape: expect near-max.
   EXPECT_GT(result.best.eval.fitness, 0.8);
@@ -57,7 +59,8 @@ TEST(HillClimb, RestartsDoNotLoseBest) {
   config.evaluations = 60;
   config.restart_after = 5;  // frequent restarts
   config.seed = 7;
-  const HeuristicResult result = hill_climb(original, 10, count_ones, config);
+  const HeuristicResult result =
+      hill_climb(original, {.mux_sites = 10}, count_ones, config);
   EXPECT_DOUBLE_EQ(result.trajectory.back(), result.best.eval.fitness);
 }
 
@@ -68,7 +71,7 @@ TEST(SimulatedAnnealing, ImprovesOnSyntheticObjective) {
   config.evaluations = 80;
   config.seed = 9;
   const HeuristicResult result =
-      simulated_annealing(original, 12, count_ones, config);
+      simulated_annealing(original, {.mux_sites = 12}, count_ones, config);
   EXPECT_EQ(result.evaluations, 80u);
   EXPECT_GT(result.best.eval.fitness, result.trajectory.front());
 }
@@ -79,8 +82,10 @@ TEST(SimulatedAnnealing, DeterministicPerSeed) {
   AnnealingConfig config;
   config.evaluations = 40;
   config.seed = 11;
-  const auto a = simulated_annealing(original, 8, count_ones, config);
-  const auto b = simulated_annealing(original, 8, count_ones, config);
+  const auto a =
+      simulated_annealing(original, {.mux_sites = 8}, count_ones, config);
+  const auto b =
+      simulated_annealing(original, {.mux_sites = 8}, count_ones, config);
   EXPECT_EQ(a.best.eval.fitness, b.best.eval.fitness);
   EXPECT_EQ(a.trajectory, b.trajectory);
 }
@@ -90,7 +95,8 @@ TEST(Heuristics, BestGenotypesDecodeAndVerify) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 6);
   RandomSearchConfig rs_config;
   rs_config.evaluations = 10;
-  const auto rs = random_search(original, 8, count_ones, rs_config);
+  const auto rs =
+      random_search(original, {.mux_sites = 8}, count_ones, rs_config);
   const lock::SiteContext context(original);
   util::Rng rng(1);
   const auto design =
@@ -109,8 +115,10 @@ TEST(Heuristics, HillClimbBeatsRandomOnLocalStructure) {
   HillClimbConfig hc_config;
   hc_config.evaluations = 50;
   hc_config.seed = 13;
-  const auto rs = random_search(original, 16, count_ones, rs_config);
-  const auto hc = hill_climb(original, 16, count_ones, hc_config);
+  const auto rs =
+      random_search(original, {.mux_sites = 16}, count_ones, rs_config);
+  const auto hc =
+      hill_climb(original, {.mux_sites = 16}, count_ones, hc_config);
   EXPECT_GE(hc.best.eval.fitness + 0.1, rs.best.eval.fitness);
 }
 

@@ -46,7 +46,7 @@ TEST(Integration, AutoLockOutputSurvivesFullToolchain) {
   config.ga.seed = 5;
   config.threads = 1;
   AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, 12);
+  const AutoLockReport report = driver.run(original, {.mux_sites = 12});
 
   // 1. Functional: unlocks under the correct key (SAT-proven).
   EXPECT_TRUE(
@@ -92,7 +92,7 @@ TEST(Integration, WrongKeyCorruptionSurvivesEvolution) {
   config.ga.seed = 9;
   config.threads = 1;
   AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, 16);
+  const AutoLockReport report = driver.run(original, {.mux_sites = 16});
   const auto corruption =
       lock::measure_corruption(report.locked, original, 16, 256);
   EXPECT_GT(corruption.mean_error_rate, 0.0);

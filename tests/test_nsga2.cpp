@@ -95,7 +95,7 @@ TEST(Nsga2, EvolvesTowardBothObjectives) {
     const double frac = ones / static_cast<double>(design.key.size());
     return std::vector<double>{1.0 - frac, frac};
   };
-  const Nsga2Result result = engine.run(12, 2, fitness);
+  const Nsga2Result result = engine.run({.mux_sites = 12}, 2, fitness);
   EXPECT_FALSE(result.front.empty());
   EXPECT_GT(result.evaluations, 16u);
   // Front members are mutually non-dominating.
@@ -115,7 +115,7 @@ TEST(Nsga2, ObjectiveCountMismatchThrows) {
   const MultiFitnessFn bad = [](const lock::LockedDesign&) {
     return std::vector<double>{1.0};
   };
-  EXPECT_THROW(engine.run(8, 2, bad), std::runtime_error);
+  EXPECT_THROW(engine.run({.mux_sites = 8}, 2, bad), std::runtime_error);
 }
 
 TEST(Nsga2, FrontGenotypesDecodeValid) {
@@ -130,7 +130,7 @@ TEST(Nsga2, FrontGenotypesDecodeValid) {
     for (bool bit : design.key) ones += bit ? 1.0 : 0.0;
     return std::vector<double>{ones, design.key.size() - ones};
   };
-  const Nsga2Result result = engine.run(6, 2, fitness);
+  const Nsga2Result result = engine.run({.mux_sites = 6}, 2, fitness);
   for (const auto& individual : result.front) {
     const auto design = engine.decode(individual.genes);
     EXPECT_EQ(design.key.size(), 6u);

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "sat/dimacs.hpp"
 #include "sat/instances.hpp"
 #include "util/rng.hpp"
 
@@ -209,37 +208,6 @@ TEST(SolverAssumptions, Level0FalseAssumptionIsUnsatNotCorrupting) {
   EXPECT_EQ(solver.solve({make_lit(a), make_lit(b)}), SolveResult::kUnsat);
   EXPECT_EQ(solver.solve(), SolveResult::kSat);
   EXPECT_TRUE(solver.model_value(b));
-}
-
-TEST(Solver, ExportCnfRoundTripsUnitsAndClauses) {
-  Solver solver;
-  const Var x = solver.new_var();
-  const Var y = solver.new_var();
-  const Var z = solver.new_var();
-  solver.add_clause(make_lit(x));                              // unit fact
-  solver.add_clause(make_lit(x, true), make_lit(y));           // simplifies
-  solver.add_clause(make_lit(y, true), make_lit(z, true));
-  const DimacsCnf cnf = solver.export_cnf();
-  EXPECT_EQ(cnf.num_vars, 3u);
-
-  Solver reloaded;
-  ASSERT_TRUE(load_into(reloaded, cnf));
-  EXPECT_EQ(reloaded.solve(), SolveResult::kSat);
-  EXPECT_TRUE(reloaded.model_value(x));
-  EXPECT_TRUE(reloaded.model_value(y));
-  EXPECT_FALSE(reloaded.model_value(z));
-  // Level-0 facts export as units: z is already refutable by assumption.
-  EXPECT_EQ(reloaded.solve({make_lit(z)}), SolveResult::kUnsat);
-}
-
-TEST(Solver, ExportCnfOfDeadSolverIsEmptyClause) {
-  Solver solver;
-  const Var x = solver.new_var();
-  solver.add_clause(make_lit(x));
-  EXPECT_FALSE(solver.add_clause(make_lit(x, true)));
-  const DimacsCnf cnf = solver.export_cnf();
-  ASSERT_EQ(cnf.clauses.size(), 1u);
-  EXPECT_TRUE(cnf.clauses[0].empty());
 }
 
 TEST(Solver, ContradictoryAssumptionsUnsat) {

@@ -9,9 +9,9 @@
 // Solver::set_learnt_limit).
 //
 // All seeds are fixed so tier-1 stays deterministic. To debug a failure,
-// note the reported iteration seed, reconstruct the CNF with
-// make_random_cnf(seed), and dump it via sat::write_dimacs for an external
-// solver — see README.md "Debugging the solver with the fuzzer".
+// note the reported iteration seed and reconstruct the CNF with
+// make_random_cnf(seed) — see README.md "Debugging the solver with the
+// fuzzer".
 #include "sat/solver.hpp"
 
 #include <gtest/gtest.h>

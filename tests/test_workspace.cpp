@@ -282,7 +282,7 @@ TEST(WorkspacePipeline, ThreadCountDoesNotChangeGaTrajectory) {
     pipeline_config.threads = threads;
     eval::EvalPipeline pipeline(original, pipeline_config);
     ga::GeneticAlgorithm ga(original, config);
-    results[slot++] = ga.run(10, pipeline);
+    results[slot++] = ga.run({.mux_sites = 10}, pipeline);
   }
   EXPECT_EQ(results[0].evaluations, results[1].evaluations);
   EXPECT_EQ(results[0].best.genes, results[1].best.genes);
@@ -337,7 +337,7 @@ TEST(WorkspacePipeline, PinnedGaTrajectory) {
   config.seed = 2024;
   eval::EvalPipeline pipeline(original, attack_mix(config.seed));
   ga::GeneticAlgorithm ga(original, config);
-  const auto result = ga.run(10, pipeline);
+  const auto result = ga.run({.mux_sites = 10}, pipeline);
 
   EXPECT_EQ(result.evaluations, 24u);
   EXPECT_EQ(result.best.eval.fitness, 0.65000000000000002);
@@ -372,7 +372,7 @@ TEST(WorkspacePipeline, PinnedNsga2Trajectory) {
   config.seed = 2025;
   eval::EvalPipeline pipeline(original, attack_mix(config.seed));
   ga::Nsga2 nsga2(original, config);
-  const auto result = nsga2.run(10, pipeline);
+  const auto result = nsga2.run({.mux_sites = 10}, pipeline);
 
   EXPECT_EQ(result.evaluations, 32u);
   const std::vector<std::size_t> expected_front_sizes = {1, 2, 3, 7};
