@@ -10,9 +10,12 @@
 //     shows up in the committed baseline
 //   - wrong-key corruption probes/s (64-key lane-transposed batches)
 //   - wall-clock to a full recovered-key guess from the structural link
-//     predictor, and — on c880, where the oracle-guided loop is feasible —
-//     wall-clock to the SAT attack's proven key
+//     predictor and from SCOPE (one baseline rewrite plus a key-cone delta
+//     per hypothesis), and — on c880, where the oracle-guided loop is
+//     feasible — wall-clock to the SAT attack's proven key
 //   - peak RSS (VmHWM from /proc/self/status) after each scale's section
+//   - the host: core count and build type, so a committed baseline says
+//     where it was measured
 //
 // The acceptance metric from the scale PR: decode/s on synth100k within 5x
 // of c880 decode/s at the same K ("c880 ratio" column — per-decode work is
@@ -26,9 +29,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "attacks/attack_scratch.hpp"
 #include "attacks/sat_attack.hpp"
+#include "attacks/scope.hpp"
 #include "attacks/structural.hpp"
 #include "eval/workspace.hpp"
 #include "locking/mux_lock.hpp"
@@ -111,6 +116,7 @@ struct Tables {
   util::Table attack{
       {"circuit", "K", "attack", "seconds", "key accuracy", "outcome"}};
   util::Table rss{{"circuit", "nodes", "metric", "MB"}};
+  util::Table host{{"hardware_concurrency", "build_type"}};
 };
 
 void run_scale(const std::string& name, const netlist::Netlist& original,
@@ -226,6 +232,18 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
                       util::fmt(s, 3), util::fmt(score.accuracy, 3),
                       "full guess"});
   }
+  // SCOPE: synthesis-area hypotheses, every bit guessed (undecided bits
+  // count as coin flips in the accuracy).
+  {
+    const attack::ScopeAttack scope;
+    attack::AttackScratch scratch;
+    util::Timer timer;
+    const auto score = scope.run(design, scratch);
+    const double s = timer.elapsed_seconds();
+    t.attack.add_row({name, std::to_string(kKeyBits), "scope", util::fmt(s, 3),
+                      util::fmt(score.expected_overall_accuracy, 3),
+                      "decided " + util::fmt(score.decided_fraction, 2)});
+  }
   // Oracle-guided SAT attack on the reference circuit only: a proven key,
   // but the DIP loop's oracle sweeps are O(N) per iteration and the miter
   // doubles the circuit — infeasible at the synthetic scales.
@@ -279,5 +297,9 @@ int main(int argc, char** argv) {
   benchx::emit(t.probe, args, "corruption probe throughput at scale");
   benchx::emit(t.attack, args, "time to recovered key");
   benchx::emit(t.rss, args, "peak memory");
+  // AUTOLOCK_BUILD_TYPE is defined for every bench by CMakeLists.txt.
+  t.host.add_row({std::to_string(std::thread::hardware_concurrency()),
+                  AUTOLOCK_BUILD_TYPE});
+  benchx::emit(t.host, args, "host");
   return 0;
 }

@@ -2,8 +2,8 @@
 //
 // One AttackScratch serves one worker thread for the lifetime of an
 // evaluation loop: the CSR AttackGraph, the epoch-stamped BFS marks used by
-// hard-negative sampling and subgraph extraction, the flat-optimizer
-// buffers behind SCOPE's area queries, and assorted reusable vectors. Every
+// hard-negative sampling and subgraph extraction, the key-cone area oracle
+// behind SCOPE, and assorted reusable vectors. Every
 // attack resets the pieces it uses, so a scratch can be handed from design
 // to design (and attack to attack) freely — results are bit-identical to a
 // fresh scratch. The one-shot attack(locked) overloads run on exactly that:
@@ -34,8 +34,8 @@ struct AttackScratch {
   /// sample — but each slot's adjacency/feature buffers are retained, so a
   /// warm scratch assembles a training set without allocating.
   std::vector<Subgraph> train_samples;
-  /// Flat-optimizer state for SCOPE's per-key-bit area queries.
-  netlist::OptScratch opt;
+  /// SCOPE's area oracle: baseline rewrite, key cones and delta journal.
+  netlist::KeyConeAreas scope_areas;
   /// GNN forward/backward buffers (MuxLink training and inference).
   GnnScratch gnn;
   // BFS / sampling buffers.

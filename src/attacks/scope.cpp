@@ -24,16 +24,14 @@ ScopeResult ScopeAttack::attack(const netlist::Netlist& locked) const {
 ScopeResult ScopeAttack::attack(const netlist::Netlist& locked,
                                 AttackScratch& scratch) const {
   ScopeResult result;
-  const std::size_t key_bits = locked.key_inputs().size();
+  netlist::KeyConeAreas& areas = scratch.scope_areas;
+  areas.reset(locked);
+  const std::size_t key_bits = areas.key_bits();
   result.predicted_bits.reserve(key_bits);
   result.areas.reserve(key_bits);
   for (std::size_t bit = 0; bit < key_bits; ++bit) {
-    const std::size_t area0 =
-        netlist::optimized_gate_count_with_key_bit(locked, bit, false,
-                                                   scratch.opt);
-    const std::size_t area1 =
-        netlist::optimized_gate_count_with_key_bit(locked, bit, true,
-                                                   scratch.opt);
+    const std::size_t area0 = areas.area(bit, false);
+    const std::size_t area1 = areas.area(bit, true);
     result.predicted_bits.push_back(decide_from_areas(area0, area1));
     result.areas.emplace_back(area0, area1);
   }

@@ -4,6 +4,12 @@
 // the correct constant) simplifies away, while the wrong constant leaves an
 // inverter behind — an area signal that leaks the bit with no oracle at all.
 //
+// The 2*K optimizer runs share one pin-free rewrite of the design: pinning
+// bit b only changes b's fanout cone and the logic that dies behind it, so
+// each hypothesis re-rewrites that cone and adjusts the baseline area by
+// reference counting (netlist::KeyConeAreas), with results identical to a
+// full optimize_with_key_bit pass.
+//
 // Expected behaviour (and the point of including it): this attack strips
 // classic XOR/XNOR RLL almost completely, but is *blind* against MUX-pair
 // locking — pinning a MUX select collapses the MUX either way, with
@@ -42,9 +48,10 @@ class ScopeAttack {
   /// One-shot variant: runs attack(locked, scratch) on a local scratch.
   ScopeResult attack(const netlist::Netlist& locked) const;
 
-  /// The per-hypothesis areas come from the flat gate-count optimizer
-  /// (netlist::optimized_gate_count_with_key_bit), so no synthesized netlist
-  /// is materialized. Each area equals the gate count of
+  /// The per-hypothesis areas come from the scratch's
+  /// netlist::KeyConeAreas: one pin-free rewrite of `locked`, then an
+  /// O(cone) delta per (bit, value), with no synthesized netlist
+  /// materialized. Each area equals the gate count of
   /// netlist::optimize_with_key_bit for the same (bit, value), the
   /// reference the tests pin it against.
   ScopeResult attack(const netlist::Netlist& locked,

@@ -1,7 +1,8 @@
 #include "netlist/opt.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <cassert>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -11,23 +12,24 @@ namespace {
 
 // The rewrite pass is generic over how the output graph is materialized:
 // NetlistBuilder produces a real Netlist (names, name index, validation)
-// for `optimize` / `optimize_with_key_bit`, FlatBuilder appends to plain
-// type/fanin arrays for area-only queries. Both builders assign ids in
-// insertion order, so the two instantiations build structurally identical
-// graphs — the equivalence test in test_workspace.cpp pins this.
+// for `optimize` / `optimize_with_key_bit`, AreaGraphBuilder appends to the
+// plain type/fanin arrays behind KeyConeAreas' area queries. Both builders
+// assign ids in insertion order, so the two instantiations build
+// structurally identical graphs — the SCOPE differentials in
+// test_workspace.cpp pin this.
 
 /// Rewrite value of one input-netlist node: either a node id in the output
-/// graph or a known constant, packed into one word (bit 32 = "is constant",
-/// bit 0 = constant value when set, low 32 bits = node id otherwise).
-using PackedValue = std::uint64_t;
-constexpr PackedValue kConstFlag = 1ULL << 32;
+/// graph or a known constant, packed into one word (bit 31 = "is constant",
+/// bit 0 = constant value when set, the node id otherwise).
+using PackedValue = std::uint32_t;
+constexpr PackedValue kConstFlag = 1U << 31;
 
 constexpr PackedValue pack_node(NodeId id) noexcept { return id; }
 constexpr PackedValue pack_const(bool b) noexcept {
   return kConstFlag | static_cast<PackedValue>(b);
 }
 constexpr bool is_const(PackedValue v) noexcept { return (v & kConstFlag) != 0; }
-constexpr bool const_of(PackedValue v) noexcept { return (v & 1ULL) != 0; }
+constexpr bool const_of(PackedValue v) noexcept { return (v & 1U) != 0; }
 constexpr NodeId node_of(PackedValue v) noexcept {
   return static_cast<NodeId>(v);
 }
@@ -51,6 +53,12 @@ class NetlistBuilder {
   void mark_output(NodeId driver, NameId port_name) {
     out_.mark_output(driver, port_name);
   }
+  /// x when `id` is NOT(x), else kNoNode. Every NOT in the output graph is
+  /// emitted by the rewriter's make_not, so this is its NOT(NOT) record.
+  NodeId not_input(NodeId id) const {
+    const Node& node = out_.node(id);
+    return node.type == GateType::kNot ? node.fanins[0] : kNoNode;
+  }
 
   Netlist& netlist() noexcept { return out_; }
 
@@ -58,14 +66,14 @@ class NetlistBuilder {
   Netlist out_;
 };
 
-class FlatBuilder {
+/// Appends to the flat output graph in OptScratch. Construction does not
+/// clear it: KeyConeAreas first builds the baseline into an empty graph,
+/// then appends each hypothesis' fresh cone nodes behind it. Output ports
+/// land in `drivers` (null when the caller materializes them itself).
+class AreaGraphBuilder {
  public:
-  explicit FlatBuilder(OptScratch& scratch) : s_(&scratch) {
-    s_->out_types.clear();
-    s_->out_fanins.clear();
-    s_->out_fanin_begin.assign(1, 0);
-    s_->drivers.clear();
-  }
+  AreaGraphBuilder(OptScratch& scratch, std::vector<NodeId>* drivers)
+      : s_(&scratch), drivers_(drivers) {}
 
   NodeId add_input(const Node&) { return add_node(GateType::kInput, nullptr, 0); }
   NodeId add_const(bool b) {
@@ -74,7 +82,12 @@ class FlatBuilder {
   NodeId add_gate(GateType type, const NodeId* fanins, std::size_t n) {
     return add_node(type, fanins, n);
   }
-  void mark_output(NodeId driver, NameId) { s_->drivers.push_back(driver); }
+  void mark_output(NodeId driver, NameId) { drivers_->push_back(driver); }
+  NodeId not_input(NodeId id) const {
+    return static_cast<GateType>(s_->out_types[id]) == GateType::kNot
+               ? s_->out_fanins[s_->out_fanin_begin[id]]
+               : kNoNode;
+  }
 
  private:
   NodeId add_node(GateType type, const NodeId* fanins, std::size_t n) {
@@ -87,35 +100,42 @@ class FlatBuilder {
   }
 
   OptScratch* s_;
+  std::vector<NodeId>* drivers_;
 };
 
 template <class Builder>
 class RewriterT {
  public:
-  RewriterT(const Netlist& input, OptScratch& scratch, Builder& builder)
-      : input_(&input), s_(&scratch), builder_(&builder) {}
+  /// `const0`/`const1` seed the constant-node cache: a cone rewrite reuses
+  /// the constants its baseline run created.
+  RewriterT(const Netlist& input, OptScratch& scratch, Builder& builder,
+            NodeId const0 = kNoNode, NodeId const1 = kNoNode)
+      : input_(&input),
+        s_(&scratch),
+        builder_(&builder),
+        const0_(const0),
+        const1_(const1) {}
 
-  /// Rewrites `input` into the builder. `stats` (when non-null) receives
-  /// the fold/collapse counters; area fields are filled by the callers.
-  void run(const std::vector<std::optional<bool>>& pinned, OptStats* stats) {
+  /// Rewrites `input` into the builder. `pinned_key` (kNoNode = none) keeps
+  /// its input node, but its uses see the constant `value`. `stats` (when
+  /// non-null) receives the fold/collapse counters; area fields are filled
+  /// by the callers.
+  void run(NodeId pinned_key, bool value, OptStats* stats) {
+    if (input_->size() >= kConstFlag / 2) {
+      throw std::length_error("netlist optimizer: design too large");
+    }
     OptStats local;
     s_->values.resize(input_->size());
-    s_->inverter_input.clear();
 
-    // Inputs first (interface stability). Pinned key inputs keep their
-    // input node but uses are redirected to a constant.
-    std::size_t input_index = 0;
+    // Inputs first (interface stability).
     for (const NodeId id : input_->inputs()) {
-      const Node& node = input_->node(id);
-      const NodeId fresh = builder_->add_input(node);
-      if (pinned[input_index].has_value()) {
-        s_->values[id] = pack_const(*pinned[input_index]);
+      const NodeId fresh = builder_->add_input(input_->node(id));
+      if (id == pinned_key) {
+        s_->values[id] = pack_const(value);
         ++local.constants_folded;
-        (void)fresh;
       } else {
         s_->values[id] = pack_node(fresh);
       }
-      ++input_index;
     }
 
     for (const NodeId v : input_->topological_order()) {
@@ -130,6 +150,24 @@ class RewriterT {
     if (stats != nullptr) *stats = local;
   }
 
+  /// Re-rewrites `cone` — the fanout cone of key input `cone.front()`, in
+  /// topological order — with that key pinned to `value`. Every node
+  /// outside the cone keeps the value a pin-free run() left in the scratch.
+  void run_cone(std::span<const NodeId> cone, bool value) {
+    OptStats unused;
+    s_->values[cone.front()] = pack_const(value);
+    for (const NodeId v : cone.subspan(1)) {
+      s_->values[v] = rewrite_gate(input_->node(v), unused);
+    }
+  }
+
+  NodeId materialize(PackedValue value) {
+    return is_const(value) ? get_const(const_of(value)) : node_of(value);
+  }
+
+  NodeId const0() const noexcept { return const0_; }
+  NodeId const1() const noexcept { return const1_; }
+
  private:
   NodeId get_const(bool b) {
     NodeId& cache = b ? const1_ : const0_;
@@ -137,28 +175,18 @@ class RewriterT {
     return cache;
   }
 
-  NodeId materialize(PackedValue value) {
-    return is_const(value) ? get_const(const_of(value)) : node_of(value);
-  }
-
   NodeId emit_gate(GateType type, const NodeId* fanins, std::size_t n) {
-    const NodeId fresh = builder_->add_gate(type, fanins, n);
-    if (s_->inverter_input.size() <= fresh) {
-      s_->inverter_input.resize(fresh + 1, kNoNode);
-    }
-    return fresh;
+    return builder_->add_gate(type, fanins, n);
   }
 
   PackedValue make_not(NodeId node, OptStats& stats) {
     // NOT(NOT(x)) -> x.
-    if (node < s_->inverter_input.size() &&
-        s_->inverter_input[node] != kNoNode) {
+    const NodeId inner = builder_->not_input(node);
+    if (inner != kNoNode) {
       ++stats.buffers_collapsed;
-      return pack_node(s_->inverter_input[node]);
+      return pack_node(inner);
     }
-    const NodeId fresh = emit_gate(GateType::kNot, &node, 1);
-    s_->inverter_input[fresh] = node;
-    return pack_node(fresh);
+    return pack_node(emit_gate(GateType::kNot, &node, 1));
   }
 
   PackedValue finish_andor(bool inverted, bool is_and) {
@@ -291,17 +319,17 @@ class RewriterT {
   const Netlist* input_;
   OptScratch* s_;
   Builder* builder_;
-  NodeId const0_ = kNoNode;
-  NodeId const1_ = kNoNode;
+  NodeId const0_;
+  NodeId const1_;
 };
 
 Netlist optimize_impl(const Netlist& input, OptStats* stats,
-                      const std::vector<std::optional<bool>>& pinned) {
+                      NodeId pinned_key, bool value) {
   OptScratch scratch;
   NetlistBuilder builder(input);
   RewriterT<NetlistBuilder> rewriter(input, scratch, builder);
   OptStats local;
-  rewriter.run(pinned, stats != nullptr ? &local : nullptr);
+  rewriter.run(pinned_key, value, stats != nullptr ? &local : nullptr);
   Netlist compact = builder.netlist().compacted();
   if (stats != nullptr) {
     local.gates_before = input.gate_count();
@@ -312,35 +340,14 @@ Netlist optimize_impl(const Netlist& input, OptStats* stats,
   return compact;
 }
 
-/// Live (output-reachable) non-source nodes of the flat output graph —
-/// exactly what `compacted().gate_count()` reports for the Netlist path.
-std::size_t flat_live_gate_count(OptScratch& s) {
-  const std::size_t n = s.out_types.size();
-  s.marks.begin_epoch(n);
-  s.stack.clear();
-  for (const NodeId driver : s.drivers) {
-    if (s.marks.try_mark(driver)) s.stack.push_back(driver);
-  }
-  std::size_t gates = 0;
-  while (!s.stack.empty()) {
-    const NodeId v = s.stack.back();
-    s.stack.pop_back();
-    if (!is_source(static_cast<GateType>(s.out_types[v]))) ++gates;
-    for (std::uint32_t e = s.out_fanin_begin[v]; e < s.out_fanin_begin[v + 1];
-         ++e) {
-      const NodeId fanin = s.out_fanins[e];
-      if (s.marks.try_mark(fanin)) s.stack.push_back(fanin);
-    }
-  }
-  return gates;
-}
+/// High bit of a KeyConeAreas reference count: the baseline count is
+/// already in the hypothesis' journal.
+constexpr std::uint32_t kJournaled = 1U << 31;
 
 }  // namespace
 
 Netlist optimize(const Netlist& input, OptStats* stats) {
-  return optimize_impl(input, stats,
-                       std::vector<std::optional<bool>>(
-                           input.inputs().size(), std::nullopt));
+  return optimize_impl(input, stats, kNoNode, false);
 }
 
 Netlist optimize_with_key_bit(const Netlist& input, std::size_t bit,
@@ -349,47 +356,166 @@ Netlist optimize_with_key_bit(const Netlist& input, std::size_t bit,
   if (bit >= keys.size()) {
     throw std::invalid_argument("optimize_with_key_bit: bit out of range");
   }
-  std::vector<std::optional<bool>> pinned(input.inputs().size(), std::nullopt);
-  const auto& all_inputs = input.inputs();
-  for (std::size_t i = 0; i < all_inputs.size(); ++i) {
-    if (all_inputs[i] == keys[bit]) pinned[i] = value;
-  }
-  return optimize_impl(input, stats, pinned);
+  return optimize_impl(input, stats, keys[bit], value);
 }
 
-std::size_t optimized_gate_count_with_key_bit(const Netlist& input,
-                                              std::size_t bit, bool value,
-                                              OptScratch& scratch) {
-  const auto& all_inputs = input.inputs();
-  // The vector is all-nullopt except the single slot the previous query
-  // pinned — reset just that slot unless the interface width changed, so a
-  // SCOPE sweep (2 * key_bits queries per design) costs O(1) here, not
-  // O(inputs) per query.
-  if (scratch.pinned.size() != all_inputs.size()) {
-    scratch.pinned.assign(all_inputs.size(), std::nullopt);
-  } else if (scratch.last_pinned < scratch.pinned.size()) {
-    scratch.pinned[scratch.last_pinned] = std::nullopt;
-  }
-  scratch.last_pinned = static_cast<std::size_t>(-1);
-  std::size_t key_seen = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < all_inputs.size(); ++i) {
-    if (!input.node(all_inputs[i]).is_key_input) continue;
-    if (key_seen++ == bit) {
-      scratch.pinned[i] = value;
-      scratch.last_pinned = i;
-      found = true;
-      break;
+// ---- KeyConeAreas -----------------------------------------------------------
+
+void KeyConeAreas::reset(const Netlist& input) {
+  input_ = &input;
+  keys_ = input.key_inputs();
+  block_ = kNone;
+  cone_bit_ = kNone;
+
+  OptScratch& s = rewrite_;
+  s.out_types.clear();
+  s.out_fanins.clear();
+  s.out_fanin_begin.assign(1, 0);
+  drivers_.clear();
+  AreaGraphBuilder builder(s, &drivers_);
+  RewriterT<AreaGraphBuilder> rewriter(input, s, builder);
+  rewriter.run(kNoNode, false, nullptr);
+  const0_ = rewriter.const0();
+  const1_ = rewriter.const1();
+
+  // Reference counts = output ports + fanin edges of live nodes. While
+  // base_nodes_ is 0, ref() journals nothing.
+  journal_.clear();
+  base_nodes_ = 0;
+  refs_.assign(s.out_types.size(), 0);
+  base_area_ = 0;
+  for (const NodeId driver : drivers_) base_area_ += ref(driver);
+  base_nodes_ = s.out_types.size();
+  base_fanins_ = s.out_fanins.size();
+}
+
+void KeyConeAreas::load_cone(std::size_t bit) {
+  const Netlist& input = *input_;
+  const auto& order = input.topological_order();
+  const std::size_t block = bit / kBlockKeys;
+  if (block != block_) {
+    // One topological pass per block: a node is in key j's cone iff it is
+    // key j or one of its fanins is in the cone.
+    masks_.assign(input.size(), 0);
+    const std::size_t first = block * kBlockKeys;
+    const std::size_t width = std::min(kBlockKeys, keys_.size() - first);
+    for (std::size_t j = 0; j < width; ++j) {
+      masks_[keys_[first + j]] = static_cast<std::uint8_t>(1U << j);
     }
+    for (const NodeId v : order) {
+      std::uint8_t mask = masks_[v];
+      for (const NodeId fanin : input.node(v).fanins) mask |= masks_[fanin];
+      masks_[v] = mask;
+    }
+    block_ = block;
   }
-  if (!found) {
-    throw std::invalid_argument(
-        "optimized_gate_count_with_key_bit: bit out of range");
+
+  const auto bit_mask = static_cast<std::uint8_t>(1U << (bit % kBlockKeys));
+  cone_.clear();
+  std::size_t cone_fanins = 0;
+  for (const NodeId v : order) {
+    if ((masks_[v] & bit_mask) == 0) continue;
+    cone_.push_back(v);
+    cone_fanins += input.node(v).fanins.size();
   }
-  FlatBuilder builder(scratch);
-  RewriterT<FlatBuilder> rewriter(input, scratch, builder);
-  rewriter.run(scratch.pinned, nullptr);
-  return flat_live_gate_count(scratch);
+  cone_ports_.clear();
+  const auto& ports = input.outputs();
+  for (std::uint32_t p = 0; p < ports.size(); ++p) {
+    if ((masks_[ports[p].driver] & bit_mask) != 0) cone_ports_.push_back(p);
+  }
+  cone_bit_ = bit;
+
+  // A hypothesis appends at most one node per cone node (plus the two
+  // constants) and no more fanins than the cone has: reserve that once so
+  // the appends never reallocate the baseline.
+  OptScratch& s = rewrite_;
+  const std::size_t max_nodes = base_nodes_ + cone_.size() + 2;
+  s.out_types.reserve(max_nodes);
+  s.out_fanin_begin.reserve(max_nodes + 1);
+  s.out_fanins.reserve(base_fanins_ + cone_fanins);
+  refs_.reserve(max_nodes);
+}
+
+std::size_t KeyConeAreas::ref(NodeId root) {
+  const OptScratch& s = rewrite_;
+  std::size_t born = 0;
+  stack_.assign(1, root);
+  while (!stack_.empty()) {
+    const NodeId v = stack_.back();
+    stack_.pop_back();
+    journal(v);
+    if ((refs_[v]++ & ~kJournaled) != 0) continue;
+    if (!is_source(static_cast<GateType>(s.out_types[v]))) ++born;
+    stack_.insert(stack_.end(), s.out_fanins.begin() + s.out_fanin_begin[v],
+                  s.out_fanins.begin() + s.out_fanin_begin[v + 1]);
+  }
+  return born;
+}
+
+std::size_t KeyConeAreas::deref(NodeId root) {
+  const OptScratch& s = rewrite_;
+  std::size_t died = 0;
+  stack_.assign(1, root);
+  while (!stack_.empty()) {
+    const NodeId v = stack_.back();
+    stack_.pop_back();
+    journal(v);
+    assert((refs_[v] & ~kJournaled) != 0);
+    if ((--refs_[v] & ~kJournaled) != 0) continue;
+    if (!is_source(static_cast<GateType>(s.out_types[v]))) ++died;
+    stack_.insert(stack_.end(), s.out_fanins.begin() + s.out_fanin_begin[v],
+                  s.out_fanins.begin() + s.out_fanin_begin[v + 1]);
+  }
+  return died;
+}
+
+void KeyConeAreas::journal(NodeId v) {
+  // Fresh nodes vanish on rollback; a baseline count is saved on its first
+  // change only.
+  if (v >= base_nodes_ || (refs_[v] & kJournaled) != 0) return;
+  journal_.emplace_back(v, refs_[v]);
+  refs_[v] |= kJournaled;
+}
+
+std::size_t KeyConeAreas::area(std::size_t bit, bool value) {
+  if (bit >= keys_.size()) {
+    throw std::invalid_argument("KeyConeAreas::area: bit out of range");
+  }
+  if (bit != cone_bit_) load_cone(bit);
+
+  // Rewrite the cone under the pin, appending fresh nodes.
+  OptScratch& s = rewrite_;
+  saved_values_.resize(cone_.size());
+  for (std::size_t i = 0; i < cone_.size(); ++i) {
+    saved_values_[i] = s.values[cone_[i]];
+  }
+  AreaGraphBuilder builder(s, nullptr);
+  RewriterT<AreaGraphBuilder> rewriter(*input_, s, builder, const0_, const1_);
+  rewriter.run_cone(cone_, value);
+  const auto& outputs = input_->outputs();
+  new_drivers_.clear();
+  for (const std::uint32_t p : cone_ports_) {
+    new_drivers_.push_back(rewriter.materialize(s.values[outputs[p].driver]));
+  }
+
+  // Area delta: reference the new drivers before releasing the old ones,
+  // so logic both share never dies in between.
+  refs_.resize(s.out_types.size(), 0);
+  std::size_t area = base_area_;
+  for (const NodeId driver : new_drivers_) area += ref(driver);
+  for (const std::uint32_t p : cone_ports_) area -= deref(drivers_[p]);
+
+  // Roll back to the baseline.
+  for (const auto& [v, count] : journal_) refs_[v] = count;
+  journal_.clear();
+  refs_.resize(base_nodes_);
+  s.out_types.resize(base_nodes_);
+  s.out_fanin_begin.resize(base_nodes_ + 1);
+  s.out_fanins.resize(base_fanins_);
+  for (std::size_t i = 0; i < cone_.size(); ++i) {
+    s.values[cone_[i]] = saved_values_[i];
+  }
+  return area;
 }
 
 }  // namespace autolock::netlist

@@ -8,16 +8,17 @@
 //     artifacts (our tests check locking survives optimization).
 //  2. The SCOPE-style oracle-less attack (attacks/scope.hpp) scores key-bit
 //     hypotheses by how much the circuit simplifies under each constant —
-//     which requires exactly this pass.
+//     which requires exactly this pass. KeyConeAreas answers those area
+//     queries with one baseline rewrite per design plus a per-hypothesis
+//     delta over the pinned key's fanout cone.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "util/epoch_flags.hpp"
 
 namespace autolock::netlist {
 
@@ -44,37 +45,85 @@ Netlist optimize(const Netlist& input, OptStats* stats = nullptr);
 Netlist optimize_with_key_bit(const Netlist& input, std::size_t bit,
                               bool value, OptStats* stats = nullptr);
 
-/// Reusable working storage for the allocation-light optimizer paths (one
-/// per worker thread). Contents are an implementation detail of opt.cpp;
-/// callers only construct it and pass it back in.
+/// Working storage of the rewrite pass. Contents are an implementation
+/// detail of opt.cpp; callers only construct it (via KeyConeAreas).
 struct OptScratch {
   // Rewrite state: packed per-input-node values and per-gate staging.
-  std::vector<std::uint64_t> values;
-  std::vector<std::uint64_t> ins;
+  std::vector<std::uint32_t> values;
+  std::vector<std::uint32_t> ins;
   std::vector<NodeId> live;
   // Flat output graph (types + CSR fanins), built instead of a Netlist.
   std::vector<std::uint8_t> out_types;
   std::vector<std::uint32_t> out_fanin_begin;
   std::vector<NodeId> out_fanins;
-  std::vector<NodeId> inverter_input;
-  std::vector<NodeId> drivers;
-  std::vector<NodeId> stack;
-  std::vector<std::optional<bool>> pinned;
-  /// Index into `pinned` set by the previous SCOPE query (SIZE_MAX = none):
-  /// a repeat query over the same interface clears just that slot instead
-  /// of re-assigning the whole O(inputs) vector.
-  std::size_t last_pinned = static_cast<std::size_t>(-1);
-  util::EpochFlags marks;
 };
 
-/// Gate count of the synthesized result of optimize_with_key_bit — exactly
-/// the value of `optimize_with_key_bit(input, bit, value).gate_count()` —
-/// computed through a flat value-numbering pass that materializes no
-/// Netlist (no node names, no name index, no compaction copy). This is the
-/// SCOPE attack's inner loop: 2 * key_bits synthesis runs per evaluated
-/// design, where only the area is consumed.
-std::size_t optimized_gate_count_with_key_bit(const Netlist& input,
-                                              std::size_t bit, bool value,
-                                              OptScratch& scratch);
+/// The SCOPE attack's area oracle: `area(bit, value)` is exactly
+/// `optimize_with_key_bit(input, bit, value).gate_count()`, computed
+/// without a full rewrite per hypothesis.
+///
+/// reset() rewrites the design once with no pin into a flat output graph
+/// and reference-counts its live nodes. A hypothesis then re-runs the same
+/// rewrite rules over the pinned key's fanout cone only, appending fresh
+/// nodes: everything outside the cone keeps its baseline value, and fresh
+/// ids keep every identity the rules test (fanin dedupe, MUX equal data,
+/// NOT(NOT)), so the result is isomorphic to the full pass. The area is
+/// the baseline area plus an MFFC-style delta: each output port the cone
+/// drives references its new driver and dereferences its old one, so logic
+/// that dies behind a collapsed MUX leaves the count. A journal then rolls
+/// the counts, values and graph back to the baseline.
+///
+/// Key cones come from one topological pass per block of 8 keys that ORs
+/// a per-node byte of key bits over the fanins (byte masks keep the
+/// per-worker footprint at N bytes). All storage is retained across
+/// reset() calls, so one instance serves design after design.
+class KeyConeAreas {
+ public:
+  /// Indexes `input`, which must outlive every area() query on it.
+  void reset(const Netlist& input);
+
+  std::size_t key_bits() const noexcept { return keys_.size(); }
+  /// Gate count of `optimize(input)`.
+  std::size_t baseline_area() const noexcept { return base_area_; }
+  /// Gate count of `optimize_with_key_bit(input, bit, value)`. O(cone of
+  /// `bit`) work, plus one O(N) scan per bit and one topological pass per
+  /// block of 8 bits when queried bit by bit. Throws std::invalid_argument
+  /// when `bit` is out of range.
+  std::size_t area(std::size_t bit, bool value);
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kBlockKeys = 8;
+
+  void load_cone(std::size_t bit);
+  std::size_t ref(NodeId root);
+  std::size_t deref(NodeId root);
+  void journal(NodeId v);
+
+  const Netlist* input_ = nullptr;
+  std::vector<NodeId> keys_;
+  OptScratch rewrite_;
+  // Baseline: output driver of every port, constant nodes, live-edge counts.
+  std::vector<NodeId> drivers_;
+  NodeId const0_ = kNoNode;
+  NodeId const1_ = kNoNode;
+  std::vector<std::uint32_t> refs_;
+  std::size_t base_nodes_ = 0;
+  std::size_t base_fanins_ = 0;
+  std::size_t base_area_ = 0;
+  // Key masks of the current 8-key block, and the current bit's cone:
+  // input-netlist nodes in topological order (the key input first) plus
+  // the output ports they drive.
+  std::size_t block_ = kNone;
+  std::vector<std::uint8_t> masks_;
+  std::size_t cone_bit_ = kNone;
+  std::vector<NodeId> cone_;
+  std::vector<std::uint32_t> cone_ports_;
+  // Per-hypothesis state, undone before area() returns.
+  std::vector<std::uint32_t> saved_values_;
+  std::vector<std::pair<NodeId, std::uint32_t>> journal_;
+  std::vector<NodeId> new_drivers_;
+  std::vector<NodeId> stack_;
+};
 
 }  // namespace autolock::netlist

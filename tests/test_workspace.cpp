@@ -1,5 +1,5 @@
 // The allocation-free evaluation path must compute exactly what the
-// straightforward references compute: the flat-optimizer area queries match
+// straightforward references compute: SCOPE's key-cone area deltas match
 // full synthesis, the CSR attack graph matches an independently built
 // adjacency, buffer-reusing decode matches apply_genotype — across thread
 // counts, and whether a workspace is fresh or has evaluated a thousand
@@ -10,7 +10,9 @@
 
 #include <map>
 
+#include "attacks/attack_scratch.hpp"
 #include "attacks/scope.hpp"
+#include "campaign/campaign.hpp"
 #include "core/ga.hpp"
 #include "core/nsga2.hpp"
 #include "eval/pipeline.hpp"
@@ -26,6 +28,7 @@ namespace autolock {
 namespace {
 
 using netlist::Netlist;
+using netlist::GateType;
 using netlist::NodeId;
 
 Netlist profile(netlist::gen::ProfileId id, std::uint64_t seed) {
@@ -39,61 +42,188 @@ eval::EvalPipelineConfig attack_mix(std::uint64_t seed) {
   return config;
 }
 
-// ---- flat optimizer vs reference synthesis ---------------------------------
+// ---- SCOPE key-cone deltas vs reference synthesis --------------------------
 
-TEST(FlatOptimizer, GateCountMatchesLegacySynthesisOnMuxLocking) {
-  const Netlist original = profile(netlist::gen::ProfileId::kC432, 3);
-  const auto design = lock::dmux_lock(original, 12, 3);
-  netlist::OptScratch scratch;  // one scratch across every query: reuse
-  for (std::size_t bit = 0; bit < design.key.size(); ++bit) {
-    for (const bool value : {false, true}) {
-      const auto legacy =
-          netlist::optimize_with_key_bit(design.netlist, bit, value);
-      EXPECT_EQ(netlist::optimized_gate_count_with_key_bit(design.netlist, bit,
-                                                           value, scratch),
-                legacy.gate_count())
-          << "bit " << bit << " value " << value;
-    }
+using AreaPairs = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// The reference SCOPE areas: one full optimize_with_key_bit per hypothesis.
+AreaPairs reference_areas(const Netlist& locked) {
+  AreaPairs areas;
+  for (std::size_t bit = 0; bit < locked.key_inputs().size(); ++bit) {
+    areas.emplace_back(
+        netlist::optimize_with_key_bit(locked, bit, false).gate_count(),
+        netlist::optimize_with_key_bit(locked, bit, true).gate_count());
   }
+  return areas;
 }
 
-TEST(FlatOptimizer, GateCountMatchesLegacySynthesisOnRll) {
+/// SCOPE's delta areas (and the oracle's baseline) on `scratch` must equal
+/// full synthesis.
+void expect_scope_matches_reference(const Netlist& locked,
+                                    attack::AttackScratch& scratch) {
+  EXPECT_EQ(attack::ScopeAttack().attack(locked, scratch).areas,
+            reference_areas(locked));
+  EXPECT_EQ(scratch.scope_areas.baseline_area(),
+            netlist::optimize(locked).gate_count());
+}
+
+TEST(ScopeConeDelta, AreasMatchReferenceSynthesisOnMuxLocking) {
+  const Netlist original = profile(netlist::gen::ProfileId::kC432, 3);
+  const auto design = lock::dmux_lock(original, 12, 3);
+  EXPECT_EQ(attack::ScopeAttack().attack(design.netlist).areas,
+            reference_areas(design.netlist));
+}
+
+TEST(ScopeConeDelta, AreasMatchReferenceSynthesisOnRll) {
   // RLL XOR/XNOR key gates are the case SCOPE actually strips: the two
   // hypotheses produce asymmetric areas, so both branches of the rewriter
   // (folds and collapses) are exercised.
   const Netlist original = profile(netlist::gen::ProfileId::kC880, 5);
   const auto design = lock::rll_lock(original, 16, 5);
-  netlist::OptScratch scratch;
-  for (std::size_t bit = 0; bit < design.key.size(); ++bit) {
-    for (const bool value : {false, true}) {
-      const auto legacy =
-          netlist::optimize_with_key_bit(design.netlist, bit, value);
-      EXPECT_EQ(netlist::optimized_gate_count_with_key_bit(design.netlist, bit,
-                                                           value, scratch),
-                legacy.gate_count())
-          << "bit " << bit << " value " << value;
-    }
-  }
+  EXPECT_EQ(attack::ScopeAttack().attack(design.netlist).areas,
+            reference_areas(design.netlist));
 }
 
-TEST(FlatOptimizer, ScopeAreasMatchReferenceSynthesis) {
+TEST(ScopeConeDelta, ScopeAreasMatchReferenceSynthesis) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 7);
+  attack::AttackScratch scratch;  // one scratch across both designs: reuse
   for (const auto& design :
        {lock::dmux_lock(original, 10, 7), lock::rll_lock(original, 10, 7)}) {
-    const auto result = attack::ScopeAttack().attack(design.netlist);
-    std::vector<std::pair<std::size_t, std::size_t>> reference;
-    for (std::size_t bit = 0; bit < design.key.size(); ++bit) {
-      reference.emplace_back(
-          netlist::optimize_with_key_bit(design.netlist, bit, false)
-              .gate_count(),
-          netlist::optimize_with_key_bit(design.netlist, bit, true)
-              .gate_count());
-    }
-    EXPECT_EQ(result.areas, reference);
+    expect_scope_matches_reference(design.netlist, scratch);
   }
 }
 
-TEST(FlatOptimizer, GateCountAccessorMatchesStats) {
+TEST(ScopeConeDelta, RandomGenotypesOfEverySchemeOnC880) {
+  const Netlist original = profile(netlist::gen::ProfileId::kC880, 13);
+  const lock::SiteContext context(original);
+  attack::AttackScratch scratch;
+  util::Rng rng(13);
+  for (const auto& scheme : campaign::default_schemes()) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto genes = lock::random_genotype(context, scheme.spec, rng);
+      util::Rng repair(trial);
+      const auto design =
+          lock::apply_genotype(original, context, genes, repair);
+      SCOPED_TRACE(scheme.name + " trial " + std::to_string(trial));
+      expect_scope_matches_reference(design.netlist, scratch);
+    }
+  }
+}
+
+TEST(ScopeConeDelta, DeepReconvergentDesignAcrossTheMaskBlock) {
+  // ~5k gates of heavily reconvergent logic, and 72 key bits of every gene
+  // kind: the cones overlap, and the queries walk nine 8-key mask blocks
+  // (and past the 64 keys one machine word could hold).
+  netlist::gen::RandomCircuitConfig config;
+  config.primary_inputs = 64;
+  config.outputs = 32;
+  config.gates = 5000;
+  config.target_depth = 60;
+  config.reconvergence_bias = 0.8;
+  const Netlist original = netlist::gen::make_random(config, 17);
+  const lock::SiteContext context(original);
+  util::Rng rng(17);
+  const auto genes = lock::random_genotype(
+      context,
+      lock::GenotypeSpec{.mux_sites = 48, .rll_gates = 16, .antisat_width = 4},
+      rng);
+  util::Rng repair(17);
+  const auto design = lock::apply_genotype(original, context, genes, repair);
+  ASSERT_EQ(design.key.size(), 72u);
+
+  // One scratch across designs of different sizes and key counts: small,
+  // large, then small again.
+  attack::AttackScratch scratch;
+  const auto small = lock::rll_lock(profile(netlist::gen::ProfileId::kC432, 17),
+                                    6, 17);
+  expect_scope_matches_reference(small.netlist, scratch);
+  expect_scope_matches_reference(design.netlist, scratch);
+  expect_scope_matches_reference(small.netlist, scratch);
+}
+
+// Hand-built boundary cases: key k, primary inputs a..d.
+struct HandBuilt {
+  Netlist netlist{"hand"};
+  NodeId a = netlist.add_input("a");
+  NodeId b = netlist.add_input("b");
+  NodeId c = netlist.add_input("c");
+  NodeId d = netlist.add_input("d");
+  NodeId k = netlist.add_input("k", /*is_key=*/true);
+};
+
+TEST(ScopeConeDelta, PinnedMuxSelectDropsDataInputWithLargeMffc) {
+  // k = 0 keeps in0 and kills in1's three-gate MFFC; k = 1 kills in0's
+  // OR but in0's AND survives through a second output.
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId and_ab = n.add_gate(GateType::kAnd, {h.a, h.b}, "and_ab");
+  const NodeId in0 = n.add_gate(GateType::kOr, {and_ab, h.c}, "in0");
+  const NodeId nand_cd = n.add_gate(GateType::kNand, {h.c, h.d}, "nand_cd");
+  const NodeId not_a = n.add_gate(GateType::kNot, {h.a}, "not_a");
+  const NodeId in1 = n.add_gate(GateType::kXor, {nand_cd, not_a}, "in1");
+  const NodeId mux = n.add_gate(GateType::kMux, {h.k, in0, in1}, "mux");
+  n.mark_output(mux, "o0");
+  n.mark_output(and_ab, "o1");
+  attack::AttackScratch scratch;
+  const auto areas = attack::ScopeAttack().attack(n, scratch).areas;
+  EXPECT_EQ(areas, reference_areas(n));
+  EXPECT_EQ(areas, AreaPairs({{2, 4}}));
+}
+
+TEST(ScopeConeDelta, DoubleInverterAcrossTheConeBoundary) {
+  // not_a lies outside k's cone; with k = 1, AND(k, not_a) forwards it and
+  // the cone's NOT folds onto a through the baseline inverter record.
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId not_a = n.add_gate(GateType::kNot, {h.a}, "not_a");
+  const NodeId gated = n.add_gate(GateType::kAnd, {h.k, not_a}, "gated");
+  const NodeId back = n.add_gate(GateType::kNot, {gated}, "back");
+  const NodeId x = n.add_gate(GateType::kXor, {h.k, not_a}, "x");
+  n.mark_output(back, "o0");
+  n.mark_output(x, "o1");
+  n.mark_output(h.b, "o2");
+  attack::AttackScratch scratch;
+  expect_scope_matches_reference(n, scratch);
+}
+
+TEST(ScopeConeDelta, AndDedupeOfConeFaninWithOutsideFanin) {
+  // k = 0 turns OR(k, b) into b, which AND(t, b, c) then deduplicates.
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId t = n.add_gate(GateType::kOr, {h.k, h.b}, "t");
+  const NodeId g = n.add_gate(GateType::kAnd, {t, h.b, h.c}, "g");
+  const NodeId nor = n.add_gate(GateType::kNor, {g, h.d}, "nor");
+  n.mark_output(nor, "o0");
+  n.mark_output(h.a, "o1");
+  attack::AttackScratch scratch;
+  expect_scope_matches_reference(n, scratch);
+}
+
+TEST(ScopeConeDelta, OutputDrivenByKeyGateOrKeyInput) {
+  // Two keys: one whose key gate drives a port, one that drives a port
+  // directly (and also feeds logic).
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId k2 = n.add_input("k2", /*is_key=*/true);
+  const NodeId key_gate = n.add_gate(GateType::kXnor, {h.a, h.k}, "key_gate");
+  const NodeId mixed = n.add_gate(GateType::kNand, {k2, h.c, h.d}, "mixed");
+  n.mark_output(key_gate, "o0");
+  n.mark_output(k2, "o1");
+  n.mark_output(mixed, "o2");
+  n.mark_output(key_gate, "o3");  // two ports on one cone driver
+  attack::AttackScratch scratch;
+  expect_scope_matches_reference(n, scratch);
+}
+
+TEST(ScopeConeDelta, OutOfRangeBitThrows) {
+  HandBuilt h;
+  h.netlist.mark_output(h.netlist.add_gate(GateType::kAnd, {h.a, h.k}), "o");
+  netlist::KeyConeAreas areas;
+  areas.reset(h.netlist);
+  EXPECT_THROW(areas.area(1, false), std::invalid_argument);
+}
+
+TEST(NetlistStats, GateCountAccessorMatchesStats) {
   const Netlist original = profile(netlist::gen::ProfileId::kC432, 11);
   EXPECT_EQ(original.gate_count(), original.stats().gates);
 }
