@@ -8,7 +8,9 @@
 #include "attacks/gnn.hpp"
 #include "attacks/muxlink.hpp"
 #include "attacks/structural.hpp"
+#include "locking/compound.hpp"
 #include "locking/mux_lock.hpp"
+#include "locking/sites.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
 #include "sat/cnf.hpp"
@@ -117,9 +119,27 @@ void BM_SatEquivalenceCheck(benchmark::State& state) {
     benchmark::DoNotOptimize(
         sat::check_equivalent(design.netlist, design.key, circuit, {}));
   }
-  state.SetLabel("miter UNSAT proof");
+  state.SetLabel("strashed correct-key proof");
 }
 BENCHMARK(BM_SatEquivalenceCheck)->Unit(benchmark::kMillisecond);
+
+void BM_SatEquivalenceCheckC1355Compound(benchmark::State& state) {
+  // The campaign's compound shape at K = 8: D-MUX, RLL and Anti-SAT genes.
+  const auto circuit =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC1355, 1);
+  const lock::SiteContext context(circuit);
+  util::Rng rng(1);
+  const auto genes = lock::random_genotype(
+      context, {.mux_sites = 4, .rll_gates = 2, .antisat_width = 2}, rng);
+  const auto design = lock::apply_genotype(circuit, context, genes, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sat::check_equivalent(design.netlist, design.key, circuit, {}));
+  }
+  state.SetLabel("strashed correct-key proof");
+}
+BENCHMARK(BM_SatEquivalenceCheckC1355Compound)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

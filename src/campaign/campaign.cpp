@@ -231,9 +231,8 @@ LockJob run_lock_job(const CampaignSpec& spec, const CircuitAxis& circuit,
       lock.correct_key_equivalent =
           sat::check_unlocks(job.design.netlist, job.design.key, original);
     } else {
-      // See CampaignSpec::sat_equivalence_gate_limit: a monolithic CNF
-      // miter at this size never terminates; seeded simulation keeps the
-      // verdict deterministic in the axis seed.
+      // See CampaignSpec::sat_equivalence_gate_limit: seeded simulation
+      // keeps the verdict deterministic in the axis seed.
       lock.correct_key_equivalent = lock::verify_unlocks(
           job.design, original, lock::VerifyMode::kSimulation, 2048,
           axis_seed(spec.seed, circuit.name, scheme.name, optimizer,

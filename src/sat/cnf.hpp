@@ -1,9 +1,11 @@
-// Netlist → CNF (Tseitin) encoding, miter construction, and SAT-based
-// equivalence checking.
+// Netlist → CNF (Tseitin) encoding, miter construction, and equivalence
+// checking.
 //
-// The encoding assigns one SAT variable per netlist node. Key inputs can
-// either be encoded as free variables (for attacks, which solve for keys) or
-// constrained to constants (for verification under a specific key).
+// encode_netlist assigns one SAT variable per netlist node, with key inputs
+// as free variables: the SAT attack solves for them. check_equivalent does
+// not encode netlists directly. It folds both sides, under their fixed keys,
+// into one structurally hashed graph and hands the SAT solver only the
+// output pairs that hashing did not merge.
 #pragma once
 
 #include <cstdint>
@@ -25,22 +27,14 @@ struct Encoding {
   std::vector<Var> output_var;        // in outputs() order
 };
 
-/// Encodes the functional constraints of `netlist` into `solver`.
+/// Encodes the functional constraints of `netlist` into `solver`, with
+/// fresh variables for its key inputs.
 /// If `share_primary_inputs` is provided (same length as the netlist's
 /// primary inputs), those existing variables are reused instead of fresh
 /// ones — this is how a miter shares inputs across two circuit copies.
-/// Likewise `share_keys` reuses key variables.
 Encoding encode_netlist(
     Solver& solver, const netlist::Netlist& netlist,
-    const std::optional<std::vector<Var>>& share_primary_inputs = std::nullopt,
-    const std::optional<std::vector<Var>>& share_keys = std::nullopt);
-
-/// Fresh solver variables pinned to constant `bits` as level-0 unit facts.
-/// Pinning BEFORE encode_netlist lets add_clause's level-0 simplification
-/// constant-fold the corresponding cones while the circuit is encoded —
-/// this is how check_equivalent fixes keys and the SAT attack fixes DIP
-/// inputs.
-std::vector<Var> pin_constants(Solver& solver, const std::vector<bool>& bits);
+    const std::optional<std::vector<Var>>& share_primary_inputs = std::nullopt);
 
 /// Builds a miter over two encodings that already share primary inputs:
 /// returns a variable that is true iff some output differs.
@@ -113,11 +107,38 @@ class ConeTemplate {
   std::unique_ptr<bool[]> fanin_values_;  // eval_gate_bits input buffer
 };
 
+/// What one check_equivalent call did.
+struct EquivalenceStats {
+  std::size_t residual_outputs = 0;  // output pairs hashing did not merge
+  std::size_t sat_calls = 0;         // 0 or 1: the residual miter solve
+};
+
 /// Proves or refutes equivalence of two netlists under fixed keys.
-/// Interfaces (primary input count / output count) must match.
-/// Returns true iff equivalent (miter UNSAT).
+/// Netlists with different primary-input or output counts are reported
+/// different without further work. A key whose length does not match its
+/// netlist's key inputs throws std::invalid_argument.
+///
+/// Both netlists go into one hash-consed graph of complementable literals
+/// (node 0 is constant false). Primary inputs are shared by position and
+/// key inputs become their constants. Each gate is normalized on insertion:
+/// BUF/NOT are literal operations; AND/NAND/OR/NOR become an n-ary AND
+/// over sorted, deduplicated literals, where a constant or x ∧ ¬x folds;
+/// XOR/XNOR become an n-ary XOR of positive literals with an output phase,
+/// where equal pairs cancel; a MUX folds on a constant select or equal
+/// data, a complemented select swaps the data, and constant data turns it
+/// into an AND. Under the correct key of the repo's schemes (D-MUX, RLL,
+/// Anti-SAT and their compound) every output merges, so the proof costs
+/// no SAT call at all.
+///
+/// Output pairs whose literals differ are the residual. One seeded 64-lane
+/// random simulation of both netlists looks for a witness first; failing
+/// that, only the residual outputs' transitive fanin in the shared graph
+/// is Tseitin-encoded (one variable per shared node) and a single miter
+/// over those pairs is solved: UNSAT means equivalent. Returns true iff
+/// equivalent. `stats`, if given, receives what the call did.
 bool check_equivalent(const netlist::Netlist& a, const netlist::Key& a_key,
-                      const netlist::Netlist& b, const netlist::Key& b_key);
+                      const netlist::Netlist& b, const netlist::Key& b_key,
+                      EquivalenceStats* stats = nullptr);
 
 /// Convenience: locked netlist vs. its original under the correct key.
 bool check_unlocks(const netlist::Netlist& locked, const netlist::Key& key,

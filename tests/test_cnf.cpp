@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <tuple>
+
+#include "attacks/sat_attack.hpp"
+#include "campaign/campaign.hpp"
+#include "locking/compound.hpp"
+#include "locking/sites.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
 #include "util/rng.hpp"
@@ -146,8 +153,11 @@ TEST(CheckEquivalent, KeyedCircuitUnderCorrectAndWrongKey) {
     const auto x = plain.add_input("x");
     plain.mark_output(plain.add_gate(GateType::kBuf, {x}, "g"));
   }
-  EXPECT_TRUE(check_equivalent(locked, {false}, plain, {}));
-  EXPECT_FALSE(check_equivalent(locked, {true}, plain, {}));
+  EquivalenceStats stats;
+  EXPECT_TRUE(check_equivalent(locked, {false}, plain, {}, &stats));
+  EXPECT_EQ(stats.residual_outputs, 0u);  // the key XOR hashed to a wire
+  EXPECT_FALSE(check_equivalent(locked, {true}, plain, {}, &stats));
+  EXPECT_EQ(stats.residual_outputs, 1u);
   EXPECT_TRUE(check_unlocks(locked, {false}, plain));
 }
 
@@ -160,6 +170,338 @@ TEST(CheckEquivalent, KeyLengthMismatchThrows) {
   }
   EXPECT_THROW(check_equivalent(locked, {true, false}, locked, {true}),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Strashed checker: one hand-built case per normalization rule. Each pair is
+// equivalent, and the rule under test is what merges it without SAT.
+
+/// Two netlists over the same inputs, built side by side.
+struct Pair {
+  Netlist a;
+  Netlist b;
+  std::vector<NodeId> in_a;
+  std::vector<NodeId> in_b;
+
+  explicit Pair(std::size_t inputs) {
+    for (std::size_t i = 0; i < inputs; ++i) {
+      in_a.push_back(a.add_input("x" + std::to_string(i)));
+      in_b.push_back(b.add_input("x" + std::to_string(i)));
+    }
+  }
+};
+
+void expect_merged(const Netlist& a, const Netlist& b) {
+  EquivalenceStats stats;
+  EXPECT_TRUE(check_equivalent(a, {}, b, {}, &stats));
+  EXPECT_EQ(stats.residual_outputs, 0u);
+  EXPECT_EQ(stats.sat_calls, 0u);
+}
+
+TEST(StrashRules, AndWithComplementFoldsToFalse) {
+  Pair p(2);
+  const NodeId nx = p.a.add_gate(GateType::kNot, {p.in_a[0]});
+  p.a.mark_output(
+      p.a.add_gate(GateType::kAnd, {p.in_a[0], p.in_a[1], nx}));
+  // OR(x, ¬x) is the dual: ¬AND(¬x, x) = 1.
+  const NodeId nx2 = p.a.add_gate(GateType::kNot, {p.in_a[0]});
+  p.a.mark_output(p.a.add_gate(GateType::kOr, {nx2, p.in_a[0]}));
+  p.b.mark_output(p.b.add_const(false));
+  p.b.mark_output(p.b.add_const(true));
+  expect_merged(p.a, p.b);
+}
+
+TEST(StrashRules, AndSortsAndDeduplicatesFanins) {
+  Pair p(3);
+  p.a.mark_output(p.a.add_gate(
+      GateType::kAnd, {p.in_a[2], p.in_a[0], p.in_a[2], p.in_a[1]}));
+  p.b.mark_output(
+      p.b.add_gate(GateType::kAnd, {p.in_b[0], p.in_b[1], p.in_b[2]}));
+  expect_merged(p.a, p.b);
+}
+
+TEST(StrashRules, XorPairsCancelAndComplementsMoveIntoPhase) {
+  Pair p(3);
+  // x0 ⊕ x1 ⊕ x0 == x1.
+  p.a.mark_output(
+      p.a.add_gate(GateType::kXor, {p.in_a[0], p.in_a[1], p.in_a[0]}));
+  p.b.mark_output(p.b.add_gate(GateType::kBuf, {p.in_b[1]}));
+  // ¬x0 ⊕ x2 == XNOR(x2, x0).
+  const NodeId nx0 = p.a.add_gate(GateType::kNot, {p.in_a[0]});
+  p.a.mark_output(p.a.add_gate(GateType::kXor, {nx0, p.in_a[2]}));
+  p.b.mark_output(p.b.add_gate(GateType::kXnor, {p.in_b[2], p.in_b[0]}));
+  // x0 ⊕ x0 ⊕ x0 ⊕ x0 == 0 and XNOR(x1, x1) == 1.
+  p.a.mark_output(p.a.add_gate(
+      GateType::kXor, {p.in_a[0], p.in_a[0], p.in_a[0], p.in_a[0]}));
+  p.a.mark_output(p.a.add_gate(GateType::kXnor, {p.in_a[1], p.in_a[1]}));
+  p.b.mark_output(p.b.add_const(false));
+  p.b.mark_output(p.b.add_const(true));
+  expect_merged(p.a, p.b);
+}
+
+TEST(StrashRules, MuxComplementedSelectSwapsData) {
+  Pair p(3);
+  const NodeId ns = p.a.add_gate(GateType::kNot, {p.in_a[0]});
+  p.a.mark_output(
+      p.a.add_gate(GateType::kMux, {ns, p.in_a[1], p.in_a[2]}));
+  p.b.mark_output(
+      p.b.add_gate(GateType::kMux, {p.in_b[0], p.in_b[2], p.in_b[1]}));
+  // MUX(s, ¬d0, ¬d1) == ¬MUX(s, d0, d1): the data phase is normalized.
+  const NodeId n1 = p.a.add_gate(GateType::kNot, {p.in_a[1]});
+  const NodeId n2 = p.a.add_gate(GateType::kNot, {p.in_a[2]});
+  p.a.mark_output(p.a.add_gate(GateType::kMux, {p.in_a[0], n1, n2}));
+  p.b.mark_output(p.b.add_gate(
+      GateType::kNot, {p.b.add_gate(GateType::kMux,
+                                    {p.in_b[0], p.in_b[1], p.in_b[2]})}));
+  expect_merged(p.a, p.b);
+}
+
+TEST(StrashRules, MuxWithConstantDataBecomesAnd) {
+  Pair p(2);
+  const NodeId s = p.in_a[0];
+  const NodeId d = p.in_a[1];
+  const NodeId zero = p.a.add_const(false);
+  const NodeId one = p.a.add_const(true);
+  p.a.mark_output(p.a.add_gate(GateType::kMux, {s, zero, d}));  // s ∧ d
+  p.a.mark_output(p.a.add_gate(GateType::kMux, {s, one, d}));   // ¬s ∨ d
+  p.a.mark_output(p.a.add_gate(GateType::kMux, {s, d, zero}));  // ¬s ∧ d
+  p.a.mark_output(p.a.add_gate(GateType::kMux, {s, d, one}));   // s ∨ d
+  p.a.mark_output(p.a.add_gate(GateType::kMux, {zero, d, s}));  // d
+  p.a.mark_output(p.a.add_gate(GateType::kMux, {one, d, s}));   // s
+  const NodeId bs = p.in_b[0];
+  const NodeId bd = p.in_b[1];
+  const NodeId nbs = p.b.add_gate(GateType::kNot, {bs});
+  p.b.mark_output(p.b.add_gate(GateType::kAnd, {bd, bs}));
+  p.b.mark_output(p.b.add_gate(GateType::kOr, {nbs, bd}));
+  p.b.mark_output(p.b.add_gate(GateType::kNor, {bs, p.b.add_gate(
+                                                        GateType::kNot,
+                                                        {bd})}));
+  p.b.mark_output(p.b.add_gate(GateType::kNand, {nbs, p.b.add_gate(
+                                                         GateType::kNot,
+                                                         {bd})}));
+  p.b.mark_output(p.b.add_gate(GateType::kBuf, {bd}));
+  p.b.mark_output(p.b.add_gate(GateType::kBuf, {bs}));
+  expect_merged(p.a, p.b);
+}
+
+TEST(StrashRules, MuxWithEqualDataFolds) {
+  Pair p(2);
+  p.a.mark_output(
+      p.a.add_gate(GateType::kMux, {p.in_a[0], p.in_a[1], p.in_a[1]}));
+  p.b.mark_output(p.b.add_gate(GateType::kBuf, {p.in_b[1]}));
+  expect_merged(p.a, p.b);
+}
+
+TEST(StrashRules, NandNorXnorPhases) {
+  Pair p(2);
+  const NodeId x = p.in_a[0];
+  const NodeId y = p.in_a[1];
+  p.a.mark_output(p.a.add_gate(GateType::kNand, {x, y}));
+  p.a.mark_output(p.a.add_gate(GateType::kNor, {x, y}));
+  p.a.mark_output(p.a.add_gate(GateType::kXnor, {x, y}));
+  p.a.mark_output(p.a.add_gate(GateType::kOr, {x, y}));
+  const NodeId bx = p.in_b[0];
+  const NodeId by = p.in_b[1];
+  const NodeId nbx = p.b.add_gate(GateType::kNot, {bx});
+  const NodeId nby = p.b.add_gate(GateType::kNot, {by});
+  p.b.mark_output(p.b.add_gate(GateType::kNot, {p.b.add_gate(
+                                                     GateType::kAnd,
+                                                     {by, bx})}));
+  p.b.mark_output(p.b.add_gate(GateType::kAnd, {nbx, nby}));
+  p.b.mark_output(p.b.add_gate(GateType::kNot, {p.b.add_gate(
+                                                     GateType::kXor,
+                                                     {by, bx})}));
+  p.b.mark_output(p.b.add_gate(GateType::kNand, {nby, nbx}));
+  expect_merged(p.a, p.b);
+
+  // A wrong phase is a residual output that simulation refutes at once.
+  Pair q(2);
+  q.a.mark_output(q.a.add_gate(GateType::kAnd, {q.in_a[0], q.in_a[1]}));
+  q.b.mark_output(q.b.add_gate(GateType::kNand, {q.in_b[0], q.in_b[1]}));
+  EquivalenceStats stats;
+  EXPECT_FALSE(check_equivalent(q.a, {}, q.b, {}, &stats));
+  EXPECT_EQ(stats.residual_outputs, 1u);
+  EXPECT_EQ(stats.sat_calls, 0u);
+}
+
+TEST(StrashChecker, EveryDefaultSchemeCorrectKeyMergesWithoutSat) {
+  for (const auto id :
+       {netlist::gen::ProfileId::kC432, netlist::gen::ProfileId::kC880,
+        netlist::gen::ProfileId::kC1355}) {
+    const Netlist original = netlist::gen::make_profile(id, 1);
+    const lock::SiteContext context(original);
+    for (const auto& scheme : campaign::default_schemes()) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(original.name() + " " + scheme.name + " seed " +
+                     std::to_string(seed));
+        util::Rng rng(seed);
+        util::Rng draw = rng.fork();
+        const lock::Genotype genes =
+            lock::random_genotype(context, scheme.spec, draw);
+        util::Rng repair = rng.fork();
+        const lock::LockedDesign design =
+            lock::apply_genotype(original, context, genes, repair);
+        EquivalenceStats stats;
+        EXPECT_TRUE(check_equivalent(design.netlist, design.key, original, {},
+                                     &stats));
+        EXPECT_EQ(stats.residual_outputs, 0u);
+        EXPECT_EQ(stats.sat_calls, 0u);
+      }
+    }
+  }
+}
+
+TEST(StrashChecker, SatAttackKeyOtherThanCorrectIsProvedThroughResidual) {
+  // On this c1355 D-MUX lock the attack's lex-min key differs from the
+  // correct one: hashing leaves outputs unmerged, and the residual miter
+  // proves them.
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC1355, 1);
+  const lock::SiteContext context(original);
+  util::Rng rng(1);
+  util::Rng draw = rng.fork();
+  const lock::Genotype genes =
+      lock::random_genotype(context, {.mux_sites = 8}, draw);
+  util::Rng repair = rng.fork();
+  const lock::LockedDesign design =
+      lock::apply_genotype(original, context, genes, repair);
+
+  const attack::SatAttackResult result =
+      attack::SatAttack().attack(design.netlist, original);
+  ASSERT_TRUE(result.success);
+  ASSERT_NE(result.recovered_key, design.key);
+  EquivalenceStats stats;
+  EXPECT_TRUE(check_equivalent(design.netlist, result.recovered_key, original,
+                               {}, &stats));
+  EXPECT_GT(stats.residual_outputs, 0u);
+  EXPECT_EQ(stats.sat_calls, 1u);
+}
+
+/// A random keyed circuit over every gate type. Fanins are drawn with
+/// replacement and NOTs are common, so duplicate and complementary fanins,
+/// XOR pairs and constant keys on MUX selects all occur.
+Netlist random_keyed_circuit(std::size_t inputs, std::size_t keys,
+                             std::size_t gates, util::Rng& rng) {
+  Netlist n;
+  std::vector<NodeId> pool;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    pool.push_back(n.add_input("x" + std::to_string(i)));
+  }
+  for (std::size_t k = 0; k < keys; ++k) {
+    pool.push_back(n.add_input("keyinput" + std::to_string(k), true));
+  }
+  pool.push_back(n.add_const(rng.next_bool()));
+  const GateType types[] = {GateType::kBuf,  GateType::kNot, GateType::kNot,
+                            GateType::kAnd,  GateType::kNand, GateType::kOr,
+                            GateType::kNor,  GateType::kXor, GateType::kXnor,
+                            GateType::kMux,  GateType::kMux};
+  for (std::size_t g = 0; g < gates; ++g) {
+    const GateType type = types[rng.next_below(std::size(types))];
+    const netlist::Arity arity = netlist::gate_arity(type);
+    const std::size_t count =
+        arity.max != 0 ? arity.max : 2 + rng.next_below(3);
+    std::vector<NodeId> fanins;
+    for (std::size_t f = 0; f < count; ++f) {
+      // Prefer recent nodes so the circuit is deep and reconvergent.
+      const std::size_t window = std::min<std::size_t>(pool.size(), 12);
+      fanins.push_back(rng.next_bool(0.7)
+                           ? pool[pool.size() - 1 - rng.next_below(window)]
+                           : pool[rng.next_below(pool.size())]);
+    }
+    pool.push_back(n.add_gate(type, std::move(fanins)));
+  }
+  for (std::size_t o = 0; o < 4; ++o) {
+    n.mark_output(pool[pool.size() - 1 - o]);
+  }
+  return n;
+}
+
+netlist::Key random_key(std::size_t bits, util::Rng& rng) {
+  netlist::Key key(bits);
+  for (std::size_t i = 0; i < bits; ++i) key[i] = rng.next_bool();
+  return key;
+}
+
+TEST(StrashChecker, AgreesWithExhaustiveSimulationOnRandomKeyedCircuits) {
+  // Two independent circuits over the same interface, one circuit against
+  // itself under two keys, and one against a copy that differs on a single
+  // vector: every verdict must match exhaustive simulation. Counters make sure both the simulation witness and the
+  // residual SAT call decide some of the cases.
+  util::Rng rng(0x57A5);
+  std::size_t sat_equal = 0;
+  std::size_t sat_different = 0;
+  std::size_t simulation_different = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t inputs = 2 + rng.next_below(11);  // 2..12
+    const std::size_t keys = 1 + rng.next_below(4);
+    const Netlist a = random_keyed_circuit(inputs, keys, 30, rng);
+    const Netlist b = random_keyed_circuit(inputs, keys, 30, rng);
+    // `rare` differs from `a` on the all-ones input vector only.
+    const Netlist rare = [&a] {
+      Netlist copy = a;
+      const NodeId all_ones =
+          copy.add_gate(GateType::kAnd, a.primary_inputs());
+      copy.set_output_driver(0, copy.add_gate(GateType::kXor,
+                                              {a.outputs()[0].driver,
+                                               all_ones}));
+      return copy;
+    }();
+    const netlist::Key ka = random_key(keys, rng);
+    const netlist::Key kb = random_key(keys, rng);
+    for (const auto& [lhs, lhs_key, rhs, rhs_key] :
+         {std::tuple{&a, ka, &a, kb}, std::tuple{&a, ka, &b, kb},
+          std::tuple{&a, ka, &a, ka}, std::tuple{&a, ka, &rare, ka}}) {
+      EquivalenceStats stats;
+      const bool strashed =
+          check_equivalent(*lhs, lhs_key, *rhs, rhs_key, &stats);
+      const bool exhaustive = Simulator::equivalent_exhaustive(
+          Simulator(*lhs), lhs_key, Simulator(*rhs), rhs_key);
+      ASSERT_EQ(strashed, exhaustive) << "trial " << trial;
+      if (stats.sat_calls == 1) {
+        ++(strashed ? sat_equal : sat_different);
+      } else if (!strashed) {
+        ++simulation_different;
+      }
+    }
+  }
+  EXPECT_GT(sat_equal, 0u);
+  EXPECT_GT(sat_different, 0u);
+  EXPECT_GT(simulation_different, 0u);
+}
+
+TEST(StrashChecker, AgreesWithExhaustiveSimulationOnLockedRandomCircuits) {
+  // Correct keys of every default scheme merge; random wrong keys get the
+  // exhaustive-simulation verdict.
+  netlist::gen::RandomCircuitConfig config;
+  config.primary_inputs = 12;
+  config.outputs = 6;
+  config.gates = 120;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Netlist original = netlist::gen::make_random(config, seed);
+    const lock::SiteContext context(original);
+    const Simulator original_sim(original);
+    for (const auto& scheme : campaign::default_schemes()) {
+      SCOPED_TRACE(scheme.name + " seed " + std::to_string(seed));
+      util::Rng rng(seed);
+      util::Rng draw = rng.fork();
+      const lock::Genotype genes =
+          lock::random_genotype(context, scheme.spec, draw);
+      util::Rng repair = rng.fork();
+      const lock::LockedDesign design =
+          lock::apply_genotype(original, context, genes, repair);
+      EquivalenceStats stats;
+      EXPECT_TRUE(
+          check_equivalent(design.netlist, design.key, original, {}, &stats));
+      EXPECT_EQ(stats.residual_outputs, 0u);
+      const Simulator locked_sim(design.netlist);
+      for (int trial = 0; trial < 8; ++trial) {
+        const netlist::Key key = random_key(design.key.size(), rng);
+        EXPECT_EQ(check_equivalent(design.netlist, key, original, {}),
+                  Simulator::equivalent_exhaustive(locked_sim, key,
+                                                   original_sim, {}));
+      }
+    }
+  }
 }
 
 class CnfRandomEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
