@@ -86,6 +86,35 @@ void BM_GnnPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GnnPredict);
 
+void BM_GnnTrainEpoch(benchmark::State& state) {
+  // The in-loop MuxLink shape: 240 training samples of at most 32 nodes,
+  // half of them labelled as links.
+  const auto circuit =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 1);
+  const auto design = lock::dmux_lock(circuit, 32, 1);
+  const attack::AttackGraph graph(design.netlist);
+  const auto& links = graph.known_links();
+  attack::SubgraphConfig subgraph;
+  subgraph.max_nodes = 32;
+  std::vector<attack::Subgraph> samples;
+  for (std::size_t i = 0; i < 240; ++i) {
+    const auto& link = links[(i * 7) % links.size()];
+    samples.push_back(
+        attack::extract_subgraph(graph, link.u, link.v, subgraph));
+    samples.back().label = static_cast<double>(i % 2);
+  }
+  std::vector<std::size_t> order(samples.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  attack::Gnn model(attack::GnnConfig{}, 7);
+  attack::GnnScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.train_epoch(samples, order, scratch));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+}
+BENCHMARK(BM_GnnTrainEpoch)->Unit(benchmark::kMillisecond);
+
 void BM_StructuralAttack(benchmark::State& state) {
   const auto circuit =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 1);

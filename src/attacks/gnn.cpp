@@ -1,227 +1,153 @@
 #include "attacks/gnn.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 namespace autolock::attack {
 
 namespace detail {
 
-// The micro-kernels below block the output into register tiles and keep the
-// reduction loop innermost and ASCENDING: each output element therefore
-// accumulates its terms in exactly the order of the naive triple loop, so
-// blocked and naive results are bit-identical (packed vmulpd/vaddpd perform
-// the same IEEE operation per lane as their scalar forms, and gnn.cpp is
-// compiled with -ffp-contract=off so no FMA rounds differently). The old
-// kernels' `if (av == 0.0) continue;` zero-skip is gone — adding a ±0.0
-// term never changes a running sum that started at +0.0, and the branch
-// cost more than the multiply on dense activations.
-//
-// GCC refuses to keep a `double acc[4][8]` tile in ymm registers (it
-// spills every add to the stack — measured 3x slower than gemm_at, whose
-// tile it did promote), so the tiles are spelled as explicit 4-lane vector
-// variables via the GNU vector extension. Plain scalar fallback otherwise.
-
-#if defined(__GNUC__) || defined(__clang__)
-#define AUTOLOCK_GNN_VEC 1
-#endif
-
-#if AUTOLOCK_GNN_VEC
+// Each kernel holds one 32-wide output row in eight 4-lane vector
+// accumulators and adds one 32-wide row of the right operand per marked
+// term, so every output element still sums its terms in ascending order:
+// packed vmulpd/vaddpd perform the same IEEE operation per lane as their
+// scalar forms, and gnn.cpp is compiled with -ffp-contract=off so no FMA
+// rounds differently. The accumulators are GNU vector-extension variables
+// (GCC and Clang): without AVX2 the compiler splits each into SSE2 halves.
 
 namespace {
 
 typedef double V4 __attribute__((vector_size(32)));
 
-inline V4 v4_load(const double* __restrict p) {
+static_assert(kKernelWidth == 32, "a Row holds 8 x 4 lanes");
+static_assert(GnnConfig::kInputDim <= 64 && GnnConfig::kHiddenDim <= 64,
+              "row masks are 64 bits wide");
+
+inline V4 v4_load(const double* p) {
   V4 v;
-  __builtin_memcpy(&v, p, sizeof(v));
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-inline void v4_store(double* __restrict p, V4 v) {
-  __builtin_memcpy(p, &v, sizeof(v));
-}
+inline void v4_store(double* p, V4 v) { std::memcpy(p, &v, sizeof(v)); }
 
 inline V4 v4_splat(double x) { return V4{x, x, x, x}; }
 
+/// One 32-wide output row in registers. Named members, not an array: GCC
+/// keeps the members in ymm registers but spills an array to the stack.
+struct Row {
+  V4 v0, v1, v2, v3, v4, v5, v6, v7;
+};
+
+inline Row row_splat(double x) {
+  const V4 v = v4_splat(x);
+  return {v, v, v, v, v, v, v, v};
+}
+
+inline Row row_load(const double* p) {
+  return {v4_load(p),      v4_load(p + 4),  v4_load(p + 8),  v4_load(p + 12),
+          v4_load(p + 16), v4_load(p + 20), v4_load(p + 24), v4_load(p + 28)};
+}
+
+inline void row_store(double* p, const Row& r) {
+  v4_store(p, r.v0), v4_store(p + 4, r.v1);
+  v4_store(p + 8, r.v2), v4_store(p + 12, r.v3);
+  v4_store(p + 16, r.v4), v4_store(p + 20, r.v5);
+  v4_store(p + 24, r.v6), v4_store(p + 28, r.v7);
+}
+
+/// acc += s * b (one 32-wide row).
+inline void row_axpy(Row& acc, double s, const double* b) {
+  const V4 sv = v4_splat(s);
+  acc.v0 += sv * v4_load(b), acc.v1 += sv * v4_load(b + 4);
+  acc.v2 += sv * v4_load(b + 8), acc.v3 += sv * v4_load(b + 12);
+  acc.v4 += sv * v4_load(b + 16), acc.v5 += sv * v4_load(b + 20);
+  acc.v6 += sv * v4_load(b + 24), acc.v7 += sv * v4_load(b + 28);
+}
+
+/// acc += b (one 32-wide row).
+inline void row_add(Row& acc, const double* b) {
+  acc.v0 += v4_load(b), acc.v1 += v4_load(b + 4);
+  acc.v2 += v4_load(b + 8), acc.v3 += v4_load(b + 12);
+  acc.v4 += v4_load(b + 16), acc.v5 += v4_load(b + 20);
+  acc.v6 += v4_load(b + 24), acc.v7 += v4_load(b + 28);
+}
+
 }  // namespace
 
-void gemm(const double* a_, const double* b_, double* c_, std::size_t m,
-          std::size_t k, std::size_t n, bool accumulate) {
-  const double* __restrict a = a_;
-  const double* __restrict b = b_;
-  double* __restrict c = c_;
-  constexpr std::size_t kTileM = 4;
-  constexpr std::size_t kTileN = 8;
-  const V4 zero = v4_splat(0.0);
-  std::size_t i = 0;
-  for (; i + kTileM <= m; i += kTileM) {
-    const double* __restrict a0 = a + (i + 0) * k;
-    const double* __restrict a1 = a + (i + 1) * k;
-    const double* __restrict a2 = a + (i + 2) * k;
-    const double* __restrict a3 = a + (i + 3) * k;
-    double* __restrict c0 = c + (i + 0) * n;
-    double* __restrict c1 = c + (i + 1) * n;
-    double* __restrict c2 = c + (i + 2) * n;
-    double* __restrict c3 = c + (i + 3) * n;
-    std::size_t j = 0;
-    for (; j + kTileN <= n; j += kTileN) {
-      V4 s00 = zero, s01 = zero, s10 = zero, s11 = zero;
-      V4 s20 = zero, s21 = zero, s30 = zero, s31 = zero;
-      if (accumulate) {
-        s00 = v4_load(c0 + j), s01 = v4_load(c0 + j + 4);
-        s10 = v4_load(c1 + j), s11 = v4_load(c1 + j + 4);
-        s20 = v4_load(c2 + j), s21 = v4_load(c2 + j + 4);
-        s30 = v4_load(c3 + j), s31 = v4_load(c3 + j + 4);
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        const V4 b0 = v4_load(b + p * n + j);
-        const V4 b1 = v4_load(b + p * n + j + 4);
-        V4 av = v4_splat(a0[p]);
-        s00 += av * b0, s01 += av * b1;
-        av = v4_splat(a1[p]);
-        s10 += av * b0, s11 += av * b1;
-        av = v4_splat(a2[p]);
-        s20 += av * b0, s21 += av * b1;
-        av = v4_splat(a3[p]);
-        s30 += av * b0, s31 += av * b1;
-      }
-      v4_store(c0 + j, s00), v4_store(c0 + j + 4, s01);
-      v4_store(c1 + j, s10), v4_store(c1 + j + 4, s11);
-      v4_store(c2 + j, s20), v4_store(c2 + j + 4, s21);
-      v4_store(c3 + j, s30), v4_store(c3 + j + 4, s31);
+void row_masks(const double* a, std::size_t m, std::size_t k,
+               std::uint64_t* mask) {
+  for (std::size_t i = 0; i < m; ++i) {
+    std::uint64_t bits = 0;
+    for (std::size_t p = 0; p < k; ++p) {
+      bits |= static_cast<std::uint64_t>(a[i * k + p] != 0.0) << p;
     }
-    for (; j < n; ++j) {
-      double acc0 = accumulate ? c0[j] : 0.0;
-      double acc1 = accumulate ? c1[j] : 0.0;
-      double acc2 = accumulate ? c2[j] : 0.0;
-      double acc3 = accumulate ? c3[j] : 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double bv = b[p * n + j];
-        acc0 += a0[p] * bv;
-        acc1 += a1[p] * bv;
-        acc2 += a2[p] * bv;
-        acc3 += a3[p] * bv;
-      }
-      c0[j] = acc0, c1[j] = acc1, c2[j] = acc2, c3[j] = acc3;
-    }
-  }
-  for (; i < m; ++i) {
-    const double* __restrict arow = a + i * k;
-    double* __restrict crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + kTileN <= n; j += kTileN) {
-      V4 s0 = zero, s1 = zero;
-      if (accumulate) s0 = v4_load(crow + j), s1 = v4_load(crow + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const V4 av = v4_splat(arow[p]);
-        s0 += av * v4_load(b + p * n + j);
-        s1 += av * v4_load(b + p * n + j + 4);
-      }
-      v4_store(crow + j, s0), v4_store(crow + j + 4, s1);
-    }
-    for (; j < n; ++j) {
-      double acc = accumulate ? crow[j] : 0.0;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * b[p * n + j];
-      crow[j] = acc;
-    }
+    mask[i] = bits;
   }
 }
 
-void gemm_at(const double* a_, const double* d_, double* c_, std::size_t m,
-             std::size_t k, std::size_t n) {
-  const double* __restrict a = a_;
-  const double* __restrict d = d_;
-  double* __restrict c = c_;
-  constexpr std::size_t kTileC = 4;
-  constexpr std::size_t kTileN = 8;
-  std::size_t cc = 0;
-  for (; cc + kTileC <= k; cc += kTileC) {
-    double* __restrict c0 = c + (cc + 0) * n;
-    double* __restrict c1 = c + (cc + 1) * n;
-    double* __restrict c2 = c + (cc + 2) * n;
-    double* __restrict c3 = c + (cc + 3) * n;
-    std::size_t j = 0;
-    for (; j + kTileN <= n; j += kTileN) {
-      V4 s00 = v4_load(c0 + j), s01 = v4_load(c0 + j + 4);
-      V4 s10 = v4_load(c1 + j), s11 = v4_load(c1 + j + 4);
-      V4 s20 = v4_load(c2 + j), s21 = v4_load(c2 + j + 4);
-      V4 s30 = v4_load(c3 + j), s31 = v4_load(c3 + j + 4);
-      for (std::size_t p = 0; p < m; ++p) {
-        const double* __restrict arow = a + p * k + cc;
-        const V4 d0 = v4_load(d + p * n + j);
-        const V4 d1 = v4_load(d + p * n + j + 4);
-        V4 av = v4_splat(arow[0]);
-        s00 += av * d0, s01 += av * d1;
-        av = v4_splat(arow[1]);
-        s10 += av * d0, s11 += av * d1;
-        av = v4_splat(arow[2]);
-        s20 += av * d0, s21 += av * d1;
-        av = v4_splat(arow[3]);
-        s30 += av * d0, s31 += av * d1;
-      }
-      v4_store(c0 + j, s00), v4_store(c0 + j + 4, s01);
-      v4_store(c1 + j, s10), v4_store(c1 + j + 4, s11);
-      v4_store(c2 + j, s20), v4_store(c2 + j + 4, s21);
-      v4_store(c3 + j, s30), v4_store(c3 + j + 4, s31);
-    }
-    for (; j < n; ++j) {
-      double acc0 = c0[j], acc1 = c1[j], acc2 = c2[j], acc3 = c3[j];
-      for (std::size_t p = 0; p < m; ++p) {
-        const double dv = d[p * n + j];
-        acc0 += a[p * k + cc + 0] * dv;
-        acc1 += a[p * k + cc + 1] * dv;
-        acc2 += a[p * k + cc + 2] * dv;
-        acc3 += a[p * k + cc + 3] * dv;
-      }
-      c0[j] = acc0, c1[j] = acc1, c2[j] = acc2, c3[j] = acc3;
-    }
-  }
-  for (; cc < k; ++cc) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = c[cc * n + j];
-      for (std::size_t p = 0; p < m; ++p) acc += a[p * k + cc] * d[p * n + j];
-      c[cc * n + j] = acc;
-    }
-  }
-}
-
-#else  // !AUTOLOCK_GNN_VEC — scalar fallbacks, same reduction order.
-
-void gemm(const double* a_, const double* b_, double* c_, std::size_t m,
-          std::size_t k, std::size_t n, bool accumulate) {
+void gemm_masked(const double* a_, const std::uint64_t* mask, const double* b_,
+                 double* c_, std::size_t m, std::size_t k, bool accumulate) {
   const double* __restrict a = a_;
   const double* __restrict b = b_;
   double* __restrict c = c_;
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = accumulate ? c[i * n + j] : 0.0;
-      for (std::size_t p = 0; p < k; ++p) acc += a[i * k + p] * b[p * n + j];
-      c[i * n + j] = acc;
+    const double* __restrict arow = a + i * k;
+    double* __restrict crow = c + i * kKernelWidth;
+    Row acc = accumulate ? row_load(crow) : row_splat(0.0);
+    for (std::uint64_t bits = mask[i]; bits != 0; bits &= bits - 1) {
+      const auto p = static_cast<std::size_t>(std::countr_zero(bits));
+      row_axpy(acc, arow[p], b + p * kKernelWidth);
     }
+    row_store(crow, acc);
   }
 }
 
-void gemm_at(const double* a_, const double* d_, double* c_, std::size_t m,
-             std::size_t k, std::size_t n) {
+void gemm_at_masked(const double* a_, const std::uint64_t* mask,
+                    const double* d_, double* c_, std::size_t m,
+                    std::size_t k) {
   const double* __restrict a = a_;
   const double* __restrict d = d_;
   double* __restrict c = c_;
-  for (std::size_t cc = 0; cc < k; ++cc) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = c[cc * n + j];
-      for (std::size_t p = 0; p < m; ++p) acc += a[p * k + cc] * d[p * n + j];
-      c[cc * n + j] = acc;
+  // Transpose the row masks, 64 rows at a time, into per-column row sets,
+  // so each output row c[p] stays in registers while it gathers its terms
+  // from the rows of a that mark column p (ascending row order).
+  std::uint64_t col_rows[64];
+  for (std::size_t r0 = 0; r0 < m; r0 += 64) {
+    const std::size_t rows = std::min<std::size_t>(64, m - r0);
+    std::fill(col_rows, col_rows + k, 0);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::uint64_t bits = mask[r0 + i]; bits != 0; bits &= bits - 1) {
+        col_rows[std::countr_zero(bits)] |= std::uint64_t{1} << i;
+      }
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      if (col_rows[p] == 0) continue;
+      double* __restrict crow = c + p * kKernelWidth;
+      Row acc = row_load(crow);
+      for (std::uint64_t bits = col_rows[p]; bits != 0; bits &= bits - 1) {
+        const std::size_t i =
+            r0 + static_cast<std::size_t>(std::countr_zero(bits));
+        row_axpy(acc, a[i * k + p], d + i * kKernelWidth);
+      }
+      row_store(crow, acc);
     }
   }
 }
 
-#endif  // AUTOLOCK_GNN_VEC
-
-void transpose(const double* in, double* out, std::size_t rows,
-               std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) out[c * rows + r] = in[r * cols + c];
+void masked_row_sum(const std::uint64_t* mask, const double* t_, double* c_,
+                    std::size_t m) {
+  const double* __restrict t = t_;
+  double* __restrict c = c_;
+  for (std::size_t i = 0; i < m; ++i) {
+    Row acc = row_splat(0.0);
+    for (std::uint64_t bits = mask[i]; bits != 0; bits &= bits - 1) {
+      row_add(acc, t + static_cast<std::size_t>(std::countr_zero(bits)) *
+                           kKernelWidth);
+    }
+    row_store(c + i * kKernelWidth, acc);
   }
 }
 
@@ -255,35 +181,77 @@ void flatten_adjacency(const Subgraph& sample, GnnScratch& scratch) {
   scratch.adj_offsets[n] = static_cast<std::uint32_t>(scratch.adj_edges.size());
 }
 
-/// out(n x c) = mean of rows of in(n x c) over the CSR adjacency.
+/// out(n x c) = mean of rows of in(n x c) over the CSR adjacency. A row's
+/// mask is the OR of its neighbours' masks: a mean of rows that are zero in
+/// a column is +0.0 there.
 void mean_aggregate_csr(const std::vector<std::uint32_t>& offsets,
                         const std::vector<std::uint32_t>& edges, const Mat& in,
-                        Mat& out) {
+                        const std::vector<std::uint64_t>& in_mask, Mat& out,
+                        std::vector<std::uint64_t>& out_mask) {
   out.reshape(in.rows, in.cols);
+  out_mask.resize(in.rows);
   const std::size_t cols = in.cols;
   const double* __restrict src_base = in.data.data();
   for (std::size_t i = 0; i < in.rows; ++i) {
     double* __restrict dst = &out.data[i * cols];
     const std::uint32_t begin = offsets[i];
     const std::uint32_t end = offsets[i + 1];
+    std::uint64_t bits = 0;
     for (std::size_t c = 0; c < cols; ++c) dst[c] = 0.0;
-    if (begin == end) continue;
     for (std::uint32_t e = begin; e < end; ++e) {
       const double* __restrict src = src_base + edges[e] * cols;
       for (std::size_t c = 0; c < cols; ++c) dst[c] += src[c];
+      bits |= in_mask[edges[e]];
     }
+    out_mask[i] = bits;
+    if (begin == end) continue;
     const double inv = 1.0 / static_cast<double>(end - begin);
     for (std::size_t c = 0; c < cols; ++c) dst[c] *= inv;
   }
+}
+
+/// z += bias, then out = max(z, 0), row by row. out_mask, when given,
+/// receives out's row masks.
+void bias_relu(Mat& z, const std::vector<double>& bias, Mat& out,
+               std::vector<std::uint64_t>* out_mask) {
+  out.reshape(z.rows, z.cols);
+  if (out_mask != nullptr) out_mask->resize(z.rows);
+  for (std::size_t i = 0; i < z.rows; ++i) {
+    double* __restrict zrow = &z.data[i * z.cols];
+    double* __restrict yrow = &out.data[i * z.cols];
+    std::uint64_t bits = 0;
+    for (std::size_t k = 0; k < z.cols; ++k) {
+      zrow[k] += bias[k];
+      yrow[k] = std::max(zrow[k], 0.0);
+      bits |= static_cast<std::uint64_t>(yrow[k] != 0.0) << k;
+    }
+    if (out_mask != nullptr) (*out_mask)[i] = bits;
+  }
+}
+
+/// out = (z > 0) ? g : 0, elementwise over one hidden-wide row: the ReLU
+/// derivative applied to g. Returns the row mask of z > 0. Written over
+/// restrict pointers with the mask in its own loop so both loops vectorize
+/// instead of branching on each entry.
+std::uint64_t relu_grad_row(const double* __restrict z,
+                            const double* __restrict g,
+                            double* __restrict out) {
+  constexpr std::size_t h = GnnConfig::kHiddenDim;
+  for (std::size_t k = 0; k < h; ++k) out[k] = z[k] > 0.0 ? g[k] : 0.0;
+  std::uint64_t bits = 0;
+  for (std::size_t k = 0; k < h; ++k) {
+    bits |= static_cast<std::uint64_t>(z[k] > 0.0) << k;
+  }
+  return bits;
 }
 
 }  // namespace
 
 Gnn::Gnn(const GnnConfig& config, std::uint64_t seed) : config_(config) {
   util::Rng rng(seed ^ 0x6E6EULL);
-  const std::size_t d0 = config.input_dim;
-  const std::size_t h = config.hidden_dim;
-  const std::size_t m = config.mlp_dim;
+  constexpr std::size_t d0 = GnnConfig::kInputDim;
+  constexpr std::size_t h = GnnConfig::kHiddenDim;
+  constexpr std::size_t m = GnnConfig::kMlpDim;
 
   layer1_.w_self = Mat(d0, h);
   layer1_.w_neigh = Mat(d0, h);
@@ -335,46 +303,40 @@ std::vector<std::vector<double>*> Gnn::grad_views() {
 
 void Gnn::forward(const Subgraph& sample, GnnScratch& scratch) const {
   const std::size_t n = sample.node_count;
-  const std::size_t d0 = config_.input_dim;
-  const std::size_t h = config_.hidden_dim;
-  const std::size_t m = config_.mlp_dim;
+  constexpr std::size_t d0 = GnnConfig::kInputDim;
+  constexpr std::size_t h = GnnConfig::kHiddenDim;
+  constexpr std::size_t m = GnnConfig::kMlpDim;
 
   flatten_adjacency(sample, scratch);
   scratch.x.reshape(n, d0);
   std::copy(sample.features.begin(), sample.features.end(),
             scratch.x.data.begin());
+  scratch.x_mask.resize(n);
+  detail::row_masks(scratch.x.data.data(), n, d0, scratch.x_mask.data());
 
   // Layer 1.
   mean_aggregate_csr(scratch.adj_offsets, scratch.adj_edges, scratch.x,
-                     scratch.agg0);
+                     scratch.x_mask, scratch.agg0, scratch.agg0_mask);
   scratch.z1.reshape(n, h);
-  detail::gemm(scratch.x.data.data(), layer1_.w_self.data.data(),
-               scratch.z1.data.data(), n, d0, h, false);
-  detail::gemm(scratch.agg0.data.data(), layer1_.w_neigh.data.data(),
-               scratch.z1.data.data(), n, d0, h, true);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < h; ++k) scratch.z1.at(i, k) += layer1_.bias[k];
-  }
-  scratch.h1.reshape(n, h);
-  for (std::size_t idx = 0; idx < scratch.z1.data.size(); ++idx) {
-    scratch.h1.data[idx] = std::max(scratch.z1.data[idx], 0.0);
-  }
+  detail::gemm_masked(scratch.x.data.data(), scratch.x_mask.data(),
+                      layer1_.w_self.data.data(), scratch.z1.data.data(), n,
+                      d0, false);
+  detail::gemm_masked(scratch.agg0.data.data(), scratch.agg0_mask.data(),
+                      layer1_.w_neigh.data.data(), scratch.z1.data.data(), n,
+                      d0, true);
+  bias_relu(scratch.z1, layer1_.bias, scratch.h1, &scratch.h1_mask);
 
   // Layer 2.
   mean_aggregate_csr(scratch.adj_offsets, scratch.adj_edges, scratch.h1,
-                     scratch.agg1);
+                     scratch.h1_mask, scratch.agg1, scratch.agg1_mask);
   scratch.z2.reshape(n, h);
-  detail::gemm(scratch.h1.data.data(), layer2_.w_self.data.data(),
-               scratch.z2.data.data(), n, h, h, false);
-  detail::gemm(scratch.agg1.data.data(), layer2_.w_neigh.data.data(),
-               scratch.z2.data.data(), n, h, h, true);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < h; ++k) scratch.z2.at(i, k) += layer2_.bias[k];
-  }
-  scratch.h2.reshape(n, h);
-  for (std::size_t idx = 0; idx < scratch.z2.data.size(); ++idx) {
-    scratch.h2.data[idx] = std::max(scratch.z2.data[idx], 0.0);
-  }
+  detail::gemm_masked(scratch.h1.data.data(), scratch.h1_mask.data(),
+                      layer2_.w_self.data.data(), scratch.z2.data.data(), n,
+                      h, false);
+  detail::gemm_masked(scratch.agg1.data.data(), scratch.agg1_mask.data(),
+                      layer2_.w_neigh.data.data(), scratch.z2.data.data(), n,
+                      h, true);
+  bias_relu(scratch.z2, layer2_.bias, scratch.h2, nullptr);
 
   // Mean pooling.
   scratch.pooled.assign(h, 0.0);
@@ -417,9 +379,9 @@ double Gnn::predict(const Subgraph& sample) const {
 void Gnn::backward(const Subgraph& sample, GnnScratch& scratch,
                    double dlogit) {
   const std::size_t n = sample.node_count;
-  const std::size_t d0 = config_.input_dim;
-  const std::size_t h = config_.hidden_dim;
-  const std::size_t m = config_.mlp_dim;
+  constexpr std::size_t d0 = GnnConfig::kInputDim;
+  constexpr std::size_t h = GnnConfig::kHiddenDim;
+  constexpr std::size_t m = GnnConfig::kMlpDim;
 
   // MLP head.
   g_mlp_b2_ += dlogit;
@@ -433,49 +395,63 @@ void Gnn::backward(const Subgraph& sample, GnnScratch& scratch,
     scratch.d_mlp_z[k] = scratch.mlp_z[k] > 0.0 ? scratch.d_mlp_h[k] : 0.0;
     g_mlp_b1_[k] += scratch.d_mlp_z[k];
   }
+  // d_mlp_z is ReLU-masked too: its zero entries are skipped, exactly as
+  // in the masked kernels (every sum here starts at +0.0).
   scratch.d_pooled.assign(h, 0.0);
-  for (std::size_t a = 0; a < h; ++a) {
-    for (std::size_t k = 0; k < m; ++k) {
-      g_mlp_w1_.at(a, k) += scratch.pooled[a] * scratch.d_mlp_z[k];
-      scratch.d_pooled[a] += mlp_w1_.at(a, k) * scratch.d_mlp_z[k];
+  for (std::size_t k = 0; k < m; ++k) {
+    const double dz = scratch.d_mlp_z[k];
+    if (dz == 0.0) continue;
+    for (std::size_t a = 0; a < h; ++a) {
+      g_mlp_w1_.at(a, k) += scratch.pooled[a] * dz;
+      scratch.d_pooled[a] += mlp_w1_.at(a, k) * dz;
     }
   }
 
-  // Un-pool (mean): every node row receives d_pooled / n.
-  scratch.d_h2.reshape(n, h);
+  // Un-pool (mean): every row of d_h2 is the same row d_pooled / n.
+  scratch.d_h2_row.resize(h);
   const double inv_n = n > 0 ? 1.0 / static_cast<double>(n) : 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < h; ++k) {
-      scratch.d_h2.at(i, k) = scratch.d_pooled[k] * inv_n;
-    }
+  for (std::size_t k = 0; k < h; ++k) {
+    scratch.d_h2_row[k] = scratch.d_pooled[k] * inv_n;
   }
 
-  // Layer 2 backward.
+  // Layer 2 backward: d_z2 is that row masked by z2 > 0.
   scratch.d_z2.reshape(n, h);
-  for (std::size_t idx = 0; idx < scratch.d_z2.data.size(); ++idx) {
-    scratch.d_z2.data[idx] =
-        scratch.z2.data[idx] > 0.0 ? scratch.d_h2.data[idx] : 0.0;
+  scratch.z2_mask.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.z2_mask[i] =
+        relu_grad_row(&scratch.z2.data[i * h], scratch.d_h2_row.data(),
+                      &scratch.d_z2.data[i * h]);
   }
-  detail::gemm_at(scratch.h1.data.data(), scratch.d_z2.data.data(),
-                  g_layer2_.w_self.data.data(), n, h, h);
-  detail::gemm_at(scratch.agg1.data.data(), scratch.d_z2.data.data(),
-                  g_layer2_.w_neigh.data.data(), n, h, h);
+  detail::gemm_at_masked(scratch.h1.data.data(), scratch.h1_mask.data(),
+                         scratch.d_z2.data.data(),
+                         g_layer2_.w_self.data.data(), n, h);
+  detail::gemm_at_masked(scratch.agg1.data.data(), scratch.agg1_mask.data(),
+                         scratch.d_z2.data.data(),
+                         g_layer2_.w_neigh.data.data(), n, h);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = 0; k < h; ++k) {
       g_layer2_.bias[k] += scratch.d_z2.at(i, k);
     }
   }
-  // d_h1 = d_z2 * W2s^T; d_agg1 = d_z2 * W2n^T. The weight transpose is
-  // staged explicitly so both products run on the row-major kernel.
+  // d_h1 = d_z2 * W2s^T and d_agg1 = d_z2 * W2n^T. Each term
+  // d_z2[i][j] * W[q][j] is either 0 or d_h2_row[j] * W[q][j], so both are
+  // sums of the active rows of g_wt = d_h2_row (.) W^T.
+  auto stage_g_wt = [&](const Mat& w) {
+    scratch.g_wt.reshape(h, h);
+    for (std::size_t j = 0; j < h; ++j) {
+      for (std::size_t q = 0; q < h; ++q) {
+        scratch.g_wt.at(j, q) = scratch.d_h2_row[j] * w.at(q, j);
+      }
+    }
+  };
   scratch.d_h1.reshape(n, h);
   scratch.d_agg1.reshape(n, h);
-  scratch.w_t.reshape(h, h);
-  detail::transpose(layer2_.w_self.data.data(), scratch.w_t.data.data(), h, h);
-  detail::gemm(scratch.d_z2.data.data(), scratch.w_t.data.data(),
-               scratch.d_h1.data.data(), n, h, h, false);
-  detail::transpose(layer2_.w_neigh.data.data(), scratch.w_t.data.data(), h, h);
-  detail::gemm(scratch.d_z2.data.data(), scratch.w_t.data.data(),
-               scratch.d_agg1.data.data(), n, h, h, false);
+  stage_g_wt(layer2_.w_self);
+  detail::masked_row_sum(scratch.z2_mask.data(), scratch.g_wt.data.data(),
+                         scratch.d_h1.data.data(), n);
+  stage_g_wt(layer2_.w_neigh);
+  detail::masked_row_sum(scratch.z2_mask.data(), scratch.g_wt.data.data(),
+                         scratch.d_agg1.data.data(), n);
   // Transpose of mean aggregation over the CSR rows:
   // d_h1[j] += sum_{i : j in N(i)} d_agg1[i] / |N(i)|.
   for (std::size_t i = 0; i < n; ++i) {
@@ -493,14 +469,16 @@ void Gnn::backward(const Subgraph& sample, GnnScratch& scratch,
 
   // Layer 1 backward.
   scratch.d_z1.reshape(n, h);
-  for (std::size_t idx = 0; idx < scratch.d_z1.data.size(); ++idx) {
-    scratch.d_z1.data[idx] =
-        scratch.z1.data[idx] > 0.0 ? scratch.d_h1.data[idx] : 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    relu_grad_row(&scratch.z1.data[i * h], &scratch.d_h1.data[i * h],
+                  &scratch.d_z1.data[i * h]);
   }
-  detail::gemm_at(scratch.x.data.data(), scratch.d_z1.data.data(),
-                  g_layer1_.w_self.data.data(), n, d0, h);
-  detail::gemm_at(scratch.agg0.data.data(), scratch.d_z1.data.data(),
-                  g_layer1_.w_neigh.data.data(), n, d0, h);
+  detail::gemm_at_masked(scratch.x.data.data(), scratch.x_mask.data(),
+                         scratch.d_z1.data.data(),
+                         g_layer1_.w_self.data.data(), n, d0);
+  detail::gemm_at_masked(scratch.agg0.data.data(), scratch.agg0_mask.data(),
+                         scratch.d_z1.data.data(),
+                         g_layer1_.w_neigh.data.data(), n, d0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = 0; k < h; ++k) {
       g_layer1_.bias[k] += scratch.d_z1.at(i, k);
@@ -529,7 +507,7 @@ void Gnn::adam_step() {
       const double v_hat = state.v[i] / bias2;
       param[i] -= config_.learning_rate *
                   (m_hat / (std::sqrt(v_hat) + kEps) +
-                   config_.weight_decay * param[i]);
+                   GnnConfig::kWeightDecay * param[i]);
       grad[i] = 0.0;
     }
   }
@@ -554,9 +532,9 @@ double Gnn::train_epoch(const std::vector<Subgraph>& samples,
     loss_sum += -(sample.label * std::log(p) +
                   (1.0 - sample.label) * std::log(1.0 - p));
     const double dlogit = (scratch.prob - sample.label) /
-                          static_cast<double>(config_.batch_size);
+                          static_cast<double>(GnnConfig::kBatchSize);
     backward(sample, scratch, dlogit);
-    if (++in_batch == config_.batch_size || pos + 1 == order.size()) {
+    if (++in_batch == GnnConfig::kBatchSize || pos + 1 == order.size()) {
       adam_step();
       in_batch = 0;
     }

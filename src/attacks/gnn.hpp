@@ -6,12 +6,17 @@
 // This is the stand-in for MuxLink's DGCNN (see DESIGN.md §4): same attack
 // surface (learned link prediction over enclosing subgraphs), CPU-sized.
 //
-// The dense work runs through small register-blocked GEMM micro-kernels
-// (detail::gemm*) over buffers that live in GnnScratch, so a training epoch
-// allocates nothing once the scratch is warm. Every kernel accumulates each
-// output element with the reduction loop innermost and ascending — exactly
-// the naive triple-loop order — so kernel and naive results are
-// bit-identical.
+// Most of what the network multiplies is zero: the layer-1 input is one-hot
+// heavy (about 12% nonzero, its neighbour mean about 19%) and ReLU zeroes
+// about half of every hidden row. Each left operand therefore carries one
+// 64-bit mask per row, built in the pass that produces the row, and the
+// products run through masked micro-kernels (detail::gemm_masked*) that
+// visit only the marked columns, ascending. A skipped term is a ±0.0
+// product, and every sum it would join starts at +0.0 (a fresh accumulator,
+// or a gradient Adam has reset), which addition never turns into −0.0; so
+// skipping it leaves the sum unchanged and the kernels are bit-identical to
+// the dense naive triple loop. All buffers live in GnnScratch, so a
+// training epoch allocates nothing once the scratch is warm.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +28,14 @@
 namespace autolock::attack {
 
 struct GnnConfig {
-  std::size_t input_dim = kFeatureDim;
-  std::size_t hidden_dim = 32;
-  std::size_t mlp_dim = 16;
+  // The architecture is fixed: the kernels below are built for it.
+  static constexpr std::size_t kInputDim = kFeatureDim;
+  static constexpr std::size_t kHiddenDim = 32;
+  static constexpr std::size_t kMlpDim = 16;
+  static constexpr std::size_t kBatchSize = 32;
+  static constexpr double kWeightDecay = 1e-5;
+
   double learning_rate = 5e-3;
-  double weight_decay = 1e-5;
-  std::size_t batch_size = 32;
 };
 
 /// Dense row-major matrix, minimal on purpose.
@@ -53,26 +60,34 @@ struct Mat {
 
 namespace detail {
 
-// Register-blocked GEMM micro-kernels (row-major, restrict-qualified inside).
-// All three keep the reduction loop innermost and ascending per output
-// element, so results match a naive triple loop bit-for-bit. Exposed for
-// tests and benchmarks.
+// Masked micro-kernels (row-major, restrict-qualified inside). The right
+// operand and the output are kKernelWidth (= hidden size) columns wide; the
+// left operand has k <= 64 columns. Bit p of mask[i] marks a[i][p]: a mask
+// must mark every nonzero entry of its row and may mark zeros too. Each
+// output element sums its marked terms in ascending reduction order, so a
+// kernel matches the dense naive triple loop bit-for-bit as long as nothing
+// it accumulates onto holds −0.0. Exposed for tests and benchmarks.
 
-/// c(m x n) = (or +=) a(m x k) * b(k x n).
-void gemm(const double* a, const double* b, double* c, std::size_t m,
-          std::size_t k, std::size_t n, bool accumulate);
+inline constexpr std::size_t kKernelWidth = GnnConfig::kHiddenDim;
 
-/// c(k x n) += a(m x k)^T * d(m x n) (weight-gradient shape; the reduction
-/// runs over the m rows, ascending).
-void gemm_at(const double* a, const double* d, double* c, std::size_t m,
-             std::size_t k, std::size_t n);
+/// mask[i] marks the nonzero entries of row i of a(m x k).
+void row_masks(const double* a, std::size_t m, std::size_t k,
+               std::uint64_t* mask);
 
-/// out(cols x rows) = in(rows x cols)^T. Backward needs a handful of
-/// weight-transposed products; an explicit 32x32 transpose (~1% of the GEMM
-/// it feeds) keeps every product on the fast row-major kernel instead of a
-/// strided-load variant.
-void transpose(const double* in, double* out, std::size_t rows,
-               std::size_t cols);
+/// c(m x 32) = (or +=) a(m x k) * b(k x 32).
+void gemm_masked(const double* a, const std::uint64_t* mask, const double* b,
+                 double* c, std::size_t m, std::size_t k, bool accumulate);
+
+/// c(k x 32) += a(m x k)^T * d(m x 32) (weight-gradient shape; each element
+/// sums over the rows of a, ascending).
+void gemm_at_masked(const double* a, const std::uint64_t* mask,
+                    const double* d, double* c, std::size_t m, std::size_t k);
+
+/// c(m x 32) = sum of the rows t[p] that mask[i] marks, ascending p. With
+/// t[p][q] = g[p] * w[q][p] this is the product d * w^T for a d whose row i
+/// is g where mask[i] is set and 0 elsewhere, without its multiplies.
+void masked_row_sum(const std::uint64_t* mask, const double* t, double* c,
+                    std::size_t m);
 
 }  // namespace detail
 
@@ -85,18 +100,22 @@ struct GnnScratch {
   // CSR adjacency of the current sample (neighbor list order preserved).
   std::vector<std::uint32_t> adj_offsets;
   std::vector<std::uint32_t> adj_edges;
-  // Forward activations, one per message-passing stage.
+  // Forward activations, one per message-passing stage, with the row
+  // masks of the ones that feed a product.
   Mat x;             // input features
   Mat agg0, z1, h1;  // layer 1: neighbor mean, pre-activation, activation
   Mat agg1, z2, h2;  // layer 2
+  std::vector<std::uint64_t> x_mask, agg0_mask, h1_mask, agg1_mask;
+  std::vector<std::uint64_t> z2_mask;  // z2 > 0: the nonzeros of d_z2
   std::vector<double> pooled;        // mean-pooled h2
   std::vector<double> mlp_z, mlp_h;  // MLP hidden pre/post activation
   double logit = 0.0;
   double prob = 0.0;
   // Backward temporaries.
-  Mat d_h2, d_z2, d_h1, d_agg1, d_z1;
-  Mat w_t;  // transposed weight staging for the d_h1/d_agg1 products
+  Mat d_z2, d_h1, d_agg1, d_z1;
+  Mat g_wt;  // d_h2's shared row times a transposed layer-2 weight
   std::vector<double> d_mlp_h, d_mlp_z, d_pooled;
+  std::vector<double> d_h2_row;  // every row of d_h2: d_pooled / n
 };
 
 class Gnn {

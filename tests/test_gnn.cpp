@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -154,12 +155,15 @@ TEST(Gnn, EmptyEpochIsZeroLoss) {
   EXPECT_EQ(model.train_epoch({}, {}), 0.0);
 }
 
-// ---- GEMM micro-kernels vs naive reference ---------------------------------
+// ---- masked micro-kernels vs naive reference --------------------------------
 
-// The blocked kernels promise bit-identical results to the naive triple
-// loop (reduction innermost, ascending). Exercised over shapes that hit
-// every tile/remainder combination, including the ragged row counts the
-// per-sample GNN passes produce.
+// The masked kernels promise bit-identical results to the dense naive triple
+// loop (reduction innermost, ascending) while skipping the entries their row
+// masks leave out. The operands plant the zero patterns the GNN produces:
+// one-hot rows, half-zero (ReLU) rows, all-zero rows, a row whose only
+// nonzero is its last column, and -0.0 entries (ReLU of -0.0 keeps the sign).
+
+constexpr std::size_t kWidth = detail::kKernelWidth;
 
 void naive_gemm(const std::vector<double>& a, const std::vector<double>& b,
                 std::vector<double>& c, std::size_t m, std::size_t k,
@@ -191,59 +195,163 @@ std::vector<double> random_buffer(std::size_t size, util::Rng& rng) {
   return buffer;
 }
 
-TEST(GnnKernels, GemmMatchesNaiveReferenceExactly) {
+/// An m x k left operand whose rows cycle through the planted patterns.
+std::vector<double> planted_zeros(std::size_t m, std::size_t k,
+                                  util::Rng& rng) {
+  std::vector<double> a(m * k, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    double* row = &a[i * k];
+    switch (i % 6) {
+      case 0:  // one-hot
+        row[rng.next_below(k)] = 1.0;
+        break;
+      case 1:  // half zeros, some of them -0.0
+        for (std::size_t p = 0; p < k; ++p) {
+          const double v = 2.0 * rng.next_double() - 1.0;
+          row[p] = v > 0.0 ? v : (p % 3 == 0 ? -0.0 : 0.0);
+        }
+        break;
+      case 2:  // all zero
+        break;
+      case 3:  // only the last column
+        row[k - 1] = 2.0 * rng.next_double() - 1.0;
+        break;
+      case 4:  // every entry -0.0
+        for (std::size_t p = 0; p < k; ++p) row[p] = -0.0;
+        break;
+      default:  // dense
+        for (std::size_t p = 0; p < k; ++p) {
+          row[p] = 2.0 * rng.next_double() - 1.0;
+        }
+    }
+  }
+  return a;
+}
+
+std::vector<std::uint64_t> masks_of(const std::vector<double>& a,
+                                    std::size_t m, std::size_t k) {
+  std::vector<std::uint64_t> mask(m);
+  detail::row_masks(a.data(), m, k, mask.data());
+  return mask;
+}
+
+void expect_bit_identical(const std::vector<double>& got,
+                          const std::vector<double>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::signbit(got[i]), std::signbit(want[i]))
+        << what << " element " << i;
+    ASSERT_EQ(got[i], want[i]) << what << " element " << i;
+  }
+}
+
+TEST(GnnKernels, RowMasksMarkExactlyTheNonzeros) {
+  util::Rng rng(0x6E10);
+  const std::size_t m = 12, k = 26;
+  const auto a = planted_zeros(m, k, rng);
+  const auto mask = masks_of(a, m, k);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      EXPECT_EQ((mask[i] >> p) & 1, a[i * k + p] != 0.0 ? 1u : 0u)
+          << "row " << i << " column " << p;
+    }
+    EXPECT_EQ(mask[i] >> k, 0u) << "row " << i;
+  }
+  EXPECT_EQ(mask[3], std::uint64_t{1} << (k - 1));  // only the last column
+  EXPECT_EQ(mask[4], 0u);                           // all -0.0
+}
+
+TEST(GnnKernels, GemmMaskedMatchesNaiveReferenceExactly) {
   util::Rng rng(0x6E11);
-  const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},   {4, 8, 8},
-                                   {8, 32, 32}, {19, 28, 32}, {48, 32, 32},
-                                   {5, 32, 16}, {33, 17, 9},  {48, 32, 37}};
-  for (const auto& shape : shapes) {
-    const std::size_t m = shape[0], k = shape[1], n = shape[2];
-    const auto a = random_buffer(m * k, rng);
-    const auto b = random_buffer(k * n, rng);
-    for (const bool accumulate : {false, true}) {
-      auto c_kernel = random_buffer(m * n, rng);
-      auto c_naive = c_kernel;
-      detail::gemm(a.data(), b.data(), c_kernel.data(), m, k, n, accumulate);
-      naive_gemm(a, b, c_naive, m, k, n, accumulate);
-      for (std::size_t i = 0; i < c_kernel.size(); ++i) {
-        ASSERT_EQ(c_kernel[i], c_naive[i])
-            << m << "x" << k << "x" << n << " accumulate=" << accumulate
-            << " element " << i;
+  for (const std::size_t k : {std::size_t{26}, std::size_t{32}}) {
+    for (std::size_t m = 1; m <= 64; ++m) {
+      const auto a = planted_zeros(m, k, rng);
+      const auto mask = masks_of(a, m, k);
+      const auto b = random_buffer(k * kWidth, rng);
+      for (const bool accumulate : {false, true}) {
+        auto c_kernel = random_buffer(m * kWidth, rng);
+        auto c_naive = c_kernel;
+        detail::gemm_masked(a.data(), mask.data(), b.data(), c_kernel.data(),
+                            m, k, accumulate);
+        naive_gemm(a, b, c_naive, m, k, kWidth, accumulate);
+        expect_bit_identical(c_kernel, c_naive,
+                             std::to_string(m) + "x" + std::to_string(k) +
+                                 " accumulate=" + std::to_string(accumulate));
       }
     }
   }
 }
 
-TEST(GnnKernels, GemmAtMatchesNaiveReferenceExactly) {
+TEST(GnnKernels, GemmMaskedAcceptsMasksThatAlsoMarkZeros) {
+  // A row mask may over-approximate (the neighbour-mean masks are ORs of
+  // the neighbours' masks): marked zeros add the same +-0.0 terms as dense.
+  util::Rng rng(0x6E14);
+  const std::size_t m = 19, k = 32;
+  const auto a = planted_zeros(m, k, rng);
+  std::vector<std::uint64_t> mask = masks_of(a, m, k);
+  for (std::size_t i = 0; i < m; ++i) mask[i] |= rng() & 0xFFFFFFFFULL;
+  const auto b = random_buffer(k * kWidth, rng);
+  std::vector<double> c_kernel(m * kWidth), c_naive(m * kWidth);
+  detail::gemm_masked(a.data(), mask.data(), b.data(), c_kernel.data(), m, k,
+                      false);
+  naive_gemm(a, b, c_naive, m, k, kWidth, false);
+  expect_bit_identical(c_kernel, c_naive, "over-approximate mask");
+}
+
+TEST(GnnKernels, GemmAtMaskedMatchesNaiveReferenceExactly) {
   util::Rng rng(0x6E12);
-  const std::size_t shapes[][3] = {{1, 1, 1},    {5, 3, 7},   {48, 32, 32},
-                                   {19, 28, 32}, {7, 33, 9},  {48, 32, 16}};
-  for (const auto& shape : shapes) {
-    const std::size_t m = shape[0], k = shape[1], n = shape[2];
-    const auto a = random_buffer(m * k, rng);
-    const auto d = random_buffer(m * n, rng);
-    auto c_kernel = random_buffer(k * n, rng);  // accumulates into grads
-    auto c_naive = c_kernel;
-    detail::gemm_at(a.data(), d.data(), c_kernel.data(), m, k, n);
-    naive_gemm_at(a, d, c_naive, m, k, n);
-    for (std::size_t i = 0; i < c_kernel.size(); ++i) {
-      ASSERT_EQ(c_kernel[i], c_naive[i])
-          << m << "x" << k << "x" << n << " element " << i;
+  // m past 64 exercises the kernel's 64-row chunks.
+  for (const std::size_t k : {std::size_t{26}, std::size_t{32}}) {
+    for (std::size_t m = 1; m <= 70; ++m) {
+      const auto a = planted_zeros(m, k, rng);
+      const auto mask = masks_of(a, m, k);
+      const auto d = random_buffer(m * kWidth, rng);
+      for (const bool fresh : {true, false}) {
+        // A fresh gradient starts at +0.0; a running one holds earlier sums.
+        auto c_kernel = fresh ? std::vector<double>(k * kWidth, 0.0)
+                              : random_buffer(k * kWidth, rng);
+        auto c_naive = c_kernel;
+        detail::gemm_at_masked(a.data(), mask.data(), d.data(),
+                               c_kernel.data(), m, k);
+        naive_gemm_at(a, d, c_naive, m, k, kWidth);
+        expect_bit_identical(c_kernel, c_naive,
+                             std::to_string(m) + "x" + std::to_string(k) +
+                                 " fresh=" + std::to_string(fresh));
+      }
     }
   }
 }
 
-TEST(GnnKernels, TransposeIsExact) {
+TEST(GnnKernels, MaskedRowSumMatchesNaiveTransposedProductExactly) {
+  // d_h1 = d_z2 * W^T where every row of d_z2 is g masked by z2 > 0: the
+  // kernel sums rows of g (.) W^T and must equal the naive product.
   util::Rng rng(0x6E13);
-  const auto in = random_buffer(7 * 13, rng);
-  std::vector<double> out(13 * 7), back(7 * 13);
-  detail::transpose(in.data(), out.data(), 7, 13);
-  detail::transpose(out.data(), back.data(), 13, 7);
-  EXPECT_EQ(in, back);
-  for (std::size_t r = 0; r < 7; ++r) {
-    for (std::size_t c = 0; c < 13; ++c) {
-      ASSERT_EQ(out[c * 7 + r], in[r * 13 + c]);
+  const std::size_t h = kWidth;
+  for (std::size_t m = 1; m <= 64; ++m) {
+    const auto g = random_buffer(h, rng);
+    const auto w = random_buffer(h * h, rng);
+    const auto z = planted_zeros(m, h, rng);
+    std::vector<double> d(m * h);
+    std::vector<std::uint64_t> mask(m, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < h; ++j) {
+        const bool active = z[i * h + j] > 0.0;
+        d[i * h + j] = active ? g[j] : 0.0;
+        mask[i] |= static_cast<std::uint64_t>(active) << j;
+      }
     }
+    std::vector<double> t(h * h), w_t(h * h);
+    for (std::size_t j = 0; j < h; ++j) {
+      for (std::size_t q = 0; q < h; ++q) {
+        t[j * h + q] = g[j] * w[q * h + j];
+        w_t[j * h + q] = w[q * h + j];
+      }
+    }
+    std::vector<double> c_kernel(m * h), c_naive(m * h);
+    detail::masked_row_sum(mask.data(), t.data(), c_kernel.data(), m);
+    naive_gemm(d, w_t, c_naive, m, h, h, false);
+    expect_bit_identical(c_kernel, c_naive, "m=" + std::to_string(m));
   }
 }
 
