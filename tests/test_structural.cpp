@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "locking/antisat.hpp"
+#include "locking/mux_lock.hpp"
 #include "locking/rll.hpp"
 #include "netlist/generator.hpp"
 
@@ -75,6 +79,41 @@ TEST(Structural, TrainingLossDecreases) {
   const auto result = attacker.attack(design.netlist);
   EXPECT_LT(result.last_epoch_loss, result.first_epoch_loss);
   EXPECT_GT(result.train_samples, 0u);
+}
+
+// The default predictor on c880 D-MUX K = 32, pinned bit for bit: sample
+// count, losses, forced decisions and margins. The training-link sampler
+// and the key-bit decision loop are shared with MuxLink, so a change here
+// means the structural attack's numerics or RNG draw order moved.
+TEST(Structural, PinnedDefaultConfigC880) {
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 1);
+  const auto design = lock::dmux_lock(original, 32, 1);
+  const auto result = StructuralLinkPredictor().attack(design.netlist);
+  EXPECT_EQ(result.train_samples, 1520u);
+  EXPECT_EQ(result.first_epoch_loss, 0.33373004917179933);
+  EXPECT_EQ(result.last_epoch_loss, 0.23608433410700069);
+  std::string bits;
+  for (const int bit : result.predicted_bits) {
+    bits += static_cast<char>('0' + bit);
+  }
+  EXPECT_EQ(bits, "10000110100101000010101011111001");
+  const std::vector<double> margins = {
+      0.026526526644347681, 0.49531939668241476,  0.46708416044762879,
+      0.11598064371814425,  0.41291155966436355,  0.45703389839779918,
+      0.076428856877885365, 0.09859414071038386,  0.0078770679446398262,
+      0.36297245056657451,  0.0011784315020330616, 0.034428825767241288,
+      0.04521788792156789,  0.46283524022772649,  0.03515489661711331,
+      0.012824101821672276, 0.0087207247336224467, 0.44284462535171243,
+      0.012704368024454031, 0.3405782038463982,   0.017750791494453008,
+      0.42139575576766281,  0.0069061676894204664, 0.027290560305925974,
+      0.45327717186518779,  0.41646264333670202,  0.41231543930622705,
+      0.47205710123186823,  0.1218655247270487,   0.49162679632857642,
+      0.1074485537872556,   0.01755536173409758};
+  ASSERT_EQ(result.margins.size(), margins.size());
+  for (std::size_t b = 0; b < margins.size(); ++b) {
+    EXPECT_EQ(result.margins[b], margins[b]) << "bit " << b;
+  }
 }
 
 TEST(Structural, MuchFasterThanGnnInSpirit) {
