@@ -27,13 +27,11 @@ int main(int argc, char** argv) {
   // structural attack, constructed by registry name. Single-trajectory
   // searches disable the cache (they budget proposals, not unique
   // genotypes); the GA keeps it.
-  const auto make_pipeline_config = [&](std::uint64_t seed, bool cache,
-                                        std::uint64_t repair_salt) {
+  const auto make_pipeline_config = [&](std::uint64_t seed, bool cache) {
     eval::EvalPipelineConfig config;
     config.attacks = {"structural"};
     config.seed = seed;
     config.cache = cache;
-    config.repair_salt = repair_salt;
     return config;
   };
 
@@ -50,8 +48,7 @@ int main(int argc, char** argv) {
       config.generations = budget / 12 - 1;
       config.seed = seed;
       ga::GeneticAlgorithm engine(original, config);
-      eval::EvalPipeline pipeline(
-          original, make_pipeline_config(seed, true, 0xDEC0DEULL));
+      eval::EvalPipeline pipeline(original, make_pipeline_config(seed, true));
       const auto result = engine.run({.mux_sites = key_bits}, pipeline);
       final_fit.add(result.best.eval.fitness);
       final_acc.add(result.best.eval.attack_accuracy);
@@ -83,24 +80,21 @@ int main(int argc, char** argv) {
     ga::AnnealingConfig config;
     config.evaluations = budget;
     config.seed = seed;
-    eval::EvalPipeline pipeline(original,
-                                make_pipeline_config(seed, false, 0xE7A1ULL));
+    eval::EvalPipeline pipeline(original, make_pipeline_config(seed, false));
     return ga::simulated_annealing(pipeline, {.mux_sites = key_bits}, config);
   });
   add_heuristic("hill climbing", [&](std::uint64_t seed) {
     ga::HillClimbConfig config;
     config.evaluations = budget;
     config.seed = seed;
-    eval::EvalPipeline pipeline(original,
-                                make_pipeline_config(seed, false, 0xE7A1ULL));
+    eval::EvalPipeline pipeline(original, make_pipeline_config(seed, false));
     return ga::hill_climb(pipeline, {.mux_sites = key_bits}, config);
   });
   add_heuristic("random search", [&](std::uint64_t seed) {
     ga::RandomSearchConfig config;
     config.evaluations = budget;
     config.seed = seed;
-    eval::EvalPipeline pipeline(original,
-                                make_pipeline_config(seed, false, 0xE7A1ULL));
+    eval::EvalPipeline pipeline(original, make_pipeline_config(seed, false));
     return ga::random_search(pipeline, {.mux_sites = key_bits}, config);
   });
 

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   pipeline_config.corruption_objective = true;
   pipeline_config.corruption_vectors = 256;
   pipeline_config.seed = config.seed;
-  pipeline_config.repair_salt = 0x2D5642ULL;  // NSGA-II's decode salt
   eval::EvalPipeline pipeline(original, std::move(pipeline_config));
 
   util::Timer timer;
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
   eval::EvalWorkspace workspace;
   int member = 0;
   for (const auto& individual : result.front) {
-    const auto design = engine.decode(individual.genes);
+    const auto design = pipeline.decode(individual.genes);
     const double gnn_acc = gnn->evaluate(design, workspace).accuracy;
     front.add_row({std::to_string(member++),
                    util::fmt_pct(individual.objectives[0]),

@@ -32,7 +32,6 @@ int main() {
   pipeline_config.corruption_objective = true;
   pipeline_config.corruption_vectors = 256;
   pipeline_config.seed = config.seed;
-  pipeline_config.repair_salt = 0x2D5642ULL;  // NSGA-II's decode salt
   eval::EvalPipeline pipeline(original, std::move(pipeline_config));
 
   std::printf("evolving %zu-bit lockings of %s with NSGA-II...\n", kKeyBits,

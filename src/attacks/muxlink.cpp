@@ -27,11 +27,82 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
   util::Rng rng(config_.seed ^ (locked.size() * 0x9E37ULL));
 
   // ---- assemble the self-supervised training set ---------------------------
+  if (!sample_training_links(config_.max_train_links, rng, scratch)) {
+    return result;
+  }
+  const std::vector<CandidateLink>& positives = scratch.positives;
+  const std::vector<CandidateLink>& negatives = scratch.negatives;
+
+  // Assemble training samples into the scratch arena: slots (and their
+  // adjacency/feature buffers) are reused across designs and epochs instead
+  // of building one fresh Subgraph per sample. Slots beyond `sample_count`
+  // may hold stale data from a larger previous design; the training order
+  // below never indexes them.
+  std::vector<Subgraph>& samples = scratch.train_samples;
+  const std::size_t sample_count = positives.size() + negatives.size();
+  if (samples.size() < sample_count) samples.resize(sample_count);
+  std::size_t next_sample = 0;
+  for (const auto& link : positives) {
+    Subgraph& sub = samples[next_sample++];
+    extract_subgraph_into(graph, link.u, link.v, config_.subgraph,
+                          scratch.subgraph, sub);
+    sub.label = 1.0;
+  }
+  for (const auto& link : negatives) {
+    Subgraph& sub = samples[next_sample++];
+    extract_subgraph_into(graph, link.u, link.v, config_.subgraph,
+                          scratch.subgraph, sub);
+    sub.label = 0.0;
+  }
+  result.train_samples = sample_count;
+
+  // ---- train ---------------------------------------------------------------
+  const std::size_t ensemble_size = std::max<std::size_t>(config_.ensemble, 1);
+  std::vector<Gnn> models;
+  models.reserve(ensemble_size);
+  for (std::size_t m = 0; m < ensemble_size; ++m) {
+    models.emplace_back(config_.gnn, config_.seed ^ 0x517EULL ^ (m * 7919));
+  }
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(sample_count);
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+    double loss = 0.0;
+    for (Gnn& model : models) {
+      rng.shuffle(order);
+      loss += model.train_epoch(samples, order, scratch.gnn);
+    }
+    loss /= static_cast<double>(ensemble_size);
+    if (epoch == 0) result.first_epoch_loss = loss;
+    result.last_epoch_loss = loss;
+  }
+
+  // ---- decide every key bit -------------------------------------------------
+  decide_key_bits(graph, config_.decision_threshold,
+                  [&](const CandidateLink& link) {
+                    Subgraph& sub = scratch.inference_subgraph;
+                    extract_subgraph_into(graph, link.u, link.v,
+                                          config_.subgraph, scratch.subgraph,
+                                          sub);
+                    double p = 0.0;
+                    for (const Gnn& model : models) {
+                      p += model.predict(sub, scratch.gnn);
+                    }
+                    return p / static_cast<double>(models.size());
+                  },
+                  result);
+  return result;
+}
+
+bool sample_training_links(std::size_t max_positives, util::Rng& rng,
+                           AttackScratch& scratch) {
+  const AttackGraph& graph = scratch.graph;
+  const netlist::Netlist& locked = graph.locked();
   std::vector<CandidateLink>& positives = scratch.positives;
   positives = graph.known_links();
-  if (positives.size() > config_.max_train_links) {
+  if (positives.size() > max_positives) {
     rng.shuffle(positives);
-    positives.resize(config_.max_train_links);
+    positives.resize(max_positives);
   }
 
   // Present nodes, split into "possible drivers" (anything present) and
@@ -46,7 +117,7 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
     present_nodes.push_back(v);
     if (!locked.node(v).fanins.empty()) present_sinks.push_back(v);
   }
-  if (present_nodes.size() < 4 || present_sinks.empty()) return result;
+  if (present_nodes.size() < 4 || present_sinks.empty()) return false;
 
   auto is_adjacent = [&](NodeId a, NodeId b) {
     const auto list = graph.neighbors(a);
@@ -105,52 +176,12 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
     if (u == v || is_adjacent(u, v)) continue;
     negatives.push_back(CandidateLink{u, v});
   }
+  return true;
+}
 
-  // Assemble training samples into the scratch arena: slots (and their
-  // adjacency/feature buffers) are reused across designs and epochs instead
-  // of building one fresh Subgraph per sample. Slots beyond `sample_count`
-  // may hold stale data from a larger previous design; the training order
-  // below never indexes them.
-  std::vector<Subgraph>& samples = scratch.train_samples;
-  const std::size_t sample_count = positives.size() + negatives.size();
-  if (samples.size() < sample_count) samples.resize(sample_count);
-  std::size_t next_sample = 0;
-  for (const auto& link : positives) {
-    Subgraph& sub = samples[next_sample++];
-    extract_subgraph_into(graph, link.u, link.v, config_.subgraph,
-                          scratch.subgraph, sub);
-    sub.label = 1.0;
-  }
-  for (const auto& link : negatives) {
-    Subgraph& sub = samples[next_sample++];
-    extract_subgraph_into(graph, link.u, link.v, config_.subgraph,
-                          scratch.subgraph, sub);
-    sub.label = 0.0;
-  }
-  result.train_samples = sample_count;
-
-  // ---- train ---------------------------------------------------------------
-  const std::size_t ensemble_size = std::max<std::size_t>(config_.ensemble, 1);
-  std::vector<Gnn> models;
-  models.reserve(ensemble_size);
-  for (std::size_t m = 0; m < ensemble_size; ++m) {
-    models.emplace_back(config_.gnn, config_.seed ^ 0x517EULL ^ (m * 7919));
-  }
-  std::vector<std::size_t>& order = scratch.order;
-  order.resize(sample_count);
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    double loss = 0.0;
-    for (Gnn& model : models) {
-      rng.shuffle(order);
-      loss += model.train_epoch(samples, order, scratch.gnn);
-    }
-    loss /= static_cast<double>(ensemble_size);
-    if (epoch == 0) result.first_epoch_loss = loss;
-    result.last_epoch_loss = loss;
-  }
-
-  // ---- decide every key bit -------------------------------------------------
+void decide_key_bits(const AttackGraph& graph, double threshold,
+                     const std::function<double(const CandidateLink&)>& prob,
+                     MuxLinkResult& result) {
   int max_bit = -1;
   for (const auto& problem : graph.problems()) {
     max_bit = std::max(max_bit, problem.key_bit_index);
@@ -160,19 +191,12 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
   result.thresholded_bits.assign(static_cast<std::size_t>(max_bit) + 1, -1);
   result.bit_attacked.assign(static_cast<std::size_t>(max_bit) + 1, 0);
 
+  auto mean_prob = [&](const std::vector<CandidateLink>& links) {
+    double sum = 0.0;
+    for (const auto& link : links) sum += prob(link);
+    return links.empty() ? 0.5 : sum / static_cast<double>(links.size());
+  };
   for (const auto& problem : graph.problems()) {
-    auto mean_prob = [&](const std::vector<CandidateLink>& links) {
-      double sum = 0.0;
-      for (const auto& link : links) {
-        Subgraph& sub = scratch.inference_subgraph;
-        extract_subgraph_into(graph, link.u, link.v, config_.subgraph,
-                              scratch.subgraph, sub);
-        double p = 0.0;
-        for (const Gnn& model : models) p += model.predict(sub, scratch.gnn);
-        sum += p / static_cast<double>(models.size());
-      }
-      return links.empty() ? 0.5 : sum / static_cast<double>(links.size());
-    };
     const double p0 = mean_prob(problem.if_zero);
     const double p1 = mean_prob(problem.if_one);
     const int bit = problem.key_bit_index;
@@ -180,11 +204,9 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
     const double margin = std::abs(p1 - p0);
     result.predicted_bits[bit] = decision;
     result.margins[bit] = margin;
-    result.thresholded_bits[bit] =
-        margin >= config_.decision_threshold ? decision : -1;
+    result.thresholded_bits[bit] = margin >= threshold ? decision : -1;
     result.bit_attacked[bit] = 1;
   }
-  return result;
 }
 
 MuxLinkScore MuxLinkAttack::score(const MuxLinkResult& result,
@@ -200,14 +222,8 @@ MuxLinkScore MuxLinkAttack::score(const MuxLinkResult& result,
   for (std::size_t bit = 0; bit < correct_key.size(); ++bit) {
     // A bit without a MUX-link hypothesis (non-MUX key gate, or beyond the
     // attacked range) scores as a coin flip: crediting the forced-0 default
-    // would reward the attack for key bits it never examined. Results from
-    // older serializations may lack the mask; fall back to "has a
-    // prediction slot" so hand-built results keep their semantics.
-    const bool bit_attacked =
-        result.bit_attacked.empty()
-            ? bit < result.predicted_bits.size()
-            : bit < result.bit_attacked.size() && result.bit_attacked[bit] != 0;
-    if (!bit_attacked) {
+    // would reward the attack for key bits it never examined.
+    if (bit >= result.bit_attacked.size() || result.bit_attacked[bit] == 0) {
       correct += 0.5;
       continue;
     }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "attacks/attack_graph.hpp"
@@ -24,6 +25,7 @@
 #include "attacks/gnn.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/netlist.hpp"
+#include "util/rng.hpp"
 
 namespace autolock::attack {
 
@@ -102,5 +104,30 @@ class MuxLinkAttack {
  private:
   MuxLinkConfig config_;
 };
+
+// ---- the link-prediction frame MuxLink shares with the structural attack --
+// Both attacks train on the same kind of self-supervised link set and turn
+// link probabilities into key bits the same way; each keeps only its own
+// seed salt, its features and its model.
+
+/// Fills `scratch.positives` and `scratch.negatives` from the graph in
+/// `scratch.graph`. Positives are the design's own wires, shuffled down to
+/// `max_positives` when there are more; as many negatives follow,
+/// alternately a hard one (a false driver 2..3 hops from a random sink)
+/// and a uniform non-link. Returns false (after drawing only the positives'
+/// shuffle) when the graph has fewer than 4 present nodes or no present
+/// sink.
+bool sample_training_links(std::size_t max_positives, util::Rng& rng,
+                           AttackScratch& scratch);
+
+/// Decides every key bit of `graph`: each side of a bit (key = 0 or 1)
+/// scores the mean of `prob` over its candidate links (0.5 for none), the
+/// likelier side is the forced decision, and the margin between the sides
+/// keeps that decision in the thresholded bits when it reaches `threshold`.
+/// Sizes the per-bit vectors of `result` to the highest key bit with a
+/// problem and marks exactly the bits with one as attacked.
+void decide_key_bits(const AttackGraph& graph, double threshold,
+                     const std::function<double(const CandidateLink&)>& prob,
+                     MuxLinkResult& result);
 
 }  // namespace autolock::attack

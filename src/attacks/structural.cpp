@@ -108,74 +108,11 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
   netlist::node_levels_into(locked, scratch.levels);
   const std::vector<std::size_t>& levels = scratch.levels;
 
-  std::vector<CandidateLink>& positives = scratch.positives;
-  positives = graph.known_links();
-  if (positives.size() > config_.max_train_links) {
-    rng.shuffle(positives);
-    positives.resize(config_.max_train_links);
+  if (!sample_training_links(config_.max_train_links, rng, scratch)) {
+    return result;
   }
-  std::vector<NodeId>& present_nodes = scratch.present_nodes;
-  std::vector<NodeId>& present_sinks = scratch.present_sinks;
-  present_nodes.clear();
-  present_sinks.clear();
-  for (NodeId v = 0; v < locked.size(); ++v) {
-    if (!graph.in_graph(v)) continue;
-    present_nodes.push_back(v);
-    if (!locked.node(v).fanins.empty()) present_sinks.push_back(v);
-  }
-  if (present_nodes.size() < 4 || present_sinks.empty()) return result;
-
-  // Mirror the GNN attack's negative mix: half uniform, half hard
-  // (near-the-sink) negatives — see muxlink.cpp for rationale.
-  auto sample_hard_negative = [&](CandidateLink& out) {
-    const NodeId v = present_sinks[rng.next_below(present_sinks.size())];
-    std::vector<NodeId>& ring = scratch.ring;
-    std::vector<NodeId>& frontier = scratch.frontier;
-    std::vector<NodeId>& next = scratch.next_frontier;
-    ring.clear();
-    frontier.clear();
-    frontier.push_back(v);
-    scratch.seen.begin_epoch(locked.size());
-    scratch.seen.mark(v);
-    for (int hop = 1; hop <= 3; ++hop) {
-      next.clear();
-      for (const NodeId x : frontier) {
-        for (const NodeId y : graph.neighbors(x)) {
-          if (!scratch.seen.try_mark(y)) continue;
-          next.push_back(y);
-          if (hop >= 2) ring.push_back(y);
-        }
-      }
-      std::swap(frontier, next);
-      if (ring.size() > 64) break;
-    }
-    if (ring.empty()) return false;
-    out = CandidateLink{ring[rng.next_below(ring.size())], v};
-    return true;
-  };
-
-  std::vector<CandidateLink>& negatives = scratch.negatives;
-  negatives.clear();
-  std::size_t guard = 0;
-  while (negatives.size() < positives.size() &&
-         guard < 100 * positives.size() + 1000) {
-    ++guard;
-    if (negatives.size() % 2 == 0) {
-      CandidateLink hard;
-      if (sample_hard_negative(hard)) {
-        negatives.push_back(hard);
-        continue;
-      }
-    }
-    const NodeId u = present_nodes[rng.next_below(present_nodes.size())];
-    const NodeId v = present_sinks[rng.next_below(present_sinks.size())];
-    if (u == v) continue;
-    const auto nu = graph.neighbors(u);
-    if (std::binary_search(nu.begin(), nu.end(), v)) {
-      continue;
-    }
-    negatives.push_back(CandidateLink{u, v});
-  }
+  const std::vector<CandidateLink>& positives = scratch.positives;
+  const std::vector<CandidateLink>& negatives = scratch.negatives;
 
   struct Sample {
     std::array<double, kPairFeatureDim> x;
@@ -214,34 +151,12 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
     result.last_epoch_loss = loss;
   }
 
-  int max_bit = -1;
-  for (const auto& problem : graph.problems()) {
-    max_bit = std::max(max_bit, problem.key_bit_index);
-  }
-  result.predicted_bits.assign(static_cast<std::size_t>(max_bit) + 1, 0);
-  result.margins.assign(static_cast<std::size_t>(max_bit) + 1, 0.0);
-  result.thresholded_bits.assign(static_cast<std::size_t>(max_bit) + 1, -1);
-  result.bit_attacked.assign(static_cast<std::size_t>(max_bit) + 1, 0);
-
-  for (const auto& problem : graph.problems()) {
-    auto mean_prob = [&](const std::vector<CandidateLink>& links) {
-      double sum = 0.0;
-      for (const auto& link : links) {
-        sum += predict_prob(pair_features(graph, levels, link.u, link.v), w);
-      }
-      return links.empty() ? 0.5 : sum / static_cast<double>(links.size());
-    };
-    const double p0 = mean_prob(problem.if_zero);
-    const double p1 = mean_prob(problem.if_one);
-    const int bit = problem.key_bit_index;
-    const int decision = p1 > p0 ? 1 : 0;
-    const double margin = std::abs(p1 - p0);
-    result.predicted_bits[bit] = decision;
-    result.margins[bit] = margin;
-    result.thresholded_bits[bit] =
-        margin >= config_.decision_threshold ? decision : -1;
-    result.bit_attacked[bit] = 1;
-  }
+  decide_key_bits(graph, config_.decision_threshold,
+                  [&](const CandidateLink& link) {
+                    return predict_prob(
+                        pair_features(graph, levels, link.u, link.v), w);
+                  },
+                  result);
   return result;
 }
 

@@ -7,8 +7,10 @@
 // and (b) an independent second attack vector for multi-objective search
 // (the paper's research-plan item 3).
 //
-// Emits the same MuxLinkResult shape as the GNN attack so scoring and the
-// GA fitness plumbing are shared.
+// It trains on MuxLink's self-supervised link set and decides key bits
+// through MuxLink's decision frame (sample_training_links / decide_key_bits
+// in muxlink.hpp), so it emits the same MuxLinkResult and only its own seed
+// salt, pair features and model differ.
 #pragma once
 
 #include <cstdint>

@@ -83,6 +83,13 @@ CampaignSpec resolve(CampaignSpec spec) {
   require(!spec.fitness_attacks.empty(), "no fitness attacks configured");
   validate_names(spec.fitness_attacks, registry_names, "fitness attack");
 
+  // Budgets the optimizers would reject (or, for the heuristics, turn into
+  // an empty genotype) fail here, before any lock job is queued.
+  require(spec.budget.ga_population >= 2, "ga_population must be >= 2");
+  require(spec.budget.nsga2_population >= 4, "nsga2_population must be >= 4");
+  require(spec.budget.heuristic_evaluations >= 1,
+          "heuristic_evaluations must be >= 1");
+
   for (const auto& scheme : spec.schemes) {
     require(!scheme.name.empty(), "scheme with empty name");
     require(scheme.spec.key_bits() > 0,
@@ -151,7 +158,7 @@ LockJob run_lock_job(const CampaignSpec& spec, const CircuitAxis& circuit,
     ga::GaConfig config;
     config.population = spec.budget.ga_population;
     config.generations = spec.budget.ga_generations;
-    config.elites = std::min<std::size_t>(2, config.population);
+    config.elites = std::min<std::size_t>(2, config.population - 1);
     config.seed = seed;
     ga::GeneticAlgorithm engine(original, config);
     ga::GaResult r = engine.run(scheme.spec, pipeline);
@@ -456,9 +463,10 @@ CampaignSpec full_spec() {
       {"c432", {}, {}},
       {"c880", {}, {}},
       {"c1355", {}, {}},
-      // 100k gates: the GNN/SAT attacks and the population optimizers are
-      // out of budget; the single-trajectory heuristics reuse the
-      // pipeline's SiteContext and the two structural attacks stay cheap.
+      // 100k gates: the GNN/SAT attacks are out of budget, and so are the
+      // population optimizers, which decode and attack up to three times
+      // as many genotypes per lock job as the 8-evaluation heuristics; the
+      // two structural attacks stay cheap.
       {"synth100k", {"scope", "structural"}, {"hillclimb", "random"}},
   };
   return spec;

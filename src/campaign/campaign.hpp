@@ -70,7 +70,9 @@ struct CircuitAxis {
 };
 
 /// Search budgets for the optimizer axis. Campaign cells compare scenarios,
-/// not convergence curves, so the defaults are deliberately small.
+/// not convergence curves, so the defaults are deliberately small. run()
+/// rejects a GA population below 2, an NSGA-II population below 4 and a
+/// heuristic budget below 1 before any cell runs.
 struct OptimizerBudget {
   std::size_t ga_population = 6;
   std::size_t ga_generations = 2;

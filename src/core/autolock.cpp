@@ -70,7 +70,7 @@ AutoLockReport AutoLock::run(const netlist::Netlist& original,
   }
   report.final_accuracy = ga_result.best.eval.attack_accuracy;
   report.accuracy_drop = report.initial_mean_accuracy - report.final_accuracy;
-  report.locked = engine.decode(ga_result.best.genes);
+  report.locked = pipeline.decode(ga_result.best.genes);
   report.locked.netlist.set_name(original.name() + "_autolock");
   report.seconds = timer.elapsed_seconds();
   util::log_info("AutoLock(", original.name(), ", K=", spec.key_bits(),

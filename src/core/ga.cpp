@@ -9,11 +9,9 @@
 
 namespace autolock::ga {
 
-using lock::LockedDesign;
-
 GeneticAlgorithm::GeneticAlgorithm(const netlist::Netlist& original,
                                    GaConfig config)
-    : original_(&original), context_(original), config_(config) {
+    : original_(&original), config_(config) {
   if (config_.population < 2) {
     throw std::invalid_argument("GaConfig: population must be >= 2");
   }
@@ -23,12 +21,6 @@ GeneticAlgorithm::GeneticAlgorithm(const netlist::Netlist& original,
   if (config_.tournament_size == 0) {
     throw std::invalid_argument("GaConfig: tournament_size must be >= 1");
   }
-}
-
-LockedDesign GeneticAlgorithm::decode(const Genotype& genes,
-                                      std::uint64_t repair_seed) const {
-  util::Rng repair_rng(config_.seed ^ repair_seed ^ 0xDEC0DEULL);
-  return lock::apply_genotype(*original_, context_, genes, repair_rng);
 }
 
 Genotype GeneticAlgorithm::select_parent(
@@ -61,28 +53,6 @@ Genotype GeneticAlgorithm::select_parent(
   return population.back().genes;
 }
 
-std::pair<Genotype, Genotype> GeneticAlgorithm::crossover(
-    const Genotype& a, const Genotype& b, util::Rng& rng) const {
-  return GeneOps(context_).crossover(a, b, config_.crossover,
-                                     config_.crossover_rate, rng);
-}
-
-void GeneticAlgorithm::mutate(Genotype& genes, util::Rng& rng) const {
-  GeneOps(context_).mutate(genes, config_.mutation_rate,
-                           config_.key_flip_rate, rng);
-}
-
-GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
-                               const FitnessFn& fitness,
-                               util::ThreadPool* pool) {
-  eval::EvalPipelineConfig pipeline_config;
-  pipeline_config.fitness_override = fitness;
-  pipeline_config.seed = config_.seed;
-  pipeline_config.pool = pool;
-  eval::EvalPipeline pipeline(*original_, std::move(pipeline_config));
-  return run(spec, pipeline);
-}
-
 GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
                                eval::EvalPipeline& pipeline) {
   if (&pipeline.original() != original_) {
@@ -90,12 +60,14 @@ GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
         "GeneticAlgorithm::run: pipeline was built on a different netlist");
   }
   util::Rng rng(config_.seed);
+  const GeneOps ops(pipeline.context());
 
   // ---- initialization: N independent random lockings of spec's shape -----
   std::vector<Individual> population(config_.population);
   for (std::size_t i = 0; i < population.size(); ++i) {
     util::Rng init_rng = rng.fork();
-    population[i].genes = lock::random_genotype(context_, spec, init_rng);
+    population[i].genes =
+        lock::random_genotype(pipeline.context(), spec, init_rng);
   }
 
   GaResult result;
@@ -151,9 +123,10 @@ GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
     while (next.size() < config_.population) {
       const Genotype parent_a = select_parent(population, rng);
       const Genotype parent_b = select_parent(population, rng);
-      auto [child1, child2] = crossover(parent_a, parent_b, rng);
-      mutate(child1, rng);
-      mutate(child2, rng);
+      auto [child1, child2] = ops.crossover(
+          parent_a, parent_b, config_.crossover, config_.crossover_rate, rng);
+      ops.mutate(child1, config_.mutation_rate, config_.key_flip_rate, rng);
+      ops.mutate(child2, config_.mutation_rate, config_.key_flip_rate, rng);
       next.push_back(Individual{std::move(child1), {}});
       if (next.size() < config_.population) {
         next.push_back(Individual{std::move(child2), {}});

@@ -20,22 +20,20 @@
 //
 // Evaluation (genotype decode, attack scoring, the collision-safe fitness
 // cache that skips elites and duplicate offspring, and thread-pool fan-out)
-// lives in eval::EvalPipeline — the GA only runs the evolutionary loop. The
-// FitnessFn overload of run() is a convenience wrapper that builds a
-// single-use pipeline around the callback.
+// lives in eval::EvalPipeline — the GA only runs the evolutionary loop and
+// samples genotypes from the pipeline's SiteContext. Custom fitness
+// callbacks plug into the pipeline (EvalPipelineConfig::fitness_override),
+// and callers decode a returned genotype with EvalPipeline::decode.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "locking/mux_lock.hpp"
-#include "locking/sites.hpp"
 #include "netlist/netlist.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autolock::eval {
 class EvalPipeline;
@@ -75,11 +73,6 @@ struct Evaluation {
   double corruption = 0.0;       // wrong-key output error rate (if measured)
 };
 
-/// Fitness callback: receives the decoded locked design (sites already
-/// repaired and consistent with the genotype). Must be thread-safe — it is
-/// invoked concurrently for different individuals.
-using FitnessFn = std::function<Evaluation(const lock::LockedDesign&)>;
-
 struct Individual {
   Genotype genes;
   Evaluation eval;
@@ -114,28 +107,12 @@ class GeneticAlgorithm {
   /// same original netlist.
   GaResult run(const lock::GenotypeSpec& spec, eval::EvalPipeline& pipeline);
 
-  /// Convenience wrapper: builds a sequential single-use EvalPipeline around
-  /// `fitness` (borrowing `pool` for population fan-out when given) and runs.
-  GaResult run(const lock::GenotypeSpec& spec, const FitnessFn& fitness,
-               util::ThreadPool* pool = nullptr);
-
-  /// Decodes a genotype exactly like the GA does internally (for callers
-  /// that want the netlist of a returned individual).
-  lock::LockedDesign decode(const Genotype& genes,
-                            std::uint64_t repair_seed = 0) const;
-
   const GaConfig& config() const noexcept { return config_; }
-  const lock::SiteContext& context() const noexcept { return context_; }
 
  private:
   Genotype select_parent(const std::vector<Individual>& population,
                          util::Rng& rng) const;
-  std::pair<Genotype, Genotype> crossover(const Genotype& a, const Genotype& b,
-                                          util::Rng& rng) const;
-  void mutate(Genotype& genes, util::Rng& rng) const;
-
   const netlist::Netlist* original_;
-  lock::SiteContext context_;
   GaConfig config_;
 };
 

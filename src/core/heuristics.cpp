@@ -7,8 +7,6 @@
 
 namespace autolock::ga {
 
-using lock::SiteContext;
-
 namespace {
 
 /// All three heuristics share the pipeline's decode/repair/score path; this
@@ -27,27 +25,6 @@ struct PipelineEvaluator {
     return eval;
   }
 };
-
-/// Builds the single-use pipeline backing the FitnessFn overloads. Caching
-/// is off: single-trajectory searches budget proposals, not unique
-/// genotypes, and re-proposing a visited genotype must still cost (and
-/// count as) one evaluation.
-eval::EvalPipelineConfig wrap_fitness(const FitnessFn& fitness,
-                                      std::uint64_t seed) {
-  eval::EvalPipelineConfig config;
-  config.fitness_override = fitness;
-  config.seed = seed;
-  config.repair_salt = 0xE7A1ULL;
-  config.cache = false;
-  return config;
-}
-
-/// Single-gene neighbourhood move shared by hill climbing and annealing;
-/// dispatches on the gene kind through the shared GeneOps operators.
-void mutate_one_gene(Genotype& genes, const SiteContext& context,
-                     double key_flip_rate, util::Rng& rng) {
-  GeneOps(context).mutate_one(genes, key_flip_rate, rng);
-}
 
 }  // namespace
 
@@ -71,19 +48,12 @@ HeuristicResult random_search(eval::EvalPipeline& pipeline,
   return result;
 }
 
-HeuristicResult random_search(const netlist::Netlist& original,
-                              const lock::GenotypeSpec& spec,
-                              const FitnessFn& fitness,
-                              const RandomSearchConfig& config) {
-  eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return random_search(pipeline, spec, config);
-}
-
 HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
                            const lock::GenotypeSpec& spec,
                            const HillClimbConfig& config) {
   util::Rng rng(config.seed ^ 0x41C9ULL);
   PipelineEvaluator evaluator(pipeline);
+  const GeneOps ops(pipeline.context());
   HeuristicResult result;
   result.best.eval.fitness = -1e300;
 
@@ -101,8 +71,7 @@ HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
       stale = 0;
     } else {
       Genotype candidate = current;
-      mutate_one_gene(candidate, pipeline.context(), config.key_flip_rate,
-                      rng);
+      ops.mutate_one(candidate, config.key_flip_rate, rng);
       const Evaluation eval = evaluator.evaluate(candidate);
       if (eval.fitness > current_eval.fitness) {
         current = std::move(candidate);
@@ -121,19 +90,12 @@ HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
   return result;
 }
 
-HeuristicResult hill_climb(const netlist::Netlist& original,
-                           const lock::GenotypeSpec& spec,
-                           const FitnessFn& fitness,
-                           const HillClimbConfig& config) {
-  eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return hill_climb(pipeline, spec, config);
-}
-
 HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
                                     const lock::GenotypeSpec& spec,
                                     const AnnealingConfig& config) {
   util::Rng rng(config.seed ^ 0x5AULL);
   PipelineEvaluator evaluator(pipeline);
+  const GeneOps ops(pipeline.context());
   HeuristicResult result;
   result.best.eval.fitness = -1e300;
 
@@ -146,7 +108,7 @@ HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
   double temperature = config.initial_temperature;
   while (evaluator.evaluations < config.evaluations) {
     Genotype candidate = current;
-    mutate_one_gene(candidate, pipeline.context(), config.key_flip_rate, rng);
+    ops.mutate_one(candidate, config.key_flip_rate, rng);
     const Evaluation eval = evaluator.evaluate(candidate);
     const double delta = eval.fitness - current_eval.fitness;
     const bool accept =
@@ -165,14 +127,6 @@ HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
   }
   result.evaluations = evaluator.evaluations;
   return result;
-}
-
-HeuristicResult simulated_annealing(const netlist::Netlist& original,
-                                    const lock::GenotypeSpec& spec,
-                                    const FitnessFn& fitness,
-                                    const AnnealingConfig& config) {
-  eval::EvalPipeline pipeline(original, wrap_fitness(fitness, config.seed));
-  return simulated_annealing(pipeline, spec, config);
 }
 
 }  // namespace autolock::ga

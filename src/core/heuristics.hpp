@@ -3,9 +3,9 @@
 // evolutionary computation field to better understand what heuristics are
 // more suitable for this form of automation."
 //
-// All three share the GA's genotype, decode/repair path and fitness
-// semantics (higher = better), so results are directly comparable at equal
-// evaluation budgets (see bench_heuristics):
+// All three share the GA's genotype, the eval::EvalPipeline decode/repair
+// path and fitness semantics (higher = better), so results are directly
+// comparable at equal evaluation budgets (see bench_heuristics):
 //
 //   RandomSearch     — i.i.d. random genotypes; the no-intelligence floor.
 //   HillClimb        — first-improvement local search over single-gene moves.
@@ -17,7 +17,6 @@
 
 #include "core/ga.hpp"
 #include "locking/mux_lock.hpp"
-#include "netlist/netlist.hpp"
 
 namespace autolock::eval {
 class EvalPipeline;
@@ -38,20 +37,16 @@ struct RandomSearchConfig {
 };
 
 /// Draws `evaluations` independent random genotypes and keeps the best.
-/// All heuristics evaluate through an eval::EvalPipeline; the FitnessFn
-/// overloads wrap the callback in a single-use pipeline. Pipeline overloads
-/// expect a pipeline built on the same original netlist with caching
-/// disabled (every proposal counts as one evaluation).
+/// All heuristics evaluate through an eval::EvalPipeline (custom fitness
+/// callbacks plug in as its fitness_override) and expect one built on the
+/// same original netlist with caching disabled (every proposal counts as
+/// one evaluation).
 ///
 /// Like the GA and NSGA-II, every heuristic is scheme-polymorphic:
 /// proposals are drawn by random_genotype(context, spec, rng) and moves are
 /// dispatched per gene kind.
 HeuristicResult random_search(eval::EvalPipeline& pipeline,
                               const lock::GenotypeSpec& spec,
-                              const RandomSearchConfig& config);
-HeuristicResult random_search(const netlist::Netlist& original,
-                              const lock::GenotypeSpec& spec,
-                              const FitnessFn& fitness,
                               const RandomSearchConfig& config);
 
 struct HillClimbConfig {
@@ -68,10 +63,6 @@ struct HillClimbConfig {
 HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
                            const lock::GenotypeSpec& spec,
                            const HillClimbConfig& config);
-HeuristicResult hill_climb(const netlist::Netlist& original,
-                           const lock::GenotypeSpec& spec,
-                           const FitnessFn& fitness,
-                           const HillClimbConfig& config);
 
 struct AnnealingConfig {
   std::size_t evaluations = 100;
@@ -85,10 +76,6 @@ struct AnnealingConfig {
 /// Classic simulated annealing (Metropolis criterion on fitness delta).
 HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
                                     const lock::GenotypeSpec& spec,
-                                    const AnnealingConfig& config);
-HeuristicResult simulated_annealing(const netlist::Netlist& original,
-                                    const lock::GenotypeSpec& spec,
-                                    const FitnessFn& fitness,
                                     const AnnealingConfig& config);
 
 }  // namespace autolock::ga

@@ -9,19 +9,11 @@
 
 namespace autolock::ga {
 
-using lock::LockedDesign;
-
 Nsga2::Nsga2(const netlist::Netlist& original, Nsga2Config config)
-    : original_(&original), context_(original), config_(config) {
+    : original_(&original), config_(config) {
   if (config_.population < 4) {
     throw std::invalid_argument("Nsga2Config: population must be >= 4");
   }
-}
-
-LockedDesign Nsga2::decode(const Genotype& genes,
-                           std::uint64_t repair_seed) const {
-  util::Rng repair_rng(config_.seed ^ repair_seed ^ 0x2D5642ULL);
-  return lock::apply_genotype(*original_, context_, genes, repair_rng);
 }
 
 bool Nsga2::dominates(const std::vector<double>& a,
@@ -108,23 +100,6 @@ void Nsga2::assign_crowding(std::vector<MoIndividual>& population,
 }
 
 Nsga2Result Nsga2::run(const lock::GenotypeSpec& spec,
-                       std::size_t num_objectives,
-                       const MultiFitnessFn& fitness,
-                       util::ThreadPool* pool) {
-  eval::EvalPipelineConfig pipeline_config;
-  pipeline_config.objectives_override = fitness;
-  pipeline_config.objectives_override_arity = num_objectives;
-  pipeline_config.seed = config_.seed;
-  pipeline_config.repair_salt = 0x2D5642ULL;
-  pipeline_config.pool = pool;
-  // No cache: this overload historically re-evaluated duplicate offspring,
-  // and the callback may be stateful. Attack-configured pipelines cache.
-  pipeline_config.cache = false;
-  eval::EvalPipeline pipeline(*original_, std::move(pipeline_config));
-  return run(spec, pipeline);
-}
-
-Nsga2Result Nsga2::run(const lock::GenotypeSpec& spec,
                        eval::EvalPipeline& pipeline) {
   if (&pipeline.original() != original_) {
     throw std::invalid_argument(
@@ -141,7 +116,7 @@ Nsga2Result Nsga2::run(const lock::GenotypeSpec& spec,
   // Variation is shared with the single-objective GA through the GeneOps
   // dispatch (core/gene_ops.hpp); the two engines still evolve independent
   // RNG streams in benchmarks.
-  const GeneOps ops(context_);
+  const GeneOps ops(pipeline.context());
   auto crossover = [&](const Genotype& a, const Genotype& b) {
     return ops.crossover(a, b, config_.crossover, config_.crossover_rate, rng);
   };
@@ -159,7 +134,8 @@ Nsga2Result Nsga2::run(const lock::GenotypeSpec& spec,
   std::vector<MoIndividual> population(config_.population);
   for (auto& individual : population) {
     util::Rng init_rng = rng.fork();
-    individual.genes = lock::random_genotype(context_, spec, init_rng);
+    individual.genes =
+        lock::random_genotype(pipeline.context(), spec, init_rng);
   }
   evaluate(population, 0);
   {

@@ -7,27 +7,24 @@
 // environmental selection. Variation operators are shared with the
 // single-objective GA. All objectives are MINIMIZED; callers typically use
 //   { MuxLink accuracy, structural-attack accuracy, 1 - corruption }.
+//
+// Like the GA, NSGA-II only searches: eval::EvalPipeline decodes and scores
+// every genotype (custom objectives plug in as its objectives_override),
+// and callers decode front members with EvalPipeline::decode.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/ga.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/netlist.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autolock::eval {
 class EvalPipeline;
 }  // namespace autolock::eval
 
 namespace autolock::ga {
-
-/// Multi-objective fitness: returns one value per objective, all minimized.
-/// Must be thread-safe.
-using MultiFitnessFn =
-    std::function<std::vector<double>(const lock::LockedDesign&)>;
 
 struct MoIndividual {
   Genotype genes;
@@ -64,15 +61,6 @@ class Nsga2 {
   /// gene kind via core/gene_ops.hpp.
   Nsga2Result run(const lock::GenotypeSpec& spec, eval::EvalPipeline& pipeline);
 
-  /// Convenience wrapper: builds a sequential single-use EvalPipeline around
-  /// `fitness` (borrowing `pool` when given) and runs.
-  Nsga2Result run(const lock::GenotypeSpec& spec, std::size_t num_objectives,
-                  const MultiFitnessFn& fitness,
-                  util::ThreadPool* pool = nullptr);
-
-  lock::LockedDesign decode(const Genotype& genes,
-                            std::uint64_t repair_seed = 0) const;
-
   /// True iff `a` Pareto-dominates `b` (<= everywhere, < somewhere).
   static bool dominates(const std::vector<double>& a,
                         const std::vector<double>& b);
@@ -87,7 +75,6 @@ class Nsga2 {
 
  private:
   const netlist::Netlist* original_;
-  lock::SiteContext context_;
   Nsga2Config config_;
 };
 

@@ -11,6 +11,13 @@ namespace autolock::eval {
 
 using lock::LockedDesign;
 
+namespace {
+
+/// Salt XORed into every decode-time repair RNG seed.
+constexpr std::uint64_t kRepairSalt = 0xDEC0DEULL;
+
+}  // namespace
+
 EvalPipeline::EvalPipeline(const netlist::Netlist& original,
                            EvalPipelineConfig config)
     : original_(&original), context_(original), config_(std::move(config)) {
@@ -40,14 +47,14 @@ std::size_t EvalPipeline::num_objectives() const noexcept {
 
 LockedDesign EvalPipeline::decode(const ga::Genotype& genes,
                                   std::uint64_t repair_seed) const {
-  util::Rng repair_rng(config_.seed ^ repair_seed ^ config_.repair_salt);
+  util::Rng repair_rng(config_.seed ^ repair_seed ^ kRepairSalt);
   return lock::apply_genotype(*original_, context_, genes, repair_rng);
 }
 
 void EvalPipeline::decode_into(EvalWorkspace& workspace,
                                const ga::Genotype& genes,
                                std::uint64_t repair_seed) const {
-  util::Rng repair_rng(config_.seed ^ repair_seed ^ config_.repair_salt);
+  util::Rng repair_rng(config_.seed ^ repair_seed ^ kRepairSalt);
   lock::apply_genotype_into(workspace.design, *original_, context_, genes,
                             repair_rng, workspace.reach);
 }

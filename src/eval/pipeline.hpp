@@ -17,11 +17,14 @@
 //
 // Custom fitness callbacks (tests, synthetic objectives) plug in through
 // fitness_override / objectives_override and ride the same cache and
-// fan-out machinery.
+// fan-out machinery. The optimizers themselves only search: they sample
+// genotypes from context() and hand every one to this class, and callers
+// decode a returned genotype with decode().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,6 +42,15 @@
 #include "util/thread_pool.hpp"
 
 namespace autolock::eval {
+
+/// Custom scalar fitness: receives the decoded locked design (sites already
+/// repaired and consistent with the genotype). Must be thread-safe — it is
+/// invoked concurrently for different individuals.
+using FitnessFn = std::function<ga::Evaluation(const lock::LockedDesign&)>;
+/// Custom objective vector: one value per objective, all minimized. Must be
+/// thread-safe.
+using MultiFitnessFn =
+    std::function<std::vector<double>(const lock::LockedDesign&)>;
 
 struct EvalPipelineConfig {
   /// Registry names of the attacks to run per evaluation. The scalar
@@ -76,17 +88,15 @@ struct EvalPipelineConfig {
   /// heuristics count proposals, not unique genotypes).
   bool cache = true;
 
-  /// Base seed for decode-time gene repair; optimizers pass their own seed
-  /// so runs stay reproducible.
+  /// Base seed for decode-time gene repair (XORed with the per-genotype
+  /// repair seed and a fixed salt); optimizers pass their own seed so runs
+  /// stay reproducible.
   std::uint64_t seed = 0;
-  /// Salt XORed into the repair RNG; each optimizer keeps its historical
-  /// constant so refactoring onto the pipeline left trajectories unchanged.
-  std::uint64_t repair_salt = 0xDEC0DEULL;
 
-  /// Custom scalar fitness; replaces the attack list. Must be thread-safe.
-  ga::FitnessFn fitness_override;
-  /// Custom objective vector; replaces the attack list. Must be thread-safe.
-  ga::MultiFitnessFn objectives_override;
+  /// Custom scalar fitness; replaces the attack list.
+  FitnessFn fitness_override;
+  /// Custom objective vector; replaces the attack list.
+  MultiFitnessFn objectives_override;
   /// Declared arity of objectives_override (0 = unchecked).
   std::size_t objectives_override_arity = 0;
 };

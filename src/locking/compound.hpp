@@ -49,28 +49,4 @@ struct KeyBitSlot {
 /// keyinput<t> (== attack-recovered bit t) back to its owning gene.
 std::vector<KeyBitSlot> key_layout(const Genotype& genes);
 
-/// Alias namespace for call sites that want to spell out that a genotype
-/// may mix schemes — the functions are the ordinary decode entry points.
-namespace compound {
-
-inline LockedDesign apply_genotype(const netlist::Netlist& original,
-                                   const SiteContext& context,
-                                   const Genotype& genes,
-                                   util::Rng& repair_rng,
-                                   const MuxLockOptions& options = {}) {
-  return lock::apply_genotype(original, context, genes, repair_rng, options);
-}
-
-inline void apply_genotype_into(LockedDesign& out,
-                                const netlist::Netlist& original,
-                                const SiteContext& context,
-                                const Genotype& genes, util::Rng& repair_rng,
-                                ReachScratch& scratch,
-                                const MuxLockOptions& options = {}) {
-  lock::apply_genotype_into(out, original, context, genes, repair_rng,
-                            scratch, options);
-}
-
-}  // namespace compound
-
 }  // namespace autolock::lock

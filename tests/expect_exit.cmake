@@ -5,7 +5,8 @@
 #
 # The command runs in WORKDIR, which is emptied first; the check also fails
 # if the command leaves any file behind there (argument errors and --help
-# must not run anything, so they must not write anything either).
+# must not run anything, so they must not write anything either, and the
+# smoke runs print their tables without writing files).
 foreach(var PROGRAM EXPECT WORKDIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "expect_exit.cmake: ${var} is not set")

@@ -11,7 +11,7 @@
 //   - check_report_invariants accepts a sane report and names each
 //     violated invariant;
 //   - resolve-time validation rejects unknown circuit/attack/optimizer
-//     names before any cell runs.
+//     names and budgets the optimizers cannot run before any cell runs.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -189,6 +189,35 @@ TEST(CampaignResolve, RejectsUnknownAxisNames) {
   campaign::CampaignSpec bad_fitness = base;
   bad_fitness.fitness_attacks = {"no-such-attack"};
   EXPECT_THROW(campaign::run(bad_fitness), std::invalid_argument);
+}
+
+// A zero heuristic budget used to return an empty genotype whose zero-key
+// design passed every cell, and a one-individual GA population threw only
+// after lock jobs were on the pool. resolve() now rejects both, and an
+// NSGA-II population below 4, with its own "campaign: " message.
+TEST(CampaignResolve, RejectsBudgetsTheOptimizersCannotRun) {
+  const auto expect_rejected = [](const campaign::CampaignSpec& spec) {
+    try {
+      campaign::run(spec);
+      ADD_FAILURE() << "budget accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("campaign: ", 0), 0u)
+          << error.what();
+    }
+  };
+  const campaign::CampaignSpec base = campaign::quick_spec();
+
+  campaign::CampaignSpec no_heuristic_evaluations = base;
+  no_heuristic_evaluations.budget.heuristic_evaluations = 0;
+  expect_rejected(no_heuristic_evaluations);
+
+  campaign::CampaignSpec single_ga_individual = base;
+  single_ga_individual.budget.ga_population = 1;
+  expect_rejected(single_ga_individual);
+
+  campaign::CampaignSpec small_nsga2_population = base;
+  small_nsga2_population.budget.nsga2_population = 3;
+  expect_rejected(small_nsga2_population);
 }
 
 }  // namespace

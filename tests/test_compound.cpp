@@ -77,8 +77,7 @@ TEST(CompoundKeyLayout, MixedGenotypeRoundTripAndSlotMapping) {
   ASSERT_EQ(genes.size(), 8u);  // 4 MUX + 3 RLL + 1 Anti-SAT
 
   util::Rng repair(9);
-  const auto design =
-      lock::compound::apply_genotype(original, context, genes, repair);
+  const auto design = lock::apply_genotype(original, context, genes, repair);
   ASSERT_EQ(design.key.size(), 11u);  // 4 + 3 + 2*2
   ASSERT_EQ(design.netlist.key_inputs().size(), 11u);
 
@@ -214,7 +213,7 @@ TEST(CompoundGa, PinnedTrajectoryUnderFullAttackRegistry) {
 
   // Every individual decodes 6 + 2 + 1 genes into 6 + 2 + 4 key bits.
   ASSERT_EQ(result.best.genes.size(), 9u);
-  const auto design = ga.decode(result.best.genes);
+  const auto design = pipeline.decode(result.best.genes);
   EXPECT_EQ(design.key.size(), 12u);
   EXPECT_TRUE(lock::verify_unlocks(design, original));
 

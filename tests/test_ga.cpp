@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/pipeline.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 
@@ -19,6 +20,27 @@ Evaluation count_ones_fitness(const lock::LockedDesign& design) {
   eval.fitness = ones / static_cast<double>(design.key.size());
   eval.attack_accuracy = 1.0 - eval.fitness;
   return eval;
+}
+
+/// The pipeline a GA run on count_ones_fitness evaluates through: the
+/// synthetic fitness replaces the attack list, repair draws from the GA's
+/// seed, and `pool` (when given) fans population batches out.
+eval::EvalPipelineConfig counting_ones(std::uint64_t seed,
+                                       util::ThreadPool* pool = nullptr) {
+  eval::EvalPipelineConfig config;
+  config.fitness_override = count_ones_fitness;
+  config.seed = seed;
+  config.pool = pool;
+  return config;
+}
+
+/// Runs `engine` on count_ones_fitness through a single-use pipeline.
+GaResult evolve_ones(GeneticAlgorithm& engine, const Netlist& original,
+                     const lock::GenotypeSpec& spec,
+                     util::ThreadPool* pool = nullptr) {
+  eval::EvalPipeline pipeline(original,
+                              counting_ones(engine.config().seed, pool));
+  return engine.run(spec, pipeline);
 }
 
 GaConfig small_config(std::uint64_t seed) {
@@ -48,7 +70,7 @@ TEST(Ga, ImprovesSyntheticFitness) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 2);
   GeneticAlgorithm engine(original, small_config(7));
-  const GaResult result = engine.run({.mux_sites = 16}, count_ones_fitness);
+  const GaResult result = evolve_ones(engine, original, {.mux_sites = 16});
   ASSERT_FALSE(result.history.empty());
   // Key-bit flipping is trivially learnable: final best must beat initial.
   EXPECT_GT(result.history.back().best_fitness,
@@ -60,7 +82,7 @@ TEST(Ga, ElitismMakesBestFitnessMonotone) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
   GeneticAlgorithm engine(original, small_config(11));
-  const GaResult result = engine.run({.mux_sites = 12}, count_ones_fitness);
+  const GaResult result = evolve_ones(engine, original, {.mux_sites = 12});
   for (std::size_t g = 1; g < result.history.size(); ++g) {
     EXPECT_GE(result.history[g].best_fitness,
               result.history[g - 1].best_fitness - 1e-12);
@@ -72,8 +94,8 @@ TEST(Ga, DeterministicForSameSeed) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 4);
   GeneticAlgorithm a(original, small_config(13));
   GeneticAlgorithm b(original, small_config(13));
-  const GaResult ra = a.run({.mux_sites = 8}, count_ones_fitness);
-  const GaResult rb = b.run({.mux_sites = 8}, count_ones_fitness);
+  const GaResult ra = evolve_ones(a, original, {.mux_sites = 8});
+  const GaResult rb = evolve_ones(b, original, {.mux_sites = 8});
   EXPECT_EQ(ra.best.eval.fitness, rb.best.eval.fitness);
   ASSERT_EQ(ra.best.genes.size(), rb.best.genes.size());
   for (std::size_t i = 0; i < ra.best.genes.size(); ++i) {
@@ -88,7 +110,7 @@ TEST(Ga, FitnessTargetStopsEarly) {
   config.generations = 50;
   config.fitness_target = 0.6;
   GeneticAlgorithm engine(original, config);
-  const GaResult result = engine.run({.mux_sites = 10}, count_ones_fitness);
+  const GaResult result = evolve_ones(engine, original, {.mux_sites = 10});
   EXPECT_TRUE(result.reached_target);
   EXPECT_LT(result.history.size(), 51u);
   EXPECT_GE(result.best.eval.fitness, 0.6);
@@ -98,7 +120,7 @@ TEST(Ga, CacheAvoidsReevaluatingElites) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 6);
   GeneticAlgorithm engine(original, small_config(19));
-  const GaResult result = engine.run({.mux_sites = 8}, count_ones_fitness);
+  const GaResult result = evolve_ones(engine, original, {.mux_sites = 8});
   std::size_t hits = 0;
   for (const auto& stats : result.history) hits += stats.cache_hits;
   EXPECT_GT(hits, 0u);
@@ -110,8 +132,9 @@ TEST(Ga, BestGenotypeDecodesToVerifiedLocking) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 7);
   GeneticAlgorithm engine(original, small_config(23));
-  const GaResult result = engine.run({.mux_sites = 12}, count_ones_fitness);
-  const lock::LockedDesign design = engine.decode(result.best.genes);
+  eval::EvalPipeline pipeline(original, counting_ones(23));
+  const GaResult result = engine.run({.mux_sites = 12}, pipeline);
+  const lock::LockedDesign design = pipeline.decode(result.best.genes);
   EXPECT_EQ(design.key.size(), 12u);
   EXPECT_TRUE(lock::verify_unlocks(design, original));
 }
@@ -122,7 +145,7 @@ TEST(Ga, RouletteSelectionAlsoImproves) {
   GaConfig config = small_config(29);
   config.selection = SelectionOp::kRoulette;
   GeneticAlgorithm engine(original, config);
-  const GaResult result = engine.run({.mux_sites = 12}, count_ones_fitness);
+  const GaResult result = evolve_ones(engine, original, {.mux_sites = 12});
   EXPECT_GE(result.history.back().best_fitness,
             result.history.front().best_fitness);
 }
@@ -133,7 +156,7 @@ TEST(Ga, UniformCrossoverAlsoImproves) {
   GaConfig config = small_config(31);
   config.crossover = CrossoverOp::kUniform;
   GeneticAlgorithm engine(original, config);
-  const GaResult result = engine.run({.mux_sites = 12}, count_ones_fitness);
+  const GaResult result = evolve_ones(engine, original, {.mux_sites = 12});
   EXPECT_GE(result.history.back().best_fitness,
             result.history.front().best_fitness);
 }
@@ -144,8 +167,8 @@ TEST(Ga, ParallelEvaluationMatchesSequentialBest) {
   GeneticAlgorithm a(original, small_config(37));
   GeneticAlgorithm b(original, small_config(37));
   util::ThreadPool pool(3);
-  const GaResult seq = a.run({.mux_sites = 8}, count_ones_fitness, nullptr);
-  const GaResult par = b.run({.mux_sites = 8}, count_ones_fitness, &pool);
+  const GaResult seq = evolve_ones(a, original, {.mux_sites = 8});
+  const GaResult par = evolve_ones(b, original, {.mux_sites = 8}, &pool);
   // The evolution path is identical (same seeds, same deterministic
   // fitness), so results must agree.
   EXPECT_EQ(seq.best.eval.fitness, par.best.eval.fitness);
@@ -157,7 +180,7 @@ TEST(Ga, HistoryRecordsEveryGeneration) {
   GaConfig config = small_config(41);
   config.generations = 5;
   GeneticAlgorithm engine(original, config);
-  const GaResult result = engine.run({.mux_sites = 8}, count_ones_fitness);
+  const GaResult result = evolve_ones(engine, original, {.mux_sites = 8});
   EXPECT_EQ(result.history.size(), 6u);  // gen 0 + 5
   for (std::size_t g = 0; g < result.history.size(); ++g) {
     EXPECT_EQ(result.history[g].generation, g);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/pipeline.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 
@@ -20,14 +21,25 @@ Evaluation count_ones(const lock::LockedDesign& design) {
   return eval;
 }
 
+/// A pipeline scoring proposals with count_ones alone. Caching is off:
+/// single-trajectory searches budget proposals, not unique genotypes.
+eval::EvalPipelineConfig counting_ones(std::uint64_t seed) {
+  eval::EvalPipelineConfig config;
+  config.fitness_override = count_ones;
+  config.seed = seed;
+  config.cache = false;
+  return config;
+}
+
 TEST(RandomSearch, RespectsBudgetAndTrajectoryMonotone) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 1);
   RandomSearchConfig config;
   config.evaluations = 30;
   config.seed = 3;
+  eval::EvalPipeline pipeline(original, counting_ones(config.seed));
   const HeuristicResult result =
-      random_search(original, {.mux_sites = 12}, count_ones, config);
+      random_search(pipeline, {.mux_sites = 12}, config);
   EXPECT_EQ(result.evaluations, 30u);
   EXPECT_EQ(result.trajectory.size(), 30u);
   for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
@@ -42,8 +54,9 @@ TEST(HillClimb, ImprovesOnSyntheticObjective) {
   HillClimbConfig config;
   config.evaluations = 80;
   config.seed = 5;
+  eval::EvalPipeline pipeline(original, counting_ones(config.seed));
   const HeuristicResult result =
-      hill_climb(original, {.mux_sites = 12}, count_ones, config);
+      hill_climb(pipeline, {.mux_sites = 12}, config);
   EXPECT_EQ(result.evaluations, 80u);
   // Key-bit flipping is a perfect hill-climbing landscape: expect near-max.
   EXPECT_GT(result.best.eval.fitness, 0.8);
@@ -59,8 +72,9 @@ TEST(HillClimb, RestartsDoNotLoseBest) {
   config.evaluations = 60;
   config.restart_after = 5;  // frequent restarts
   config.seed = 7;
+  eval::EvalPipeline pipeline(original, counting_ones(config.seed));
   const HeuristicResult result =
-      hill_climb(original, {.mux_sites = 10}, count_ones, config);
+      hill_climb(pipeline, {.mux_sites = 10}, config);
   EXPECT_DOUBLE_EQ(result.trajectory.back(), result.best.eval.fitness);
 }
 
@@ -70,8 +84,9 @@ TEST(SimulatedAnnealing, ImprovesOnSyntheticObjective) {
   AnnealingConfig config;
   config.evaluations = 80;
   config.seed = 9;
+  eval::EvalPipeline pipeline(original, counting_ones(config.seed));
   const HeuristicResult result =
-      simulated_annealing(original, {.mux_sites = 12}, count_ones, config);
+      simulated_annealing(pipeline, {.mux_sites = 12}, config);
   EXPECT_EQ(result.evaluations, 80u);
   EXPECT_GT(result.best.eval.fitness, result.trajectory.front());
 }
@@ -82,10 +97,10 @@ TEST(SimulatedAnnealing, DeterministicPerSeed) {
   AnnealingConfig config;
   config.evaluations = 40;
   config.seed = 11;
-  const auto a =
-      simulated_annealing(original, {.mux_sites = 8}, count_ones, config);
-  const auto b =
-      simulated_annealing(original, {.mux_sites = 8}, count_ones, config);
+  eval::EvalPipeline pipeline_a(original, counting_ones(config.seed));
+  eval::EvalPipeline pipeline_b(original, counting_ones(config.seed));
+  const auto a = simulated_annealing(pipeline_a, {.mux_sites = 8}, config);
+  const auto b = simulated_annealing(pipeline_b, {.mux_sites = 8}, config);
   EXPECT_EQ(a.best.eval.fitness, b.best.eval.fitness);
   EXPECT_EQ(a.trajectory, b.trajectory);
 }
@@ -95,12 +110,9 @@ TEST(Heuristics, BestGenotypesDecodeAndVerify) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 6);
   RandomSearchConfig rs_config;
   rs_config.evaluations = 10;
-  const auto rs =
-      random_search(original, {.mux_sites = 8}, count_ones, rs_config);
-  const lock::SiteContext context(original);
-  util::Rng rng(1);
-  const auto design =
-      lock::apply_genotype(original, context, rs.best.genes, rng);
+  eval::EvalPipeline pipeline(original, counting_ones(rs_config.seed));
+  const auto rs = random_search(pipeline, {.mux_sites = 8}, rs_config);
+  const auto design = pipeline.decode(rs.best.genes);
   EXPECT_TRUE(lock::verify_unlocks(design, original));
 }
 
@@ -115,10 +127,10 @@ TEST(Heuristics, HillClimbBeatsRandomOnLocalStructure) {
   HillClimbConfig hc_config;
   hc_config.evaluations = 50;
   hc_config.seed = 13;
-  const auto rs =
-      random_search(original, {.mux_sites = 16}, count_ones, rs_config);
-  const auto hc =
-      hill_climb(original, {.mux_sites = 16}, count_ones, hc_config);
+  eval::EvalPipeline rs_pipeline(original, counting_ones(rs_config.seed));
+  eval::EvalPipeline hc_pipeline(original, counting_ones(hc_config.seed));
+  const auto rs = random_search(rs_pipeline, {.mux_sites = 16}, rs_config);
+  const auto hc = hill_climb(hc_pipeline, {.mux_sites = 16}, hc_config);
   EXPECT_GE(hc.best.eval.fitness + 0.1, rs.best.eval.fitness);
 }
 

@@ -24,6 +24,7 @@ TEST(MuxLinkScore, ComputedCorrectly) {
   MuxLinkResult result;
   result.predicted_bits = {1, 0, 1, 1};
   result.thresholded_bits = {1, -1, 0, 1};
+  result.bit_attacked = {1, 1, 1, 1};
   const Key truth{true, true, false, true};
   const auto score = MuxLinkAttack::score(result, truth);
   // Forced: bits 0 (1==1), 2 (1!=0 wrong), 1 (0 != 1 wrong), 3 (1==1):

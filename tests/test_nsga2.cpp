@@ -4,12 +4,26 @@
 
 #include <cmath>
 
+#include "eval/pipeline.hpp"
 #include "netlist/generator.hpp"
 
 namespace autolock::ga {
 namespace {
 
 using netlist::Netlist;
+
+/// A pipeline scoring genotypes with `fitness` alone: no attacks, repair
+/// drawn from `seed`, and no cache, so duplicate offspring re-run the
+/// callback.
+eval::EvalPipelineConfig objectives(const eval::MultiFitnessFn& fitness,
+                                    std::size_t arity, std::uint64_t seed) {
+  eval::EvalPipelineConfig config;
+  config.objectives_override = fitness;
+  config.objectives_override_arity = arity;
+  config.seed = seed;
+  config.cache = false;
+  return config;
+}
 
 TEST(Nsga2Static, DominatesBasic) {
   EXPECT_TRUE(Nsga2::dominates({0.0, 0.0}, {1.0, 1.0}));
@@ -89,13 +103,14 @@ TEST(Nsga2, EvolvesTowardBothObjectives) {
   config.generations = 6;
   config.seed = 5;
   Nsga2 engine(original, config);
-  const MultiFitnessFn fitness = [](const lock::LockedDesign& design) {
+  const eval::MultiFitnessFn fitness = [](const lock::LockedDesign& design) {
     double ones = 0.0;
     for (bool bit : design.key) ones += bit ? 1.0 : 0.0;
     const double frac = ones / static_cast<double>(design.key.size());
     return std::vector<double>{1.0 - frac, frac};
   };
-  const Nsga2Result result = engine.run({.mux_sites = 12}, 2, fitness);
+  eval::EvalPipeline pipeline(original, objectives(fitness, 2, config.seed));
+  const Nsga2Result result = engine.run({.mux_sites = 12}, pipeline);
   EXPECT_FALSE(result.front.empty());
   EXPECT_GT(result.evaluations, 16u);
   // Front members are mutually non-dominating.
@@ -112,10 +127,12 @@ TEST(Nsga2, ObjectiveCountMismatchThrows) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
   Nsga2 engine(original, {});
-  const MultiFitnessFn bad = [](const lock::LockedDesign&) {
+  const eval::MultiFitnessFn bad = [](const lock::LockedDesign&) {
     return std::vector<double>{1.0};
   };
-  EXPECT_THROW(engine.run({.mux_sites = 8}, 2, bad), std::runtime_error);
+  eval::EvalPipeline pipeline(original,
+                              objectives(bad, 2, Nsga2Config{}.seed));
+  EXPECT_THROW(engine.run({.mux_sites = 8}, pipeline), std::runtime_error);
 }
 
 TEST(Nsga2, FrontGenotypesDecodeValid) {
@@ -125,14 +142,15 @@ TEST(Nsga2, FrontGenotypesDecodeValid) {
   config.population = 8;
   config.generations = 3;
   Nsga2 engine(original, config);
-  const MultiFitnessFn fitness = [](const lock::LockedDesign& design) {
+  const eval::MultiFitnessFn fitness = [](const lock::LockedDesign& design) {
     double ones = 0.0;
     for (bool bit : design.key) ones += bit ? 1.0 : 0.0;
     return std::vector<double>{ones, design.key.size() - ones};
   };
-  const Nsga2Result result = engine.run({.mux_sites = 6}, 2, fitness);
+  eval::EvalPipeline pipeline(original, objectives(fitness, 2, config.seed));
+  const Nsga2Result result = engine.run({.mux_sites = 6}, pipeline);
   for (const auto& individual : result.front) {
-    const auto design = engine.decode(individual.genes);
+    const auto design = pipeline.decode(individual.genes);
     EXPECT_EQ(design.key.size(), 6u);
     EXPECT_NO_THROW(design.netlist.validate());
   }
