@@ -253,5 +253,28 @@ TEST(MeasureCorruption, BatchedReportIsDeterministicAndSane) {
   EXPECT_LE(a.mean_error_rate, a.max_error_rate);
 }
 
+// Pinned reports (c432 D-MUX K=16): the campaign's shape (16 keys x 128
+// vectors) and a multi-batch shape (100 keys x 96 vectors). Any change to
+// the estimator's orientation or sweep must reproduce them bit for bit.
+TEST(MeasureCorruption, PinnedReportsC432) {
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 51);
+  const auto design = lock::dmux_lock(original, 16, 13);
+
+  const auto wide = lock::measure_corruption(design, original, 100, 96, 17);
+  EXPECT_EQ(wide.keys_sampled, 100u);
+  EXPECT_EQ(wide.min_error_rate, 0.0);
+  EXPECT_EQ(wide.mean_error_rate, 0.10973958333333336);
+  EXPECT_EQ(wide.max_error_rate, 0.20182291666666666);
+  EXPECT_EQ(wide.silent_wrong_keys, 0.02);
+
+  const auto campaign = lock::measure_corruption(design, original, 16, 128, 5);
+  EXPECT_EQ(campaign.keys_sampled, 16u);
+  EXPECT_EQ(campaign.min_error_rate, 0.001953125);
+  EXPECT_EQ(campaign.mean_error_rate, 0.10308837890625);
+  EXPECT_EQ(campaign.max_error_rate, 0.177734375);
+  EXPECT_EQ(campaign.silent_wrong_keys, 0.0);
+}
+
 }  // namespace
 }  // namespace autolock
