@@ -146,76 +146,59 @@ int main(int argc, char** argv) {
            util::fmt(static_cast<double>(ga_config.generations) / s, 3),
            util::fmt(s, 3), std::to_string(result.evaluations)});
     }
-    // ---- corruption probe throughput: single-key loop vs multi-key lanes --
-    // The pipeline's probe shape: 64 wrong keys sharing 4 random vectors.
-    // single-key pays one output_error_rate call per key (2 sweeps each,
-    // vectors rounded up to a 64-lane word); multi-key pays 4 lane-transposed
-    // sweeps plus 1 reference sweep for the whole batch.
+    // ---- corruption probe throughput: single-key loop vs the estimator ---
+    // Two probe shapes: the pipeline's (64 wrong keys sharing 4 random
+    // vectors; keys in lanes, 1 four-column pass) and the campaign's
+    // (16 keys x 128 vectors; vectors in lanes, 8 passes). single-key pays
+    // one output_error_rate call per key (2 sweeps per 64-vector word);
+    // multi-key pays the reference sweeps plus the estimator's passes.
     {
       const auto design = lock::dmux_lock(original, w.key_bits, 7);
       const netlist::Simulator dut(design.netlist);
       const netlist::Simulator reference(original);
-      netlist::SimScratch scratch;
-      const std::size_t probe_keys = 64;
-      const std::size_t probe_vectors = 4;
-
-      util::Rng key_rng(0xBA7C4ULL);
-      std::vector<netlist::Key> wrong_keys;
-      netlist::KeyBatch batch;
-      batch.reset(design.key.size());
-      for (std::size_t k = 0; k < probe_keys; ++k) {
-        netlist::Key wrong = design.key;
-        bool differs = false;
-        while (!differs) {
-          for (std::size_t b = 0; b < wrong.size(); ++b) {
-            wrong[b] = key_rng.next_bool();
-            differs = differs || (wrong[b] != design.key[b]);
+      struct Shape {
+        std::size_t keys, vectors, single_reps, multi_reps;
+        const char* suffix;
+      };
+      const Shape shapes[] = {
+          {64, 4, args.quick ? 10u : 50u, args.quick ? 100u : 2000u, ""},
+          {16, 128, args.quick ? 20u : 500u, args.quick ? 100u : 2000u,
+           " (16x128)"},
+      };
+      for (const Shape& shape : shapes) {
+        const auto wrong_keys = benchx::random_wrong_keys(design, shape.keys);
+        netlist::SimScratch scratch;
+        double sink = 0.0;
+        util::Timer single_timer;
+        for (std::size_t r = 0; r < shape.single_reps; ++r) {
+          util::Rng vec_rng(0x7EC ^ r);
+          for (const auto& wrong : wrong_keys) {
+            sink += netlist::Simulator::output_error_rate(
+                dut, wrong, reference, netlist::Key{}, shape.vectors, vec_rng,
+                scratch);
           }
         }
-        wrong_keys.push_back(wrong);
-        batch.push(wrong);
-      }
+        const double single_s = single_timer.elapsed_seconds();
+        if (sink < 0.0) std::abort();  // keep the loop observable
+        const double single_rate =
+            static_cast<double>(shape.single_reps * shape.keys *
+                                shape.vectors) /
+            single_s;
+        const benchx::ProbeTiming multi = benchx::time_key_error_rates(
+            dut, reference, wrong_keys, shape.vectors, shape.multi_reps);
 
-      const std::size_t single_reps = args.quick ? 10 : 50;
-      double sink = 0.0;
-      util::Timer single_timer;
-      for (std::size_t r = 0; r < single_reps; ++r) {
-        util::Rng vec_rng(0x7EC ^ r);
-        for (const auto& wrong : wrong_keys) {
-          sink += netlist::Simulator::output_error_rate(
-              dut, wrong, reference, netlist::Key{}, probe_vectors, vec_rng,
-              scratch);
-        }
+        const std::string suffix = shape.suffix;
+        corruption_table.add_row({std::string(info.name),
+                                  std::to_string(w.key_bits),
+                                  "single-key" + suffix,
+                                  util::fmt(single_rate, 0),
+                                  util::fmt(single_s, 3), "1.00x"});
+        corruption_table.add_row(
+            {std::string(info.name), std::to_string(w.key_bits),
+             "multi-key" + suffix, util::fmt(multi.probes_per_s, 0),
+             util::fmt(multi.seconds, 3),
+             util::fmt(multi.probes_per_s / single_rate, 2) + "x"});
       }
-      const double single_s = single_timer.elapsed_seconds();
-      const double probes_per_rep =
-          static_cast<double>(probe_keys * probe_vectors);
-      const double single_rate = single_reps * probes_per_rep / single_s;
-
-      const std::size_t multi_reps = args.quick ? 100 : 500;
-      std::vector<std::uint64_t> in_words, ref_words;
-      std::vector<double> rates;
-      util::Timer multi_timer;
-      for (std::size_t r = 0; r < multi_reps; ++r) {
-        util::Rng vec_rng(0x7EC ^ r);
-        netlist::Simulator::multi_key_error_rate(
-            dut, batch, reference, netlist::Key{}, probe_vectors, vec_rng,
-            scratch, in_words, ref_words, rates);
-        sink += rates[0];
-      }
-      const double multi_s = multi_timer.elapsed_seconds();
-      const double multi_rate = multi_reps * probes_per_rep / multi_s;
-      if (sink == 0.0) std::abort();  // keep both loops observable
-
-      corruption_table.add_row({std::string(info.name),
-                                std::to_string(w.key_bits), "single-key",
-                                util::fmt(single_rate, 0),
-                                util::fmt(single_s, 3), "1.00x"});
-      corruption_table.add_row({std::string(info.name),
-                                std::to_string(w.key_bits), "multi-key",
-                                util::fmt(multi_rate, 0),
-                                util::fmt(multi_s, 3),
-                                util::fmt(multi_rate / single_rate, 2) + "x"});
     }
 
     // ---- GNN train+inference throughput (MuxLink) --------------------------

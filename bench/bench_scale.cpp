@@ -8,7 +8,8 @@
 //     through a recycled EvalWorkspace, with the DecodeTopo incremental
 //     reset counter surfaced so a silent fall-back to full O(N) resets
 //     shows up in the committed baseline
-//   - wrong-key corruption probes/s (64-key lane-transposed batches)
+//   - wrong-key corruption probes/s at the pipeline's and the campaign's
+//     probe shapes (Simulator::key_error_rates)
 //   - wall-clock to a full recovered-key guess from the structural link
 //     predictor and from SCOPE (one baseline rewrite plus a key-cone delta
 //     per hypothesis), and — on c880, where the oracle-guided loop is
@@ -30,6 +31,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "attacks/attack_scratch.hpp"
 #include "attacks/sat_attack.hpp"
@@ -176,48 +178,23 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
                         ? util::fmt(decode.ns_per_touched / c880_ns_touched, 2) + "x"
                         : "-"});
 
-  // ---- corruption probes/s (multi-key lanes) ------------------------------
-  // The pipeline's probe shape: 64 wrong keys sharing 4 random vectors.
+  // ---- corruption probes/s (Simulator::key_error_rates) -----------------
+  // The pipeline's probe shape (64 wrong keys sharing 4 random vectors) and
+  // the campaign's (16 keys x 128 vectors).
   const auto design = lock::dmux_lock(original, kKeyBits, 7);
   {
     const netlist::Simulator dut(design.netlist);
     const netlist::Simulator reference(original);
-    netlist::SimScratch scratch;
-    const std::size_t probe_keys = 64;
-    const std::size_t probe_vectors = 4;
-
-    util::Rng key_rng(0xBA7C4ULL);
-    netlist::KeyBatch batch;
-    batch.reset(design.key.size());
-    for (std::size_t k = 0; k < probe_keys; ++k) {
-      netlist::Key wrong = design.key;
-      bool differs = false;
-      while (!differs) {
-        for (std::size_t b = 0; b < wrong.size(); ++b) {
-          wrong[b] = key_rng.next_bool();
-          differs = differs || (wrong[b] != design.key[b]);
-        }
-      }
-      batch.push(wrong);
+    for (const auto& [keys, vectors, mode] :
+         {std::tuple<std::size_t, std::size_t, const char*>{64, 4, "multi-key"},
+          {16, 128, "multi-key (16x128)"}}) {
+      const benchx::ProbeTiming timing = benchx::time_key_error_rates(
+          dut, reference, benchx::random_wrong_keys(design, keys), vectors,
+          probe_reps);
+      t.probe.add_row({name, std::to_string(kKeyBits), mode,
+                       util::fmt(timing.probes_per_s, 0),
+                       util::fmt(timing.seconds, 3)});
     }
-
-    std::vector<std::uint64_t> in_words, ref_words;
-    std::vector<double> rates;
-    double sink = 0.0;
-    util::Timer timer;
-    for (std::size_t r = 0; r < probe_reps; ++r) {
-      util::Rng vec_rng(0x7EC ^ r);
-      netlist::Simulator::multi_key_error_rate(
-          dut, batch, reference, netlist::Key{}, probe_vectors, vec_rng,
-          scratch, in_words, ref_words, rates);
-      sink += rates[0];
-    }
-    const double s = timer.elapsed_seconds();
-    if (sink < 0.0) std::abort();  // keep the loop observable
-    const double rate =
-        static_cast<double>(probe_reps * probe_keys * probe_vectors) / s;
-    t.probe.add_row({name, std::to_string(kKeyBits), "multi-key",
-                     util::fmt(rate, 0), util::fmt(s, 3)});
   }
 
   // ---- wall-clock to a recovered key --------------------------------------

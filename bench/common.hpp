@@ -33,6 +33,7 @@
 #include "eval/registry.hpp"
 #include "eval/workspace.hpp"
 #include "netlist/generator.hpp"
+#include "netlist/simulator.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -202,6 +203,62 @@ inline double mean_muxlink_accuracy(const lock::LockedDesign& design,
                  .accuracy;
   }
   return total / seeds;
+}
+
+/// `count` uniform random wrong keys for `design` (rejection sampling
+/// against the correct key), the draw every corruption probe row shares.
+inline std::vector<netlist::Key> random_wrong_keys(
+    const lock::LockedDesign& design, std::size_t count) {
+  util::Rng key_rng(0xBA7C4ULL);
+  std::vector<netlist::Key> keys;
+  netlist::Key wrong = design.key;
+  for (std::size_t k = 0; k < count; ++k) {
+    bool differs = false;
+    while (!differs) {
+      for (std::size_t b = 0; b < wrong.size(); ++b) {
+        wrong[b] = key_rng.next_bool();
+        differs = differs || (wrong[b] != design.key[b]);
+      }
+    }
+    keys.push_back(wrong);
+  }
+  return keys;
+}
+
+struct ProbeTiming {
+  double probes_per_s = 0.0;
+  double seconds = 0.0;
+};
+
+/// Times `reps` corruption estimates of `keys` (at most 64) on `vectors`
+/// fresh random vectors each — draw_reference_blocks plus key_error_rates,
+/// the work one measure_corruption batch does.
+inline ProbeTiming time_key_error_rates(const netlist::Simulator& dut,
+                                        const netlist::Simulator& reference,
+                                        const std::vector<netlist::Key>& keys,
+                                        std::size_t vectors,
+                                        std::size_t reps) {
+  netlist::KeyBatch batch;
+  batch.reset(keys.empty() ? 0 : keys.front().size());
+  for (const auto& key : keys) batch.push(key);
+  netlist::SimScratch scratch;
+  std::vector<std::uint64_t> in_words, ref_words;
+  std::vector<double> rates;
+  double sink = 0.0;
+  util::Timer timer;
+  for (std::size_t r = 0; r < reps; ++r) {
+    util::Rng vec_rng(0x7EC ^ r);
+    netlist::Simulator::draw_reference_blocks(reference, netlist::Key{},
+                                              vectors, vec_rng, scratch,
+                                              in_words, ref_words);
+    netlist::Simulator::key_error_rates(dut, batch, in_words, ref_words,
+                                        vectors, scratch, rates);
+    sink += rates[0];
+  }
+  const double seconds = timer.elapsed_seconds();
+  if (sink < 0.0) std::abort();  // keep the loop observable
+  return {static_cast<double>(reps * keys.size() * vectors) / seconds,
+          seconds};
 }
 
 }  // namespace autolock::benchx

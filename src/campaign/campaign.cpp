@@ -89,6 +89,10 @@ CampaignSpec resolve(CampaignSpec spec) {
   require(spec.budget.nsga2_population >= 4, "nsga2_population must be >= 4");
   require(spec.budget.heuristic_evaluations >= 1,
           "heuristic_evaluations must be >= 1");
+  // A zero corruption budget would report no wrong key probed (or, with
+  // zero vectors, every wrong key silent) as a measured corruption.
+  require(spec.corruption_keys >= 1, "corruption_keys must be >= 1");
+  require(spec.corruption_vectors >= 1, "corruption_vectors must be >= 1");
 
   for (const auto& scheme : spec.schemes) {
     require(!scheme.name.empty(), "scheme with empty name");

@@ -113,7 +113,8 @@ struct CampaignSpec {
   std::size_t sat_equivalence_gate_limit = 2000000;
   /// Re-run every attack and require a field-identical report.
   bool verify_determinism = true;
-  /// Wrong keys / shared vectors for the corruption measurement per lock.
+  /// Wrong keys / shared vectors for the corruption measurement per lock
+  /// (both >= 1; run() rejects a zero budget).
   std::size_t corruption_keys = 16;
   std::size_t corruption_vectors = 128;
 

@@ -143,12 +143,12 @@ double EvalPipeline::corruption(const LockedDesign& design,
   workspace->locked_sim.rebind(design.netlist);
   const OracleBlocks& blocks =
       oracle_blocks(design.netlist.size(), vectors, vec_rng);
-  netlist::Simulator::multi_key_error_rate(workspace->locked_sim, batch,
-                                           blocks.in_words, blocks.ref_words,
-                                           vectors, workspace->sim, errors);
+  const std::size_t passes = netlist::Simulator::key_error_rates(
+      workspace->locked_sim, batch, blocks.in_words, blocks.ref_words, vectors,
+      workspace->sim, errors);
   corruption_probes_.fetch_add(batch.size() * vectors,
                                std::memory_order_relaxed);
-  corruption_sweeps_.fetch_add(vectors, std::memory_order_relaxed);
+  corruption_sweeps_.fetch_add(passes, std::memory_order_relaxed);
 
   double sum = 0.0;
   for (const double err : errors) sum += err;

@@ -67,7 +67,7 @@ struct EvalPipelineConfig {
   /// Total (wrong key, vector) probe budget per corruption estimate: the
   /// budget is spread over `corruption_keys` wrong keys, each probed on
   /// max(1, corruption_vectors / corruption_keys) shared random vectors via
-  /// the lane-transposed multi-key simulator path.
+  /// Simulator::key_error_rates.
   std::size_t corruption_vectors = 256;
   /// Wrong keys sampled per corruption estimate (capped at 64 — one key
   /// per bit lane). Lane 0 is the all-bits-flipped adversarial key (the
@@ -144,8 +144,8 @@ class EvalPipeline {
       EvalWorkspace* workspace = nullptr) const;
   /// Mean wrong-key output corruption against the shared oracle simulator,
   /// over `corruption_keys` wrong keys (lane 0 = all bits flipped, the rest
-  /// uniform random) probed on shared random vectors via one lane-transposed
-  /// multi-key sweep per vector. The key and vector streams mix the
+  /// uniform random) probed on shared random vectors through
+  /// Simulator::key_error_rates. The key and vector streams mix the
   /// configured seed and are forked independently (keys first), so distinct
   /// pipeline seeds probe distinct sets, equal seeds reproduce exactly, and
   /// the key count never shifts the vector draws.
@@ -176,8 +176,8 @@ class EvalPipeline {
     std::size_t evaluated = 0;  // attack/fitness invocations (cache misses)
     /// (wrong key, vector) corruption probes sampled during this batch.
     std::size_t corruption_probes = 0;
-    /// Topological simulator sweeps those probes cost (DUT multi-key sweeps
-    /// plus uncached oracle reference sweeps).
+    /// Passes over a netlist those probes cost: the estimator's four-column
+    /// passes over each design plus uncached oracle reference sweeps.
     std::size_t corruption_sweeps = 0;
   };
 
@@ -210,8 +210,9 @@ class EvalPipeline {
   std::size_t corruption_probes() const noexcept {
     return corruption_probes_.load();
   }
-  /// Total simulator sweeps those probes cost (oracle reference sweeps are
-  /// cached per netlist size, so a population batch pays them once).
+  /// Total passes over a netlist those probes cost (estimator passes plus
+  /// oracle reference sweeps, which are cached per netlist size, so a
+  /// population batch pays them once).
   std::size_t corruption_sweeps() const noexcept {
     return corruption_sweeps_.load();
   }

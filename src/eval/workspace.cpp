@@ -25,7 +25,6 @@ void EvalWorkspace::reserve(const netlist::Netlist& original,
   lock::warm_decode_names(original, key_bits, reach);
   attack.seen.begin_epoch(locked_nodes);
   sim.values.reserve(locked_nodes);
-  sim.lane_diffs.reserve(64);
   wrong_key.reserve(key_bits);
   key_errors.reserve(64);
 }

@@ -46,8 +46,8 @@ class EvalWorkspace {
   /// measurement rebinds it per design instead of constructing a fresh
   /// Simulator (and its order/input vectors) every call.
   netlist::Simulator locked_sim;
-  /// Multi-key corruption state: the lane-transposed wrong-key batch, a
-  /// reusable key buffer for rejection sampling, and per-lane error rates.
+  /// Wrong-key corruption state: the key batch, a reusable key buffer for
+  /// rejection sampling, and per-key error rates.
   netlist::KeyBatch key_batch;
   netlist::Key wrong_key;
   std::vector<double> key_errors;

@@ -1,5 +1,7 @@
 #include "locking/verify.hpp"
 
+#include <stdexcept>
+
 #include "netlist/simulator.hpp"
 #include "sat/cnf.hpp"
 
@@ -41,6 +43,16 @@ CorruptionReport measure_corruption(const LockedDesign& design,
 
   CorruptionReport report;
   if (design.key.empty() || key_trials == 0) return report;
+  if (vectors == 0) {
+    // Zero vectors would count every wrong key as silent: refuse instead.
+    throw std::invalid_argument(
+        "measure_corruption: wrong keys to probe but zero vectors");
+  }
+  if (design.netlist.primary_inputs().size() !=
+          original.primary_inputs().size() ||
+      design.netlist.outputs().size() != original.outputs().size()) {
+    throw std::invalid_argument("measure_corruption: interface mismatch");
+  }
 
   netlist::KeyBatch batch;
   netlist::SimScratch scratch;
@@ -51,8 +63,7 @@ CorruptionReport measure_corruption(const LockedDesign& design,
   bool first = true;
   std::size_t remaining = key_trials;
   while (remaining > 0) {
-    // Up to 64 wrong keys share one batch of `vectors` random vectors: one
-    // lane-transposed multi-key sweep per vector answers every key at once.
+    // Up to 64 wrong keys share one batch of `vectors` random vectors.
     const std::size_t take = remaining < 64 ? remaining : 64;
     batch.reset(design.key.size());
     for (std::size_t t = 0; t < take; ++t) {
@@ -66,9 +77,10 @@ CorruptionReport measure_corruption(const LockedDesign& design,
       }
       batch.push(wrong);
     }
-    Simulator::multi_key_error_rate(locked_sim, batch, original_sim, Key{},
-                                    vectors, vec_rng, scratch, in_words,
-                                    ref_words, errors);
+    Simulator::draw_reference_blocks(original_sim, Key{}, vectors, vec_rng,
+                                     scratch, in_words, ref_words);
+    Simulator::key_error_rates(locked_sim, batch, in_words, ref_words, vectors,
+                               scratch, errors);
     for (const double err : errors) {
       sum += err;
       if (first) {

@@ -38,10 +38,12 @@ struct CorruptionReport {
 
 /// Samples `key_trials` uniformly random wrong keys and measures output
 /// corruption vs the original on `vectors` random input vectors. Keys are
-/// probed in lane-transposed batches of up to 64 that share one vector set
-/// (one multi-key sweep answers every key in the batch per vector); the key
-/// and vector RNG streams are forked from `seed` independently, so the key
-/// count never shifts the vector draws.
+/// probed in batches of up to 64 that share one vector set, through
+/// Simulator::key_error_rates; the key and vector RNG streams are forked
+/// from `seed` independently, so the key count never shifts the vector
+/// draws. Throws std::invalid_argument when wrong keys are to be probed on
+/// zero vectors; a keyless design or zero `key_trials` returns the empty
+/// report (keys_sampled == 0).
 CorruptionReport measure_corruption(const LockedDesign& design,
                                     const netlist::Netlist& original,
                                     std::size_t key_trials = 32,

@@ -1,5 +1,7 @@
 #include "netlist/simulator.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -63,46 +65,82 @@ void Simulator::rebind(const Netlist& netlist) {
   }
 }
 
-void Simulator::sweep(std::vector<std::uint64_t>& value) const {
-  std::uint64_t fanin_words[24];
+template <std::size_t C>
+void Simulator::sweep(std::uint64_t* __restrict value) const {
   const std::size_t steps = step_ids_.size();
-  const NodeId* __restrict fanins = step_fanins_.data();
+  const NodeId* __restrict ids = step_ids_.data();
+  const GateType* __restrict types = step_types_.data();
   const std::uint32_t* __restrict offsets = step_offsets_.data();
+  const NodeId* __restrict fanins = step_fanins_.data();
+  const auto column = [value](NodeId node) {
+    return value + static_cast<std::size_t>(node) * C;
+  };
+  // Gate kernels inline, folding straight from the value array (no fanin
+  // gather, whatever the arity). Semantics match eval_gate_words exactly.
   for (std::size_t s = 0; s < steps; ++s) {
-    const std::uint32_t begin = offsets[s];
-    const std::size_t n = offsets[s + 1] - begin;
-    if (n <= 24) {
-      for (std::size_t i = 0; i < n; ++i) {
-        fanin_words[i] = value[fanins[begin + i]];
+    const NodeId* f = fanins + offsets[s];
+    const std::size_t n = offsets[s + 1] - offsets[s];
+    std::uint64_t acc[C]{};
+    std::uint64_t invert = 0;
+    switch (types[s]) {
+      case GateType::kNand:
+        invert = ~0ULL;
+        [[fallthrough]];
+      case GateType::kAnd:
+        for (std::size_t c = 0; c < C; ++c) acc[c] = ~0ULL;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t* in = column(f[i]);
+          for (std::size_t c = 0; c < C; ++c) acc[c] &= in[c];
+        }
+        break;
+      case GateType::kNor:
+        invert = ~0ULL;
+        [[fallthrough]];
+      case GateType::kOr:
+        for (std::size_t c = 0; c < C; ++c) acc[c] = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t* in = column(f[i]);
+          for (std::size_t c = 0; c < C; ++c) acc[c] |= in[c];
+        }
+        break;
+      case GateType::kXnor:
+        invert = ~0ULL;
+        [[fallthrough]];
+      case GateType::kXor:
+        for (std::size_t c = 0; c < C; ++c) acc[c] = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t* in = column(f[i]);
+          for (std::size_t c = 0; c < C; ++c) acc[c] ^= in[c];
+        }
+        break;
+      case GateType::kNot:
+        invert = ~0ULL;
+        [[fallthrough]];
+      case GateType::kBuf: {
+        const std::uint64_t* in = column(f[0]);
+        for (std::size_t c = 0; c < C; ++c) acc[c] = in[c];
+        break;
       }
-      value[step_ids_[s]] = eval_gate_words(step_types_[s], fanin_words, n);
-    } else {
-      // Rare wide gate: fall back to a heap gather.
-      std::vector<std::uint64_t> wide(n);
-      for (std::size_t i = 0; i < n; ++i) wide[i] = value[fanins[begin + i]];
-      value[step_ids_[s]] = eval_gate_words(step_types_[s], wide.data(), n);
+      case GateType::kMux: {
+        // fanins = {select, in0, in1}
+        const std::uint64_t* sel = column(f[0]);
+        const std::uint64_t* in0 = column(f[1]);
+        const std::uint64_t* in1 = column(f[2]);
+        for (std::size_t c = 0; c < C; ++c) {
+          acc[c] = (~sel[c] & in0[c]) | (sel[c] & in1[c]);
+        }
+        break;
+      }
+      case GateType::kConst1:
+        invert = ~0ULL;
+        [[fallthrough]];
+      default:  // kConst0 (kInput is never a step: rebind() skips inputs)
+        for (std::size_t c = 0; c < C; ++c) acc[c] = 0;
+        break;
     }
+    std::uint64_t* out = column(ids[s]);
+    for (std::size_t c = 0; c < C; ++c) out[c] = acc[c] ^ invert;
   }
-}
-
-void Simulator::load_primary(const std::vector<std::uint64_t>& primary_words,
-                             SimScratch& scratch) const {
-  if (primary_words.size() != primary_inputs_.size()) {
-    throw std::invalid_argument("Simulator: primary input word count mismatch");
-  }
-  // No zero-fill needed: every input is written and every non-input node is
-  // written during the topological sweep.
-  scratch.values.resize(netlist_->size());
-  for (std::size_t i = 0; i < primary_inputs_.size(); ++i) {
-    scratch.values[primary_inputs_[i]] = primary_words[i];
-  }
-}
-
-void Simulator::store_outputs(const std::vector<std::uint64_t>& value,
-                              std::vector<std::uint64_t>& out) const {
-  out.resize(netlist_->outputs().size());
-  std::size_t o = 0;
-  for (const auto& port : netlist_->outputs()) out[o++] = value[port.driver];
 }
 
 std::vector<std::uint64_t> Simulator::run_word(
@@ -121,31 +159,23 @@ void Simulator::run_word_into(const std::vector<std::uint64_t>& primary_words,
                                 std::to_string(key_inputs_.size()) + ", got " +
                                 std::to_string(key.size()) + ")");
   }
-  load_primary(primary_words, scratch);
-  std::vector<std::uint64_t>& value = scratch.values;
+  if (primary_words.size() != primary_inputs_.size()) {
+    throw std::invalid_argument("Simulator: primary input word count mismatch");
+  }
+  // No zero-fill needed: every input is written here and every non-input
+  // node during the sweep.
+  scratch.values.resize(netlist_->size());
+  std::uint64_t* value = scratch.values.data();
+  for (std::size_t i = 0; i < primary_inputs_.size(); ++i) {
+    value[primary_inputs_[i]] = primary_words[i];
+  }
   for (std::size_t j = 0; j < key_inputs_.size(); ++j) {
     value[key_inputs_[j]] = key[j] ? ~0ULL : 0ULL;
   }
-  sweep(value);
-  store_outputs(value, out);
-}
-
-void Simulator::run_multi_key_word_into(
-    const std::vector<std::uint64_t>& primary_words, const KeyBatch& keys,
-    SimScratch& scratch, std::vector<std::uint64_t>& out) const {
-  if (keys.key_bits() != key_inputs_.size()) {
-    throw std::invalid_argument(
-        "Simulator: key batch width mismatch (want " +
-        std::to_string(key_inputs_.size()) + ", got " +
-        std::to_string(keys.key_bits()) + ")");
-  }
-  load_primary(primary_words, scratch);
-  std::vector<std::uint64_t>& value = scratch.values;
-  for (std::size_t j = 0; j < key_inputs_.size(); ++j) {
-    value[key_inputs_[j]] = keys.word(j);
-  }
-  sweep(value);
-  store_outputs(value, out);
+  sweep<1>(value);
+  out.resize(netlist_->outputs().size());
+  std::size_t o = 0;
+  for (const auto& port : netlist_->outputs()) out[o++] = value[port.driver];
 }
 
 std::vector<bool> Simulator::run_single(const std::vector<bool>& primary_bits,
@@ -239,72 +269,96 @@ void Simulator::draw_reference_blocks(const Simulator& reference,
   }
 }
 
-void Simulator::multi_key_error_rate(const Simulator& dut,
-                                     const KeyBatch& keys,
-                                     const std::vector<std::uint64_t>& in_words,
-                                     const std::vector<std::uint64_t>& ref_words,
-                                     std::size_t vectors, SimScratch& scratch,
-                                     std::vector<double>& error_rates) {
+std::size_t Simulator::key_error_rates(
+    const Simulator& dut, const KeyBatch& keys,
+    const std::vector<std::uint64_t>& in_words,
+    const std::vector<std::uint64_t>& ref_words, std::size_t vectors,
+    SimScratch& scratch, std::vector<double>& rates) {
+  // Four columns per gate visit: eight ran faster per column in isolation
+  // but grew the value array (and peak RSS at 100k gates) for little gain.
+  constexpr std::size_t C = 4;
   const std::size_t num_in = dut.primary_inputs_.size();
   const std::size_t num_out = dut.netlist_->outputs().size();
   const std::size_t blocks = (vectors + 63) / 64;
+  if (keys.key_bits() != dut.key_inputs_.size()) {
+    throw std::invalid_argument(
+        "Simulator::key_error_rates: key batch width mismatch (want " +
+        std::to_string(dut.key_inputs_.size()) + ", got " +
+        std::to_string(keys.key_bits()) + ")");
+  }
   if (in_words.size() != blocks * num_in ||
       ref_words.size() != blocks * num_out) {
     throw std::invalid_argument(
-        "Simulator::multi_key_error_rate: reference block size mismatch");
+        "Simulator::key_error_rates: reference block size mismatch");
   }
-  error_rates.assign(keys.size(), 0.0);
-  if (keys.size() == 0 || vectors == 0) return;
-  std::vector<std::size_t>& diffs = scratch.lane_diffs;
-  diffs.assign(64, 0);
-  std::vector<std::uint64_t>& lane_in = scratch.lane_in;
-  lane_in.resize(num_in);
-  const std::uint64_t lanes = keys.lane_mask();
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint64_t* in = in_words.data() + b * num_in;
-    const std::uint64_t* ref = ref_words.data() + b * num_out;
-    // Tail contract: exactly `vectors` vectors count — a partial final
-    // block sweeps only its valid lanes (cheaper, never rounded up).
-    const std::size_t valid = vectors - b * 64 >= 64 ? 64 : vectors - b * 64;
-    for (std::size_t v = 0; v < valid; ++v) {
-      for (std::size_t i = 0; i < num_in; ++i) {
-        lane_in[i] = ((in[i] >> v) & 1ULL) ? ~0ULL : 0ULL;
+  rates.assign(keys.size(), 0.0);
+  if (keys.size() == 0 || vectors == 0) return 0;
+
+  // Column c is one (vector, all keys) pair with keys in lanes, or one
+  // (key, 64-vector block) pair with vectors in lanes — whichever shape
+  // needs fewer columns. Both count the same (key, vector, output) triples.
+  const bool keys_in_lanes = vectors < keys.size() * blocks;
+  const std::size_t columns = keys_in_lanes ? vectors : keys.size() * blocks;
+  const std::uint64_t key_lanes = keys.lane_mask();
+  std::array<std::size_t, 64> diffs{};
+  scratch.values.resize(dut.netlist_->size() * C);
+  std::uint64_t* value = scratch.values.data();
+  std::size_t passes = 0;
+  for (std::size_t first = 0; first < columns; first += C, ++passes) {
+    const std::size_t width = std::min(C, columns - first);
+    // Per column: its 64-vector block and, keys in lanes, the vector's bit
+    // within the block, else the broadcast key. Spare columns of the last
+    // pass repeat its final column; they are swept but never counted.
+    std::size_t block[C]{};
+    std::size_t sub[C]{};
+    for (std::size_t c = 0; c < C; ++c) {
+      const std::size_t col = first + std::min(c, width - 1);
+      block[c] = keys_in_lanes ? col / 64 : col % blocks;
+      sub[c] = keys_in_lanes ? col % 64 : col / blocks;
+    }
+    for (std::size_t i = 0; i < num_in; ++i) {
+      std::uint64_t* cell = value + dut.primary_inputs_[i] * C;
+      for (std::size_t c = 0; c < C; ++c) {
+        const std::uint64_t word = in_words[block[c] * num_in + i];
+        cell[c] = keys_in_lanes ? (((word >> sub[c]) & 1ULL) ? ~0ULL : 0ULL)
+                                : word;
       }
-      dut.run_multi_key_word_into(lane_in, keys, scratch, scratch.out_a);
-      for (std::size_t o = 0; o < num_out; ++o) {
-        const std::uint64_t ref_bit = ((ref[o] >> v) & 1ULL) ? ~0ULL : 0ULL;
-        std::uint64_t diff = (scratch.out_a[o] ^ ref_bit) & lanes;
-        while (diff) {
-          ++diffs[static_cast<std::size_t>(std::countr_zero(diff))];
-          diff &= diff - 1;
+    }
+    for (std::size_t j = 0; j < dut.key_inputs_.size(); ++j) {
+      std::uint64_t* cell = value + dut.key_inputs_[j] * C;
+      const std::uint64_t word = keys.word(j);
+      for (std::size_t c = 0; c < C; ++c) {
+        cell[c] = keys_in_lanes ? word
+                                : (((word >> sub[c]) & 1ULL) ? ~0ULL : 0ULL);
+      }
+    }
+    dut.sweep<C>(value);
+    std::size_t o = 0;
+    for (const auto& port : dut.netlist_->outputs()) {
+      const std::uint64_t* cell = value + port.driver * C;
+      for (std::size_t c = 0; c < width; ++c) {
+        const std::uint64_t ref = ref_words[block[c] * num_out + o];
+        if (keys_in_lanes) {
+          const std::uint64_t ref_bit = ((ref >> sub[c]) & 1ULL) ? ~0ULL : 0ULL;
+          std::uint64_t diff = (cell[c] ^ ref_bit) & key_lanes;
+          while (diff) {
+            ++diffs[static_cast<std::size_t>(std::countr_zero(diff))];
+            diff &= diff - 1;
+          }
+        } else {
+          diffs[sub[c]] += static_cast<std::size_t>(
+              std::popcount((cell[c] ^ ref) & tail_mask(vectors, block[c])));
         }
       }
+      ++o;
     }
   }
   const double total = static_cast<double>(vectors) *
                        static_cast<double>(num_out);
   for (std::size_t k = 0; k < keys.size(); ++k) {
-    error_rates[k] = static_cast<double>(diffs[k]) / total;
+    rates[k] = static_cast<double>(diffs[k]) / total;
   }
-}
-
-void Simulator::multi_key_error_rate(const Simulator& dut, const KeyBatch& keys,
-                                     const Simulator& reference,
-                                     const Key& reference_key,
-                                     std::size_t vectors, util::Rng& rng,
-                                     SimScratch& scratch,
-                                     std::vector<std::uint64_t>& in_words,
-                                     std::vector<std::uint64_t>& ref_words,
-                                     std::vector<double>& error_rates) {
-  if (dut.primary_inputs_.size() != reference.primary_inputs_.size() ||
-      dut.netlist_->outputs().size() != reference.netlist_->outputs().size()) {
-    throw std::invalid_argument(
-        "Simulator::multi_key_error_rate: interface mismatch");
-  }
-  draw_reference_blocks(reference, reference_key, vectors, rng, scratch,
-                        in_words, ref_words);
-  multi_key_error_rate(dut, keys, in_words, ref_words, vectors, scratch,
-                       error_rates);
+  return passes;
 }
 
 bool Simulator::equivalent_on_random_vectors(const Simulator& a,

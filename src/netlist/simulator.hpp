@@ -1,21 +1,25 @@
 // 64-way bit-parallel functional simulator.
 //
-// Lane semantics — the 64 bits of a simulation word are "lanes", and the
-// simulator supports two orientations:
+// Lane semantics — the 64 bits of a simulation word are "lanes". A sweep
+// visits every gate once in topological order and evaluates C independent
+// word columns per visit (values are node-major, `values[node * C + c]`):
+// C = 1 for run_word_into and every caller built on it, C = 4 for the
+// wrong-key corruption estimator.
 //
 //   - lanes = input patterns (run_word_into, output_error_rate, the
 //     equivalence screens): bit i of every signal word belongs to test
-//     vector i, and the key is broadcast (`key[j] ? ~0 : 0`). One sweep
+//     vector i, and the key is broadcast (`key[j] ? ~0 : 0`). One column
 //     answers 64 input vectors for ONE key.
-//   - lanes = keys (run_multi_key_word_into, multi_key_error_rate): the
-//     primary inputs are broadcast (one fixed vector) and bit k of every
-//     key-input word belongs to wrong key k. One sweep answers ONE input
-//     vector for up to 64 DISTINCT keys.
+//   - lanes = keys (inside key_error_rates): the primary inputs are
+//     broadcast (one fixed vector) and bit k of every key-input word belongs
+//     to wrong key k of a KeyBatch. One column answers ONE input vector for
+//     up to 64 DISTINCT keys.
 //
-// The second orientation is what makes wrong-key corruption sampling cheap:
-// probing W keys on V vectors costs V multi-key sweeps plus ceil(V/64)
-// reference sweeps, instead of the W * 2 * ceil(V/64) sweeps a per-key
-// output_error_rate loop pays (which also rounds V up to 64 per key).
+// key_error_rates probes K keys on V vectors in whichever orientation needs
+// fewer columns: min(V, K * ceil(V/64)) columns, evaluated in
+// ceil(columns / 4) four-column passes, plus ceil(V/64) reference sweeps
+// the caller can share across designs (draw_reference_blocks). A per-key
+// output_error_rate loop instead pays K * 2 * ceil(V/64) sweeps.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +38,10 @@ using Key = std::vector<bool>;
 /// hundreds of words per individual, so the buffers live in the caller's
 /// workspace and are resized (never reallocated once warm) per call.
 struct SimScratch {
-  std::vector<std::uint64_t> values;    // one word per netlist node
-  std::vector<std::uint64_t> in;        // random input words
-  std::vector<std::uint64_t> out_a;     // DUT output words
-  std::vector<std::uint64_t> out_b;     // reference output words
-  // Multi-key (lanes = keys) buffers:
-  std::vector<std::uint64_t> lane_in;   // broadcast primary words, one vector
-  std::vector<std::size_t> lane_diffs;  // per-key-lane mismatch counters
+  std::vector<std::uint64_t> values;  // C words per netlist node, node-major
+  std::vector<std::uint64_t> in;      // random input words
+  std::vector<std::uint64_t> out_a;   // DUT output words
+  std::vector<std::uint64_t> out_b;   // reference output words
 };
 
 /// Packs up to 64 distinct keys into lane-transposed key words: bit k of
@@ -108,15 +109,6 @@ class Simulator {
                      const Key& key, SimScratch& scratch,
                      std::vector<std::uint64_t>& out) const;
 
-  /// Simulates one word with lanes = keys: `primary_words[i]` is broadcast
-  /// (use ~0ULL / 0ULL per input to encode one fixed vector) and key input
-  /// j carries `keys.word(j)`, so output bit k is the circuit's response to
-  /// the fixed vector under key k. Lanes >= keys.size() compute under
-  /// all-zero key bits; callers must mask them via keys.lane_mask().
-  void run_multi_key_word_into(const std::vector<std::uint64_t>& primary_words,
-                               const KeyBatch& keys, SimScratch& scratch,
-                               std::vector<std::uint64_t>& out) const;
-
   /// Single-vector convenience (bools in primary_inputs() order).
   std::vector<bool> run_single(const std::vector<bool>& primary_bits,
                                const Key& key) const;
@@ -140,16 +132,16 @@ class Simulator {
                                   std::size_t vectors, util::Rng& rng,
                                   SimScratch& scratch);
 
-  // ---- multi-key corruption (lanes = keys) --------------------------------
+  // ---- wrong-key corruption -------------------------------------------------
 
   /// Draws ceil(vectors/64) input blocks and the reference response in one
   /// pass: `in_words` receives blocks * primary_inputs words (one rng()
   /// draw per primary input per block — the exact stream output_error_rate
   /// consumes, so the draw-order contract is shared) and `ref_words`
   /// receives blocks * outputs words of `reference` under `reference_key`.
-  /// The pair can be reused across many multi_key_error_rate calls — this
-  /// is how a population batch amortizes oracle sweeps over every wrong-key
-  /// sample set.
+  /// The pair can be reused across many key_error_rates calls — this is how
+  /// a population batch amortizes oracle sweeps over every wrong-key sample
+  /// set.
   static void draw_reference_blocks(const Simulator& reference,
                                     const Key& reference_key,
                                     std::size_t vectors, util::Rng& rng,
@@ -157,30 +149,23 @@ class Simulator {
                                     std::vector<std::uint64_t>& in_words,
                                     std::vector<std::uint64_t>& ref_words);
 
-  /// Per-key corruption against precomputed reference blocks: for each key
-  /// lane k of `keys`, `error_rates[k]` is the fraction of the
-  /// `vectors` * outputs (vector, output) pairs where `dut` under key k
-  /// differs from the reference response. Exactly `vectors` vectors count
-  /// (same tail contract as output_error_rate — partial final blocks never
-  /// touch lanes past the tail), and unused key lanes are masked out.
-  /// Results are bit-identical to a per-key output_error_rate loop over the
-  /// same input blocks. Costs `vectors` multi-key sweeps.
-  static void multi_key_error_rate(const Simulator& dut, const KeyBatch& keys,
-                                   const std::vector<std::uint64_t>& in_words,
-                                   const std::vector<std::uint64_t>& ref_words,
-                                   std::size_t vectors, SimScratch& scratch,
-                                   std::vector<double>& error_rates);
-
-  /// Convenience overload drawing fresh vectors and the reference response
-  /// itself (draw-order contract: exactly draw_reference_blocks' stream).
-  static void multi_key_error_rate(const Simulator& dut, const KeyBatch& keys,
-                                   const Simulator& reference,
-                                   const Key& reference_key,
-                                   std::size_t vectors, util::Rng& rng,
-                                   SimScratch& scratch,
-                                   std::vector<std::uint64_t>& in_words,
-                                   std::vector<std::uint64_t>& ref_words,
-                                   std::vector<double>& error_rates);
+  /// Per-key corruption against precomputed reference blocks: `rates[k]` is
+  /// the fraction of the `vectors` * outputs (vector, output) pairs where
+  /// `dut` under key k of `keys` differs from the reference response.
+  /// Exactly `vectors` vectors count (same tail contract as
+  /// output_error_rate), and the results are bit-identical to a per-key
+  /// output_error_rate loop over the same input blocks.
+  ///
+  /// The orientation follows the shape, whichever needs fewer columns:
+  /// keys in lanes costs `vectors` columns, vectors in lanes (key k
+  /// broadcast) costs keys.size() * ceil(vectors/64). Both count the same
+  /// pairs under the same masks. Returns the number of four-column passes
+  /// over the netlist.
+  static std::size_t key_error_rates(
+      const Simulator& dut, const KeyBatch& keys,
+      const std::vector<std::uint64_t>& in_words,
+      const std::vector<std::uint64_t>& ref_words, std::size_t vectors,
+      SimScratch& scratch, std::vector<double>& rates);
 
   /// Random-vector equivalence screening: true if no difference was observed
   /// on `vectors` random vectors, rounded up to whole 64-lane words (a
@@ -197,13 +182,10 @@ class Simulator {
                                     const Simulator& b, const Key& b_key);
 
  private:
-  /// Topological sweep over the flattened step arrays; `value` must hold
-  /// the input words already.
-  void sweep(std::vector<std::uint64_t>& value) const;
-  void load_primary(const std::vector<std::uint64_t>& primary_words,
-                    SimScratch& scratch) const;
-  void store_outputs(const std::vector<std::uint64_t>& value,
-                     std::vector<std::uint64_t>& out) const;
+  /// Topological sweep over the flattened step arrays, C word columns per
+  /// gate visit (`value[node * C + c]`); the input columns must be loaded.
+  template <std::size_t C>
+  void sweep(std::uint64_t* value) const;
 
   const Netlist* netlist_ = nullptr;
   /// The bound netlist's structural_version() at capture — rebind() against

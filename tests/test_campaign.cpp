@@ -220,5 +220,29 @@ TEST(CampaignResolve, RejectsBudgetsTheOptimizersCannotRun) {
   expect_rejected(small_nsga2_population);
 }
 
+// A zero-vector corruption budget would report every wrong key silent and a
+// zero-key budget an all-zero report; resolve() rejects both before any
+// lock job runs.
+TEST(CampaignResolve, RejectsZeroCorruptionBudgets) {
+  const auto expect_rejected = [](const campaign::CampaignSpec& spec) {
+    try {
+      campaign::run(spec);
+      ADD_FAILURE() << "corruption budget accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("campaign: ", 0), 0u)
+          << error.what();
+    }
+  };
+  const campaign::CampaignSpec base = campaign::quick_spec();
+
+  campaign::CampaignSpec no_keys = base;
+  no_keys.corruption_keys = 0;
+  expect_rejected(no_keys);
+
+  campaign::CampaignSpec no_vectors = base;
+  no_vectors.corruption_vectors = 0;
+  expect_rejected(no_vectors);
+}
+
 }  // namespace
 }  // namespace autolock

@@ -1,11 +1,15 @@
-// The lane-transposed multi-key path (lanes = keys) is a pure performance
-// change: every rate it reports must be bit-identical to the single-key
-// (lanes = input patterns) machinery probing the same keys on the same
-// vectors. These tests pin that equivalence — full and ragged batches, the
-// shared draw-order contract between the two orientations, and the exact
-// tail accounting when `vectors` is not a multiple of 64.
+// Simulator::key_error_rates is a pure performance path: every rate it
+// reports must be bit-identical to the single-key (lanes = input patterns)
+// machinery probing the same keys on the same vectors, in both of its
+// orientations (keys in lanes, vectors in lanes) and at the tie between
+// them. These tests pin that equivalence — full and ragged key batches,
+// column counts that are not a multiple of four, the shared draw-order
+// contract, and the exact tail accounting when `vectors` is not a multiple
+// of 64 — plus measure_corruption's budget guards and pinned reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "locking/mux_lock.hpp"
@@ -29,59 +33,72 @@ Key random_key(std::size_t bits, util::Rng& rng) {
   return key;
 }
 
-// ---- run_multi_key_word_into vs a loop of single-key runs ------------------
+KeyBatch batch_of(const std::vector<Key>& keys, std::size_t key_bits) {
+  KeyBatch batch;
+  batch.reset(key_bits);
+  for (const Key& key : keys) batch.push(key);
+  return batch;
+}
 
-void expect_multi_key_matches_single_key_loop(std::size_t batch_size) {
+// ---- key_error_rates vs a scalar recount of single-vector runs ------------
+
+// One vector (keys in lanes for every batch above one key): each key's rate
+// must be its mismatching-output count from run_single over the output
+// count, for full and ragged batches.
+void expect_rates_match_single_vector_runs(std::size_t batch_size) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 11);
-  util::Rng lock_rng(0x1234);
   const auto design = lock::dmux_lock(original, 16, 5);
-  const Simulator sim(design.netlist);
+  const Simulator locked(design.netlist);
+  const Simulator reference(original);
   util::Rng rng(0x9876 + batch_size);
 
-  KeyBatch batch;
-  batch.reset(design.key.size());
   std::vector<Key> keys;
   for (std::size_t k = 0; k < batch_size; ++k) {
     keys.push_back(random_key(design.key.size(), rng));
-    batch.push(keys.back());
   }
+  const KeyBatch batch = batch_of(keys, design.key.size());
   ASSERT_EQ(batch.size(), batch_size);
 
-  // One fixed input vector, broadcast across lanes.
-  const std::size_t inputs = design.netlist.primary_inputs().size();
-  std::vector<std::uint64_t> primary(inputs);
-  std::vector<bool> primary_bits(inputs);
-  for (std::size_t i = 0; i < inputs; ++i) {
-    primary_bits[i] = rng.next_bool();
-    primary[i] = primary_bits[i] ? ~0ULL : 0ULL;
-  }
-
   SimScratch scratch;
-  std::vector<std::uint64_t> out;
-  sim.run_multi_key_word_into(primary, batch, scratch, out);
+  std::vector<std::uint64_t> in_words, ref_words;
+  std::vector<double> rates;
+  util::Rng vec_rng(0x4321 + batch_size);
+  Simulator::draw_reference_blocks(reference, Key{}, 1, vec_rng, scratch,
+                                   in_words, ref_words);
+  EXPECT_EQ(Simulator::key_error_rates(locked, batch, in_words, ref_words, 1,
+                                       scratch, rates),
+            1u);
 
+  std::vector<bool> vector_bits(in_words.size());
+  for (std::size_t i = 0; i < in_words.size(); ++i) {
+    vector_bits[i] = (in_words[i] & 1ULL) != 0;
+  }
+  const std::vector<bool> ref_out = reference.run_single(vector_bits, Key{});
+  ASSERT_EQ(rates.size(), batch_size);
   for (std::size_t k = 0; k < batch_size; ++k) {
-    const std::vector<bool> single = sim.run_single(primary_bits, keys[k]);
-    ASSERT_EQ(single.size(), out.size());
+    const std::vector<bool> out = locked.run_single(vector_bits, keys[k]);
+    std::size_t mismatches = 0;
     for (std::size_t o = 0; o < out.size(); ++o) {
-      EXPECT_EQ(((out[o] >> k) & 1ULL) != 0, single[o])
-          << "key lane " << k << " output " << o;
+      if (out[o] != ref_out[o]) ++mismatches;
     }
+    EXPECT_EQ(rates[k], static_cast<double>(mismatches) /
+                            static_cast<double>(out.size()))
+        << "key lane " << k << " of " << batch_size;
   }
 }
 
-TEST(MultiKeySim, FullBatchMatchesSingleKeyLoop) {
-  expect_multi_key_matches_single_key_loop(64);
+TEST(KeyErrorRates, FullBatchMatchesSingleVectorRuns) {
+  expect_rates_match_single_vector_runs(64);
 }
 
-TEST(MultiKeySim, RaggedBatchesMatchSingleKeyLoop) {
-  expect_multi_key_matches_single_key_loop(1);
-  expect_multi_key_matches_single_key_loop(7);
-  expect_multi_key_matches_single_key_loop(63);
+TEST(KeyErrorRates, RaggedBatchesMatchSingleVectorRuns) {
+  expect_rates_match_single_vector_runs(1);
+  expect_rates_match_single_vector_runs(7);
+  expect_rates_match_single_vector_runs(63);
 }
 
-TEST(MultiKeySim, KeyBatchGuardsWidthAndCapacity) {
+TEST(KeyBatch, GuardsWidthAndCapacity) {
   KeyBatch batch;
   batch.reset(4);
   EXPECT_EQ(batch.lane_mask(), 0ULL);
@@ -94,12 +111,14 @@ TEST(MultiKeySim, KeyBatchGuardsWidthAndCapacity) {
   EXPECT_THROW(batch.push(Key{true, true, true, true}), std::invalid_argument);
 }
 
-// ---- multi_key_error_rate vs per-key output_error_rate ---------------------
+// ---- key_error_rates vs per-key output_error_rate --------------------------
 
-// The two orientations share the draw-order contract (one rng() word per
-// primary input per 64-vector block), so seeding identical Rngs must make a
-// per-key output_error_rate loop reproduce every multi-key lane exactly.
-void expect_error_rates_match(std::size_t batch_size, std::size_t vectors) {
+// Both share the draw-order contract (one rng() word per primary input per
+// 64-vector block), so seeding identical Rngs must make a per-key
+// output_error_rate loop reproduce every key's rate exactly. Returns the
+// estimator's pass count.
+std::size_t expect_error_rates_match(std::size_t batch_size,
+                                     std::size_t vectors) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 23);
   const auto design = lock::dmux_lock(original, 16, 7);
@@ -107,48 +126,99 @@ void expect_error_rates_match(std::size_t batch_size, std::size_t vectors) {
   const Simulator reference(original);
   util::Rng key_rng(0x5151 + batch_size + vectors);
 
-  KeyBatch batch;
-  batch.reset(design.key.size());
   std::vector<Key> keys;
   for (std::size_t k = 0; k < batch_size; ++k) {
     keys.push_back(random_key(design.key.size(), key_rng));
-    batch.push(keys.back());
   }
+  const KeyBatch batch = batch_of(keys, design.key.size());
 
   const std::uint64_t vec_seed = 0xFEED + vectors;
   SimScratch scratch;
   std::vector<std::uint64_t> in_words, ref_words;
   std::vector<double> rates;
   util::Rng vec_rng(vec_seed);
-  Simulator::multi_key_error_rate(locked, batch, reference, Key{}, vectors,
-                                  vec_rng, scratch, in_words, ref_words, rates);
-  ASSERT_EQ(rates.size(), batch_size);
+  Simulator::draw_reference_blocks(reference, Key{}, vectors, vec_rng, scratch,
+                                   in_words, ref_words);
+  const std::size_t passes = Simulator::key_error_rates(
+      locked, batch, in_words, ref_words, vectors, scratch, rates);
+  EXPECT_EQ(rates.size(), batch_size);
 
-  for (std::size_t k = 0; k < batch_size; ++k) {
-    util::Rng per_key_rng(vec_seed);  // same stream as the multi-key draw
+  for (std::size_t k = 0; k < rates.size(); ++k) {
+    util::Rng per_key_rng(vec_seed);  // same stream as the reference draw
     const double single = Simulator::output_error_rate(
         locked, keys[k], reference, Key{}, vectors, per_key_rng, scratch);
     EXPECT_EQ(rates[k], single) << "key " << k << " of " << batch_size
                                 << " on " << vectors << " vectors";
   }
+  return passes;
 }
 
-TEST(MultiKeyErrorRate, MatchesPerKeyOutputErrorRate) {
-  expect_error_rates_match(64, 128);
-  expect_error_rates_match(5, 64);
+// The estimator takes whichever orientation needs fewer columns:
+// keys in lanes needs `vectors`, vectors in lanes keys * ceil(vectors/64),
+// evaluated four columns per pass.
+TEST(KeyErrorRates, OrientationFollowsTheShape) {
+  // Pipeline shape, keys in lanes: 4 columns, one pass.
+  EXPECT_EQ(expect_error_rates_match(64, 4), 1u);
+  // Campaign shape, vectors in lanes: 16 * 2 = 32 columns.
+  EXPECT_EQ(expect_error_rates_match(16, 128), 8u);
+  // Keys in lanes, ragged: 63 and 100 columns.
+  EXPECT_EQ(expect_error_rates_match(64, 63), 16u);
+  EXPECT_EQ(expect_error_rates_match(64, 100), 25u);
+  // Vectors in lanes, ragged: 3 * 4 = 12 columns beat 200.
+  EXPECT_EQ(expect_error_rates_match(3, 200), 3u);
+  // Ties: both orientations need the same columns.
+  EXPECT_EQ(expect_error_rates_match(64, 64), 16u);
+  EXPECT_EQ(expect_error_rates_match(2, 2), 1u);
+  EXPECT_EQ(expect_error_rates_match(1, 1), 1u);
 }
 
-TEST(MultiKeyErrorRate, MatchesPerKeyOnRaggedTails) {
-  expect_error_rates_match(3, 1);
-  expect_error_rates_match(8, 63);
-  expect_error_rates_match(64, 100);
-  expect_error_rates_match(17, 200);
+TEST(KeyErrorRates, MatchesPerKeyOutputErrorRateOnEveryShape) {
+  for (const std::size_t keys : {1, 3, 16, 17, 64}) {
+    for (const std::size_t vectors : {1, 4, 63, 64, 100, 128, 200}) {
+      const std::size_t blocks = (vectors + 63) / 64;
+      const std::size_t columns = std::min(vectors, keys * blocks);
+      EXPECT_EQ(expect_error_rates_match(keys, vectors), (columns + 3) / 4)
+          << keys << " keys x " << vectors << " vectors";
+    }
+  }
+}
+
+TEST(KeyErrorRates, GuardsWidthAndBlockSizes) {
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 23);
+  const auto design = lock::dmux_lock(original, 16, 7);
+  const Simulator locked(design.netlist);
+  const Simulator reference(original);
+  SimScratch scratch;
+  std::vector<std::uint64_t> in_words, ref_words;
+  std::vector<double> rates;
+  util::Rng vec_rng(3);
+  Simulator::draw_reference_blocks(reference, Key{}, 100, vec_rng, scratch,
+                                   in_words, ref_words);
+
+  KeyBatch narrow;
+  narrow.reset(design.key.size() - 1);
+  narrow.push(Key(design.key.size() - 1, true));
+  EXPECT_THROW(Simulator::key_error_rates(locked, narrow, in_words, ref_words,
+                                          100, scratch, rates),
+               std::invalid_argument);
+
+  const KeyBatch batch = batch_of({Key(design.key.size(), true)},
+                                  design.key.size());
+  // 100 vectors need two blocks; claiming 200 (four blocks) must throw.
+  EXPECT_THROW(Simulator::key_error_rates(locked, batch, in_words, ref_words,
+                                          200, scratch, rates),
+               std::invalid_argument);
+  EXPECT_EQ(Simulator::key_error_rates(locked, batch, {}, {}, 0, scratch,
+                                       rates),
+            0u);
+  EXPECT_EQ(rates, std::vector<double>{0.0});
 }
 
 // Key-count independence: the vector stream is a pure function of the seed,
-// so a 5-key batch and a 64-key batch sharing its first 5 keys must report
-// identical rates for those keys.
-TEST(MultiKeyErrorRate, RatesIndependentOfBatchSize) {
+// so a 5-key batch (vectors in lanes) and a 64-key batch (keys in lanes)
+// sharing its first 5 keys must report identical rates for those keys.
+TEST(KeyErrorRates, RatesIndependentOfBatchSize) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 31);
   const auto design = lock::dmux_lock(original, 16, 9);
@@ -160,21 +230,22 @@ TEST(MultiKeyErrorRate, RatesIndependentOfBatchSize) {
   for (std::size_t k = 0; k < 64; ++k) {
     keys.push_back(random_key(design.key.size(), key_rng));
   }
-  KeyBatch small, large;
-  small.reset(design.key.size());
-  large.reset(design.key.size());
-  for (std::size_t k = 0; k < 5; ++k) small.push(keys[k]);
-  for (std::size_t k = 0; k < 64; ++k) large.push(keys[k]);
+  const KeyBatch small = batch_of(
+      std::vector<Key>(keys.begin(), keys.begin() + 5), design.key.size());
+  const KeyBatch large = batch_of(keys, design.key.size());
 
   SimScratch scratch;
-  std::vector<std::uint64_t> in_a, ref_a, in_b, ref_b;
+  std::vector<std::uint64_t> in_words, ref_words;
   std::vector<double> rates_small, rates_large;
-  util::Rng rng_a(0x77);
-  util::Rng rng_b(0x77);
-  Simulator::multi_key_error_rate(locked, small, reference, Key{}, 96, rng_a,
-                                  scratch, in_a, ref_a, rates_small);
-  Simulator::multi_key_error_rate(locked, large, reference, Key{}, 96, rng_b,
-                                  scratch, in_b, ref_b, rates_large);
+  util::Rng vec_rng(0x77);
+  Simulator::draw_reference_blocks(reference, Key{}, 96, vec_rng, scratch,
+                                   in_words, ref_words);
+  EXPECT_EQ(Simulator::key_error_rates(locked, small, in_words, ref_words, 96,
+                                       scratch, rates_small),
+            3u);  // 5 keys x 2 blocks = 10 columns
+  EXPECT_EQ(Simulator::key_error_rates(locked, large, in_words, ref_words, 96,
+                                       scratch, rates_large),
+            24u);  // 96 vector columns
   ASSERT_EQ(rates_small.size(), 5u);
   ASSERT_EQ(rates_large.size(), 64u);
   for (std::size_t k = 0; k < 5; ++k) EXPECT_EQ(rates_small[k], rates_large[k]);
@@ -232,7 +303,7 @@ TEST(OutputErrorRate, CountsExactlyTheRequestedVectors) {
   }
 }
 
-// ---- measure_corruption over the batched path ------------------------------
+// ---- measure_corruption ----------------------------------------------------
 
 TEST(MeasureCorruption, BatchedReportIsDeterministicAndSane) {
   const Netlist original =
@@ -251,6 +322,27 @@ TEST(MeasureCorruption, BatchedReportIsDeterministicAndSane) {
   EXPECT_GE(a.min_error_rate, 0.0);
   EXPECT_LE(a.min_error_rate, a.mean_error_rate);
   EXPECT_LE(a.mean_error_rate, a.max_error_rate);
+}
+
+// A zero budget must not report a silent wrong answer: wrong keys probed on
+// zero vectors would all count as silent. Zero key trials and keyless
+// designs return the empty report.
+TEST(MeasureCorruption, ZeroVectorsThrow) {
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 51);
+  const auto design = lock::dmux_lock(original, 16, 13);
+  EXPECT_THROW(lock::measure_corruption(design, original, 16, 0, 5),
+               std::invalid_argument);
+
+  const auto no_keys = lock::measure_corruption(design, original, 0, 0, 5);
+  EXPECT_EQ(no_keys.keys_sampled, 0u);
+  EXPECT_EQ(no_keys.silent_wrong_keys, 0.0);
+
+  lock::LockedDesign keyless;
+  keyless.netlist = original;
+  const auto unlocked = lock::measure_corruption(keyless, original, 16, 0, 5);
+  EXPECT_EQ(unlocked.keys_sampled, 0u);
+  EXPECT_EQ(unlocked.silent_wrong_keys, 0.0);
 }
 
 // Pinned reports (c432 D-MUX K=16): the campaign's shape (16 keys x 128

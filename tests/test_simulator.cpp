@@ -137,6 +137,49 @@ TEST(Simulator, RandomEquivalenceInterfaceMismatchIsFalse) {
       Simulator(c17), {}, Simulator(tiny), {}, 64, rng));
 }
 
+// The sweep inlines the gate kernels and folds every fanin straight from the
+// value array: each gate type at each legal arity up to 30 fanins must
+// match eval_gate_words.
+TEST(Simulator, InlinedGateKernelsMatchEvalGateWords) {
+  constexpr std::size_t kMaxArity = 30;
+  util::Rng rng(0x6A7E);
+  for (std::size_t t = 1; t < kGateTypeCount; ++t) {  // every non-input type
+    const auto type = static_cast<GateType>(t);
+    const Arity arity = gate_arity(type);
+    for (std::size_t n = arity.min; n <= kMaxArity; ++n) {
+      if (arity.max != 0 && n > arity.max) break;
+      Netlist circuit;
+      std::vector<NodeId> inputs;
+      for (std::size_t i = 0; i < kMaxArity; ++i) {
+        inputs.push_back(circuit.add_input("x" + std::to_string(i)));
+      }
+      const std::vector<NodeId> fanins(inputs.begin(), inputs.begin() + n);
+      const NodeId gate =
+          is_source(type) ? circuit.add_const(type == GateType::kConst1, "g")
+                          : circuit.add_gate(type, fanins, "g");
+      circuit.mark_output(gate);
+      const Simulator sim(circuit);
+      // All-random words saturate a wide AND or OR, so also probe each
+      // fanin alone against an all-ones and an all-zeros background.
+      std::vector<std::vector<std::uint64_t>> cases;
+      cases.emplace_back(kMaxArity);
+      for (auto& word : cases.back()) word = rng();
+      for (const std::uint64_t background : {~0ULL, 0ULL}) {
+        for (std::size_t probe = 0; probe < n; ++probe) {
+          cases.emplace_back(kMaxArity, background);
+          cases.back()[probe] = rng();
+        }
+      }
+      for (const auto& words : cases) {
+        const auto out = sim.run_word(words, {});
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out[0], eval_gate_words(type, words.data(), n))
+            << gate_type_name(type) << " with " << n << " fanins";
+      }
+    }
+  }
+}
+
 class SimulatorProfileSweep
     : public ::testing::TestWithParam<gen::ProfileId> {};
 
