@@ -22,14 +22,17 @@ int main(int argc, char** argv) {
   // generations; the GNN-fitness dynamics are covered by E1/E2.
   std::vector<std::vector<ga::GenerationStats>> histories;
   for (const std::uint64_t seed : seeds) {
-    AutoLockConfig config;
-    config.fitness_attack = FitnessAttack::kStructural;
-    config.ga.population = 16;
-    config.ga.generations = generations;
-    config.ga.seed = seed;
-    config.threads = 1;
-    AutoLock driver(config);
-    histories.push_back(driver.run(original, {.mux_sites = key_bits}).history);
+    ga::GaConfig config;
+    config.population = 16;
+    config.generations = generations;
+    config.seed = seed;
+    eval::EvalPipelineConfig pipeline_config;
+    pipeline_config.attacks = {"structural"};
+    pipeline_config.seed = seed;
+    eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+    histories.push_back(ga::GeneticAlgorithm(original, config)
+                            .run({.mux_sites = key_bits}, pipeline)
+                            .history);
   }
 
   util::Table table({"generation", "best fitness (mean over seeds)",

@@ -16,13 +16,14 @@ int main(int argc, char** argv) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 1);
   const std::size_t key_bits = args.quick ? 16 : 32;
 
-  AutoLockConfig config;
-  config.fitness_attack = FitnessAttack::kMuxLinkGnn;
-  config.muxlink = benchx::muxlink_fast();
-  config.ga.population = args.quick ? 6 : 10;   // N in Fig. 1
-  config.ga.generations = args.quick ? 2 : 5;
-  config.ga.seed = 1;
-  config.threads = 1;
+  ga::GaConfig config;
+  config.population = args.quick ? 6 : 10;   // N in Fig. 1
+  config.generations = args.quick ? 2 : 5;
+  config.seed = 1;
+  eval::EvalPipelineConfig pipeline_config;
+  pipeline_config.attacks = {"muxlink"};
+  pipeline_config.attack_options.muxlink = benchx::muxlink_fast();
+  pipeline_config.seed = config.seed;
 
   util::Table stages({"stage", "detail", "value"});
   const auto stats = original.stats();
@@ -33,23 +34,27 @@ int main(int argc, char** argv) {
   stages.add_row({"2. key length (K)", "user input", std::to_string(key_bits)});
 
   util::Timer timer;
-  AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, {.mux_sites = key_bits});
+  eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+  const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+      {.mux_sites = key_bits}, pipeline);
+  lock::LockedDesign locked = pipeline.decode(result.best.genes);
+  locked.netlist.set_name(original.name() + "_autolock");
+  const double initial_accuracy = result.history.front().mean_accuracy;
+  const double final_accuracy = result.best.eval.attack_accuracy;
+  const double drop_pp = 100.0 * (initial_accuracy - final_accuracy);
 
   stages.add_row({"3. population init",
-                  std::to_string(config.ga.population) +
+                  std::to_string(config.population) +
                       " random D-MUX lockings of K bits",
-                  "mean MuxLink acc " +
-                      util::fmt_pct(report.initial_mean_accuracy)});
+                  "mean MuxLink acc " + util::fmt_pct(initial_accuracy)});
   stages.add_row({"4. GA loop",
                   "selection + crossover + mutation, fitness = 1 - MuxLink acc",
-                  std::to_string(report.history.size() - 1) + " generations, " +
-                      std::to_string(report.evaluations) + " evaluations"});
-  stages.add_row({"5. locked netlist (LN)", report.locked.netlist.name(),
-                  "MuxLink acc " + util::fmt_pct(report.final_accuracy) +
-                      " (drop " +
-                      util::fmt(100.0 * report.accuracy_drop, 1) + " pp)"});
-  const bool unlocks = lock::verify_unlocks(report.locked, original);
+                  std::to_string(result.history.size() - 1) + " generations, " +
+                      std::to_string(result.evaluations) + " evaluations"});
+  stages.add_row({"5. locked netlist (LN)", locked.netlist.name(),
+                  "MuxLink acc " + util::fmt_pct(final_accuracy) + " (drop " +
+                      util::fmt(drop_pp, 1) + " pp)"});
+  const bool unlocks = lock::verify_unlocks(locked, original);
   stages.add_row({"6. functional check", "LN + correct key == ON",
                   unlocks ? "PASS" : "FAIL"});
   stages.add_row({"total time", "", util::fmt(timer.elapsed_seconds(), 1) + " s"});
@@ -58,7 +63,7 @@ int main(int argc, char** argv) {
 
   util::Table curve({"generation", "best fitness", "mean fitness",
                      "best MuxLink acc"});
-  for (const auto& g : report.history) {
+  for (const auto& g : result.history) {
     curve.add_row({std::to_string(g.generation), util::fmt(g.best_fitness),
                    util::fmt(g.mean_fitness), util::fmt_pct(g.best_accuracy)});
   }

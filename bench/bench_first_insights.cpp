@@ -39,26 +39,30 @@ int main(int argc, char** argv) {
   for (const auto& test_case : cases) {
     const auto original = netlist::gen::make_profile(test_case.profile, 1);
 
-    AutoLockConfig config;
-    config.fitness_attack = FitnessAttack::kMuxLinkGnn;
-    config.muxlink = benchx::muxlink_fast();
-    config.ga.population = args.quick ? 6 : 10;
-    config.ga.generations = args.quick ? 2 : 5;
-    config.ga.seed = 42;
-    config.threads = 1;
+    ga::GaConfig config;
+    config.population = args.quick ? 6 : 10;
+    config.generations = args.quick ? 2 : 5;
+    config.seed = 42;
+    eval::EvalPipelineConfig pipeline_config;
+    pipeline_config.attacks = {"muxlink"};
+    pipeline_config.attack_options.muxlink = benchx::muxlink_fast();
+    pipeline_config.seed = config.seed;
 
     util::Timer timer;
-    AutoLock driver(config);
-    const AutoLockReport report =
-        driver.run(original, {.mux_sites = test_case.key_bits});
-    const bool verified = lock::verify_unlocks(report.locked, original);
-    const double drop_pp = 100.0 * report.accuracy_drop;
+    eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+    const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+        {.mux_sites = test_case.key_bits}, pipeline);
+    const bool verified =
+        lock::verify_unlocks(pipeline.decode(result.best.genes), original);
+    const double initial_accuracy = result.history.front().mean_accuracy;
+    const double final_accuracy = result.best.eval.attack_accuracy;
+    const double drop_pp = 100.0 * (initial_accuracy - final_accuracy);
     drops.add(drop_pp);
 
     table.add_row({original.name(), std::to_string(test_case.key_bits),
-                   util::fmt_pct(report.initial_mean_accuracy),
-                   util::fmt_pct(report.final_accuracy), util::fmt(drop_pp, 1),
-                   verified ? "yes" : "NO", std::to_string(report.evaluations),
+                   util::fmt_pct(initial_accuracy),
+                   util::fmt_pct(final_accuracy), util::fmt(drop_pp, 1),
+                   verified ? "yes" : "NO", std::to_string(result.evaluations),
                    util::fmt(timer.elapsed_seconds(), 1)});
   }
 

@@ -49,25 +49,26 @@ int main(int argc, char** argv) {
   for (const auto& variant : variants) {
     util::OnlineStats final_fitness, final_acc, initial_fitness, evals;
     for (const std::uint64_t seed : seeds) {
-      AutoLockConfig config;
-      config.fitness_attack = FitnessAttack::kStructural;
-      config.ga.population = 12;
-      config.ga.generations = generations;
-      config.ga.selection = variant.selection;
-      config.ga.crossover = variant.crossover;
-      config.ga.mutation_rate = variant.mutation_rate;
+      ga::GaConfig config;
+      config.population = 12;
+      config.generations = generations;
+      config.selection = variant.selection;
+      config.crossover = variant.crossover;
+      config.mutation_rate = variant.mutation_rate;
       if (std::string(variant.name).find("mutation-only") != std::string::npos) {
-        config.ga.crossover_rate = 0.0;
+        config.crossover_rate = 0.0;
       }
-      config.ga.seed = seed;
-      config.threads = 1;
-      AutoLock driver(config);
-      const AutoLockReport report =
-          driver.run(original, {.mux_sites = key_bits});
-      final_fitness.add(report.history.back().best_fitness);
-      final_acc.add(report.final_accuracy);
-      initial_fitness.add(report.history.front().best_fitness);
-      evals.add(static_cast<double>(report.evaluations));
+      config.seed = seed;
+      eval::EvalPipelineConfig pipeline_config;
+      pipeline_config.attacks = {"structural"};
+      pipeline_config.seed = seed;
+      eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+      const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+          {.mux_sites = key_bits}, pipeline);
+      final_fitness.add(result.history.back().best_fitness);
+      final_acc.add(result.best.eval.attack_accuracy);
+      initial_fitness.add(result.history.front().best_fitness);
+      evals.add(static_cast<double>(result.evaluations));
     }
     table.add_row({variant.name, util::fmt(final_fitness.mean()),
                    util::fmt_pct(final_acc.mean()),

@@ -77,16 +77,17 @@ int main(int argc, char** argv) {
     {
       // AutoLock output (quick structural evolution — the SAT attack does
       // not care how sites were chosen, only about the key-space pruning).
-      AutoLockConfig config;
-      config.fitness_attack = FitnessAttack::kStructural;
-      config.ga.population = 8;
-      config.ga.generations = args.quick ? 1 : 3;
-      config.ga.seed = 7;
-      config.threads = 1;
-      AutoLock driver(config);
-      designs.push_back(
-          {"AutoLock",
-           driver.run(original, {.mux_sites = test_case.key_bits}).locked});
+      ga::GaConfig config;
+      config.population = 8;
+      config.generations = args.quick ? 1 : 3;
+      config.seed = 7;
+      eval::EvalPipelineConfig pipeline_config;
+      pipeline_config.attacks = {"structural"};
+      pipeline_config.seed = config.seed;
+      eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+      const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+          {.mux_sites = test_case.key_bits}, pipeline);
+      designs.push_back({"AutoLock", pipeline.decode(result.best.genes)});
     }
 
     for (const auto& [scheme, design] : designs) {

@@ -40,16 +40,17 @@ int main(int argc, char** argv) {
     rows.push_back(
         {"D-MUX", lock::dmux_lock(original, test_case.key_bits, 5)});
     {
-      AutoLockConfig config;
-      config.fitness_attack = FitnessAttack::kStructural;
-      config.ga.population = 8;
-      config.ga.generations = args.quick ? 1 : 3;
-      config.ga.seed = 5;
-      config.threads = 1;
-      AutoLock driver(config);
-      rows.push_back(
-          {"AutoLock",
-           driver.run(original, {.mux_sites = test_case.key_bits}).locked});
+      ga::GaConfig config;
+      config.population = 8;
+      config.generations = args.quick ? 1 : 3;
+      config.seed = 5;
+      eval::EvalPipelineConfig pipeline_config;
+      pipeline_config.attacks = {"structural"};
+      pipeline_config.seed = config.seed;
+      eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+      const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+          {.mux_sites = test_case.key_bits}, pipeline);
+      rows.push_back({"AutoLock", pipeline.decode(result.best.genes)});
     }
 
     for (const auto& [scheme, design] : rows) {

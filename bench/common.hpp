@@ -28,7 +28,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/autolock.hpp"
+#include "attacks/muxlink.hpp"
+#include "core/ga.hpp"
 #include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
 #include "eval/workspace.hpp"

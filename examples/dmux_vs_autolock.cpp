@@ -11,7 +11,8 @@
 #include <string>
 
 #include "attacks/muxlink.hpp"
-#include "core/autolock.hpp"
+#include "core/ga.hpp"
+#include "eval/pipeline.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 #include "util/stats.hpp"
@@ -48,28 +49,30 @@ int main(int argc, char** argv) {
   std::printf("  mean: %.1f%%\n\n", 100.0 * baseline.mean());
 
   std::printf("== AutoLock (GNN fitness, %zu generations) ==\n", generations);
-  AutoLockConfig config;
-  config.fitness_attack = FitnessAttack::kMuxLinkGnn;
-  config.muxlink.epochs = 10;
-  config.muxlink.max_train_links = 400;
-  config.ga.population = 10;
-  config.ga.generations = generations;
-  config.ga.seed = 1;
-  config.threads = 1;
-  AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, {.mux_sites = key_bits});
+  ga::GaConfig config;
+  config.population = 10;
+  config.generations = generations;
+  config.seed = 1;
+  eval::EvalPipelineConfig pipeline_config;
+  pipeline_config.attacks = {"muxlink"};
+  pipeline_config.attack_options.muxlink.epochs = 10;
+  pipeline_config.attack_options.muxlink.max_train_links = 400;
+  pipeline_config.seed = config.seed;
+  eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+  const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+      {.mux_sites = key_bits}, pipeline);
+  const lock::LockedDesign locked = pipeline.decode(result.best.genes);
 
-  const auto evolved_score = evaluator.run(report.locked);
+  const auto evolved_score = evaluator.run(locked);
   std::printf("  evolved design: MuxLink accuracy %.1f%% (thorough re-eval)\n",
               100.0 * evolved_score.accuracy);
   std::printf("  drop vs D-MUX mean: %.1f pp\n",
               100.0 * (baseline.mean() - evolved_score.accuracy));
   std::printf("  functional: %s\n",
-              lock::verify_unlocks(report.locked, original) ? "verified"
-                                                            : "BROKEN");
+              lock::verify_unlocks(locked, original) ? "verified" : "BROKEN");
 
   std::printf("\nGA trace (fitness = 1 - fast-MuxLink accuracy):\n");
-  for (const auto& generation : report.history) {
+  for (const auto& generation : result.history) {
     std::printf("  gen %2zu: best %.3f  mean %.3f  best-acc %.1f%%\n",
                 generation.generation, generation.best_fitness,
                 generation.mean_fitness, 100.0 * generation.best_accuracy);

@@ -26,7 +26,8 @@
 #include <vector>
 
 #include "attacks/muxlink.hpp"
-#include "core/autolock.hpp"
+#include "core/ga.hpp"
+#include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
 #include "eval/workspace.hpp"
 #include "locking/antisat.hpp"
@@ -104,14 +105,21 @@ int cmd_lock(int argc, char** argv) {
   } else if (scheme == "compound") {
     design = lock::compound_lock(original, key_bits, {}, seed);
   } else if (scheme == "autolock") {
-    AutoLockConfig config;
-    config.fitness_attack = FitnessAttack::kMuxLinkGnn;
-    config.muxlink.epochs = 10;
-    config.muxlink.max_train_links = 400;
-    config.ga.population = 10;
-    config.ga.generations = 5;
-    config.ga.seed = seed;
-    design = AutoLock(config).run(original, {.mux_sites = key_bits}).locked;
+    ga::GaConfig config;
+    config.population = 10;
+    config.generations = 5;
+    config.seed = seed;
+    eval::EvalPipelineConfig pipeline_config;
+    pipeline_config.attacks = {"muxlink"};
+    pipeline_config.attack_options.muxlink.epochs = 10;
+    pipeline_config.attack_options.muxlink.max_train_links = 400;
+    pipeline_config.threads = 0;  // one worker per hardware thread
+    pipeline_config.seed = seed;
+    eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+    const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+        {.mux_sites = key_bits}, pipeline);
+    design = pipeline.decode(result.best.genes);
+    design.netlist.set_name(original.name() + "_autolock");
   } else if (scheme == "dmux") {
     design = lock::dmux_lock(original, key_bits, seed);
   } else {

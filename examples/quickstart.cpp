@@ -1,4 +1,4 @@
-// Quickstart: the complete AutoLock workflow (paper Fig. 1) in ~60 lines.
+// Quickstart: the complete AutoLock workflow (paper Fig. 1).
 //
 //   1. Obtain an original netlist (ON) — here the c432-profile benchmark.
 //   2. Baseline: lock it with random D-MUX and attack it with MuxLink.
@@ -10,11 +10,13 @@
 //      registry turns "which attacks?" into a string list.
 #include <cstdio>
 
-#include "core/autolock.hpp"
+#include "core/ga.hpp"
+#include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
 #include "eval/workspace.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
+#include "util/timer.hpp"
 
 int main() {
   using namespace autolock;
@@ -42,22 +44,33 @@ int main() {
               100.0 * baseline_score.accuracy, 100.0 * baseline_score.precision,
               100.0 * baseline_score.decided_fraction);
 
-  // 3. AutoLock: evolve lock sites against MuxLink.
-  AutoLockConfig config;
-  config.ga.population = 12;
-  config.ga.generations = 6;
-  config.ga.seed = 7;
-  AutoLock autolock(config);
-  const AutoLockReport report = autolock.run(original, {.mux_sites = kKeyBits});
+  // 3. AutoLock: evolve lock sites against MuxLink. The GA proposes
+  //    genotypes; the pipeline decodes each one and scores it by MuxLink
+  //    accuracy (fitness = 1 - accuracy).
+  util::Timer timer;
+  ga::GaConfig config;
+  config.population = 12;
+  config.generations = 6;
+  config.seed = 7;
+  eval::EvalPipelineConfig pipeline_config;
+  pipeline_config.attacks = {"muxlink"};
+  pipeline_config.threads = 0;  // one worker per hardware thread
+  pipeline_config.seed = config.seed;
+  eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+  const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+      {.mux_sites = kKeyBits}, pipeline);
+  const lock::LockedDesign locked = pipeline.decode(result.best.genes);
+  const double initial_accuracy = result.history.front().mean_accuracy;
+  const double final_accuracy = result.best.eval.attack_accuracy;
 
   std::printf("AutoLock:        MuxLink accuracy %.1f%% -> %.1f%%  "
               "(drop %.1f pp, %zu evaluations, %.1fs)\n",
-              100.0 * report.initial_mean_accuracy,
-              100.0 * report.final_accuracy, 100.0 * report.accuracy_drop,
-              report.evaluations, report.seconds);
+              100.0 * initial_accuracy, 100.0 * final_accuracy,
+              100.0 * (initial_accuracy - final_accuracy), result.evaluations,
+              timer.elapsed_seconds());
 
   // 4. The evolved locked netlist must still unlock with its key.
-  if (!lock::verify_unlocks(report.locked, original, lock::VerifyMode::kBoth)) {
+  if (!lock::verify_unlocks(locked, original)) {
     std::printf("AutoLock result failed verification!\n");
     return 1;
   }
@@ -73,7 +86,7 @@ int main() {
   eval::EvalWorkspace workspace;
   for (const auto& name : eval::AttackRegistry::instance().names()) {
     const eval::AttackReport sweep =
-        eval::make_attack(name, options)->evaluate(report.locked, workspace);
+        eval::make_attack(name, options)->evaluate(locked, workspace);
     std::printf("  %-18s accuracy %5.1f%%  key recovery %5.1f%%  %s  (%.2fs)\n",
                 name.c_str(), 100.0 * sweep.accuracy,
                 100.0 * sweep.key_recovery,

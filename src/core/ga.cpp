@@ -97,8 +97,14 @@ GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
     stats.best_fitness = population.front().eval.fitness;
     stats.worst_fitness = population.back().eval.fitness;
     double sum = 0.0;
-    for (const Individual& ind : population) sum += ind.eval.fitness;
-    stats.mean_fitness = sum / static_cast<double>(population.size());
+    double accuracy_sum = 0.0;
+    for (const Individual& ind : population) {
+      sum += ind.eval.fitness;
+      accuracy_sum += ind.eval.attack_accuracy;
+    }
+    const auto size = static_cast<double>(population.size());
+    stats.mean_fitness = sum / size;
+    stats.mean_accuracy = accuracy_sum / size;
     stats.best_accuracy = population.front().eval.attack_accuracy;
     stats.cache_hits = hits;
     result.history.push_back(stats);

@@ -84,6 +84,7 @@ struct GenerationStats {
   double mean_fitness = 0.0;
   double worst_fitness = 0.0;
   double best_accuracy = 1.0;  // attack accuracy of the best individual
+  double mean_accuracy = 1.0;  // mean attack accuracy of the population
   std::size_t cache_hits = 0;
 };
 

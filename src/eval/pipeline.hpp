@@ -1,6 +1,6 @@
 // EvalPipeline — the shared decode -> attack -> score evaluation layer.
 //
-// Every optimizer in core/ (GA, NSGA-II, the black-box heuristics, AutoLock)
+// Every optimizer in core/ (GA, NSGA-II, the black-box heuristics)
 // evaluates genotypes the same way: decode the genotype into a locked
 // netlist (repairing stale genes), run one or more attacks against it, and
 // fold the attack reports into a fitness (scalar) or objective vector

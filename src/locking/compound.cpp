@@ -61,18 +61,13 @@ NameId intern_indexed(const Netlist& net, const char* pattern,
 /// repaired site that was actually applied.
 void apply_mux_gene(LockedDesign& design, const SiteContext& context,
                     LockSite& site, util::Rng& repair_rng,
-                    ReachScratch& scratch, const MuxLockOptions& options,
-                    std::size_t key_offset, NodeId first, bool recycled,
-                    AppliedGene& rec) {
+                    ReachScratch& scratch, std::size_t key_offset,
+                    NodeId first, bool recycled, AppliedGene& rec) {
   DecodeTopo& topo = scratch.topo;
   const bool ok = context.structurally_valid(site, scratch) &&
                   SiteContext::edges_available(site, design.sites) &&
                   applicable_to_working_ranks(topo, site);
   if (!ok) {
-    if (!options.repair_invalid) {
-      throw std::runtime_error("apply_genotype: invalid site at key bit " +
-                               std::to_string(key_offset));
-    }
     bool repaired = false;
     for (int attempt = 0; attempt < 64 && !repaired; ++attempt) {
       LockSite candidate;
@@ -128,8 +123,8 @@ void apply_mux_gene(LockedDesign& design, const SiteContext& context,
 /// consumed by an earlier gene) are repaired from the context's wire pool.
 void apply_rll_gene(LockedDesign& design, const SiteContext& context,
                     Gene& gene, util::Rng& repair_rng, ReachScratch& scratch,
-                    const MuxLockOptions& options, std::size_t key_offset,
-                    NodeId first, bool recycled, AppliedGene& rec) {
+                    std::size_t key_offset, NodeId first, bool recycled,
+                    AppliedGene& rec) {
   DecodeTopo& topo = scratch.topo;
   const Netlist& original = context.original();
   NodeId driver = gene.f_i;
@@ -144,10 +139,6 @@ void apply_rll_gene(LockedDesign& design, const SiteContext& context,
     return topo.has_fanin(s, d);
   };
   if (!wire_ok(driver, sink)) {
-    if (!options.repair_invalid) {
-      throw std::runtime_error("apply_genotype: invalid RLL gene at key bit " +
-                               std::to_string(key_offset));
-    }
     const auto& pool = context.rll_wires();
     bool repaired = false;
     for (int attempt = 0; attempt < 64 && !repaired && !pool.empty();
@@ -404,8 +395,7 @@ void apply_antisat_gene(LockedDesign& design, const SiteContext& context,
 /// nodes — same ids, same names, same resulting netlist, no allocation.
 void apply_genes(LockedDesign& design, const SiteContext& context,
                  const Genotype& genes, util::Rng& repair_rng,
-                 ReachScratch& scratch, const MuxLockOptions& options,
-                 std::size_t recycled_genes = 0) {
+                 ReachScratch& scratch, std::size_t recycled_genes = 0) {
   // Decode-local dynamic topological order over the working netlist: seeded
   // from the original's longest-path levels, relabelled incrementally per
   // accepted gene. Every applicability query below is an O(1) rank
@@ -426,15 +416,15 @@ void apply_genes(LockedDesign& design, const SiteContext& context,
     switch (genes[t].kind) {
       case GeneKind::kMux: {
         LockSite site = genes[t].site();
-        apply_mux_gene(design, context, site, repair_rng, scratch, options,
-                       key_offset, next_node, recycled, rec);
+        apply_mux_gene(design, context, site, repair_rng, scratch, key_offset,
+                       next_node, recycled, rec);
         design.genes.push_back(Gene(site));
         break;
       }
       case GeneKind::kRll: {
         Gene gene = genes[t];
-        apply_rll_gene(design, context, gene, repair_rng, scratch, options,
-                       key_offset, next_node, recycled, rec);
+        apply_rll_gene(design, context, gene, repair_rng, scratch, key_offset,
+                       next_node, recycled, rec);
         design.genes.push_back(gene);
         break;
       }
@@ -455,20 +445,18 @@ void apply_genes(LockedDesign& design, const SiteContext& context,
 
 LockedDesign apply_genotype(const Netlist& original,
                             const SiteContext& context, const Genotype& genes,
-                            util::Rng& repair_rng,
-                            const MuxLockOptions& options) {
+                            util::Rng& repair_rng) {
   LockedDesign design{original, {}, {}, {}};
   design.netlist.set_name(original.name() + "_muxlocked");
   ReachScratch scratch;
-  apply_genes(design, context, genes, repair_rng, scratch, options);
+  apply_genes(design, context, genes, repair_rng, scratch);
   design.netlist.validate();
   return design;
 }
 
 void apply_genotype_into(LockedDesign& out, const Netlist& original,
                          const SiteContext& context, const Genotype& genes,
-                         util::Rng& repair_rng, ReachScratch& scratch,
-                         const MuxLockOptions& options) {
+                         util::Rng& repair_rng, ReachScratch& scratch) {
   // Fast path: when this (out, original) pair is the one the previous
   // decode through this scratch produced — and the caller has not shrunk
   // the genotype's per-gene profile or mutated the design since — the
@@ -595,8 +583,7 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   out.sites.reserve(genes.size());
   out.genes.reserve(genes.size());
   out.applied.reserve(genes.size());
-  apply_genes(out, context, genes, repair_rng, scratch, options,
-              recycle ? prev : 0);
+  apply_genes(out, context, genes, repair_rng, scratch, recycle ? prev : 0);
   // Prime the traversal cache every downstream attack and simulator
   // construction consumes with the order derived from the decode's dynamic
   // ranks — an O(V) merge of the context's seed order with the decode's

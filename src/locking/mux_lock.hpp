@@ -47,22 +47,16 @@ struct LockedDesign {
   std::vector<AppliedGene> applied;
 };
 
-struct MuxLockOptions {
-  /// When a genotype gene is structurally invalid (stale gene after
-  /// crossover/mutation, or cross-gene clash), re-sample a fresh valid gene
-  /// of the same kind instead of failing. The repaired gene is written back
-  /// into the design's `genes` (and `sites` for MUX genes).
-  bool repair_invalid = true;
-};
-
-/// Decodes a genotype into a locked netlist. Throws std::runtime_error if a
-/// gene is invalid and repair is disabled (or repair cannot find a valid
-/// replacement). The returned design always has exactly
-/// sum(gene.key_bits()) key bits and passes netlist.validate().
+/// Decodes a genotype into a locked netlist. A structurally invalid gene
+/// (stale after crossover/mutation, or a cross-gene clash) is repaired: a
+/// fresh valid gene of the same kind is drawn from `repair_rng` and written
+/// back into the design's `genes` (and `sites` for MUX genes). Throws
+/// std::runtime_error if repair cannot find a valid replacement. The
+/// returned design always has exactly sum(gene.key_bits()) key bits and
+/// passes netlist.validate().
 LockedDesign apply_genotype(const netlist::Netlist& original,
                             const SiteContext& context, const Genotype& genes,
-                            util::Rng& repair_rng,
-                            const MuxLockOptions& options = {});
+                            util::Rng& repair_rng);
 
 /// Buffer-reusing decode for evaluation loops: writes the locked design
 /// into `out` (its netlist buffers, key, gene and MUX-pair vectors are
@@ -83,8 +77,7 @@ LockedDesign apply_genotype(const netlist::Netlist& original,
 /// maintained dynamic topological order — see locking/decode_topo.hpp.
 void apply_genotype_into(LockedDesign& out, const netlist::Netlist& original,
                          const SiteContext& context, const Genotype& genes,
-                         util::Rng& repair_rng, ReachScratch& scratch,
-                         const MuxLockOptions& options = {});
+                         util::Rng& repair_rng, ReachScratch& scratch);
 
 /// Pre-interns the decode-generated names ({keyinput<t>, keymux<t>a/b,
 /// keyxor<t>} for t in [0, key_bits)) into `original`'s name table and

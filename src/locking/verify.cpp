@@ -13,18 +13,15 @@ using netlist::Simulator;
 bool verify_unlocks(const LockedDesign& design,
                     const netlist::Netlist& original, VerifyMode mode,
                     std::size_t vectors, std::uint64_t seed) {
-  if (mode == VerifyMode::kSimulation || mode == VerifyMode::kBoth) {
-    util::Rng rng(seed);
-    const Simulator locked_sim(design.netlist);
-    const Simulator original_sim(original);
-    if (!Simulator::equivalent_on_random_vectors(locked_sim, design.key,
-                                                 original_sim, Key{}, vectors,
-                                                 rng)) {
-      return false;
-    }
-    if (mode == VerifyMode::kSimulation) return true;
+  if (mode == VerifyMode::kSat) {
+    return sat::check_unlocks(design.netlist, design.key, original);
   }
-  return sat::check_unlocks(design.netlist, design.key, original);
+  util::Rng rng(seed);
+  const Simulator locked_sim(design.netlist);
+  const Simulator original_sim(original);
+  return Simulator::equivalent_on_random_vectors(locked_sim, design.key,
+                                                 original_sim, Key{}, vectors,
+                                                 rng);
 }
 
 CorruptionReport measure_corruption(const LockedDesign& design,

@@ -15,14 +15,14 @@ namespace autolock::lock {
 
 enum class VerifyMode {
   kSimulation,  // random-vector screening (fast, probabilistic)
-  kSat,         // full SAT miter proof
-  kBoth,        // screening first, then proof
+  kSat,         // strashed SAT miter proof (sat::check_unlocks)
 };
 
 /// True iff the locked netlist under its correct key matches the original.
+/// The default is a proof; `vectors` and `seed` apply to kSimulation only.
 bool verify_unlocks(const LockedDesign& design,
                     const netlist::Netlist& original,
-                    VerifyMode mode = VerifyMode::kSimulation,
+                    VerifyMode mode = VerifyMode::kSat,
                     std::size_t vectors = 2048, std::uint64_t seed = 7);
 
 struct CorruptionReport {

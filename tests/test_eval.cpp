@@ -191,18 +191,48 @@ TEST(FitnessCache, KeyBitDifferenceIsADifferentGenotype) {
 // ---- EvalPipeline --------------------------------------------------------
 
 TEST(EvalPipeline, ScalarFitnessMatchesAttackAccuracy) {
+  // Fitness is 1 - the mean accuracy of the attack list, plus the
+  // saturated corruption term when it is weighted in.
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 12);
-  EvalPipelineConfig config;
-  config.attacks = {"structural"};
-  config.attack_options = fast_options(original);
-  EvalPipeline pipeline(original, std::move(config));
-
   const auto design = lock::dmux_lock(original, 8, 5);
-  const ga::Evaluation eval = pipeline.score(design);
-  EXPECT_GE(eval.attack_accuracy, 0.0);
-  EXPECT_LE(eval.attack_accuracy, 1.0);
-  EXPECT_DOUBLE_EQ(eval.fitness, 1.0 - eval.attack_accuracy);
+  struct Case {
+    std::vector<std::string> attacks;
+    double corruption_weight;
+  };
+  const std::vector<Case> cases = {{{"structural"}, 0.0},
+                                   {{"structural", "scope"}, 0.0},
+                                   {{"structural"}, 0.3}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.attacks.size() << " attack(s), weight "
+                                    << c.corruption_weight);
+    EvalPipelineConfig config;
+    config.attacks = c.attacks;
+    config.attack_options = fast_options(original);
+    config.corruption_weight = c.corruption_weight;
+    EvalPipeline pipeline(original, std::move(config));
+    const ga::Evaluation eval = pipeline.score(design);
+
+    double accuracy = 0.0;
+    EvalWorkspace workspace;
+    for (const auto& name : c.attacks) {
+      accuracy += make_attack(name, fast_options(original))
+                      ->evaluate(design, workspace)
+                      .accuracy;
+    }
+    accuracy /= static_cast<double>(c.attacks.size());
+    EXPECT_GE(eval.attack_accuracy, 0.0);
+    EXPECT_LE(eval.attack_accuracy, 1.0);
+    EXPECT_DOUBLE_EQ(eval.attack_accuracy, accuracy);
+    if (c.corruption_weight == 0.0) {
+      EXPECT_DOUBLE_EQ(eval.fitness, 1.0 - eval.attack_accuracy);
+    } else {
+      EXPECT_GT(eval.corruption, 0.0);
+      EXPECT_DOUBLE_EQ(eval.fitness,
+                       1.0 - eval.attack_accuracy +
+                           std::min(eval.corruption, 0.5) / 0.5 * 0.3);
+    }
+  }
 }
 
 TEST(EvalPipeline, ObjectivesOnePerAttackPlusCorruption) {

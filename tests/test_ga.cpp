@@ -188,6 +188,10 @@ TEST(Ga, HistoryRecordsEveryGeneration) {
               result.history[g].mean_fitness + 1e-12);
     EXPECT_LE(result.history[g].mean_fitness,
               result.history[g].best_fitness + 1e-12);
+    // count_ones_fitness scores accuracy = 1 - fitness per individual, so
+    // the mean accuracy mirrors the mean fitness.
+    EXPECT_NEAR(result.history[g].mean_accuracy,
+                1.0 - result.history[g].mean_fitness, 1e-12);
   }
 }
 

@@ -5,7 +5,8 @@
 #include "attacks/muxlink.hpp"
 #include "attacks/sat_attack.hpp"
 #include "attacks/structural.hpp"
-#include "core/autolock.hpp"
+#include "core/ga.hpp"
+#include "eval/pipeline.hpp"
 #include "locking/rll.hpp"
 #include "locking/verify.hpp"
 #include "netlist/bench_io.hpp"
@@ -17,6 +18,25 @@ namespace {
 
 using netlist::Key;
 using netlist::Netlist;
+
+/// Evolves a `key_bits`-bit D-MUX genotype against the structural
+/// predictor with a small GA and returns the decoded best design.
+lock::LockedDesign evolve_structural(const Netlist& original,
+                                     std::size_t key_bits,
+                                     std::size_t generations,
+                                     std::uint64_t seed) {
+  ga::GaConfig config;
+  config.population = 6;
+  config.generations = generations;
+  config.seed = seed;
+  eval::EvalPipelineConfig pipeline_config;
+  pipeline_config.attacks = {"structural"};
+  pipeline_config.seed = seed;
+  eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+  const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+      {.mux_sites = key_bits}, pipeline);
+  return pipeline.decode(result.best.genes);
+}
 
 TEST(Integration, LockedBenchFileRoundTripStaysAttackable) {
   // Lock -> serialize to .bench -> reparse -> the attack still sees the
@@ -39,30 +59,20 @@ TEST(Integration, LockedBenchFileRoundTripStaysAttackable) {
 TEST(Integration, AutoLockOutputSurvivesFullToolchain) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
-  AutoLockConfig config;
-  config.fitness_attack = FitnessAttack::kStructural;
-  config.ga.population = 6;
-  config.ga.generations = 3;
-  config.ga.seed = 5;
-  config.threads = 1;
-  AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, {.mux_sites = 12});
+  const lock::LockedDesign locked = evolve_structural(original, 12, 3, 5);
 
   // 1. Functional: unlocks under the correct key (SAT-proven).
-  EXPECT_TRUE(
-      lock::verify_unlocks(report.locked, original, lock::VerifyMode::kBoth));
+  EXPECT_TRUE(lock::verify_unlocks(locked, original));
 
   // 2. The SAT attack still breaks it (MUX locking is not SAT-resilient —
   //    the paper's security objective is ML resilience).
-  const auto sat_result =
-      attack::SatAttack().attack(report.locked.netlist, original);
+  const auto sat_result = attack::SatAttack().attack(locked.netlist, original);
   EXPECT_TRUE(sat_result.success);
 
   // 3. Serialization round trip.
   const Netlist reparsed =
-      netlist::bench::parse(netlist::bench::write(report.locked.netlist));
-  EXPECT_TRUE(sat::check_equivalent(reparsed, report.locked.key, original,
-                                    Key{}));
+      netlist::bench::parse(netlist::bench::write(locked.netlist));
+  EXPECT_TRUE(sat::check_equivalent(reparsed, locked.key, original, Key{}));
 }
 
 TEST(Integration, StructuralAndGnnAgreeOnProblemSpace) {
@@ -85,16 +95,8 @@ TEST(Integration, WrongKeyCorruptionSurvivesEvolution) {
   // (wrong keys corrupt at least somewhere for most bits).
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 9);
-  AutoLockConfig config;
-  config.fitness_attack = FitnessAttack::kStructural;
-  config.ga.population = 6;
-  config.ga.generations = 2;
-  config.ga.seed = 9;
-  config.threads = 1;
-  AutoLock driver(config);
-  const AutoLockReport report = driver.run(original, {.mux_sites = 16});
-  const auto corruption =
-      lock::measure_corruption(report.locked, original, 16, 256);
+  const lock::LockedDesign locked = evolve_structural(original, 16, 2, 9);
+  const auto corruption = lock::measure_corruption(locked, original, 16, 256);
   EXPECT_GT(corruption.mean_error_rate, 0.0);
 }
 
@@ -121,7 +123,7 @@ TEST(Integration, C17EndToEndTiny) {
   // The real ISCAS circuit through the whole stack with K=2.
   const Netlist c17 = netlist::gen::c17();
   const auto design = lock::dmux_lock(c17, 2, 1);
-  EXPECT_TRUE(lock::verify_unlocks(design, c17, lock::VerifyMode::kBoth));
+  EXPECT_TRUE(lock::verify_unlocks(design, c17));
   const auto sat_result = attack::SatAttack().attack(design.netlist, c17);
   EXPECT_TRUE(sat_result.success);
 }

@@ -49,7 +49,7 @@ TEST(MuxLock, CorrectKeySatProvenOnSmallCircuit) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 13);
   const LockedDesign design = dmux_lock(original, 8, 13);
-  EXPECT_TRUE(verify_unlocks(design, original, VerifyMode::kBoth));
+  EXPECT_TRUE(verify_unlocks(design, original, VerifyMode::kSat));
 }
 
 TEST(MuxLock, DeterministicInSeed) {
@@ -129,19 +129,6 @@ TEST(MuxLock, ApplyGenotypeRepairsStaleGenes) {
   EXPECT_TRUE(verify_unlocks(design, original));
 }
 
-TEST(MuxLock, ApplyGenotypeWithoutRepairThrows) {
-  const Netlist original =
-      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 31);
-  const SiteContext context(original);
-  util::Rng rng(31);
-  auto sites = random_genotype(context, 4, rng);
-  sites[0].f_i = sites[0].f_j;  // invalid
-  MuxLockOptions options;
-  options.repair_invalid = false;
-  EXPECT_THROW(apply_genotype(original, context, sites, rng, options),
-               std::runtime_error);
-}
-
 TEST(MuxLock, DuplicateSitesGetRepaired) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 37);
@@ -169,7 +156,7 @@ TEST(MuxLock, ThrowsWhenCircuitTooSmall) {
 TEST(MuxLock, C17SmallKeyWorks) {
   const Netlist c17 = netlist::gen::c17();
   const LockedDesign design = dmux_lock(c17, 2, 5);
-  EXPECT_TRUE(verify_unlocks(design, c17, VerifyMode::kBoth));
+  EXPECT_TRUE(verify_unlocks(design, c17, VerifyMode::kSat));
 }
 
 TEST(MuxLock, WarmDecodeInternsNoNames) {

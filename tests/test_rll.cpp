@@ -34,7 +34,7 @@ TEST(Rll, SatProvenOnSmallKey) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 7);
   const LockedDesign design = rll_lock(original, 8, 9);
-  EXPECT_TRUE(verify_unlocks(design, original, VerifyMode::kBoth));
+  EXPECT_TRUE(verify_unlocks(design, original, VerifyMode::kSat));
 }
 
 TEST(Rll, KeyGateTypesFollowKeyBits) {
