@@ -38,9 +38,12 @@ void AttackGraph::build(const Netlist& locked) {
   }
 
   // Adjacency (CSR) + positives over present nodes only. Degrees first,
-  // then a prefix sum, then edge placement through per-row cursors.
+  // then a prefix sum, then edge placement: a node's fanins fill its row
+  // from the back, and its sinks arrive at the front through a per-row
+  // cursor, in ascending order, a sink that lists it twice next to its
+  // twin. So the front of row u holds u's positives in (driver, sink)
+  // order: a counting sort on the driver, with the rows as buckets.
   adj_offsets_.assign(n + 1, 0);
-  known_links_.clear();
   for (NodeId v = 0; v < n; ++v) {
     if (!present_[v]) continue;
     for (const NodeId fanin : locked.node(v).fanins) {
@@ -54,19 +57,26 @@ void AttackGraph::build(const Netlist& locked) {
   cursor_.assign(adj_offsets_.begin(), adj_offsets_.end() - 1);
   for (NodeId v = 0; v < n; ++v) {
     if (!present_[v]) continue;
+    std::uint32_t back = adj_offsets_[v + 1];
     for (const NodeId fanin : locked.node(v).fanins) {
       if (!present_[fanin]) continue;
-      adj_edges_[cursor_[v]++] = fanin;
+      adj_edges_[--back] = fanin;
       adj_edges_[cursor_[fanin]++] = v;
-      known_links_.push_back(CandidateLink{fanin, v});
     }
   }
-  // Sort + deduplicate each row, compacting the edge array in place (rows
-  // only ever shrink, so the write cursor never overtakes a pending row).
+  // Read each row's positives off its front, skipping repeats, then sort +
+  // deduplicate the row, compacting the edge array in place (rows only ever
+  // shrink, so the write cursor never overtakes a pending row).
+  known_links_.clear();
   std::uint32_t write = 0;
   for (NodeId v = 0; v < n; ++v) {
     const auto row_begin = adj_edges_.begin() + adj_offsets_[v];
     const auto row_end = adj_edges_.begin() + adj_offsets_[v + 1];
+    for (auto it = row_begin; it != adj_edges_.begin() + cursor_[v]; ++it) {
+      if (it == row_begin || *it != it[-1]) {
+        known_links_.push_back(CandidateLink{v, *it});
+      }
+    }
     std::sort(row_begin, row_end);
     const auto unique_end = std::unique(row_begin, row_end);
     const std::uint32_t new_begin = write;
@@ -75,17 +85,6 @@ void AttackGraph::build(const Netlist& locked) {
   }
   adj_offsets_[n] = write;
   adj_edges_.resize(write);
-
-  std::sort(known_links_.begin(), known_links_.end(),
-            [](const CandidateLink& a, const CandidateLink& b) {
-              return a.u < b.u || (a.u == b.u && a.v < b.v);
-            });
-  known_links_.erase(
-      std::unique(known_links_.begin(), known_links_.end(),
-                  [](const CandidateLink& a, const CandidateLink& b) {
-                    return a.u == b.u && a.v == b.v;
-                  }),
-      known_links_.end());
 
   // Key-MUX sink rows (ascending, deduplicated — identical content to the
   // netlist's cached fanout rows for these nodes), collected in one

@@ -34,7 +34,8 @@ struct AttackScratch {
   /// sample — but each slot's adjacency/feature buffers are retained, so a
   /// warm scratch assembles a training set without allocating.
   std::vector<Subgraph> train_samples;
-  /// SCOPE's area oracle: baseline rewrite, key cones and delta journal.
+  /// SCOPE's area oracle: baseline rewrite, key cones, edit overlay and
+  /// rollback journal.
   netlist::KeyConeAreas scope_areas;
   /// GNN forward/backward buffers (MuxLink training and inference).
   GnnScratch gnn;

@@ -5,10 +5,10 @@
 // inverter behind — an area signal that leaks the bit with no oracle at all.
 //
 // The 2*K optimizer runs share one pin-free rewrite of the design: pinning
-// bit b only changes b's fanout cone and the logic that dies behind it, so
-// each hypothesis re-rewrites that cone and adjusts the baseline area by
-// reference counting (netlist::KeyConeAreas), with results identical to a
-// full optimize_with_key_bit pass.
+// bit b only changes part of b's fanout cone and the logic that dies behind
+// it, so each hypothesis edits just that part of the baseline and adjusts
+// its area by reference counting (netlist::KeyConeAreas), with results
+// identical to a full optimize_with_key_bit pass.
 //
 // Expected behaviour (and the point of including it): this attack strips
 // classic XOR/XNOR RLL almost completely, but is *blind* against MUX-pair
@@ -50,7 +50,7 @@ class ScopeAttack {
 
   /// The per-hypothesis areas come from the scratch's
   /// netlist::KeyConeAreas: one pin-free rewrite of `locked`, then an
-  /// O(cone) delta per (bit, value), with no synthesized netlist
+  /// in-place edit per (bit, value), with no synthesized netlist
   /// materialized. Each area equals the gate count of
   /// netlist::optimize_with_key_bit for the same (bit, value), the
   /// reference the tests pin it against.

@@ -134,18 +134,25 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.shuffle(order);
+    // Only the first and last epochs' losses are reported; the loss never
+    // feeds the weights, so the other epochs skip it.
+    const bool reported = epoch == 0 || epoch + 1 == config_.epochs;
     double loss = 0.0;
     for (std::size_t idx : order) {
       const Sample& sample = samples[idx];
       const double p = predict_prob(sample.x, w);
-      const double pc = std::clamp(p, 1e-9, 1.0 - 1e-9);
-      loss += -(sample.y * std::log(pc) + (1.0 - sample.y) * std::log(1.0 - pc));
+      if (reported) {
+        const double pc = std::clamp(p, 1e-9, 1.0 - 1e-9);
+        loss += -(sample.y * std::log(pc) +
+                  (1.0 - sample.y) * std::log(1.0 - pc));
+      }
       const double err = p - sample.y;
       for (std::size_t i = 0; i < w.size(); ++i) {
         w[i] -= config_.learning_rate *
                 (err * sample.x[i] + config_.l2 * w[i]);
       }
     }
+    if (!reported) continue;
     loss /= static_cast<double>(samples.size());
     if (epoch == 0) result.first_epoch_loss = loss;
     result.last_epoch_loss = loss;

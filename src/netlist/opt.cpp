@@ -13,10 +13,11 @@ namespace {
 // The rewrite pass is generic over how the output graph is materialized:
 // NetlistBuilder produces a real Netlist (names, name index, validation)
 // for `optimize` / `optimize_with_key_bit`, AreaGraphBuilder appends to the
-// plain type/fanin arrays behind KeyConeAreas' area queries. Both builders
-// assign ids in insertion order, so the two instantiations build
-// structurally identical graphs — the SCOPE differentials in
-// test_workspace.cpp pin this.
+// plain type/fanin arrays behind KeyConeAreas' baseline, and
+// KeyConeAreas::EditBuilder edits that baseline per hypothesis. All assign
+// ids in insertion order, so the instantiations build structurally
+// identical graphs — the SCOPE differentials in test_workspace.cpp pin
+// this.
 
 /// Rewrite value of one input-netlist node: either a node id in the output
 /// graph or a known constant, packed into one word (bit 31 = "is constant",
@@ -53,6 +54,7 @@ class NetlistBuilder {
   void mark_output(NodeId driver, NameId port_name) {
     out_.mark_output(driver, port_name);
   }
+  std::size_t size() const noexcept { return out_.size(); }
   /// x when `id` is NOT(x), else kNoNode. Every NOT in the output graph is
   /// emitted by the rewriter's make_not, so this is its NOT(NOT) record.
   NodeId not_input(NodeId id) const {
@@ -68,8 +70,8 @@ class NetlistBuilder {
 
 /// Appends to the flat output graph in OptScratch. Construction does not
 /// clear it: KeyConeAreas first builds the baseline into an empty graph,
-/// then appends each hypothesis' fresh cone nodes behind it. Output ports
-/// land in `drivers` (null when the caller materializes them itself).
+/// then appends each hypothesis' fresh nodes behind it. Output ports land
+/// in `drivers` (null when the caller materializes them itself).
 class AreaGraphBuilder {
  public:
   AreaGraphBuilder(OptScratch& scratch, std::vector<NodeId>* drivers)
@@ -83,6 +85,7 @@ class AreaGraphBuilder {
     return add_node(type, fanins, n);
   }
   void mark_output(NodeId driver, NameId) { drivers_->push_back(driver); }
+  std::size_t size() const noexcept { return s_->out_types.size(); }
   NodeId not_input(NodeId id) const {
     return static_cast<GateType>(s_->out_types[id]) == GateType::kNot
                ? s_->out_fanins[s_->out_fanin_begin[id]]
@@ -119,8 +122,10 @@ class RewriterT {
   /// Rewrites `input` into the builder. `pinned_key` (kNoNode = none) keeps
   /// its input node, but its uses see the constant `value`. `stats` (when
   /// non-null) receives the fold/collapse counters; area fields are filled
-  /// by the callers.
-  void run(NodeId pinned_key, bool value, OptStats* stats) {
+  /// by the callers. `own` (when non-null) receives, per input node, 1 iff
+  /// its value is a node its own rewrite emitted.
+  void run(NodeId pinned_key, bool value, OptStats* stats,
+           std::vector<std::uint8_t>* own = nullptr) {
     if (input_->size() >= kConstFlag / 2) {
       throw std::length_error("netlist optimizer: design too large");
     }
@@ -138,10 +143,16 @@ class RewriterT {
       }
     }
 
+    if (own != nullptr) own->assign(input_->size(), 0);
     for (const NodeId v : input_->topological_order()) {
       const Node& node = input_->node(v);
       if (node.type == GateType::kInput) continue;
-      s_->values[v] = rewrite_gate(node, local);
+      const std::size_t first_new = builder_->size();
+      const PackedValue out = rewrite_gate(node, local);
+      s_->values[v] = out;
+      if (own != nullptr && !is_const(out) && node_of(out) >= first_new) {
+        (*own)[v] = 1;
+      }
     }
 
     for (const auto& port : input_->outputs()) {
@@ -150,15 +161,11 @@ class RewriterT {
     if (stats != nullptr) *stats = local;
   }
 
-  /// Re-rewrites `cone` — the fanout cone of key input `cone.front()`, in
-  /// topological order — with that key pinned to `value`. Every node
-  /// outside the cone keeps the value a pin-free run() left in the scratch.
-  void run_cone(std::span<const NodeId> cone, bool value) {
+  /// Re-rewrites gate `v` from the current values of its fanins; the
+  /// caller stores the result.
+  PackedValue rewrite(NodeId v) {
     OptStats unused;
-    s_->values[cone.front()] = pack_const(value);
-    for (const NodeId v : cone.subspan(1)) {
-      s_->values[v] = rewrite_gate(input_->node(v), unused);
-    }
+    return rewrite_gate(input_->node(v), unused);
   }
 
   NodeId materialize(PackedValue value) {
@@ -361,6 +368,62 @@ Netlist optimize_with_key_bit(const Netlist& input, std::size_t bit,
 
 // ---- KeyConeAreas -----------------------------------------------------------
 
+/// Output-graph builder of one hypothesis. A gate that the input node being
+/// re-rewritten emitted in the baseline (the target), re-emitted with the
+/// same type, is edited in place: its new fanins go to the overlay and its
+/// id stays. Any other gate, and any constant, is appended behind the
+/// baseline.
+class KeyConeAreas::EditBuilder {
+ public:
+  explicit EditBuilder(KeyConeAreas& areas)
+      : areas_(&areas), append_(areas.rewrite_, nullptr) {}
+
+  /// The baseline node the next add_gate may edit; kNoNode for none.
+  void set_target(NodeId node) noexcept { target_ = node; }
+
+  NodeId add_const(bool b) { return append_.add_const(b); }
+
+  NodeId add_gate(GateType type, const NodeId* fanins, std::size_t n) {
+    KeyConeAreas& a = *areas_;
+    if (target_ == kNoNode || type_of(target_) != type) {
+      return append_.add_gate(type, fanins, n);
+    }
+    const auto base = a.base_fanins(target_);
+    if (!std::equal(base.begin(), base.end(), fanins, fanins + n)) {
+      assert(a.edits_.empty() || a.edits_.back().node < target_);
+      a.edited_[target_] = true;
+      const auto begin = static_cast<std::uint32_t>(a.edit_fanins_.size());
+      a.edit_fanins_.insert(a.edit_fanins_.end(), fanins, fanins + n);
+      a.edits_.push_back(
+          {target_, begin, static_cast<std::uint32_t>(a.edit_fanins_.size()),
+           /*applied=*/false, /*was_live=*/false});
+    }
+    return target_;
+  }
+
+  /// NOT(NOT) record, read through the overlay.
+  NodeId not_input(NodeId id) const {
+    if (type_of(id) != GateType::kNot) return kNoNode;
+    const KeyConeAreas& a = *areas_;
+    return a.is_edited(id) ? a.edit_fanins(a.edit_of(id))[0]
+                           : a.base_fanins(id)[0];
+  }
+
+  /// True when `id` is a NOT whose fanin this hypothesis edited.
+  bool edited_not(NodeId id) const {
+    return type_of(id) == GateType::kNot && areas_->is_edited(id);
+  }
+
+ private:
+  GateType type_of(NodeId id) const {
+    return static_cast<GateType>(areas_->rewrite_.out_types[id]);
+  }
+
+  KeyConeAreas* areas_;
+  AreaGraphBuilder append_;
+  NodeId target_ = kNoNode;
+};
+
 void KeyConeAreas::reset(const Netlist& input) {
   input_ = &input;
   keys_ = input.key_inputs();
@@ -374,12 +437,12 @@ void KeyConeAreas::reset(const Netlist& input) {
   drivers_.clear();
   AreaGraphBuilder builder(s, &drivers_);
   RewriterT<AreaGraphBuilder> rewriter(input, s, builder);
-  rewriter.run(kNoNode, false, nullptr);
+  rewriter.run(kNoNode, false, nullptr, &flags_);
   const0_ = rewriter.const0();
   const1_ = rewriter.const1();
 
   // Reference counts = output ports + fanin edges of live nodes. While
-  // base_nodes_ is 0, ref() journals nothing.
+  // base_nodes_ is 0, ref() journals nothing and reads no overlay.
   journal_.clear();
   base_nodes_ = 0;
   refs_.assign(s.out_types.size(), 0);
@@ -387,6 +450,7 @@ void KeyConeAreas::reset(const Netlist& input) {
   for (const NodeId driver : drivers_) base_area_ += ref(driver);
   base_nodes_ = s.out_types.size();
   base_fanins_ = s.out_fanins.size();
+  edited_.assign(base_nodes_, false);
 }
 
 void KeyConeAreas::load_cone(std::size_t bit) {
@@ -436,6 +500,30 @@ void KeyConeAreas::load_cone(std::size_t bit) {
   refs_.reserve(max_nodes);
 }
 
+std::span<const NodeId> KeyConeAreas::base_fanins(NodeId v) const {
+  const OptScratch& s = rewrite_;
+  return {s.out_fanins.data() + s.out_fanin_begin[v],
+          s.out_fanin_begin[v + 1] - s.out_fanin_begin[v]};
+}
+
+std::span<const NodeId> KeyConeAreas::edit_fanins(const Edit& edit) const {
+  return {edit_fanins_.data() + edit.begin, edit.end - edit.begin};
+}
+
+const KeyConeAreas::Edit& KeyConeAreas::edit_of(NodeId v) const {
+  return *std::lower_bound(
+      edits_.begin(), edits_.end(), v,
+      [](const Edit& edit, NodeId node) { return edit.node < node; });
+}
+
+std::span<const NodeId> KeyConeAreas::fanins(NodeId v) const {
+  if (is_edited(v)) {
+    const Edit& edit = edit_of(v);
+    if (edit.applied) return edit_fanins(edit);
+  }
+  return base_fanins(v);
+}
+
 std::size_t KeyConeAreas::ref(NodeId root) {
   const OptScratch& s = rewrite_;
   std::size_t born = 0;
@@ -446,8 +534,8 @@ std::size_t KeyConeAreas::ref(NodeId root) {
     journal(v);
     if ((refs_[v]++ & ~kJournaled) != 0) continue;
     if (!is_source(static_cast<GateType>(s.out_types[v]))) ++born;
-    stack_.insert(stack_.end(), s.out_fanins.begin() + s.out_fanin_begin[v],
-                  s.out_fanins.begin() + s.out_fanin_begin[v + 1]);
+    const auto in = fanins(v);
+    stack_.insert(stack_.end(), in.begin(), in.end());
   }
   return born;
 }
@@ -463,8 +551,8 @@ std::size_t KeyConeAreas::deref(NodeId root) {
     assert((refs_[v] & ~kJournaled) != 0);
     if ((--refs_[v] & ~kJournaled) != 0) continue;
     if (!is_source(static_cast<GateType>(s.out_types[v]))) ++died;
-    stack_.insert(stack_.end(), s.out_fanins.begin() + s.out_fanin_begin[v],
-                  s.out_fanins.begin() + s.out_fanin_begin[v + 1]);
+    const auto in = fanins(v);
+    stack_.insert(stack_.end(), in.begin(), in.end());
   }
   return died;
 }
@@ -483,38 +571,71 @@ std::size_t KeyConeAreas::area(std::size_t bit, bool value) {
   }
   if (bit != cone_bit_) load_cone(bit);
 
-  // Rewrite the cone under the pin, appending fresh nodes.
+  // Pin the key, then re-rewrite the cone nodes with a dirty fanin, in
+  // topological order.
   OptScratch& s = rewrite_;
-  saved_values_.resize(cone_.size());
-  for (std::size_t i = 0; i < cone_.size(); ++i) {
-    saved_values_[i] = s.values[cone_[i]];
+  EditBuilder builder(*this);
+  RewriterT<EditBuilder> rewriter(*input_, s, builder, const0_, const1_);
+  const auto mark_dirty = [&](NodeId v, PackedValue now) {
+    changed_.emplace_back(v, s.values[v]);
+    s.values[v] = now;
+    flags_[v] |= kDirty;
+  };
+  mark_dirty(cone_.front(), pack_const(value));
+  for (const NodeId v : std::span(cone_).subspan(1)) {
+    const auto& in = input_->node(v).fanins;
+    if (std::none_of(in.begin(), in.end(),
+                     [&](NodeId f) { return (flags_[f] & kDirty) != 0; })) {
+      continue;
+    }
+    const PackedValue was = s.values[v];
+    builder.set_target((flags_[v] & kOwn) != 0 ? node_of(was) : kNoNode);
+    const PackedValue now = rewriter.rewrite(v);
+    if (now != was || (!is_const(now) && builder.edited_not(node_of(now)))) {
+      mark_dirty(v, now);
+    }
   }
-  AreaGraphBuilder builder(s, nullptr);
-  RewriterT<AreaGraphBuilder> rewriter(*input_, s, builder, const0_, const1_);
-  rewriter.run_cone(cone_, value);
   const auto& outputs = input_->outputs();
   new_drivers_.clear();
   for (const std::uint32_t p : cone_ports_) {
-    new_drivers_.push_back(rewriter.materialize(s.values[outputs[p].driver]));
+    const NodeId port_driver = outputs[p].driver;
+    if ((flags_[port_driver] & kDirty) == 0) continue;
+    const NodeId driver = rewriter.materialize(s.values[port_driver]);
+    if (driver != drivers_[p]) new_drivers_.emplace_back(p, driver);
   }
 
-  // Area delta: reference the new drivers before releasing the old ones,
-  // so logic both share never dies in between.
+  // Area delta along the changed edges: references first, then releases.
   refs_.resize(s.out_types.size(), 0);
   std::size_t area = base_area_;
-  for (const NodeId driver : new_drivers_) area += ref(driver);
-  for (const std::uint32_t p : cone_ports_) area -= deref(drivers_[p]);
+  for (const auto& [port, driver] : new_drivers_) area += ref(driver);
+  for (Edit& edit : edits_) {
+    edit.was_live = (refs_[edit.node] & ~kJournaled) != 0;
+    if (edit.was_live) {
+      for (const NodeId fanin : edit_fanins(edit)) area += ref(fanin);
+    }
+    edit.applied = true;
+  }
+  for (const Edit& edit : edits_) {
+    if (!edit.was_live) continue;
+    for (const NodeId fanin : base_fanins(edit.node)) area -= deref(fanin);
+  }
+  for (const auto& [port, driver] : new_drivers_) area -= deref(drivers_[port]);
 
   // Roll back to the baseline.
   for (const auto& [v, count] : journal_) refs_[v] = count;
   journal_.clear();
   refs_.resize(base_nodes_);
+  for (const Edit& edit : edits_) edited_[edit.node] = false;
+  edits_.clear();
+  edit_fanins_.clear();
   s.out_types.resize(base_nodes_);
   s.out_fanin_begin.resize(base_nodes_ + 1);
   s.out_fanins.resize(base_fanins_);
-  for (std::size_t i = 0; i < cone_.size(); ++i) {
-    s.values[cone_[i]] = saved_values_[i];
+  for (const auto& [v, was] : changed_) {
+    s.values[v] = was;
+    flags_[v] &= ~kDirty;
   }
+  changed_.clear();
   return area;
 }
 

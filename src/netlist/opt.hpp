@@ -9,12 +9,13 @@
 //  2. The SCOPE-style oracle-less attack (attacks/scope.hpp) scores key-bit
 //     hypotheses by how much the circuit simplifies under each constant —
 //     which requires exactly this pass. KeyConeAreas answers those area
-//     queries with one baseline rewrite per design plus a per-hypothesis
-//     delta over the pinned key's fanout cone.
+//     queries with one baseline rewrite per design plus per-hypothesis
+//     in-place edits of what the pinned key changes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -62,16 +63,25 @@ struct OptScratch {
 /// `optimize_with_key_bit(input, bit, value).gate_count()`, computed
 /// without a full rewrite per hypothesis.
 ///
-/// reset() rewrites the design once with no pin into a flat output graph
-/// and reference-counts its live nodes. A hypothesis then re-runs the same
-/// rewrite rules over the pinned key's fanout cone only, appending fresh
-/// nodes: everything outside the cone keeps its baseline value, and fresh
-/// ids keep every identity the rules test (fanin dedupe, MUX equal data,
-/// NOT(NOT)), so the result is isomorphic to the full pass. The area is
-/// the baseline area plus an MFFC-style delta: each output port the cone
-/// drives references its new driver and dereferences its old one, so logic
-/// that dies behind a collapsed MUX leaves the count. A journal then rolls
-/// the counts, values and graph back to the baseline.
+/// reset() rewrites the design once with no pin into a flat output graph,
+/// reference-counts its live nodes, and records which input nodes emitted
+/// their own baseline value. A hypothesis pins the key and walks its fanout
+/// cone in topological order, re-rewriting only the nodes with a dirty
+/// fanin: one whose value changed, or whose value is a NOT edited in place
+/// (a user's NOT(NOT) collapse looks through it). When a node re-emits its
+/// own baseline gate with the same type, the new fanins overwrite that
+/// gate's in a journaled overlay and the id stays, so its users stay clean;
+/// any other result is appended, or a collapsed value, and marks the node
+/// dirty. The live part of the graph is then isomorphic to the full
+/// pass's, node for node.
+///
+/// The area is the baseline area plus an MFFC-style delta along the changed
+/// edges only: ref every new port driver and the overlay fanins of every
+/// live edited node, then deref the old drivers and the replaced base
+/// fanins, so logic both share never dies in between. ref()/deref() read a
+/// node's base fanins until its edit is applied; an edited node that is
+/// dead at that point holds no references, so its overlay applies at once.
+/// A journal then rolls counts, values, overlay and graph back.
 ///
 /// Key cones come from one topological pass per block of 8 keys that ORs
 /// a per-node byte of key bits over the fanins (byte masks keep the
@@ -85,17 +95,41 @@ class KeyConeAreas {
   std::size_t key_bits() const noexcept { return keys_.size(); }
   /// Gate count of `optimize(input)`.
   std::size_t baseline_area() const noexcept { return base_area_; }
-  /// Gate count of `optimize_with_key_bit(input, bit, value)`. O(cone of
-  /// `bit`) work, plus one O(N) scan per bit and one topological pass per
-  /// block of 8 bits when queried bit by bit. Throws std::invalid_argument
-  /// when `bit` is out of range.
+  /// Gate count of `optimize_with_key_bit(input, bit, value)`. Work in the
+  /// size of `bit`'s cone and of what the pin changes, plus one O(N) scan
+  /// per bit and one topological pass per block of 8 bits when queried bit
+  /// by bit. Throws std::invalid_argument when `bit` is out of range.
   std::size_t area(std::size_t bit, bool value);
 
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   static constexpr std::size_t kBlockKeys = 8;
+  // flags_ bits per input node: its baseline value is a node its own
+  // rewrite emitted (as RewriterT::run records it), and it is dirty.
+  static constexpr std::uint8_t kOwn = 1;
+  static constexpr std::uint8_t kDirty = 2;
+
+  class EditBuilder;
+
+  /// New fanins of baseline node `node`, at [begin, end) of edit_fanins_.
+  /// Edits are made in ascending node order: the cone walk visits nodes in
+  /// the order the baseline rewrite emitted them.
+  struct Edit {
+    NodeId node;
+    std::uint32_t begin;
+    std::uint32_t end;
+    bool applied;
+    bool was_live;
+  };
 
   void load_cone(std::size_t bit);
+  std::span<const NodeId> base_fanins(NodeId v) const;
+  std::span<const NodeId> edit_fanins(const Edit& edit) const;
+  bool is_edited(NodeId v) const { return v < base_nodes_ && edited_[v]; }
+  /// The edit of `v`, which is_edited().
+  const Edit& edit_of(NodeId v) const;
+  /// Fanins as ref()/deref() see them: the overlay once applied.
+  std::span<const NodeId> fanins(NodeId v) const;
   std::size_t ref(NodeId root);
   std::size_t deref(NodeId root);
   void journal(NodeId v);
@@ -108,6 +142,7 @@ class KeyConeAreas {
   NodeId const0_ = kNoNode;
   NodeId const1_ = kNoNode;
   std::vector<std::uint32_t> refs_;
+  std::vector<std::uint8_t> flags_;
   std::size_t base_nodes_ = 0;
   std::size_t base_fanins_ = 0;
   std::size_t base_area_ = 0;
@@ -119,10 +154,16 @@ class KeyConeAreas {
   std::size_t cone_bit_ = kNone;
   std::vector<NodeId> cone_;
   std::vector<std::uint32_t> cone_ports_;
-  // Per-hypothesis state, undone before area() returns.
-  std::vector<std::uint32_t> saved_values_;
+  // Per-hypothesis state, undone before area() returns: dirty input nodes
+  // with their baseline values, the overlay (a mark per baseline node plus
+  // the edits), changed ports with their new drivers, and the refcount
+  // journal.
+  std::vector<std::pair<NodeId, std::uint32_t>> changed_;
+  std::vector<bool> edited_;
+  std::vector<Edit> edits_;
+  std::vector<NodeId> edit_fanins_;
+  std::vector<std::pair<std::uint32_t, NodeId>> new_drivers_;
   std::vector<std::pair<NodeId, std::uint32_t>> journal_;
-  std::vector<NodeId> new_drivers_;
   std::vector<NodeId> stack_;
 };
 

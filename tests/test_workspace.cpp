@@ -1,7 +1,7 @@
 // The allocation-free evaluation path must compute exactly what the
-// straightforward references compute: SCOPE's key-cone area deltas match
+// straightforward references compute: SCOPE's in-place key-cone edits match
 // full synthesis, the CSR attack graph matches an independently built
-// adjacency, buffer-reusing decode matches apply_genotype — across thread
+// adjacency and positive-link list, buffer-reusing decode matches apply_genotype — across thread
 // counts, and whether a workspace is fresh or has evaluated a thousand
 // designs before. Pinned GA/NSGA-II trajectories freeze the end-to-end
 // results, alongside two behavioural fixes (repaired-genotype cache keys,
@@ -93,19 +93,46 @@ TEST(ScopeConeDelta, ScopeAreasMatchReferenceSynthesis) {
   }
 }
 
-TEST(ScopeConeDelta, RandomGenotypesOfEverySchemeOnC880) {
-  const Netlist original = profile(netlist::gen::ProfileId::kC880, 13);
-  const lock::SiteContext context(original);
-  attack::AttackScratch scratch;
+/// One reused KeyConeAreas against full synthesis: every bit queried for
+/// both values in ascending order, then again in descending order, so each
+/// query starts from the rollback of a different earlier one.
+void expect_areas_match_reference(netlist::KeyConeAreas& areas,
+                                  const Netlist& locked) {
+  const AreaPairs reference = reference_areas(locked);
+  areas.reset(locked);
+  ASSERT_EQ(areas.key_bits(), reference.size());
+  EXPECT_EQ(areas.baseline_area(), netlist::optimize(locked).gate_count());
+  for (std::size_t bit = 0; bit < reference.size(); ++bit) {
+    EXPECT_EQ(areas.area(bit, false), reference[bit].first) << "bit " << bit;
+    EXPECT_EQ(areas.area(bit, true), reference[bit].second) << "bit " << bit;
+  }
+  for (std::size_t bit = reference.size(); bit-- > 0;) {
+    EXPECT_EQ(areas.area(bit, true), reference[bit].second) << "bit " << bit;
+    EXPECT_EQ(areas.area(bit, false), reference[bit].first) << "bit " << bit;
+  }
+}
+
+TEST(ScopeConeDelta, RandomGenotypesOfEverySchemeAndKeySize) {
+  netlist::KeyConeAreas areas;  // one instance across every design
   util::Rng rng(13);
-  for (const auto& scheme : campaign::default_schemes()) {
-    for (int trial = 0; trial < 3; ++trial) {
-      const auto genes = lock::random_genotype(context, scheme.spec, rng);
-      util::Rng repair(trial);
-      const auto design =
-          lock::apply_genotype(original, context, genes, repair);
-      SCOPED_TRACE(scheme.name + " trial " + std::to_string(trial));
-      expect_scope_matches_reference(design.netlist, scratch);
+  for (const auto id : {netlist::gen::ProfileId::kC432,
+                        netlist::gen::ProfileId::kC880,
+                        netlist::gen::ProfileId::kC1355}) {
+    const Netlist original = profile(id, 13);
+    const lock::SiteContext context(original);
+    for (const std::size_t key_bits : {8, 16, 32}) {
+      for (const auto& scheme : campaign::default_schemes(key_bits)) {
+        for (int trial = 0; trial < 2; ++trial) {
+          const auto genes = lock::random_genotype(context, scheme.spec, rng);
+          util::Rng repair(trial);
+          const auto design =
+              lock::apply_genotype(original, context, genes, repair);
+          SCOPED_TRACE(original.name() + " " + scheme.name + " K=" +
+                       std::to_string(key_bits) + " trial " +
+                       std::to_string(trial));
+          expect_areas_match_reference(areas, design.netlist);
+        }
+      }
     }
   }
 }
@@ -215,6 +242,78 @@ TEST(ScopeConeDelta, OutputDrivenByKeyGateOrKeyInput) {
   expect_scope_matches_reference(n, scratch);
 }
 
+TEST(ScopeConeDelta, NotEditedInPlaceFeedsNot) {
+  // k = 1 turns AND(k, a) into a, so `inv` re-emits its NOT with fanin a:
+  // an in-place edit. `outer` reaches it through a buffer and must see the
+  // edited fanin: NOT(NOT(a)) = a, and the AND dies.
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId gated = n.add_gate(GateType::kAnd, {h.k, h.a}, "gated");
+  const NodeId inv = n.add_gate(GateType::kNot, {gated}, "inv");
+  const NodeId buf = n.add_gate(GateType::kBuf, {inv}, "buf");
+  const NodeId outer = n.add_gate(GateType::kNot, {buf}, "outer");
+  n.mark_output(outer, "o0");
+  n.mark_output(inv, "o1");
+  attack::AttackScratch scratch;
+  expect_scope_matches_reference(n, scratch);
+  EXPECT_EQ(reference_areas(n), AreaPairs({{0, 1}}));
+}
+
+TEST(ScopeConeDelta, CollapsedXorKeyGateMakesDownstreamAndDedupe) {
+  // k = 0 collapses the key gate to a, and AND(key_gate, a, b) edits in
+  // place to AND(a, b); k = 1 appends NOT(a) for the key gate instead.
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId key_gate = n.add_gate(GateType::kXor, {h.a, h.k}, "key_gate");
+  const NodeId g = n.add_gate(GateType::kAnd, {key_gate, h.a, h.b}, "g");
+  const NodeId out = n.add_gate(GateType::kOr, {g, h.c}, "out");
+  n.mark_output(out, "o0");
+  netlist::KeyConeAreas areas;
+  expect_areas_match_reference(areas, n);
+  EXPECT_EQ(reference_areas(n), AreaPairs({{2, 3}}));
+}
+
+TEST(ScopeConeDelta, DeadBaselineNodeComesAliveUnderPin) {
+  // Without a pin NOT(NOT(x)) = x, so the MUX has equal data inputs and
+  // forwards x: its select, and the XOR and NOT behind it, are dead. k = 1
+  // makes x a NOT, which the double inverter strips and re-emits as a
+  // second NOT: the data inputs differ and the MUX is emitted, reached only
+  // through the OR edited in place behind it. The select, edited in place
+  // itself (the XOR collapses to d), comes alive with its new fanins.
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId not_d = n.add_gate(GateType::kNot, {h.d}, "not_d");
+  const NodeId g = n.add_gate(GateType::kXor, {h.k, not_d}, "g");
+  const NodeId select = n.add_gate(GateType::kAnd, {g, h.c}, "select");
+  const NodeId x = n.add_gate(GateType::kNand, {h.k, h.a}, "x");
+  const NodeId inv = n.add_gate(GateType::kNot, {x}, "inv");
+  const NodeId back = n.add_gate(GateType::kNot, {inv}, "back");
+  const NodeId mux = n.add_gate(GateType::kMux, {select, x, back}, "mux");
+  const NodeId out = n.add_gate(GateType::kOr, {mux, h.b}, "out");
+  n.mark_output(out, "o0");
+  netlist::KeyConeAreas areas;
+  expect_areas_match_reference(areas, n);
+  EXPECT_EQ(areas.baseline_area(), 2u);
+  EXPECT_EQ(reference_areas(n), AreaPairs({{0, 5}}));
+}
+
+TEST(ScopeConeDelta, PortDriverChanges) {
+  // k = 0 moves port o0 from OR(k, a) to input a while AND(t, b) behind o1
+  // edits in place; k = 1 moves o0 to a constant and o1 to b. Port o2 reads
+  // the key gate through a buffer.
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId t = n.add_gate(GateType::kOr, {h.k, h.a}, "t");
+  const NodeId z = n.add_gate(GateType::kAnd, {t, h.b}, "z");
+  const NodeId buf = n.add_gate(GateType::kBuf, {t}, "buf");
+  n.mark_output(t, "o0");
+  n.mark_output(z, "o1");
+  n.mark_output(buf, "o2");
+  netlist::KeyConeAreas areas;
+  expect_areas_match_reference(areas, n);
+  EXPECT_EQ(reference_areas(n), AreaPairs({{1, 0}}));
+}
+
 TEST(ScopeConeDelta, OutOfRangeBitThrows) {
   HandBuilt h;
   h.netlist.mark_output(h.netlist.add_gate(GateType::kAnd, {h.a, h.k}), "o");
@@ -230,11 +329,9 @@ TEST(NetlistStats, GateCountAccessorMatchesStats) {
 
 // ---- CSR attack graph ------------------------------------------------------
 
-TEST(CsrAttackGraph, MatchesIndependentlyBuiltReference) {
-  const Netlist original = profile(netlist::gen::ProfileId::kC880, 11);
-  const auto design = lock::dmux_lock(original, 20, 11);
-  const Netlist& locked = design.netlist;
-  const attack::AttackGraph graph(locked);
+/// `graph`, built from `locked`, must equal an independently built view.
+void expect_graph_matches_reference(const attack::AttackGraph& graph,
+                                    const Netlist& locked) {
 
   // Reference adjacency, built the way the legacy list-of-lists code did:
   // undirected edges over present nodes, rows sorted + deduplicated.
@@ -258,6 +355,21 @@ TEST(CsrAttackGraph, MatchesIndependentlyBuiltReference) {
     ASSERT_EQ(std::vector<NodeId>(span.begin(), span.end()), reference[v]);
     EXPECT_EQ(graph.degree(v), reference[v].size());
   }
+
+  // Reference positives: every (driver, sink) wire between present nodes,
+  // sorted and deduplicated.
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!graph.in_graph(v)) continue;
+    for (const NodeId fanin : locked.node(v).fanins) {
+      if (graph.in_graph(fanin)) links.emplace_back(fanin, v);
+    }
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  std::vector<std::pair<NodeId, NodeId>> known;
+  for (const auto& link : graph.known_links()) known.emplace_back(link.u, link.v);
+  EXPECT_EQ(known, links);
 
   // Reference problems, grouped through a std::map exactly as the legacy
   // implementation did.
@@ -299,6 +411,42 @@ TEST(CsrAttackGraph, MatchesIndependentlyBuiltReference) {
     }
   }
   EXPECT_EQ(graph.problems().size(), expected_problems);
+}
+
+TEST(CsrAttackGraph, MatchesIndependentlyBuiltReference) {
+  const Netlist original = profile(netlist::gen::ProfileId::kC880, 11);
+  const auto design = lock::dmux_lock(original, 20, 11);
+  expect_graph_matches_reference(attack::AttackGraph(design.netlist),
+                                 design.netlist);
+
+  // Random genotypes of every scheme, on one reused graph.
+  const lock::SiteContext context(original);
+  attack::AttackGraph reused;
+  util::Rng rng(11);
+  for (const auto& scheme : campaign::default_schemes(16)) {
+    const auto genes = lock::random_genotype(context, scheme.spec, rng);
+    util::Rng repair(11);
+    const auto locked = lock::apply_genotype(original, context, genes, repair);
+    SCOPED_TRACE(scheme.name);
+    reused.build(locked.netlist);
+    expect_graph_matches_reference(reused, locked.netlist);
+  }
+
+  // A gate listing the same fanin twice, and a key MUX fed by another.
+  HandBuilt h;
+  Netlist& n = h.netlist;
+  const NodeId k2 = n.add_input("k2", /*is_key=*/true);
+  const NodeId twice = n.add_gate(GateType::kAnd, {h.a, h.a, h.b}, "twice");
+  const NodeId mux = n.add_gate(GateType::kMux, {h.k, twice, h.c}, "mux");
+  const NodeId chained = n.add_gate(GateType::kMux, {k2, mux, h.d}, "chained");
+  const NodeId sink = n.add_gate(GateType::kOr, {mux, mux, twice}, "sink");
+  const NodeId x = n.add_gate(GateType::kXor, {chained, twice, twice}, "x");
+  n.mark_output(sink, "o0");
+  n.mark_output(x, "o1");
+  const attack::AttackGraph hand(n);
+  expect_graph_matches_reference(hand, n);
+  // a->twice, b->twice, twice->sink, twice->x: each repeat counted once.
+  EXPECT_EQ(hand.known_links().size(), 4u);
 }
 
 TEST(CsrAttackGraph, RebuildReusesStorageAndMatchesFreshBuild) {
