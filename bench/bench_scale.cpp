@@ -13,7 +13,11 @@
 //   - wall-clock to a full recovered-key guess from the structural link
 //     predictor and from SCOPE (one baseline rewrite plus a key-cone delta
 //     per hypothesis), and — on c880, where the oracle-guided loop is
-//     feasible — wall-clock to the SAT attack's proven key
+//     feasible — wall-clock to the SAT attack's proven key. Each is the
+//     median and interquartile range of repeated runs after one untimed
+//     warm-up, attacking a design decoded into a reserved EvalWorkspace
+//     through that workspace: the path campaign cells take, where the
+//     attacker view is patched from the family's view
 //   - peak RSS (VmHWM from /proc/self/status) after each scale's section
 //   - the host: core count and build type, so a committed baseline says
 //     where it was measured
@@ -27,6 +31,7 @@
 // synth1m. Run with --json to refresh BENCH_bench_scale.json.
 #include "bench/common.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -109,21 +114,44 @@ DecodeStats time_decodes(const netlist::Netlist& original,
   return stats;
 }
 
+/// Median and interquartile range of repeated timings.
+struct Timing {
+  double median = 0.0;
+  double iqr = 0.0;
+  std::size_t reps = 0;
+};
+
+/// Times `reps` calls of `run` after one untimed warm-up call.
+template <typename Run>
+Timing time_warm(std::size_t reps, Run&& run) {
+  run();
+  std::vector<double> seconds;
+  for (std::size_t r = 0; r < reps; ++r) {
+    util::Timer timer;
+    run();
+    seconds.push_back(timer.elapsed_seconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  const std::size_t last = seconds.size() - 1;
+  return {seconds[last / 2], seconds[3 * last / 4] - seconds[last / 4], reps};
+}
+
 struct Tables {
   util::Table io{{"circuit", "nodes", "phase", "seconds", "MB"}};
   util::Table decode{{"circuit", "K", "mode", "decodes/s", "seconds",
                       "incr resets", "touched/dec", "ns/touched",
                       "c880 ratio"}};
   util::Table probe{{"circuit", "K", "mode", "probes/s", "seconds"}};
-  util::Table attack{
-      {"circuit", "K", "attack", "seconds", "key accuracy", "outcome"}};
+  util::Table attack{{"circuit", "K", "attack", "median s", "IQR s", "reps",
+                      "key accuracy", "outcome"}};
   util::Table rss{{"circuit", "nodes", "metric", "MB"}};
   util::Table host{{"hardware_concurrency", "build_type"}};
 };
 
 void run_scale(const std::string& name, const netlist::Netlist& original,
-               std::size_t decode_iters, std::size_t probe_reps, bool run_sat,
-               double& c880_ns_touched, Tables& t) {
+               std::size_t decode_iters, std::size_t probe_reps,
+               std::size_t attack_reps, bool run_sat, double& c880_ns_touched,
+               Tables& t) {
   const std::string nodes = std::to_string(original.size());
 
   // ---- streaming I/O round trip -------------------------------------------
@@ -178,10 +206,21 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
                         ? util::fmt(decode.ns_per_touched / c880_ns_touched, 2) + "x"
                         : "-"});
 
+  // The attacked design: dmux_lock(original, kKeyBits, 7), decoded into a
+  // workspace bound to the original, as a campaign lock job leaves it.
+  eval::EvalWorkspace workspace;
+  workspace.reserve(original, kKeyBits);
+  {
+    util::Rng rng(7);
+    const auto dmux = lock::random_genotype(context, kKeyBits, rng);
+    lock::apply_genotype_into(workspace.design, original, context, dmux, rng,
+                              workspace.reach);
+  }
+  const lock::LockedDesign& design = workspace.design;
+
   // ---- corruption probes/s (Simulator::key_error_rates) -----------------
   // The pipeline's probe shape (64 wrong keys sharing 4 random vectors) and
   // the campaign's (16 keys x 128 vectors).
-  const auto design = lock::dmux_lock(original, kKeyBits, 7);
   {
     const netlist::Simulator dut(design.netlist);
     const netlist::Simulator reference(original);
@@ -198,40 +237,44 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
   }
 
   // ---- wall-clock to a recovered key --------------------------------------
+  const auto add_attack_row = [&](const char* attack, const Timing& timing,
+                                  double accuracy, const std::string& outcome) {
+    t.attack.add_row({name, std::to_string(kKeyBits), attack,
+                      util::fmt(timing.median, 3), util::fmt(timing.iqr, 3),
+                      std::to_string(timing.reps), util::fmt(accuracy, 3),
+                      outcome});
+  };
   // Structural link predictor at every scale: time to a full key guess.
   {
     const attack::StructuralLinkPredictor predictor;
-    attack::AttackScratch scratch;
-    util::Timer timer;
-    const auto score = predictor.run(design, scratch);
-    const double s = timer.elapsed_seconds();
-    t.attack.add_row({name, std::to_string(kKeyBits), "structural",
-                      util::fmt(s, 3), util::fmt(score.accuracy, 3),
-                      "full guess"});
+    attack::MuxLinkScore score;
+    const Timing timing = time_warm(attack_reps, [&] {
+      score = predictor.run(design, workspace.attack);
+    });
+    add_attack_row("structural", timing, score.accuracy, "full guess");
   }
   // SCOPE: synthesis-area hypotheses, every bit guessed (undecided bits
   // count as coin flips in the accuracy).
   {
     const attack::ScopeAttack scope;
-    attack::AttackScratch scratch;
-    util::Timer timer;
-    const auto score = scope.run(design, scratch);
-    const double s = timer.elapsed_seconds();
-    t.attack.add_row({name, std::to_string(kKeyBits), "scope", util::fmt(s, 3),
-                      util::fmt(score.expected_overall_accuracy, 3),
-                      "decided " + util::fmt(score.decided_fraction, 2)});
+    attack::ScopeScore score;
+    const Timing timing = time_warm(attack_reps, [&] {
+      score = scope.run(design, workspace.attack);
+    });
+    add_attack_row("scope", timing, score.expected_overall_accuracy,
+                   "decided " + util::fmt(score.decided_fraction, 2));
   }
   // Oracle-guided SAT attack on the reference circuit only: a proven key,
   // but the DIP loop's oracle sweeps are O(N) per iteration and the miter
   // doubles the circuit — infeasible at the synthetic scales.
   if (run_sat) {
     const attack::SatAttack sat;
-    util::Timer timer;
-    const auto result = sat.attack(design.netlist, original);
-    const double s = timer.elapsed_seconds();
-    t.attack.add_row({name, std::to_string(kKeyBits), "sat", util::fmt(s, 3),
-                      result.success ? "1.000" : "0.000",
-                      result.success ? "proven key" : "failed"});
+    attack::SatAttackResult result;
+    const Timing timing = time_warm(attack_reps, [&] {
+      result = sat.attack(design.netlist, original);
+    });
+    add_attack_row("sat", timing, result.success ? 1.0 : 0.0,
+                   result.success ? "proven key" : "failed");
   }
 
   t.rss.add_row({name, nodes, "peak RSS", util::fmt(peak_rss_mb(), 1)});
@@ -251,7 +294,7 @@ int main(int argc, char** argv) {
     t.io.add_row({"c880", std::to_string(c880.size()), "generate",
                   util::fmt(gen_timer.elapsed_seconds(), 3), "0.0"});
     run_scale("c880", c880, args.quick ? 300 : 2000, args.quick ? 50 : 200,
-              /*run_sat=*/true, c880_ns_touched, t);
+              args.quick ? 5 : 11, /*run_sat=*/true, c880_ns_touched, t);
   }
 
   for (const auto& profile : netlist::gen::scale_profiles()) {
@@ -265,8 +308,9 @@ int main(int argc, char** argv) {
     const std::size_t decode_iters =
         million ? 25 : (args.quick ? 40 : 200);
     const std::size_t probe_reps = million ? 4 : (args.quick ? 5 : 20);
-    run_scale(name, original, decode_iters, probe_reps, /*run_sat=*/false,
-              c880_ns_touched, t);
+    const std::size_t attack_reps = million || args.quick ? 5 : 11;
+    run_scale(name, original, decode_iters, probe_reps, attack_reps,
+              /*run_sat=*/false, c880_ns_touched, t);
   }
 
   benchx::emit(t.io, args, "design build + streaming I/O");

@@ -3,14 +3,38 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "locking/mux_lock.hpp"
+
 namespace autolock::attack {
 
+using lock::AppliedGene;
+using lock::GeneKind;
+using lock::LockedDesign;
 using netlist::GateType;
 using netlist::Netlist;
 using netlist::NodeId;
 
+namespace {
+
+bool lists(const std::vector<NodeId>& fanins, NodeId node) {
+  return std::find(fanins.begin(), fanins.end(), node) != fanins.end();
+}
+
+/// True for a MUX whose select is a key input: absent from the view.
+bool is_key_mux(const Netlist& locked, const netlist::Node& node) {
+  if (node.type != GateType::kMux || node.fanins.empty()) return false;
+  const auto& sel = locked.node(node.fanins[0]);
+  return sel.type == GateType::kInput && sel.is_key_input;
+}
+
+}  // namespace
+
 void AttackGraph::build(const Netlist& locked) {
   locked_ = &locked;
+  base_ = &locked;
+  base_version_ = locked.structural_version();
+  patched_ = false;
+  saved_rows_.clear();
   const std::size_t n = locked.size();
   present_.assign(n, true);
 
@@ -26,15 +50,17 @@ void AttackGraph::build(const Netlist& locked) {
       bit_of_node_[v] = key_bit_count++;
     }
   }
+  present_nodes_.clear();
+  present_sinks_.clear();
   for (NodeId v = 0; v < n; ++v) {
     const auto& node = locked.node(v);
-    if (node.type == GateType::kMux && !node.fanins.empty()) {
-      const auto& sel = locked.node(node.fanins[0]);
-      if (sel.type == GateType::kInput && sel.is_key_input) {
-        is_key_mux_[v] = true;
-        present_[v] = false;
-      }
+    if (is_key_mux(locked, node)) {
+      is_key_mux_[v] = true;
+      present_[v] = false;
     }
+    if (!present_[v]) continue;
+    present_nodes_.push_back(v);
+    if (!node.fanins.empty()) present_sinks_.push_back(v);
   }
 
   // Adjacency (CSR) + positives over present nodes only. Degrees first,
@@ -43,21 +69,23 @@ void AttackGraph::build(const Netlist& locked) {
   // cursor, in ascending order, a sink that lists it twice next to its
   // twin. So the front of row u holds u's positives in (driver, sink)
   // order: a counting sort on the driver, with the rows as buckets.
-  adj_offsets_.assign(n + 1, 0);
+  // row_begin_ serves as the CSR offsets (n + 1 entries) until the end.
+  std::vector<std::uint32_t>& offsets = row_begin_;
+  offsets.assign(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
     if (!present_[v]) continue;
     for (const NodeId fanin : locked.node(v).fanins) {
       if (!present_[fanin]) continue;
-      ++adj_offsets_[v + 1];
-      ++adj_offsets_[fanin + 1];
+      ++offsets[v + 1];
+      ++offsets[fanin + 1];
     }
   }
-  for (std::size_t v = 0; v < n; ++v) adj_offsets_[v + 1] += adj_offsets_[v];
-  adj_edges_.resize(adj_offsets_[n]);
-  cursor_.assign(adj_offsets_.begin(), adj_offsets_.end() - 1);
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  adj_edges_.resize(offsets[n]);
+  cursor_.assign(offsets.begin(), offsets.end() - 1);
   for (NodeId v = 0; v < n; ++v) {
     if (!present_[v]) continue;
-    std::uint32_t back = adj_offsets_[v + 1];
+    std::uint32_t back = offsets[v + 1];
     for (const NodeId fanin : locked.node(v).fanins) {
       if (!present_[fanin]) continue;
       adj_edges_[--back] = fanin;
@@ -70,8 +98,8 @@ void AttackGraph::build(const Netlist& locked) {
   known_links_.clear();
   std::uint32_t write = 0;
   for (NodeId v = 0; v < n; ++v) {
-    const auto row_begin = adj_edges_.begin() + adj_offsets_[v];
-    const auto row_end = adj_edges_.begin() + adj_offsets_[v + 1];
+    const auto row_begin = adj_edges_.begin() + offsets[v];
+    const auto row_end = adj_edges_.begin() + offsets[v + 1];
     for (auto it = row_begin; it != adj_edges_.begin() + cursor_[v]; ++it) {
       if (it == row_begin || *it != it[-1]) {
         known_links_.push_back(CandidateLink{v, *it});
@@ -81,10 +109,19 @@ void AttackGraph::build(const Netlist& locked) {
     const auto unique_end = std::unique(row_begin, row_end);
     const std::uint32_t new_begin = write;
     for (auto it = row_begin; it != unique_end; ++it) adj_edges_[write++] = *it;
-    adj_offsets_[v] = new_begin;
+    offsets[v] = new_begin;
   }
-  adj_offsets_[n] = write;
+  offsets[n] = write;
   adj_edges_.resize(write);
+  row_size_.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    row_size_[v] = row_begin_[v + 1] - row_begin_[v];
+  }
+  row_begin_.pop_back();
+  base_nodes_ = n;
+  base_edges_ = write;
+  base_present_nodes_ = present_nodes_.size();
+  base_present_sinks_ = present_sinks_.size();
 
   // Key-MUX sink rows (ascending, deduplicated — identical content to the
   // netlist's cached fanout rows for these nodes), collected in one
@@ -127,14 +164,7 @@ void AttackGraph::build(const Netlist& locked) {
   // Decision problems: group key-MUXes by their key input's bit index into
   // per-bit slots (replacing the historical std::map), then emit non-empty
   // slots in ascending bit order.
-  if (slots_.size() < static_cast<std::size_t>(key_bit_count)) {
-    slots_.resize(key_bit_count);
-  }
-  for (auto& slot : slots_) {
-    slot.key_bit_index = -1;
-    slot.if_zero.clear();
-    slot.if_one.clear();
-  }
+  begin_problems(key_bit_count);
   for (NodeId m = 0; m < n; ++m) {
     if (!is_key_mux_[m]) continue;
     const auto& mux = locked.node(m);
@@ -161,6 +191,21 @@ void AttackGraph::build(const Netlist& locked) {
       problem.if_one.push_back(CandidateLink{in1, sink});
     }
   }
+  emit_problems(key_bit_count);
+}
+
+void AttackGraph::begin_problems(int key_bit_count) {
+  if (slots_.size() < static_cast<std::size_t>(key_bit_count)) {
+    slots_.resize(key_bit_count);
+  }
+  for (auto& slot : slots_) {
+    slot.key_bit_index = -1;
+    slot.if_zero.clear();
+    slot.if_one.clear();
+  }
+}
+
+void AttackGraph::emit_problems(int key_bit_count) {
   std::size_t emitted = 0;
   for (int bit = 0; bit < key_bit_count; ++bit) {
     auto& slot = slots_[bit];
@@ -175,6 +220,370 @@ void AttackGraph::build(const Netlist& locked) {
     slot.key_bit_index = -1;
   }
   problems_.resize(emitted);
+}
+
+bool AttackGraph::patch(const LockedDesign& design, const Netlist& original) {
+  if (!based_on(original)) return false;
+  roll_back();
+  if (apply_patch(design, original)) return true;
+  roll_back();
+  return false;
+}
+
+void AttackGraph::roll_back() {
+  if (!patched_) return;
+  for (const SavedRow& row : saved_rows_) {
+    row_begin_[row.node] = row.begin;
+    row_size_[row.node] = row.size;
+  }
+  saved_rows_.clear();
+  row_begin_.resize(base_nodes_);
+  row_size_.resize(base_nodes_);
+  adj_edges_.resize(base_edges_);
+  present_.resize(base_nodes_);
+  present_nodes_.resize(base_present_nodes_);
+  present_sinks_.resize(base_present_sinks_);
+  // Only a key-free base is ever patched, and it has no problems. The
+  // patch's problem storage goes back to the slots for the next patch.
+  for (KeyBitProblem& problem : problems_) {
+    KeyBitProblem& slot = slots_[problem.key_bit_index];
+    slot.if_zero.swap(problem.if_zero);
+    slot.if_one.swap(problem.if_one);
+  }
+  problems_.clear();
+  locked_ = base_;
+  patched_ = false;
+}
+
+bool AttackGraph::replay_records(const LockedDesign& design,
+                                 const Netlist& original) {
+  const Netlist& locked = design.netlist;
+  const std::size_t n0 = original.size();
+  if (design.applied.size() != design.genes.size()) return false;
+
+  // Each gene owns the consecutive tail ids its kind fixes, from the end of
+  // the original to the end of the design; collect the original gates its
+  // record says it rewired.
+  rewired_.clear();
+  std::size_t next = n0;
+  for (std::size_t t = 0; t < design.genes.size(); ++t) {
+    const AppliedGene& rec = design.applied[t];
+    const lock::Gene& gene = design.genes[t];
+    if (rec.kind != gene.kind || rec.first_node != next) return false;
+    std::size_t count = 0;
+    switch (rec.kind) {
+      case GeneKind::kMux:
+        count = 3;
+        if (gene.f_i >= n0 || gene.f_j >= n0 || gene.g_i >= n0 ||
+            gene.g_j >= n0) {
+          return false;
+        }
+        rewired_.push_back(gene.g_i);
+        rewired_.push_back(gene.g_j);
+        break;
+      case GeneKind::kRll:
+        count = 2;
+        if (rec.driver >= n0 || rec.sink >= n0) return false;
+        rewired_.push_back(rec.sink);
+        break;
+      case GeneKind::kAntiSat:
+        count = 4 * static_cast<std::size_t>(gene.width) + 4;
+        if (rec.width != gene.width ||
+            rec.splice_output != gene.splice_output) {
+          return false;
+        }
+        if (!rec.splice_output && rec.sink < n0) rewired_.push_back(rec.sink);
+        break;
+    }
+    if (rec.node_count != count) return false;
+    next += count;
+  }
+  if (next != locked.size()) return false;
+  std::sort(rewired_.begin(), rewired_.end());
+  rewired_.erase(std::unique(rewired_.begin(), rewired_.end()),
+                 rewired_.end());
+
+  // Replay every splice, in gene order, on the rewired gates' original
+  // fanin lists. Each must replace at least one fanin, and the replayed
+  // lists must come out exactly as the design's: then the records name
+  // every original gate decode rewired, and nothing else changed there.
+  rewired_begin_.clear();
+  rewired_fanins_.clear();
+  for (const NodeId gate : rewired_) {
+    rewired_begin_.push_back(static_cast<std::uint32_t>(rewired_fanins_.size()));
+    const auto& fanins = original.node(gate).fanins;
+    rewired_fanins_.insert(rewired_fanins_.end(), fanins.begin(), fanins.end());
+  }
+  rewired_begin_.push_back(static_cast<std::uint32_t>(rewired_fanins_.size()));
+  const auto replace = [&](NodeId gate, NodeId from, NodeId to) {
+    const std::size_t i =
+        std::lower_bound(rewired_.begin(), rewired_.end(), gate) -
+        rewired_.begin();
+    std::size_t replaced = 0;
+    for (std::uint32_t k = rewired_begin_[i]; k < rewired_begin_[i + 1]; ++k) {
+      if (rewired_fanins_[k] == from) {
+        rewired_fanins_[k] = to;
+        ++replaced;
+      }
+    }
+    return replaced != 0;
+  };
+  for (std::size_t t = 0; t < design.genes.size(); ++t) {
+    const AppliedGene& rec = design.applied[t];
+    const lock::Gene& gene = design.genes[t];
+    switch (rec.kind) {
+      case GeneKind::kMux:
+        if (!replace(gene.g_i, gene.f_i, rec.first_node + 1) ||
+            !replace(gene.g_j, gene.f_j, rec.first_node + 2)) {
+          return false;
+        }
+        break;
+      case GeneKind::kRll:
+        if (!replace(rec.sink, rec.driver, rec.first_node + 1)) return false;
+        break;
+      case GeneKind::kAntiSat: {
+        const NodeId mix = rec.first_node + rec.node_count - 1;
+        if (rec.splice_output) {
+          // No gate is rewired; the port must hold the block's output.
+          if (rec.port >= locked.outputs().size() ||
+              locked.outputs()[rec.port].driver != mix) {
+            return false;
+          }
+        } else if (rec.sink < n0) {
+          if (!replace(rec.sink, rec.driver, mix)) return false;
+        } else if (rec.sink >= rec.first_node ||
+                   !lists(locked.node(rec.sink).fanins, mix)) {
+          // A splice into an earlier gene's key logic: the tail rows come
+          // from the design itself, but the sink must be that logic and
+          // must still read the block.
+          return false;
+        }
+        break;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < rewired_.size(); ++i) {
+    const auto& fanins = locked.node(rewired_[i]).fanins;
+    if (!std::equal(fanins.begin(), fanins.end(),
+                    rewired_fanins_.begin() + rewired_begin_[i],
+                    rewired_fanins_.begin() + rewired_begin_[i + 1])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool AttackGraph::apply_patch(const LockedDesign& design,
+                              const Netlist& original) {
+  const Netlist& locked = design.netlist;
+  const std::size_t n0 = original.size();
+  const std::size_t n = locked.size();
+  // The family key. Structural versions are unique across netlist objects,
+  // so: the design was decoded from exactly the structure this graph was
+  // built from, and its netlist is exactly what decode left. The base must
+  // also be key-free (every node present), so the design's key inputs are
+  // all in its tail.
+  if (design.original_version != base_version_ ||
+      design.decoded_version != locked.structural_version() ||
+      locked.names() != original.names() || base_present_nodes_ != n0 ||
+      n < n0) {
+    return false;
+  }
+  if (!replay_records(design, original)) return false;
+
+  // Tail nodes: key inputs (numbered in creation order) and key MUXes are
+  // absent, everything else present. Original nodes stay present: a
+  // rewired gate only ever reads new tail logic, never a key input.
+  tail_present_.assign(n - n0, 1);
+  tail_bit_.assign(n - n0, -1);
+  int key_bit_count = 0;
+  for (NodeId y = static_cast<NodeId>(n0); y < n; ++y) {
+    const auto& node = locked.node(y);
+    if (node.type == GateType::kInput && node.is_key_input) {
+      tail_present_[y - n0] = 0;
+      tail_bit_[y - n0] = key_bit_count++;
+    } else if (is_key_mux(locked, node)) {
+      tail_present_[y - n0] = 0;
+    }
+  }
+  const auto present = [&](NodeId v) {
+    return v < n0 || tail_present_[v - n0] != 0;
+  };
+
+  // Every wire that enters or leaves the tail: the tail's fanins, and the
+  // tail fanins of the rewired gates (no other original gate reads the
+  // tail). Then the original wires the rewiring cut, and the row entries
+  // both sets change.
+  tail_wires_.clear();
+  for (NodeId y = static_cast<NodeId>(n0); y < n; ++y) {
+    for (const NodeId fanin : locked.node(y).fanins) {
+      tail_wires_.emplace_back(fanin, y);
+    }
+  }
+  cut_wires_.clear();
+  for (const NodeId gate : rewired_) {
+    const auto& fanins = locked.node(gate).fanins;
+    for (const NodeId fanin : fanins) {
+      if (fanin >= n0) tail_wires_.emplace_back(fanin, gate);
+    }
+    for (const NodeId fanin : original.node(gate).fanins) {
+      if (!lists(fanins, fanin)) cut_wires_.emplace_back(fanin, gate);
+    }
+  }
+  std::sort(tail_wires_.begin(), tail_wires_.end());
+  tail_wires_.erase(std::unique(tail_wires_.begin(), tail_wires_.end()),
+                    tail_wires_.end());
+  std::sort(cut_wires_.begin(), cut_wires_.end());
+  cut_wires_.erase(std::unique(cut_wires_.begin(), cut_wires_.end()),
+                   cut_wires_.end());
+  cut_entries_.clear();
+  for (const auto& [driver, sink] : cut_wires_) {
+    cut_entries_.emplace_back(driver, sink);
+    cut_entries_.emplace_back(sink, driver);
+  }
+  std::sort(cut_entries_.begin(), cut_entries_.end());
+  added_entries_.clear();
+  std::size_t added_links = 0;
+  for (const auto& [driver, sink] : tail_wires_) {
+    if (!present(driver) || !present(sink)) continue;
+    added_entries_.emplace_back(driver, sink);
+    added_entries_.emplace_back(sink, driver);
+    ++added_links;
+  }
+  std::sort(added_entries_.begin(), added_entries_.end());
+  touched_.clear();
+  for (const auto& [row, neighbour] : cut_entries_) touched_.push_back(row);
+  for (const auto& [row, neighbour] : added_entries_) {
+    if (row < n0) touched_.push_back(row);
+  }
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+
+  // From here on the view is written; roll_back() undoes all of it.
+  patched_ = true;
+  locked_ = &locked;
+  present_.resize(n, true);
+  for (NodeId y = static_cast<NodeId>(n0); y < n; ++y) {
+    if (!present(y)) {
+      present_[y] = false;
+      continue;
+    }
+    present_nodes_.push_back(y);
+    if (!locked.node(y).fanins.empty()) present_sinks_.push_back(y);
+  }
+
+  // Rows. A touched row is its base row minus the cut entries, then its
+  // tail neighbours (which sort after every original id); a tail row is
+  // its added entries. Both are appended after the base's rows, and the
+  // touched rows' base extents are saved for the roll-back.
+  std::size_t appended = added_entries_.size() - cut_entries_.size();
+  for (const NodeId u : touched_) appended += row_size_[u];
+  adj_edges_.resize(base_edges_ + appended);
+  row_begin_.resize(n);
+  row_size_.resize(n);
+  std::uint32_t write = static_cast<std::uint32_t>(base_edges_);
+  auto cut = cut_entries_.cbegin();
+  auto add = added_entries_.cbegin();
+  for (const NodeId u : touched_) {
+    saved_rows_.push_back({u, row_begin_[u], row_size_[u]});
+    const std::uint32_t begin = write;
+    for (std::uint32_t e = row_begin_[u]; e < row_begin_[u] + row_size_[u];
+         ++e) {
+      const NodeId x = adj_edges_[e];
+      if (cut != cut_entries_.cend() && cut->first == u && cut->second == x) {
+        ++cut;
+        continue;
+      }
+      adj_edges_[write++] = x;
+    }
+    if (cut != cut_entries_.cend() && cut->first == u) return false;
+    for (; add != added_entries_.cend() && add->first == u; ++add) {
+      adj_edges_[write++] = add->second;
+    }
+    row_begin_[u] = begin;
+    row_size_[u] = write - begin;
+  }
+  for (NodeId y = static_cast<NodeId>(n0); y < n; ++y) {
+    row_begin_[y] = write;
+    for (; add != added_entries_.cend() && add->first == y; ++add) {
+      adj_edges_[write++] = add->second;
+    }
+    row_size_[y] = write - row_begin_[y];
+  }
+  if (cut != cut_entries_.cend() || add != added_entries_.cend() ||
+      write != adj_edges_.size()) {
+    return false;
+  }
+
+  // Positives: the base's runs between changed drivers are copied whole; a
+  // changed driver's run loses its cut sinks and gains its present tail
+  // sinks (which sort last); tail drivers follow in id order.
+  patched_links_.resize(known_links_.size() - cut_wires_.size() +
+                        added_links);
+  std::size_t link = 0;
+  auto base_link = known_links_.cbegin();
+  const auto base_end = known_links_.cend();
+  auto cut_wire = cut_wires_.cbegin();
+  auto tail_wire = tail_wires_.cbegin();
+  const auto emit_tail_sinks = [&](NodeId driver) {
+    for (; tail_wire != tail_wires_.cend() && tail_wire->first == driver;
+         ++tail_wire) {
+      if (present(driver) && present(tail_wire->second)) {
+        patched_links_[link++] = CandidateLink{driver, tail_wire->second};
+      }
+    }
+  };
+  for (const NodeId u : touched_) {
+    const auto run = std::lower_bound(
+        base_link, base_end, u,
+        [](const CandidateLink& l, NodeId driver) { return l.u < driver; });
+    link = std::copy(base_link, run, patched_links_.begin() + link) -
+           patched_links_.begin();
+    for (base_link = run; base_link != base_end && base_link->u == u;
+         ++base_link) {
+      if (cut_wire != cut_wires_.cend() && cut_wire->first == u &&
+          cut_wire->second == base_link->v) {
+        ++cut_wire;
+        continue;
+      }
+      patched_links_[link++] = *base_link;
+    }
+    while (tail_wire != tail_wires_.cend() && tail_wire->first < u) {
+      ++tail_wire;
+    }
+    emit_tail_sinks(u);
+  }
+  link = std::copy(base_link, base_end, patched_links_.begin() + link) -
+         patched_links_.begin();
+  while (tail_wire != tail_wires_.cend() && tail_wire->first < n0) ++tail_wire;
+  for (NodeId y = static_cast<NodeId>(n0); y < n; ++y) emit_tail_sinks(y);
+  if (cut_wire != cut_wires_.cend() || link != patched_links_.size()) {
+    return false;
+  }
+
+  // Decision problems: every key MUX is in the tail, and so are all its
+  // sinks' wires from it.
+  begin_problems(key_bit_count);
+  for (NodeId m = static_cast<NodeId>(n0); m < n; ++m) {
+    const auto& mux = locked.node(m);
+    if (present(m) || mux.type != GateType::kMux) continue;
+    const int bit = tail_bit_[mux.fanins[0] - n0];
+    const NodeId in0 = mux.fanins[1];
+    const NodeId in1 = mux.fanins[2];
+    if (!present(in0) || !present(in1)) continue;  // chained key MUX
+    auto& problem = slots_[bit];
+    problem.key_bit_index = bit;
+    for (auto wire = std::lower_bound(tail_wires_.cbegin(), tail_wires_.cend(),
+                                      Wire{m, 0});
+         wire != tail_wires_.cend() && wire->first == m; ++wire) {
+      if (!present(wire->second)) continue;
+      problem.if_zero.push_back(CandidateLink{in0, wire->second});
+      problem.if_one.push_back(CandidateLink{in1, wire->second});
+    }
+  }
+  emit_problems(key_bit_count);
+  return true;
 }
 
 std::vector<std::vector<NodeId>> AttackGraph::adjacency_lists() const {

@@ -12,19 +12,39 @@
 // features, and the list of key-bit decision problems.
 //
 // The adjacency is stored in CSR form (one offsets array + one flat edge
-// array) rather than a vector-of-vectors, and the object is reusable:
-// `build()` re-derives the view for a new locked netlist into the existing
-// storage, so evaluation loops that attack thousands of candidate designs
-// allocate nothing once the buffers are warm. Rows are sorted and
-// deduplicated, matching the order the historical list-of-lists
-// representation produced (attack RNG trajectories depend on it).
+// array) rather than a vector-of-vectors, and the object is reusable: every
+// build re-derives the view into the existing storage, so evaluation loops
+// that attack thousands of candidate designs allocate nothing once the
+// buffers are warm. Rows are sorted and deduplicated, matching the order
+// the historical list-of-lists representation produced (attack RNG
+// trajectories depend on it).
+//
+// Two ways to build it:
+//   - build(locked) derives the view from the netlist alone, in O(N + E).
+//     One-shot attacks and .bench inputs take this path.
+//   - patch(design, original) derives the view of a design decoded from
+//     `original` from this graph's build(original). The design's decode
+//     records (LockedDesign::genes and ::applied) name every rewired fanin
+//     and the appended key-logic tail, so only the rows of rewired gates,
+//     of their old and new drivers and of the tail are written, in place:
+//     the original's rows of those nodes are journaled and new rows are
+//     appended, and the next patch rolls them back first. The positives
+//     are the original's, copied in runs between the changed drivers. The
+//     result equals build(design.netlist) exactly. AttackScratch::view
+//     keeps one graph per worker based on the design family's original and
+//     picks the path.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
+
+namespace autolock::lock {
+struct LockedDesign;
+}
 
 namespace autolock::attack {
 
@@ -61,21 +81,43 @@ class AttackGraph {
   /// `locked` must outlive the graph (or the next build()).
   void build(const netlist::Netlist& locked);
 
+  /// Turns this graph, a build() of the key-free `original` (possibly
+  /// patched for another design since), into the view of `design`, decoded
+  /// from `original`: equal to build(design.netlist), in work proportional
+  /// to what the decode touched plus one copy of the positives. Returns
+  /// false, leaving the view of `original`, when this graph is not based on
+  /// `original` as it stands, when the design was decoded from another
+  /// structure or its netlist has changed since, or when its records do
+  /// not check out against the two netlists. `design` must outlive the view
+  /// (or the next build or patch).
+  bool patch(const lock::LockedDesign& design,
+             const netlist::Netlist& original);
+
+  /// The netlist the view is of (the design's, once patched).
   const netlist::Netlist& locked() const noexcept { return *locked_; }
+
+  /// True when the view was derived by patch() rather than build().
+  bool patched() const noexcept { return patched_; }
+
+  /// True when the graph's last build() was of `original` as it stands now,
+  /// so patch() can derive its designs' views.
+  bool based_on(const netlist::Netlist& original) const noexcept {
+    return base_ == &original &&
+           base_version_ == original.structural_version();
+  }
 
   /// True for nodes that exist in the attacker graph (false for key inputs
   /// and key-MUX nodes).
   bool in_graph(netlist::NodeId v) const { return present_[v]; }
 
   /// Undirected neighbours of `v` (sorted ascending, deduplicated; empty
-  /// for absent nodes). Valid until the next build().
+  /// for absent nodes). Valid until the next build() or patch().
   std::span<const netlist::NodeId> neighbors(netlist::NodeId v) const {
-    return {adj_edges_.data() + adj_offsets_[v],
-            adj_offsets_[v + 1] - adj_offsets_[v]};
+    return {adj_edges_.data() + row_begin_[v], row_size_[v]};
   }
 
   std::size_t degree(netlist::NodeId v) const noexcept {
-    return adj_offsets_[v + 1] - adj_offsets_[v];
+    return row_size_[v];
   }
 
   /// Materializes the adjacency as a list of lists (identical content to
@@ -84,9 +126,20 @@ class AttackGraph {
   std::vector<std::vector<netlist::NodeId>> adjacency_lists() const;
 
   /// All existing directed wires (driver, sink) between present nodes —
-  /// the self-supervision positives.
+  /// the self-supervision positives — ascending by driver, then sink.
   const std::vector<CandidateLink>& known_links() const noexcept {
-    return known_links_;
+    return patched_ ? patched_links_ : known_links_;
+  }
+
+  /// Present nodes, ascending: the possible drivers of a candidate link.
+  const std::vector<netlist::NodeId>& present_nodes() const noexcept {
+    return present_nodes_;
+  }
+
+  /// Present nodes with at least one fanin (present or not), ascending:
+  /// the possible sinks of a candidate link.
+  const std::vector<netlist::NodeId>& present_sinks() const noexcept {
+    return present_sinks_;
   }
 
   /// One decision problem per key bit, sorted by key bit index.
@@ -97,11 +150,44 @@ class AttackGraph {
   std::size_t key_bits() const noexcept { return problems_.size(); }
 
  private:
+  using Wire = std::pair<netlist::NodeId, netlist::NodeId>;
+
+  /// Restores the view of the base after a patch.
+  void roll_back();
+  /// The patch behind patch() on the rolled-back base; false may leave it
+  /// partly written (patch() rolls back).
+  bool apply_patch(const lock::LockedDesign& design,
+                   const netlist::Netlist& original);
+  /// Replays the design's rewiring records on the original fanin lists of
+  /// the rewired original gates and checks the outcome against the
+  /// design's netlist; fills rewired_ and rewired_fanins_.
+  bool replay_records(const lock::LockedDesign& design,
+                      const netlist::Netlist& original);
+  /// Clears the per-bit problem slots for `key_bit_count` bits.
+  void begin_problems(int key_bit_count);
+  /// Emits the non-empty per-bit slots into problems_, in bit order.
+  void emit_problems(int key_bit_count);
+
   const netlist::Netlist* locked_ = nullptr;
+  // The netlist of the last build() and its structural version then, and
+  // the view's sizes at that point (a patch rolls back to them).
+  const netlist::Netlist* base_ = nullptr;
+  std::uint64_t base_version_ = 0;
+  std::size_t base_nodes_ = 0;
+  std::size_t base_edges_ = 0;
+  std::size_t base_present_nodes_ = 0;
+  std::size_t base_present_sinks_ = 0;
+  bool patched_ = false;
   std::vector<bool> present_;
-  std::vector<std::uint32_t> adj_offsets_;  // size() + 1 entries
+  // Rows: row v is adj_edges_[row_begin_[v], + row_size_[v]). A build lays
+  // them out in id order; a patch appends its new rows after the base's.
+  std::vector<std::uint32_t> row_begin_;
+  std::vector<std::uint32_t> row_size_;
   std::vector<netlist::NodeId> adj_edges_;
   std::vector<CandidateLink> known_links_;
+  std::vector<CandidateLink> patched_links_;
+  std::vector<netlist::NodeId> present_nodes_;
+  std::vector<netlist::NodeId> present_sinks_;
   std::vector<KeyBitProblem> problems_;
   // Build-time scratch, retained for reuse.
   std::vector<bool> is_key_mux_;
@@ -115,6 +201,30 @@ class AttackGraph {
   std::vector<std::int32_t> mux_slot_;
   std::vector<std::uint32_t> mux_sink_offsets_;
   std::vector<netlist::NodeId> mux_sink_edges_;
+  // Patch-time state, retained for reuse: the base rows a patch replaced
+  // (node, begin, size); the rewired original gates (ascending) with their
+  // replayed fanin lists (flat runs); the wires that enter or leave the
+  // tail; the original wires the rewiring cut; the row entries those cut
+  // and the tail's present wires add (both ways round); per tail node,
+  // present or not and its key bit (-1 unless a key input); and the
+  // original nodes whose rows change. Wire lists are (driver, sink) or
+  // (row, neighbour) pairs, sorted.
+  struct SavedRow {
+    netlist::NodeId node;
+    std::uint32_t begin;
+    std::uint32_t size;
+  };
+  std::vector<SavedRow> saved_rows_;
+  std::vector<netlist::NodeId> rewired_;
+  std::vector<std::uint32_t> rewired_begin_;
+  std::vector<netlist::NodeId> rewired_fanins_;
+  std::vector<Wire> tail_wires_;
+  std::vector<Wire> cut_wires_;
+  std::vector<Wire> cut_entries_;
+  std::vector<Wire> added_entries_;
+  std::vector<char> tail_present_;
+  std::vector<int> tail_bit_;
+  std::vector<netlist::NodeId> touched_;
 };
 
 }  // namespace autolock::attack

@@ -1,0 +1,15 @@
+#include "attacks/attack_scratch.hpp"
+
+namespace autolock::attack {
+
+const AttackGraph& AttackScratch::view(const lock::LockedDesign& design) {
+  if (family != nullptr &&
+      design.original_version == family->structural_version()) {
+    if (!graph.based_on(*family)) graph.build(*family);
+    if (graph.patch(design, *family)) return graph;
+  }
+  graph.build(design.netlist);
+  return graph;
+}
+
+}  // namespace autolock::attack

@@ -1,7 +1,8 @@
 // Per-worker scratch state shared by the oracle-less attacks.
 //
 // One AttackScratch serves one worker thread for the lifetime of an
-// evaluation loop: the CSR AttackGraph, the epoch-stamped BFS marks used by
+// evaluation loop: the CSR AttackGraph (the view of the design family's
+// original, patched per design), the epoch-stamped BFS marks used by
 // hard-negative sampling and subgraph extraction, the key-cone area oracle
 // behind SCOPE, and assorted reusable vectors. Every
 // attack resets the pieces it uses, so a scratch can be handed from design
@@ -15,13 +16,27 @@
 #include "attacks/attack_graph.hpp"
 #include "attacks/features.hpp"
 #include "attacks/gnn.hpp"
+#include "attacks/structural.hpp"
+#include "locking/mux_lock.hpp"
 #include "netlist/opt.hpp"
 #include "util/epoch_flags.hpp"
 
 namespace autolock::attack {
 
 struct AttackScratch {
-  /// Reused attacker-view graph (rebuilt per design, storage retained).
+  /// Puts the attacker view of `design` into `graph` and returns it. When
+  /// the design was decoded from `family` as it stands now, `graph` is
+  /// patched from its view of `family` (built here on the first such
+  /// design); otherwise, or when the design's records do not check out, it
+  /// is a full build. The view is identical either way.
+  const AttackGraph& view(const lock::LockedDesign& design);
+
+  /// The original the designs attacked through this scratch are decoded
+  /// from, or null (EvalWorkspace::reserve binds it). It must outlive the
+  /// scratch's use.
+  const netlist::Netlist* family = nullptr;
+  /// Reused attacker-view graph (storage retained): based on `family` and
+  /// patched per design, or rebuilt per design.
   AttackGraph graph;
   /// Visited marks for hard-negative BFS sampling.
   util::EpochFlags seen;
@@ -43,10 +58,10 @@ struct AttackScratch {
   std::vector<netlist::NodeId> frontier;
   std::vector<netlist::NodeId> next_frontier;
   std::vector<netlist::NodeId> ring;
-  std::vector<netlist::NodeId> present_nodes;
-  std::vector<netlist::NodeId> present_sinks;
   std::vector<CandidateLink> positives;
   std::vector<CandidateLink> negatives;
+  /// Structural predictor training samples, reused across designs.
+  std::vector<StructuralLinkPredictor::Sample> pair_samples;
   std::vector<std::size_t> levels;
   std::vector<std::size_t> order;
 };

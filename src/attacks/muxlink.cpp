@@ -19,12 +19,22 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked) const {
 
 MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
                                     AttackScratch& scratch) const {
-  MuxLinkResult result;
   scratch.graph.build(locked);
+  return attack_view(scratch);
+}
+
+MuxLinkResult MuxLinkAttack::attack(const lock::LockedDesign& design,
+                                    AttackScratch& scratch) const {
+  scratch.view(design);
+  return attack_view(scratch);
+}
+
+MuxLinkResult MuxLinkAttack::attack_view(AttackScratch& scratch) const {
+  MuxLinkResult result;
   const AttackGraph& graph = scratch.graph;
   if (graph.problems().empty()) return result;
 
-  util::Rng rng(config_.seed ^ (locked.size() * 0x9E37ULL));
+  util::Rng rng(config_.seed ^ (graph.locked().size() * 0x9E37ULL));
 
   // ---- assemble the self-supervised training set ---------------------------
   if (!sample_training_links(config_.max_train_links, rng, scratch)) {
@@ -97,7 +107,6 @@ MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
 bool sample_training_links(std::size_t max_positives, util::Rng& rng,
                            AttackScratch& scratch) {
   const AttackGraph& graph = scratch.graph;
-  const netlist::Netlist& locked = graph.locked();
   std::vector<CandidateLink>& positives = scratch.positives;
   positives = graph.known_links();
   if (positives.size() > max_positives) {
@@ -108,15 +117,8 @@ bool sample_training_links(std::size_t max_positives, util::Rng& rng,
   // Present nodes, split into "possible drivers" (anything present) and
   // "possible sinks" (present gates with fanins) so negatives share the
   // directional shape of positives.
-  std::vector<NodeId>& present_nodes = scratch.present_nodes;
-  std::vector<NodeId>& present_sinks = scratch.present_sinks;
-  present_nodes.clear();
-  present_sinks.clear();
-  for (NodeId v = 0; v < locked.size(); ++v) {
-    if (!graph.in_graph(v)) continue;
-    present_nodes.push_back(v);
-    if (!locked.node(v).fanins.empty()) present_sinks.push_back(v);
-  }
+  const std::vector<NodeId>& present_nodes = graph.present_nodes();
+  const std::vector<NodeId>& present_sinks = graph.present_sinks();
   if (present_nodes.size() < 4 || present_sinks.empty()) return false;
 
   auto is_adjacent = [&](NodeId a, NodeId b) {
@@ -138,7 +140,7 @@ bool sample_training_links(std::size_t max_positives, util::Rng& rng,
     ring.clear();
     frontier.clear();
     frontier.push_back(v);
-    scratch.seen.begin_epoch(locked.size());
+    scratch.seen.begin_epoch(graph.locked().size());
     scratch.seen.mark(v);
     for (int hop = 1; hop <= 3; ++hop) {
       next.clear();

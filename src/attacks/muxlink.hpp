@@ -85,6 +85,12 @@ class MuxLinkAttack {
   MuxLinkResult attack(const netlist::Netlist& locked,
                        AttackScratch& scratch) const;
 
+  /// Attacks a decoded design through `scratch`, whose attacker view of it
+  /// is patched from the view of its original when it can be
+  /// (AttackScratch::view); bit-identical to attack(design.netlist).
+  MuxLinkResult attack(const lock::LockedDesign& design,
+                       AttackScratch& scratch) const;
+
   /// Scores a result against the ground-truth key (evaluation only).
   static MuxLinkScore score(const MuxLinkResult& result,
                             const netlist::Key& correct_key);
@@ -96,12 +102,15 @@ class MuxLinkAttack {
 
   MuxLinkScore run(const lock::LockedDesign& design,
                    AttackScratch& scratch) const {
-    return score(attack(design.netlist, scratch), design.key);
+    return score(attack(design, scratch), design.key);
   }
 
   const MuxLinkConfig& config() const noexcept { return config_; }
 
  private:
+  /// The attack on the view already in `scratch.graph`.
+  MuxLinkResult attack_view(AttackScratch& scratch) const;
+
   MuxLinkConfig config_;
 };
 
@@ -111,7 +120,8 @@ class MuxLinkAttack {
 // seed salt, its features and its model.
 
 /// Fills `scratch.positives` and `scratch.negatives` from the graph in
-/// `scratch.graph`. Positives are the design's own wires, shuffled down to
+/// `scratch.graph` (drivers and sinks drawn from its present_nodes() and
+/// present_sinks()). Positives are the design's own wires, shuffled down to
 /// `max_positives` when there are more; as many negatives follow,
 /// alternately a hard one (a false driver 2..3 hops from a random sink)
 /// and a uniform non-link. Returns false (after drawing only the positives'

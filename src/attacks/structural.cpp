@@ -99,10 +99,22 @@ MuxLinkResult StructuralLinkPredictor::attack(
 
 MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
                                               AttackScratch& scratch) const {
-  MuxLinkResult result;
   scratch.graph.build(locked);
+  return attack_view(scratch);
+}
+
+MuxLinkResult StructuralLinkPredictor::attack(const lock::LockedDesign& design,
+                                              AttackScratch& scratch) const {
+  scratch.view(design);
+  return attack_view(scratch);
+}
+
+MuxLinkResult StructuralLinkPredictor::attack_view(
+    AttackScratch& scratch) const {
+  MuxLinkResult result;
   const AttackGraph& graph = scratch.graph;
   if (graph.problems().empty()) return result;
+  const netlist::Netlist& locked = graph.locked();
 
   util::Rng rng(config_.seed ^ (locked.size() * 0xC0FFEEULL));
   netlist::node_levels_into(locked, scratch.levels);
@@ -114,12 +126,8 @@ MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
   const std::vector<CandidateLink>& positives = scratch.positives;
   const std::vector<CandidateLink>& negatives = scratch.negatives;
 
-  struct Sample {
-    std::array<double, kPairFeatureDim> x;
-    double y;
-  };
-  std::vector<Sample> samples;
-  samples.reserve(positives.size() + negatives.size());
+  std::vector<Sample>& samples = scratch.pair_samples;
+  samples.clear();
   for (const auto& link : positives) {
     samples.push_back({pair_features(graph, levels, link.u, link.v), 1.0});
   }

@@ -13,6 +13,7 @@
 // salt, pair features and model differ.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "attacks/attack_graph.hpp"
@@ -40,13 +41,19 @@ class StructuralLinkPredictor {
   MuxLinkResult attack(const netlist::Netlist& locked,
                        AttackScratch& scratch) const;
 
+  /// Attacks a decoded design through `scratch`, whose attacker view of it
+  /// is patched from the view of its original when it can be
+  /// (AttackScratch::view); bit-identical to attack(design.netlist).
+  MuxLinkResult attack(const lock::LockedDesign& design,
+                       AttackScratch& scratch) const;
+
   MuxLinkScore run(const lock::LockedDesign& design) const {
     return MuxLinkAttack::score(attack(design.netlist), design.key);
   }
 
   MuxLinkScore run(const lock::LockedDesign& design,
                    AttackScratch& scratch) const {
-    return MuxLinkAttack::score(attack(design.netlist, scratch), design.key);
+    return MuxLinkAttack::score(attack(design, scratch), design.key);
   }
 
   const StructuralPredictorConfig& config() const noexcept { return config_; }
@@ -54,7 +61,16 @@ class StructuralLinkPredictor {
   /// Number of features per candidate pair (exposed for tests).
   static constexpr std::size_t kPairFeatureDim = 10;
 
+  /// One training sample: a candidate pair's features and its label.
+  struct Sample {
+    std::array<double, kPairFeatureDim> x;
+    double y;
+  };
+
  private:
+  /// The attack on the view already in `scratch.graph`.
+  MuxLinkResult attack_view(AttackScratch& scratch) const;
+
   StructuralPredictorConfig config_;
 };
 

@@ -23,6 +23,7 @@ void EvalWorkspace::reserve(const netlist::Netlist& original,
   // The decode-final order merge writes one entry per working-netlist node.
   reach.topo_scratch.order.reserve(locked_nodes);
   lock::warm_decode_names(original, key_bits, reach);
+  attack.family = &original;
   attack.seen.begin_epoch(locked_nodes);
   sim.values.reserve(locked_nodes);
   wrong_key.reserve(key_bits);

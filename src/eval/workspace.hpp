@@ -9,7 +9,8 @@
 //
 //   design   — the decode target; its netlist reuses node/name storage
 //   reach    — epoch-stamped DFS marks for decode-time cycle checks
-//   attack   — CSR AttackGraph + BFS/sampling buffers + flat-opt state
+//   attack   — CSR AttackGraph (patched per design from the bound
+//              family's view) + BFS/sampling buffers + SCOPE's area oracle
 //   sim      — simulator value/output buffers for corruption measurement
 //
 // Workspaces hold no result state: an evaluation through a freshly
@@ -34,8 +35,12 @@ class EvalWorkspace {
   EvalWorkspace(const EvalWorkspace&) = delete;
   EvalWorkspace& operator=(const EvalWorkspace&) = delete;
 
-  /// Pre-sizes the buffers for evaluating designs derived from `original`
-  /// with about `key_bits` key bits (optional — buffers grow on demand).
+  /// Binds the workspace to the design family of `original` and pre-sizes
+  /// the buffers for evaluating designs decoded from it with about
+  /// `key_bits` key bits. Optional — buffers grow on demand — but attacks
+  /// patch a bound family's view per design instead of rebuilding it (the
+  /// family view itself is built on first use, not here). `original` must
+  /// outlive the workspace's evaluations.
   void reserve(const netlist::Netlist& original, std::size_t key_bits);
 
   lock::LockedDesign design;

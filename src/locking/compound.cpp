@@ -451,6 +451,8 @@ LockedDesign apply_genotype(const Netlist& original,
   ReachScratch scratch;
   apply_genes(design, context, genes, repair_rng, scratch);
   design.netlist.validate();
+  design.original_version = original.structural_version();
+  design.decoded_version = design.netlist.structural_version();
   return design;
 }
 
@@ -575,6 +577,8 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
       out.netlist.set_name(base + std::string(kSuffix));
     }
   }
+  out.original_version = 0;
+  out.decoded_version = 0;
   out.key.clear();
   out.sites.clear();
   out.mux_pairs.clear();
@@ -597,6 +601,8 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   scratch.last_design = &out;
   scratch.last_original = &original;
   scratch.last_design_version = out.netlist.structural_version();
+  out.original_version = original.structural_version();
+  out.decoded_version = out.netlist.structural_version();
 }
 
 void warm_decode_names(const Netlist& original, std::size_t key_bits,

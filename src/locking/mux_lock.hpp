@@ -45,6 +45,15 @@ struct LockedDesign {
   Genotype genes;
   /// Per-gene decode record, aligned with `genes` (see AppliedGene).
   std::vector<AppliedGene> applied;
+  /// Netlist::structural_version() of the original this design was decoded
+  /// from, and of `netlist` as decode left it (0 = not decoded). Versions
+  /// travel with moves, so a design moved out of its workspace keeps both.
+  /// While they still match, the records above describe every difference
+  /// between `netlist` and the original, which is what lets an attack
+  /// patch its view of the original instead of rebuilding it
+  /// (attack::AttackScratch::view).
+  std::uint64_t original_version = 0;
+  std::uint64_t decoded_version = 0;
 };
 
 /// Decodes a genotype into a locked netlist. A structurally invalid gene

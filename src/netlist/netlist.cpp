@@ -1,9 +1,25 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 namespace autolock::netlist {
+
+std::uint64_t Netlist::fresh_version() noexcept {
+  // Each thread draws from its own block of a process-wide counter, so a
+  // mutation costs an atomic operation only once per block. 0 is never
+  // issued: callers may use it for "no version".
+  constexpr std::uint64_t kBlock = std::uint64_t{1} << 16;
+  static std::atomic<std::uint64_t> next_block{1};
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  if (next == end) {
+    next = next_block.fetch_add(kBlock, std::memory_order_relaxed);
+    end = next + kBlock;
+  }
+  return next++;
+}
 
 Netlist::Netlist(const Netlist& other)
     : name_(other.name_),
@@ -11,7 +27,8 @@ Netlist::Netlist(const Netlist& other)
       nodes_(other.nodes_),
       inputs_(other.inputs_),
       outputs_(other.outputs_),
-      node_of_name_(other.node_of_name_) {}
+      node_of_name_(other.node_of_name_),
+      structural_version_(other.structural_version_) {}
 
 Netlist& Netlist::operator=(const Netlist& other) {
   if (this == &other) return *this;
@@ -22,7 +39,7 @@ Netlist& Netlist::operator=(const Netlist& other) {
   outputs_ = other.outputs_;
   node_of_name_ = other.node_of_name_;
   cache_ = TraversalCache{};
-  ++structural_version_;  // own history: assignment is a structural change
+  structural_version_ = other.structural_version_;  // same structure
   return *this;
 }
 
@@ -33,8 +50,10 @@ Netlist::Netlist(Netlist&& other) noexcept
       inputs_(std::move(other.inputs_)),
       outputs_(std::move(other.outputs_)),
       node_of_name_(std::move(other.node_of_name_)),
-      cache_(std::move(other.cache_)) {
+      cache_(std::move(other.cache_)),
+      structural_version_(other.structural_version_) {
   other.cache_ = TraversalCache{};
+  other.structural_version_ = fresh_version();
 }
 
 Netlist& Netlist::operator=(Netlist&& other) noexcept {
@@ -47,15 +66,15 @@ Netlist& Netlist::operator=(Netlist&& other) noexcept {
   node_of_name_ = std::move(other.node_of_name_);
   cache_ = std::move(other.cache_);
   other.cache_ = TraversalCache{};
-  ++structural_version_;  // own history: assignment is a structural change
-  ++other.structural_version_;
+  structural_version_ = other.structural_version_;
+  other.structural_version_ = fresh_version();
   return *this;
 }
 
 void Netlist::invalidate_traversal_cache() noexcept {
   cache_.topo_valid = false;
   cache_.fanouts_valid = false;
-  ++structural_version_;
+  structural_version_ = fresh_version();
 }
 
 void Netlist::index_name(NameId symbol, NodeId id) {
@@ -187,7 +206,7 @@ void Netlist::mark_output(NodeId id, NameId port_name) {
   outputs_.push_back(OutputPort{port_name, id});
   // Output ports are not traversal edges (no cache invalidation needed),
   // but they are structure: the decode recycle path must see this.
-  ++structural_version_;
+  structural_version_ = fresh_version();
 }
 
 void Netlist::set_output_driver(std::size_t output_index, NodeId new_driver) {

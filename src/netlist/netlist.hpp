@@ -142,12 +142,15 @@ class Netlist {
   const Node& node(NodeId id) const { return nodes_.at(id); }
   bool valid_id(NodeId id) const noexcept { return id < nodes_.size(); }
 
-  /// Monotonic counter bumped by every structural mutation (node additions,
-  /// fanin rewrites, output redirection, whole-netlist assignment). Two
-  /// observations with equal versions (on the same object) are guaranteed
-  /// to have seen the same structure — the decode recycle path uses this to
-  /// detect any mutation between decodes. Never copied from the source on
-  /// assignment; the counter belongs to this object's own history.
+  /// Identifies the current structure. Construction and every structural
+  /// mutation (node additions, fanin rewrites, output redirection) draw a
+  /// version no netlist object in the process has held before; a copy
+  /// takes its source's version, and a move hands the source's version to
+  /// the destination and gives the source a fresh one. So two observations
+  /// with equal versions — on the same object or on two — saw the same
+  /// structure. The decode recycle path uses this to detect any mutation
+  /// between decodes, and attacks use it to tie a decoded design to the
+  /// original it was decoded from (lock::LockedDesign::original_version).
   std::uint64_t structural_version() const noexcept {
     return structural_version_;
   }
@@ -256,6 +259,8 @@ class Netlist {
   }
   void index_name(NameId symbol, NodeId id);
   void invalidate_traversal_cache() noexcept;
+  /// A structural version no netlist has held before (process-wide).
+  static std::uint64_t fresh_version() noexcept;
   std::vector<NodeId> compute_topological_order() const;
   /// Computes the order into `scratch.order` (throws on a cycle).
   void compute_topological_order_into(TopoScratch& scratch) const;
@@ -283,7 +288,7 @@ class Netlist {
   };
   mutable TraversalCache cache_;
   mutable std::mutex cache_mutex_;
-  std::uint64_t structural_version_ = 0;
+  std::uint64_t structural_version_ = fresh_version();
 };
 
 /// Gate level of every node into `out` (sources at 0; level = 1 + max

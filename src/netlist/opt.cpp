@@ -1,6 +1,7 @@
 #include "netlist/opt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <span>
 #include <stdexcept>
@@ -454,39 +455,13 @@ void KeyConeAreas::reset(const Netlist& input) {
 }
 
 void KeyConeAreas::load_cone(std::size_t bit) {
-  const Netlist& input = *input_;
-  const auto& order = input.topological_order();
   const std::size_t block = bit / kBlockKeys;
-  if (block != block_) {
-    // One topological pass per block: a node is in key j's cone iff it is
-    // key j or one of its fanins is in the cone.
-    masks_.assign(input.size(), 0);
-    const std::size_t first = block * kBlockKeys;
-    const std::size_t width = std::min(kBlockKeys, keys_.size() - first);
-    for (std::size_t j = 0; j < width; ++j) {
-      masks_[keys_[first + j]] = static_cast<std::uint8_t>(1U << j);
-    }
-    for (const NodeId v : order) {
-      std::uint8_t mask = masks_[v];
-      for (const NodeId fanin : input.node(v).fanins) mask |= masks_[fanin];
-      masks_[v] = mask;
-    }
-    block_ = block;
-  }
-
-  const auto bit_mask = static_cast<std::uint8_t>(1U << (bit % kBlockKeys));
-  cone_.clear();
-  std::size_t cone_fanins = 0;
-  for (const NodeId v : order) {
-    if ((masks_[v] & bit_mask) == 0) continue;
-    cone_.push_back(v);
-    cone_fanins += input.node(v).fanins.size();
-  }
-  cone_ports_.clear();
-  const auto& ports = input.outputs();
-  for (std::uint32_t p = 0; p < ports.size(); ++p) {
-    if ((masks_[ports[p].driver] & bit_mask) != 0) cone_ports_.push_back(p);
-  }
+  if (block != block_) load_block(block);
+  const std::size_t j = bit % kBlockKeys;
+  cone_ = std::span<const NodeId>(cone_nodes_)
+              .subspan(cone_begin_[j], cone_begin_[j + 1] - cone_begin_[j]);
+  cone_ports_ = std::span<const std::uint32_t>(cone_port_list_)
+                    .subspan(port_begin_[j], port_begin_[j + 1] - port_begin_[j]);
   cone_bit_ = bit;
 
   // A hypothesis appends at most one node per cone node (plus the two
@@ -496,8 +471,65 @@ void KeyConeAreas::load_cone(std::size_t bit) {
   const std::size_t max_nodes = base_nodes_ + cone_.size() + 2;
   s.out_types.reserve(max_nodes);
   s.out_fanin_begin.reserve(max_nodes + 1);
-  s.out_fanins.reserve(base_fanins_ + cone_fanins);
+  s.out_fanins.reserve(base_fanins_ + cone_fanins_[j]);
   refs_.reserve(max_nodes);
+}
+
+void KeyConeAreas::load_block(std::size_t block) {
+  const Netlist& input = *input_;
+  const auto& order = input.topological_order();
+  // One topological pass: a node is in key j's cone iff it is key j or one
+  // of its fanins is in the cone. The same pass counts each cone's nodes
+  // and fanins, and a second pass over the masks alone splits the block's
+  // cones into per-bit runs (CSR by bit), each in topological order.
+  masks_.assign(input.size(), 0);
+  const std::size_t first = block * kBlockKeys;
+  const std::size_t width = std::min(kBlockKeys, keys_.size() - first);
+  for (std::size_t j = 0; j < width; ++j) {
+    masks_[keys_[first + j]] = static_cast<std::uint8_t>(1U << j);
+  }
+  cone_begin_.fill(0);
+  cone_fanins_.fill(0);
+  for (const NodeId v : order) {
+    const auto& fanins = input.node(v).fanins;
+    std::uint8_t mask = masks_[v];
+    for (const NodeId fanin : fanins) mask |= masks_[fanin];
+    masks_[v] = mask;
+    for (unsigned m = mask; m != 0; m &= m - 1) {
+      const int j = std::countr_zero(m);
+      ++cone_begin_[j + 1];
+      cone_fanins_[j] += fanins.size();
+    }
+  }
+  for (std::size_t j = 0; j < kBlockKeys; ++j) {
+    cone_begin_[j + 1] += cone_begin_[j];
+  }
+  cone_nodes_.resize(cone_begin_[kBlockKeys]);
+  std::array<std::size_t, kBlockKeys> fill = {};
+  std::copy(cone_begin_.begin(), cone_begin_.end() - 1, fill.begin());
+  for (const NodeId v : order) {
+    for (unsigned m = masks_[v]; m != 0; m &= m - 1) {
+      cone_nodes_[fill[std::countr_zero(m)]++] = v;
+    }
+  }
+  const auto& ports = input.outputs();
+  port_begin_.fill(0);
+  for (const auto& port : ports) {
+    for (unsigned m = masks_[port.driver]; m != 0; m &= m - 1) {
+      ++port_begin_[std::countr_zero(m) + 1];
+    }
+  }
+  for (std::size_t j = 0; j < kBlockKeys; ++j) {
+    port_begin_[j + 1] += port_begin_[j];
+  }
+  cone_port_list_.resize(port_begin_[kBlockKeys]);
+  std::copy(port_begin_.begin(), port_begin_.end() - 1, fill.begin());
+  for (std::uint32_t p = 0; p < ports.size(); ++p) {
+    for (unsigned m = masks_[ports[p].driver]; m != 0; m &= m - 1) {
+      cone_port_list_[fill[std::countr_zero(m)]++] = p;
+    }
+  }
+  block_ = block;
 }
 
 std::span<const NodeId> KeyConeAreas::base_fanins(NodeId v) const {
@@ -582,7 +614,7 @@ std::size_t KeyConeAreas::area(std::size_t bit, bool value) {
     flags_[v] |= kDirty;
   };
   mark_dirty(cone_.front(), pack_const(value));
-  for (const NodeId v : std::span(cone_).subspan(1)) {
+  for (const NodeId v : cone_.subspan(1)) {
     const auto& in = input_->node(v).fanins;
     if (std::none_of(in.begin(), in.end(),
                      [&](NodeId f) { return (flags_[f] & kDirty) != 0; })) {

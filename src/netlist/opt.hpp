@@ -13,6 +13,7 @@
 //     in-place edits of what the pinned key changes.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -85,8 +86,11 @@ struct OptScratch {
 ///
 /// Key cones come from one topological pass per block of 8 keys that ORs
 /// a per-node byte of key bits over the fanins (byte masks keep the
-/// per-worker footprint at N bytes). All storage is retained across
-/// reset() calls, so one instance serves design after design.
+/// per-worker footprint at N bytes), and a second pass over the masks that
+/// splits the block's eight cones into per-bit runs (one flat array, CSR by
+/// bit: extra memory is the sum of the block's cone sizes). All storage is
+/// retained across reset() calls, so one instance serves design after
+/// design.
 class KeyConeAreas {
  public:
   /// Indexes `input`, which must outlive every area() query on it.
@@ -96,9 +100,9 @@ class KeyConeAreas {
   /// Gate count of `optimize(input)`.
   std::size_t baseline_area() const noexcept { return base_area_; }
   /// Gate count of `optimize_with_key_bit(input, bit, value)`. Work in the
-  /// size of `bit`'s cone and of what the pin changes, plus one O(N) scan
-  /// per bit and one topological pass per block of 8 bits when queried bit
-  /// by bit. Throws std::invalid_argument when `bit` is out of range.
+  /// size of `bit`'s cone and of what the pin changes, plus two O(N)
+  /// passes per block of 8 bits when queried bit by bit. Throws
+  /// std::invalid_argument when `bit` is out of range.
   std::size_t area(std::size_t bit, bool value);
 
  private:
@@ -122,7 +126,10 @@ class KeyConeAreas {
     bool was_live;
   };
 
+  /// Points cone_ and cone_ports_ at `bit`'s cone, loading its block.
   void load_cone(std::size_t bit);
+  /// Computes the key masks and per-bit cones of the 8-key block `block`.
+  void load_block(std::size_t block);
   std::span<const NodeId> base_fanins(NodeId v) const;
   std::span<const NodeId> edit_fanins(const Edit& edit) const;
   bool is_edited(NodeId v) const { return v < base_nodes_ && edited_[v]; }
@@ -146,14 +153,20 @@ class KeyConeAreas {
   std::size_t base_nodes_ = 0;
   std::size_t base_fanins_ = 0;
   std::size_t base_area_ = 0;
-  // Key masks of the current 8-key block, and the current bit's cone:
-  // input-netlist nodes in topological order (the key input first) plus
-  // the output ports they drive.
+  // Key masks of the current 8-key block; its cones as per-bit runs of
+  // input-netlist nodes in topological order (each key input first) with
+  // the runs' fanin counts, and the output ports each cone drives; and the
+  // current bit's cone and ports, views into those runs.
   std::size_t block_ = kNone;
   std::vector<std::uint8_t> masks_;
+  std::array<std::size_t, kBlockKeys + 1> cone_begin_ = {};
+  std::array<std::size_t, kBlockKeys> cone_fanins_ = {};
+  std::vector<NodeId> cone_nodes_;
+  std::array<std::size_t, kBlockKeys + 1> port_begin_ = {};
+  std::vector<std::uint32_t> cone_port_list_;
   std::size_t cone_bit_ = kNone;
-  std::vector<NodeId> cone_;
-  std::vector<std::uint32_t> cone_ports_;
+  std::span<const NodeId> cone_;
+  std::span<const std::uint32_t> cone_ports_;
   // Per-hypothesis state, undone before area() returns: dirty input nodes
   // with their baseline values, the overlay (a mark per baseline node plus
   // the edits), changed ports with their new drivers, and the refcount

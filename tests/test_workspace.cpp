@@ -474,6 +474,287 @@ TEST(CsrAttackGraph, RebuildReusesStorageAndMatchesFreshBuild) {
   }
 }
 
+// ---- attacker view patched from the family's view ---------------------------
+
+/// `view` must equal `full`, a fresh build() of the same netlist: every row,
+/// degree and presence mark, the positives, the present lists, the problems.
+void expect_same_view(const attack::AttackGraph& view,
+                      const attack::AttackGraph& full) {
+  ASSERT_EQ(&view.locked(), &full.locked());
+  for (NodeId v = 0; v < full.locked().size(); ++v) {
+    ASSERT_EQ(view.in_graph(v), full.in_graph(v)) << "node " << v;
+    ASSERT_EQ(view.degree(v), full.degree(v)) << "node " << v;
+    const auto row = view.neighbors(v);
+    const auto expected = full.neighbors(v);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), expected.begin(),
+                           expected.end()))
+        << "node " << v;
+  }
+  const auto pairs = [](const std::vector<attack::CandidateLink>& links) {
+    std::vector<std::pair<NodeId, NodeId>> out;
+    for (const auto& link : links) out.emplace_back(link.u, link.v);
+    return out;
+  };
+  EXPECT_EQ(pairs(view.known_links()), pairs(full.known_links()));
+  EXPECT_EQ(view.present_nodes(), full.present_nodes());
+  EXPECT_EQ(view.present_sinks(), full.present_sinks());
+  ASSERT_EQ(view.problems().size(), full.problems().size());
+  for (std::size_t p = 0; p < full.problems().size(); ++p) {
+    const auto& problem = view.problems()[p];
+    const auto& expected = full.problems()[p];
+    EXPECT_EQ(problem.key_bit_index, expected.key_bit_index);
+    EXPECT_EQ(pairs(problem.if_zero), pairs(expected.if_zero));
+    EXPECT_EQ(pairs(problem.if_one), pairs(expected.if_one));
+  }
+}
+
+/// A design family: an original, its site context and a decode workspace.
+struct Family {
+  explicit Family(Netlist netlist)
+      : original(std::move(netlist)), context(original) {}
+  Netlist original;
+  lock::SiteContext context;
+  eval::EvalWorkspace workspace;
+
+  lock::LockedDesign& decode(const lock::Genotype& genes, std::uint64_t seed) {
+    util::Rng repair(seed);
+    lock::apply_genotype_into(workspace.design, original, context, genes,
+                              repair, workspace.reach);
+    return workspace.design;
+  }
+};
+
+TEST(CsrAttackGraph, PatchedViewMatchesFullBuild) {
+  netlist::gen::RandomCircuitConfig random5k;
+  random5k.name = "random5k";
+  random5k.primary_inputs = 64;
+  random5k.outputs = 32;
+  random5k.gates = 5000;
+  std::vector<std::unique_ptr<Family>> families;
+  for (const auto id : {netlist::gen::ProfileId::kC432,
+                        netlist::gen::ProfileId::kC880,
+                        netlist::gen::ProfileId::kC1355}) {
+    families.push_back(std::make_unique<Family>(profile(id, 24)));
+  }
+  families.push_back(
+      std::make_unique<Family>(netlist::gen::make_random(random5k, 24)));
+
+  // One scratch across every design, switching families from one design to
+  // the next: each view must be patched, and equal a fresh full build.
+  attack::AttackScratch scratch;
+  const auto expect_patched = [&](const lock::LockedDesign& design,
+                                  const Family& family) {
+    scratch.family = &family.original;
+    const attack::AttackGraph full(design.netlist);
+    expect_same_view(scratch.view(design), full);
+    EXPECT_TRUE(scratch.graph.patched());
+    EXPECT_TRUE(scratch.graph.based_on(family.original));
+  };
+  util::Rng rng(24);
+  for (const std::size_t key_bits : {8, 16, 32}) {
+    std::vector<lock::GenotypeSpec> specs;
+    for (const auto& scheme : campaign::default_schemes(key_bits)) {
+      specs.push_back(scheme.spec);
+    }
+    // An internally spliced anti-SAT block, which may land on an earlier
+    // gene's key logic.
+    specs.push_back({.mux_sites = key_bits,
+                     .rll_gates = key_bits / 4,
+                     .antisat_width = 2,
+                     .antisat_splice_output = false});
+    for (const auto& spec : specs) {
+      for (const auto& family : families) {
+        SCOPED_TRACE(family->original.name() + " K=" +
+                     std::to_string(spec.key_bits()));
+        const auto genes = lock::random_genotype(family->context, spec, rng);
+        expect_patched(family->decode(genes, rng()), *family);
+      }
+    }
+  }
+
+  // The bound original replaced in place (same object, same size, new
+  // structure): the view of the old one is stale and must be rebuilt.
+  {
+    Netlist original;
+    scratch.family = &original;
+    for (const std::uint64_t seed : {25, 26}) {
+      original = profile(netlist::gen::ProfileId::kC432, seed);
+      const lock::SiteContext context(original);
+      util::Rng genes_rng(seed);
+      util::Rng repair(seed);
+      const auto design = lock::apply_genotype(
+          original, context, lock::random_genotype(context, 16, genes_rng),
+          repair);
+      expect_same_view(scratch.view(design), attack::AttackGraph(design.netlist));
+      EXPECT_TRUE(scratch.graph.patched());
+      EXPECT_TRUE(scratch.graph.based_on(original));
+    }
+  }
+
+  Family& c432 = *families.front();
+  util::Rng c432_rng(7);
+  const lock::GenotypeSpec compound{.mux_sites = 16,
+                                    .rll_gates = 4,
+                                    .antisat_width = 2,
+                                    .antisat_splice_output = false};
+
+  // The campaign-cell shape: a design moved out of its workspace keeps its
+  // records and stamps, so its view is still patched.
+  {
+    (void)c432.decode(lock::random_genotype(c432.context, compound, c432_rng),
+                      1);
+    const lock::LockedDesign moved = std::move(c432.workspace.design);
+    expect_patched(moved, c432);
+    expect_patched(c432.decode(moved.genes, 2), c432);
+  }
+
+  // Key logic chained into key logic: internal anti-SAT splices whose wire
+  // leaves a key MUX or enters one (or an RLL key gate).
+  {
+    bool from_tail = false;
+    bool into_tail = false;
+    for (int tries = 0; tries < 400 && !(from_tail && into_tail); ++tries) {
+      const auto& design = c432.decode(
+          lock::random_genotype(c432.context, compound, c432_rng), tries);
+      const lock::AppliedGene& block = design.applied.back();
+      const bool leaves = block.driver >= c432.original.size();
+      const bool enters = block.sink >= c432.original.size();
+      if ((leaves && !from_tail) || (enters && !into_tail)) {
+        expect_patched(design, c432);
+        from_tail = from_tail || leaves;
+        into_tail = into_tail || enters;
+      }
+    }
+    EXPECT_TRUE(from_tail);
+    EXPECT_TRUE(into_tail);
+  }
+
+  // A gate reading a key MUX twice (its locked fanin was listed twice), and
+  // an RLL gate and an anti-SAT block on a repeated wire.
+  {
+    Netlist original{"repeats"};
+    const NodeId a = original.add_input("a");
+    const NodeId b = original.add_input("b");
+    const NodeId c = original.add_input("c");
+    const NodeId d = original.add_input("d");
+    const NodeId twice = original.add_gate(GateType::kAnd, {a, a, b}, "twice");
+    const NodeId other = original.add_gate(GateType::kOr, {c, d}, "other");
+    const NodeId mix = original.add_gate(GateType::kXor, {twice, other}, "mix");
+    const NodeId pair = original.add_gate(GateType::kNand, {mix, mix, d}, "pair");
+    original.mark_output(mix, "o0");
+    original.mark_output(pair, "o1");
+    Family family(std::move(original));
+    const lock::LockSite site{a, c, twice, other, true};
+    bool read_twice = false;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      const lock::Genotype genes{
+          lock::Gene(site), lock::Gene::rll(mix, pair, false),
+          lock::Gene::antisat(2, seed, /*splice_at_output=*/false)};
+      const auto& design = family.decode(genes, seed);
+      ASSERT_EQ(design.genes[0].site(), site);
+      expect_patched(design, family);
+      const auto& fanins = design.netlist.node(twice).fanins;
+      const NodeId m1 = design.applied[0].first_node + 1;
+      read_twice = read_twice ||
+                   std::count(fanins.begin(), fanins.end(), m1) == 2;
+    }
+    EXPECT_TRUE(read_twice);
+  }
+
+  // A graph based on c432 patched for design after design, and designs
+  // the records do not describe: their patch fails and leaves the view of
+  // the original, and view() falls back to the full build.
+  attack::AttackGraph patched(c432.original);
+  const attack::AttackGraph c432_view(c432.original);
+  const auto expect_full = [&](const lock::LockedDesign& design) {
+    EXPECT_FALSE(patched.patch(design, c432.original));
+    expect_same_view(patched, c432_view);
+    scratch.family = &c432.original;
+    expect_same_view(scratch.view(design), attack::AttackGraph(design.netlist));
+  };
+  const auto decoded = [&] {
+    lock::LockedDesign design = c432.decode(
+        lock::random_genotype(c432.context, compound, c432_rng), 5);
+    EXPECT_TRUE(patched.patch(design, c432.original));
+    expect_same_view(patched, attack::AttackGraph(design.netlist));
+    return design;
+  };
+  {
+    lock::LockedDesign design = decoded();
+    lock::Gene& gene = design.genes[0];
+    gene.g_i = gene.g_i == design.genes[1].g_i ? design.genes[2].g_i
+                                               : design.genes[1].g_i;
+    expect_full(design);  // a MUX record moved to another gate
+  }
+  {
+    // A MUX record naming the wrong old driver of its gate.
+    lock::LockedDesign design = decoded();
+    bool tampered = false;
+    for (std::size_t t = 0; t < compound.mux_sites && !tampered; ++t) {
+      lock::Gene& gene = design.genes[t];
+      for (const NodeId fanin : c432.original.node(gene.g_i).fanins) {
+        if (fanin != gene.f_i) {
+          gene.f_i = fanin;
+          tampered = true;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(tampered);
+    expect_full(design);
+  }
+  {
+    lock::LockedDesign design = decoded();
+    lock::AppliedGene& rec = design.applied[compound.mux_sites];
+    ASSERT_EQ(rec.kind, lock::GeneKind::kRll);
+    rec.sink = rec.sink == design.genes[0].g_i ? design.genes[0].g_j
+                                               : design.genes[0].g_i;
+    expect_full(design);  // an RLL record moved to another gate
+  }
+  {
+    lock::LockedDesign design = decoded();
+    design.genes.back().splice_output = true;  // an internal splice hidden
+    design.applied.back().splice_output = true;
+    expect_full(design);
+  }
+  {
+    lock::LockedDesign design = decoded();
+    ++design.applied[1].first_node;
+    expect_full(design);
+  }
+  {
+    lock::LockedDesign design = decoded();
+    design.genes.pop_back();
+    design.applied.pop_back();
+    expect_full(design);
+  }
+  {
+    // The netlist edited after decode, records untouched.
+    lock::LockedDesign design = decoded();
+    NodeId gate = 0;
+    while (c432.original.node(gate).fanins.size() < 2 ||
+           c432.original.node(gate).fanins[0] ==
+               c432.original.node(gate).fanins[1]) {
+      ++gate;
+    }
+    const auto fanins = design.netlist.node(gate).fanins;
+    ASSERT_EQ(design.netlist.replace_fanin(gate, fanins[1], fanins[0]), 1u);
+    expect_full(design);
+  }
+  {
+    // A sibling original: same names, same size, one wire different.
+    Netlist sibling = c432.original;
+    const NodeId gate = c432.original.outputs().front().driver;
+    const auto fanins = sibling.node(gate).fanins;
+    sibling.replace_fanin(gate, fanins.front(), c432.original.inputs().back());
+    const lock::SiteContext context(sibling);
+    util::Rng repair(9);
+    const lock::LockedDesign design = lock::apply_genotype(
+        sibling, context, lock::random_genotype(context, 12, c432_rng), repair);
+    expect_full(design);
+  }
+}
+
 // ---- simulator scratch API -------------------------------------------------
 
 TEST(SimulatorScratch, RunWordIntoMatchesRunWord) {
@@ -600,6 +881,51 @@ TEST(WorkspacePipeline, FreshAndReusedWorkspacesAgree) {
   EXPECT_EQ(reused.fitness, fresh.fitness);
   EXPECT_EQ(reused.attack_accuracy, fresh.attack_accuracy);
   EXPECT_EQ(reused.attack_precision, fresh.attack_precision);
+}
+
+TEST(WorkspacePipeline, PatchedViewAttacksMatchOneShot) {
+  // Structural and in-loop MuxLink through a pipeline's warm workspace,
+  // whose view is patched from the family's, must report exactly what the
+  // one-shot attack(design.netlist) reports on a full build.
+  const attack::StructuralLinkPredictor structural;
+  const attack::MuxLinkAttack muxlink(campaign::full_spec().muxlink);
+  const auto expect_same = [](const attack::MuxLinkResult& actual,
+                              const attack::MuxLinkResult& expected) {
+    EXPECT_EQ(actual.predicted_bits, expected.predicted_bits);
+    EXPECT_EQ(actual.margins, expected.margins);
+    EXPECT_EQ(actual.thresholded_bits, expected.thresholded_bits);
+    EXPECT_EQ(actual.bit_attacked, expected.bit_attacked);
+    EXPECT_EQ(actual.first_epoch_loss, expected.first_epoch_loss);
+    EXPECT_EQ(actual.last_epoch_loss, expected.last_epoch_loss);
+    EXPECT_EQ(actual.train_samples, expected.train_samples);
+  };
+  const auto expect_attacks_match = [&](const lock::LockedDesign& design,
+                                        eval::EvalWorkspace& workspace) {
+    expect_same(structural.attack(design, workspace.attack),
+                structural.attack(design.netlist));
+    EXPECT_TRUE(workspace.attack.graph.patched());
+    expect_same(muxlink.attack(design, workspace.attack),
+                muxlink.attack(design.netlist));
+  };
+  for (const auto id : {netlist::gen::ProfileId::kC432,
+                        netlist::gen::ProfileId::kC880}) {
+    const Netlist original = profile(id, 31);
+    eval::EvalPipeline pipeline(original, attack_mix(31));
+    eval::EvalWorkspace& workspace = pipeline.workspace();
+    util::Rng rng(31);
+    for (const auto& scheme : campaign::default_schemes(16)) {
+      SCOPED_TRACE(original.name() + " " + scheme.name);
+      pipeline.decode_into(
+          workspace,
+          lock::random_genotype(pipeline.context(), scheme.spec, rng), rng());
+      expect_attacks_match(workspace.design, workspace);
+    }
+    // A design moved out of the workspace, as campaign cells hold theirs.
+    pipeline.decode_into(
+        workspace, lock::random_genotype(pipeline.context(), 16, rng), rng());
+    const lock::LockedDesign moved = std::move(workspace.design);
+    expect_attacks_match(moved, workspace);
+  }
 }
 
 TEST(WorkspacePipeline, PinnedGaTrajectory) {
