@@ -2,7 +2,7 @@
 // engine.
 //
 // The genotype generalizes the paper's: a list of tagged genes
-// (locking/gene.hpp) — the paper's MUX LockSites {f_i, f_j, g_i, g_j, k},
+// (locking/gene.hpp) — the paper's MUX localities {f_i, f_j, g_i, g_j, k},
 // plus optional RLL and Anti-SAT genes for compound locking. Decoding
 // (apply_genotype) produces the locked netlist; the fitness function runs
 // an attack on it ("the fitness of each genotype is measured by MuxLink

@@ -6,7 +6,6 @@ namespace autolock::ga {
 
 using lock::Gene;
 using lock::GeneKind;
-using lock::LockSite;
 
 void GeneOps::mutate_gene(Genotype& genes, std::size_t i,
                           double key_flip_rate, util::Rng& rng) const {
@@ -16,16 +15,12 @@ void GeneOps::mutate_gene(Genotype& genes, std::size_t i,
         genes[i].key_bit = !genes[i].key_bit;
         return;
       }
-      // Re-sample the site against the other MUX genes (approximate:
-      // collisions with later genes are resolved by decode-time repair).
-      std::vector<LockSite> others;
-      others.reserve(genes.size() - 1);
-      for (std::size_t j = 0; j < genes.size(); ++j) {
-        if (j != i && genes[j].kind == GeneKind::kMux) {
-          others.push_back(genes[j].site());
-        }
-      }
-      LockSite fresh;
+      // Re-sample the site against the other MUX genes, which sample_site
+      // picks out of the rest (approximate: collisions with later genes are
+      // resolved by decode-time repair).
+      Genotype others = genes;
+      others.erase(others.begin() + static_cast<std::ptrdiff_t>(i));
+      Gene fresh;
       if (context_->sample_site(rng, others, fresh)) genes[i] = fresh;
       return;
     }

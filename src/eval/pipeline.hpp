@@ -43,7 +43,7 @@
 
 namespace autolock::eval {
 
-/// Custom scalar fitness: receives the decoded locked design (sites already
+/// Custom scalar fitness: receives the decoded locked design (genes already
 /// repaired and consistent with the genotype). Must be thread-safe — it is
 /// invoked concurrently for different individuals.
 using FitnessFn = std::function<ga::Evaluation(const lock::LockedDesign&)>;

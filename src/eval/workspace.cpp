@@ -9,8 +9,6 @@ void EvalWorkspace::reserve(const netlist::Netlist& original,
   // three nodes per key bit bounds every gene kind (for widths >= 2).
   const std::size_t locked_nodes = original.size() + 3 * key_bits;
   design.key.reserve(key_bits);
-  design.sites.reserve(key_bits);
-  design.mux_pairs.reserve(key_bits);
   design.genes.reserve(key_bits);
   design.applied.reserve(key_bits);
   reach.visited.begin_epoch(locked_nodes);
@@ -21,7 +19,7 @@ void EvalWorkspace::reserve(const netlist::Netlist& original,
   }
   reach.topo.reserve(original.size(), original_edges, 3 * key_bits);
   // The decode-final order merge writes one entry per working-netlist node.
-  reach.topo_scratch.order.reserve(locked_nodes);
+  reach.topo_order.reserve(locked_nodes);
   lock::warm_decode_names(original, key_bits, reach);
   attack.family = &original;
   attack.seen.begin_epoch(locked_nodes);

@@ -57,21 +57,22 @@ NameId intern_indexed(const Netlist& net, const char* pattern,
 }
 
 /// Decodes one MUX gene (exactly the historical per-site decode step).
-/// `site` comes in as the gene's MUX view and leaves as the possibly
-/// repaired site that was actually applied.
+/// `site` comes in as the genotype's gene and leaves as the possibly
+/// repaired gene that was actually applied. Edge clashes are checked
+/// against the MUX genes already in `design.genes`.
 void apply_mux_gene(LockedDesign& design, const SiteContext& context,
-                    LockSite& site, util::Rng& repair_rng,
+                    Gene& site, util::Rng& repair_rng,
                     ReachScratch& scratch, std::size_t key_offset,
                     NodeId first, bool recycled, AppliedGene& rec) {
   DecodeTopo& topo = scratch.topo;
   const bool ok = context.structurally_valid(site, scratch) &&
-                  SiteContext::edges_available(site, design.sites) &&
+                  SiteContext::edges_available(site, design.genes) &&
                   applicable_to_working_ranks(topo, site);
   if (!ok) {
     bool repaired = false;
     for (int attempt = 0; attempt < 64 && !repaired; ++attempt) {
-      LockSite candidate;
-      if (!context.sample_site(repair_rng, design.sites, candidate, scratch)) {
+      Gene candidate;
+      if (!context.sample_site(repair_rng, design.genes, candidate, scratch)) {
         break;
       }
       if (applicable_to_working_ranks(topo, candidate)) {
@@ -113,8 +114,6 @@ void apply_mux_gene(LockedDesign& design, const SiteContext& context,
   topo.insert_mux_pair(site.f_i, site.f_j, site.g_i, site.g_j, a0, a1, sel,
                        m1, m2);
   design.key.push_back(site.key_bit);
-  design.sites.push_back(site);
-  design.mux_pairs.emplace_back(m1, m2);
   rec.node_count = 3;
 }
 
@@ -387,7 +386,7 @@ void apply_antisat_gene(LockedDesign& design, const SiteContext& context,
 }
 
 /// Shared decode loop. `out.netlist` must already hold a copy of the
-/// original netlist; key/sites/mux_pairs/genes/applied must be empty. When
+/// original netlist; key/genes/applied must be empty. When
 /// `recycled_genes` is nonzero, the netlist additionally already contains
 /// the (undone) key-logic tail nodes of a previous decode of the same
 /// family and gene profile: the first `recycled_genes` genes rewrite those
@@ -415,10 +414,14 @@ void apply_genes(LockedDesign& design, const SiteContext& context,
     rec.first_node = next_node;
     switch (genes[t].kind) {
       case GeneKind::kMux: {
-        LockSite site = genes[t].site();
+        // Written back in factory form: fields a MUX gene does not use keep
+        // their defaults, whatever the genotype carried there.
+        const Gene& gene = genes[t];
+        Gene site = Gene::mux(gene.f_i, gene.f_j, gene.g_i, gene.g_j,
+                              gene.key_bit);
         apply_mux_gene(design, context, site, repair_rng, scratch, key_offset,
                        next_node, recycled, rec);
-        design.genes.push_back(Gene(site));
+        design.genes.push_back(site);
         break;
       }
       case GeneKind::kRll: {
@@ -580,11 +583,8 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   out.original_version = 0;
   out.decoded_version = 0;
   out.key.clear();
-  out.sites.clear();
-  out.mux_pairs.clear();
   out.genes.clear();
   out.applied.clear();
-  out.sites.reserve(genes.size());
   out.genes.reserve(genes.size());
   out.applied.reserve(genes.size());
   apply_genes(out, context, genes, repair_rng, scratch, recycle ? prev : 0);
@@ -596,8 +596,8 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   // gene-by-gene by the dynamic order; debug builds re-verify the primed
   // order inside prime_topological_order.
   scratch.topo.order_into(context.seed_order(), context.seed_order_ranks(),
-                          context.seed_pos(), scratch.topo_scratch.order);
-  out.netlist.prime_topological_order(scratch.topo_scratch.order);
+                          context.seed_pos(), scratch.topo_order);
+  out.netlist.prime_topological_order(scratch.topo_order);
   scratch.last_design = &out;
   scratch.last_original = &original;
   scratch.last_design_version = out.netlist.structural_version();
@@ -616,18 +616,15 @@ Genotype random_genotype(const SiteContext& context, std::size_t key_bits,
                          util::Rng& rng) {
   Genotype genes;
   genes.reserve(key_bits);
-  std::vector<LockSite> sites;
-  sites.reserve(key_bits);
   ReachScratch scratch;  // one visited set for all key bits, not one per bit
   for (std::size_t t = 0; t < key_bits; ++t) {
-    LockSite site;
-    if (!context.sample_site(rng, sites, site, scratch)) {
+    Gene site;
+    if (!context.sample_site(rng, genes, site, scratch)) {
       throw std::runtime_error(
           "random_genotype: cannot place " + std::to_string(key_bits) +
           " MUX pairs in circuit '" + context.original().name() + "'");
     }
-    sites.push_back(site);
-    genes.push_back(Gene(site));
+    genes.push_back(site);
   }
   return genes;
 }

@@ -126,7 +126,7 @@ class DecodeTopo {
   /// the graph, only pick another equally valid linearization.
   bool ensure_order(netlist::NodeId node, netlist::NodeId pivot);
 
-  /// Mirrors one accepted site insertion (must match apply_sites exactly):
+  /// Mirrors one accepted site insertion (must match apply_genes exactly):
   /// a new key input `sel` (no fanins), MUX nodes m1 = {sel, a0, a1}
   /// replacing the f_i fanin of g_i and m2 = {sel, a1, a0} replacing the
   /// f_j fanin of g_j, where {a0, a1} is {f_i, f_j} in key-bit order. The

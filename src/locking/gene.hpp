@@ -1,10 +1,11 @@
 // Scheme-polymorphic genotype genes.
 //
-// The optimizers historically evolved `std::vector<LockSite>` — MUX pairs
-// only. A Gene is the tagged generalization: one flat POD-friendly record
-// that encodes either
+// A Gene is one flat POD-friendly record that encodes either
 //
-//   kMux     — a D-MUX LockSite {f_i, f_j, g_i, g_j, key_bit}: 1 key bit.
+//   kMux     — a D-MUX locality {f_i, f_j, g_i, g_j, k} (the paper's
+//              genotype element): f_i drives g_i and f_j drives g_j in the
+//              original netlist, and a key-controlled MUX pair swaps the two
+//              paths under a wrong key. 1 key bit.
 //   kRll     — an EPIC-style XOR/XNOR key gate on one wire (f_i = driver,
 //              g_i = sink gate, key_bit selects XNOR vs XOR): 1 key bit.
 //   kAntiSat — an Anti-SAT block (Xie & Srivastava): width n, 2n key bits,
@@ -14,19 +15,14 @@
 // A Genotype is a plain std::vector<Gene>; decoding a genotype walks the
 // genes in order and assigns key bits in gene order (see
 // locking/compound.hpp for the exact key-bit layout). All ids refer to the
-// ORIGINAL netlist, which keeps genes composable across crossover exactly
-// like LockSites were.
-//
-// MUX genes round-trip with LockSite implicitly (construction from a
-// LockSite and conversion back), so MUX-only code — and the pinned
-// trajectory tests — read and write genes as sites unchanged.
+// ORIGINAL netlist, which keeps genes composable across crossover: decoding
+// always starts from the same original netlist.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "locking/sites.hpp"
 #include "netlist/types.hpp"
 
 namespace autolock::lock {
@@ -39,15 +35,16 @@ enum class GeneKind : std::uint8_t {
 
 struct Gene {
   GeneKind kind = GeneKind::kMux;
-  /// MUX: the LockSite key bit. RLL: true = XNOR key gate (key value 1),
-  /// false = XOR (key value 0). Anti-SAT: unused.
+  /// MUX: the key value that restores the original paths. RLL: true =
+  /// XNOR key gate (key value 1), false = XOR (key value 0). Anti-SAT:
+  /// unused.
   bool key_bit = false;
   /// Anti-SAT only: splice the block at a primary output (guaranteed
   /// observable) instead of a random internal wire.
   bool splice_output = true;
   /// Anti-SAT only: block width n (the gene contributes 2n key bits).
   std::uint16_t width = 0;
-  /// MUX: the LockSite drivers/gates. RLL: f_i = wire driver, g_i = sink
+  /// MUX: the locality's drivers/gates. RLL: f_i = wire driver, g_i = sink
   /// gate (f_j/g_j unused).
   netlist::NodeId f_i = netlist::kNoNode;
   netlist::NodeId f_j = netlist::kNoNode;
@@ -57,23 +54,21 @@ struct Gene {
   /// taps, the correct key values, and the splice location.
   std::uint64_t seed = 0;
 
-  Gene() = default;
-
-  /// A LockSite IS a MUX gene (implicit both ways, so MUX-only call sites
-  /// compile unchanged).
-  Gene(const LockSite& site)
-      : kind(GeneKind::kMux),
-        key_bit(site.key_bit),
-        f_i(site.f_i),
-        f_j(site.f_j),
-        g_i(site.g_i),
-        g_j(site.g_j) {}
-
-  /// The MUX view of this gene (meaningful only for kind == kMux).
-  LockSite site() const noexcept {
-    return LockSite{f_i, f_j, g_i, g_j, key_bit};
+  /// A MUX gene for the locality {f_i, f_j, g_i, g_j, key_bit}. Every
+  /// other field keeps its default, which FitnessCache hashes and compares
+  /// like any other.
+  static Gene mux(netlist::NodeId f_i, netlist::NodeId f_j,
+                  netlist::NodeId g_i, netlist::NodeId g_j,
+                  bool key_bit) noexcept {
+    Gene gene;
+    gene.kind = GeneKind::kMux;
+    gene.key_bit = key_bit;
+    gene.f_i = f_i;
+    gene.f_j = f_j;
+    gene.g_i = g_i;
+    gene.g_j = g_j;
+    return gene;
   }
-  operator LockSite() const noexcept { return site(); }
 
   static Gene rll(netlist::NodeId driver, netlist::NodeId sink,
                   bool key_value) noexcept {
@@ -105,29 +100,8 @@ struct Gene {
 };
 
 /// The scheme-polymorphic genotype. A plain alias (not a wrapper type):
-/// ADL still finds the heterogeneous comparisons below through Gene's
-/// namespace, and the POD-vector layout is what FitnessCache hashes.
+/// the POD-vector layout is what FitnessCache hashes.
 using Genotype = std::vector<Gene>;
-
-/// MUX-view comparison: a gene equals a LockSite iff it is a MUX gene for
-/// exactly that site. (C++20 synthesizes the reversed operand order.)
-inline bool operator==(const Gene& gene, const LockSite& site) noexcept {
-  return gene.kind == GeneKind::kMux && gene.key_bit == site.key_bit &&
-         gene.f_i == site.f_i && gene.f_j == site.f_j &&
-         gene.g_i == site.g_i && gene.g_j == site.g_j;
-}
-
-/// Element-wise MUX-view comparison of a genotype against a plain site
-/// list — keeps MUX-only pins (e.g. an expected front as LockSite
-/// literals) comparable against evolved genotypes.
-inline bool operator==(const Genotype& genes,
-                       const std::vector<LockSite>& sites) noexcept {
-  if (genes.size() != sites.size()) return false;
-  for (std::size_t i = 0; i < genes.size(); ++i) {
-    if (!(genes[i] == sites[i])) return false;
-  }
-  return true;
-}
 
 /// Per-gene decode record: where the gene's nodes landed in the locked
 /// netlist and which original edge (or output port) its splice displaced.

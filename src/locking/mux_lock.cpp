@@ -13,7 +13,7 @@ using netlist::NodeId;
 
 namespace testing {
 
-bool applicable_to_working_dfs(const Netlist& working, const LockSite& site,
+bool applicable_to_working_dfs(const Netlist& working, const Gene& site,
                                ReachScratch& scratch) {
   // True iff `target` is in the transitive fanin of `from` — the
   // pre-incremental check: a from-scratch backward DFS over the working
@@ -50,7 +50,7 @@ bool applicable_to_working_dfs(const Netlist& working, const LockSite& site,
 
 }  // namespace testing
 
-bool applicable_to_working_ranks(DecodeTopo& topo, const LockSite& site) {
+bool applicable_to_working_ranks(DecodeTopo& topo, const Gene& site) {
   if (!topo.has_fanin(site.g_i, site.f_i)) return false;
   if (!topo.has_fanin(site.g_j, site.f_j)) return false;
   // Cycle check on the working graph: new edges f_j -> g_i and f_i -> g_j.

@@ -1,7 +1,7 @@
 // Genotype decoding (scheme-polymorphic) and the D-MUX baseline.
 //
 // Decoding (genotype -> locked netlist) walks the tagged genes in order and
-// assigns key bits in gene order. For the paper's MUX genes, each LockSite
+// assigns key bits in gene order. For the paper's MUX genes, each locality
 // {f_i, f_j, g_i, g_j, k} inserts a key-controlled pair of multiplexers
 //
 //      M1 = MUX(keyinput_t, ., .)  -> replaces the f_i input of g_i
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "locking/gene.hpp"
@@ -36,14 +35,12 @@ namespace autolock::lock {
 struct LockedDesign {
   netlist::Netlist netlist;  // the locked netlist (original is untouched)
   netlist::Key key;          // correct key; bit t belongs to keyinput<t>
-  /// MUX genes only: the applied LockSites in gene order (repairs written
-  /// back) — the MUX-structural view attacks and tests consume.
-  std::vector<LockSite> sites;
-  /// Per MUX gene: the two inserted MUX node ids {M1, M2}.
-  std::vector<std::pair<netlist::NodeId, netlist::NodeId>> mux_pairs;
-  /// The full applied genotype (repairs written back), all schemes.
+  /// The applied genotype in gene order, all schemes (repairs written back).
   Genotype genes;
-  /// Per-gene decode record, aligned with `genes` (see AppliedGene).
+  /// Per-gene decode record, aligned with `genes` (see AppliedGene). A MUX
+  /// gene t owns keyinput<t>'s node at applied[t].first_node followed by
+  /// its two MUXes: M1 (feeding g_i) at first_node + 1 and M2 (feeding g_j)
+  /// at first_node + 2.
   std::vector<AppliedGene> applied;
   /// Netlist::structural_version() of the original this design was decoded
   /// from, and of `netlist` as decode left it (0 = not decoded). Versions
@@ -59,22 +56,22 @@ struct LockedDesign {
 /// Decodes a genotype into a locked netlist. A structurally invalid gene
 /// (stale after crossover/mutation, or a cross-gene clash) is repaired: a
 /// fresh valid gene of the same kind is drawn from `repair_rng` and written
-/// back into the design's `genes` (and `sites` for MUX genes). Throws
-/// std::runtime_error if repair cannot find a valid replacement. The
-/// returned design always has exactly sum(gene.key_bits()) key bits and
-/// passes netlist.validate().
+/// back into the design's `genes`. Throws std::runtime_error if repair
+/// cannot find a valid replacement. The returned design always has exactly
+/// sum(gene.key_bits()) key bits and passes netlist.validate().
 LockedDesign apply_genotype(const netlist::Netlist& original,
                             const SiteContext& context, const Genotype& genes,
                             util::Rng& repair_rng);
 
 /// Buffer-reusing decode for evaluation loops: writes the locked design
-/// into `out` (its netlist buffers, key, gene and MUX-pair vectors are
+/// into `out` (its netlist buffers, key, gene and decode-record vectors are
 /// reused across calls) and runs every cycle check through `scratch`.
 /// Produces a design identical to apply_genotype, but skips the full
-/// structural validate() — the per-gene acyclicity checks plus the final
-/// topological-order computation (which throws on a cycle) already cover
-/// everything decode can get wrong, and the construction-side invariants
-/// (names, arity) are enforced by the Netlist mutators themselves.
+/// structural validate() — the per-gene acyclicity checks against the
+/// decode's dynamic order already cover everything decode can get wrong
+/// (the order it primes the design with is merged from those ranks, not
+/// re-sorted), and the construction-side invariants (names, arity) are
+/// enforced by the Netlist mutators themselves.
 ///
 /// Keep the (out, scratch) pairing stable across calls: when consecutive
 /// decodes reuse the same pair against the same original, the previous
@@ -99,13 +96,13 @@ void warm_decode_names(const netlist::Netlist& original, std::size_t key_bits,
 LockedDesign dmux_lock(const netlist::Netlist& original, std::size_t key_bits,
                        std::uint64_t seed);
 
-/// The production applicability check decode runs per candidate MUX site: a
+/// The production applicability check decode runs per candidate MUX gene: a
 /// site is applicable to the working netlist iff the edges it locks are
 /// still present (no earlier gene consumed them) and the two cross edges do
 /// not close a cycle given all previously inserted key logic — answered
 /// against `topo`'s incrementally maintained ranks. Site ids must be in
 /// range (decode guarantees this via SiteContext::structurally_valid).
-bool applicable_to_working_ranks(DecodeTopo& topo, const LockSite& site);
+bool applicable_to_working_ranks(DecodeTopo& topo, const Gene& site);
 
 namespace testing {
 
@@ -115,7 +112,7 @@ namespace testing {
 /// incremental rank-based path against it on random genotypes; decode never
 /// calls it. Site ids must be in range for `working`.
 bool applicable_to_working_dfs(const netlist::Netlist& working,
-                               const LockSite& site, ReachScratch& scratch);
+                               const Gene& site, ReachScratch& scratch);
 
 }  // namespace testing
 

@@ -143,12 +143,12 @@ bool SiteContext::reaches(NodeId from, NodeId target,
   return false;
 }
 
-bool SiteContext::structurally_valid(const LockSite& site) const {
+bool SiteContext::structurally_valid(const Gene& site) const {
   ReachScratch scratch;
   return structurally_valid(site, scratch);
 }
 
-bool SiteContext::structurally_valid(const LockSite& site,
+bool SiteContext::structurally_valid(const Gene& site,
                                      ReachScratch& scratch) const {
   const auto n = original_->size();
   if (site.f_i >= n || site.f_j >= n || site.g_i >= n || site.g_j >= n) {
@@ -169,9 +169,9 @@ bool SiteContext::structurally_valid(const LockSite& site,
   return true;
 }
 
-bool SiteContext::edges_available(const LockSite& site,
-                                  const std::vector<LockSite>& taken) {
-  for (const LockSite& other : taken) {
+bool SiteContext::edges_available(const Gene& site, const Genotype& taken) {
+  for (const Gene& other : taken) {
+    if (other.kind != GeneKind::kMux) continue;
     const bool clash =
         (site.f_i == other.f_i && site.g_i == other.g_i) ||
         (site.f_i == other.f_j && site.g_i == other.g_j) ||
@@ -185,28 +185,27 @@ bool SiteContext::edges_available(const LockSite& site,
   return true;
 }
 
-bool SiteContext::sample_site(util::Rng& rng,
-                              const std::vector<LockSite>& taken,
-                              LockSite& out) const {
+bool SiteContext::sample_site(util::Rng& rng, const Genotype& taken,
+                              Gene& out) const {
   ReachScratch scratch;
   return sample_site(rng, taken, out, scratch);
 }
 
-bool SiteContext::sample_site(util::Rng& rng,
-                              const std::vector<LockSite>& taken,
-                              LockSite& out, ReachScratch& scratch) const {
+bool SiteContext::sample_site(util::Rng& rng, const Genotype& taken,
+                              Gene& out, ReachScratch& scratch) const {
   if (candidate_drivers_.size() < 2) return false;
   constexpr int kMaxAttempts = 400;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    LockSite site;
-    site.f_i = candidate_drivers_[rng.next_below(candidate_drivers_.size())];
-    site.f_j = candidate_drivers_[rng.next_below(candidate_drivers_.size())];
-    if (site.f_i == site.f_j) continue;
-    const auto outs_i = fanouts(site.f_i);
-    const auto outs_j = fanouts(site.f_j);
-    site.g_i = outs_i[rng.next_below(outs_i.size())];
-    site.g_j = outs_j[rng.next_below(outs_j.size())];
-    site.key_bit = rng.next_bool();
+    const NodeId f_i =
+        candidate_drivers_[rng.next_below(candidate_drivers_.size())];
+    const NodeId f_j =
+        candidate_drivers_[rng.next_below(candidate_drivers_.size())];
+    if (f_i == f_j) continue;
+    const auto outs_i = fanouts(f_i);
+    const auto outs_j = fanouts(f_j);
+    const NodeId g_i = outs_i[rng.next_below(outs_i.size())];
+    const NodeId g_j = outs_j[rng.next_below(outs_j.size())];
+    const Gene site = Gene::mux(f_i, f_j, g_i, g_j, rng.next_bool());
     if (!edges_available(site, taken)) continue;
     if (!structurally_valid(site, scratch)) continue;
     out = site;

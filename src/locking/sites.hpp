@@ -1,12 +1,11 @@
 // Lock-site primitives for MUX-based locking.
 //
-// A LockSite is one element of the AutoLock genotype: the tuple
-// {f_i, f_j, g_i, g_j, k} from the paper. It names a *locality* in the
-// original netlist: f_i currently drives g_i, f_j currently drives g_j, and
-// a key-controlled MUX pair will be inserted so that a wrong key swaps the
-// two paths. Node ids refer to the ORIGINAL (pre-locking) netlist, which is
-// what makes sites composable genotype genes: decoding always starts from
-// the same original netlist.
+// A MUX gene (locking/gene.hpp) names a *locality* {f_i, f_j, g_i, g_j, k}
+// in the original netlist: f_i currently drives g_i, f_j currently drives
+// g_j, and a key-controlled MUX pair will be inserted so that a wrong key
+// swaps the two paths. SiteContext validates and samples such genes against
+// one original netlist; ReachScratch is the per-worker state the checks and
+// the decode reuse.
 #pragma once
 
 #include <array>
@@ -18,6 +17,7 @@
 #include <vector>
 
 #include "locking/decode_topo.hpp"
+#include "locking/gene.hpp"
 #include "netlist/netlist.hpp"
 #include "util/epoch_flags.hpp"
 #include "util/rng.hpp"
@@ -34,12 +34,13 @@ struct ReachScratch {
   util::EpochFlags visited;
   std::vector<netlist::NodeId> stack;
   /// Working-netlist ranks + CSR fanin mirror for the incremental cycle
-  /// checks; apply_sites reseeds it from the SiteContext per decode. The
+  /// checks; apply_genes reseeds it from the SiteContext per decode. The
   /// ranks are a decode-local overlay — nothing in the Netlist itself
   /// refers to them.
   DecodeTopo topo;
-  /// Buffers for the decode-final Netlist::topological_order(TopoScratch&).
-  netlist::TopoScratch topo_scratch;
+  /// The decode-final topological order DecodeTopo::order_into merges and
+  /// the decode primes the design's traversal cache with.
+  std::vector<netlist::NodeId> topo_order;
   /// Fast-path token: the (design, original) pair the previous successful
   /// apply_genotype_into decoded through this scratch, plus the design
   /// netlist's structural version at that moment. When the next decode sees
@@ -67,16 +68,6 @@ struct ReachScratch {
   std::vector<netlist::NodeId> gene_fanins;
 };
 
-struct LockSite {
-  netlist::NodeId f_i = netlist::kNoNode;
-  netlist::NodeId f_j = netlist::kNoNode;
-  netlist::NodeId g_i = netlist::kNoNode;
-  netlist::NodeId g_j = netlist::kNoNode;
-  bool key_bit = false;
-
-  friend bool operator==(const LockSite&, const LockSite&) = default;
-};
-
 /// Reusable context for validating/sampling sites against one original
 /// netlist (precomputes fanouts and caches reachability queries).
 class SiteContext {
@@ -93,7 +84,7 @@ class SiteContext {
             fanout_offsets_[v + 1] - fanout_offsets_[v]};
   }
 
-  /// Structural validity against the ORIGINAL netlist:
+  /// Structural validity of MUX gene `site` against the ORIGINAL netlist:
   ///  - all four nodes exist; f_i != f_j;
   ///  - g_i is a fanout of f_i and g_j a fanout of f_j;
   ///  - neither g_i nor g_j is a primary-output-only pseudo node (always true
@@ -102,25 +93,24 @@ class SiteContext {
   ///    f_j must not be reachable from g_i, f_i not reachable from g_j.
   /// (Pairwise interactions between multiple sites are re-checked at decode
   /// time against the working netlist.)
-  bool structurally_valid(const LockSite& site) const;
+  bool structurally_valid(const Gene& site) const;
 
   /// Scratch-reusing variant (identical verdicts, no allocation once warm).
-  bool structurally_valid(const LockSite& site, ReachScratch& scratch) const;
+  bool structurally_valid(const Gene& site, ReachScratch& scratch) const;
 
-  /// True iff the two edges (f_i,g_i) and (f_j,g_j) are disjoint from the
-  /// edges of every site in `taken` (no edge may be locked twice).
-  static bool edges_available(const LockSite& site,
-                              const std::vector<LockSite>& taken);
+  /// True iff MUX gene `site`'s two edges (f_i,g_i) and (f_j,g_j) are
+  /// disjoint from the edges of every MUX gene in `taken` (no edge may be
+  /// MUX-locked twice). RLL and anti-SAT genes in `taken` are skipped.
+  static bool edges_available(const Gene& site, const Genotype& taken);
 
-  /// Samples a uniformly random structurally-valid site whose edges do not
-  /// collide with `taken`. Returns false if no site was found within the
-  /// attempt budget (tiny or saturated circuits).
-  bool sample_site(util::Rng& rng, const std::vector<LockSite>& taken,
-                   LockSite& out) const;
+  /// Samples a uniformly random structurally-valid MUX gene whose edges do
+  /// not collide with the MUX genes of `taken`. Returns false if none was
+  /// found within the attempt budget (tiny or saturated circuits).
+  bool sample_site(util::Rng& rng, const Genotype& taken, Gene& out) const;
 
   /// Scratch-reusing variant (identical sampling stream for a given rng).
-  bool sample_site(util::Rng& rng, const std::vector<LockSite>& taken,
-                   LockSite& out, ReachScratch& scratch) const;
+  bool sample_site(util::Rng& rng, const Genotype& taken, Gene& out,
+                   ReachScratch& scratch) const;
 
   /// All gates that have at least one gate fanout (candidate f nodes).
   const std::vector<netlist::NodeId>& candidate_drivers() const noexcept {
@@ -177,7 +167,7 @@ class SiteContext {
   }
 
   /// Process-unique identity of this context's (fanin_csr, seed_ranks)
-  /// pair. apply_sites hands it to DecodeTopo::reset so consecutive decodes
+  /// pair. apply_genes hands it to DecodeTopo::reset so consecutive decodes
   /// against the same context take the incremental O(touched) rebind.
   std::uint64_t decode_token() const noexcept { return decode_token_; }
 

@@ -365,19 +365,6 @@ const std::vector<std::vector<NodeId>>& Netlist::fanouts() const {
   return cache_.fanouts;
 }
 
-const std::vector<NodeId>& Netlist::topological_order(
-    TopoScratch& scratch) const {
-  const std::scoped_lock lock(cache_mutex_);
-  if (!cache_.topo_valid) {
-    compute_topological_order_into(scratch);
-    // Swap rather than move: the cache's previous buffer becomes the
-    // scratch's capacity for the next computation.
-    cache_.topo.swap(scratch.order);
-    cache_.topo_valid = true;
-  }
-  return cache_.topo;
-}
-
 void Netlist::prime_topological_order(std::vector<NodeId>& order) const {
 #ifndef NDEBUG
   // Debug-only validation of the caller's claim: a permutation of all node
@@ -406,39 +393,35 @@ void Netlist::prime_topological_order(std::vector<NodeId>& order) const {
 }
 
 std::vector<NodeId> Netlist::compute_topological_order() const {
-  TopoScratch scratch;
-  compute_topological_order_into(scratch);
-  return std::move(scratch.order);
-}
-
-void Netlist::compute_topological_order_into(TopoScratch& scratch) const {
   // Same Kahn traversal as before the CSR rewrite: sources are visited in
   // ascending id via a LIFO queue and fanout lists are grouped in ascending
   // sink order, so the produced order is bit-identical to the historical
   // vector<vector> implementation.
   const std::size_t n = nodes_.size();
-  scratch.fanouts.build(*this);
-  scratch.pending.resize(n);
+  CsrFanouts fanouts;
+  fanouts.build(*this);
+  std::vector<std::uint32_t> pending(n);
   for (NodeId v = 0; v < n; ++v) {
-    scratch.pending[v] = static_cast<std::uint32_t>(nodes_[v].fanins.size());
+    pending[v] = static_cast<std::uint32_t>(nodes_[v].fanins.size());
   }
-  scratch.order.clear();
-  scratch.order.reserve(n);
-  scratch.queue.clear();
+  std::vector<NodeId> order;
+  order.reserve(n);
+  std::vector<NodeId> queue;
   for (NodeId v = 0; v < n; ++v) {
-    if (scratch.pending[v] == 0) scratch.queue.push_back(v);
+    if (pending[v] == 0) queue.push_back(v);
   }
-  while (!scratch.queue.empty()) {
-    const NodeId v = scratch.queue.back();
-    scratch.queue.pop_back();
-    scratch.order.push_back(v);
-    for (NodeId w : scratch.fanouts.fanouts(v)) {
-      if (--scratch.pending[w] == 0) scratch.queue.push_back(w);
+  while (!queue.empty()) {
+    const NodeId v = queue.back();
+    queue.pop_back();
+    order.push_back(v);
+    for (NodeId w : fanouts.fanouts(v)) {
+      if (--pending[w] == 0) queue.push_back(w);
     }
   }
-  if (scratch.order.size() != n) {
+  if (order.size() != n) {
     throw std::runtime_error("Netlist::topological_order: graph is cyclic");
   }
+  return order;
 }
 
 std::vector<std::vector<NodeId>> Netlist::compute_fanouts() const {

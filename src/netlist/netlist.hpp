@@ -31,18 +31,6 @@
 
 namespace autolock::netlist {
 
-/// Reusable buffers for topological_order(TopoScratch&): the CSR fanout
-/// adjacency, Kahn's in-degree and queue arrays, and the order vector the
-/// result is computed into before being swapped into the netlist's cache.
-/// One scratch per worker; decode loops that re-sort thousands of locked
-/// netlists per second allocate nothing once it is warm.
-struct TopoScratch {
-  CsrFanouts fanouts;
-  std::vector<std::uint32_t> pending;
-  std::vector<NodeId> queue;
-  std::vector<NodeId> order;
-};
-
 struct Node {
   GateType type = GateType::kInput;
   bool is_key_input = false;
@@ -200,13 +188,6 @@ class Netlist {
   /// safe; the reference stays valid until mutation recomputes it.
   const std::vector<NodeId>& topological_order() const;
 
-  /// Scratch-reusing variant: identical result and caching, but the Kahn
-  /// traversal runs through `scratch`'s buffers, so a warm scratch makes the
-  /// computation allocation-free (the decode hot path re-sorts every locked
-  /// netlist it produces). When the cache is already valid the scratch is
-  /// untouched.
-  const std::vector<NodeId>& topological_order(TopoScratch& scratch) const;
-
   /// Installs `order` (contents swapped in; `order` receives the cache's
   /// previous buffer) as the cached topological order, replacing the Kahn
   /// recomputation the next traversal accessor would run. The caller must
@@ -261,9 +242,8 @@ class Netlist {
   void invalidate_traversal_cache() noexcept;
   /// A structural version no netlist has held before (process-wide).
   static std::uint64_t fresh_version() noexcept;
+  /// Kahn's order (throws on a cycle).
   std::vector<NodeId> compute_topological_order() const;
-  /// Computes the order into `scratch.order` (throws on a cycle).
-  void compute_topological_order_into(TopoScratch& scratch) const;
   std::vector<std::vector<NodeId>> compute_fanouts() const;
 
   std::string name_;

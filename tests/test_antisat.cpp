@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "attacks/attack_graph.hpp"
 #include "attacks/sat_attack.hpp"
 #include "locking/verify.hpp"
@@ -97,7 +99,10 @@ TEST(CompoundLock, KeyLayoutAndCorrectness) {
   const LockedDesign design = compound_lock(original, 8, options, 13);
   EXPECT_EQ(design.key.size(), 8u + 6u);
   EXPECT_EQ(design.netlist.key_inputs().size(), 14u);
-  EXPECT_EQ(design.sites.size(), 8u);  // MUX sites recorded
+  const auto mux_genes =
+      std::count_if(design.genes.begin(), design.genes.end(),
+                    [](const Gene& g) { return g.kind == GeneKind::kMux; });
+  EXPECT_EQ(mux_genes, 8);  // MUX sites recorded
   EXPECT_TRUE(verify_unlocks(design, original, VerifyMode::kSat));
 }
 

@@ -21,9 +21,9 @@ TEST(AttackGraph, KeyMuxAndKeyInputsRemoved) {
   for (const NodeId key_input : design.netlist.key_inputs()) {
     EXPECT_FALSE(graph.in_graph(key_input));
   }
-  for (const auto& [m1, m2] : design.mux_pairs) {
-    EXPECT_FALSE(graph.in_graph(m1));
-    EXPECT_FALSE(graph.in_graph(m2));
+  for (const auto& rec : design.applied) {
+    EXPECT_FALSE(graph.in_graph(rec.first_node + 1));  // M1
+    EXPECT_FALSE(graph.in_graph(rec.first_node + 2));  // M2
   }
   // All original-circuit gates remain.
   for (NodeId v = 0; v < original.size(); ++v) {
@@ -53,9 +53,9 @@ TEST(AttackGraph, CandidatesMatchGroundTruth) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 7);
   const lock::LockedDesign design = lock::dmux_lock(original, 10, 7);
   const AttackGraph graph(design.netlist);
-  ASSERT_EQ(graph.problems().size(), design.sites.size());
+  ASSERT_EQ(graph.problems().size(), design.genes.size());
   for (const auto& problem : graph.problems()) {
-    const auto& site = design.sites[problem.key_bit_index];
+    const auto& site = design.genes[problem.key_bit_index];
     const bool truth = design.key[problem.key_bit_index];
     // The candidates asserted by the TRUE key value must contain the
     // original edges (f_i, g_i) and (f_j, g_j).

@@ -154,13 +154,7 @@ struct CollidingHash {
 };
 
 Genotype genotype_of(netlist::NodeId base, bool key_bit) {
-  lock::LockSite site;
-  site.f_i = base;
-  site.f_j = base + 1;
-  site.g_i = base + 2;
-  site.g_j = base + 3;
-  site.key_bit = key_bit;
-  return {site};
+  return {lock::Gene::mux(base, base + 1, base + 2, base + 3, key_bit)};
 }
 
 TEST(FitnessCache, HashCollisionDoesNotAliasGenotypes) {

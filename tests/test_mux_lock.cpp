@@ -21,8 +21,8 @@ TEST(MuxLock, DmuxProducesRequestedKeyLength) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 7);
   const LockedDesign design = dmux_lock(original, 16, 99);
   EXPECT_EQ(design.key.size(), 16u);
-  EXPECT_EQ(design.sites.size(), 16u);
-  EXPECT_EQ(design.mux_pairs.size(), 16u);
+  EXPECT_EQ(design.genes.size(), 16u);
+  EXPECT_EQ(design.applied.size(), 16u);
   EXPECT_EQ(design.netlist.key_inputs().size(), 16u);
   // 2 MUX gates per key bit were added.
   EXPECT_EQ(design.netlist.stats().gates, original.stats().gates + 32u);
@@ -58,10 +58,7 @@ TEST(MuxLock, DeterministicInSeed) {
   const LockedDesign a = dmux_lock(original, 12, 3);
   const LockedDesign b = dmux_lock(original, 12, 3);
   EXPECT_EQ(a.key, b.key);
-  EXPECT_EQ(a.sites.size(), b.sites.size());
-  for (std::size_t i = 0; i < a.sites.size(); ++i) {
-    EXPECT_EQ(a.sites[i], b.sites[i]);
-  }
+  EXPECT_EQ(a.genes, b.genes);
 }
 
 TEST(MuxLock, MuxPairStructure) {
@@ -69,8 +66,11 @@ TEST(MuxLock, MuxPairStructure) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 19);
   const LockedDesign design = dmux_lock(original, 10, 19);
   const auto key_nodes = design.netlist.key_inputs();
-  for (std::size_t t = 0; t < design.mux_pairs.size(); ++t) {
-    const auto [m1, m2] = design.mux_pairs[t];
+  ASSERT_EQ(design.applied.size(), 10u);
+  for (std::size_t t = 0; t < design.applied.size(); ++t) {
+    ASSERT_EQ(design.applied[t].kind, GeneKind::kMux);
+    const NodeId m1 = design.applied[t].first_node + 1;
+    const NodeId m2 = design.applied[t].first_node + 2;
     const auto& node1 = design.netlist.node(m1);
     const auto& node2 = design.netlist.node(m2);
     EXPECT_EQ(node1.type, GateType::kMux);
@@ -82,7 +82,7 @@ TEST(MuxLock, MuxPairStructure) {
     EXPECT_EQ(node1.fanins[1], node2.fanins[2]);
     EXPECT_EQ(node1.fanins[2], node2.fanins[1]);
     // And they are the site's two drivers.
-    const LockSite& site = design.sites[t];
+    const Gene& site = design.genes[t];
     const bool wiring_a = node1.fanins[1] == site.f_i &&
                           node1.fanins[2] == site.f_j;
     const bool wiring_b = node1.fanins[1] == site.f_j &&
@@ -125,7 +125,7 @@ TEST(MuxLock, ApplyGenotypeRepairsStaleGenes) {
   sites[3].f_i = sites[3].f_j;
   LockedDesign design = apply_genotype(original, context, sites, rng);
   EXPECT_EQ(design.key.size(), 6u);
-  EXPECT_TRUE(context.structurally_valid(design.sites[3]));
+  EXPECT_TRUE(context.structurally_valid(design.genes[3]));
   EXPECT_TRUE(verify_unlocks(design, original));
 }
 
@@ -139,10 +139,9 @@ TEST(MuxLock, DuplicateSitesGetRepaired) {
   const LockedDesign design = apply_genotype(original, context, sites, rng);
   EXPECT_EQ(design.key.size(), 4u);
   // Repaired: no two applied sites lock the same edge.
-  for (std::size_t i = 0; i < design.sites.size(); ++i) {
-    std::vector<LockSite> others;
-    for (std::size_t j = 0; j < i; ++j) others.push_back(design.sites[j]);
-    EXPECT_TRUE(SiteContext::edges_available(design.sites[i], others));
+  for (std::size_t i = 0; i < design.genes.size(); ++i) {
+    const Genotype others(design.genes.begin(), design.genes.begin() + i);
+    EXPECT_TRUE(SiteContext::edges_available(design.genes[i], others));
   }
   EXPECT_TRUE(verify_unlocks(design, original));
 }
@@ -217,8 +216,8 @@ TEST(MuxLock, RecycledDecodeMatchesFreshDecode) {
     EXPECT_EQ(reused.netlist.node(v).fanins, fresh.netlist.node(v).fanins);
   }
   EXPECT_EQ(reused.key, fresh.key);
-  EXPECT_EQ(reused.sites, fresh.sites);
-  EXPECT_EQ(reused.mux_pairs, fresh.mux_pairs);
+  EXPECT_EQ(reused.genes, fresh.genes);
+  EXPECT_EQ(reused.applied, fresh.applied);
   EXPECT_EQ(reused.netlist.topological_order(),
             fresh.netlist.topological_order());
   EXPECT_NO_THROW(reused.netlist.validate());
@@ -239,8 +238,8 @@ TEST(MuxLock, RecycleFallsBackAfterExternalMutation) {
   util::Rng repair_a(1);
   apply_genotype_into(out, original, context, genes, repair_a, scratch);
   // Rewire one locked gate back to its original driver behind decode's back.
-  const auto& site = out.sites[2];
-  ASSERT_EQ(out.netlist.replace_fanin(site.g_i, out.mux_pairs[2].first,
+  const Gene& site = out.genes[2];
+  ASSERT_EQ(out.netlist.replace_fanin(site.g_i, out.applied[2].first_node + 1,
                                       site.f_i),
             1u);
   util::Rng repair_b(1);
@@ -265,7 +264,7 @@ TEST(MuxLock, RecycleFallsBackAfterExternalMutation) {
        ++v) {
     const auto& fanins = out.netlist.node(v).fanins;
     bool in_site = false;
-    for (const auto& s : out.sites) {
+    for (const auto& s : out.genes) {
       in_site = in_site || s.g_i == v || s.g_j == v;
     }
     if (!in_site && fanins.size() >= 2 && fanins[0] != fanins[1]) {

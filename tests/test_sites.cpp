@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/fitness_cache.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/generator.hpp"
 
@@ -34,42 +35,32 @@ TEST(SiteContext, CandidateDriversHaveFanout) {
 TEST(SiteContext, ValidSiteAccepted) {
   const Netlist n = diamond();
   const SiteContext context(n);
-  LockSite site;
-  site.f_i = n.find("g1");
-  site.g_i = n.find("g3");
-  site.f_j = n.find("g2");
-  site.g_j = n.find("g3");
+  const Gene site =
+      Gene::mux(n.find("g1"), n.find("g2"), n.find("g3"), n.find("g3"), false);
   EXPECT_TRUE(context.structurally_valid(site));
 }
 
 TEST(SiteContext, RejectsSameDriver) {
   const Netlist n = diamond();
   const SiteContext context(n);
-  LockSite site;
-  site.f_i = site.f_j = n.find("g1");
-  site.g_i = site.g_j = n.find("g3");
+  const Gene site =
+      Gene::mux(n.find("g1"), n.find("g1"), n.find("g3"), n.find("g3"), false);
   EXPECT_FALSE(context.structurally_valid(site));
 }
 
 TEST(SiteContext, RejectsNonexistentEdge) {
   const Netlist n = diamond();
   const SiteContext context(n);
-  LockSite site;
-  site.f_i = n.find("a");
-  site.g_i = n.find("g3");  // a does not drive g3
-  site.f_j = n.find("g2");
-  site.g_j = n.find("g3");
+  // a does not drive g3.
+  const Gene site =
+      Gene::mux(n.find("a"), n.find("g2"), n.find("g3"), n.find("g3"), false);
   EXPECT_FALSE(context.structurally_valid(site));
 }
 
 TEST(SiteContext, RejectsOutOfRangeIds) {
   const Netlist n = diamond();
   const SiteContext context(n);
-  LockSite site;
-  site.f_i = 99;
-  site.f_j = 1;
-  site.g_i = 2;
-  site.g_j = 3;
+  const Gene site = Gene::mux(99, 1, 2, 3, false);
   EXPECT_FALSE(context.structurally_valid(site));
 }
 
@@ -84,48 +75,23 @@ TEST(SiteContext, RejectsCycleFormingSite) {
   const auto g3 = n.add_gate(GateType::kAnd, {g2, a}, "g3");
   n.mark_output(g3);
   const SiteContext context(n);
-  LockSite site;
-  site.f_i = a;
-  site.g_i = g1;
-  site.f_j = g2;
-  site.g_j = g3;
-  EXPECT_FALSE(context.structurally_valid(site));
+  EXPECT_FALSE(context.structurally_valid(Gene::mux(a, g2, g1, g3, false)));
   // The reverse orientation is fine: f_i=g2->g3, f_j=a->... check a->g3
-  LockSite ok;
-  ok.f_i = g2;
-  ok.g_i = g3;
-  ok.f_j = a;
-  ok.g_j = g3;
+  const Gene ok = Gene::mux(g2, a, g3, g3, false);
   EXPECT_TRUE(context.structurally_valid(ok));
 }
 
 TEST(SiteContext, EdgesAvailableDetectsCollisions) {
-  LockSite taken;
-  taken.f_i = 1;
-  taken.g_i = 2;
-  taken.f_j = 3;
-  taken.g_j = 4;
-  std::vector<LockSite> used{taken};
+  const Genotype used{Gene::mux(1, 3, 2, 4, false)};
 
-  LockSite same_first_edge;
-  same_first_edge.f_i = 1;
-  same_first_edge.g_i = 2;
-  same_first_edge.f_j = 5;
-  same_first_edge.g_j = 6;
+  const Gene same_first_edge = Gene::mux(1, 5, 2, 6, false);
   EXPECT_FALSE(SiteContext::edges_available(same_first_edge, used));
 
-  LockSite swapped_roles;
-  swapped_roles.f_i = 3;
-  swapped_roles.g_i = 4;  // collides with taken's (f_j, g_j)
-  swapped_roles.f_j = 7;
-  swapped_roles.g_j = 8;
+  // (3, 4) collides with the taken gene's (f_j, g_j).
+  const Gene swapped_roles = Gene::mux(3, 7, 4, 8, false);
   EXPECT_FALSE(SiteContext::edges_available(swapped_roles, used));
 
-  LockSite disjoint;
-  disjoint.f_i = 5;
-  disjoint.g_i = 6;
-  disjoint.f_j = 7;
-  disjoint.g_j = 8;
+  const Gene disjoint = Gene::mux(5, 7, 6, 8, false);
   EXPECT_TRUE(SiteContext::edges_available(disjoint, used));
 }
 
@@ -134,9 +100,9 @@ TEST(SiteContext, SampleSiteProducesValidSites) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
   const SiteContext context(circuit);
   util::Rng rng(5);
-  std::vector<LockSite> taken;
+  Genotype taken;
   for (int i = 0; i < 32; ++i) {
-    LockSite site;
+    Gene site;
     ASSERT_TRUE(context.sample_site(rng, taken, site));
     EXPECT_TRUE(context.structurally_valid(site));
     EXPECT_TRUE(SiteContext::edges_available(site, taken));
@@ -152,16 +118,90 @@ TEST(SiteContext, SampleSiteFailsOnTinyCircuit) {
   n.mark_output(g);
   const SiteContext context(n);
   util::Rng rng(1);
-  LockSite site;
+  Gene site;
   EXPECT_FALSE(context.sample_site(rng, {}, site));
+}
+
+/// `gene`'s MUX fields rebuilt through the factory.
+Gene remuxed(const Gene& gene) {
+  return Gene::mux(gene.f_i, gene.f_j, gene.g_i, gene.g_j, gene.key_bit);
+}
+
+TEST(SiteContext, TakenGenotypeSkipsNonMuxGenes) {
+  const Netlist circuit =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
+  const SiteContext context(circuit);
+  util::Rng rng(5);
+  const Genotype mixed = random_genotype(
+      context, GenotypeSpec{.mux_sites = 6, .rll_gates = 6, .antisat_width = 2},
+      rng);
+  Genotype mux_only;
+  for (const Gene& gene : mixed) {
+    if (gene.kind == GeneKind::kMux) mux_only.push_back(gene);
+  }
+  ASSERT_EQ(mux_only.size(), 6u);
+
+  // Clash verdicts over the mixed genotype are those over its MUX genes,
+  // even with RLL genes on each candidate's own two wires.
+  std::size_t clashes = 0;
+  for (int i = 0; i < 64; ++i) {
+    Gene candidate;
+    ASSERT_TRUE(context.sample_site(rng, {}, candidate));
+    if (i % 8 == 0) candidate = mux_only[i / 8 % mux_only.size()];
+    Genotype taken = mixed;
+    taken.push_back(Gene::rll(candidate.f_i, candidate.g_i, false));
+    taken.push_back(Gene::rll(candidate.f_j, candidate.g_j, true));
+    const bool available = SiteContext::edges_available(candidate, mux_only);
+    EXPECT_EQ(SiteContext::edges_available(candidate, taken), available);
+    EXPECT_TRUE(SiteContext::edges_available(
+        candidate, {Gene::rll(candidate.f_i, candidate.g_i, false),
+                    Gene::antisat(2, 7, false)}));
+    clashes += available ? 0 : 1;
+  }
+  EXPECT_GE(clashes, 8u);
+
+  // sample_site draws the same stream and the same genes either way.
+  util::Rng over_mixed(77);
+  util::Rng over_mux(77);
+  Genotype grown_mixed = mixed;
+  Genotype grown_mux = mux_only;
+  for (int i = 0; i < 32; ++i) {
+    Gene a;
+    Gene b;
+    ASSERT_TRUE(context.sample_site(over_mixed, grown_mixed, a));
+    ASSERT_TRUE(context.sample_site(over_mux, grown_mux, b));
+    ASSERT_EQ(a, b);
+    grown_mixed.push_back(a);
+    grown_mux.push_back(b);
+  }
+  EXPECT_EQ(over_mixed(), over_mux());
+
+  // Every MUX gene, wherever it comes from, is exactly Gene::mux of its
+  // fields: FitnessCache hashes and compares all of them.
+  const eval::GenotypeHash hash;
+  const auto expect_factory_form = [&](const Gene& gene) {
+    ASSERT_EQ(gene.kind, GeneKind::kMux);
+    EXPECT_EQ(gene, remuxed(gene));
+    EXPECT_EQ(hash({gene}), hash({remuxed(gene)}));
+  };
+  for (const Gene& gene : grown_mux) expect_factory_form(gene);  // sampled
+  for (const Gene& gene : random_genotype(context, 8, rng)) {
+    expect_factory_form(gene);
+  }
+  Genotype stale = random_genotype(context, 8, rng);
+  stale[3].f_j = stale[3].f_i;  // forces a decode-time repair
+  util::Rng repair(3);
+  const LockedDesign design = apply_genotype(circuit, context, stale, repair);
+  EXPECT_NE(design.genes[3], stale[3]);
+  for (const Gene& gene : design.genes) expect_factory_form(gene);
 }
 
 // ---- incremental dynamic-topological-order cycle check ---------------------
 
-/// Replays apply_sites' insertion for one accepted site onto a working
+/// Replays apply_genes' insertion for one accepted MUX gene onto a working
 /// netlist and its DecodeTopo mirror (same wiring as mux_lock.cpp).
 void apply_site_to_both(Netlist& working, DecodeTopo& topo,
-                        const LockSite& site, int bit) {
+                        const Gene& site, int bit) {
   const std::string suffix = std::to_string(bit);
   const NodeId sel = working.add_input("tsel" + suffix, /*is_key=*/true);
   const NodeId a0 = site.key_bit ? site.f_j : site.f_i;
@@ -204,18 +244,17 @@ TEST(IncrementalCycleCheck, AgreesWithLegacyDfsOn200RandomGenotypes) {
       ReachScratch scratch;
       DecodeTopo& topo = scratch.topo;
       topo.reset(context.fanin_csr(), context.seed_ranks());
-      std::vector<LockSite> applied;
+      Genotype applied;
       int bit = 0;
-      for (const LockSite& gene : genes) {
+      for (const Gene& gene : genes) {
         // One random probe per step exercises sites decode would never
         // accept (wrong edges, cross-site conflicts, cycle formers).
-        LockSite probe;
-        probe.f_i = static_cast<NodeId>(rng.next_below(original.size()));
-        probe.f_j = static_cast<NodeId>(rng.next_below(original.size()));
-        probe.g_i = static_cast<NodeId>(rng.next_below(original.size()));
-        probe.g_j = static_cast<NodeId>(rng.next_below(original.size()));
-        probe.key_bit = rng.next_bool();
-        for (const LockSite& candidate : {gene, probe}) {
+        const auto f_i = static_cast<NodeId>(rng.next_below(original.size()));
+        const auto f_j = static_cast<NodeId>(rng.next_below(original.size()));
+        const auto g_i = static_cast<NodeId>(rng.next_below(original.size()));
+        const auto g_j = static_cast<NodeId>(rng.next_below(original.size()));
+        const Gene probe = Gene::mux(f_i, f_j, g_i, g_j, rng.next_bool());
+        for (const Gene& candidate : {gene, probe}) {
           const bool legacy =
               testing::applicable_to_working_dfs(working, candidate, scratch);
           const bool ranks =

@@ -26,6 +26,14 @@ TEST(Solver, TrivialUnsat) {
   EXPECT_EQ(solver.solve(), SolveResult::kUnsat);
 }
 
+TEST(Solver, EmptyClauseIsUnsat) {
+  Solver solver;
+  const Var x = solver.new_var();
+  EXPECT_TRUE(solver.add_clause(make_lit(x)));
+  EXPECT_FALSE(solver.add_clause(std::vector<Lit>{}));
+  EXPECT_EQ(solver.solve(), SolveResult::kUnsat);
+}
+
 TEST(Solver, EmptyFormulaIsSat) {
   Solver solver;
   EXPECT_EQ(solver.solve(), SolveResult::kSat);

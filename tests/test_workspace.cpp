@@ -644,14 +644,14 @@ TEST(CsrAttackGraph, PatchedViewMatchesFullBuild) {
     original.mark_output(mix, "o0");
     original.mark_output(pair, "o1");
     Family family(std::move(original));
-    const lock::LockSite site{a, c, twice, other, true};
+    const lock::Gene site = lock::Gene::mux(a, c, twice, other, true);
     bool read_twice = false;
     for (std::uint64_t seed = 1; seed <= 64; ++seed) {
       const lock::Genotype genes{
-          lock::Gene(site), lock::Gene::rll(mix, pair, false),
+          site, lock::Gene::rll(mix, pair, false),
           lock::Gene::antisat(2, seed, /*splice_at_output=*/false)};
       const auto& design = family.decode(genes, seed);
-      ASSERT_EQ(design.genes[0].site(), site);
+      ASSERT_EQ(design.genes[0], site);
       expect_patched(design, family);
       const auto& fanins = design.netlist.node(twice).fanins;
       const NodeId m1 = design.applied[0].first_node + 1;
@@ -815,8 +815,8 @@ TEST(WorkspaceDecode, MatchesApplyGenotypeAndSurvivesReuse) {
       EXPECT_EQ(reused.netlist.node(v).fanins, fresh.netlist.node(v).fanins);
     }
     EXPECT_EQ(reused.key, fresh.key);
-    EXPECT_EQ(reused.sites, fresh.sites);
-    EXPECT_EQ(reused.mux_pairs, fresh.mux_pairs);
+    EXPECT_EQ(reused.genes, fresh.genes);
+    EXPECT_EQ(reused.applied, fresh.applied);
     // The reused decode skips full validate(); make sure it would pass.
     EXPECT_NO_THROW(reused.netlist.validate());
   };
@@ -987,12 +987,14 @@ TEST(WorkspacePipeline, PinnedNsga2Trajectory) {
     EXPECT_EQ(individual.objectives[0], 0.29999999999999999);
     EXPECT_EQ(individual.objectives[1], 0.45000000000000001);
   }
-  const std::vector<lock::LockSite> expected_front0 = {
-      {33, 69, 41, 79, true},    {60, 4, 65, 36, false},
-      {69, 127, 93, 129, true},  {72, 158, 81, 171, true},
-      {8, 189, 63, 194, false},  {156, 42, 160, 51, true},
-      {162, 108, 168, 119, true}, {170, 131, 191, 146, true},
-      {178, 182, 184, 187, false}, {125, 62, 130, 126, false}};
+  using lock::Gene;
+  const lock::Genotype expected_front0 = {
+      Gene::mux(33, 69, 41, 79, true),     Gene::mux(60, 4, 65, 36, false),
+      Gene::mux(69, 127, 93, 129, true),   Gene::mux(72, 158, 81, 171, true),
+      Gene::mux(8, 189, 63, 194, false),   Gene::mux(156, 42, 160, 51, true),
+      Gene::mux(162, 108, 168, 119, true), Gene::mux(170, 131, 191, 146, true),
+      Gene::mux(178, 182, 184, 187, false),
+      Gene::mux(125, 62, 130, 126, false)};
   EXPECT_EQ(result.front[0].genes, expected_front0);
 }
 
