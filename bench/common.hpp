@@ -1,7 +1,8 @@
 // Shared helpers for the experiment harness binaries.
 //
-// Every bench binary regenerates one experiment from DESIGN.md §2 and prints
-// its rows as an aligned ASCII table (plus CSV when --csv is passed).
+// Every bench binary regenerates one experiment (the table in
+// bench/README.md names each) and prints its rows as an aligned ASCII table
+// (plus CSV when --csv is passed).
 // Binaries honour a --quick flag that shrinks parameters for smoke runs;
 // defaults are sized for a single-core machine.
 //

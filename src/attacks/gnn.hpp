@@ -3,8 +3,8 @@
 // flavour), mean pooling, a one-hidden-layer MLP head, sigmoid output,
 // binary cross-entropy loss, and Adam — all with manual backpropagation.
 //
-// This is the stand-in for MuxLink's DGCNN (see DESIGN.md §4): same attack
-// surface (learned link prediction over enclosing subgraphs), CPU-sized.
+// This is the stand-in for MuxLink's DGCNN: same attack surface (learned
+// link prediction over enclosing subgraphs), CPU-sized.
 //
 // Most of what the network multiplies is zero: the layer-1 input is one-hot
 // heavy (about 12% nonzero, its neighbour mean about 19%) and ReLU zeroes

@@ -1,6 +1,6 @@
 // MuxLink — GNN-based link-prediction attack on MUX locking (re-implemented
-// from the DATE'22 paper's description; see DESIGN.md §4 for the substitution
-// of our from-scratch GNN for the authors' DGCNN).
+// from the DATE'22 paper's description, with the from-scratch GNN of
+// attacks/gnn.hpp in place of the authors' DGCNN).
 //
 // Pipeline (self-supervised — no oracle, no second netlist needed):
 //   1. Build the attacker graph (key MUXes and key inputs removed).

@@ -449,13 +449,10 @@ void apply_genes(LockedDesign& design, const SiteContext& context,
 LockedDesign apply_genotype(const Netlist& original,
                             const SiteContext& context, const Genotype& genes,
                             util::Rng& repair_rng) {
-  LockedDesign design{original, {}, {}, {}};
-  design.netlist.set_name(original.name() + "_muxlocked");
+  LockedDesign design;
   ReachScratch scratch;
-  apply_genes(design, context, genes, repair_rng, scratch);
+  apply_genotype_into(design, original, context, genes, repair_rng, scratch);
   design.netlist.validate();
-  design.original_version = original.structural_version();
-  design.decoded_version = design.netlist.structural_version();
   return design;
 }
 
@@ -590,9 +587,9 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   apply_genes(out, context, genes, repair_rng, scratch, recycle ? prev : 0);
   // Prime the traversal cache every downstream attack and simulator
   // construction consumes with the order derived from the decode's dynamic
-  // ranks — an O(V) merge of the context's seed order with the decode's
-  // touched nodes, never the O(V + E) Kahn re-sort plus CSR fanout rebuild
-  // the decode previously paid per genotype. Acyclicity is already proven
+  // ranks — an O(V) merge of the original's (level, id) order with the
+  // decode's touched nodes, never an O(V + E) re-sort plus CSR fanout
+  // rebuild per genotype. Acyclicity is already proven
   // gene-by-gene by the dynamic order; debug builds re-verify the primed
   // order inside prime_topological_order.
   scratch.topo.order_into(context.seed_order(), context.seed_order_ranks(),

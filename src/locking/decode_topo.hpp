@@ -201,11 +201,12 @@ class DecodeTopo {
   /// and ties are only ever between unordered nodes. `seed_order` must be
   /// the base nodes pre-sorted by (seed rank, id), with `seed_order_ranks`
   /// its position-aligned seed ranks and `seed_pos` its inverse permutation
-  /// (SiteContext computes all three once per family); nodes whose rank
-  /// never moved are merged straight from it, so the per-decode cost is
-  /// O(V) with a memcpy-grade constant plus O(D log D) for the D
-  /// rank-dirty/appended nodes — never the O(V + E) Kahn re-sort plus CSR
-  /// fanout rebuild the decode previously paid per genotype. While no
+  /// (SiteContext supplies the original's cached (level, id) order, which
+  /// is sorted by seed rank, and the other two, once per family); nodes
+  /// whose rank never moved are merged straight from it, so the per-decode
+  /// cost is O(V) with a memcpy-grade constant plus O(D log D) for the D
+  /// rank-dirty/appended nodes — never an O(V + E) re-sort plus CSR
+  /// fanout rebuild per genotype. While no
   /// renumber has happened this decode (the common case), the base lane's
   /// merge keys and skip flags are read position-sequentially from the
   /// precomputed arrays — no per-node random access into rank_ at all.

@@ -59,19 +59,24 @@ struct LockedDesign {
 /// back into the design's `genes`. Throws std::runtime_error if repair
 /// cannot find a valid replacement. The returned design always has exactly
 /// sum(gene.key_bits()) key bits and passes netlist.validate().
+///
+/// One-shot form of apply_genotype_into: that decode on a fresh design and
+/// scratch, followed by netlist.validate(). So its design, topological
+/// order included, is the one a workspace decode produces.
 LockedDesign apply_genotype(const netlist::Netlist& original,
                             const SiteContext& context, const Genotype& genes,
                             util::Rng& repair_rng);
 
-/// Buffer-reusing decode for evaluation loops: writes the locked design
+/// The decode, buffer-reusing for evaluation loops: writes the locked design
 /// into `out` (its netlist buffers, key, gene and decode-record vectors are
 /// reused across calls) and runs every cycle check through `scratch`.
-/// Produces a design identical to apply_genotype, but skips the full
-/// structural validate() — the per-gene acyclicity checks against the
-/// decode's dynamic order already cover everything decode can get wrong
-/// (the order it primes the design with is merged from those ranks, not
-/// re-sorted), and the construction-side invariants (names, arity) are
-/// enforced by the Netlist mutators themselves.
+/// Unlike apply_genotype it skips the full structural validate() — the
+/// per-gene acyclicity checks against the decode's dynamic order already
+/// cover everything decode can get wrong, and the construction-side
+/// invariants (names, arity) are enforced by the Netlist mutators
+/// themselves. The design is primed with a topological order merged from
+/// those ranks rather than re-sorted: the original's (level, id) order
+/// with the decode's touched nodes merged in by (rank, id).
 ///
 /// Keep the (out, scratch) pairing stable across calls: when consecutive
 /// decodes reuse the same pair against the same original, the previous

@@ -17,11 +17,11 @@ std::uint64_t next_decode_token() {
 }  // namespace
 
 SiteContext::SiteContext(const netlist::Netlist& original)
-    : original_(&original), decode_token_(next_decode_token()) {
-  // Deduplicated ascending fanout CSR, derived directly from a flat fanout
-  // pass (per-source runs are ascending, so duplicates are adjacent) — the
-  // same content as flattening the netlist's cached fanout lists, without
-  // materializing that O(V) vector-of-vectors cache at all.
+    : original_(&original),
+      seed_order_(original.topological_order()),
+      decode_token_(next_decode_token()) {
+  // Deduplicated ascending fanout CSR, derived from a flat fanout pass
+  // (per-source runs are ascending, so duplicates are adjacent).
   {
     netlist::CsrFanouts raw;
     raw.build(original);
@@ -48,50 +48,23 @@ SiteContext::SiteContext(const netlist::Netlist& original)
     }
     if (!fanouts(v).empty()) candidate_drivers_.push_back(v);
   }
-  topo_rank_.resize(original.size());
-  const auto& order = original.topological_order();
-  for (std::uint32_t rank = 0; rank < order.size(); ++rank) {
-    topo_rank_[order[rank]] = rank;
-  }
   fanin_csr_.build(original);
   // Seed the decode-local dynamic order from longest-path levels rather
   // than dense topological positions: levels are the tightest valid rank
   // assignment, so unrelated nodes tie instead of being artificially
   // ordered — which keeps the relabel windows (dependencies ranked at or
-  // above an inverted site gate) small.
+  // above an inverted site gate) small. The original's topological order
+  // is sorted by (level, id), so it is already sorted by (seed rank, id).
+  std::vector<std::size_t> level;
+  netlist::node_levels_into(original, level);
+  topo_rank_.resize(original.size());
   seed_ranks_.resize(original.size());
-  std::vector<std::uint64_t> level(original.size(), 0);
-  for (const NodeId v : order) {
-    std::uint64_t depth = 0;
-    for (const NodeId f : fanin_csr_.fanins(v)) {
-      depth = std::max(depth, level[f] + 1);
-    }
-    level[v] = depth;
-    seed_ranks_[v] = (depth + 1) * DecodeTopo::kRankGap;
-  }
-  // seed_order_ = all nodes by (seed rank, id). Seed ranks are a monotone
-  // function of level, so a counting sort by level with ascending-id fill
-  // produces it in O(V + depth).
-  std::uint64_t max_level = 0;
-  for (NodeId v = 0; v < original.size(); ++v) {
-    max_level = std::max(max_level, level[v]);
-  }
-  std::vector<std::uint32_t> bucket_start(max_level + 2, 0);
-  for (NodeId v = 0; v < original.size(); ++v) {
-    ++bucket_start[level[v] + 1];
-  }
-  for (std::size_t l = 1; l < bucket_start.size(); ++l) {
-    bucket_start[l] += bucket_start[l - 1];
-  }
-  seed_order_.resize(original.size());
-  for (NodeId v = 0; v < original.size(); ++v) {
-    seed_order_[bucket_start[level[v]]++] = v;
-  }
   seed_order_ranks_.resize(original.size());
-  seed_pos_.resize(original.size());
-  for (std::size_t i = 0; i < seed_order_.size(); ++i) {
-    seed_order_ranks_[i] = seed_ranks_[seed_order_[i]];
-    seed_pos_[seed_order_[i]] = static_cast<std::uint32_t>(i);
+  for (std::uint32_t i = 0; i < seed_order_.size(); ++i) {
+    const NodeId v = seed_order_[i];
+    topo_rank_[v] = i;
+    seed_ranks_[v] = (level[v] + 1) * DecodeTopo::kRankGap;
+    seed_order_ranks_[i] = seed_ranks_[v];
   }
   primary_inputs_ = original.primary_inputs();
 }

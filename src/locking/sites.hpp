@@ -27,8 +27,8 @@ namespace autolock::lock {
 /// Reusable per-worker decode state: DFS marks for reachability / cycle
 /// checks (every site-validity query otherwise allocates an O(V) visited
 /// vector; decode repairs and GA mutations run hundreds per genotype), the
-/// decode-local dynamic topological order, the buffers for the final
-/// cache-priming topological sort, and the interned ids of the
+/// decode-local dynamic topological order, the buffer for the merged
+/// cache-priming topological order, and the interned ids of the
 /// decode-generated names.
 struct ReachScratch {
   util::EpochFlags visited;
@@ -76,9 +76,9 @@ class SiteContext {
 
   const netlist::Netlist& original() const noexcept { return *original_; }
 
-  /// Deduplicated, ascending fanouts of `v` in the original netlist (the
-  /// netlist's cached fanout lists, flattened to CSR at construction so
-  /// sampling and reachability walk contiguous spans).
+  /// Deduplicated, ascending fanouts of `v` in the original netlist (a CSR
+  /// built at construction, so sampling and reachability walk contiguous
+  /// spans).
   std::span<const netlist::NodeId> fanouts(netlist::NodeId v) const noexcept {
     return {fanout_edges_.data() + fanout_offsets_[v],
             fanout_offsets_[v + 1] - fanout_offsets_[v]};
@@ -144,9 +144,10 @@ class SiteContext {
     return seed_ranks_;
   }
 
-  /// The original's nodes pre-sorted by (seed rank, id) — the base stream
+  /// The original's topological order (its cached topological_order(),
+  /// sorted by (level, id) and so by (seed rank, id)) — the base stream
   /// DecodeTopo::order_into merges the decode's touched nodes into, so the
-  /// decode-final topological order costs O(V) instead of a Kahn re-sort.
+  /// decode-final topological order costs O(V) instead of a re-sort.
   const std::vector<netlist::NodeId>& seed_order() const noexcept {
     return seed_order_;
   }
@@ -163,7 +164,7 @@ class SiteContext {
   /// seed_order(). order_into marks the decode's dirty nodes by position so
   /// the skip test during the merge is a sequential read too.
   const std::vector<std::uint32_t>& seed_pos() const noexcept {
-    return seed_pos_;
+    return topo_rank_;
   }
 
   /// Process-unique identity of this context's (fanin_csr, seed_ranks)
@@ -176,6 +177,9 @@ class SiteContext {
                ReachScratch& scratch) const;
 
   const netlist::Netlist* original_;
+  /// The original's cached topological order (not a copy: the original
+  /// outlives this context and is never mutated while it is in use).
+  const std::vector<netlist::NodeId>& seed_order_;
   /// CSR of the original's deduplicated fanout lists.
   std::vector<std::uint32_t> fanout_offsets_;
   std::vector<netlist::NodeId> fanout_edges_;
@@ -183,17 +187,14 @@ class SiteContext {
   std::vector<netlist::NodeId> primary_inputs_;
   mutable std::once_flag rll_wires_once_;
   mutable std::vector<std::pair<netlist::NodeId, netlist::NodeId>> rll_wires_;
-  /// Position of every node in the original's topological order. A forward
-  /// path from `from` to `target` can only pass through nodes whose rank
-  /// lies strictly between the endpoints' ranks, which bounds every
-  /// reachability DFS (the original netlist is immutable, so the ranks
-  /// never go stale).
+  /// Position of every node in seed_order_ (seed_pos()). A forward path
+  /// from `from` to `target` can only pass through nodes whose rank lies
+  /// strictly between the endpoints' ranks, which bounds every reachability
+  /// DFS (the original netlist is immutable, so the ranks never go stale).
   std::vector<std::uint32_t> topo_rank_;
   netlist::CsrFanins fanin_csr_;
   std::vector<std::uint64_t> seed_ranks_;
-  std::vector<netlist::NodeId> seed_order_;
   std::vector<std::uint64_t> seed_order_ranks_;
-  std::vector<std::uint32_t> seed_pos_;
   std::uint64_t decode_token_ = 0;
 };
 

@@ -2,8 +2,8 @@
 //
 // Both directions of the gate graph are consumed by hot paths that used to
 // chase one heap-allocated vector per node: decode-time cycle checks walk
-// fanins, Kahn's algorithm walks fanouts, and both run once (or hundreds of
-// times) per genotype decode. A CSR adjacency flattens either direction into
+// fanins (hundreds of times per genotype decode), the topological sort and
+// site sampling walk fanouts. A CSR adjacency flattens either direction into
 // two contiguous arrays — `offsets` (node -> first edge index) and `edges`
 // (flat u32 targets) — so traversals touch sequential cache lines and the
 // storage is reusable: `build()` re-derives the adjacency for a new netlist
@@ -16,8 +16,8 @@
 //     included — the span is byte-for-byte the node's `Node::fanins` vector,
 //     which lets decode mirror netlist mutations edge-for-edge.
 //   - CsrFanouts groups edges by source in ascending sink order, duplicates
-//     included — exactly the traversal order the historical vector-of-vector
-//     Kahn implementation produced, which pinned GA trajectories depend on.
+//     included. SiteContext draws GA lock sites from these ascending lists,
+//     so the pinned GA trajectories depend on the order.
 #pragma once
 
 #include <cstdint>

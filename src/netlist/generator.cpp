@@ -137,11 +137,14 @@ Netlist make_random(const RandomCircuitConfig& config, std::uint64_t seed) {
   // Choose outputs among sinks (gates with no fanout) so the circuit is
   // maximally live; absorb excess sinks as extra fanins of later n-ary
   // gates (keeps gate count and acyclicity).
-  auto fanouts = netlist.fanouts();
+  std::vector<bool> has_fanout(netlist.size(), false);
+  for (NodeId v = 0; v < netlist.size(); ++v) {
+    for (const NodeId fanin : netlist.node(v).fanins) has_fanout[fanin] = true;
+  }
   std::vector<NodeId> sinks;
   for (NodeId v = 0; v < netlist.size(); ++v) {
     if (netlist.node(v).type == GateType::kInput) continue;
-    if (fanouts[v].empty()) sinks.push_back(v);
+    if (!has_fanout[v]) sinks.push_back(v);
   }
   rng.shuffle(sinks);
 

@@ -4,8 +4,8 @@
 // tiny public c17 circuit is embedded verbatim; the larger ISCAS-85 members
 // are represented by a deterministic synthetic generator whose profiles
 // match each circuit's published interface size, gate count, depth and
-// rough gate-type mix (see DESIGN.md §4 — the attacks and the GA depend on
-// graph-structural statistics, not on the specific Boolean function).
+// rough gate-type mix (the attacks and the GA depend on graph-structural
+// statistics, not on the specific Boolean function).
 // Real .bench files drop in unchanged through bench::stream_load_file.
 #pragma once
 

@@ -73,7 +73,6 @@ Netlist& Netlist::operator=(Netlist&& other) noexcept {
 
 void Netlist::invalidate_traversal_cache() noexcept {
   cache_.topo_valid = false;
-  cache_.fanouts_valid = false;
   structural_version_ = fresh_version();
 }
 
@@ -320,49 +319,22 @@ NodeId Netlist::find(NameId node_name) const noexcept {
 }
 
 bool Netlist::is_acyclic() const {
-  {
-    const std::scoped_lock lock(cache_mutex_);
-    if (cache_.topo_valid) return true;  // a full topo order exists
+  const std::scoped_lock lock(cache_mutex_);
+  if (!cache_.topo_valid) {
+    cache_.topo_valid = compute_topological_order(cache_.topo);
   }
-  // Kahn's algorithm: count processed nodes.
-  CsrFanouts outs;
-  outs.build(*this);
-  std::vector<std::uint32_t> pending(nodes_.size(), 0);
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    pending[v] = static_cast<std::uint32_t>(nodes_[v].fanins.size());
-  }
-  std::vector<NodeId> queue;
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    if (pending[v] == 0) queue.push_back(v);
-  }
-  std::size_t processed = 0;
-  while (!queue.empty()) {
-    const NodeId v = queue.back();
-    queue.pop_back();
-    ++processed;
-    for (NodeId w : outs.fanouts(v)) {
-      if (--pending[w] == 0) queue.push_back(w);
-    }
-  }
-  return processed == nodes_.size();
+  return cache_.topo_valid;
 }
 
 const std::vector<NodeId>& Netlist::topological_order() const {
   const std::scoped_lock lock(cache_mutex_);
   if (!cache_.topo_valid) {
-    cache_.topo = compute_topological_order();
-    cache_.topo_valid = true;
+    cache_.topo_valid = compute_topological_order(cache_.topo);
+    if (!cache_.topo_valid) {
+      throw std::runtime_error("Netlist::topological_order: graph is cyclic");
+    }
   }
   return cache_.topo;
-}
-
-const std::vector<std::vector<NodeId>>& Netlist::fanouts() const {
-  const std::scoped_lock lock(cache_mutex_);
-  if (!cache_.fanouts_valid) {
-    cache_.fanouts = compute_fanouts();
-    cache_.fanouts_valid = true;
-  }
-  return cache_.fanouts;
 }
 
 void Netlist::prime_topological_order(std::vector<NodeId>& order) const {
@@ -392,48 +364,43 @@ void Netlist::prime_topological_order(std::vector<NodeId>& order) const {
   cache_.topo_valid = true;
 }
 
-std::vector<NodeId> Netlist::compute_topological_order() const {
-  // Same Kahn traversal as before the CSR rewrite: sources are visited in
-  // ascending id via a LIFO queue and fanout lists are grouped in ascending
-  // sink order, so the produced order is bit-identical to the historical
-  // vector<vector> implementation.
+bool Netlist::compute_topological_order(std::vector<NodeId>& order) const {
+  // One Kahn pass records every node's longest-path level (sources 0, a
+  // gate one above its highest fanin); a counting sort by level, each level
+  // filled in ascending id, then yields the (level, id) order. The Kahn
+  // queue is never popped, so once every node has entered it the buffer is
+  // free to receive the sorted order.
   const std::size_t n = nodes_.size();
   CsrFanouts fanouts;
   fanouts.build(*this);
   std::vector<std::uint32_t> pending(n);
+  std::vector<std::uint32_t> level(n, 0);
+  order.clear();
+  order.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
     pending[v] = static_cast<std::uint32_t>(nodes_[v].fanins.size());
+    if (pending[v] == 0) order.push_back(v);
   }
-  std::vector<NodeId> order;
-  order.reserve(n);
-  std::vector<NodeId> queue;
-  for (NodeId v = 0; v < n; ++v) {
-    if (pending[v] == 0) queue.push_back(v);
-  }
-  while (!queue.empty()) {
-    const NodeId v = queue.back();
-    queue.pop_back();
-    order.push_back(v);
-    for (NodeId w : fanouts.fanouts(v)) {
-      if (--pending[w] == 0) queue.push_back(w);
+  std::uint32_t max_level = 0;
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NodeId v = order[head];
+    const std::uint32_t next = level[v] + 1;
+    for (const NodeId w : fanouts.fanouts(v)) {
+      level[w] = std::max(level[w], next);
+      if (--pending[w] == 0) {
+        max_level = std::max(max_level, level[w]);
+        order.push_back(w);
+      }
     }
   }
-  if (order.size() != n) {
-    throw std::runtime_error("Netlist::topological_order: graph is cyclic");
+  if (order.size() != n) return false;
+  std::vector<std::uint32_t> level_start(std::size_t{max_level} + 2, 0);
+  for (NodeId v = 0; v < n; ++v) ++level_start[level[v] + 1];
+  for (std::size_t l = 1; l < level_start.size(); ++l) {
+    level_start[l] += level_start[l - 1];
   }
-  return order;
-}
-
-std::vector<std::vector<NodeId>> Netlist::compute_fanouts() const {
-  std::vector<std::vector<NodeId>> outs(nodes_.size());
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    for (NodeId fanin : nodes_[v].fanins) outs[fanin].push_back(v);
-  }
-  for (auto& list : outs) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
-  return outs;
+  for (NodeId v = 0; v < n; ++v) order[level_start[level[v]]++] = v;
+  return true;
 }
 
 std::vector<bool> Netlist::live_mask() const {

@@ -176,11 +176,14 @@ class Netlist {
 
   /// True iff the fanin graph is acyclic (always true for graphs built only
   /// with add_gate on existing ids; may be violated transiently by locking
-  /// transforms that rewire, which must re-check).
+  /// transforms that rewire, which must re-check). Runs the same pass as
+  /// topological_order() and, on success, caches its order.
   bool is_acyclic() const;
 
-  /// Topological order over all nodes (sources first).
-  /// Throws std::runtime_error if cyclic.
+  /// Topological order over all nodes: ascending longest-path level
+  /// (node_levels_into), ascending id within a level — unless a caller
+  /// primed another one (prime_topological_order; the genotype decode
+  /// does). Throws std::runtime_error if cyclic.
   ///
   /// The result is computed once and cached until the next structural
   /// mutation (add_*/replace_fanin/append_fanin/set_output_driver); repeated
@@ -189,19 +192,15 @@ class Netlist {
   const std::vector<NodeId>& topological_order() const;
 
   /// Installs `order` (contents swapped in; `order` receives the cache's
-  /// previous buffer) as the cached topological order, replacing the Kahn
+  /// previous buffer) as the cached topological order, replacing the
   /// recomputation the next traversal accessor would run. The caller must
   /// guarantee `order` is a valid topological order over exactly the
-  /// current nodes — the genotype decode derives one incrementally from its
-  /// dynamic rank structure (DecodeTopo) instead of re-sorting the whole
-  /// design, which is what makes per-decode cost independent of design
-  /// size. Debug builds verify the claim in O(V+E); release builds trust it
-  /// (the decode invariant is property-tested against Kahn).
+  /// current nodes — the genotype decode merges one from its dynamic rank
+  /// structure (DecodeTopo) instead of re-sorting the whole design, which
+  /// is what makes per-decode cost independent of design size. Debug
+  /// builds verify the claim in O(V+E); release builds trust it (the
+  /// decode invariant is property-tested against topological_order()).
   void prime_topological_order(std::vector<NodeId>& order) const;
-
-  /// Fanout adjacency: fanouts[v] = gates having v as a fanin (deduplicated,
-  /// ascending). Output ports are not edges. Cached like topological_order().
-  const std::vector<std::vector<NodeId>>& fanouts() const;
 
   /// Nodes from which at least one output port is reachable ("live" nodes).
   std::vector<bool> live_mask() const;
@@ -242,9 +241,9 @@ class Netlist {
   void invalidate_traversal_cache() noexcept;
   /// A structural version no netlist has held before (process-wide).
   static std::uint64_t fresh_version() noexcept;
-  /// Kahn's order (throws on a cycle).
-  std::vector<NodeId> compute_topological_order() const;
-  std::vector<std::vector<NodeId>> compute_fanouts() const;
+  /// The (level, id) order into `order`; false (order unspecified) if the
+  /// graph is cyclic.
+  bool compute_topological_order(std::vector<NodeId>& order) const;
 
   std::string name_;
   std::shared_ptr<NameTable> names_ = std::make_shared<NameTable>();
@@ -262,9 +261,7 @@ class Netlist {
   // netlist) never race on first computation.
   struct TraversalCache {
     bool topo_valid = false;
-    bool fanouts_valid = false;
     std::vector<NodeId> topo;
-    std::vector<std::vector<NodeId>> fanouts;
   };
   mutable TraversalCache cache_;
   mutable std::mutex cache_mutex_;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "locking/antisat.hpp"
+#include "locking/mux_lock.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
@@ -263,6 +266,20 @@ TEST(BenchRoundTrip, AntiSatOutputSpliceSurvivesReparse) {
   reloaded.netlist = loaded;
   reloaded.key = design.key;
   EXPECT_TRUE(lock::verify_unlocks(reloaded, original));
+}
+
+TEST(BenchRoundTrip, ReparsedLockedDesignIsInLevelThenIdOrder) {
+  const auto design =
+      lock::dmux_lock(gen::make_profile(gen::ProfileId::kC432, 5), 16, 5);
+  const Netlist loaded = parse(write(design.netlist), "locked");
+  std::vector<std::size_t> level;
+  node_levels_into(loaded, level);
+  std::vector<NodeId> expected(loaded.size());
+  for (NodeId v = 0; v < loaded.size(); ++v) expected[v] = v;
+  std::sort(expected.begin(), expected.end(), [&](NodeId x, NodeId y) {
+    return level[x] != level[y] ? level[x] < level[y] : x < y;
+  });
+  EXPECT_EQ(loaded.topological_order(), expected);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "netlist/generator.hpp"
+
 namespace autolock::netlist {
 namespace {
 
@@ -104,6 +106,43 @@ TEST(Netlist, TopologicalOrderRespectsDependencies) {
   }
 }
 
+// The cached order must be exactly the nodes sorted by (longest-path level,
+// id), whatever order the gates were created or rewired in.
+void expect_level_then_id_order(const Netlist& n) {
+  std::vector<std::size_t> level;
+  node_levels_into(n, level);
+  std::vector<NodeId> expected(n.size());
+  for (NodeId v = 0; v < n.size(); ++v) expected[v] = v;
+  std::sort(expected.begin(), expected.end(), [&](NodeId x, NodeId y) {
+    return level[x] != level[y] ? level[x] < level[y] : x < y;
+  });
+  EXPECT_EQ(n.topological_order(), expected);
+}
+
+TEST(Netlist, TopologicalOrderIsByLevelThenId) {
+  Netlist n("rewired");
+  const auto a = n.add_input("a");
+  const auto b = n.add_input("b");
+  const auto g1 = n.add_gate(GateType::kAnd, {a, b}, "g1");
+  const auto g2 = n.add_gate(GateType::kNot, {a}, "g2");
+  const auto g3 = n.add_gate(GateType::kNot, {g2}, "g3");
+  const auto g4 = n.add_gate(GateType::kOr, {g3, b}, "g4");
+  const auto c = n.add_input("c");
+  n.mark_output(g1, "y");
+  n.mark_output(g4, "z");
+  EXPECT_EQ(n.topological_order(),
+            (std::vector<NodeId>{a, b, c, g1, g2, g3, g4}));
+  // Rewire g1 to read the later, deeper g4: g1 moves to the last level.
+  ASSERT_EQ(n.replace_fanin(g1, b, g4), 1u);
+  ASSERT_TRUE(n.is_acyclic());
+  EXPECT_EQ(n.topological_order(),
+            (std::vector<NodeId>{a, b, c, g2, g3, g4, g1}));
+  expect_level_then_id_order(n);
+  n.validate();
+
+  expect_level_then_id_order(gen::make_profile(gen::ProfileId::kC880, 3));
+}
+
 TEST(Netlist, CycleDetection) {
   Netlist n;
   const auto a = n.add_input("a");
@@ -117,25 +156,24 @@ TEST(Netlist, CycleDetection) {
   EXPECT_THROW(n.validate(), std::runtime_error);
 }
 
-TEST(Netlist, FanoutsComputed) {
-  const Netlist n = small_example();
-  const auto fanouts = n.fanouts();
+TEST(CsrFanouts, AscendingSinksWithDuplicates) {
+  Netlist n = small_example();
   const auto a = n.find("a");
   const auto g1 = n.find("g1");
   const auto g3 = n.find("g3");
-  ASSERT_EQ(fanouts[a].size(), 1u);
-  EXPECT_EQ(fanouts[a][0], g1);
-  ASSERT_EQ(fanouts[g1].size(), 1u);
-  EXPECT_EQ(fanouts[g1][0], g3);
-  EXPECT_TRUE(fanouts[g3].empty());
-}
-
-TEST(Netlist, FanoutsDeduplicated) {
-  Netlist n;
-  const auto a = n.add_input("a");
-  n.add_gate(GateType::kAnd, {a, a}, "g");
-  const auto fanouts = n.fanouts();
-  EXPECT_EQ(fanouts[a].size(), 1u);
+  // A later gate reading `a` twice: both edges are listed, after g1.
+  const auto g4 = n.add_gate(GateType::kAnd, {a, a}, "g4");
+  CsrFanouts fanouts;
+  fanouts.build(n);
+  ASSERT_EQ(fanouts.node_count(), n.size());
+  const auto outs_a = fanouts.fanouts(a);
+  EXPECT_EQ(std::vector<NodeId>(outs_a.begin(), outs_a.end()),
+            (std::vector<NodeId>{g1, g4, g4}));
+  const auto outs_g1 = fanouts.fanouts(g1);
+  EXPECT_EQ(std::vector<NodeId>(outs_g1.begin(), outs_g1.end()),
+            (std::vector<NodeId>{g3}));
+  EXPECT_TRUE(fanouts.fanouts(g3).empty());
+  EXPECT_TRUE(fanouts.fanouts(g4).empty());
 }
 
 TEST(Netlist, ReplaceFanin) {

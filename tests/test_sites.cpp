@@ -32,6 +32,27 @@ TEST(SiteContext, CandidateDriversHaveFanout) {
   EXPECT_EQ(context.candidate_drivers().size(), 4u);
 }
 
+TEST(SiteContext, SeedOrderIsTheOriginalsTopologicalOrder) {
+  const Netlist n = netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 5);
+  const SiteContext context(n);
+  // The original's cached order itself, not a copy.
+  EXPECT_EQ(&context.seed_order(), &n.topological_order());
+  const auto& order = context.seed_order();
+  ASSERT_EQ(context.seed_pos().size(), order.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(context.seed_pos()[order[i]], i);
+  }
+  // Merge keys stay aligned with the order and non-decreasing along it.
+  ASSERT_EQ(context.seed_order_ranks().size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(context.seed_order_ranks()[i], context.seed_ranks()[order[i]]);
+    if (i > 0) {
+      EXPECT_LE(context.seed_order_ranks()[i - 1],
+                context.seed_order_ranks()[i]);
+    }
+  }
+}
+
 TEST(SiteContext, ValidSiteAccepted) {
   const Netlist n = diamond();
   const SiteContext context(n);

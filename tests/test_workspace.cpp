@@ -372,8 +372,15 @@ void expect_graph_matches_reference(const attack::AttackGraph& graph,
   EXPECT_EQ(known, links);
 
   // Reference problems, grouped through a std::map exactly as the legacy
-  // implementation did.
-  const auto& fanouts = locked.fanouts();
+  // implementation did; sinks per MUX deduplicated and ascending.
+  std::vector<std::vector<NodeId>> fanouts(n);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId fanin : locked.node(v).fanins) {
+      if (fanouts[fanin].empty() || fanouts[fanin].back() != v) {
+        fanouts[fanin].push_back(v);
+      }
+    }
+  }
   const auto key_nodes = locked.key_inputs();
   std::vector<int> bit_of(n, -1);
   for (std::size_t i = 0; i < key_nodes.size(); ++i) {
@@ -817,6 +824,9 @@ TEST(WorkspaceDecode, MatchesApplyGenotypeAndSurvivesReuse) {
     EXPECT_EQ(reused.key, fresh.key);
     EXPECT_EQ(reused.genes, fresh.genes);
     EXPECT_EQ(reused.applied, fresh.applied);
+    // One decode body: the one-shot design carries the same primed order.
+    EXPECT_EQ(reused.netlist.topological_order(),
+              fresh.netlist.topological_order());
     // The reused decode skips full validate(); make sure it would pass.
     EXPECT_NO_THROW(reused.netlist.validate());
   };
