@@ -11,6 +11,7 @@
 // a local AttackScratch.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "attacks/attack_graph.hpp"
@@ -49,7 +50,7 @@ struct AttackScratch {
   /// sample — but each slot's adjacency/feature buffers are retained, so a
   /// warm scratch assembles a training set without allocating.
   std::vector<Subgraph> train_samples;
-  /// SCOPE's area oracle: baseline rewrite, key cones, edit overlay and
+  /// SCOPE's area oracle: baseline rewrite, fanout index, edit overlay and
   /// rollback journal.
   netlist::KeyConeAreas scope_areas;
   /// GNN forward/backward buffers (MuxLink training and inference).
@@ -58,6 +59,8 @@ struct AttackScratch {
   std::vector<netlist::NodeId> frontier;
   std::vector<netlist::NodeId> next_frontier;
   std::vector<netlist::NodeId> ring;
+  /// Shuffled link indices behind the positives' draw.
+  std::vector<std::uint32_t> link_order;
   std::vector<CandidateLink> positives;
   std::vector<CandidateLink> negatives;
   /// Structural predictor training samples, reused across designs.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "attacks/attack_scratch.hpp"
 #include "util/rng.hpp"
@@ -107,11 +109,29 @@ MuxLinkResult MuxLinkAttack::attack_view(AttackScratch& scratch) const {
 bool sample_training_links(std::size_t max_positives, util::Rng& rng,
                            AttackScratch& scratch) {
   const AttackGraph& graph = scratch.graph;
+  const std::vector<CandidateLink>& links = graph.known_links();
   std::vector<CandidateLink>& positives = scratch.positives;
-  positives = graph.known_links();
-  if (positives.size() > max_positives) {
-    rng.shuffle(positives);
+  if (links.size() <= max_positives) {
+    positives = links;
+  } else {
+    // Rng::shuffle's Fisher–Yates over link indices, cut to the kept
+    // prefix: slot i - 1 is never read again once step i has filled it,
+    // so slots at or above max_positives take the one store.
+    std::vector<std::uint32_t>& order = scratch.link_order;
+    order.resize(links.size());
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    for (std::size_t i = order.size(); i > 1; --i) {
+      const std::size_t j = rng.next_below(i);
+      if (i - 1 < max_positives) {
+        std::swap(order[i - 1], order[j]);
+      } else {
+        order[j] = order[i - 1];
+      }
+    }
     positives.resize(max_positives);
+    for (std::size_t k = 0; k < max_positives; ++k) {
+      positives[k] = links[order[k]];
+    }
   }
 
   // Present nodes, split into "possible drivers" (anything present) and

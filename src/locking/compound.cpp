@@ -591,7 +591,7 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   // decode's touched nodes, never an O(V + E) re-sort plus CSR fanout
   // rebuild per genotype. Acyclicity is already proven
   // gene-by-gene by the dynamic order; debug builds re-verify the primed
-  // order inside prime_topological_order.
+  // order inside prime_topological_order, every build in validate().
   scratch.topo.order_into(context.seed_order(), context.seed_order_ranks(),
                           context.seed_pos(), scratch.topo_order);
   out.netlist.prime_topological_order(scratch.topo_order);

@@ -29,11 +29,14 @@ void CsrFanouts::build(const Netlist& net) {
   }
   for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
   edges_.resize(offsets_[n]);
-  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  // Ascending v keeps each source's fanout list in ascending sink order.
+  // offsets_[f] is f's fill cursor, and ends as f's end = (f + 1)'s begin;
+  // the shift afterwards restores the begins. Ascending v keeps each
+  // source's fanout list in ascending sink order.
   for (NodeId v = 0; v < n; ++v) {
-    for (NodeId fanin : nodes[v].fanins) edges_[cursor_[fanin]++] = v;
+    for (NodeId fanin : nodes[v].fanins) edges_[offsets_[fanin]++] = v;
   }
+  for (std::size_t v = n; v > 0; --v) offsets_[v] = offsets_[v - 1];
+  offsets_[0] = 0;
 }
 
 }  // namespace autolock::netlist

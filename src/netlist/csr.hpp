@@ -80,7 +80,6 @@ class CsrFanouts {
  private:
   std::vector<std::uint32_t> offsets_;  // node_count() + 1 entries
   std::vector<NodeId> edges_;
-  std::vector<std::uint32_t> cursor_;  // build-time scratch, kept for reuse
 };
 
 }  // namespace autolock::netlist

@@ -73,6 +73,7 @@ Netlist& Netlist::operator=(Netlist&& other) noexcept {
 
 void Netlist::invalidate_traversal_cache() noexcept {
   cache_.topo_valid = false;
+  cache_.topo_primed = false;
   structural_version_ = fresh_version();
 }
 
@@ -320,6 +321,10 @@ NodeId Netlist::find(NameId node_name) const noexcept {
 
 bool Netlist::is_acyclic() const {
   const std::scoped_lock lock(cache_mutex_);
+  if (cache_.topo_primed) {
+    check_order(cache_.topo);
+    cache_.topo_primed = false;
+  }
   if (!cache_.topo_valid) {
     cache_.topo_valid = compute_topological_order(cache_.topo);
   }
@@ -339,29 +344,33 @@ const std::vector<NodeId>& Netlist::topological_order() const {
 
 void Netlist::prime_topological_order(std::vector<NodeId>& order) const {
 #ifndef NDEBUG
-  // Debug-only validation of the caller's claim: a permutation of all node
-  // ids in which every fanin precedes its gate.
+  check_order(order);
+#endif
+  const std::scoped_lock lock(cache_mutex_);
+  cache_.topo.swap(order);
+  cache_.topo_valid = true;
+  cache_.topo_primed = true;
+}
+
+void Netlist::check_order(const std::vector<NodeId>& order) const {
+  // A permutation of all node ids in which every fanin precedes its gate.
   if (order.size() != nodes_.size()) {
-    throw std::logic_error("prime_topological_order: wrong length");
+    throw std::logic_error("primed topological order: wrong length");
   }
   std::vector<std::uint32_t> position(nodes_.size(), kNoNode);
   for (std::uint32_t i = 0; i < order.size(); ++i) {
     if (order[i] >= nodes_.size() || position[order[i]] != kNoNode) {
-      throw std::logic_error("prime_topological_order: not a permutation");
+      throw std::logic_error("primed topological order: not a permutation");
     }
     position[order[i]] = i;
   }
   for (NodeId v = 0; v < nodes_.size(); ++v) {
     for (const NodeId f : nodes_[v].fanins) {
       if (position[f] >= position[v]) {
-        throw std::logic_error("prime_topological_order: edge out of order");
+        throw std::logic_error("primed topological order: edge out of order");
       }
     }
   }
-#endif
-  const std::scoped_lock lock(cache_mutex_);
-  cache_.topo.swap(order);
-  cache_.topo_valid = true;
 }
 
 bool Netlist::compute_topological_order(std::vector<NodeId>& order) const {

@@ -177,7 +177,9 @@ class Netlist {
   /// True iff the fanin graph is acyclic (always true for graphs built only
   /// with add_gate on existing ids; may be violated transiently by locking
   /// transforms that rewire, which must re-check). Runs the same pass as
-  /// topological_order() and, on success, caches its order.
+  /// topological_order() and, on success, caches its order. A primed order
+  /// is proven here, in every build, the first time: std::logic_error if it
+  /// is not a topological order of this netlist.
   bool is_acyclic() const;
 
   /// Topological order over all nodes: ascending longest-path level
@@ -198,8 +200,8 @@ class Netlist {
   /// current nodes — the genotype decode merges one from its dynamic rank
   /// structure (DecodeTopo) instead of re-sorting the whole design, which
   /// is what makes per-decode cost independent of design size. Debug
-  /// builds verify the claim in O(V+E); release builds trust it (the
-  /// decode invariant is property-tested against topological_order()).
+  /// builds verify the claim here in O(V+E); every build verifies it in
+  /// the next is_acyclic(), and so validate(). Traversals trust it.
   void prime_topological_order(std::vector<NodeId>& order) const;
 
   /// Nodes from which at least one output port is reachable ("live" nodes).
@@ -221,7 +223,8 @@ class Netlist {
   Netlist compacted() const;
 
   /// Internal consistency check (fanin ids in range, arities respected,
-  /// names unique, outputs valid). Throws std::runtime_error on violation.
+  /// names unique, outputs valid, acyclic). Throws std::runtime_error on
+  /// violation; std::logic_error when a primed order is wrong.
   void validate() const;
 
  private:
@@ -244,6 +247,9 @@ class Netlist {
   /// The (level, id) order into `order`; false (order unspecified) if the
   /// graph is cyclic.
   bool compute_topological_order(std::vector<NodeId>& order) const;
+  /// Throws std::logic_error unless `order` is a permutation of the node
+  /// ids in which every fanin precedes its gate.
+  void check_order(const std::vector<NodeId>& order) const;
 
   std::string name_;
   std::shared_ptr<NameTable> names_ = std::make_shared<NameTable>();
@@ -261,6 +267,7 @@ class Netlist {
   // netlist) never race on first computation.
   struct TraversalCache {
     bool topo_valid = false;
+    bool topo_primed = false;  // topo came from a caller, not yet proven
     std::vector<NodeId> topo;
   };
   mutable TraversalCache cache_;

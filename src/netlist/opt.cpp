@@ -1,8 +1,8 @@
 #include "netlist/opt.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -110,7 +110,7 @@ class AreaGraphBuilder {
 template <class Builder>
 class RewriterT {
  public:
-  /// `const0`/`const1` seed the constant-node cache: a cone rewrite reuses
+  /// `const0`/`const1` seed the constant-node cache: a hypothesis reuses
   /// the constants its baseline run created.
   RewriterT(const Netlist& input, OptScratch& scratch, Builder& builder,
             NodeId const0 = kNoNode, NodeId const1 = kNoNode)
@@ -428,8 +428,6 @@ class KeyConeAreas::EditBuilder {
 void KeyConeAreas::reset(const Netlist& input) {
   input_ = &input;
   keys_ = input.key_inputs();
-  block_ = kNone;
-  cone_bit_ = kNone;
 
   OptScratch& s = rewrite_;
   s.out_types.clear();
@@ -441,95 +439,35 @@ void KeyConeAreas::reset(const Netlist& input) {
   rewriter.run(kNoNode, false, nullptr, &flags_);
   const0_ = rewriter.const0();
   const1_ = rewriter.const1();
-
-  // Reference counts = output ports + fanin edges of live nodes. While
-  // base_nodes_ is 0, ref() journals nothing and reads no overlay.
-  journal_.clear();
-  base_nodes_ = 0;
-  refs_.assign(s.out_types.size(), 0);
-  base_area_ = 0;
-  for (const NodeId driver : drivers_) base_area_ += ref(driver);
   base_nodes_ = s.out_types.size();
   base_fanins_ = s.out_fanins.size();
   edited_.assign(base_nodes_, false);
-}
 
-void KeyConeAreas::load_cone(std::size_t bit) {
-  const std::size_t block = bit / kBlockKeys;
-  if (block != block_) load_block(block);
-  const std::size_t j = bit % kBlockKeys;
-  cone_ = std::span<const NodeId>(cone_nodes_)
-              .subspan(cone_begin_[j], cone_begin_[j + 1] - cone_begin_[j]);
-  cone_ports_ = std::span<const std::uint32_t>(cone_port_list_)
-                    .subspan(port_begin_[j], port_begin_[j + 1] - port_begin_[j]);
-  cone_bit_ = bit;
+  // Reference counts = output ports + fanin edges of live nodes. The graph
+  // is emitted fanins first, so a reverse sweep reaches every node after
+  // all of its users.
+  refs_.assign(base_nodes_, 0);
+  for (const NodeId driver : drivers_) ++refs_[driver];
+  base_area_ = 0;
+  for (std::size_t v = base_nodes_; v-- > 0;) {
+    if (refs_[v] == 0) continue;
+    if (!is_source(static_cast<GateType>(s.out_types[v]))) ++base_area_;
+    for (const NodeId fanin : base_fanins(static_cast<NodeId>(v))) {
+      ++refs_[fanin];
+    }
+  }
 
-  // A hypothesis appends at most one node per cone node (plus the two
-  // constants) and no more fanins than the cone has: reserve that once so
-  // the appends never reallocate the baseline.
-  OptScratch& s = rewrite_;
-  const std::size_t max_nodes = base_nodes_ + cone_.size() + 2;
-  s.out_types.reserve(max_nodes);
-  s.out_fanin_begin.reserve(max_nodes + 1);
-  s.out_fanins.reserve(base_fanins_ + cone_fanins_[j]);
-  refs_.reserve(max_nodes);
-}
-
-void KeyConeAreas::load_block(std::size_t block) {
-  const Netlist& input = *input_;
+  fanouts_.build(input);
   const auto& order = input.topological_order();
-  // One topological pass: a node is in key j's cone iff it is key j or one
-  // of its fanins is in the cone. The same pass counts each cone's nodes
-  // and fanins, and a second pass over the masks alone splits the block's
-  // cones into per-bit runs (CSR by bit), each in topological order.
-  masks_.assign(input.size(), 0);
-  const std::size_t first = block * kBlockKeys;
-  const std::size_t width = std::min(kBlockKeys, keys_.size() - first);
-  for (std::size_t j = 0; j < width; ++j) {
-    masks_[keys_[first + j]] = static_cast<std::uint8_t>(1U << j);
+  position_.resize(order.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) position_[order[i]] = i;
+  const auto& outputs = input.outputs();
+  driver_ports_.clear();
+  for (std::uint32_t p = 0; p < outputs.size(); ++p) {
+    driver_ports_.emplace_back(outputs[p].driver, p);
+    flags_[outputs[p].driver] |= kPort;
   }
-  cone_begin_.fill(0);
-  cone_fanins_.fill(0);
-  for (const NodeId v : order) {
-    const auto& fanins = input.node(v).fanins;
-    std::uint8_t mask = masks_[v];
-    for (const NodeId fanin : fanins) mask |= masks_[fanin];
-    masks_[v] = mask;
-    for (unsigned m = mask; m != 0; m &= m - 1) {
-      const int j = std::countr_zero(m);
-      ++cone_begin_[j + 1];
-      cone_fanins_[j] += fanins.size();
-    }
-  }
-  for (std::size_t j = 0; j < kBlockKeys; ++j) {
-    cone_begin_[j + 1] += cone_begin_[j];
-  }
-  cone_nodes_.resize(cone_begin_[kBlockKeys]);
-  std::array<std::size_t, kBlockKeys> fill = {};
-  std::copy(cone_begin_.begin(), cone_begin_.end() - 1, fill.begin());
-  for (const NodeId v : order) {
-    for (unsigned m = masks_[v]; m != 0; m &= m - 1) {
-      cone_nodes_[fill[std::countr_zero(m)]++] = v;
-    }
-  }
-  const auto& ports = input.outputs();
-  port_begin_.fill(0);
-  for (const auto& port : ports) {
-    for (unsigned m = masks_[port.driver]; m != 0; m &= m - 1) {
-      ++port_begin_[std::countr_zero(m) + 1];
-    }
-  }
-  for (std::size_t j = 0; j < kBlockKeys; ++j) {
-    port_begin_[j + 1] += port_begin_[j];
-  }
-  cone_port_list_.resize(port_begin_[kBlockKeys]);
-  std::copy(port_begin_.begin(), port_begin_.end() - 1, fill.begin());
-  for (std::uint32_t p = 0; p < ports.size(); ++p) {
-    for (unsigned m = masks_[ports[p].driver]; m != 0; m &= m - 1) {
-      cone_port_list_[fill[std::countr_zero(m)]++] = p;
-    }
-  }
-  block_ = block;
+  std::sort(driver_ports_.begin(), driver_ports_.end());
 }
 
 std::span<const NodeId> KeyConeAreas::base_fanins(NodeId v) const {
@@ -601,10 +539,9 @@ std::size_t KeyConeAreas::area(std::size_t bit, bool value) {
   if (bit >= keys_.size()) {
     throw std::invalid_argument("KeyConeAreas::area: bit out of range");
   }
-  if (bit != cone_bit_) load_cone(bit);
-
-  // Pin the key, then re-rewrite the cone nodes with a dirty fanin, in
-  // topological order.
+  // Pin the key, then re-rewrite the nodes with a dirty fanin in
+  // topological order: a node turning dirty queues its fanouts on a
+  // min-heap of positions, and a node pops after all of its fanins.
   OptScratch& s = rewrite_;
   EditBuilder builder(*this);
   RewriterT<EditBuilder> rewriter(*input_, s, builder, const0_, const1_);
@@ -612,14 +549,20 @@ std::size_t KeyConeAreas::area(std::size_t bit, bool value) {
     changed_.emplace_back(v, s.values[v]);
     s.values[v] = now;
     flags_[v] |= kDirty;
-  };
-  mark_dirty(cone_.front(), pack_const(value));
-  for (const NodeId v : cone_.subspan(1)) {
-    const auto& in = input_->node(v).fanins;
-    if (std::none_of(in.begin(), in.end(),
-                     [&](NodeId f) { return (flags_[f] & kDirty) != 0; })) {
-      continue;
+    for (const NodeId user : fanouts_.fanouts(v)) {
+      if ((flags_[user] & kQueued) != 0) continue;
+      flags_[user] |= kQueued;
+      heap_.push_back(position_[user]);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
     }
+  };
+  mark_dirty(keys_[bit], pack_const(value));
+  const auto& order = input_->topological_order();
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const NodeId v = order[heap_.back()];
+    heap_.pop_back();
+    flags_[v] &= ~kQueued;
     const PackedValue was = s.values[v];
     builder.set_target((flags_[v] & kOwn) != 0 ? node_of(was) : kNoNode);
     const PackedValue now = rewriter.rewrite(v);
@@ -627,14 +570,24 @@ std::size_t KeyConeAreas::area(std::size_t bit, bool value) {
       mark_dirty(v, now);
     }
   }
-  const auto& outputs = input_->outputs();
+
+  // Ports driven by dirty nodes, materialized in ascending port order.
   new_drivers_.clear();
-  for (const std::uint32_t p : cone_ports_) {
-    const NodeId port_driver = outputs[p].driver;
-    if ((flags_[port_driver] & kDirty) == 0) continue;
-    const NodeId driver = rewriter.materialize(s.values[port_driver]);
-    if (driver != drivers_[p]) new_drivers_.emplace_back(p, driver);
+  for (const auto& [v, was] : changed_) {
+    if ((flags_[v] & kPort) == 0) continue;
+    for (auto it = std::lower_bound(driver_ports_.begin(), driver_ports_.end(),
+                                    std::pair{v, std::uint32_t{0}});
+         it != driver_ports_.end() && it->first == v; ++it) {
+      new_drivers_.emplace_back(it->second, v);
+    }
   }
+  std::sort(new_drivers_.begin(), new_drivers_.end());
+  std::size_t kept = 0;
+  for (const auto& [port, v] : new_drivers_) {
+    const NodeId driver = rewriter.materialize(s.values[v]);
+    if (driver != drivers_[port]) new_drivers_[kept++] = {port, driver};
+  }
+  new_drivers_.resize(kept);
 
   // Area delta along the changed edges: references first, then releases.
   refs_.resize(s.out_types.size(), 0);

@@ -13,13 +13,13 @@
 //     in-place edits of what the pinned key changes.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "netlist/csr.hpp"
 #include "netlist/netlist.hpp"
 
 namespace autolock::netlist {
@@ -65,16 +65,19 @@ struct OptScratch {
 /// without a full rewrite per hypothesis.
 ///
 /// reset() rewrites the design once with no pin into a flat output graph,
-/// reference-counts its live nodes, and records which input nodes emitted
-/// their own baseline value. A hypothesis pins the key and walks its fanout
-/// cone in topological order, re-rewriting only the nodes with a dirty
-/// fanin: one whose value changed, or whose value is a NOT edited in place
-/// (a user's NOT(NOT) collapse looks through it). When a node re-emits its
-/// own baseline gate with the same type, the new fanins overwrite that
-/// gate's in a journaled overlay and the id stays, so its users stay clean;
-/// any other result is appended, or a collapsed value, and marks the node
-/// dirty. The live part of the graph is then isomorphic to the full
-/// pass's, node for node.
+/// reference-counts its live nodes in one reverse sweep (the graph is
+/// emitted fanins first), records which input nodes emitted their own
+/// baseline value, and indexes the input's fanouts and topological
+/// positions. A hypothesis pins the key and re-rewrites only the nodes with
+/// a dirty fanin: one whose value changed, or whose value is a NOT edited
+/// in place (a user's NOT(NOT) collapse looks through it). Each node that
+/// turns dirty queues its fanouts on a min-heap of topological positions,
+/// so the nodes are re-rewritten in the order the full pass rewrites them.
+/// When a node re-emits its own baseline gate with the same type, the new
+/// fanins overwrite that gate's in a journaled overlay and the id stays, so
+/// its users stay clean; any other result is appended, or a collapsed
+/// value, and marks the node dirty. The live part of the graph is then
+/// isomorphic to the full pass's, node for node.
 ///
 /// The area is the baseline area plus an MFFC-style delta along the changed
 /// edges only: ref every new port driver and the overlay fanins of every
@@ -82,14 +85,8 @@ struct OptScratch {
 /// fanins, so logic both share never dies in between. ref()/deref() read a
 /// node's base fanins until its edit is applied; an edited node that is
 /// dead at that point holds no references, so its overlay applies at once.
-/// A journal then rolls counts, values, overlay and graph back.
-///
-/// Key cones come from one topological pass per block of 8 keys that ORs
-/// a per-node byte of key bits over the fanins (byte masks keep the
-/// per-worker footprint at N bytes), and a second pass over the masks that
-/// splits the block's eight cones into per-bit runs (one flat array, CSR by
-/// bit: extra memory is the sum of the block's cone sizes). All storage is
-/// retained across reset() calls, so one instance serves design after
+/// A journal then rolls counts, values, overlay and graph back. All storage
+/// is retained across reset() calls, so one instance serves design after
 /// design.
 class KeyConeAreas {
  public:
@@ -99,25 +96,25 @@ class KeyConeAreas {
   std::size_t key_bits() const noexcept { return keys_.size(); }
   /// Gate count of `optimize(input)`.
   std::size_t baseline_area() const noexcept { return base_area_; }
-  /// Gate count of `optimize_with_key_bit(input, bit, value)`. Work in the
-  /// size of `bit`'s cone and of what the pin changes, plus two O(N)
-  /// passes per block of 8 bits when queried bit by bit. Throws
-  /// std::invalid_argument when `bit` is out of range.
+  /// Gate count of `optimize_with_key_bit(input, bit, value)`. Work in
+  /// what the pin changes: a heap push and pop per re-rewritten node, no
+  /// O(N) pass. Throws std::invalid_argument when `bit` is out of range.
   std::size_t area(std::size_t bit, bool value);
 
  private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kBlockKeys = 8;
   // flags_ bits per input node: its baseline value is a node its own
-  // rewrite emitted (as RewriterT::run records it), and it is dirty.
+  // rewrite emitted (as RewriterT::run records it), it drives an output
+  // port, it is dirty, and it is on the hypothesis' heap.
   static constexpr std::uint8_t kOwn = 1;
-  static constexpr std::uint8_t kDirty = 2;
+  static constexpr std::uint8_t kPort = 2;
+  static constexpr std::uint8_t kDirty = 4;
+  static constexpr std::uint8_t kQueued = 8;
 
   class EditBuilder;
 
   /// New fanins of baseline node `node`, at [begin, end) of edit_fanins_.
-  /// Edits are made in ascending node order: the cone walk visits nodes in
-  /// the order the baseline rewrite emitted them.
+  /// Edits are made in ascending node order: the walk visits nodes in the
+  /// order the baseline rewrite emitted them.
   struct Edit {
     NodeId node;
     std::uint32_t begin;
@@ -126,10 +123,6 @@ class KeyConeAreas {
     bool was_live;
   };
 
-  /// Points cone_ and cone_ports_ at `bit`'s cone, loading its block.
-  void load_cone(std::size_t bit);
-  /// Computes the key masks and per-bit cones of the 8-key block `block`.
-  void load_block(std::size_t block);
   std::span<const NodeId> base_fanins(NodeId v) const;
   std::span<const NodeId> edit_fanins(const Edit& edit) const;
   bool is_edited(NodeId v) const { return v < base_nodes_ && edited_[v]; }
@@ -143,6 +136,11 @@ class KeyConeAreas {
 
   const Netlist* input_ = nullptr;
   std::vector<NodeId> keys_;
+  // Input indexes: fanouts, each node's position in topological_order(),
+  // and the output ports as (driver, port) pairs sorted by driver.
+  CsrFanouts fanouts_;
+  std::vector<std::uint32_t> position_;
+  std::vector<std::pair<NodeId, std::uint32_t>> driver_ports_;
   OptScratch rewrite_;
   // Baseline: output driver of every port, constant nodes, live-edge counts.
   std::vector<NodeId> drivers_;
@@ -153,24 +151,11 @@ class KeyConeAreas {
   std::size_t base_nodes_ = 0;
   std::size_t base_fanins_ = 0;
   std::size_t base_area_ = 0;
-  // Key masks of the current 8-key block; its cones as per-bit runs of
-  // input-netlist nodes in topological order (each key input first) with
-  // the runs' fanin counts, and the output ports each cone drives; and the
-  // current bit's cone and ports, views into those runs.
-  std::size_t block_ = kNone;
-  std::vector<std::uint8_t> masks_;
-  std::array<std::size_t, kBlockKeys + 1> cone_begin_ = {};
-  std::array<std::size_t, kBlockKeys> cone_fanins_ = {};
-  std::vector<NodeId> cone_nodes_;
-  std::array<std::size_t, kBlockKeys + 1> port_begin_ = {};
-  std::vector<std::uint32_t> cone_port_list_;
-  std::size_t cone_bit_ = kNone;
-  std::span<const NodeId> cone_;
-  std::span<const std::uint32_t> cone_ports_;
-  // Per-hypothesis state, undone before area() returns: dirty input nodes
-  // with their baseline values, the overlay (a mark per baseline node plus
-  // the edits), changed ports with their new drivers, and the refcount
-  // journal.
+  // Per-hypothesis state, undone before area() returns: the heap of queued
+  // positions, dirty input nodes with their baseline values, the overlay (a
+  // mark per baseline node plus the edits), changed ports with their new
+  // drivers, and the refcount journal.
+  std::vector<std::uint32_t> heap_;
   std::vector<std::pair<NodeId, std::uint32_t>> changed_;
   std::vector<bool> edited_;
   std::vector<Edit> edits_;

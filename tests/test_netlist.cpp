@@ -156,6 +156,27 @@ TEST(Netlist, CycleDetection) {
   EXPECT_THROW(n.validate(), std::runtime_error);
 }
 
+TEST(Netlist, ValidateProvesAPrimedOrder) {
+  // Debug builds reject the bad order in prime_topological_order, release
+  // builds in validate(): either way the pair throws.
+  Netlist n = small_example();
+  std::vector<NodeId> reversed = n.topological_order();
+  std::reverse(reversed.begin(), reversed.end());
+  EXPECT_ANY_THROW({
+    n.prime_topological_order(reversed);
+    n.validate();
+  });
+
+  // A valid primed order passes, and stays the cached order.
+  Netlist m = small_example();
+  std::vector<NodeId> order = m.topological_order();
+  std::swap(order[0], order[1]);  // two sources: still topological
+  const std::vector<NodeId> primed = order;
+  m.prime_topological_order(order);
+  EXPECT_NO_THROW(m.validate());
+  EXPECT_EQ(m.topological_order(), primed);
+}
+
 TEST(CsrFanouts, AscendingSinksWithDuplicates) {
   Netlist n = small_example();
   const auto a = n.find("a");

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "attacks/attack_scratch.hpp"
+#include "attacks/muxlink.hpp"
 #include "locking/antisat.hpp"
 #include "locking/mux_lock.hpp"
 #include "locking/rll.hpp"
 #include "netlist/generator.hpp"
+#include "util/rng.hpp"
 
 namespace autolock::attack {
 namespace {
@@ -145,6 +149,71 @@ TEST(Structural, AboveChanceOnAverage) {
     }
   }
   EXPECT_GT(total / runs, 0.5);
+}
+
+// ---- sample_training_links: the positives' draw ----------------------------
+
+using LinkPairs = std::vector<std::pair<netlist::NodeId, netlist::NodeId>>;
+
+LinkPairs pairs_of(const std::vector<CandidateLink>& links) {
+  LinkPairs pairs;
+  for (const CandidateLink& link : links) pairs.emplace_back(link.u, link.v);
+  return pairs;
+}
+
+/// The draw sample_training_links must make: Rng::shuffle over a copy of
+/// every known link, cut to the cap.
+LinkPairs reference_positives(const AttackGraph& graph, std::size_t cap,
+                              util::Rng& rng) {
+  std::vector<CandidateLink> links = graph.known_links();
+  if (links.size() > cap) {
+    rng.shuffle(links);
+    links.resize(cap);
+  }
+  return pairs_of(links);
+}
+
+TEST(SampleTrainingLinks, PositivesMatchShuffleBelowAtAndAboveTheCap) {
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
+  const auto design = lock::dmux_lock(original, 16, 5);
+  AttackScratch scratch;
+  scratch.graph.build(design.netlist);
+  const std::size_t links = scratch.graph.known_links().size();
+  ASSERT_GT(links, 100u);
+  for (const std::size_t cap : {links + 1, links, links - 1, links / 3,
+                                std::size_t{1}, std::size_t{0}}) {
+    util::Rng rng(cap), expected_rng(cap);
+    ASSERT_TRUE(sample_training_links(cap, rng, scratch)) << "cap " << cap;
+    EXPECT_EQ(pairs_of(scratch.positives),
+              reference_positives(scratch.graph, cap, expected_rng))
+        << "cap " << cap;
+    EXPECT_EQ(scratch.negatives.size(), scratch.positives.size());
+  }
+}
+
+TEST(SampleTrainingLinks, RngStateAfterTheDrawMatchesShuffle) {
+  // Three present nodes: the function returns after the positives' draw,
+  // so the generator's next outputs show the state it left. Three links
+  // (a->b, a->c, b->c) take every cap from above the count to zero.
+  Netlist n("tiny");
+  const auto a = n.add_input("a");
+  const auto b = n.add_gate(netlist::GateType::kNot, {a}, "b");
+  const auto c = n.add_gate(netlist::GateType::kAnd, {a, b}, "c");
+  n.mark_output(c, "o");
+  AttackScratch scratch;
+  scratch.graph.build(n);
+  ASSERT_EQ(scratch.graph.known_links().size(), 3u);
+  for (std::size_t cap = 0; cap <= 4; ++cap) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      util::Rng rng(seed), expected_rng(seed);
+      EXPECT_FALSE(sample_training_links(cap, rng, scratch));
+      EXPECT_EQ(pairs_of(scratch.positives),
+                reference_positives(scratch.graph, cap, expected_rng))
+          << "cap " << cap << " seed " << seed;
+      for (int draw = 0; draw < 4; ++draw) EXPECT_EQ(rng(), expected_rng());
+    }
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "eval/workspace.hpp"
 #include "locking/mux_lock.hpp"
 #include "locking/rll.hpp"
+#include "netlist/bench_io.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/opt.hpp"
 #include "netlist/simulator.hpp"
@@ -93,12 +94,13 @@ TEST(ScopeConeDelta, ScopeAreasMatchReferenceSynthesis) {
   }
 }
 
-/// One reused KeyConeAreas against full synthesis: every bit queried for
-/// both values in ascending order, then again in descending order, so each
-/// query starts from the rollback of a different earlier one.
+/// One reused KeyConeAreas against full synthesis (`reference`, the
+/// reference_areas of `locked`): every bit queried for both values in
+/// ascending order, then again in descending order, so each query starts
+/// from the rollback of a different earlier one.
 void expect_areas_match_reference(netlist::KeyConeAreas& areas,
-                                  const Netlist& locked) {
-  const AreaPairs reference = reference_areas(locked);
+                                  const Netlist& locked,
+                                  const AreaPairs& reference) {
   areas.reset(locked);
   ASSERT_EQ(areas.key_bits(), reference.size());
   EXPECT_EQ(areas.baseline_area(), netlist::optimize(locked).gate_count());
@@ -110,6 +112,11 @@ void expect_areas_match_reference(netlist::KeyConeAreas& areas,
     EXPECT_EQ(areas.area(bit, true), reference[bit].second) << "bit " << bit;
     EXPECT_EQ(areas.area(bit, false), reference[bit].first) << "bit " << bit;
   }
+}
+
+void expect_areas_match_reference(netlist::KeyConeAreas& areas,
+                                  const Netlist& locked) {
+  expect_areas_match_reference(areas, locked, reference_areas(locked));
 }
 
 TEST(ScopeConeDelta, RandomGenotypesOfEverySchemeAndKeySize) {
@@ -137,10 +144,10 @@ TEST(ScopeConeDelta, RandomGenotypesOfEverySchemeAndKeySize) {
   }
 }
 
-TEST(ScopeConeDelta, DeepReconvergentDesignAcrossTheMaskBlock) {
+TEST(ScopeConeDelta, DeepReconvergentDesignWith72KeyBits) {
   // ~5k gates of heavily reconvergent logic, and 72 key bits of every gene
-  // kind: the cones overlap, and the queries walk nine 8-key mask blocks
-  // (and past the 64 keys one machine word could hold).
+  // kind: the cones overlap, and the keys run past the 64 one machine word
+  // could hold.
   netlist::gen::RandomCircuitConfig config;
   config.primary_inputs = 64;
   config.outputs = 32;
@@ -166,6 +173,42 @@ TEST(ScopeConeDelta, DeepReconvergentDesignAcrossTheMaskBlock) {
   expect_scope_matches_reference(small.netlist, scratch);
   expect_scope_matches_reference(design.netlist, scratch);
   expect_scope_matches_reference(small.netlist, scratch);
+}
+
+TEST(ScopeConeDelta, DecodedAndReparsedLayeredDesignsOfEveryScheme) {
+  // Workspace-decoded designs carry the decode's primed topological order;
+  // their .bench re-parses hold the same gates under renumbered ids, so
+  // full synthesis gives both the same areas. One KeyConeAreas serves
+  // every design, whose sizes change from one to the next: K = 8 and
+  // K = 64 of every scheme, each with a small c432 design after it.
+  netlist::gen::LayeredCircuitConfig config;
+  config.primary_inputs = 96;
+  config.outputs = 48;
+  config.gates = 5000;
+  config.layers = 30;
+  const Netlist original = netlist::gen::make_layered(config, 23);
+  const lock::SiteContext context(original);
+  const auto small =
+      lock::rll_lock(profile(netlist::gen::ProfileId::kC432, 23), 6, 23);
+  eval::EvalWorkspace workspace;
+  netlist::KeyConeAreas areas;
+  util::Rng rng(23);
+  for (const std::size_t key_bits : {8, 64}) {
+    for (const auto& scheme : campaign::default_schemes(key_bits)) {
+      const auto genes = lock::random_genotype(context, scheme.spec, rng);
+      util::Rng repair(key_bits);
+      lock::apply_genotype_into(workspace.design, original, context, genes,
+                                repair, workspace.reach);
+      const Netlist& decoded = workspace.design.netlist;
+      const Netlist reparsed =
+          netlist::bench::parse(netlist::bench::write(decoded));
+      SCOPED_TRACE(scheme.name + " K=" + std::to_string(key_bits));
+      const AreaPairs reference = reference_areas(reparsed);
+      expect_areas_match_reference(areas, decoded, reference);
+      expect_areas_match_reference(areas, reparsed, reference);
+      expect_areas_match_reference(areas, small.netlist);
+    }
+  }
 }
 
 // Hand-built boundary cases: key k, primary inputs a..d.
