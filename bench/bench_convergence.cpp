@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
       args.quick ? std::vector<std::uint64_t>{1} : std::vector<std::uint64_t>{1, 2, 3};
 
   // Structural-surrogate fitness keeps this bench cheap enough to run many
-  // generations; the GNN-fitness dynamics are covered by E1/E2.
+  // generations; the GNN-fitness dynamics are covered by quickstart and E2.
   std::vector<std::vector<ga::GenerationStats>> histories;
   for (const std::uint64_t seed : seeds) {
     ga::GaConfig config;

@@ -4,7 +4,8 @@
 // bench/README.md names each) and prints its rows as an aligned ASCII table
 // (plus CSV when --csv is passed).
 // Binaries honour a --quick flag that shrinks parameters for smoke runs;
-// defaults are sized for a single-core machine.
+// defaults are sized for a single-core machine. Any argument other than
+// --quick, --csv and --json prints the usage and exits 2 before any work.
 //
 // With --json (or BENCH_JSON=1 in the environment), every emitted table is
 // also collected into a machine-readable BENCH_<binary>.json file — the
@@ -147,9 +148,19 @@ inline BenchArgs parse_args(int argc, char** argv) {
     if (!name.empty()) args.bench_name = name;
   }
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) args.quick = true;
-    if (std::strcmp(argv[i], "--csv") == 0) args.csv = true;
-    if (std::strcmp(argv[i], "--json") == 0) args.json = true;
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      args.quick = true;
+    } else if (std::strcmp(argv[i], "--csv") == 0) {
+      args.csv = true;
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      args.json = true;
+    } else {
+      // A mistyped flag must not silently run the full-sized experiment.
+      std::cerr << args.bench_name << ": unknown argument '" << argv[i]
+                << "'\nusage: " << args.bench_name
+                << " [--quick] [--csv] [--json]\n";
+      std::exit(2);
+    }
   }
   if (std::getenv("BENCH_JSON") != nullptr) args.json = true;
   detail::json_sink.enabled = args.json;

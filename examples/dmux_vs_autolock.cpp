@@ -5,9 +5,13 @@
 // ship) and one AutoLock evolution, then attacks everything with the same
 // thorough MuxLink configuration and prints the comparison.
 //
-// Usage: dmux_vs_autolock [circuit] [key_bits] [generations]
+// Usage: dmux_vs_autolock [circuit] [key_bits] [generations] (see kUsage).
+// An unknown circuit, or a key length or generation count that is not a
+// whole number >= 1, prints the usage and exits 2 before anything runs.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "attacks/muxlink.hpp"
@@ -17,16 +21,48 @@
 #include "netlist/generator.hpp"
 #include "util/stats.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: dmux_vs_autolock [circuit] [key_bits] [generations]\n"
+    "  circuit      generator profile name (default c432)\n"
+    "  key_bits     whole number >= 1 (default 32)\n"
+    "  generations  whole number >= 1 (default 5)\n";
+
+/// Parses the whole of `text` as an unsigned integer >= 1 (no sign, no
+/// suffix).
+bool parse_positive(const char* text, std::size_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end && out >= 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace autolock;
 
+  const auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr, "dmux_vs_autolock: %s\n%s", message.c_str(), kUsage);
+    return 2;
+  };
+  if (argc > 4) return usage_error("too many arguments");
   const std::string circuit_name = argc > 1 ? argv[1] : "c432";
-  const std::size_t key_bits =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 32;
-  const std::size_t generations =
-      argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 5;
+  std::size_t key_bits = 32;
+  std::size_t generations = 5;
+  if (argc > 2 && !parse_positive(argv[2], key_bits)) {
+    return usage_error(std::string("bad key_bits '") + argv[2] + "'");
+  }
+  if (argc > 3 && !parse_positive(argv[3], generations)) {
+    return usage_error(std::string("bad generations '") + argv[3] + "'");
+  }
+  netlist::gen::ProfileId profile{};
+  try {
+    profile = netlist::gen::profile_by_name(circuit_name);
+  } catch (const std::invalid_argument& error) {
+    return usage_error(error.what());
+  }
 
-  const auto profile = netlist::gen::profile_by_name(circuit_name);
   const netlist::Netlist original = netlist::gen::make_profile(profile, 1);
 
   attack::MuxLinkConfig eval_config;

@@ -251,30 +251,6 @@ ga::Evaluation EvalPipeline::evaluate(ga::Genotype& genes,
   return eval;
 }
 
-std::vector<double> EvalPipeline::evaluate_objectives(
-    ga::Genotype& genes, std::uint64_t repair_seed) {
-  if (config_.cache) {
-    std::vector<double> hit;
-    if (objective_cache_.lookup(genes, hit)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
-    }
-  }
-  ga::Genotype pre_repair;
-  if (config_.cache) pre_repair = genes;
-  EvalWorkspace& workspace = this->workspace();
-  decode_into(workspace, genes, repair_seed);
-  genes = workspace.design.genes;
-  std::vector<double> objectives =
-      score_objectives(workspace.design, &workspace);
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.cache) {
-    objective_cache_.store(pre_repair, objectives);
-    if (genes != pre_repair) objective_cache_.store(genes, objectives);
-  }
-  return objectives;
-}
-
 EvalWorkspace& EvalPipeline::workspace() {
   ensure_workspaces(1);
   return *workspaces_.front();

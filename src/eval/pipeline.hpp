@@ -161,14 +161,12 @@ class EvalPipeline {
   /// callers — parallelism belongs inside evaluate_population, which fans
   /// one batch out over the pool.
   ga::Evaluation evaluate(ga::Genotype& genes, std::uint64_t repair_seed = 0);
-  std::vector<double> evaluate_objectives(ga::Genotype& genes,
-                                          std::uint64_t repair_seed = 0);
 
-  /// The workspace evaluate() and evaluate_objectives() decode and score
-  /// through (also shard 0 of the batch path). Between evaluations callers
-  /// may run their own attacks through it (attack results never depend on
-  /// workspace state) or move its decoded design out (the next decode
-  /// rebuilds it); never while this pipeline is evaluating.
+  /// The workspace evaluate() decodes and scores through (also shard 0 of
+  /// the batch path). Between evaluations callers may run their own attacks
+  /// through it (attack results never depend on workspace state) or move
+  /// its decoded design out (the next decode rebuilds it); never while this
+  /// pipeline is evaluating.
   EvalWorkspace& workspace();
 
   struct BatchStats {

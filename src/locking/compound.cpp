@@ -628,6 +628,9 @@ Genotype random_genotype(const SiteContext& context, std::size_t key_bits,
 
 Genotype random_genotype(const SiteContext& context, const GenotypeSpec& spec,
                          util::Rng& rng) {
+  if (spec.key_bits() == 0) {
+    throw std::invalid_argument("random_genotype: spec has no key bits");
+  }
   Genotype genes = random_genotype(context, spec.mux_sites, rng);
   genes.reserve(spec.mux_sites + spec.rll_gates +
                 (spec.antisat_width != 0 ? 1 : 0));

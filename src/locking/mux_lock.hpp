@@ -131,7 +131,9 @@ Genotype random_genotype(const SiteContext& context, std::size_t key_bits,
 /// stream as the MUX-only overload), then RLL genes on distinct random
 /// wires, then one Anti-SAT gene (its taps/keys/splice derived from a
 /// freshly drawn gene seed). A pure-MUX spec draws the identical stream as
-/// the MUX-only overload.
+/// the MUX-only overload. Throws std::invalid_argument on a spec with no
+/// key bits: every optimizer starts here, and a keyless design would score
+/// as perfectly resilient.
 Genotype random_genotype(const SiteContext& context, const GenotypeSpec& spec,
                          util::Rng& rng);
 

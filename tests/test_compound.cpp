@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/ga.hpp"
+#include "core/heuristics.hpp"
 #include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
 #include "eval/workspace.hpp"
@@ -178,6 +180,32 @@ TEST(CompoundGa, ThreadCountDoesNotChangeTrajectory) {
     EXPECT_EQ(results[0].history[g].cache_hits,
               results[1].history[g].cache_hits);
   }
+}
+
+TEST(CompoundGa, OptimizersRefuseAKeylessSpec) {
+  // A design with no key bits has nothing to attack, so every attack would
+  // score it as perfectly resilient; random_genotype(context, spec, rng),
+  // where every optimizer starts, refuses the spec instead.
+  const Netlist original = profile(netlist::gen::ProfileId::kC432, 17);
+  std::size_t calls = 0;
+  eval::EvalPipelineConfig pipeline_config;
+  pipeline_config.fitness_override = [&calls](const lock::LockedDesign&) {
+    ++calls;
+    return ga::Evaluation{};
+  };
+  pipeline_config.threads = 1;
+  eval::EvalPipeline pipeline(original, pipeline_config);
+
+  ga::GaConfig config;
+  config.population = 4;
+  config.generations = 1;
+  EXPECT_THROW(ga::GeneticAlgorithm(original, config)
+                   .run(lock::GenotypeSpec{}, pipeline),
+               std::invalid_argument);
+  EXPECT_THROW(ga::random_search(pipeline, lock::GenotypeSpec{},
+                                 ga::RandomSearchConfig{}),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0u);
 }
 
 TEST(CompoundGa, PinnedTrajectoryUnderFullAttackRegistry) {

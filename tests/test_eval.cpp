@@ -14,6 +14,7 @@
 #include <atomic>
 
 #include "core/ga.hpp"
+#include "core/nsga2.hpp"
 #include "eval/fitness_cache.hpp"
 #include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
@@ -240,10 +241,11 @@ TEST(EvalPipeline, ObjectivesOnePerAttackPlusCorruption) {
   EvalPipeline pipeline(original, std::move(config));
   ASSERT_EQ(pipeline.num_objectives(), 3u);
 
-  const lock::SiteContext& context = pipeline.context();
   util::Rng rng(3);
-  ga::Genotype genes = lock::random_genotype(context, 6, rng);
-  const auto objectives = pipeline.evaluate_objectives(genes);
+  std::vector<ga::MoIndividual> population(1);
+  population[0].genes = lock::random_genotype(pipeline.context(), 6, rng);
+  pipeline.evaluate_population(population, 0);
+  const std::vector<double>& objectives = population[0].objectives;
   ASSERT_EQ(objectives.size(), 3u);
   for (const double objective : objectives) {
     EXPECT_GE(objective, 0.0);
