@@ -3,20 +3,24 @@
 // correct-key equivalence, key-layout round trip, report invariants,
 // determinism re-run). This is the repo's whole-matrix regression gate:
 //
-//   bench_campaign            full matrix -> BENCH_bench_campaign.{json,md}
-//   bench_campaign --quick    c432 subset -> BENCH_bench_campaign_quick.*
-//   --threads N / --seed N    override the spec's thread count / seed
-//   --help                    print usage and exit 0 (runs nothing)
+//   bench_campaign               full matrix -> BENCH_bench_campaign.{json,md}
+//   bench_campaign --spec NAME   named spec -> BENCH_bench_campaign_NAME.*
+//   --threads N / --seed N       override the spec's thread count / seed
+//   --help                       print usage and exit 0 (runs nothing)
 //
-// An unknown flag, a missing value or a value that is not a whole unsigned
-// integer prints the usage and exits 2 before anything runs.
+// The named specs are the experiments that are campaign sweeps (kSpecs
+// below): quick (the tier-1 c432 subset), scope (X9), muxlink (X6) and
+// heuristics (X7). An unknown flag or spec name, a missing value or a value
+// that is not a whole unsigned integer prints the usage and exits 2 before
+// anything runs.
 //
 // Unlike the other benches, the report files are written directly from
 // campaign::to_json / to_markdown (NOT through the benchx JSON sink): the
 // campaign report is deterministic by construction — two seeded runs are
-// byte-identical, and a --quick cell equals the same cell of the committed
+// byte-identical, and a quick cell equals the same cell of the committed
 // full baseline — so CI diffs it hard instead of tracking deltas. Exit
 // status is 0 only if every cell's verification passed.
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstring>
@@ -24,21 +28,37 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "campaign/campaign.hpp"
 #include "util/table.hpp"
 
 namespace {
 
+struct NamedSpec {
+  std::string_view name;
+  autolock::campaign::CampaignSpec (*make)();
+};
+
+constexpr NamedSpec kSpecs[] = {
+    {"full", autolock::campaign::full_spec},
+    {"quick", autolock::campaign::quick_spec},
+    {"scope", autolock::campaign::scope_spec},
+    {"muxlink", autolock::campaign::muxlink_spec},
+    {"heuristics", autolock::campaign::heuristics_spec},
+};
+
 constexpr const char* kUsage =
-    "usage: bench_campaign [--quick] [--threads N] [--seed N] [--help]\n"
-    "  --quick      c432 subset -> BENCH_bench_campaign_quick.{json,md}\n"
-    "               (default: full matrix -> BENCH_bench_campaign.{json,md})\n"
+    "usage: bench_campaign [--spec NAME] [--threads N] [--seed N] [--help]\n"
+    "  --spec NAME  full (default): the committed matrix\n"
+    "                 -> BENCH_bench_campaign.{json,md}\n"
+    "               quick: c432 subset; scope: X9; muxlink: X6;\n"
+    "               heuristics: X7 -> BENCH_bench_campaign_NAME.{json,md}\n"
     "  --threads N  worker threads (0 = hardware concurrency)\n"
     "  --seed N     campaign seed\n";
 
 struct Options {
-  bool quick = false;
+  const NamedSpec* spec = &kSpecs[0];
   bool help = false;
   std::optional<std::size_t> threads;
   std::optional<std::uint64_t> seed;
@@ -59,10 +79,19 @@ std::optional<std::string> parse_options(int argc, char** argv,
     const std::string flag = argv[i];
     if (flag == "--help") {
       options.help = true;
-    } else if (flag == "--quick") {
-      options.quick = true;
+    } else if (i + 1 == argc &&
+               (flag == "--spec" || flag == "--threads" || flag == "--seed")) {
+      return flag + " needs a value";
+    } else if (flag == "--spec") {
+      const std::string_view name = argv[++i];
+      const auto found =
+          std::find_if(std::begin(kSpecs), std::end(kSpecs),
+                       [&](const NamedSpec& spec) { return spec.name == name; });
+      if (found == std::end(kSpecs)) {
+        return "unknown spec '" + std::string(name) + "'";
+      }
+      options.spec = found;
     } else if (flag == "--threads" || flag == "--seed") {
-      if (i + 1 == argc) return flag + " needs a value";
       const char* value = argv[++i];
       const bool ok = flag == "--threads"
                           ? parse_unsigned(value, options.threads.emplace())
@@ -98,8 +127,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  campaign::CampaignSpec spec =
-      options.quick ? campaign::quick_spec() : campaign::full_spec();
+  campaign::CampaignSpec spec = options.spec->make();
   if (options.threads) spec.threads = *options.threads;
   if (options.seed) spec.seed = *options.seed;
 
@@ -112,8 +140,10 @@ int main(int argc, char** argv) {
             << result.cells.size() << " cells ("
             << result.locks.size() << " lock jobs)\n";
 
-  const std::string stem =
-      options.quick ? "BENCH_bench_campaign_quick" : "BENCH_bench_campaign";
+  std::string stem = "BENCH_bench_campaign";
+  if (options.spec->name != "full") {
+    stem += "_" + std::string(options.spec->name);
+  }
   if (!write_file(stem + ".json", campaign::to_json(result)) ||
       !write_file(stem + ".md", campaign::to_markdown(result))) {
     std::cerr << "failed to write " << stem << ".{json,md}\n";

@@ -10,6 +10,8 @@
 #include "bench/common.hpp"
 
 #include "core/nsga2.hpp"
+#include "eval/registry.hpp"
+#include "eval/workspace.hpp"
 
 int main(int argc, char** argv) {
   using namespace autolock;

@@ -33,8 +33,6 @@
 #include "attacks/muxlink.hpp"
 #include "core/ga.hpp"
 #include "eval/pipeline.hpp"
-#include "eval/registry.hpp"
-#include "eval/workspace.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
 #include "util/table.hpp"
@@ -187,35 +185,6 @@ inline attack::MuxLinkConfig muxlink_fast() {
   config.max_train_links = 400;
   config.subgraph.max_nodes = 48;
   return config;
-}
-
-/// MuxLink preset used for final evaluation (closer to the real attack).
-inline attack::MuxLinkConfig muxlink_thorough() {
-  attack::MuxLinkConfig config;
-  config.epochs = 24;
-  config.max_train_links = 900;
-  config.subgraph.hops = 2;
-  config.subgraph.max_nodes = 64;
-  config.ensemble = 3;  // average candidate probabilities over 3 GNNs
-  return config;
-}
-
-/// Mean thorough-MuxLink accuracy over `seeds` independent attack runs
-/// (the GNN is stochastic in its init/sampling seed). Runs through the
-/// attack registry like every other evaluation in the repo.
-inline double mean_muxlink_accuracy(const lock::LockedDesign& design,
-                                    int seeds) {
-  double total = 0.0;
-  eval::EvalWorkspace workspace;
-  for (int s = 0; s < seeds; ++s) {
-    eval::AttackOptions options;
-    options.muxlink = muxlink_thorough();
-    options.muxlink.seed = 0xBEEF + static_cast<std::uint64_t>(s) * 7919;
-    total += eval::make_attack("muxlink", options)
-                 ->evaluate(design, workspace)
-                 .accuracy;
-  }
-  return total / seeds;
 }
 
 /// `count` uniform random wrong keys for `design` (rejection sampling

@@ -7,7 +7,8 @@
 //
 // Usage: dmux_vs_autolock [circuit] [key_bits] [generations] (see kUsage).
 // An unknown circuit, or a key length or generation count that is not a
-// whole number >= 1, prints the usage and exits 2 before anything runs.
+// whole number >= 1, prints the usage and exits 2 before anything runs; a
+// key longer than the circuit has MUX-pair sites for exits 2 the same way.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -37,33 +38,12 @@ bool parse_positive(const char* text, std::size_t& out) {
   return ec == std::errc() && ptr == end && out >= 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Attacks three random D-MUX lockings and one GA-evolved locking of
+/// `original` with the same thorough MuxLink and prints the comparison.
+/// Throws std::runtime_error when `key_bits` does not fit the circuit.
+void run(const autolock::netlist::Netlist& original, std::size_t key_bits,
+         std::size_t generations) {
   using namespace autolock;
-
-  const auto usage_error = [](const std::string& message) {
-    std::fprintf(stderr, "dmux_vs_autolock: %s\n%s", message.c_str(), kUsage);
-    return 2;
-  };
-  if (argc > 4) return usage_error("too many arguments");
-  const std::string circuit_name = argc > 1 ? argv[1] : "c432";
-  std::size_t key_bits = 32;
-  std::size_t generations = 5;
-  if (argc > 2 && !parse_positive(argv[2], key_bits)) {
-    return usage_error(std::string("bad key_bits '") + argv[2] + "'");
-  }
-  if (argc > 3 && !parse_positive(argv[3], generations)) {
-    return usage_error(std::string("bad generations '") + argv[3] + "'");
-  }
-  netlist::gen::ProfileId profile{};
-  try {
-    profile = netlist::gen::profile_by_name(circuit_name);
-  } catch (const std::invalid_argument& error) {
-    return usage_error(error.what());
-  }
-
-  const netlist::Netlist original = netlist::gen::make_profile(profile, 1);
 
   attack::MuxLinkConfig eval_config;
   eval_config.epochs = 20;
@@ -112,6 +92,40 @@ int main(int argc, char** argv) {
     std::printf("  gen %2zu: best %.3f  mean %.3f  best-acc %.1f%%\n",
                 generation.generation, generation.best_fitness,
                 generation.mean_fitness, 100.0 * generation.best_accuracy);
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace autolock;
+
+  const auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr, "dmux_vs_autolock: %s\n%s", message.c_str(), kUsage);
+    return 2;
+  };
+  if (argc > 4) return usage_error("too many arguments");
+  const std::string circuit_name = argc > 1 ? argv[1] : "c432";
+  std::size_t key_bits = 32;
+  std::size_t generations = 5;
+  if (argc > 2 && !parse_positive(argv[2], key_bits)) {
+    return usage_error(std::string("bad key_bits '") + argv[2] + "'");
+  }
+  if (argc > 3 && !parse_positive(argv[3], generations)) {
+    return usage_error(std::string("bad generations '") + argv[3] + "'");
+  }
+  netlist::gen::ProfileId profile{};
+  try {
+    profile = netlist::gen::profile_by_name(circuit_name);
+  } catch (const std::invalid_argument& error) {
+    return usage_error(error.what());
+  }
+
+  try {
+    run(netlist::gen::make_profile(profile, 1), key_bits, generations);
+  } catch (const std::runtime_error& error) {
+    // e.g. a key longer than the circuit has MUX-pair sites for
+    return usage_error(error.what());
   }
   return 0;
 }

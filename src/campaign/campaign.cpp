@@ -34,7 +34,7 @@ namespace {
 
 const std::vector<std::string>& known_optimizers() {
   static const std::vector<std::string> names = {"ga", "nsga2", "hillclimb",
-                                                 "random"};
+                                                 "anneal", "random"};
   return names;
 }
 
@@ -189,19 +189,19 @@ LockJob run_lock_job(const CampaignSpec& spec, const CircuitAxis& circuit,
                   ? 0.0
                   : 1.0 - sum / static_cast<double>(pick->objectives.size());
     evaluations = r.evaluations;
-  } else if (optimizer == "hillclimb") {
-    ga::HillClimbConfig config;
-    config.evaluations = spec.budget.heuristic_evaluations;
-    config.seed = seed;
-    ga::HeuristicResult r = ga::hill_climb(pipeline, scheme.spec, config);
-    best = std::move(r.best.genes);
-    fitness = r.best.eval.fitness;
-    evaluations = r.evaluations;
-  } else {  // "random" — resolve() rejected everything else already
-    ga::RandomSearchConfig config;
-    config.evaluations = spec.budget.heuristic_evaluations;
-    config.seed = seed;
-    ga::HeuristicResult r = ga::random_search(pipeline, scheme.spec, config);
+  } else {  // a single-trajectory heuristic; resolve() rejected the rest
+    const std::size_t budget = spec.budget.heuristic_evaluations;
+    ga::HeuristicResult r;
+    if (optimizer == "hillclimb") {
+      r = ga::hill_climb(pipeline, scheme.spec,
+                         {.evaluations = budget, .seed = seed});
+    } else if (optimizer == "anneal") {
+      r = ga::simulated_annealing(pipeline, scheme.spec,
+                                  {.evaluations = budget, .seed = seed});
+    } else {
+      r = ga::random_search(pipeline, scheme.spec,
+                            {.evaluations = budget, .seed = seed});
+    }
     best = std::move(r.best.genes);
     fitness = r.best.eval.fitness;
     evaluations = r.evaluations;
@@ -473,6 +473,66 @@ CampaignSpec full_spec() {
       // two structural attacks stay cheap.
       {"synth100k", {"scope", "structural"}, {"hillclimb", "random"}},
   };
+  return spec;
+}
+
+CampaignSpec scope_spec() {
+  CampaignSpec spec = base_spec();
+  spec.name = "campaign-scope";
+  spec.circuits = {{"c432", {}, {}}, {"c880", {}, {}}, {"c1355", {}, {}}};
+  spec.schemes = {{"rll", lock::GenotypeSpec{.rll_gates = 32}},
+                  {"dmux", lock::GenotypeSpec{.mux_sites = 32}}};
+  // One evaluation makes "random" the unoptimized RLL / D-MUX baseline row;
+  // "ga" is the lock evolved against the structural predictor.
+  spec.optimizers = {"random", "ga"};
+  spec.budget.ga_population = 8;
+  spec.budget.ga_generations = 3;
+  spec.budget.heuristic_evaluations = 1;
+  spec.fitness_attacks = {"structural"};
+  spec.attacks = {"scope"};
+  return spec;
+}
+
+CampaignSpec muxlink_spec() {
+  CampaignSpec spec = base_spec();
+  spec.name = "campaign-muxlink";
+  spec.circuits = {{"c432", {}, {}},
+                   {"c880", {}, {}},
+                   {"c1355", {}, {}},
+                   {"c1908", {}, {}}};
+  spec.schemes = {{"dmux32", lock::GenotypeSpec{.mux_sites = 32}},
+                  {"dmux64", lock::GenotypeSpec{.mux_sites = 64}}};
+  // One random genotype per lock: plain D-MUX, the design MuxLink was built
+  // to break. With nothing to select, the fitness attack is the cheapest.
+  spec.optimizers = {"random"};
+  spec.budget.heuristic_evaluations = 1;
+  spec.fitness_attacks = {"structural"};
+  spec.attacks = {"muxlink", "structural"};
+  // The thorough preset: closer to the published attack than the in-loop
+  // shape, and a 3-GNN ensemble averages the candidate probabilities.
+  spec.muxlink.epochs = 24;
+  spec.muxlink.max_train_links = 900;
+  spec.muxlink.subgraph.hops = 2;
+  spec.muxlink.subgraph.max_nodes = 64;
+  spec.muxlink.ensemble = 3;
+  return spec;
+}
+
+CampaignSpec heuristics_spec() {
+  CampaignSpec spec = base_spec();
+  spec.name = "campaign-heuristics";
+  spec.circuits = {{"c432", {}, {}}};
+  spec.schemes = {{"dmux", lock::GenotypeSpec{.mux_sites = 32}}};
+  spec.optimizers = {"ga", "anneal", "hillclimb", "random"};
+  spec.fitness_attacks = {"structural"};
+  // Equal budgets: the GA scores 12 x (9 + 1) = 120 genotypes, like the
+  // single-trajectory heuristics.
+  spec.budget.ga_population = 12;
+  spec.budget.ga_generations = 9;
+  spec.budget.heuristic_evaluations = 120;
+  // The structural cells re-attack at a fresh axis seed; MuxLink is held
+  // out of the fitness entirely.
+  spec.attacks = {"structural", "muxlink"};
   return spec;
 }
 

@@ -6,9 +6,11 @@
 //     scheme (dmux / rll / antisat / compound)
 //   x attack (every AttackRegistry entry)
 //   x circuit (ISCAS profiles, synth100k)
-//   x optimizer (ga / nsga2 / hillclimb / random)
+//   x optimizer (ga / nsga2 / hillclimb / anneal / random)
 //
-// and runs it as one sweep. Per circuit the runner gives each ThreadPool
+// and runs it as one sweep. The experiments that are such sweeps are named
+// specs below (quick, full, scope, muxlink, heuristics), each run by
+// `bench_campaign --spec NAME`. Per circuit the runner gives each ThreadPool
 // shard one pool-less EvalPipeline (SiteContext, oracle simulator, warm
 // EvalWorkspace). The lock jobs (circuit x scheme x optimizer) fan out on
 // the pool, each evolving a genotype on its shard's pipeline with the
@@ -33,7 +35,7 @@
 // by FNV-1a hashing of the AXIS NAMES (circuit, scheme, optimizer, attack)
 // mixed with the campaign seed — never from enumeration order. Two seeded
 // runs produce byte-identical to_json(result) output (pinned by
-// tests/test_campaign.cpp), independent of the thread count, and a --quick
+// tests/test_campaign.cpp), independent of the thread count, and the quick
 // subset reproduces exactly the cells a full matrix produces for the same
 // axes — which is what lets CI hard-diff a quick run against the committed
 // full BENCH_bench_campaign.json instead of eyeballing noisy deltas. Wall
@@ -78,7 +80,8 @@ struct OptimizerBudget {
   std::size_t ga_generations = 2;
   std::size_t nsga2_population = 8;
   std::size_t nsga2_generations = 2;
-  /// Evaluation budget for hillclimb / random search.
+  /// Evaluation budget for hillclimb / anneal / random search. With 1,
+  /// "random" scores a single random genotype: the unoptimized baseline.
   std::size_t heuristic_evaluations = 8;
 };
 
@@ -88,7 +91,8 @@ struct CampaignSpec {
   std::vector<SchemeAxis> schemes;
   /// Attacks each evolved lock is swept with (default: every registry name).
   std::vector<std::string> attacks;
-  /// Optimizer axis; recognized names: "ga", "nsga2", "hillclimb", "random".
+  /// Optimizer axis; recognized names: "ga", "nsga2", "hillclimb",
+  /// "anneal" (simulated annealing) and "random".
   std::vector<std::string> optimizers = {"ga", "nsga2", "hillclimb", "random"};
   /// Evolution-time fitness attack mix (cheap; the full sweep above is what
   /// the report scores).
@@ -212,6 +216,25 @@ CampaignSpec quick_spec();
 /// optimizer, plus synth100k restricted to the attacks and optimizers that
 /// are tractable at 100k gates. Source of BENCH_bench_campaign.json.
 CampaignSpec full_spec();
+
+/// X9: the SCOPE-style oracle-less attack on c432 / c880 / c1355 against
+/// RLL and D-MUX (K=32). The "random" rows score one random genotype (the
+/// plain RLL / D-MUX baseline); the "ga" rows evolve against the
+/// structural predictor. SCOPE decides RLL bits but is blind on MUX pairs:
+/// resilience 0.500 is its coin-flip signature there.
+CampaignSpec scope_spec();
+
+/// X6: MuxLink (thorough preset, a 3-GNN ensemble) and the structural
+/// predictor against plain D-MUX at K=32 and K=64 on c432 / c880 / c1355 /
+/// c1908. Its only optimizer is "random" at one evaluation, so every lock
+/// is an unoptimized D-MUX baseline.
+CampaignSpec muxlink_spec();
+
+/// X7: GA vs simulated annealing vs hill climbing vs random search on c432
+/// D-MUX K=32 at an equal budget of 120 structural-fitness evaluations,
+/// each winner re-attacked by the structural predictor (fresh seed) and by
+/// the held-out MuxLink.
+CampaignSpec heuristics_spec();
 
 /// Runs the campaign. Throws std::invalid_argument on unknown axis names
 /// (circuit, attack, optimizer) before any cell runs.

@@ -5,7 +5,8 @@
 //
 // All three share the GA's genotype, the eval::EvalPipeline decode/repair
 // path and fitness semantics (higher = better), so results are directly
-// comparable at equal evaluation budgets (see bench_heuristics):
+// comparable at equal evaluation budgets (see campaign::heuristics_spec,
+// run by `bench_campaign --spec heuristics`, where annealing is "anneal"):
 //
 //   RandomSearch     — i.i.d. random genotypes; the no-intelligence floor.
 //   HillClimb        — first-improvement local search over single-gene moves.

@@ -1,10 +1,13 @@
 // Tier-1 coverage for the campaign runner (src/campaign/):
 //
-//   - the --quick matrix passes every verification stage and its
+//   - the quick matrix passes every verification stage and its
 //     deterministic JSON is byte-identical across runs and thread counts
 //     (the contract CI's cmp gate relies on);
 //   - a sub-matrix reproduces exactly the cells of a larger matrix for the
 //     shared axes (the quick-vs-committed-full CI diff contract);
+//   - the named experiment specs (scope, muxlink, heuristics), cut to their
+//     c432 row, verify every cell at byte-identical reports across thread
+//     counts, and every simulated-annealing lock spends exactly its budget;
 //   - axis_seed depends on axis NAMES (with separator, so ("ab","c") and
 //     ("a","bc") differ) and not on enumeration order;
 //   - to_json escapes every control character by its byte value;
@@ -14,8 +17,10 @@
 //     names and budgets the optimizers cannot run before any cell runs.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 
@@ -99,6 +104,47 @@ TEST_F(CampaignQuick, SubMatrixReproducesFullMatrixCells) {
     EXPECT_EQ(cell.resilience, match->resilience);
     EXPECT_EQ(cell.key_bits, match->key_bits);
   }
+}
+
+// Runs `spec` on its c432 row alone, everything else unchanged: every cell
+// verifies, the report is the same at 1 and 3 threads, and each "anneal"
+// lock reports exactly the heuristic budget. Returns the anneal lock count.
+std::size_t check_c432_row(campaign::CampaignSpec spec) {
+  std::erase_if(spec.circuits, [](const campaign::CircuitAxis& circuit) {
+    return circuit.name != "c432";
+  });
+  EXPECT_EQ(spec.circuits.size(), 1u);
+  spec.threads = 1;
+  const campaign::CampaignResult serial = campaign::run(spec);
+  EXPECT_FALSE(serial.cells.empty());
+  EXPECT_TRUE(serial.all_passed());
+  for (const campaign::CellResult& cell : serial.cells) {
+    EXPECT_TRUE(cell.verification.passed())
+        << cell.scheme << "/" << cell.optimizer << "/" << cell.attack << ": "
+        << cell.verification.failure;
+  }
+  std::size_t anneal_locks = 0;
+  for (const campaign::LockResult& lock : serial.locks) {
+    if (lock.optimizer != "anneal") continue;
+    ++anneal_locks;
+    EXPECT_EQ(lock.optimizer_evaluations, spec.budget.heuristic_evaluations)
+        << lock.scheme;
+  }
+  spec.threads = 3;
+  EXPECT_EQ(campaign::to_json(campaign::run(spec)), campaign::to_json(serial));
+  return anneal_locks;
+}
+
+TEST(CampaignNamedSpecs, ScopeC432RowPasses) {
+  check_c432_row(campaign::scope_spec());
+}
+
+TEST(CampaignNamedSpecs, MuxLinkC432RowPasses) {
+  check_c432_row(campaign::muxlink_spec());
+}
+
+TEST(CampaignNamedSpecs, HeuristicsC432RowPassesAtEqualBudgets) {
+  EXPECT_EQ(check_c432_row(campaign::heuristics_spec()), 1u);
 }
 
 TEST(CampaignSeeds, DependOnAxisNamesNotOrder) {
