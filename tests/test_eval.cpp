@@ -2,7 +2,9 @@
 //   - AttackRegistry by-name construction and error handling;
 //   - conformance: every registered attack runs on the same small locked
 //     design and produces an in-range, fully-populated AttackReport that
-//     does not depend on what its EvalWorkspace evaluated before;
+//     does not depend on what its EvalWorkspace evaluated before; every
+//     attack's report on a D-MUX, RLL, Anti-SAT and compound lock is pinned
+//     field by field;
 //   - FitnessCache regression for the genotype-hash-collision bug (the old
 //     GA cache keyed on a 64-bit digest and silently served wrong fitness
 //     on collision; the cache now keys on the full genotype);
@@ -19,7 +21,9 @@
 #include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
 #include "eval/workspace.hpp"
+#include "locking/antisat.hpp"
 #include "locking/mux_lock.hpp"
+#include "locking/rll.hpp"
 #include "netlist/generator.hpp"
 
 namespace autolock::eval {
@@ -143,6 +147,87 @@ TEST(AttackConformance, FreshAndWarmedWorkspacesGiveIdenticalReports) {
     EXPECT_EQ(actual.key_recovery, expected.key_recovery);
     EXPECT_EQ(actual.key_recovered, expected.key_recovered);
   }
+}
+
+TEST(AttackConformance, ReportsPinnedOnEveryScheme) {
+  // Every registered attack's report on every locking scheme, pinned to the
+  // last bit: which key bits count, and for how much, feeds every fitness
+  // value, NSGA-II objective and campaign cell, so a scoring change must
+  // show here. Values printed with %.17g.
+  struct Pinned {
+    const char* scheme;
+    const char* attack;
+    std::size_t key_bits;
+    double accuracy;
+    double precision;
+    double decided_fraction;
+    double attacked_fraction;
+    double key_recovery;
+    bool key_recovered;
+  };
+  static constexpr Pinned kPinned[] = {
+      {"dmux", "muxlink", 6, 0.66666666666666663, 0, 0, 1,
+       0.66666666666666663, false},
+      {"dmux", "muxlink-ensemble", 6, 0.5, 0, 0.16666666666666666, 1, 0.5,
+       false},
+      {"dmux", "sat", 6, 1, 1, 1, 1, 1, true},
+      {"dmux", "scope", 6, 0.66666666666666663, 1, 0.33333333333333331, 1,
+       0.33333333333333331, false},
+      {"dmux", "structural", 6, 0.66666666666666663, 0.59999999999999998,
+       0.83333333333333337, 1, 0.66666666666666663, false},
+      {"rll", "muxlink", 6, 0.5, 0, 0, 0, 0.5, false},
+      {"rll", "muxlink-ensemble", 6, 0.5, 0, 0, 0, 0.5, false},
+      {"rll", "sat", 6, 1, 0.66666666666666663, 1, 1, 0.66666666666666663,
+       true},
+      {"rll", "scope", 6, 1, 1, 1, 1, 1, true},
+      {"rll", "structural", 6, 0.5, 0, 0, 0, 0.5, false},
+      {"antisat", "muxlink", 4, 0.5, 0, 0, 0, 0.5, false},
+      {"antisat", "muxlink-ensemble", 4, 0.5, 0, 0, 0, 0.5, false},
+      {"antisat", "sat", 4, 1, 0.5, 1, 1, 0.5, true},
+      {"antisat", "scope", 4, 0.5, 0.5, 1, 1, 0.5, false},
+      {"antisat", "structural", 4, 0.5, 0, 0, 0, 0.5, false},
+      {"compound", "muxlink", 8, 0.75, 1, 0.125, 0.5, 0.75, false},
+      {"compound", "muxlink-ensemble", 8, 0.75, 1, 0.125, 0.5, 0.75, false},
+      {"compound", "sat", 8, 1, 1, 1, 1, 1, true},
+      {"compound", "scope", 8, 0.875, 1, 0.75, 1, 0.75, false},
+      {"compound", "structural", 8, 0.5, 0.33333333333333331, 0.375, 0.5,
+       0.5, false},
+  };
+
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 11);
+  lock::AntiSatOptions antisat;
+  antisat.width = 2;
+  const std::vector<std::pair<std::string, lock::LockedDesign>> designs = {
+      {"dmux", lock::dmux_lock(original, 6, 3)},
+      {"rll", lock::rll_lock(original, 6, 3)},
+      {"antisat", lock::antisat_lock(original, antisat, 3)},
+      {"compound", lock::compound_lock(original, 4, antisat, 3)},
+  };
+  const AttackOptions options = fast_options(original);
+  std::size_t checked = 0;
+  for (const Pinned& pin : kPinned) {
+    SCOPED_TRACE(std::string(pin.scheme) + " / " + pin.attack);
+    const auto design = std::find_if(
+        designs.begin(), designs.end(),
+        [&](const auto& entry) { return entry.first == pin.scheme; });
+    ASSERT_NE(design, designs.end());
+    EvalWorkspace workspace;
+    const AttackReport report =
+        make_attack(pin.attack, options)->evaluate(design->second, workspace);
+    EXPECT_EQ(report.attack, pin.attack);
+    EXPECT_EQ(report.key_bits, pin.key_bits);
+    EXPECT_EQ(report.accuracy, pin.accuracy);
+    EXPECT_EQ(report.precision, pin.precision);
+    EXPECT_EQ(report.decided_fraction, pin.decided_fraction);
+    EXPECT_EQ(report.attacked_fraction, pin.attacked_fraction);
+    EXPECT_EQ(report.key_recovery, pin.key_recovery);
+    EXPECT_EQ(report.key_recovered, pin.key_recovered);
+    ++checked;
+  }
+  // Every scheme meets every registered attack.
+  EXPECT_EQ(checked,
+            designs.size() * AttackRegistry::instance().names().size());
 }
 
 // ---- fitness cache: the collision regression -----------------------------
