@@ -42,6 +42,7 @@
 #include "attacks/sat_attack.hpp"
 #include "attacks/scope.hpp"
 #include "attacks/structural.hpp"
+#include "eval/attack.hpp"
 #include "eval/workspace.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/bench_stream.hpp"
@@ -247,22 +248,24 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
   // Structural link predictor at every scale: time to a full key guess.
   {
     const attack::StructuralLinkPredictor predictor;
-    attack::MuxLinkScore score;
+    eval::AttackReport report;
     const Timing timing = time_warm(attack_reps, [&] {
-      score = predictor.run(design, workspace.attack);
+      report = eval::link_report(
+          "structural", predictor.attack(design, workspace.attack), design.key);
     });
-    add_attack_row("structural", timing, score.accuracy, "full guess");
+    add_attack_row("structural", timing, report.accuracy, "full guess");
   }
   // SCOPE: synthesis-area hypotheses, every bit guessed (undecided bits
   // count as coin flips in the accuracy).
   {
     const attack::ScopeAttack scope;
-    attack::ScopeScore score;
+    eval::AttackReport report;
     const Timing timing = time_warm(attack_reps, [&] {
-      score = scope.run(design, workspace.attack);
+      report = eval::scope_report(scope.attack(design.netlist, workspace.attack),
+                                  design.key);
     });
-    add_attack_row("scope", timing, score.expected_overall_accuracy,
-                   "decided " + util::fmt(score.decided_fraction, 2));
+    add_attack_row("scope", timing, report.accuracy,
+                   "decided " + util::fmt(report.decided_fraction, 2));
   }
   // Oracle-guided SAT attack on the reference circuit only: a proven key,
   // but the DIP loop's oracle sweeps are O(N) per iteration and the miter

@@ -21,7 +21,6 @@
 // sat::Solver::Stats via SatAttackResult.
 #pragma once
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -49,28 +48,6 @@ struct BenchArgs {
 
 namespace detail {
 
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Collects every emitted table and writes BENCH_<name>.json at exit.
 struct JsonSink {
   bool enabled = false;
@@ -97,27 +74,27 @@ struct JsonSink {
     const std::string path = "BENCH_" + bench_name + ".json";
     std::ofstream out(path);
     if (!out) return;
-    out << "{\n  \"bench\": \"" << json_escape(bench_name) << "\",\n"
+    out << "{\n  \"bench\": \"" << util::json_escape(bench_name) << "\",\n"
         << "  \"seconds\": " << timer.elapsed_seconds() << ",\n"
         << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n"
         // AUTOLOCK_BUILD_TYPE is defined for every bench by CMakeLists.txt.
-        << "  \"build_type\": \"" << json_escape(AUTOLOCK_BUILD_TYPE)
+        << "  \"build_type\": \"" << util::json_escape(AUTOLOCK_BUILD_TYPE)
         << "\",\n"
         << "  \"sections\": [\n";
     for (std::size_t s = 0; s < sections.size(); ++s) {
       const Section& section = sections[s];
-      out << "    {\n      \"title\": \"" << json_escape(section.title)
+      out << "    {\n      \"title\": \"" << util::json_escape(section.title)
           << "\",\n      \"columns\": [";
       for (std::size_t c = 0; c < section.columns.size(); ++c) {
-        out << (c ? ", " : "") << '"' << json_escape(section.columns[c])
+        out << (c ? ", " : "") << '"' << util::json_escape(section.columns[c])
             << '"';
       }
       out << "],\n      \"rows\": [\n";
       for (std::size_t r = 0; r < section.rows.size(); ++r) {
         out << "        [";
         for (std::size_t c = 0; c < section.rows[r].size(); ++c) {
-          out << (c ? ", " : "") << '"' << json_escape(section.rows[r][c])
+          out << (c ? ", " : "") << '"' << util::json_escape(section.rows[r][c])
               << '"';
         }
         out << ']' << (r + 1 < section.rows.size() ? "," : "") << '\n';

@@ -55,12 +55,13 @@ void run(const autolock::netlist::Netlist& original, std::size_t key_bits,
   util::OnlineStats baseline;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto design = lock::dmux_lock(original, key_bits, seed);
-    const auto score = evaluator.run(design);
-    baseline.add(score.accuracy);
+    const eval::AttackReport report = eval::link_report(
+        "muxlink", evaluator.attack(design.netlist), design.key);
+    baseline.add(report.accuracy);
     std::printf("  seed %llu: MuxLink accuracy %.1f%%  (precision %.1f%% on "
                 "%.0f%% decided)\n",
-                static_cast<unsigned long long>(seed), 100.0 * score.accuracy,
-                100.0 * score.precision, 100.0 * score.decided_fraction);
+                static_cast<unsigned long long>(seed), 100.0 * report.accuracy,
+                100.0 * report.precision, 100.0 * report.decided_fraction);
   }
   std::printf("  mean: %.1f%%\n\n", 100.0 * baseline.mean());
 
@@ -79,11 +80,12 @@ void run(const autolock::netlist::Netlist& original, std::size_t key_bits,
       {.mux_sites = key_bits}, pipeline);
   const lock::LockedDesign locked = pipeline.decode(result.best.genes);
 
-  const auto evolved_score = evaluator.run(locked);
+  const eval::AttackReport evolved = eval::link_report(
+      "muxlink", evaluator.attack(locked.netlist), locked.key);
   std::printf("  evolved design: MuxLink accuracy %.1f%% (thorough re-eval)\n",
-              100.0 * evolved_score.accuracy);
+              100.0 * evolved.accuracy);
   std::printf("  drop vs D-MUX mean: %.1f pp\n",
-              100.0 * (baseline.mean() - evolved_score.accuracy));
+              100.0 * (baseline.mean() - evolved.accuracy));
   std::printf("  functional: %s\n",
               lock::verify_unlocks(locked, original) ? "verified" : "BROKEN");
 

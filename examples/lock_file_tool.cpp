@@ -10,14 +10,15 @@
 //        2 * width extra bits; layout documented in locking/compound.hpp)
 //   lock_file_tool attack <locked.bench>                  run MuxLink (prints key guess)
 //   lock_file_tool report <locked.bench> <original.bench> [attack...]
-//        score any registered attack(s) against the ground-truth key
-//        (default: every attack in the registry)
+//        score any registered attack(s) against a reference key that the
+//        SAT attack recovers from the pair and proves (at most 256 DIPs;
+//        default: every attack in the registry)
 //   lock_file_tool attacks                                list registered attacks
 //   lock_file_tool stats <in.bench>                       print circuit statistics
 //
 // Exit status: 0 on success, 1 with usage on a missing argument or unknown
-// command, 2 on a bad argument value (unknown scheme, non-numeric K or seed)
-// or any other error.
+// command, 2 on a bad argument value (unknown scheme, non-numeric K or seed),
+// when `report` cannot prove a reference key, or on any other error.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "attacks/muxlink.hpp"
+#include "attacks/sat_attack.hpp"
 #include "core/ga.hpp"
 #include "eval/pipeline.hpp"
 #include "eval/registry.hpp"
@@ -168,9 +170,9 @@ int cmd_attacks() {
   return 0;
 }
 
-// Ground-truth scoring path: the locked design's key is re-derived by
-// comparison against the original, so any registered attack can be swept
-// from the command line by name.
+// Ground-truth scoring path: the locked design's key is re-derived from the
+// original, so any registered attack can be swept from the command line by
+// name.
 int cmd_report(int argc, char** argv) {
   if (argc < 4) return 1;
   const auto locked = netlist::bench::stream_load_file(argv[2]);
@@ -180,33 +182,28 @@ int cmd_report(int argc, char** argv) {
     std::printf("no key inputs found — nothing to attack\n");
     return 0;
   }
-  // The .bench file carries no ground-truth key, so brute-force it for
-  // small keys (every attack report scores against the true key); larger
-  // keys fall back to an all-zero reference with a warning.
+  // The .bench file carries no ground-truth key, so recover one with the
+  // SAT attack against the original: its success is a proof that the key
+  // unlocks the design, and every report scores against that key.
+  constexpr std::size_t kMaxDips = 256;
+  attack::SatAttackConfig sat;
+  sat.max_iterations = kMaxDips;
+  const auto truth = attack::SatAttack(sat).attack(locked, original);
+  if (truth.infeasible) {
+    std::fprintf(stderr, "error: no key makes %s match %s\n", argv[2],
+                 argv[3]);
+    return 2;
+  }
+  if (!truth.success) {
+    std::fprintf(stderr,
+                 "error: the SAT attack proved no reference key within %zu "
+                 "DIPs\n",
+                 kMaxDips);
+    return 2;
+  }
   lock::LockedDesign design;
   design.netlist = locked;
-  design.key.assign(key_nodes.size(), false);
-  bool have_truth = false;
-  if (key_nodes.size() <= 10) {
-    for (std::uint64_t k = 0; k < (1ULL << key_nodes.size()); ++k) {
-      netlist::Key candidate(key_nodes.size());
-      for (std::size_t b = 0; b < key_nodes.size(); ++b) {
-        candidate[b] = (k >> b) & 1ULL;
-      }
-      design.key = candidate;
-      if (lock::verify_unlocks(design, original)) {
-        have_truth = true;
-        break;
-      }
-    }
-  }
-  if (!have_truth) {
-    std::fprintf(stderr,
-                 "warning: could not brute-force the ground-truth key "
-                 "(K > 10 or no unlocking key); reports use an all-zero "
-                 "reference key\n");
-    design.key.assign(key_nodes.size(), false);
-  }
+  design.key = truth.recovered_key;
 
   eval::AttackOptions options;
   options.oracle = &original;

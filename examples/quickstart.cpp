@@ -37,12 +37,14 @@ int main() {
     std::printf("baseline locking failed verification!\n");
     return 1;
   }
-  attack::MuxLinkAttack muxlink;
-  const auto baseline_score = muxlink.run(baseline);
+  const eval::AttackReport baseline_report = eval::link_report(
+      "muxlink", attack::MuxLinkAttack().attack(baseline.netlist),
+      baseline.key);
   std::printf("D-MUX baseline:  MuxLink accuracy %.1f%% (precision %.1f%% on "
               "%.0f%% decided)\n",
-              100.0 * baseline_score.accuracy, 100.0 * baseline_score.precision,
-              100.0 * baseline_score.decided_fraction);
+              100.0 * baseline_report.accuracy,
+              100.0 * baseline_report.precision,
+              100.0 * baseline_report.decided_fraction);
 
   // 3. AutoLock: evolve lock sites against MuxLink. The GA proposes
   //    genotypes; the pipeline decodes each one and scores it by MuxLink

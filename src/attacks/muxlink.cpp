@@ -231,45 +231,4 @@ void decide_key_bits(const AttackGraph& graph, double threshold,
   }
 }
 
-MuxLinkScore MuxLinkAttack::score(const MuxLinkResult& result,
-                                  const netlist::Key& correct_key) {
-  MuxLinkScore score;
-  score.key_bits = correct_key.size();
-  if (correct_key.empty()) return score;
-
-  double correct = 0.0;
-  std::size_t attacked = 0;
-  std::size_t decided = 0;
-  std::size_t decided_correct = 0;
-  for (std::size_t bit = 0; bit < correct_key.size(); ++bit) {
-    // A bit without a MUX-link hypothesis (non-MUX key gate, or beyond the
-    // attacked range) scores as a coin flip: crediting the forced-0 default
-    // would reward the attack for key bits it never examined.
-    if (bit >= result.bit_attacked.size() || result.bit_attacked[bit] == 0) {
-      correct += 0.5;
-      continue;
-    }
-    ++attacked;
-    const int truth = correct_key[bit] ? 1 : 0;
-    const int forced =
-        bit < result.predicted_bits.size() ? result.predicted_bits[bit] : 0;
-    if (forced == truth) correct += 1.0;
-    const int soft =
-        bit < result.thresholded_bits.size() ? result.thresholded_bits[bit] : -1;
-    if (soft != -1) {
-      ++decided;
-      if (soft == truth) ++decided_correct;
-    }
-  }
-  score.accuracy = correct / static_cast<double>(correct_key.size());
-  score.attacked_fraction =
-      static_cast<double>(attacked) / static_cast<double>(correct_key.size());
-  score.decided_fraction =
-      static_cast<double>(decided) / static_cast<double>(correct_key.size());
-  score.precision = decided == 0 ? 0.0
-                                 : static_cast<double>(decided_correct) /
-                                       static_cast<double>(decided);
-  return score;
-}
-
 }  // namespace autolock::attack

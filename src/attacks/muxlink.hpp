@@ -11,9 +11,10 @@
 //      key=1 and pick the likelier side. The margin between the two sides
 //      gives a confidence; bits below a threshold can be left undecided.
 //
-// Metrics follow the literature: *accuracy* (all bits, forced decision) is
-// what the AutoLock paper uses as the GA fitness signal; *precision* is the
-// correctness among confidently-decided bits.
+// eval::link_report scores a result with the literature's metrics:
+// *accuracy* (all bits, forced decision) is what the AutoLock paper uses as
+// the GA fitness signal; *precision* is the correctness among
+// confidently-decided bits.
 #pragma once
 
 #include <cstdint>
@@ -55,21 +56,12 @@ struct MuxLinkResult {
   std::vector<int> thresholded_bits;
   /// 1 iff the attack formed a key-MUX hypothesis for this bit. Key bits
   /// driven by non-MUX key gates (RLL XOR/XNOR, anti-SAT blocks) have no
-  /// MUX link problem and stay 0; score() credits them as coin flips
-  /// instead of letting the forced-0 default silently score on zero bits.
+  /// MUX link problem and stay 0; eval::link_report credits them as coin
+  /// flips instead of letting the forced-0 default score on zero bits.
   std::vector<char> bit_attacked;
   double first_epoch_loss = 0.0;
   double last_epoch_loss = 0.0;
   std::size_t train_samples = 0;
-};
-
-struct MuxLinkScore {
-  double accuracy = 0.0;          // forced decisions correct / all bits
-                                  // (unattacked bits count 0.5 — coin flip)
-  double precision = 0.0;         // correct / decided (thresholded)
-  double decided_fraction = 0.0;  // decided / all bits
-  double attacked_fraction = 0.0; // bits with a MUX hypothesis / all bits
-  std::size_t key_bits = 0;
 };
 
 struct AttackScratch;
@@ -90,20 +82,6 @@ class MuxLinkAttack {
   /// (AttackScratch::view); bit-identical to attack(design.netlist).
   MuxLinkResult attack(const lock::LockedDesign& design,
                        AttackScratch& scratch) const;
-
-  /// Scores a result against the ground-truth key (evaluation only).
-  static MuxLinkScore score(const MuxLinkResult& result,
-                            const netlist::Key& correct_key);
-
-  /// Convenience: attack + score in one call.
-  MuxLinkScore run(const lock::LockedDesign& design) const {
-    return score(attack(design.netlist), design.key);
-  }
-
-  MuxLinkScore run(const lock::LockedDesign& design,
-                   AttackScratch& scratch) const {
-    return score(attack(design, scratch), design.key);
-  }
 
   const MuxLinkConfig& config() const noexcept { return config_; }
 

@@ -38,30 +38,4 @@ ScopeResult ScopeAttack::attack(const netlist::Netlist& locked,
   return result;
 }
 
-ScopeScore ScopeAttack::score(const ScopeResult& result,
-                              const netlist::Key& correct_key) {
-  ScopeScore score;
-  score.key_bits = correct_key.size();
-  if (correct_key.empty()) return score;
-  std::size_t decided = 0;
-  std::size_t correct = 0;
-  for (std::size_t bit = 0; bit < correct_key.size(); ++bit) {
-    const int prediction =
-        bit < result.predicted_bits.size() ? result.predicted_bits[bit] : -1;
-    if (prediction == -1) continue;
-    ++decided;
-    if (prediction == (correct_key[bit] ? 1 : 0)) ++correct;
-  }
-  score.decided_fraction =
-      static_cast<double>(decided) / static_cast<double>(correct_key.size());
-  score.accuracy_on_decided =
-      decided == 0 ? 0.0
-                   : static_cast<double>(correct) / static_cast<double>(decided);
-  score.expected_overall_accuracy =
-      (static_cast<double>(correct) +
-       0.5 * static_cast<double>(correct_key.size() - decided)) /
-      static_cast<double>(correct_key.size());
-  return score;
-}
-
 }  // namespace autolock::attack

@@ -18,29 +18,23 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "locking/mux_lock.hpp"
 #include "netlist/netlist.hpp"
 
 namespace autolock::attack {
 
 struct AttackScratch;
 
+/// The attack's native result; eval::scope_report scores it against the
+/// ground-truth key.
 struct ScopeResult {
   /// Per key bit: 0 / 1, or -1 when both hypotheses cost the same
   /// (undecidable by this attack).
   std::vector<int> predicted_bits;
   /// Synthesized gate counts for the (bit=0, bit=1) hypotheses.
   std::vector<std::pair<std::size_t, std::size_t>> areas;
-};
-
-struct ScopeScore {
-  double accuracy_on_decided = 0.0;  // correct / decided
-  double decided_fraction = 0.0;     // decided / all bits
-  /// Forced accuracy counting undecided bits as coin flips (0.5 credit).
-  double expected_overall_accuracy = 0.0;
-  std::size_t key_bits = 0;
 };
 
 class ScopeAttack {
@@ -56,18 +50,6 @@ class ScopeAttack {
   /// reference the tests pin it against.
   ScopeResult attack(const netlist::Netlist& locked,
                      AttackScratch& scratch) const;
-
-  static ScopeScore score(const ScopeResult& result,
-                          const netlist::Key& correct_key);
-
-  ScopeScore run(const lock::LockedDesign& design) const {
-    return score(attack(design.netlist), design.key);
-  }
-
-  ScopeScore run(const lock::LockedDesign& design,
-                 AttackScratch& scratch) const {
-    return score(attack(design.netlist, scratch), design.key);
-  }
 };
 
 }  // namespace autolock::attack

@@ -9,8 +9,9 @@
 //
 // It trains on MuxLink's self-supervised link set and decides key bits
 // through MuxLink's decision frame (sample_training_links / decide_key_bits
-// in muxlink.hpp), so it emits the same MuxLinkResult and only its own seed
-// salt, pair features and model differ.
+// in muxlink.hpp), so it emits the same MuxLinkResult, scored by the same
+// eval::link_report, and only its own seed salt, pair features and model
+// differ.
 #pragma once
 
 #include <array>
@@ -46,15 +47,6 @@ class StructuralLinkPredictor {
   /// (AttackScratch::view); bit-identical to attack(design.netlist).
   MuxLinkResult attack(const lock::LockedDesign& design,
                        AttackScratch& scratch) const;
-
-  MuxLinkScore run(const lock::LockedDesign& design) const {
-    return MuxLinkAttack::score(attack(design.netlist), design.key);
-  }
-
-  MuxLinkScore run(const lock::LockedDesign& design,
-                   AttackScratch& scratch) const {
-    return MuxLinkAttack::score(attack(design, scratch), design.key);
-  }
 
   const StructuralPredictorConfig& config() const noexcept { return config_; }
 

@@ -325,25 +325,7 @@ CellResult run_cell(const CampaignSpec& spec, const CircuitAxis& circuit,
 // ---- serialization ---------------------------------------------------------
 
 void json_string(std::ostream& os, std::string_view text) {
-  os << '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: {
-        const auto byte = static_cast<unsigned char>(c);
-        if (byte < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          os << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xF];
-        } else {
-          os << c;
-        }
-      }
-    }
-  }
-  os << '"';
+  os << '"' << util::json_escape(text) << '"';
 }
 
 /// Fixed-precision double: deterministic across runs and platforms for the

@@ -1,7 +1,7 @@
-// Adapters mapping each concrete attack onto the unified eval::Attack
-// interface. These are intentionally thin: they forward construction knobs
-// from AttackOptions, run the underlying attack, and normalize its native
-// score into an AttackReport.
+// The report functions that score every attack's native result (declared
+// in eval/attack.hpp), and the adapters mapping each concrete attack onto
+// the unified eval::Attack interface: each forwards construction knobs from
+// AttackOptions, runs its attack and scores the result.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -15,64 +15,136 @@
 #include "util/timer.hpp"
 
 namespace autolock::eval {
-namespace {
 
-/// Shared normalization for attacks that emit a MuxLinkScore (the GNN and
-/// the structural surrogate share MuxLink's result shape).
-AttackReport from_muxlink_score(std::string name,
-                                const attack::MuxLinkScore& score,
-                                double seconds) {
+AttackReport link_report(std::string attack,
+                         const attack::MuxLinkResult& result,
+                         const netlist::Key& key) {
   AttackReport report;
-  report.attack = std::move(name);
-  report.key_bits = score.key_bits;
-  report.accuracy = score.accuracy;
-  report.precision = score.precision;
-  report.decided_fraction = score.decided_fraction;
-  report.attacked_fraction = score.attacked_fraction;
-  report.key_recovery = score.accuracy;
-  report.key_recovered = score.key_bits > 0 && score.accuracy >= 1.0;
-  report.seconds = seconds;
+  report.attack = std::move(attack);
+  report.key_bits = key.size();
+  if (key.empty()) {
+    report.attacked_fraction = 0.0;
+    return report;
+  }
+
+  double correct = 0.0;
+  std::size_t attacked = 0;
+  std::size_t decided = 0;
+  std::size_t decided_correct = 0;
+  for (std::size_t bit = 0; bit < key.size(); ++bit) {
+    // A bit without a MUX-link hypothesis (non-MUX key gate, or beyond the
+    // attacked range) scores as a coin flip: crediting the forced-0 default
+    // would reward the attack for key bits it never examined.
+    if (bit >= result.bit_attacked.size() || result.bit_attacked[bit] == 0) {
+      correct += 0.5;
+      continue;
+    }
+    ++attacked;
+    const int truth = key[bit] ? 1 : 0;
+    const int forced =
+        bit < result.predicted_bits.size() ? result.predicted_bits[bit] : 0;
+    if (forced == truth) correct += 1.0;
+    const int soft =
+        bit < result.thresholded_bits.size() ? result.thresholded_bits[bit] : -1;
+    if (soft != -1) {
+      ++decided;
+      if (soft == truth) ++decided_correct;
+    }
+  }
+  report.accuracy = correct / static_cast<double>(key.size());
+  report.attacked_fraction =
+      static_cast<double>(attacked) / static_cast<double>(key.size());
+  report.decided_fraction =
+      static_cast<double>(decided) / static_cast<double>(key.size());
+  report.precision = decided == 0 ? 0.0
+                                  : static_cast<double>(decided_correct) /
+                                        static_cast<double>(decided);
+  report.key_recovery = report.accuracy;
+  report.key_recovered = report.accuracy >= 1.0;
   return report;
 }
 
-class MuxLinkAdapter : public Attack {
+AttackReport scope_report(const attack::ScopeResult& result,
+                          const netlist::Key& key) {
+  AttackReport report;
+  report.attack = "scope";
+  report.key_bits = key.size();
+  if (key.empty()) return report;
+  std::size_t decided = 0;
+  std::size_t correct = 0;
+  for (std::size_t bit = 0; bit < key.size(); ++bit) {
+    const int prediction =
+        bit < result.predicted_bits.size() ? result.predicted_bits[bit] : -1;
+    if (prediction == -1) continue;
+    ++decided;
+    if (prediction == (key[bit] ? 1 : 0)) ++correct;
+  }
+  report.decided_fraction =
+      static_cast<double>(decided) / static_cast<double>(key.size());
+  report.precision =
+      decided == 0 ? 0.0
+                   : static_cast<double>(correct) / static_cast<double>(decided);
+  // SCOPE leaves symmetric (MUX) bits undecided; the forced-decision
+  // accuracy credits those as coin flips, matching the other attacks'
+  // "guess every bit" convention.
+  report.accuracy = (static_cast<double>(correct) +
+                     0.5 * static_cast<double>(key.size() - decided)) /
+                    static_cast<double>(key.size());
+  report.key_recovery = report.precision * report.decided_fraction;
+  report.key_recovered =
+      report.decided_fraction >= 1.0 && report.precision >= 1.0;
+  return report;
+}
+
+AttackReport sat_report(const attack::SatAttackResult& result,
+                        const netlist::Key& key) {
+  AttackReport report;
+  report.attack = "sat";
+  report.key_bits = key.size();
+  // The SAT attack proves functional correctness rather than guessing
+  // bits; success means total key recovery even if some recovered bits
+  // differ from the ground truth on don't-care positions.
+  report.accuracy = result.success ? 1.0 : 0.0;
+  report.decided_fraction = result.success ? 1.0 : 0.0;
+  std::size_t matching = 0;
+  const std::size_t bits = std::min(result.recovered_key.size(), key.size());
+  for (std::size_t b = 0; b < bits; ++b) {
+    if (result.recovered_key[b] == key[b]) ++matching;
+  }
+  report.key_recovery =
+      key.empty() ? (result.success ? 1.0 : 0.0)
+                  : static_cast<double>(matching) /
+                        static_cast<double>(key.size());
+  report.precision = report.key_recovery;
+  report.key_recovered = result.success;
+  report.seconds = result.seconds;
+  return report;
+}
+
+namespace {
+
+/// MuxLink (and its ensemble) and the structural predictor: one
+/// link-prediction result shape, scored by link_report.
+template <class Attacker>
+class LinkAdapter : public Attack {
  public:
-  MuxLinkAdapter(std::string name, attack::MuxLinkConfig config)
-      : name_(std::move(name)), config_(config) {}
+  LinkAdapter(std::string name, Attacker attacker)
+      : name_(std::move(name)), attacker_(std::move(attacker)) {}
 
   const std::string& name() const noexcept override { return name_; }
 
   AttackReport evaluate(const lock::LockedDesign& design,
                         EvalWorkspace& workspace) const override {
     util::Timer timer;
-    const auto score =
-        attack::MuxLinkAttack(config_).run(design, workspace.attack);
-    return from_muxlink_score(name_, score, timer.elapsed_seconds());
+    AttackReport report = link_report(
+        name_, attacker_.attack(design, workspace.attack), design.key);
+    report.seconds = timer.elapsed_seconds();
+    return report;
   }
 
  private:
   std::string name_;
-  attack::MuxLinkConfig config_;
-};
-
-class StructuralAdapter : public Attack {
- public:
-  explicit StructuralAdapter(attack::StructuralPredictorConfig config)
-      : config_(config) {}
-
-  const std::string& name() const noexcept override { return name_; }
-
-  AttackReport evaluate(const lock::LockedDesign& design,
-                        EvalWorkspace& workspace) const override {
-    util::Timer timer;
-    const auto score =
-        attack::StructuralLinkPredictor(config_).run(design, workspace.attack);
-    return from_muxlink_score(name_, score, timer.elapsed_seconds());
-  }
-
- private:
-  std::string name_ = "structural";
-  attack::StructuralPredictorConfig config_;
+  Attacker attacker_;
 };
 
 class ScopeAdapter : public Attack {
@@ -82,30 +154,14 @@ class ScopeAdapter : public Attack {
   AttackReport evaluate(const lock::LockedDesign& design,
                         EvalWorkspace& workspace) const override {
     util::Timer timer;
-    return from_scope_score(attack::ScopeAttack().run(design, workspace.attack),
-                            timer);
-  }
-
- private:
-  AttackReport from_scope_score(const attack::ScopeScore& score,
-                                const util::Timer& timer) const {
-    AttackReport report;
-    report.attack = name_;
-    report.key_bits = score.key_bits;
-    // SCOPE leaves symmetric (MUX) bits undecided; the forced-decision
-    // accuracy credits those as coin flips, matching the other attacks'
-    // "guess every bit" convention.
-    report.accuracy = score.expected_overall_accuracy;
-    report.precision = score.accuracy_on_decided;
-    report.decided_fraction = score.decided_fraction;
-    report.key_recovery = score.accuracy_on_decided * score.decided_fraction;
-    report.key_recovered = score.key_bits > 0 &&
-                           score.decided_fraction >= 1.0 &&
-                           score.accuracy_on_decided >= 1.0;
+    AttackReport report = scope_report(
+        attack::ScopeAttack().attack(design.netlist, workspace.attack),
+        design.key);
     report.seconds = timer.elapsed_seconds();
     return report;
   }
 
+ private:
   std::string name_ = "scope";
 };
 
@@ -118,31 +174,9 @@ class SatAdapter : public Attack {
 
   AttackReport evaluate(const lock::LockedDesign& design,
                         EvalWorkspace&) const override {
-    const auto result = attack::SatAttack(config_).attack(design.netlist,
-                                                          *oracle_);
-    AttackReport report;
-    report.attack = name_;
-    report.key_bits = design.key.size();
-    // The SAT attack proves functional correctness rather than guessing
-    // bits; success means total key recovery even if some recovered bits
-    // differ from the ground truth on don't-care positions.
-    report.accuracy = result.success ? 1.0 : 0.0;
-    report.decided_fraction = result.success ? 1.0 : 0.0;
-    std::size_t matching = 0;
-    const std::size_t bits =
-        std::min(result.recovered_key.size(), design.key.size());
-    for (std::size_t b = 0; b < bits; ++b) {
-      if (result.recovered_key[b] == design.key[b]) ++matching;
-    }
-    report.key_recovery =
-        design.key.empty()
-            ? (result.success ? 1.0 : 0.0)
-            : static_cast<double>(matching) /
-                  static_cast<double>(design.key.size());
-    report.precision = report.key_recovery;
-    report.key_recovered = result.success;
-    report.seconds = result.seconds;
-    return report;
+    return sat_report(
+        attack::SatAttack(config_).attack(design.netlist, *oracle_),
+        design.key);
   }
 
  private:
@@ -160,20 +194,21 @@ void register_builtin_attacks(AttackRegistry& registry) {
     return config;
   };
   registry.add("muxlink", [seeded_muxlink](const AttackOptions& options) {
-    attack::MuxLinkConfig config = seeded_muxlink(options);
-    return std::make_unique<MuxLinkAdapter>("muxlink", config);
+    return std::make_unique<LinkAdapter<attack::MuxLinkAttack>>(
+        "muxlink", attack::MuxLinkAttack(seeded_muxlink(options)));
   });
   registry.add("muxlink-ensemble",
                [seeded_muxlink](const AttackOptions& options) {
                  attack::MuxLinkConfig config = seeded_muxlink(options);
                  config.ensemble = std::max<std::size_t>(options.ensemble, 1);
-                 return std::make_unique<MuxLinkAdapter>("muxlink-ensemble",
-                                                         config);
+                 return std::make_unique<LinkAdapter<attack::MuxLinkAttack>>(
+                     "muxlink-ensemble", attack::MuxLinkAttack(config));
                });
   registry.add("structural", [](const AttackOptions& options) {
     attack::StructuralPredictorConfig config = options.structural;
     config.seed ^= options.seed;
-    return std::make_unique<StructuralAdapter>(config);
+    return std::make_unique<LinkAdapter<attack::StructuralLinkPredictor>>(
+        "structural", attack::StructuralLinkPredictor(config));
   });
   registry.add("scope", [](const AttackOptions&) {
     return std::make_unique<ScopeAdapter>();

@@ -2,12 +2,12 @@
 // the repo, so optimizers, benches, and examples score a locked design the
 // same way regardless of which attack (or mix of attacks) is configured.
 //
-// Each adapter wraps one concrete attack (attacks/) and normalizes its
-// result into an AttackReport with shared accuracy / precision /
-// key-recovery fields. Adapters are constructed by name through
-// AttackRegistry (eval/registry.hpp) and consumed in bulk by EvalPipeline
-// (eval/pipeline.hpp), which owns the decode -> attack -> score loop the
-// optimizers in core/ used to re-implement individually.
+// Each adapter runs one concrete attack (attacks/) and scores its native
+// result with one of the report functions below — the one place that says
+// which key bits count and for how much. Adapters are constructed by name
+// through AttackRegistry (eval/registry.hpp) and consumed in bulk by
+// EvalPipeline (eval/pipeline.hpp), which owns the decode -> attack -> score
+// loop.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 
 #include "attacks/muxlink.hpp"
 #include "attacks/sat_attack.hpp"
+#include "attacks/scope.hpp"
 #include "attacks/structural.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/netlist.hpp"
@@ -37,6 +38,29 @@ struct AttackReport {
   bool key_recovered = false;     // full (functional) key recovery
   double seconds = 0.0;           // wall time of the attack run
 };
+
+// ---- scoring: a native attack result against the ground-truth key --------
+// These functions (eval/adapters.cpp) hold every metric definition an
+// AttackReport carries. Only sat_report fills `seconds` (the SAT attack
+// times itself); the adapters stamp the others' wall time.
+
+/// Link prediction (MuxLink, its ensemble, the structural predictor) under
+/// the registry name `attack`: bits without a MUX hypothesis earn
+/// coin-flip credit, `key_recovery` equals `accuracy`, and an empty key
+/// gives all zeros, `attacked_fraction` included.
+AttackReport link_report(std::string attack,
+                         const attack::MuxLinkResult& result,
+                         const netlist::Key& key);
+
+/// SCOPE: undecided bits earn coin-flip credit, `precision` is taken over
+/// decided bits and `key_recovery` is precision times `decided_fraction`.
+AttackReport scope_report(const attack::ScopeResult& result,
+                          const netlist::Key& key);
+
+/// The SAT attack: `accuracy` and `decided_fraction` are 1 on a proven key
+/// and 0 otherwise; `precision` and `key_recovery` count matching bits.
+AttackReport sat_report(const attack::SatAttackResult& result,
+                        const netlist::Key& key);
 
 /// Construction-time knobs shared by all registry factories. Adapters read
 /// only the fields they understand; unknown fields are ignored.

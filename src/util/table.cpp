@@ -81,4 +81,29 @@ std::string fmt_pct(double fraction, int precision) {
   return oss.str();
 }
 
+std::string json_escape(std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(text.size() + 8);
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xF];
+        } else {
+          out += c;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace autolock::util

@@ -1,11 +1,13 @@
 // ASCII table and CSV emission for the benchmark harness. Every bench binary
 // prints the rows a paper table/figure would contain, through this module, so
-// output formatting is uniform.
+// output formatting is uniform. The JSON reports escape their strings here
+// too.
 #pragma once
 
 #include <cstddef>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace autolock::util {
@@ -37,5 +39,10 @@ class Table {
 std::string fmt(double value, int precision = 3);
 /// Formats a fraction as a percentage string, e.g. 0.3125 -> "31.2%".
 std::string fmt_pct(double fraction, int precision = 1);
+
+/// `text` escaped for the inside of a JSON string: `"`, `\`, newline and tab
+/// by their short escapes, every other byte below 0x20 as `\u00xx`
+/// (lowercase hex), everything else unchanged.
+std::string json_escape(std::string_view text);
 
 }  // namespace autolock::util

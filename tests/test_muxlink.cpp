@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "eval/attack.hpp"
 #include "locking/rll.hpp"
 #include "netlist/generator.hpp"
 
@@ -20,40 +21,44 @@ MuxLinkConfig fast_config() {
   return config;
 }
 
-TEST(MuxLinkScore, ComputedCorrectly) {
+TEST(LinkReport, ComputedCorrectly) {
   MuxLinkResult result;
   result.predicted_bits = {1, 0, 1, 1};
   result.thresholded_bits = {1, -1, 0, 1};
   result.bit_attacked = {1, 1, 1, 1};
   const Key truth{true, true, false, true};
-  const auto score = MuxLinkAttack::score(result, truth);
+  const auto report = eval::link_report("muxlink", result, truth);
   // Forced: bits 0 (1==1), 2 (1!=0 wrong), 1 (0 != 1 wrong), 3 (1==1):
-  EXPECT_DOUBLE_EQ(score.accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(report.accuracy, 0.5);
   // Thresholded: decided {0:1 correct, 2:0 correct, 3:1 correct} = 3 decided,
   // 3 correct.
-  EXPECT_DOUBLE_EQ(score.decided_fraction, 0.75);
-  EXPECT_DOUBLE_EQ(score.precision, 1.0);
-  EXPECT_EQ(score.key_bits, 4u);
+  EXPECT_DOUBLE_EQ(report.decided_fraction, 0.75);
+  EXPECT_DOUBLE_EQ(report.precision, 1.0);
+  EXPECT_EQ(report.key_bits, 4u);
 }
 
-TEST(MuxLinkScore, EmptyKey) {
-  const auto score = MuxLinkAttack::score(MuxLinkResult{}, Key{});
-  EXPECT_EQ(score.key_bits, 0u);
-  EXPECT_EQ(score.accuracy, 0.0);
+TEST(LinkReport, EmptyKey) {
+  const auto report = eval::link_report("muxlink", MuxLinkResult{}, Key{});
+  EXPECT_EQ(report.key_bits, 0u);
+  EXPECT_EQ(report.accuracy, 0.0);
+  // No bit was attacked: unlike SCOPE's whole-key convention, a link
+  // attack on an empty key reports attacked_fraction 0.
+  EXPECT_EQ(report.attacked_fraction, 0.0);
+  EXPECT_FALSE(report.key_recovered);
 }
 
-TEST(MuxLinkScore, MissingPredictionsCountAsCoinFlip) {
+TEST(LinkReport, MissingPredictionsCountAsCoinFlip) {
   MuxLinkResult result;  // empty predictions: the attack never saw these bits
   const Key truth{false, false};
-  const auto score = MuxLinkAttack::score(result, truth);
+  const auto report = eval::link_report("muxlink", result, truth);
   // The old behavior credited the forced-0 default, scoring 1.0 here purely
   // because the key happened to be all zeros. Unexamined bits are coin flips.
-  EXPECT_DOUBLE_EQ(score.accuracy, 0.5);
-  EXPECT_DOUBLE_EQ(score.decided_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(score.attacked_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(report.accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(report.decided_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(report.attacked_fraction, 0.0);
 }
 
-TEST(MuxLinkScore, UnattackedBitsInMaskCountAsCoinFlip) {
+TEST(LinkReport, UnattackedBitsInMaskCountAsCoinFlip) {
   // Mixed genotype shape: bits 0 and 3 have MUX hypotheses, bits 1-2 belong
   // to a non-MUX key gate sandwiched between them.
   MuxLinkResult result;
@@ -61,12 +66,12 @@ TEST(MuxLinkScore, UnattackedBitsInMaskCountAsCoinFlip) {
   result.thresholded_bits = {1, -1, -1, 0};
   result.bit_attacked = {1, 0, 0, 1};
   const Key truth{true, false, false, false};
-  const auto score = MuxLinkAttack::score(result, truth);
+  const auto report = eval::link_report("muxlink", result, truth);
   // Attacked: bit 0 correct, bit 3 correct -> 2.0; unattacked: 2 * 0.5.
-  EXPECT_DOUBLE_EQ(score.accuracy, 0.75);
-  EXPECT_DOUBLE_EQ(score.attacked_fraction, 0.5);
-  EXPECT_DOUBLE_EQ(score.decided_fraction, 0.5);
-  EXPECT_DOUBLE_EQ(score.precision, 1.0);
+  EXPECT_DOUBLE_EQ(report.accuracy, 0.75);
+  EXPECT_DOUBLE_EQ(report.attacked_fraction, 0.5);
+  EXPECT_DOUBLE_EQ(report.decided_fraction, 0.5);
+  EXPECT_DOUBLE_EQ(report.precision, 1.0);
 }
 
 TEST(MuxLink, NoProblemsOnRllLockedDesign) {
@@ -78,10 +83,10 @@ TEST(MuxLink, NoProblemsOnRllLockedDesign) {
   EXPECT_TRUE(result.predicted_bits.empty());
   // No MUX key gates -> no hypotheses -> every bit scores as a coin flip
   // instead of a free forced-0 guess.
-  const auto score = MuxLinkAttack::score(result, design.key);
-  EXPECT_DOUBLE_EQ(score.accuracy, 0.5);
-  EXPECT_DOUBLE_EQ(score.decided_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(score.attacked_fraction, 0.0);
+  const auto report = eval::link_report("muxlink", result, design.key);
+  EXPECT_DOUBLE_EQ(report.accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(report.decided_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(report.attacked_fraction, 0.0);
 }
 
 TEST(MuxLink, ProducesDecisionForEveryBit) {
@@ -218,8 +223,10 @@ TEST(MuxLink, ThresholdControlsDecidedFraction) {
   lenient.decision_threshold = 0.0;
   MuxLinkConfig strict = fast_config();
   strict.decision_threshold = 0.9;
-  const auto score_lenient = MuxLinkAttack(lenient).run(design);
-  const auto score_strict = MuxLinkAttack(strict).run(design);
+  const auto score_lenient = eval::link_report(
+      "muxlink", MuxLinkAttack(lenient).attack(design.netlist), design.key);
+  const auto score_strict = eval::link_report(
+      "muxlink", MuxLinkAttack(strict).attack(design.netlist), design.key);
   EXPECT_GE(score_lenient.decided_fraction, score_strict.decided_fraction);
   EXPECT_DOUBLE_EQ(score_lenient.decided_fraction, 1.0);
 }
@@ -237,8 +244,9 @@ TEST(MuxLink, BeatsRandomGuessingOnAverage) {
       const auto design = lock::dmux_lock(original, 16, lock_seed);
       MuxLinkConfig config = fast_config();
       config.epochs = 12;
-      const auto score = MuxLinkAttack(config).run(design);
-      total_accuracy += score.accuracy;
+      const auto report = eval::link_report(
+          "muxlink", MuxLinkAttack(config).attack(design.netlist), design.key);
+      total_accuracy += report.accuracy;
       ++runs;
     }
   }

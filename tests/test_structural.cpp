@@ -8,6 +8,7 @@
 
 #include "attacks/attack_scratch.hpp"
 #include "attacks/muxlink.hpp"
+#include "eval/attack.hpp"
 #include "locking/antisat.hpp"
 #include "locking/mux_lock.hpp"
 #include "locking/rll.hpp"
@@ -44,13 +45,13 @@ TEST(Structural, CoinFlipScoreOnAntiSatKeyBits) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
   const auto design = lock::antisat_lock(original, {}, 5);
   const StructuralLinkPredictor attacker;
-  const auto score =
-      MuxLinkAttack::score(attacker.attack(design.netlist), design.key);
+  const auto report = eval::link_report(
+      "structural", attacker.attack(design.netlist), design.key);
   // Anti-SAT key gates carry no MUX hypotheses: the attack must not score
   // on them (the old forced-0 default credited every zero key bit).
-  EXPECT_DOUBLE_EQ(score.accuracy, 0.5);
-  EXPECT_DOUBLE_EQ(score.attacked_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(score.decided_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(report.accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(report.attacked_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(report.decided_fraction, 0.0);
 }
 
 TEST(Structural, MarksCompoundMuxBitsAttacked) {
@@ -61,8 +62,8 @@ TEST(Structural, MarksCompoundMuxBitsAttacked) {
   const auto result = attacker.attack(design.netlist);
   ASSERT_EQ(result.bit_attacked.size(), 8u);  // the 8 MUX bits, no anti-SAT
   for (std::size_t b = 0; b < 8; ++b) EXPECT_EQ(result.bit_attacked[b], 1);
-  const auto score = MuxLinkAttack::score(result, design.key);
-  EXPECT_DOUBLE_EQ(score.attacked_fraction,
+  const auto report = eval::link_report("structural", result, design.key);
+  EXPECT_DOUBLE_EQ(report.attacked_fraction,
                    8.0 / static_cast<double>(design.key.size()));
 }
 
@@ -127,8 +128,9 @@ TEST(Structural, MuchFasterThanGnnInSpirit) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC1908, 11);
   const auto design = lock::dmux_lock(original, 32, 11);
   const StructuralLinkPredictor attacker;
-  const auto score = attacker.run(design);
-  EXPECT_EQ(score.key_bits, 32u);
+  const auto report = eval::link_report(
+      "structural", attacker.attack(design.netlist), design.key);
+  EXPECT_EQ(report.key_bits, 32u);
 }
 
 TEST(Structural, AboveChanceOnAverage) {
@@ -144,7 +146,10 @@ TEST(Structural, AboveChanceOnAverage) {
     const Netlist original = netlist::gen::make_profile(profile, 1);
     for (std::uint64_t lock_seed : {201, 202, 203, 204}) {
       const auto design = lock::dmux_lock(original, 24, lock_seed);
-      total += StructuralLinkPredictor().run(design).accuracy;
+      total += eval::link_report("structural",
+                                 StructuralLinkPredictor().attack(design.netlist),
+                                 design.key)
+                   .accuracy;
       ++runs;
     }
   }

@@ -70,5 +70,15 @@ TEST(Fmt, Percent) {
   EXPECT_EQ(fmt_pct(0.0), "0.0%");
 }
 
+TEST(JsonEscape, ShortEscapesAndLowercaseControlBytes) {
+  EXPECT_EQ(json_escape("plain c432/dmux"), "plain c432/dmux");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("x\ny\tz"), "x\\ny\\tz");
+  EXPECT_EQ(json_escape(std::string("\x00\x1b\x1f\r", 4)),
+            "\\u0000\\u001b\\u001f\\u000d");
+  // Bytes from 0x20 up, UTF-8 included, pass through unchanged.
+  EXPECT_EQ(json_escape(" \x7f\xc3\xa9"), " \x7f\xc3\xa9");
+}
+
 }  // namespace
 }  // namespace autolock::util
