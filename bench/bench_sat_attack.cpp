@@ -4,6 +4,9 @@
 // oracle-guided SAT attack — the expected shape is: the SAT attack succeeds
 // everywhere, with effort (DIP iterations / conflicts / time) growing with
 // key length, and MUX locking costing at least as much as RLL at equal K.
+// The c432 Anti-SAT rows (X8) are the exception: there the DIP count grows
+// roughly as 2^n with the block width n, and a compound D-MUX + Anti-SAT
+// lock keeps that cost.
 //
 // Two extra sections track the CDCL core itself across PRs:
 //  - "solver core": seeded hard instances (random 3-SAT at the phase
@@ -16,6 +19,7 @@
 #include "bench/common.hpp"
 
 #include "attacks/sat_attack.hpp"
+#include "locking/antisat.hpp"
 #include "locking/rll.hpp"
 #include "sat/instances.hpp"
 #include "sat/solver.hpp"
@@ -62,52 +66,66 @@ int main(int argc, char** argv) {
                      "conflicts", "decisions", "props", "Mprops/s",
                      "arena KB", "mean LBD", "time (s)"});
   const attack::SatAttack attacker;
+  const auto add_row = [&](const netlist::Netlist& original,
+                           const std::string& scheme,
+                           const lock::LockedDesign& design) {
+    const auto result = attacker.attack(design.netlist, original);
+    const double mprops =
+        result.seconds > 0.0
+            ? static_cast<double>(result.total_propagations) /
+                  result.seconds / 1e6
+            : 0.0;
+    table.add_row({original.name(), std::to_string(design.key.size()),
+                   scheme, result.success ? "yes" : "NO",
+                   std::to_string(result.dip_iterations),
+                   std::to_string(result.total_conflicts),
+                   std::to_string(result.total_decisions),
+                   std::to_string(result.total_propagations),
+                   util::fmt(mprops, 2),
+                   std::to_string(result.peak_arena_bytes / 1024),
+                   util::fmt(result.mean_lbd, 2),
+                   util::fmt(result.seconds, 3)});
+  };
 
   for (const auto& test_case : cases) {
     const auto original = netlist::gen::make_profile(test_case.profile, 1);
+    add_row(original, "RLL", lock::rll_lock(original, test_case.key_bits, 7));
+    add_row(original, "D-MUX",
+            lock::dmux_lock(original, test_case.key_bits, 7));
+    // AutoLock output (quick structural evolution — the SAT attack does
+    // not care how sites were chosen, only about the key-space pruning).
+    ga::GaConfig config;
+    config.population = 8;
+    config.generations = args.quick ? 1 : 3;
+    config.seed = 7;
+    eval::EvalPipelineConfig pipeline_config;
+    pipeline_config.attacks = {"structural"};
+    pipeline_config.seed = config.seed;
+    eval::EvalPipeline pipeline(original, std::move(pipeline_config));
+    const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
+        {.mux_sites = test_case.key_bits}, pipeline);
+    add_row(original, "AutoLock", pipeline.decode(result.best.genes));
+  }
 
-    struct Locked {
-      const char* scheme;
-      lock::LockedDesign design;
-    };
-    std::vector<Locked> designs;
-    designs.push_back({"RLL", lock::rll_lock(original, test_case.key_bits, 7)});
-    designs.push_back(
-        {"D-MUX", lock::dmux_lock(original, test_case.key_bits, 7)});
-    {
-      // AutoLock output (quick structural evolution — the SAT attack does
-      // not care how sites were chosen, only about the key-space pruning).
-      ga::GaConfig config;
-      config.population = 8;
-      config.generations = args.quick ? 1 : 3;
-      config.seed = 7;
-      eval::EvalPipelineConfig pipeline_config;
-      pipeline_config.attacks = {"structural"};
-      pipeline_config.seed = config.seed;
-      eval::EvalPipeline pipeline(original, std::move(pipeline_config));
-      const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
-          {.mux_sites = test_case.key_bits}, pipeline);
-      designs.push_back({"AutoLock", pipeline.decode(result.best.genes)});
+  // Anti-SAT widths on c432, a D-MUX reference of about the same key
+  // length, and a compound lock.
+  {
+    const auto original =
+        netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 1);
+    const std::vector<std::size_t> widths =
+        args.quick ? std::vector<std::size_t>{3}
+                   : std::vector<std::size_t>{3, 4, 5, 6, 7};
+    lock::AntiSatOptions options;
+    for (const std::size_t width : widths) {
+      options.width = width;
+      add_row(original, "Anti-SAT n=" + std::to_string(width),
+              lock::antisat_lock(original, options, 7));
     }
-
-    for (const auto& [scheme, design] : designs) {
-      const auto result = attacker.attack(design.netlist, original);
-      const double mprops =
-          result.seconds > 0.0
-              ? static_cast<double>(result.total_propagations) /
-                    result.seconds / 1e6
-              : 0.0;
-      table.add_row({original.name(), std::to_string(test_case.key_bits),
-                     scheme, result.success ? "yes" : "NO",
-                     std::to_string(result.dip_iterations),
-                     std::to_string(result.total_conflicts),
-                     std::to_string(result.total_decisions),
-                     std::to_string(result.total_propagations),
-                     util::fmt(mprops, 2),
-                     std::to_string(result.peak_arena_bytes / 1024),
-                     util::fmt(result.mean_lbd, 2),
-                     util::fmt(result.seconds, 3)});
-    }
+    add_row(original, "D-MUX", lock::dmux_lock(original, 12, 7));
+    options.width = args.quick ? 3 : 5;
+    add_row(original,
+            "D-MUX 8 + Anti-SAT n=" + std::to_string(options.width),
+            lock::compound_lock(original, 8, options, 7));
   }
   benchx::emit(table, args, "X4 — oracle-guided SAT attack effort by scheme");
 

@@ -6,6 +6,7 @@
 //   lock_file_tool gen <profile> <out.bench> [seed]      write a benchmark circuit
 //   lock_file_tool lock <in.bench> <out.bench> <K> [scheme] [seed]
 //        scheme: dmux (default) | rll | antisat | compound | autolock
+//        K >= 1; antisat = one Anti-SAT block of width K/2 (K even, >= 4)
 //        compound = K D-MUX key bits plus one Anti-SAT block (key grows by
 //        2 * width extra bits; layout documented in locking/compound.hpp)
 //   lock_file_tool attack <locked.bench>                  run MuxLink (prints key guess)
@@ -17,7 +18,8 @@
 //   lock_file_tool stats <in.bench>                       print circuit statistics
 //
 // Exit status: 0 on success, 1 with usage on a missing argument or unknown
-// command, 2 on a bad argument value (unknown scheme, non-numeric K or seed),
+// command, 2 on a bad argument value (unknown scheme, non-numeric K or seed,
+// K = 0, an odd or too small antisat K),
 // when `report` cannot prove a reference key, or on any other error.
 #include <charconv>
 #include <cstdio>
@@ -95,6 +97,7 @@ int cmd_stats(int argc, char** argv) {
 int cmd_lock(int argc, char** argv) {
   if (argc < 5) return 1;
   const auto key_bits = static_cast<std::size_t>(parse_unsigned(argv[4], "K"));
+  if (key_bits == 0) throw UsageError("K must be at least 1");
   const std::string scheme = argc > 5 ? argv[5] : "dmux";
   const std::uint64_t seed = argc > 6 ? parse_unsigned(argv[6], "seed") : 1;
   const auto original = netlist::bench::stream_load_file(argv[2]);
@@ -103,7 +106,11 @@ int cmd_lock(int argc, char** argv) {
   if (scheme == "rll") {
     design = lock::rll_lock(original, key_bits, seed);
   } else if (scheme == "antisat") {
-    design = lock::antisat_lock(original, {}, seed);
+    if (key_bits % 2 != 0 || key_bits < 4) {
+      throw UsageError("antisat needs an even K >= 4 (width K/2), got " +
+                       std::to_string(key_bits));
+    }
+    design = lock::antisat_lock(original, {.width = key_bits / 2}, seed);
   } else if (scheme == "compound") {
     design = lock::compound_lock(original, key_bits, {}, seed);
   } else if (scheme == "autolock") {

@@ -140,8 +140,6 @@ class Gnn {
   double train_epoch(const std::vector<Subgraph>& samples,
                      const std::vector<std::size_t>& order);
 
-  const GnnConfig& config() const noexcept { return config_; }
-
  private:
   struct Layer {
     Mat w_self, w_neigh;

@@ -83,8 +83,6 @@ class MuxLinkAttack {
   MuxLinkResult attack(const lock::LockedDesign& design,
                        AttackScratch& scratch) const;
 
-  const MuxLinkConfig& config() const noexcept { return config_; }
-
  private:
   /// The attack on the view already in `scratch.graph`.
   MuxLinkResult attack_view(AttackScratch& scratch) const;

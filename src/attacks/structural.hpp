@@ -48,8 +48,6 @@ class StructuralLinkPredictor {
   MuxLinkResult attack(const lock::LockedDesign& design,
                        AttackScratch& scratch) const;
 
-  const StructuralPredictorConfig& config() const noexcept { return config_; }
-
   /// Number of features per candidate pair (exposed for tests).
   static constexpr std::size_t kPairFeatureDim = 10;
 

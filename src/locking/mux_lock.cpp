@@ -1,5 +1,6 @@
 #include "locking/mux_lock.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 namespace autolock::lock {
@@ -64,6 +65,9 @@ bool applicable_to_working_ranks(DecodeTopo& topo, const Gene& site) {
 
 LockedDesign dmux_lock(const Netlist& original, std::size_t key_bits,
                        std::uint64_t seed) {
+  if (key_bits == 0) {
+    throw std::invalid_argument("dmux_lock: key_bits must be >= 1");
+  }
   util::Rng rng(seed);
   const SiteContext context(original);
   auto genes = random_genotype(context, key_bits, rng);

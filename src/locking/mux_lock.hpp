@@ -97,7 +97,8 @@ void apply_genotype_into(LockedDesign& out, const netlist::Netlist& original,
 void warm_decode_names(const netlist::Netlist& original, std::size_t key_bits,
                        ReachScratch& scratch);
 
-/// D-MUX-style random MUX locking with `key_bits` key bits.
+/// D-MUX-style random MUX locking with `key_bits` key bits. Throws
+/// std::invalid_argument on `key_bits` 0: a keyless design is no lock.
 LockedDesign dmux_lock(const netlist::Netlist& original, std::size_t key_bits,
                        std::uint64_t seed);
 

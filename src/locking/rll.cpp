@@ -12,6 +12,9 @@ using netlist::Netlist;
 
 LockedDesign rll_lock(const Netlist& original, std::size_t key_bits,
                       std::uint64_t seed) {
+  if (key_bits == 0) {
+    throw std::invalid_argument("rll_lock: key_bits must be >= 1");
+  }
   util::Rng rng(seed);
   const SiteContext context(original);
   // The context's wire pool is exactly the pool this scheme historically

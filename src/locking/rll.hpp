@@ -17,7 +17,8 @@ namespace autolock::lock {
 /// Inserts `key_bits` XOR/XNOR key gates on distinct random wires.
 /// Key bit 0 -> XOR gate, key bit 1 -> XNOR gate, so the correct key value
 /// always makes the key gate transparent. The returned design's `genes` are
-/// RLL genes (no MUX gene); `key` holds the correct key.
+/// RLL genes (no MUX gene); `key` holds the correct key. Throws
+/// std::invalid_argument on `key_bits` 0.
 LockedDesign rll_lock(const netlist::Netlist& original, std::size_t key_bits,
                       std::uint64_t seed);
 

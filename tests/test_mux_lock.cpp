@@ -152,6 +152,11 @@ TEST(MuxLock, ThrowsWhenCircuitTooSmall) {
   EXPECT_THROW(dmux_lock(c17, 64, 1), std::runtime_error);
 }
 
+TEST(MuxLock, ThrowsOnZeroKeyBits) {
+  // A keyless design is no lock; it would score as perfectly resilient.
+  EXPECT_THROW(dmux_lock(netlist::gen::c17(), 0, 1), std::invalid_argument);
+}
+
 TEST(MuxLock, C17SmallKeyWorks) {
   const Netlist c17 = netlist::gen::c17();
   const LockedDesign design = dmux_lock(c17, 2, 5);

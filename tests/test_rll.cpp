@@ -78,6 +78,10 @@ TEST(Rll, ThrowsWhenNotEnoughWires) {
   EXPECT_THROW(rll_lock(c17, 1000, 1), std::runtime_error);
 }
 
+TEST(Rll, ThrowsOnZeroKeyBits) {
+  EXPECT_THROW(rll_lock(netlist::gen::c17(), 0, 1), std::invalid_argument);
+}
+
 TEST(Rll, DeterministicInSeed) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 15);
