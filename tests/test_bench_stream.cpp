@@ -321,5 +321,106 @@ TEST(BenchStream, LongLinesSpanManyChunks) {
   expect_identical(reference, stream_parse_text(text, 16));
 }
 
+// ---- pinned parse results ----------------------------------------------------
+//
+// A digest of everything a parse decides: node types, key flags, fanins,
+// NameIds and their texts, output ports and the cached topological order.
+// The constants were taken from the reader before its name index and
+// topological-order priming were rewritten; any change to what a parse
+// produces moves them.
+
+class Digest {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFF;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void add(std::string_view text) {
+    add(text.size());
+    for (const char ch : text) {
+      hash_ ^= static_cast<unsigned char>(ch);
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ULL;
+};
+
+std::uint64_t parse_digest(const Netlist& netlist) {
+  Digest d;
+  d.add(netlist.size());
+  for (NodeId v = 0; v < netlist.size(); ++v) {
+    const Node& node = netlist.node(v);
+    d.add(static_cast<std::uint64_t>(node.type));
+    d.add(node.is_key_input ? 1 : 0);
+    d.add(node.name);
+    d.add(netlist.name(v));
+    d.add(node.fanins.size());
+    for (const NodeId fanin : node.fanins) d.add(fanin);
+  }
+  d.add(netlist.inputs().size());
+  for (const NodeId id : netlist.inputs()) d.add(id);
+  d.add(netlist.outputs().size());
+  for (std::size_t i = 0; i < netlist.outputs().size(); ++i) {
+    d.add(netlist.outputs()[i].name);
+    d.add(netlist.output_name(i));
+    d.add(netlist.outputs()[i].driver);
+  }
+  d.add(netlist.names()->size());
+  for (const NodeId id : netlist.topological_order()) d.add(id);
+  return d.value();
+}
+
+TEST(BenchStreamPin, ParsedNetlistDigestsArePinned) {
+  gen::LayeredCircuitConfig layered;
+  layered.primary_inputs = 96;
+  layered.outputs = 48;
+  layered.gates = 20'000;
+  layered.layers = 60;
+  std::ostringstream layered_text;
+  stream_write(gen::make_layered(layered, 17), layered_text);
+
+  // Forward references, a bare alias, constants and an input that is also
+  // an output port.
+  const std::string hand = R"(INPUT(b)
+INPUT(a)
+INPUT(keyinput1)
+INPUT(keyinput0)
+OUTPUT(y)
+OUTPUT(a)
+OUTPUT(alias)
+OUTPUT(z)
+y = XOR(late, keyinput0)
+alias = late
+z = MUX(keyinput1, one, late)
+late = NAND(mid, b, zero)
+mid = OR(a, b)
+zero = CONST0
+one = CONST1
+)";
+
+  const struct {
+    const char* name;
+    std::string text;
+    std::uint64_t digest;
+  } cases[] = {
+      {"c880", write(gen::make_profile(gen::ProfileId::kC880, 1)),
+       0x1ba988f04bb433c9ULL},
+      {"c1355", write(gen::make_profile(gen::ProfileId::kC1355, 1)),
+       0xfa27145c1ede0deaULL},
+      {"layered20k", layered_text.str(), 0x08405ecdf8bc4cbbULL},
+      {"hand", hand, 0xed28d0b008bc61efULL},
+  };
+  for (const auto& test_case : cases) {
+    SCOPED_TRACE(test_case.name);
+    EXPECT_EQ(parse_digest(stream_parse_text(test_case.text)),
+              test_case.digest);
+  }
+}
+
 }  // namespace
 }  // namespace autolock::netlist::bench
