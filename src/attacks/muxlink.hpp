@@ -44,6 +44,11 @@ struct MuxLinkConfig {
   /// training time for decision variance (use for final evaluations, keep
   /// at 1 inside GA fitness loops).
   std::size_t ensemble = 1;
+  /// Seeds link sampling and GNN initialization. The registry's "muxlink"
+  /// at option seed 0 (eval::AttackOptions::seed) is exactly a default
+  /// MuxLinkAttack(), so re-attacking a design evolved against that
+  /// fitness with a default MuxLinkAttack() replays the in-loop score: a
+  /// held-out re-attack must change this seed or the preset.
   std::uint64_t seed = 0xA77AC4ULL;
 };
 

@@ -74,7 +74,9 @@ struct AttackOptions {
   /// Committee size for "muxlink-ensemble".
   std::size_t ensemble = 3;
   /// XORed into every stochastic attack's seed (0 = use the configs' seeds
-  /// unchanged).
+  /// unchanged). At 0 the "muxlink" entry is exactly a default
+  /// attack::MuxLinkAttack(), so a held-out re-attack of a design evolved
+  /// against it must change this seed or the MuxLink preset.
   std::uint64_t seed = 0;
 };
 

@@ -10,6 +10,9 @@
 //     netlist's table in node-creation order (inputs in declaration order,
 //     then gates in dependency-DFS materialization order) through one
 //     NameTable::intern_batch call, independent of the chunk size;
+//   - linear cost: one hash per name occurrence; each node's longest-path
+//     level is computed as it is created, and the (level, id) topological
+//     order they give is primed, so validate() checks it in O(N+E);
 //   - line-numbered diagnostics: every malformed input fails with a
 //     "bench parse error at line N: ..." message, scan errors taking
 //     precedence over build errors; a stream read error is reported as

@@ -9,20 +9,23 @@
 // (apply_genotype_into) interns its generated names ("keyinput<t>",
 // "keymux<t>a/b") exactly once per family and reuses the ids thereafter.
 //
+// Storage: name text is copied into a chunked arena whose chunks never
+// move, and the text -> id index is one flat open-addressed array of
+// (hash tag, id) slots, so a lookup hashes once and compares text only
+// when a slot's tag matches.
+//
 // Thread safety: intern/find/text/size are safe to call concurrently
 // (parallel decode workers share one table); lookups take a shared lock,
-// interning a *new* name upgrades to an exclusive lock. Interned text is
-// stored in a deque, so returned string_views stay valid for the table's
+// interning a *new* name upgrades to an exclusive lock. Returned
+// string_views point into the arena, so they stay valid for the table's
 // lifetime regardless of later growth.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <shared_mutex>
 #include <span>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace autolock::netlist {
@@ -31,6 +34,12 @@ namespace autolock::netlist {
 /// names are never removed.
 using NameId = std::uint32_t;
 inline constexpr NameId kNoName = static_cast<NameId>(-1);
+
+/// The hash a NameTable indexes `text` by, eight bytes at a time. Bulk
+/// loaders that already hash their names (the .bench reader's scan-local
+/// pool) hand these values to NameTable::intern_batch instead of having
+/// every name hashed twice.
+std::uint32_t name_hash(std::string_view text) noexcept;
 
 class NameTable {
  public:
@@ -51,9 +60,11 @@ class NameTable {
   /// ids into `out` (resized to `texts.size()`). Ids are issued in `texts`
   /// order, so a batch over fresh names produces the same ids a sequential
   /// intern() loop would. The views need only live for the call — text is
-  /// copied into the table.
+  /// copied into the table. `hashes`, when not empty, holds
+  /// name_hash(texts[i]) for every i, which the batch then skips computing.
   void intern_batch(std::span<const std::string_view> texts,
-                    std::vector<NameId>& out);
+                    std::vector<NameId>& out,
+                    std::span<const std::uint32_t> hashes = {});
 
   /// Returns the id of `text`, or kNoName if it was never interned.
   NameId find(std::string_view text) const noexcept;
@@ -66,9 +77,28 @@ class NameTable {
   std::size_t size() const noexcept;
 
  private:
+  /// Index slot: hash tag in the high half, id + 1 in the low half
+  /// (0 = empty).
+  using Slot = std::uint64_t;
+
+  /// The id of `text` (hash `hash`), or kNoName; `slot` receives the slot
+  /// a new entry would take. Caller holds the lock.
+  NameId lookup(std::string_view text, std::uint32_t hash,
+                std::size_t& slot) const noexcept;
+  /// Appends `text` as a new id at `slot`; caller holds the exclusive lock
+  /// and has made room (grow_index).
+  NameId insert(std::string_view text, std::uint32_t hash, std::size_t slot);
+  /// Keeps the index at most half full for `extra` more names.
+  void grow_index(std::size_t extra);
+  /// Copies `text` into the arena; the result never moves.
+  std::string_view store(std::string_view text);
+
   mutable std::shared_mutex mutex_;
-  std::deque<std::string> texts_;  // stable storage: ids index this deque
-  std::unordered_map<std::string_view, NameId> index_;  // views into texts_
+  std::vector<std::string_view> texts_;  // id -> text in the arena
+  std::vector<Slot> index_;  // linear probing from hash & (size - 1)
+  std::vector<std::unique_ptr<char[]>> chunks_;  // arena; chunks never move
+  char* chunk_free_ = nullptr;           // unused tail of the last chunk
+  std::size_t chunk_left_ = 0;
 };
 
 }  // namespace autolock::netlist

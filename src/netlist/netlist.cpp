@@ -28,6 +28,9 @@ Netlist::Netlist(const Netlist& other)
       inputs_(other.inputs_),
       outputs_(other.outputs_),
       node_of_name_(other.node_of_name_),
+      port_names_(other.port_names_),
+      issued_names_(other.issued_names_),
+      empty_name_(other.empty_name_),
       structural_version_(other.structural_version_) {}
 
 Netlist& Netlist::operator=(const Netlist& other) {
@@ -38,6 +41,9 @@ Netlist& Netlist::operator=(const Netlist& other) {
   inputs_ = other.inputs_;
   outputs_ = other.outputs_;
   node_of_name_ = other.node_of_name_;
+  port_names_ = other.port_names_;
+  issued_names_ = other.issued_names_;
+  empty_name_ = other.empty_name_;
   cache_ = TraversalCache{};
   structural_version_ = other.structural_version_;  // same structure
   return *this;
@@ -50,6 +56,9 @@ Netlist::Netlist(Netlist&& other) noexcept
       inputs_(std::move(other.inputs_)),
       outputs_(std::move(other.outputs_)),
       node_of_name_(std::move(other.node_of_name_)),
+      port_names_(std::move(other.port_names_)),
+      issued_names_(other.issued_names_),
+      empty_name_(other.empty_name_),
       cache_(std::move(other.cache_)),
       structural_version_(other.structural_version_) {
   other.cache_ = TraversalCache{};
@@ -64,6 +73,9 @@ Netlist& Netlist::operator=(Netlist&& other) noexcept {
   inputs_ = std::move(other.inputs_);
   outputs_ = std::move(other.outputs_);
   node_of_name_ = std::move(other.node_of_name_);
+  port_names_ = std::move(other.port_names_);
+  issued_names_ = other.issued_names_;
+  empty_name_ = other.empty_name_;
   cache_ = std::move(other.cache_);
   other.cache_ = TraversalCache{};
   structural_version_ = other.structural_version_;
@@ -90,13 +102,16 @@ void Netlist::reserve_nodes(std::size_t nodes, std::size_t input_nodes) {
   // New names intern densely at the end of the shared table, so the name
   // index grows to about (table size + new nodes) entries.
   node_of_name_.reserve(names_->size() + nodes);
+  issued_names_ = static_cast<NameId>(names_->size());
+  empty_name_ = names_->find("");  // after size(): "" is below it if issued
 }
 
 NodeId Netlist::add_node(Node node) {
   const auto id = static_cast<NodeId>(nodes_.size());
   if (node.name == kNoName) {
     node.name = fresh_name(id);
-  } else if (names_->text(node.name).empty()) {
+  } else if (node.name < issued_names_ ? node.name == empty_name_
+                                       : names_->text(node.name).empty()) {
     // text() also throws out_of_range for ids this table never issued —
     // the NameId overloads must not accept symbols from a foreign table.
     throw std::invalid_argument("Netlist: empty node name");
@@ -197,12 +212,12 @@ void Netlist::mark_output(NodeId id, NameId port_name) {
   } else {
     (void)names_->text(port_name);  // throws for ids from a foreign table
   }
-  for (const auto& port : outputs_) {
-    if (port.name == port_name) {
-      throw std::invalid_argument("Netlist::mark_output: duplicate port '" +
-                                  std::string(names_->text(port_name)) + "'");
-    }
+  if (port_names_.size() <= port_name) port_names_.resize(port_name + 1);
+  if (port_names_[port_name]) {
+    throw std::invalid_argument("Netlist::mark_output: duplicate port '" +
+                                std::string(names_->text(port_name)) + "'");
   }
+  port_names_[port_name] = true;
   outputs_.push_back(OutputPort{port_name, id});
   // Output ports are not traversal edges (no cache invalidation needed),
   // but they are structure: the decode recycle path must see this.
@@ -390,25 +405,16 @@ bool Netlist::compute_topological_order(std::vector<NodeId>& order) const {
     pending[v] = static_cast<std::uint32_t>(nodes_[v].fanins.size());
     if (pending[v] == 0) order.push_back(v);
   }
-  std::uint32_t max_level = 0;
   for (std::size_t head = 0; head < order.size(); ++head) {
     const NodeId v = order[head];
     const std::uint32_t next = level[v] + 1;
     for (const NodeId w : fanouts.fanouts(v)) {
       level[w] = std::max(level[w], next);
-      if (--pending[w] == 0) {
-        max_level = std::max(max_level, level[w]);
-        order.push_back(w);
-      }
+      if (--pending[w] == 0) order.push_back(w);
     }
   }
   if (order.size() != n) return false;
-  std::vector<std::uint32_t> level_start(std::size_t{max_level} + 2, 0);
-  for (NodeId v = 0; v < n; ++v) ++level_start[level[v] + 1];
-  for (std::size_t l = 1; l < level_start.size(); ++l) {
-    level_start[l] += level_start[l - 1];
-  }
-  for (NodeId v = 0; v < n; ++v) order[level_start[level[v]]++] = v;
+  order_by_level(level, order);
   return true;
 }
 
@@ -449,6 +455,19 @@ void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out) {
     }
     out[v] = best;
   }
+}
+
+void order_by_level(std::span<const std::uint32_t> level,
+                    std::vector<NodeId>& order) {
+  const std::uint32_t max_level =
+      level.empty() ? 0 : *std::max_element(level.begin(), level.end());
+  std::vector<std::uint32_t> level_start(std::size_t{max_level} + 2, 0);
+  for (const std::uint32_t l : level) ++level_start[l + 1];
+  for (std::size_t l = 1; l < level_start.size(); ++l) {
+    level_start[l] += level_start[l - 1];
+  }
+  order.resize(level.size());
+  for (NodeId v = 0; v < level.size(); ++v) order[level_start[level[v]]++] = v;
 }
 
 std::size_t Netlist::gate_count() const noexcept {
@@ -501,9 +520,15 @@ Netlist Netlist::compacted() const {
 }
 
 void Netlist::validate() const {
+  // The table only grows, so one look covers every node's name.
+  const std::size_t issued = names_->size();
+  const NameId empty_name = names_->find("");
   for (NodeId v = 0; v < nodes_.size(); ++v) {
     const Node& node = nodes_[v];
-    if (node.name == kNoName || names_->text(node.name).empty()) {
+    if (node.name != kNoName && node.name >= issued) {
+      (void)names_->text(node.name);  // throws: a foreign table's id
+    }
+    if (node.name == kNoName || node.name == empty_name) {
       throw std::runtime_error("Netlist::validate: unnamed node");
     }
     if (lookup_name(node.name) != v) {

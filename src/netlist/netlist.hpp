@@ -69,7 +69,9 @@ class Netlist {
   /// nodes (of which about `input_nodes` are inputs). Bulk-construction
   /// paths — the streaming .bench reader, the synthetic generators — call
   /// this once before their add_input/add_gate loop so a million-node build
-  /// never pays a geometric-growth reallocation storm.
+  /// never pays a geometric-growth reallocation storm. It also notes which
+  /// names the table has issued so far: nodes added under those names skip
+  /// the per-node table lookup.
   void reserve_nodes(std::size_t nodes, std::size_t input_nodes = 0);
 
   /// Adds a primary input (or key input). Name must be unique and non-empty.
@@ -261,6 +263,14 @@ class Netlist {
   /// as one POD vector — the replacement for the per-copy rebuild of the
   /// old unordered_map<string, NodeId>.
   std::vector<NodeId> node_of_name_;
+  /// port_names_[NameId]: the symbol names an output port (mark_output's
+  /// O(1) duplicate check). Sized to the largest port symbol.
+  std::vector<bool> port_names_;
+  /// Symbols below issued_names_ were issued by names_ (which only grows),
+  /// and among them only empty_name_ (kNoName if none) has empty text:
+  /// add_node's name check without the table's lock. Set by reserve_nodes.
+  NameId issued_names_ = 0;
+  NameId empty_name_ = kNoName;
 
   // Lazily filled by the const traversal accessors; guarded so that
   // concurrent readers (parallel fitness evaluation over a shared original
@@ -279,5 +289,12 @@ class Netlist {
 /// fanin level); depth() is the largest entry. Buffer-reusing, for attack
 /// hot paths that recompute levels for every candidate design.
 void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out);
+
+/// Node ids [0, level.size()) into `order`, ascending by (level[v], v): a
+/// counting sort in O(N + max level). Given every node's longest-path level
+/// this is the order topological_order() computes, which a builder that
+/// knows the levels primes (prime_topological_order) instead.
+void order_by_level(std::span<const std::uint32_t> level,
+                    std::vector<NodeId>& order);
 
 }  // namespace autolock::netlist

@@ -1,7 +1,6 @@
 #include "netlist/types.hpp"
 
 #include <array>
-#include <cctype>
 
 namespace autolock::netlist {
 
@@ -23,36 +22,89 @@ std::string_view gate_type_name(GateType type) noexcept {
   return "?";
 }
 
+namespace {
+
+/// A keyword of one to seven characters, upper-cased as std::toupper does
+/// in the "C" locale, packed with its length into one nonzero word.
+constexpr std::uint64_t pack_keyword(std::string_view keyword) noexcept {
+  std::uint64_t word = std::uint64_t{keyword.size()} << 56;
+  for (std::size_t i = 0; i < keyword.size(); ++i) {
+    auto ch = static_cast<unsigned char>(keyword[i]);
+    if (ch >= 'a' && ch <= 'z') ch = static_cast<unsigned char>(ch - 'a' + 'A');
+    word |= std::uint64_t{ch} << (8 * i);
+  }
+  return word;
+}
+
+struct Keyword {
+  std::string_view name;
+  GateType type;
+};
+
+constexpr std::array<Keyword, 14> kKeywords{{
+    {"INPUT", GateType::kInput},
+    {"CONST0", GateType::kConst0},
+    {"CONST1", GateType::kConst1},
+    {"BUF", GateType::kBuf},
+    {"BUFF", GateType::kBuf},  // ISCAS .bench spelling
+    {"NOT", GateType::kNot},
+    {"INV", GateType::kNot},
+    {"AND", GateType::kAnd},
+    {"NAND", GateType::kNand},
+    {"OR", GateType::kOr},
+    {"NOR", GateType::kNor},
+    {"XOR", GateType::kXor},
+    {"XNOR", GateType::kXnor},
+    {"MUX", GateType::kMux},
+}};
+
+// parse_gate_type runs once per gate line of every .bench file, on a gate
+// mix no branch predictor learns, so it looks a keyword up with one
+// multiply and one load: a 64-slot table indexed by the top bits of
+// packed * kMultiplier, where kMultiplier is the first odd number from
+// the golden ratio up that gives every keyword its own slot.
+constexpr std::size_t slot_of(std::uint64_t packed,
+                              std::uint64_t multiplier) noexcept {
+  return static_cast<std::size_t>((packed * multiplier) >> 58);
+}
+
+constexpr std::uint64_t find_multiplier() noexcept {
+  for (std::uint64_t multiplier = 0x9E3779B97F4A7C15ULL;; multiplier += 2) {
+    std::array<bool, 64> used{};
+    bool distinct = true;
+    for (const Keyword& keyword : kKeywords) {
+      const std::size_t slot = slot_of(pack_keyword(keyword.name), multiplier);
+      distinct = distinct && !used[slot];
+      used[slot] = true;
+    }
+    if (distinct) return multiplier;
+  }
+}
+
+constexpr std::uint64_t kMultiplier = find_multiplier();
+
+struct Slot {
+  std::uint64_t packed = 0;  // 0: empty (no keyword packs to 0)
+  GateType type = GateType::kInput;
+};
+
+constexpr std::array<Slot, 64> kSlots = [] {
+  std::array<Slot, 64> slots{};
+  for (const Keyword& keyword : kKeywords) {
+    const std::uint64_t packed = pack_keyword(keyword.name);
+    slots[slot_of(packed, kMultiplier)] = {packed, keyword.type};
+  }
+  return slots;
+}();
+
+}  // namespace
+
 std::optional<GateType> parse_gate_type(std::string_view keyword) noexcept {
-  std::string upper;
-  upper.reserve(keyword.size());
-  for (char ch : keyword) {
-    upper.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(ch))));
-  }
-  struct Entry {
-    std::string_view name;
-    GateType type;
-  };
-  static constexpr std::array<Entry, 14> kEntries{{
-      {"INPUT", GateType::kInput},
-      {"CONST0", GateType::kConst0},
-      {"CONST1", GateType::kConst1},
-      {"BUF", GateType::kBuf},
-      {"BUFF", GateType::kBuf},  // ISCAS .bench spelling
-      {"NOT", GateType::kNot},
-      {"INV", GateType::kNot},
-      {"AND", GateType::kAnd},
-      {"NAND", GateType::kNand},
-      {"OR", GateType::kOr},
-      {"NOR", GateType::kNor},
-      {"XOR", GateType::kXor},
-      {"XNOR", GateType::kXnor},
-      {"MUX", GateType::kMux},
-  }};
-  for (const auto& entry : kEntries) {
-    if (entry.name == upper) return entry.type;
-  }
-  return std::nullopt;
+  if (keyword.empty() || keyword.size() > 7) return std::nullopt;
+  const std::uint64_t packed = pack_keyword(keyword);
+  const Slot& slot = kSlots[slot_of(packed, kMultiplier)];
+  if (slot.packed != packed) return std::nullopt;
+  return slot.type;
 }
 
 std::uint64_t eval_gate_words(GateType type, const std::uint64_t* fanins,

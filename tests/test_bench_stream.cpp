@@ -209,6 +209,8 @@ TEST(BenchStream, SyntheticErrorCasesProducePinnedErrors) {
        "'keyinput99999999999'"},
       {"INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\ny = NOT(a)\n",
        "bench parse error at line 4: duplicate definition of 'y'"},
+      {"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nOUTPUT(y)\n",
+       "bench parse error at line 4: duplicate output 'y'"},
   };
   for (const auto& test_case : cases) {
     SCOPED_TRACE(test_case.text);
