@@ -457,7 +457,7 @@ Netlist stream_parse(std::istream& in, std::string circuit_name,
     hashes.push_back(s.pool.hash(s.gates[g].tid));
   }
   std::vector<NameId> ids;
-  netlist.names()->intern_batch(texts, ids, hashes);
+  netlist.names()->intern_batch(texts, hashes, ids);
   // After the batch, so the nodes' names count as checked (reserve_nodes).
   netlist.reserve_nodes(node_count, s.inputs.size());
   std::vector<NodeId> node_of(pool_n, kNoNode);

@@ -126,13 +126,10 @@ void NameTable::reserve(std::size_t expected) {
 }
 
 void NameTable::intern_batch(std::span<const std::string_view> texts,
-                             std::vector<NameId>& out,
-                             std::span<const std::uint32_t> hashes) {
-  std::vector<std::uint32_t> computed;
-  if (hashes.empty()) {
-    computed.reserve(texts.size());
-    for (const std::string_view text : texts) computed.push_back(name_hash(text));
-    hashes = computed;
+                             std::span<const std::uint32_t> hashes,
+                             std::vector<NameId>& out) {
+  if (hashes.size() != texts.size()) {
+    throw std::invalid_argument("NameTable::intern_batch: one hash per text");
   }
   out.resize(texts.size());
   const std::unique_lock lock(mutex_);

@@ -60,11 +60,12 @@ class NameTable {
   /// ids into `out` (resized to `texts.size()`). Ids are issued in `texts`
   /// order, so a batch over fresh names produces the same ids a sequential
   /// intern() loop would. The views need only live for the call — text is
-  /// copied into the table. `hashes`, when not empty, holds
-  /// name_hash(texts[i]) for every i, which the batch then skips computing.
+  /// copied into the table. `hashes[i]` must be name_hash(texts[i]): bulk
+  /// loaders hash their names already. Throws std::invalid_argument when
+  /// the two spans differ in length.
   void intern_batch(std::span<const std::string_view> texts,
-                    std::vector<NameId>& out,
-                    std::span<const std::uint32_t> hashes = {});
+                    std::span<const std::uint32_t> hashes,
+                    std::vector<NameId>& out);
 
   /// Returns the id of `text`, or kNoName if it was never interned.
   NameId find(std::string_view text) const noexcept;

@@ -35,6 +35,8 @@ TEST(NameTable, InternBatchMatchesSequentialIntern) {
   std::vector<std::string> names;
   for (int i = 0; i < 500; ++i) names.push_back("net" + std::to_string(i / 2));
   std::vector<std::string_view> views(names.begin(), names.end());
+  std::vector<std::uint32_t> hashes;
+  for (const auto view : views) hashes.push_back(name_hash(view));
 
   NameTable sequential;
   std::vector<NameId> expected;
@@ -43,14 +45,14 @@ TEST(NameTable, InternBatchMatchesSequentialIntern) {
   NameTable batched;
   batched.reserve(names.size());
   std::vector<NameId> ids;
-  batched.intern_batch(views, ids);
+  batched.intern_batch(views, hashes, ids);
   EXPECT_EQ(ids, expected);  // same ids, duplicates deduped identically
   EXPECT_EQ(batched.size(), sequential.size());
   for (const NameId id : ids) {
     EXPECT_EQ(batched.text(id), sequential.text(id));
   }
   // A second batch over already-interned names issues nothing new.
-  batched.intern_batch(views, ids);
+  batched.intern_batch(views, hashes, ids);
   EXPECT_EQ(ids, expected);
   EXPECT_EQ(batched.size(), sequential.size());
 }
@@ -60,7 +62,7 @@ TEST(NameTable, TextViewsSurviveGrowth) {
   const NameId first = table.intern("first");
   const std::string_view view = table.text(first);
   for (int i = 0; i < 2000; ++i) table.intern("filler" + std::to_string(i));
-  EXPECT_EQ(view, "first");  // deque storage: no reallocation of texts
+  EXPECT_EQ(view, "first");  // arena chunks never move
   EXPECT_EQ(table.text(first), "first");
 }
 
