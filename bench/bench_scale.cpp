@@ -5,7 +5,7 @@
 //
 //   - streaming .bench I/O throughput (stream_save_file / stream_load_file)
 //   - one-time setup cost (SiteContext build) vs steady-state decode/s
-//     through a recycled EvalWorkspace, with the DecodeTopo incremental
+//     through a reused EvalWorkspace, with the DecodeTopo incremental
 //     reset counter surfaced so a silent fall-back to full O(N) resets
 //     shows up in the committed baseline
 //   - wrong-key corruption probes/s at the pipeline's and the campaign's
@@ -79,9 +79,10 @@ struct DecodeStats {
   double ns_per_touched = 0.0;
 };
 
-/// Steady-state decode throughput through one recycled workspace. The first
+/// Steady-state decode throughput through one reused workspace. The first
 /// (untimed) decode pays the netlist copy + name warmup; every timed
-/// iteration must take the recycle + incremental-reset path.
+/// iteration must take the warm path (append after undo) and the
+/// incremental reset.
 DecodeStats time_decodes(const netlist::Netlist& original,
                          const lock::SiteContext& context,
                          const lock::Genotype& genes,

@@ -5,7 +5,6 @@
 
 #include "core/gene_ops.hpp"
 #include "eval/pipeline.hpp"
-#include "util/log.hpp"
 
 namespace autolock::ga {
 
@@ -108,9 +107,6 @@ GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
     stats.best_accuracy = population.front().eval.attack_accuracy;
     stats.cache_hits = hits;
     result.history.push_back(stats);
-    util::log_debug("GA gen ", generation, ": best=", stats.best_fitness,
-                    " mean=", stats.mean_fitness,
-                    " best_acc=", stats.best_accuracy);
   };
   record_generation(0, cache_hits);
 

@@ -5,7 +5,8 @@
 // One evaluation = decode the genotype into a locked netlist, run the
 // configured attacks against it, and (optionally) measure wrong-key output
 // corruption. The workspace holds every stage's working set as per-worker
-// state, so none of them allocates in steady state:
+// state, so in steady state the only allocations are the fanin vectors of
+// the key gates each decode appends:
 //
 //   design   — the decode target; its netlist reuses node/name storage
 //   reach    — epoch-stamped DFS marks for decode-time cycle checks

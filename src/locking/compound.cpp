@@ -46,8 +46,8 @@ const std::array<NameId, 4>& key_bit_names(const Netlist& net, std::size_t t,
 }
 
 /// Interns pattern-%llu(index) without building a heap string. Used for the
-/// anti-SAT block's internal gate names (fresh appends only — the recycle
-/// path never touches names).
+/// anti-SAT block's internal gate names; after the first decode of a family
+/// every call finds an existing symbol.
 NameId intern_indexed(const Netlist& net, const char* pattern,
                       std::size_t index) {
   char buf[32];
@@ -62,8 +62,7 @@ NameId intern_indexed(const Netlist& net, const char* pattern,
 /// against the MUX genes already in `design.genes`.
 void apply_mux_gene(LockedDesign& design, const SiteContext& context,
                     Gene& site, util::Rng& repair_rng,
-                    ReachScratch& scratch, std::size_t key_offset,
-                    NodeId first, bool recycled, AppliedGene& rec) {
+                    ReachScratch& scratch, std::size_t key_offset) {
   DecodeTopo& topo = scratch.topo;
   const bool ok = context.structurally_valid(site, scratch) &&
                   SiteContext::edges_available(site, design.genes) &&
@@ -90,23 +89,12 @@ void apply_mux_gene(LockedDesign& design, const SiteContext& context,
   // Wire so that select == site.key_bit restores the original paths.
   const NodeId a0 = site.key_bit ? site.f_j : site.f_i;
   const NodeId a1 = site.key_bit ? site.f_i : site.f_j;
-  NodeId sel, m1, m2;
-  if (recycled) {
-    // Recycle the previous decode's nodes for this bit (ids, names, types
-    // and is_key flags are decode-invariant within a family).
-    sel = first;
-    m1 = sel + 1;
-    m2 = sel + 2;
-    const NodeId m1_fanins[3] = {sel, a0, a1};
-    const NodeId m2_fanins[3] = {sel, a1, a0};
-    design.netlist.set_gate_fanins(m1, m1_fanins);
-    design.netlist.set_gate_fanins(m2, m2_fanins);
-  } else {
-    const auto& names = key_bit_names(design.netlist, key_offset, scratch);
-    sel = design.netlist.add_input(names[0], /*is_key=*/true);
-    m1 = design.netlist.add_gate(GateType::kMux, {sel, a0, a1}, names[1]);
-    m2 = design.netlist.add_gate(GateType::kMux, {sel, a1, a0}, names[2]);
-  }
+  const auto& names = key_bit_names(design.netlist, key_offset, scratch);
+  const NodeId sel = design.netlist.add_input(names[0], /*is_key=*/true);
+  const NodeId m1 =
+      design.netlist.add_gate(GateType::kMux, {sel, a0, a1}, names[1]);
+  const NodeId m2 =
+      design.netlist.add_gate(GateType::kMux, {sel, a1, a0}, names[2]);
   if (design.netlist.replace_fanin(site.g_i, site.f_i, m1) == 0 ||
       design.netlist.replace_fanin(site.g_j, site.f_j, m2) == 0) {
     throw std::logic_error("apply_genotype: edge vanished during rewiring");
@@ -114,7 +102,6 @@ void apply_mux_gene(LockedDesign& design, const SiteContext& context,
   topo.insert_mux_pair(site.f_i, site.f_j, site.g_i, site.g_j, a0, a1, sel,
                        m1, m2);
   design.key.push_back(site.key_bit);
-  rec.node_count = 3;
 }
 
 /// Decodes one RLL gene: an XOR/XNOR key gate spliced into the gene's
@@ -122,8 +109,7 @@ void apply_mux_gene(LockedDesign& design, const SiteContext& context,
 /// consumed by an earlier gene) are repaired from the context's wire pool.
 void apply_rll_gene(LockedDesign& design, const SiteContext& context,
                     Gene& gene, util::Rng& repair_rng, ReachScratch& scratch,
-                    std::size_t key_offset, NodeId first, bool recycled,
-                    AppliedGene& rec) {
+                    std::size_t key_offset, AppliedGene& rec) {
   DecodeTopo& topo = scratch.topo;
   const Netlist& original = context.original();
   NodeId driver = gene.f_i;
@@ -157,19 +143,10 @@ void apply_rll_gene(LockedDesign& design, const SiteContext& context,
   }
   const GateType gate_type =
       gene.key_bit ? GateType::kXnor : GateType::kXor;
-  NodeId key_in, key_gate;
-  if (recycled) {
-    key_in = first;
-    key_gate = first + 1;
-    const NodeId gate_fanins[2] = {key_in, driver};
-    design.netlist.set_gate_fanins(key_gate, gate_fanins);
-    // The recycled gate may have been the other polarity last decode.
-    design.netlist.set_gate_type(key_gate, gate_type);
-  } else {
-    const auto& names = key_bit_names(design.netlist, key_offset, scratch);
-    key_in = design.netlist.add_input(names[0], /*is_key=*/true);
-    key_gate = design.netlist.add_gate(gate_type, {key_in, driver}, names[3]);
-  }
+  const auto& names = key_bit_names(design.netlist, key_offset, scratch);
+  const NodeId key_in = design.netlist.add_input(names[0], /*is_key=*/true);
+  const NodeId key_gate =
+      design.netlist.add_gate(gate_type, {key_in, driver}, names[3]);
   if (design.netlist.replace_fanin(sink, driver, key_gate) == 0) {
     throw std::logic_error("apply_genotype: edge vanished during rewiring");
   }
@@ -177,7 +154,6 @@ void apply_rll_gene(LockedDesign& design, const SiteContext& context,
   design.key.push_back(gene.key_bit);
   gene.f_i = driver;
   gene.g_i = sink;
-  rec.node_count = 2;
   rec.driver = driver;
   rec.sink = sink;
 }
@@ -188,8 +164,7 @@ void apply_rll_gene(LockedDesign& design, const SiteContext& context,
 /// wrapper schemes reproduce their historical netlists bit for bit.
 void apply_antisat_gene(LockedDesign& design, const SiteContext& context,
                         const Gene& gene, ReachScratch& scratch,
-                        std::size_t key_offset, NodeId first, bool recycled,
-                        AppliedGene& rec) {
+                        std::size_t key_offset, AppliedGene& rec) {
   DecodeTopo& topo = scratch.topo;
   Netlist& net = design.netlist;
   const std::size_t n = gene.width;
@@ -208,9 +183,10 @@ void apply_antisat_gene(LockedDesign& design, const SiteContext& context,
   util::Rng grng(gene.seed);
   const auto tap_indices = grng.sample_indices(primary.size(), n);
 
-  // Node-id layout inside the gene's 4n + 4 consecutive ids:
+  // Node-id layout inside the gene's 4n + 4 appended ids:
   //   [K1 inputs x n][K2 inputs x n][x1_i, x2_i interleaved x n]
   //   [g1][g2n][b][mix]
+  const NodeId first = rec.first_node;
   const NodeId k1_base = first;
   const NodeId k2_base = first + static_cast<NodeId>(n);
   const NodeId xor_base = first + static_cast<NodeId>(2 * n);
@@ -218,7 +194,6 @@ void apply_antisat_gene(LockedDesign& design, const SiteContext& context,
   const NodeId g2n = g1 + 1;
   const NodeId b = g1 + 2;
   const NodeId mix = g1 + 3;
-  rec.node_count = static_cast<std::uint32_t>(4 * n + 4);
   rec.width = gene.width;
   rec.splice_output = gene.splice_output;
 
@@ -230,61 +205,32 @@ void apply_antisat_gene(LockedDesign& design, const SiteContext& context,
     design.key.push_back(design.key[key_start + i]);
   }
 
-  if (!recycled) {
-    for (std::size_t i = 0; i < n; ++i) {
-      (void)net.add_input(key_bit_names(net, key_offset + i, scratch)[0],
-                          /*is_key=*/true);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      (void)net.add_input(key_bit_names(net, key_offset + n + i, scratch)[0],
-                          /*is_key=*/true);
-    }
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    (void)net.add_input(key_bit_names(net, key_offset + i, scratch)[0],
+                        /*is_key=*/true);
   }
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId tap = primary[tap_indices[i]];
-    const NodeId k1 = k1_base + static_cast<NodeId>(i);
-    const NodeId k2 = k2_base + static_cast<NodeId>(i);
-    const NodeId x1 = xor_base + static_cast<NodeId>(2 * i);
-    const NodeId x2 = x1 + 1;
-    if (recycled) {
-      const NodeId x1_fanins[2] = {tap, k1};
-      const NodeId x2_fanins[2] = {tap, k2};
-      net.set_gate_fanins(x1, x1_fanins);
-      net.set_gate_fanins(x2, x2_fanins);
-    } else {
-      (void)net.add_gate(GateType::kXor, {tap, k1},
-                         intern_indexed(net, "asat_x1_%llu", key_offset + i));
-      (void)net.add_gate(GateType::kXor, {tap, k2},
-                         intern_indexed(net, "asat_x2_%llu", key_offset + i));
-    }
+    (void)net.add_gate(GateType::kXor, {tap, k1_base + static_cast<NodeId>(i)},
+                       intern_indexed(net, "asat_x1_%llu", key_offset + i));
+    (void)net.add_gate(GateType::kXor, {tap, k2_base + static_cast<NodeId>(i)},
+                       intern_indexed(net, "asat_x2_%llu", key_offset + i));
   }
   auto& fanins = scratch.gene_fanins;
   fanins.clear();
   for (std::size_t i = 0; i < n; ++i) {
     fanins.push_back(xor_base + static_cast<NodeId>(2 * i));
   }
-  if (recycled) {
-    net.set_gate_fanins(g1, fanins);
-  } else {
-    (void)net.add_gate(GateType::kAnd, {fanins.begin(), fanins.end()},
-                       intern_indexed(net, "asat_g1_%llu", key_offset));
-  }
+  (void)net.add_gate(GateType::kAnd, {fanins.begin(), fanins.end()},
+                     intern_indexed(net, "asat_g1_%llu", key_offset));
   for (std::size_t i = 0; i < n; ++i) {
     fanins[i] = xor_base + static_cast<NodeId>(2 * i + 1);
   }
-  if (recycled) {
-    net.set_gate_fanins(g2n, fanins);
-  } else {
-    (void)net.add_gate(GateType::kNand, {fanins.begin(), fanins.end()},
-                       intern_indexed(net, "asat_g2n_%llu", key_offset));
-  }
+  (void)net.add_gate(GateType::kNand, {fanins.begin(), fanins.end()},
+                     intern_indexed(net, "asat_g2n_%llu", key_offset));
   const NodeId b_fanins[2] = {g1, g2n};
-  if (recycled) {
-    net.set_gate_fanins(b, b_fanins);
-  } else {
-    (void)net.add_gate(GateType::kAnd, {g1, g2n},
-                       intern_indexed(net, "asat_b_%llu", key_offset));
-  }
+  (void)net.add_gate(GateType::kAnd, {g1, g2n},
+                     intern_indexed(net, "asat_b_%llu", key_offset));
 
   // Splice target (the last draw of the gene stream, as in the standalone
   // scheme: block first, splice second).
@@ -315,12 +261,8 @@ void apply_antisat_gene(LockedDesign& design, const SiteContext& context,
     sink = wire.second;
   }
   const NodeId mix_fanins[2] = {displaced, b};
-  if (recycled) {
-    net.set_gate_fanins(mix, mix_fanins);
-  } else {
-    (void)net.add_gate(GateType::kXor, {displaced, b},
-                       intern_indexed(net, "asat_mix_%llu", key_offset));
-  }
+  (void)net.add_gate(GateType::kXor, {displaced, b},
+                     intern_indexed(net, "asat_mix_%llu", key_offset));
   if (gene.splice_output) {
     net.set_output_driver(rec.port, mix);
   } else if (net.replace_fanin(sink, displaced, mix) == 0) {
@@ -385,16 +327,13 @@ void apply_antisat_gene(LockedDesign& design, const SiteContext& context,
   }
 }
 
-/// Shared decode loop. `out.netlist` must already hold a copy of the
-/// original netlist; key/genes/applied must be empty. When
-/// `recycled_genes` is nonzero, the netlist additionally already contains
-/// the (undone) key-logic tail nodes of a previous decode of the same
-/// family and gene profile: the first `recycled_genes` genes rewrite those
-/// nodes' fanins (and, for RLL, type) in place instead of appending fresh
-/// nodes — same ids, same names, same resulting netlist, no allocation.
+/// Shared decode loop. `design.netlist` must hold exactly the original
+/// netlist (a copy, or a warm design after undo and truncate); key, genes
+/// and applied must be empty. Each gene appends its key logic after the
+/// nodes already there.
 void apply_genes(LockedDesign& design, const SiteContext& context,
                  const Genotype& genes, util::Rng& repair_rng,
-                 ReachScratch& scratch, std::size_t recycled_genes = 0) {
+                 ReachScratch& scratch) {
   // Decode-local dynamic topological order over the working netlist: seeded
   // from the original's longest-path levels, relabelled incrementally per
   // accepted gene. Every applicability query below is an O(1) rank
@@ -404,14 +343,12 @@ void apply_genes(LockedDesign& design, const SiteContext& context,
   DecodeTopo& topo = scratch.topo;
   topo.reset(context.fanin_csr(), context.seed_ranks(),
              context.decode_token());
-  NodeId next_node = static_cast<NodeId>(context.original().size());
   std::size_t key_offset = 0;
   for (std::size_t t = 0; t < genes.size(); ++t) {
-    const bool recycled = t < recycled_genes;
     AppliedGene rec;
     rec.kind = genes[t].kind;
     rec.key_offset = static_cast<std::uint32_t>(key_offset);
-    rec.first_node = next_node;
+    rec.first_node = static_cast<NodeId>(design.netlist.size());
     switch (genes[t].kind) {
       case GeneKind::kMux: {
         // Written back in factory form: fields a MUX gene does not use keep
@@ -419,27 +356,27 @@ void apply_genes(LockedDesign& design, const SiteContext& context,
         const Gene& gene = genes[t];
         Gene site = Gene::mux(gene.f_i, gene.f_j, gene.g_i, gene.g_j,
                               gene.key_bit);
-        apply_mux_gene(design, context, site, repair_rng, scratch, key_offset,
-                       next_node, recycled, rec);
+        apply_mux_gene(design, context, site, repair_rng, scratch, key_offset);
         design.genes.push_back(site);
         break;
       }
       case GeneKind::kRll: {
         Gene gene = genes[t];
         apply_rll_gene(design, context, gene, repair_rng, scratch, key_offset,
-                       next_node, recycled, rec);
+                       rec);
         design.genes.push_back(gene);
         break;
       }
       case GeneKind::kAntiSat: {
         apply_antisat_gene(design, context, genes[t], scratch, key_offset,
-                           next_node, recycled, rec);
+                           rec);
         design.genes.push_back(genes[t]);
         break;
       }
     }
+    rec.node_count =
+        static_cast<std::uint32_t>(design.netlist.size() - rec.first_node);
     design.applied.push_back(rec);
-    next_node += static_cast<NodeId>(rec.node_count);
     key_offset += design.genes.back().key_bits();
   }
 }
@@ -459,42 +396,32 @@ LockedDesign apply_genotype(const Netlist& original,
 void apply_genotype_into(LockedDesign& out, const Netlist& original,
                          const SiteContext& context, const Genotype& genes,
                          util::Rng& repair_rng, ReachScratch& scratch) {
-  // Fast path: when this (out, original) pair is the one the previous
-  // decode through this scratch produced — and the caller has not shrunk
-  // the genotype's per-gene profile or mutated the design since — the
-  // previous rewiring is undone in place and the key-logic tail nodes are
-  // recycled, skipping the netlist copy and all node re-insertion. Falls
-  // back to the full copy on any mismatch; both paths produce identical
-  // designs.
+  // Warm path: when this (out, original) pair is the one the previous
+  // decode through this scratch produced, and nobody has mutated the design
+  // since, the previous rewiring is undone in place and its key-logic tail
+  // truncated away, skipping the netlist copy. Either way the genes then
+  // append their logic after the original's nodes, so both paths produce
+  // identical designs, whatever the two genotypes' shapes.
   const std::size_t prev = out.applied.size();
   // The structural-version comparison makes the netlist side watertight:
   // ANY structural mutation of the netlist since the previous decode (by
   // the caller, or by a decode through a different scratch) bumps the
   // version and drops this call to the copy path.
-  bool recycle =
+  bool warm =
       scratch.last_design == &out && scratch.last_original == &original &&
       scratch.last_design_version == out.netlist.structural_version() &&
-      out.genes.size() == prev && genes.size() >= prev &&
-      out.netlist.names() == original.names();
-  // Tail nodes are only reusable gene-by-gene when the new genotype's
-  // prefix has the same per-gene shape (kind, and for anti-SAT the width
-  // and splice mode, which fix the node count and types).
+      out.genes.size() == prev && out.netlist.names() == original.names();
   std::size_t expected_nodes = original.size();
-  for (std::size_t t = 0; recycle && t < prev; ++t) {
-    const AppliedGene& rec = out.applied[t];
-    recycle = rec.kind == genes[t].kind &&
-              (rec.kind != GeneKind::kAntiSat ||
-               (rec.width == genes[t].width &&
-                rec.splice_output == genes[t].splice_output));
-    expected_nodes += rec.node_count;
+  for (std::size_t t = 0; warm && t < prev; ++t) {
+    expected_nodes += out.applied[t].node_count;
   }
-  recycle = recycle && out.netlist.size() == expected_nodes;
+  warm = warm && out.netlist.size() == expected_nodes;
   // The version cannot see edits to the out.genes/out.applied metadata
   // vectors themselves, so additionally require every recorded splice to
   // still be wired exactly where its record says — otherwise the undo
   // below would have nothing to revert. Any mismatch falls back to the
   // copy.
-  for (std::size_t t = 0; recycle && t < prev; ++t) {
+  for (std::size_t t = 0; warm && t < prev; ++t) {
     const AppliedGene& rec = out.applied[t];
     const auto wired = [&](NodeId gate, NodeId node) {
       if (gate >= out.netlist.size()) return false;
@@ -505,26 +432,26 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
     };
     switch (rec.kind) {
       case GeneKind::kMux:
-        recycle = wired(out.genes[t].g_i, rec.first_node + 1) &&
-                  wired(out.genes[t].g_j, rec.first_node + 2);
+        warm = wired(out.genes[t].g_i, rec.first_node + 1) &&
+               wired(out.genes[t].g_j, rec.first_node + 2);
         break;
       case GeneKind::kRll:
-        recycle = wired(rec.sink, rec.first_node + 1);
+        warm = wired(rec.sink, rec.first_node + 1);
         break;
       case GeneKind::kAntiSat: {
         const NodeId mix = rec.first_node + rec.node_count - 1;
         if (rec.splice_output) {
-          recycle = rec.port < out.netlist.outputs().size() &&
-                    out.netlist.outputs()[rec.port].driver == mix;
+          warm = rec.port < out.netlist.outputs().size() &&
+                 out.netlist.outputs()[rec.port].driver == mix;
         } else {
-          recycle = wired(rec.sink, mix);
+          warm = wired(rec.sink, mix);
         }
         break;
       }
     }
   }
   scratch.last_design = nullptr;
-  if (recycle) {
+  if (warm) {
     // Revert the previous rewiring in reverse gene order: each splice
     // occupies exactly the fanin slots (or output port) of the driver it
     // displaced, and its key logic feeds nothing else.
@@ -559,13 +486,14 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
         }
       }
     }
+    out.netlist.truncate(original.size());
   } else {
     // Copy-assignment reuses the destination's node/name storage where the
     // allocator permits; the first decode into a workspace pays the full
     // copy.
     out.netlist = original;
   }
-  // Rename only when the name actually differs (the recycle path arrives
+  // Rename only when the name actually differs (the warm path arrives
   // already named) — the comparison allocates nothing.
   {
     constexpr std::string_view kSuffix = "_muxlocked";
@@ -584,7 +512,7 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   out.applied.clear();
   out.genes.reserve(genes.size());
   out.applied.reserve(genes.size());
-  apply_genes(out, context, genes, repair_rng, scratch, recycle ? prev : 0);
+  apply_genes(out, context, genes, repair_rng, scratch);
   // Prime the traversal cache every downstream attack and simulator
   // construction consumes with the order derived from the decode's dynamic
   // ranks — an O(V) merge of the original's (level, id) order with the

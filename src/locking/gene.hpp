@@ -106,7 +106,8 @@ using Genotype = std::vector<Gene>;
 /// Per-gene decode record: where the gene's nodes landed in the locked
 /// netlist and which original edge (or output port) its splice displaced.
 /// apply_genotype_into uses the records to undo the previous decode's
-/// rewiring in place and recycle the tail nodes.
+/// rewiring in place and truncate its tail before appending the next
+/// decode's key logic (append after undo).
 struct AppliedGene {
   GeneKind kind = GeneKind::kMux;
   std::uint16_t width = 0;

@@ -80,12 +80,12 @@ LockedDesign apply_genotype(const netlist::Netlist& original,
 ///
 /// Keep the (out, scratch) pairing stable across calls: when consecutive
 /// decodes reuse the same pair against the same original, the previous
-/// rewiring is undone in place and the key-logic tail nodes are recycled
-/// instead of re-copying the netlist — for every gene kind, as long as the
-/// genotype's per-gene (kind, width, splice) profile matches the previous
-/// decode's prefix (a structural mutation of `out` between decodes safely
-/// falls back to the copy path). Cycle checks run against an incrementally
-/// maintained dynamic topological order — see locking/decode_topo.hpp.
+/// rewiring is undone in place and its key-logic tail truncated, instead of
+/// re-copying the netlist; the genes then append their logic exactly as a
+/// cold decode does (append after undo), whatever the two genotypes'
+/// shapes. A structural mutation of `out` between decodes safely falls back
+/// to the copy. Cycle checks run against an incrementally maintained
+/// dynamic topological order — see locking/decode_topo.hpp.
 void apply_genotype_into(LockedDesign& out, const netlist::Netlist& original,
                          const SiteContext& context, const Genotype& genes,
                          util::Rng& repair_rng, ReachScratch& scratch);

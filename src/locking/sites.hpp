@@ -46,10 +46,10 @@ struct ReachScratch {
   /// netlist's structural version at that moment. When the next decode sees
   /// the same pair with the version unchanged (i.e. nobody mutated the
   /// design in between), it undoes the previous rewiring in place and
-  /// recycles the key-input/MUX tail nodes instead of re-copying the
-  /// original netlist and re-adding them. Cleared while a decode is in
-  /// flight, so an exception can never leave a half-rewired netlist
-  /// trusted.
+  /// truncates the key-logic tail instead of re-copying the original
+  /// netlist, then appends the new genes' logic (append after undo).
+  /// Cleared while a decode is in flight, so an exception can never leave
+  /// a half-rewired netlist trusted.
   const void* last_design = nullptr;
   const netlist::Netlist* last_original = nullptr;
   std::uint64_t last_design_version = 0;

@@ -538,7 +538,10 @@ void stream_write(const Netlist& netlist, std::ostream& out) {
       renamed.emplace(holder, std::move(fresh));
     }
   }
+  // Almost always empty (no output splice displaced a holder): skip the
+  // lookup for the hundreds of thousands of names a large design prints.
   const auto printed = [&](NodeId id) -> std::string_view {
+    if (renamed.empty()) return netlist.name(id);
     const auto it = renamed.find(id);
     return it == renamed.end() ? netlist.name(id)
                                : std::string_view(it->second);

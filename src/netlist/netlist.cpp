@@ -220,7 +220,7 @@ void Netlist::mark_output(NodeId id, NameId port_name) {
   port_names_[port_name] = true;
   outputs_.push_back(OutputPort{port_name, id});
   // Output ports are not traversal edges (no cache invalidation needed),
-  // but they are structure: the decode recycle path must see this.
+  // but they are structure: the warm decode must see this.
   structural_version_ = fresh_version();
 }
 
@@ -248,54 +248,6 @@ std::size_t Netlist::replace_fanin(NodeId gate, NodeId old_fanin,
   return replaced;
 }
 
-void Netlist::set_gate_fanins(NodeId gate, std::span<const NodeId> new_fanins) {
-  if (!valid_id(gate)) {
-    throw std::invalid_argument("Netlist::set_gate_fanins: id out of range");
-  }
-  Node& node = nodes_[gate];
-  if (is_source(node.type)) {
-    throw std::invalid_argument("Netlist::set_gate_fanins: node is a source");
-  }
-  const Arity arity = gate_arity(node.type);
-  if (new_fanins.size() < arity.min ||
-      (arity.max != 0 && new_fanins.size() > arity.max)) {
-    throw std::invalid_argument(
-        std::string("Netlist::set_gate_fanins: bad fanin count for ") +
-        std::string(gate_type_name(node.type)));
-  }
-  for (NodeId fanin : new_fanins) {
-    if (!valid_id(fanin)) {
-      throw std::invalid_argument(
-          "Netlist::set_gate_fanins: fanin id out of range");
-    }
-  }
-  node.fanins.assign(new_fanins.begin(), new_fanins.end());
-  invalidate_traversal_cache();
-}
-
-void Netlist::set_gate_type(NodeId gate, GateType new_type) {
-  if (!valid_id(gate)) {
-    throw std::invalid_argument("Netlist::set_gate_type: id out of range");
-  }
-  Node& node = nodes_[gate];
-  if (is_source(node.type) || is_source(new_type)) {
-    throw std::invalid_argument(
-        "Netlist::set_gate_type: source types cannot be rewritten");
-  }
-  const Arity arity = gate_arity(new_type);
-  if (node.fanins.size() < arity.min ||
-      (arity.max != 0 && node.fanins.size() > arity.max)) {
-    throw std::invalid_argument(
-        std::string("Netlist::set_gate_type: bad fanin count for ") +
-        std::string(gate_type_name(new_type)));
-  }
-  if (node.type == new_type) return;
-  node.type = new_type;
-  // The graph shape is unchanged, but downstream consumers (simulators,
-  // feature extractors) key on the version too — bump it like any mutation.
-  invalidate_traversal_cache();
-}
-
 void Netlist::append_fanin(NodeId gate, NodeId fanin) {
   if (!valid_id(gate) || !valid_id(fanin)) {
     throw std::invalid_argument("Netlist::append_fanin: id out of range");
@@ -306,6 +258,25 @@ void Netlist::append_fanin(NodeId gate, NodeId fanin) {
         "Netlist::append_fanin: gate type has bounded arity");
   }
   nodes_[gate].fanins.push_back(fanin);
+  invalidate_traversal_cache();
+}
+
+void Netlist::truncate(std::size_t count) {
+  if (count > nodes_.size()) {
+    throw std::invalid_argument("Netlist::truncate: count exceeds size");
+  }
+  for (const OutputPort& port : outputs_) {
+    if (port.driver >= count) {
+      throw std::invalid_argument(
+          "Netlist::truncate: an output port drives a removed node");
+    }
+  }
+  if (count == nodes_.size()) return;
+  for (std::size_t v = count; v < nodes_.size(); ++v) {
+    node_of_name_[nodes_[v].name] = kNoNode;
+  }
+  nodes_.resize(count);
+  while (!inputs_.empty() && inputs_.back() >= count) inputs_.pop_back();
   invalidate_traversal_cache();
 }
 

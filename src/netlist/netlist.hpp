@@ -101,24 +101,19 @@ class Netlist {
   /// `new_fanin`. Returns the number of replacements made.
   std::size_t replace_fanin(NodeId gate, NodeId old_fanin, NodeId new_fanin);
 
-  /// Replaces `gate`'s entire fanin list in place (same arity/validity
-  /// checks as add_gate; the existing vector's capacity is reused). The
-  /// decode hot path rewrites the fanins of recycled key-MUX nodes instead
-  /// of destroying and re-adding them. Caller is responsible for keeping
-  /// the graph acyclic.
-  void set_gate_fanins(NodeId gate, std::span<const NodeId> new_fanins);
-
   /// Appends an extra fanin to an n-ary gate (AND/NAND/OR/NOR/XOR/XNOR).
   /// Throws if the gate's type has bounded arity. Caller is responsible for
   /// keeping the graph acyclic (safe when fanin < gate in creation order).
   void append_fanin(NodeId gate, NodeId fanin);
 
-  /// Rewrites a gate's type in place (source types are rejected on either
-  /// side, and the current fanin count must satisfy the new type's arity).
-  /// The decode recycle path retypes recycled key gates (e.g. an RLL
-  /// XOR <-> XNOR when the gene's key bit changed between decodes) instead
-  /// of destroying and re-adding them.
-  void set_gate_type(NodeId gate, GateType new_type);
+  /// Removes every node with id >= `count`: their name index entries are
+  /// reset (so the names can be added again) and removed inputs leave
+  /// inputs(). The warm genotype decode drops the previous decode's
+  /// key-logic tail this way before appending the next one. Throws
+  /// std::invalid_argument if `count` exceeds size() or an output port
+  /// still drives a removed node. The caller must make sure no kept node
+  /// reads a removed one (validate() reports a dangling fanin).
+  void truncate(std::size_t count);
 
   // ---- accessors ---------------------------------------------------------
 
@@ -133,14 +128,15 @@ class Netlist {
   bool valid_id(NodeId id) const noexcept { return id < nodes_.size(); }
 
   /// Identifies the current structure. Construction and every structural
-  /// mutation (node additions, fanin rewrites, output redirection) draw a
-  /// version no netlist object in the process has held before; a copy
-  /// takes its source's version, and a move hands the source's version to
-  /// the destination and gives the source a fresh one. So two observations
-  /// with equal versions — on the same object or on two — saw the same
-  /// structure. The decode recycle path uses this to detect any mutation
-  /// between decodes, and attacks use it to tie a decoded design to the
-  /// original it was decoded from (lock::LockedDesign::original_version).
+  /// mutation (node additions and removals, fanin rewrites, output
+  /// redirection) draw a version no netlist object in the process has held
+  /// before; a copy takes its source's version, and a move hands the
+  /// source's version to the destination and gives the source a fresh one.
+  /// So two observations with equal versions — on the same object or on
+  /// two — saw the same structure. The warm decode (append after undo)
+  /// uses this to detect any mutation between decodes, and attacks use it
+  /// to tie a decoded design to the original it was decoded from
+  /// (lock::LockedDesign::original_version).
   std::uint64_t structural_version() const noexcept {
     return structural_version_;
   }
@@ -190,8 +186,8 @@ class Netlist {
   /// does). Throws std::runtime_error if cyclic.
   ///
   /// The result is computed once and cached until the next structural
-  /// mutation (add_*/replace_fanin/append_fanin/set_output_driver); repeated
-  /// calls on an unchanged netlist are O(1). Concurrent const access is
+  /// mutation (add_*/replace_fanin/append_fanin/set_output_driver/
+  /// truncate); repeated calls on an unchanged netlist are O(1). Concurrent const access is
   /// safe; the reference stays valid until mutation recomputes it.
   const std::vector<NodeId>& topological_order() const;
 

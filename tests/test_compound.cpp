@@ -1,14 +1,16 @@
 // Scheme-polymorphic (compound) genotype decode: key-bit layout round-trip,
-// workspace-recycled decode equality for mixed genotypes, and compound GA
-// runs. The pinned trajectory at the bottom freezes a MUX + RLL + Anti-SAT
-// GA run on c880 under every attack in the registry — the compound
-// counterpart of the MUX-only pins in test_workspace.cpp.
+// warm (workspace-reused) decode equality for mixed genotypes of changing
+// shape, and compound GA runs. The pinned trajectory at the bottom freezes
+// a MUX + RLL + Anti-SAT GA run on c880 under every attack in the registry
+// — the compound counterpart of the MUX-only pins in test_workspace.cpp.
 #include "locking/compound.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/ga.hpp"
 #include "core/heuristics.hpp"
@@ -146,6 +148,62 @@ TEST(CompoundDecode, FreshAndRecycledWorkspaceDecodesIdentical) {
   check(genes_a, 0xA);
   check(genes_b, 0xB);  // recycle across different mixed genotypes
   check(genes_a, 0xA);  // and back: no state leaks between gene kinds
+}
+
+TEST(CompoundDecode, WarmDecodeAcrossGenotypeShapesMatchesColdDecode) {
+  // One (design, scratch) pair decodes genotypes whose shape changes every
+  // time: more or fewer genes, kinds reordered, anti-SAT width and splice
+  // mode flipped. Each warm decode (undo, truncate, append) must equal a
+  // cold decode of the same genotype.
+  const Netlist original = profile(netlist::gen::ProfileId::kC880, 17);
+  const lock::SiteContext context(original);
+  util::Rng rng(17);
+  lock::LockedDesign warm;
+  lock::ReachScratch scratch;
+  for (std::uint64_t trial = 0; trial < 48; ++trial) {
+    lock::GenotypeSpec spec;
+    spec.mux_sites = rng.next_below(9);
+    spec.rll_gates = rng.next_below(5);
+    spec.antisat_width = trial % 3 == 0 ? 0 : 2 + rng.next_below(3);
+    spec.antisat_splice_output = rng.next_bool();
+    if (spec.key_bits() == 0) spec.mux_sites = 1;
+    auto genes = lock::random_genotype(context, spec, rng);
+    for (std::size_t i = genes.size(); i > 1; --i) {  // reorder the kinds
+      std::swap(genes[i - 1], genes[rng.next_below(i)]);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " +
+                 std::to_string(genes.size()) + " genes");
+
+    util::Rng repair_warm(trial);
+    lock::apply_genotype_into(warm, original, context, genes, repair_warm,
+                              scratch);
+    util::Rng repair_cold(trial);
+    const auto cold =
+        lock::apply_genotype(original, context, genes, repair_cold);
+
+    ASSERT_EQ(warm.netlist.size(), cold.netlist.size());
+    for (NodeId v = 0; v < cold.netlist.size(); ++v) {
+      const auto& w = warm.netlist.node(v);
+      const auto& c = cold.netlist.node(v);
+      ASSERT_EQ(w.type, c.type) << "node " << v;
+      ASSERT_EQ(w.is_key_input, c.is_key_input) << "node " << v;
+      ASSERT_EQ(w.name, c.name) << "node " << v;
+      ASSERT_EQ(w.fanins, c.fanins) << "node " << v;
+      ASSERT_EQ(warm.netlist.find(c.name), v);
+    }
+    EXPECT_EQ(warm.netlist.inputs(), cold.netlist.inputs());
+    ASSERT_EQ(warm.netlist.outputs().size(), cold.netlist.outputs().size());
+    for (std::size_t o = 0; o < cold.netlist.outputs().size(); ++o) {
+      EXPECT_EQ(warm.netlist.outputs()[o].driver,
+                cold.netlist.outputs()[o].driver);
+    }
+    EXPECT_EQ(warm.key, cold.key);
+    EXPECT_EQ(warm.genes, cold.genes);
+    EXPECT_EQ(warm.applied, cold.applied);
+    EXPECT_EQ(warm.netlist.topological_order(),
+              cold.netlist.topological_order());
+    EXPECT_NO_THROW(warm.netlist.validate());
+  }
 }
 
 // ---- compound GA (tentpole acceptance) -------------------------------------

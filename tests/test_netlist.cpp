@@ -219,6 +219,37 @@ TEST(Netlist, AppendFaninOnlyForNaryGates) {
   EXPECT_THROW(n.append_fanin(inv, b), std::invalid_argument);
 }
 
+TEST(Netlist, TruncateDropsTailNodesAndTheirNames) {
+  Netlist n = small_example();  // 6 nodes, output y driven by g3 (id 5)
+  const auto key = n.add_input("k", /*is_key=*/true);
+  const auto x = n.add_gate(GateType::kXor, {key, n.find("g3")}, "x");
+  EXPECT_THROW(n.truncate(n.size() + 1), std::invalid_argument);
+
+  n.set_output_driver(0, x);
+  EXPECT_THROW(n.truncate(6), std::invalid_argument) << "y drives x";
+  EXPECT_EQ(n.size(), 8u) << "a rejected truncate removes nothing";
+
+  n.set_output_driver(0, n.find("g3"));
+  const auto version = n.structural_version();
+  n.truncate(6);
+  EXPECT_NE(n.structural_version(), version);
+  EXPECT_EQ(n.size(), 6u);
+  EXPECT_EQ(n.inputs().size(), 3u);
+  EXPECT_TRUE(n.key_inputs().empty());
+  EXPECT_EQ(n.find("k"), kNoNode);
+  EXPECT_EQ(n.find("x"), kNoNode);
+  EXPECT_NO_THROW(n.validate());
+
+  // The removed names can be added again, at the same ids.
+  EXPECT_EQ(n.add_input("k", /*is_key=*/true), key);
+  EXPECT_EQ(n.add_gate(GateType::kXnor, {key, n.find("g1")}, "x"), x);
+  EXPECT_EQ(n.find("x"), x);
+  EXPECT_NO_THROW(n.validate());
+
+  n.truncate(n.size());  // a no-op
+  EXPECT_EQ(n.size(), 8u);
+}
+
 TEST(Netlist, DepthAndStats) {
   const Netlist n = small_example();
   EXPECT_EQ(n.depth(), 2u);
