@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "attacks/attack_graph.hpp"
@@ -29,15 +30,49 @@ inline constexpr std::uint32_t kDrnlCap = 10;
 inline constexpr std::size_t kFeatureDim =
     (kDrnlCap + 1) + netlist::kGateTypeCount + 2 + 1;
 
-/// A materialized enclosing subgraph ready for the GNN.
+/// Undirected local adjacency in CSR form: node x's neighbours are
+/// edges[offsets[x] .. offsets[x + 1]), in list order.
+struct LocalAdjacency {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<std::uint32_t> edges;
+
+  std::size_t size() const noexcept { return offsets.size() - 1; }
+  std::span<const std::uint32_t> neighbors(std::size_t x) const noexcept {
+    return {edges.data() + offsets[x], edges.data() + offsets[x + 1]};
+  }
+  /// Copies adjacency lists (list order, duplicates included).
+  static LocalAdjacency from_lists(
+      const std::vector<std::vector<std::uint32_t>>& lists);
+};
+
+/// A row-major matrix of at most 64 columns, stored packed: row i keeps a
+/// mask of its stored columns (bit p = column p) and its stored entries, in
+/// ascending column order, right after those of row i - 1. Unstored entries
+/// are zero.
+struct PackedRows {
+  std::vector<std::uint64_t> mask;
+  std::vector<double> values;
+};
+
+/// A materialized enclosing subgraph ready for the GNN. Besides the graph
+/// it holds the GNN's layer-0 state, which no weight touches and so is
+/// built once per sample instead of once per forward pass.
 struct Subgraph {
   /// Local adjacency (indices into this subgraph; undirected, deduplicated).
-  std::vector<std::vector<std::uint32_t>> adjacency;
-  /// Row-major n x kFeatureDim feature matrix.
-  std::vector<double> features;
+  LocalAdjacency adjacency;
+  /// The n x kFeatureDim feature matrix; its masks mark exactly the
+  /// nonzeros.
+  PackedRows features;
+  /// Row i is the mean of the feature rows of i's neighbours (zero for an
+  /// isolated node); its mask is the OR of those rows' masks, so it may
+  /// mark zeros.
+  PackedRows neighbor_mean;
   std::size_t node_count = 0;
   /// Training label (1 = link exists); ignored for inference samples.
   double label = 0.0;
+
+  /// The feature matrix unpacked, row-major n x kFeatureDim.
+  std::vector<double> dense_features() const;
 };
 
 struct SubgraphConfig {
@@ -48,13 +83,16 @@ struct SubgraphConfig {
 };
 
 /// Reusable extraction state (one per worker): epoch-stamped membership
-/// marks plus the member/hop/label staging vectors that the allocating
-/// variant re-creates per call.
+/// marks plus the member/hop/label staging vectors and the DRNL BFS buffers
+/// that the allocating variant re-creates per call.
 struct SubgraphScratch {
   util::EpochFlags member_marks;
   std::vector<std::uint32_t> local_of;  // valid only where member_marks set
   std::vector<netlist::NodeId> members;
   std::vector<std::uint32_t> hop;
+  // DRNL: distances from each endpoint, the BFS queue, the labels.
+  std::vector<std::uint32_t> dist_u, dist_v, queue, labels;
+  std::vector<std::uint32_t> row_start;  // features.values offset per row
 };
 
 /// Extracts the enclosing subgraph for link (u, v) over `graph`. The (u, v)
@@ -70,9 +108,18 @@ void extract_subgraph_into(const AttackGraph& graph, netlist::NodeId u,
                            netlist::NodeId v, const SubgraphConfig& config,
                            SubgraphScratch& scratch, Subgraph& out);
 
+/// A subgraph from adjacency lists and a dense row-major
+/// n x kFeatureDim feature matrix (hand-built samples for tests and
+/// benchmarks); its layer-0 state is built as extraction builds it.
+/// Throws std::invalid_argument when `features` is not n x kFeatureDim or
+/// a neighbour index is out of range.
+Subgraph make_subgraph(const std::vector<std::vector<std::uint32_t>>& adjacency,
+                       const std::vector<double>& features, double label);
+
 /// Computes DRNL labels for a subgraph whose nodes 0 and 1 are the link
-/// endpoints. Exposed for testing.
-std::vector<std::uint32_t> drnl_labels(
-    const std::vector<std::vector<std::uint32_t>>& adjacency);
+/// endpoints, into scratch.labels (returned). Allocates nothing once the
+/// scratch is warm.
+const std::vector<std::uint32_t>& drnl_labels(const LocalAdjacency& adjacency,
+                                              SubgraphScratch& scratch);
 
 }  // namespace autolock::attack

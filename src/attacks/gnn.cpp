@@ -4,137 +4,187 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 namespace autolock::attack {
 
-namespace detail {
-
-// Each kernel holds one 32-wide output row in eight 4-lane vector
-// accumulators and adds one 32-wide row of the right operand per marked
-// term, so every output element still sums its terms in ascending order:
-// packed vmulpd/vaddpd perform the same IEEE operation per lane as their
-// scalar forms, and gnn.cpp is compiled with -ffp-contract=off so no FMA
-// rounds differently. The accumulators are GNU vector-extension variables
-// (GCC and Clang): without AVX2 the compiler splits each into SSE2 halves.
+// Each kernel holds one 32-wide output row in kRowVecs vector accumulators
+// of kLanes doubles (4 x 8 with AVX-512F, 8 x 4 otherwise) and adds one
+// 32-wide row of the right operand per marked term, so every output element
+// still sums its terms in ascending order: packed vmulpd/vaddpd perform the
+// same IEEE operation per lane as their scalar forms, and gnn.cpp is
+// compiled with -ffp-contract=off so no FMA rounds differently. The
+// accumulators are GNU vector-extension variables (GCC and Clang): on a
+// narrower target the compiler splits each into halves.
 
 namespace {
 
-typedef double V4 __attribute__((vector_size(32)));
+#if defined(__AVX512F__)
+constexpr std::size_t kLanes = 8;
+#else
+constexpr std::size_t kLanes = 4;
+#endif
+constexpr std::size_t kRowVecs = detail::kKernelWidth / kLanes;
 
-static_assert(kKernelWidth == 32, "a Row holds 8 x 4 lanes");
+typedef double Vec __attribute__((vector_size(kLanes * sizeof(double))));
+
+static_assert(detail::kKernelWidth % kLanes == 0, "a Row holds whole vectors");
 static_assert(GnnConfig::kInputDim <= 64 && GnnConfig::kHiddenDim <= 64,
               "row masks are 64 bits wide");
 
-inline V4 v4_load(const double* p) {
-  V4 v;
+inline Vec vec_load(const double* p) {
+  Vec v;
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-inline void v4_store(double* p, V4 v) { std::memcpy(p, &v, sizeof(v)); }
+inline void vec_store(double* p, Vec v) { std::memcpy(p, &v, sizeof(v)); }
 
-inline V4 v4_splat(double x) { return V4{x, x, x, x}; }
+inline Vec vec_splat(double x) {
+  return [x]<std::size_t... l>(std::index_sequence<l...>) {
+    return Vec{(static_cast<void>(l), x)...};
+  }(std::make_index_sequence<kLanes>{});
+}
 
-/// One 32-wide output row in registers. Named members, not an array: GCC
-/// keeps the members in ymm registers but spills an array to the stack.
+/// One 32-wide output row in registers. Every access below names a
+/// compile-time member index, so GCC keeps the members in registers.
 struct Row {
-  V4 v0, v1, v2, v3, v4, v5, v6, v7;
+  Vec v[kRowVecs];
 };
 
+/// Calls f(q) for q = 0 .. kRowVecs - 1, each a compile-time constant.
+template <class F>
+inline void each_vec(F&& f) {
+  [&]<std::size_t... q>(std::index_sequence<q...>) {
+    (f(std::integral_constant<std::size_t, q>{}), ...);
+  }(std::make_index_sequence<kRowVecs>{});
+}
+
 inline Row row_splat(double x) {
-  const V4 v = v4_splat(x);
-  return {v, v, v, v, v, v, v, v};
+  Row r;
+  const Vec v = vec_splat(x);
+  each_vec([&](auto q) { r.v[q] = v; });
+  return r;
 }
 
 inline Row row_load(const double* p) {
-  return {v4_load(p),      v4_load(p + 4),  v4_load(p + 8),  v4_load(p + 12),
-          v4_load(p + 16), v4_load(p + 20), v4_load(p + 24), v4_load(p + 28)};
+  Row r;
+  each_vec([&](auto q) { r.v[q] = vec_load(p + q * kLanes); });
+  return r;
 }
 
 inline void row_store(double* p, const Row& r) {
-  v4_store(p, r.v0), v4_store(p + 4, r.v1);
-  v4_store(p + 8, r.v2), v4_store(p + 12, r.v3);
-  v4_store(p + 16, r.v4), v4_store(p + 20, r.v5);
-  v4_store(p + 24, r.v6), v4_store(p + 28, r.v7);
+  each_vec([&](auto q) { vec_store(p + q * kLanes, r.v[q]); });
 }
 
 /// acc += s * b (one 32-wide row).
 inline void row_axpy(Row& acc, double s, const double* b) {
-  const V4 sv = v4_splat(s);
-  acc.v0 += sv * v4_load(b), acc.v1 += sv * v4_load(b + 4);
-  acc.v2 += sv * v4_load(b + 8), acc.v3 += sv * v4_load(b + 12);
-  acc.v4 += sv * v4_load(b + 16), acc.v5 += sv * v4_load(b + 20);
-  acc.v6 += sv * v4_load(b + 24), acc.v7 += sv * v4_load(b + 28);
+  const Vec sv = vec_splat(s);
+  each_vec([&](auto q) { acc.v[q] += sv * vec_load(b + q * kLanes); });
 }
 
 /// acc += b (one 32-wide row).
 inline void row_add(Row& acc, const double* b) {
-  acc.v0 += v4_load(b), acc.v1 += v4_load(b + 4);
-  acc.v2 += v4_load(b + 8), acc.v3 += v4_load(b + 12);
-  acc.v4 += v4_load(b + 16), acc.v5 += v4_load(b + 20);
-  acc.v6 += v4_load(b + 24), acc.v7 += v4_load(b + 28);
+  each_vec([&](auto q) { acc.v[q] += vec_load(b + q * kLanes); });
 }
 
 }  // namespace
 
-void row_masks(const double* a, std::size_t m, std::size_t k,
-               std::uint64_t* mask) {
-  for (std::size_t i = 0; i < m; ++i) {
-    std::uint64_t bits = 0;
-    for (std::size_t p = 0; p < k; ++p) {
-      bits |= static_cast<std::uint64_t>(a[i * k + p] != 0.0) << p;
-    }
-    mask[i] = bits;
-  }
-}
+namespace detail {
 
-void gemm_masked(const double* a_, const std::uint64_t* mask, const double* b_,
-                 double* c_, std::size_t m, std::size_t k, bool accumulate) {
+namespace {
+
+// The left operand of the two product kernels is dense (entry p of row i
+// is a[i * k + p]) or packed (PackedRows: the marked entries follow one
+// another, ascending column within a row).
+
+/// c(m x 32) = (or +=) a * b over the marked entries of a.
+template <bool kPacked>
+void gemm_rows(const double* a_, const std::uint64_t* mask, const double* b_,
+               double* c_, std::size_t m, std::size_t k, bool accumulate) {
   const double* __restrict a = a_;
   const double* __restrict b = b_;
   double* __restrict c = c_;
   for (std::size_t i = 0; i < m; ++i) {
-    const double* __restrict arow = a + i * k;
     double* __restrict crow = c + i * kKernelWidth;
     Row acc = accumulate ? row_load(crow) : row_splat(0.0);
     for (std::uint64_t bits = mask[i]; bits != 0; bits &= bits - 1) {
       const auto p = static_cast<std::size_t>(std::countr_zero(bits));
-      row_axpy(acc, arow[p], b + p * kKernelWidth);
+      const double s = kPacked ? *a++ : a[i * k + p];
+      row_axpy(acc, s, b + p * kKernelWidth);
     }
     row_store(crow, acc);
   }
 }
 
-void gemm_at_masked(const double* a_, const std::uint64_t* mask,
-                    const double* d_, double* c_, std::size_t m,
-                    std::size_t k) {
+/// c(k x 32) += a^T * d over the marked entries of a.
+template <bool kPacked>
+void gemm_at_rows(const double* a_, const std::uint64_t* mask,
+                  const double* d_, double* c_, std::size_t m,
+                  std::size_t k) {
   const double* __restrict a = a_;
   const double* __restrict d = d_;
   double* __restrict c = c_;
   // Transpose the row masks, 64 rows at a time, into per-column row sets,
   // so each output row c[p] stays in registers while it gathers its terms
-  // from the rows of a that mark column p (ascending row order).
+  // from the rows of a that mark column p (ascending row order). A packed
+  // entry (i, p) sits at its row's start plus the count of lower marks.
   std::uint64_t col_rows[64];
+  std::size_t row_start[64];
+  std::size_t next_start = 0;
   for (std::size_t r0 = 0; r0 < m; r0 += 64) {
     const std::size_t rows = std::min<std::size_t>(64, m - r0);
     std::fill(col_rows, col_rows + k, 0);
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::uint64_t bits = mask[r0 + i]; bits != 0; bits &= bits - 1) {
-        col_rows[std::countr_zero(bits)] |= std::uint64_t{1} << i;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::uint64_t row_mask = mask[r0 + r];
+      if constexpr (kPacked) {
+        row_start[r] = next_start;
+        next_start += static_cast<std::size_t>(std::popcount(row_mask));
+      }
+      for (std::uint64_t bits = row_mask; bits != 0; bits &= bits - 1) {
+        col_rows[std::countr_zero(bits)] |= std::uint64_t{1} << r;
       }
     }
     for (std::size_t p = 0; p < k; ++p) {
       if (col_rows[p] == 0) continue;
       double* __restrict crow = c + p * kKernelWidth;
       Row acc = row_load(crow);
+      const std::uint64_t below = (std::uint64_t{1} << p) - 1;
       for (std::uint64_t bits = col_rows[p]; bits != 0; bits &= bits - 1) {
-        const std::size_t i =
-            r0 + static_cast<std::size_t>(std::countr_zero(bits));
-        row_axpy(acc, a[i * k + p], d + i * kKernelWidth);
+        const auto r = static_cast<std::size_t>(std::countr_zero(bits));
+        const std::size_t i = r0 + r;
+        const double s =
+            kPacked ? a[row_start[r] + static_cast<std::size_t>(
+                                           std::popcount(mask[i] & below))]
+                    : a[i * k + p];
+        row_axpy(acc, s, d + i * kKernelWidth);
       }
       row_store(crow, acc);
     }
   }
+}
+
+}  // namespace
+
+void gemm_masked(const double* a, const std::uint64_t* mask, const double* b,
+                 double* c, std::size_t m, std::size_t k, bool accumulate) {
+  gemm_rows<false>(a, mask, b, c, m, k, accumulate);
+}
+
+void gemm_packed(const std::uint64_t* mask, const double* values,
+                 const double* b, double* c, std::size_t m, bool accumulate) {
+  gemm_rows<true>(values, mask, b, c, m, 0, accumulate);
+}
+
+void gemm_at_masked(const double* a, const std::uint64_t* mask,
+                    const double* d, double* c, std::size_t m, std::size_t k) {
+  gemm_at_rows<false>(a, mask, d, c, m, k);
+}
+
+void gemm_at_packed(const std::uint64_t* mask, const double* values,
+                    const double* d, double* c, std::size_t m,
+                    std::size_t k) {
+  gemm_at_rows<true>(values, mask, d, c, m, k);
 }
 
 void masked_row_sum(const std::uint64_t* mask, const double* t_, double* c_,
@@ -167,65 +217,81 @@ void xavier_init(std::vector<double>& vec, std::size_t fan_in,
   for (double& w : vec) w = (2.0 * rng.next_double() - 1.0) * limit;
 }
 
-/// Copies the sample's vector-of-vectors adjacency into the scratch's flat
-/// CSR arrays (neighbor list order — including duplicates — preserved).
-void flatten_adjacency(const Subgraph& sample, GnnScratch& scratch) {
-  const std::size_t n = sample.node_count;
-  scratch.adj_offsets.resize(n + 1);
-  scratch.adj_edges.clear();
+/// out(n x h) = mean of rows of in(n x h) over the sample's adjacency. A
+/// row's mask is the OR of its neighbours' masks: a mean of rows that are
+/// zero in a column is +0.0 there.
+void mean_aggregate(const LocalAdjacency& adjacency, const Mat& in,
+                    const std::vector<std::uint64_t>& in_mask, Mat& out,
+                    std::vector<std::uint64_t>& out_mask) {
+  constexpr std::size_t h = GnnConfig::kHiddenDim;
+  const std::size_t n = in.rows;
+  out.reshape(n, h);
+  out_mask.resize(n);
+  const double* __restrict src = in.data.data();
+  double* __restrict dst = out.data.data();
   for (std::size_t i = 0; i < n; ++i) {
-    scratch.adj_offsets[i] = static_cast<std::uint32_t>(scratch.adj_edges.size());
-    const auto& nbrs = sample.adjacency[i];
-    scratch.adj_edges.insert(scratch.adj_edges.end(), nbrs.begin(), nbrs.end());
-  }
-  scratch.adj_offsets[n] = static_cast<std::uint32_t>(scratch.adj_edges.size());
-}
-
-/// out(n x c) = mean of rows of in(n x c) over the CSR adjacency. A row's
-/// mask is the OR of its neighbours' masks: a mean of rows that are zero in
-/// a column is +0.0 there.
-void mean_aggregate_csr(const std::vector<std::uint32_t>& offsets,
-                        const std::vector<std::uint32_t>& edges, const Mat& in,
-                        const std::vector<std::uint64_t>& in_mask, Mat& out,
-                        std::vector<std::uint64_t>& out_mask) {
-  out.reshape(in.rows, in.cols);
-  out_mask.resize(in.rows);
-  const std::size_t cols = in.cols;
-  const double* __restrict src_base = in.data.data();
-  for (std::size_t i = 0; i < in.rows; ++i) {
-    double* __restrict dst = &out.data[i * cols];
-    const std::uint32_t begin = offsets[i];
-    const std::uint32_t end = offsets[i + 1];
+    const auto nbrs = adjacency.neighbors(i);
+    Row acc = row_splat(0.0);
     std::uint64_t bits = 0;
-    for (std::size_t c = 0; c < cols; ++c) dst[c] = 0.0;
-    for (std::uint32_t e = begin; e < end; ++e) {
-      const double* __restrict src = src_base + edges[e] * cols;
-      for (std::size_t c = 0; c < cols; ++c) dst[c] += src[c];
-      bits |= in_mask[edges[e]];
+    for (const std::uint32_t j : nbrs) {
+      row_add(acc, src + j * h);
+      bits |= in_mask[j];
     }
     out_mask[i] = bits;
-    if (begin == end) continue;
-    const double inv = 1.0 / static_cast<double>(end - begin);
-    for (std::size_t c = 0; c < cols; ++c) dst[c] *= inv;
+    if (!nbrs.empty()) {
+      const Vec inv = vec_splat(1.0 / static_cast<double>(nbrs.size()));
+      each_vec([&](auto q) { acc.v[q] *= inv; });
+    }
+    row_store(dst + i * h, acc);
   }
 }
 
-/// z += bias, then out = max(z, 0), row by row. out_mask, when given,
-/// receives out's row masks.
+/// z += bias, then out = max(z, 0), row by row over hidden-wide rows.
+/// out_mask, when given, receives out's row masks. The select keeps
+/// std::max(z, 0.0) exactly: a -0.0 or NaN z passes through.
 void bias_relu(Mat& z, const std::vector<double>& bias, Mat& out,
                std::vector<std::uint64_t>* out_mask) {
-  out.reshape(z.rows, z.cols);
-  if (out_mask != nullptr) out_mask->resize(z.rows);
-  for (std::size_t i = 0; i < z.rows; ++i) {
-    double* __restrict zrow = &z.data[i * z.cols];
-    double* __restrict yrow = &out.data[i * z.cols];
+  constexpr std::size_t h = GnnConfig::kHiddenDim;
+  const std::size_t n = z.rows;
+  out.reshape(n, h);
+  if (out_mask != nullptr) out_mask->resize(n);
+  const Row b = row_load(bias.data());
+  const Vec zero = vec_splat(0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* __restrict zrow = &z.data[i * h];
+    double* __restrict yrow = &out.data[i * h];
+    Row zr = row_load(zrow);
+    Row yr;
+    each_vec([&](auto q) {
+      zr.v[q] += b.v[q];
+      yr.v[q] = zr.v[q] < zero ? zero : zr.v[q];
+    });
+    row_store(zrow, zr);
+    row_store(yrow, yr);
+    if (out_mask == nullptr) continue;
     std::uint64_t bits = 0;
-    for (std::size_t k = 0; k < z.cols; ++k) {
-      zrow[k] += bias[k];
-      yrow[k] = std::max(zrow[k], 0.0);
+    for (std::size_t k = 0; k < h; ++k) {
       bits |= static_cast<std::uint64_t>(yrow[k] != 0.0) << k;
     }
-    if (out_mask != nullptr) (*out_mask)[i] = bits;
+    (*out_mask)[i] = bits;
+  }
+}
+
+/// acc(1 x h) += the sum of the rows of m(n x h), ascending row order.
+void add_row_sums(const Mat& m, std::vector<double>& acc) {
+  Row sum = row_load(acc.data());
+  for (std::size_t i = 0; i < m.rows; ++i) {
+    row_add(sum, &m.data[i * GnnConfig::kHiddenDim]);
+  }
+  row_store(acc.data(), sum);
+}
+
+/// dst = src^T for a square hidden-wide matrix.
+void transpose_into(const Mat& src, Mat& dst) {
+  constexpr std::size_t h = GnnConfig::kHiddenDim;
+  dst.reshape(h, h);
+  for (std::size_t r = 0; r < h; ++r) {
+    for (std::size_t c = 0; c < h; ++c) dst.at(c, r) = src.at(r, c);
   }
 }
 
@@ -287,6 +353,12 @@ Gnn::Gnn(const GnnConfig& config, std::uint64_t seed) : config_(config) {
   }
   adam_.back().m.assign(1, 0.0);
   adam_.back().v.assign(1, 0.0);
+  refresh_transposes();
+}
+
+void Gnn::refresh_transposes() {
+  transpose_into(layer2_.w_self, w2_self_t_);
+  transpose_into(layer2_.w_neigh, w2_neigh_t_);
 }
 
 std::vector<std::vector<double>*> Gnn::param_views() {
@@ -303,32 +375,24 @@ std::vector<std::vector<double>*> Gnn::grad_views() {
 
 void Gnn::forward(const Subgraph& sample, GnnScratch& scratch) const {
   const std::size_t n = sample.node_count;
-  constexpr std::size_t d0 = GnnConfig::kInputDim;
   constexpr std::size_t h = GnnConfig::kHiddenDim;
   constexpr std::size_t m = GnnConfig::kMlpDim;
 
-  flatten_adjacency(sample, scratch);
-  scratch.x.reshape(n, d0);
-  std::copy(sample.features.begin(), sample.features.end(),
-            scratch.x.data.begin());
-  scratch.x_mask.resize(n);
-  detail::row_masks(scratch.x.data.data(), n, d0, scratch.x_mask.data());
-
-  // Layer 1.
-  mean_aggregate_csr(scratch.adj_offsets, scratch.adj_edges, scratch.x,
-                     scratch.x_mask, scratch.agg0, scratch.agg0_mask);
+  // Layer 1, from the sample's packed features and neighbour mean.
   scratch.z1.reshape(n, h);
-  detail::gemm_masked(scratch.x.data.data(), scratch.x_mask.data(),
+  detail::gemm_packed(sample.features.mask.data(),
+                      sample.features.values.data(),
                       layer1_.w_self.data.data(), scratch.z1.data.data(), n,
-                      d0, false);
-  detail::gemm_masked(scratch.agg0.data.data(), scratch.agg0_mask.data(),
+                      false);
+  detail::gemm_packed(sample.neighbor_mean.mask.data(),
+                      sample.neighbor_mean.values.data(),
                       layer1_.w_neigh.data.data(), scratch.z1.data.data(), n,
-                      d0, true);
+                      true);
   bias_relu(scratch.z1, layer1_.bias, scratch.h1, &scratch.h1_mask);
 
   // Layer 2.
-  mean_aggregate_csr(scratch.adj_offsets, scratch.adj_edges, scratch.h1,
-                     scratch.h1_mask, scratch.agg1, scratch.agg1_mask);
+  mean_aggregate(sample.adjacency, scratch.h1, scratch.h1_mask, scratch.agg1,
+                 scratch.agg1_mask);
   scratch.z2.reshape(n, h);
   detail::gemm_masked(scratch.h1.data.data(), scratch.h1_mask.data(),
                       layer2_.w_self.data.data(), scratch.z2.data.data(), n,
@@ -340,9 +404,7 @@ void Gnn::forward(const Subgraph& sample, GnnScratch& scratch) const {
 
   // Mean pooling.
   scratch.pooled.assign(h, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < h; ++k) scratch.pooled[k] += scratch.h2.at(i, k);
-  }
+  add_row_sums(scratch.h2, scratch.pooled);
   if (n > 0) {
     for (double& value : scratch.pooled) value /= static_cast<double>(n);
   }
@@ -428,42 +490,40 @@ void Gnn::backward(const Subgraph& sample, GnnScratch& scratch,
   detail::gemm_at_masked(scratch.agg1.data.data(), scratch.agg1_mask.data(),
                          scratch.d_z2.data.data(),
                          g_layer2_.w_neigh.data.data(), n, h);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < h; ++k) {
-      g_layer2_.bias[k] += scratch.d_z2.at(i, k);
-    }
-  }
+  add_row_sums(scratch.d_z2, g_layer2_.bias);
   // d_h1 = d_z2 * W2s^T and d_agg1 = d_z2 * W2n^T. Each term
   // d_z2[i][j] * W[q][j] is either 0 or d_h2_row[j] * W[q][j], so both are
-  // sums of the active rows of g_wt = d_h2_row (.) W^T.
-  auto stage_g_wt = [&](const Mat& w) {
+  // sums of the active rows of g_wt = d_h2_row (.) W^T: row j of the cached
+  // transpose scaled by d_h2_row[j].
+  auto stage_g_wt = [&](const Mat& w_t) {
     scratch.g_wt.reshape(h, h);
     for (std::size_t j = 0; j < h; ++j) {
-      for (std::size_t q = 0; q < h; ++q) {
-        scratch.g_wt.at(j, q) = scratch.d_h2_row[j] * w.at(q, j);
-      }
+      const Vec g = vec_splat(scratch.d_h2_row[j]);
+      Row row = row_load(&w_t.data[j * h]);
+      each_vec([&](auto q) { row.v[q] = g * row.v[q]; });
+      row_store(&scratch.g_wt.data[j * h], row);
     }
   };
   scratch.d_h1.reshape(n, h);
   scratch.d_agg1.reshape(n, h);
-  stage_g_wt(layer2_.w_self);
+  stage_g_wt(w2_self_t_);
   detail::masked_row_sum(scratch.z2_mask.data(), scratch.g_wt.data.data(),
                          scratch.d_h1.data.data(), n);
-  stage_g_wt(layer2_.w_neigh);
+  stage_g_wt(w2_neigh_t_);
   detail::masked_row_sum(scratch.z2_mask.data(), scratch.g_wt.data.data(),
                          scratch.d_agg1.data.data(), n);
   // Transpose of mean aggregation over the CSR rows:
   // d_h1[j] += sum_{i : j in N(i)} d_agg1[i] / |N(i)|.
+  double* __restrict d_h1 = scratch.d_h1.data.data();
+  const double* __restrict d_agg1 = scratch.d_agg1.data.data();
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t begin = scratch.adj_offsets[i];
-    const std::uint32_t end = scratch.adj_offsets[i + 1];
-    if (begin == end) continue;
-    const double inv = 1.0 / static_cast<double>(end - begin);
-    for (std::uint32_t e = begin; e < end; ++e) {
-      const std::uint32_t j = scratch.adj_edges[e];
-      for (std::size_t c = 0; c < h; ++c) {
-        scratch.d_h1.at(j, c) += scratch.d_agg1.at(i, c) * inv;
-      }
+    const auto nbrs = sample.adjacency.neighbors(i);
+    if (nbrs.empty()) continue;
+    const double inv = 1.0 / static_cast<double>(nbrs.size());
+    for (const std::uint32_t j : nbrs) {
+      Row acc = row_load(d_h1 + j * h);
+      row_axpy(acc, inv, d_agg1 + i * h);
+      row_store(d_h1 + j * h, acc);
     }
   }
 
@@ -473,17 +533,15 @@ void Gnn::backward(const Subgraph& sample, GnnScratch& scratch,
     relu_grad_row(&scratch.z1.data[i * h], &scratch.d_h1.data[i * h],
                   &scratch.d_z1.data[i * h]);
   }
-  detail::gemm_at_masked(scratch.x.data.data(), scratch.x_mask.data(),
+  detail::gemm_at_packed(sample.features.mask.data(),
+                         sample.features.values.data(),
                          scratch.d_z1.data.data(),
                          g_layer1_.w_self.data.data(), n, d0);
-  detail::gemm_at_masked(scratch.agg0.data.data(), scratch.agg0_mask.data(),
+  detail::gemm_at_packed(sample.neighbor_mean.mask.data(),
+                         sample.neighbor_mean.values.data(),
                          scratch.d_z1.data.data(),
                          g_layer1_.w_neigh.data.data(), n, d0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < h; ++k) {
-      g_layer1_.bias[k] += scratch.d_z1.at(i, k);
-    }
-  }
+  add_row_sums(scratch.d_z1, g_layer1_.bias);
 }
 
 void Gnn::adam_step() {
@@ -518,6 +576,7 @@ void Gnn::adam_step() {
   mlp_b2_ -= config_.learning_rate *
              ((state.m[0] / bias1) / (std::sqrt(state.v[0] / bias2) + kEps));
   g_mlp_b2_ = 0.0;
+  refresh_transposes();
 }
 
 double Gnn::train_epoch(const std::vector<Subgraph>& samples,

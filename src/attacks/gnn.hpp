@@ -9,14 +9,20 @@
 // Most of what the network multiplies is zero: the layer-1 input is one-hot
 // heavy (about 12% nonzero, its neighbour mean about 19%) and ReLU zeroes
 // about half of every hidden row. Each left operand therefore carries one
-// 64-bit mask per row, built in the pass that produces the row, and the
-// products run through masked micro-kernels (detail::gemm_masked*) that
-// visit only the marked columns, ascending. A skipped term is a ±0.0
-// product, and every sum it would join starts at +0.0 (a fresh accumulator,
-// or a gradient Adam has reset), which addition never turns into −0.0; so
-// skipping it leaves the sum unchanged and the kernels are bit-identical to
-// the dense naive triple loop. All buffers live in GnnScratch, so a
-// training epoch allocates nothing once the scratch is warm.
+// 64-bit mask per row, and the products run through masked micro-kernels
+// (detail::gemm_masked*, detail::gemm_packed*) that visit only the marked
+// columns, ascending. The layer-1 operands (the features and their
+// neighbour mean) depend on no weight, so the Subgraph carries them, packed,
+// from extraction; the hidden ones get their masks in the pass that
+// produces them. A skipped term is a ±0.0 product, and every sum it would
+// join starts at +0.0 (a fresh accumulator, or a gradient Adam has reset),
+// which addition never turns into −0.0; so skipping it leaves the sum
+// unchanged and the kernels are bit-identical to the dense naive triple
+// loop. A kernel keeps its 32-wide output row in vector registers: four
+// 8-lane zmm accumulators when gnn.cpp is built for AVX-512F, else eight
+// 4-lane ones, with the same IEEE operations per lane either way. All
+// buffers live in GnnScratch, so a training epoch allocates nothing once
+// the scratch is warm.
 #pragma once
 
 #include <cstdint>
@@ -62,25 +68,31 @@ namespace detail {
 
 // Masked micro-kernels (row-major, restrict-qualified inside). The right
 // operand and the output are kKernelWidth (= hidden size) columns wide; the
-// left operand has k <= 64 columns. Bit p of mask[i] marks a[i][p]: a mask
-// must mark every nonzero entry of its row and may mark zeros too. Each
-// output element sums its marked terms in ascending reduction order, so a
-// kernel matches the dense naive triple loop bit-for-bit as long as nothing
-// it accumulates onto holds −0.0. Exposed for tests and benchmarks.
+// left operand has k <= 64 columns, dense or packed (PackedRows). Bit p of
+// mask[i] marks a[i][p]: a mask must mark every nonzero entry of its row
+// and may mark zeros too. Each output element sums its marked terms in
+// ascending reduction order, so a kernel matches the dense naive triple
+// loop bit-for-bit as long as nothing it accumulates onto holds −0.0.
+// Exposed for tests and benchmarks.
 
 inline constexpr std::size_t kKernelWidth = GnnConfig::kHiddenDim;
-
-/// mask[i] marks the nonzero entries of row i of a(m x k).
-void row_masks(const double* a, std::size_t m, std::size_t k,
-               std::uint64_t* mask);
 
 /// c(m x 32) = (or +=) a(m x k) * b(k x 32).
 void gemm_masked(const double* a, const std::uint64_t* mask, const double* b,
                  double* c, std::size_t m, std::size_t k, bool accumulate);
 
+/// gemm_masked (not accumulating or accumulating) for an `a` given packed
+/// (PackedRows: row i's marked entries, ascending column, after row i - 1's).
+void gemm_packed(const std::uint64_t* mask, const double* values,
+                 const double* b, double* c, std::size_t m, bool accumulate);
+
 /// c(k x 32) += a(m x k)^T * d(m x 32) (weight-gradient shape; each element
 /// sums over the rows of a, ascending).
 void gemm_at_masked(const double* a, const std::uint64_t* mask,
+                    const double* d, double* c, std::size_t m, std::size_t k);
+
+/// gemm_at_masked for an `a` given packed.
+void gemm_at_packed(const std::uint64_t* mask, const double* values,
                     const double* d, double* c, std::size_t m, std::size_t k);
 
 /// c(m x 32) = sum of the rows t[p] that mask[i] marks, ascending p. With
@@ -91,21 +103,17 @@ void masked_row_sum(const std::uint64_t* mask, const double* t, double* c,
 
 }  // namespace detail
 
-/// Reusable per-worker GNN buffers: forward activations, backward
-/// temporaries, and a flattened CSR copy of the current sample's adjacency.
-/// Lives in AttackScratch so MuxLink's training epochs and inference sweeps
+/// Reusable per-worker GNN buffers: forward activations and backward
+/// temporaries (the layer-0 inputs come with the Subgraph). Lives in
+/// AttackScratch so MuxLink's training epochs and inference sweeps
 /// allocate nothing once warm. Holds no model or result state — predictions
 /// through a fresh scratch and a reused one are bit-identical.
 struct GnnScratch {
-  // CSR adjacency of the current sample (neighbor list order preserved).
-  std::vector<std::uint32_t> adj_offsets;
-  std::vector<std::uint32_t> adj_edges;
   // Forward activations, one per message-passing stage, with the row
   // masks of the ones that feed a product.
-  Mat x;             // input features
-  Mat agg0, z1, h1;  // layer 1: neighbor mean, pre-activation, activation
-  Mat agg1, z2, h2;  // layer 2
-  std::vector<std::uint64_t> x_mask, agg0_mask, h1_mask, agg1_mask;
+  Mat z1, h1;        // layer 1: pre-activation, activation
+  Mat agg1, z2, h2;  // layer 2: neighbor mean, pre-activation, activation
+  std::vector<std::uint64_t> h1_mask, agg1_mask;
   std::vector<std::uint64_t> z2_mask;  // z2 > 0: the nonzeros of d_z2
   std::vector<double> pooled;        // mean-pooled h2
   std::vector<double> mlp_z, mlp_h;  // MLP hidden pre/post activation
@@ -153,6 +161,8 @@ class Gnn {
   void forward(const Subgraph& sample, GnnScratch& scratch) const;
   void backward(const Subgraph& sample, GnnScratch& scratch, double dlogit);
   void adam_step();
+  /// Recomputes w2_self_t_ and w2_neigh_t_ from layer2_.
+  void refresh_transposes();
 
   // Parameter/gradient flattening helpers.
   std::vector<std::vector<double>*> param_views();
@@ -160,6 +170,8 @@ class Gnn {
 
   GnnConfig config_;
   Layer layer1_, layer2_;
+  // layer2_'s weights transposed: backward scales their rows.
+  Mat w2_self_t_, w2_neigh_t_;
   Mat mlp_w1_;
   std::vector<double> mlp_b1_;
   std::vector<double> mlp_w2_;

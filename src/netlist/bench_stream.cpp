@@ -538,24 +538,30 @@ void stream_write(const Netlist& netlist, std::ostream& out) {
       renamed.emplace(holder, std::move(fresh));
     }
   }
-  // Almost always empty (no output splice displaced a holder): skip the
-  // lookup for the hundreds of thousands of names a large design prints.
-  const auto printed = [&](NodeId id) -> std::string_view {
-    if (renamed.empty()) return netlist.name(id);
-    const auto it = renamed.find(id);
-    return it == renamed.end() ? netlist.name(id)
-                               : std::string_view(it->second);
-  };
+  // Every printed name, fetched under one shared lock of the name table:
+  // node i's text at [i], then the output ports', then the aliases'.
+  const std::size_t nodes = netlist.size();
+  std::vector<NameId> ids;
+  ids.reserve(nodes + netlist.outputs().size() + aliases.size());
+  for (NodeId id = 0; id < nodes; ++id) ids.push_back(netlist.name_id(id));
+  for (const auto& port : netlist.outputs()) ids.push_back(port.name);
+  for (const auto& alias : aliases) ids.push_back(alias.first);
+  std::vector<std::string_view> text;
+  netlist.names()->text_batch(ids, text);
+  for (const auto& [holder, fresh] : renamed) text[holder] = fresh;
+  const std::string_view* port_text = text.data() + nodes;
+  const std::string_view* alias_text = port_text + netlist.outputs().size();
+
   for (const NodeId id : netlist.inputs()) {
-    out << "INPUT(" << printed(id) << ")\n";
+    out << "INPUT(" << text[id] << ")\n";
   }
-  for (const auto& port : netlist.outputs()) {
-    out << "OUTPUT(" << netlist.name_text(port.name) << ")\n";
+  for (std::size_t j = 0; j < netlist.outputs().size(); ++j) {
+    out << "OUTPUT(" << port_text[j] << ")\n";
   }
   for (const NodeId id : netlist.topological_order()) {
     const Node& node = netlist.node(id);
     if (node.type == GateType::kInput) continue;
-    out << printed(id) << " = ";
+    out << text[id] << " = ";
     if (node.type == GateType::kConst0 || node.type == GateType::kConst1) {
       out << gate_type_name(node.type) << "\n";
       continue;
@@ -563,12 +569,12 @@ void stream_write(const Netlist& netlist, std::ostream& out) {
     out << gate_type_name(node.type) << "(";
     for (std::size_t i = 0; i < node.fanins.size(); ++i) {
       if (i) out << ", ";
-      out << printed(node.fanins[i]);
+      out << text[node.fanins[i]];
     }
     out << ")\n";
   }
-  for (const auto& [alias, driver] : aliases) {
-    out << netlist.name_text(alias) << " = BUF(" << printed(driver) << ")\n";
+  for (std::size_t j = 0; j < aliases.size(); ++j) {
+    out << alias_text[j] << " = BUF(" << text[aliases[j].second] << ")\n";
   }
 }
 

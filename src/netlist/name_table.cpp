@@ -166,6 +166,19 @@ std::string_view NameTable::text(NameId id) const {
   return texts_[id];
 }
 
+void NameTable::text_batch(std::span<const NameId> ids,
+                           std::vector<std::string_view>& out) const {
+  out.resize(ids.size());
+  const std::shared_lock lock(mutex_);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] >= texts_.size()) {
+      throw std::out_of_range("NameTable::text_batch: unknown NameId " +
+                              std::to_string(ids[i]));
+    }
+    out[i] = texts_[ids[i]];
+  }
+}
+
 std::size_t NameTable::size() const noexcept {
   const std::shared_lock lock(mutex_);
   return texts_.size();

@@ -14,11 +14,11 @@
 // (hash tag, id) slots, so a lookup hashes once and compares text only
 // when a slot's tag matches.
 //
-// Thread safety: intern/find/text/size are safe to call concurrently
-// (parallel decode workers share one table); lookups take a shared lock,
-// interning a *new* name upgrades to an exclusive lock. Returned
-// string_views point into the arena, so they stay valid for the table's
-// lifetime regardless of later growth.
+// Thread safety: intern/find/text/size and their batch forms are safe to
+// call concurrently (parallel decode workers share one table); lookups
+// take a shared lock, interning a *new* name upgrades to an exclusive lock.
+// Returned string_views point into the arena, so they stay valid for the
+// table's lifetime regardless of later growth.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +73,13 @@ class NameTable {
   /// The interned text for `id`. The view stays valid for the table's
   /// lifetime. Throws std::out_of_range for ids this table never issued.
   std::string_view text(NameId id) const;
+
+  /// The texts of `ids` under ONE shared lock (vs one per text() call),
+  /// written into `out` (resized to `ids.size()`). The views stay valid for
+  /// the table's lifetime. Throws std::out_of_range for ids this table
+  /// never issued.
+  void text_batch(std::span<const NameId> ids,
+                  std::vector<std::string_view>& out) const;
 
   /// Number of interned names (issued ids are exactly [0, size())).
   std::size_t size() const noexcept;

@@ -11,10 +11,16 @@ namespace {
 using netlist::GateType;
 using netlist::Netlist;
 
+std::vector<std::uint32_t> labels_of(
+    const std::vector<std::vector<std::uint32_t>>& adjacency) {
+  SubgraphScratch scratch;
+  return drnl_labels(LocalAdjacency::from_lists(adjacency), scratch);
+}
+
 TEST(Drnl, EndpointsAlwaysLabelOne) {
   // Path graph 0-2-1 (endpoints joined through node 2).
   std::vector<std::vector<std::uint32_t>> adjacency{{2}, {2}, {0, 1}};
-  const auto labels = drnl_labels(adjacency);
+  const auto labels = labels_of(adjacency);
   EXPECT_EQ(labels[0], 1u);
   EXPECT_EQ(labels[1], 1u);
   // Node 2: du=1, dv=1, d=2 -> 1 + 1 + 1*(1+0-1) = 2.
@@ -24,7 +30,7 @@ TEST(Drnl, EndpointsAlwaysLabelOne) {
 TEST(Drnl, UnreachableNodesGetZero) {
   // Node 2 connects only to 0; node 3 isolated.
   std::vector<std::vector<std::uint32_t>> adjacency{{2}, {}, {0}, {}};
-  const auto labels = drnl_labels(adjacency);
+  const auto labels = labels_of(adjacency);
   EXPECT_EQ(labels[2], 0u);  // unreachable from endpoint 1
   EXPECT_EQ(labels[3], 0u);
 }
@@ -34,7 +40,7 @@ TEST(Drnl, AsymmetricDistances) {
   // label = 1 + 1 + 1*(1+1-1) = 3. Node 3 symmetric: 3.
   std::vector<std::vector<std::uint32_t>> adjacency{
       {2}, {3}, {0, 3}, {2, 1}};
-  const auto labels = drnl_labels(adjacency);
+  const auto labels = labels_of(adjacency);
   EXPECT_EQ(labels[2], 3u);
   EXPECT_EQ(labels[3], 3u);
 }
@@ -52,7 +58,7 @@ TEST(Drnl, CapApplied) {
   }
   adjacency[kChain - 1] = {static_cast<std::uint32_t>(kChain - 2), 1};
   adjacency[1] = {static_cast<std::uint32_t>(kChain - 1)};
-  const auto labels = drnl_labels(adjacency);
+  const auto labels = labels_of(adjacency);
   std::uint32_t max_label = 0;
   for (auto label : labels) max_label = std::max(max_label, label);
   EXPECT_EQ(max_label, kDrnlCap);
@@ -67,8 +73,9 @@ TEST(Subgraph, EndpointsOccupySlots01) {
   const Subgraph sub = extract_subgraph(graph, link.u, link.v, {});
   ASSERT_GE(sub.node_count, 2u);
   // Endpoints carry DRNL label 1 -> feature index 1 set.
-  EXPECT_EQ(sub.features[0 * kFeatureDim + 1], 1.0);
-  EXPECT_EQ(sub.features[1 * kFeatureDim + 1], 1.0);
+  const std::vector<double> features = sub.dense_features();
+  EXPECT_EQ(features[0 * kFeatureDim + 1], 1.0);
+  EXPECT_EQ(features[1 * kFeatureDim + 1], 1.0);
 }
 
 TEST(Subgraph, TargetEdgeExcluded) {
@@ -79,10 +86,10 @@ TEST(Subgraph, TargetEdgeExcluded) {
   // Pick an existing link; the subgraph must not contain the 0-1 edge.
   const auto& link = graph.known_links()[3];
   const Subgraph sub = extract_subgraph(graph, link.u, link.v, {});
-  for (std::uint32_t neighbor : sub.adjacency[0]) {
+  for (std::uint32_t neighbor : sub.adjacency.neighbors(0)) {
     EXPECT_NE(neighbor, 1u);
   }
-  for (std::uint32_t neighbor : sub.adjacency[1]) {
+  for (std::uint32_t neighbor : sub.adjacency.neighbors(1)) {
     EXPECT_NE(neighbor, 0u);
   }
 }
@@ -107,9 +114,10 @@ TEST(Subgraph, FeatureRowsWellFormed) {
   const AttackGraph graph(design.netlist);
   const auto& link = graph.known_links().front();
   const Subgraph sub = extract_subgraph(graph, link.u, link.v, {});
-  ASSERT_EQ(sub.features.size(), sub.node_count * kFeatureDim);
+  const std::vector<double> features = sub.dense_features();
+  ASSERT_EQ(features.size(), sub.node_count * kFeatureDim);
   for (std::size_t i = 0; i < sub.node_count; ++i) {
-    const double* row = &sub.features[i * kFeatureDim];
+    const double* row = &features[i * kFeatureDim];
     // Exactly one DRNL one-hot and one gate-type one-hot set.
     double drnl_sum = 0.0, type_sum = 0.0;
     for (std::size_t k = 0; k <= kDrnlCap; ++k) drnl_sum += row[k];
@@ -130,8 +138,8 @@ TEST(Subgraph, LocalAdjacencySymmetric) {
   const auto& link = graph.known_links()[1];
   const Subgraph sub = extract_subgraph(graph, link.u, link.v, {});
   for (std::size_t x = 0; x < sub.node_count; ++x) {
-    for (std::uint32_t y : sub.adjacency[x]) {
-      const auto& back = sub.adjacency[y];
+    for (std::uint32_t y : sub.adjacency.neighbors(x)) {
+      const auto back = sub.adjacency.neighbors(y);
       EXPECT_NE(std::find(back.begin(), back.end(),
                           static_cast<std::uint32_t>(x)),
                 back.end());

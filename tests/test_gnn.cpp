@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -10,27 +11,41 @@
 namespace autolock::attack {
 namespace {
 
-/// Builds a small random subgraph with `n` nodes and random features.
-Subgraph random_subgraph(std::size_t n, double label, util::Rng& rng) {
-  Subgraph sub;
-  sub.node_count = n;
-  sub.label = label;
-  sub.adjacency.assign(n, {});
+/// The parts of a hand-built subgraph: adjacency lists and a dense
+/// row-major n x kFeatureDim feature matrix.
+struct Parts {
+  std::vector<std::vector<std::uint32_t>> adjacency;
+  std::vector<double> features;
+};
+
+/// A small random graph with `n` nodes and random features.
+Parts random_parts(std::size_t n, util::Rng& rng) {
+  Parts parts;
+  parts.adjacency.assign(n, {});
   for (std::size_t i = 0; i + 1 < n; ++i) {
     // Chain plus random extra edges.
-    sub.adjacency[i].push_back(static_cast<std::uint32_t>(i + 1));
-    sub.adjacency[i + 1].push_back(static_cast<std::uint32_t>(i));
+    parts.adjacency[i].push_back(static_cast<std::uint32_t>(i + 1));
+    parts.adjacency[i + 1].push_back(static_cast<std::uint32_t>(i));
   }
   for (std::size_t e = 0; e < n / 2; ++e) {
     const auto a = static_cast<std::uint32_t>(rng.next_below(n));
     const auto b = static_cast<std::uint32_t>(rng.next_below(n));
     if (a == b) continue;
-    sub.adjacency[a].push_back(b);
-    sub.adjacency[b].push_back(a);
+    parts.adjacency[a].push_back(b);
+    parts.adjacency[b].push_back(a);
   }
-  sub.features.assign(n * kFeatureDim, 0.0);
-  for (double& f : sub.features) f = rng.next_double() * 0.5;
-  return sub;
+  parts.features.assign(n * kFeatureDim, 0.0);
+  for (double& f : parts.features) f = rng.next_double() * 0.5;
+  return parts;
+}
+
+Subgraph subgraph_of(const Parts& parts, double label) {
+  return make_subgraph(parts.adjacency, parts.features, label);
+}
+
+/// Builds a small random subgraph with `n` nodes and random features.
+Subgraph random_subgraph(std::size_t n, double label, util::Rng& rng) {
+  return subgraph_of(random_parts(n, rng), label);
 }
 
 TEST(Gnn, PredictsInUnitInterval) {
@@ -60,13 +75,13 @@ TEST(Gnn, OverfitsTinyDataset) {
   util::Rng rng(3);
   std::vector<Subgraph> samples;
   for (int i = 0; i < 12; ++i) {
-    Subgraph sub = random_subgraph(6, i % 2 ? 1.0 : 0.0, rng);
+    Parts parts = random_parts(6, rng);
     if (i % 2) {
-      for (std::size_t node = 0; node < sub.node_count; ++node) {
-        sub.features[node * kFeatureDim + 3] = 2.0;  // class marker
+      for (std::size_t node = 0; node < 6; ++node) {
+        parts.features[node * kFeatureDim + 3] = 2.0;  // class marker
       }
     }
-    samples.push_back(std::move(sub));
+    samples.push_back(subgraph_of(parts, i % 2 ? 1.0 : 0.0));
   }
   GnnConfig config;
   config.learning_rate = 2e-2;
@@ -96,7 +111,7 @@ TEST(Gnn, GradientMatchesFiniteDifference) {
   // chain end-to-end still exercises every backprop stage except the last
   // matmul accumulation, which OverfitsTinyDataset covers behaviourally.)
   util::Rng rng(4);
-  Subgraph sub = random_subgraph(5, 1.0, rng);
+  Parts parts = random_parts(5, rng);
 
   GnnConfig config;
   const Gnn model(config, 11);
@@ -105,11 +120,11 @@ TEST(Gnn, GradientMatchesFiniteDifference) {
     return -(s.label * std::log(p) + (1.0 - s.label) * std::log(1.0 - p));
   };
   // Finite-difference smoke test: loss must respond smoothly to features.
-  const double base = loss_of(sub);
+  const double base = loss_of(subgraph_of(parts, 1.0));
   const double eps = 1e-5;
-  sub.features[2] += eps;
-  const double bumped = loss_of(sub);
-  sub.features[2] -= eps;
+  parts.features[2] += eps;
+  const double bumped = loss_of(subgraph_of(parts, 1.0));
+  parts.features[2] -= eps;
   const double derivative = (bumped - base) / eps;
   EXPECT_TRUE(std::isfinite(derivative));
 }
@@ -118,13 +133,14 @@ TEST(Gnn, TrainingReducesLossOnSeparableData) {
   util::Rng rng(6);
   std::vector<Subgraph> samples;
   for (int i = 0; i < 40; ++i) {
-    Subgraph sub = random_subgraph(4 + (i % 5), i % 2 ? 1.0 : 0.0, rng);
+    const std::size_t n = 4 + (i % 5);
+    Parts parts = random_parts(n, rng);
     if (i % 2) {
-      for (std::size_t node = 0; node < sub.node_count; ++node) {
-        sub.features[node * kFeatureDim] = 1.5;
+      for (std::size_t node = 0; node < n; ++node) {
+        parts.features[node * kFeatureDim] = 1.5;
       }
     }
-    samples.push_back(std::move(sub));
+    samples.push_back(subgraph_of(parts, i % 2 ? 1.0 : 0.0));
   }
   Gnn model(GnnConfig{}, 13);
   std::vector<std::size_t> order(samples.size());
@@ -139,11 +155,9 @@ TEST(Gnn, TrainingReducesLossOnSeparableData) {
 }
 
 TEST(Gnn, HandlesSingleNodeSubgraph) {
-  Subgraph sub;
-  sub.node_count = 1;
-  sub.adjacency.assign(1, {});
-  sub.features.assign(kFeatureDim, 0.3);
-  sub.label = 1.0;
+  const Subgraph sub =
+      make_subgraph(std::vector<std::vector<std::uint32_t>>(1),
+                    std::vector<double>(kFeatureDim, 0.3), 1.0);
   const Gnn model(GnnConfig{}, 17);
   const double p = model.predict(sub);
   EXPECT_GT(p, 0.0);
@@ -228,11 +242,29 @@ std::vector<double> planted_zeros(std::size_t m, std::size_t k,
   return a;
 }
 
+/// Row masks that mark exactly the nonzeros of a(m x k).
 std::vector<std::uint64_t> masks_of(const std::vector<double>& a,
                                     std::size_t m, std::size_t k) {
-  std::vector<std::uint64_t> mask(m);
-  detail::row_masks(a.data(), m, k, mask.data());
+  std::vector<std::uint64_t> mask(m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      mask[i] |= static_cast<std::uint64_t>(a[i * k + p] != 0.0) << p;
+    }
+  }
   return mask;
+}
+
+/// The entries of a(m x k) that `mask` marks, row by row (PackedRows).
+std::vector<double> packed(const std::vector<double>& a,
+                           const std::vector<std::uint64_t>& mask,
+                           std::size_t k) {
+  std::vector<double> values;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      if ((mask[i] >> p) & 1) values.push_back(a[i * k + p]);
+    }
+  }
+  return values;
 }
 
 void expect_bit_identical(const std::vector<double>& got,
@@ -246,11 +278,14 @@ void expect_bit_identical(const std::vector<double>& got,
   }
 }
 
-TEST(GnnKernels, RowMasksMarkExactlyTheNonzeros) {
+TEST(GnnPackedSamples, FeatureMasksMarkExactlyTheNonzeros) {
   util::Rng rng(0x6E10);
-  const std::size_t m = 12, k = 26;
+  const std::size_t m = 12, k = kFeatureDim;
   const auto a = planted_zeros(m, k, rng);
-  const auto mask = masks_of(a, m, k);
+  const Subgraph sub =
+      make_subgraph(std::vector<std::vector<std::uint32_t>>(m), a, 0.0);
+  const auto& mask = sub.features.mask;
+  ASSERT_EQ(mask.size(), m);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t p = 0; p < k; ++p) {
       EXPECT_EQ((mask[i] >> p) & 1, a[i * k + p] != 0.0 ? 1u : 0u)
@@ -260,6 +295,7 @@ TEST(GnnKernels, RowMasksMarkExactlyTheNonzeros) {
   }
   EXPECT_EQ(mask[3], std::uint64_t{1} << (k - 1));  // only the last column
   EXPECT_EQ(mask[4], 0u);                           // all -0.0
+  EXPECT_EQ(sub.dense_features(), a);
 }
 
 TEST(GnnKernels, GemmMaskedMatchesNaiveReferenceExactly) {
@@ -268,16 +304,21 @@ TEST(GnnKernels, GemmMaskedMatchesNaiveReferenceExactly) {
     for (std::size_t m = 1; m <= 64; ++m) {
       const auto a = planted_zeros(m, k, rng);
       const auto mask = masks_of(a, m, k);
+      const auto values = packed(a, mask, k);
       const auto b = random_buffer(k * kWidth, rng);
       for (const bool accumulate : {false, true}) {
         auto c_kernel = random_buffer(m * kWidth, rng);
         auto c_naive = c_kernel;
+        auto c_packed = c_kernel;
         detail::gemm_masked(a.data(), mask.data(), b.data(), c_kernel.data(),
                             m, k, accumulate);
+        detail::gemm_packed(mask.data(), values.data(), b.data(),
+                            c_packed.data(), m, accumulate);
         naive_gemm(a, b, c_naive, m, k, kWidth, accumulate);
-        expect_bit_identical(c_kernel, c_naive,
-                             std::to_string(m) + "x" + std::to_string(k) +
-                                 " accumulate=" + std::to_string(accumulate));
+        const std::string what = std::to_string(m) + "x" + std::to_string(k) +
+                                 " accumulate=" + std::to_string(accumulate);
+        expect_bit_identical(c_kernel, c_naive, what);
+        expect_bit_identical(c_packed, c_naive, what + " packed");
       }
     }
   }
@@ -293,10 +334,15 @@ TEST(GnnKernels, GemmMaskedAcceptsMasksThatAlsoMarkZeros) {
   for (std::size_t i = 0; i < m; ++i) mask[i] |= rng() & 0xFFFFFFFFULL;
   const auto b = random_buffer(k * kWidth, rng);
   std::vector<double> c_kernel(m * kWidth), c_naive(m * kWidth);
+  std::vector<double> c_packed(m * kWidth);
   detail::gemm_masked(a.data(), mask.data(), b.data(), c_kernel.data(), m, k,
                       false);
+  const auto values = packed(a, mask, k);
+  detail::gemm_packed(mask.data(), values.data(), b.data(), c_packed.data(),
+                      m, false);
   naive_gemm(a, b, c_naive, m, k, kWidth, false);
   expect_bit_identical(c_kernel, c_naive, "over-approximate mask");
+  expect_bit_identical(c_packed, c_naive, "over-approximate mask, packed");
 }
 
 TEST(GnnKernels, GemmAtMaskedMatchesNaiveReferenceExactly) {
@@ -306,18 +352,23 @@ TEST(GnnKernels, GemmAtMaskedMatchesNaiveReferenceExactly) {
     for (std::size_t m = 1; m <= 70; ++m) {
       const auto a = planted_zeros(m, k, rng);
       const auto mask = masks_of(a, m, k);
+      const auto values = packed(a, mask, k);
       const auto d = random_buffer(m * kWidth, rng);
       for (const bool fresh : {true, false}) {
         // A fresh gradient starts at +0.0; a running one holds earlier sums.
         auto c_kernel = fresh ? std::vector<double>(k * kWidth, 0.0)
                               : random_buffer(k * kWidth, rng);
         auto c_naive = c_kernel;
+        auto c_packed = c_kernel;
         detail::gemm_at_masked(a.data(), mask.data(), d.data(),
                                c_kernel.data(), m, k);
+        detail::gemm_at_packed(mask.data(), values.data(), d.data(),
+                               c_packed.data(), m, k);
         naive_gemm_at(a, d, c_naive, m, k, kWidth);
-        expect_bit_identical(c_kernel, c_naive,
-                             std::to_string(m) + "x" + std::to_string(k) +
-                                 " fresh=" + std::to_string(fresh));
+        const std::string what = std::to_string(m) + "x" + std::to_string(k) +
+                                 " fresh=" + std::to_string(fresh);
+        expect_bit_identical(c_kernel, c_naive, what);
+        expect_bit_identical(c_packed, c_naive, what + " packed");
       }
     }
   }
@@ -352,6 +403,340 @@ TEST(GnnKernels, MaskedRowSumMatchesNaiveTransposedProductExactly) {
     detail::masked_row_sum(mask.data(), t.data(), c_kernel.data(), m);
     naive_gemm(d, w_t, c_naive, m, h, h, false);
     expect_bit_identical(c_kernel, c_naive, "m=" + std::to_string(m));
+  }
+}
+
+// ---- packed layer-0 state vs a dense reference -----------------------------
+
+// A dense, loop-by-loop reference of Gnn: the same initialisation and the
+// same forward, backward and Adam arithmetic in the same order, but every
+// matrix dense (the features and their neighbour mean included) and every
+// product a naive loop over all of its terms. The packed samples, masked
+// kernels and cached transposes must reproduce it bit for bit.
+class DenseReference {
+ public:
+  DenseReference(const GnnConfig& config, std::uint64_t seed)
+      : config_(config) {
+    util::Rng rng(seed ^ 0x6E6EULL);
+    auto xavier = [&](std::vector<double>& w, std::size_t fan_sum) {
+      const double limit = std::sqrt(6.0 / static_cast<double>(fan_sum));
+      for (double& value : w) value = (2.0 * rng.next_double() - 1.0) * limit;
+    };
+    const std::size_t sizes[kParams] = {kD0 * kH, kD0 * kH, kH, kH * kH,
+                                        kH * kH,  kH,       kH * kM, kM,
+                                        kM,       1};
+    for (std::size_t p = 0; p < kParams; ++p) {
+      param_[p].assign(sizes[p], 0.0);
+      grad_[p].assign(sizes[p], 0.0);
+      adam_m_[p].assign(sizes[p], 0.0);
+      adam_v_[p].assign(sizes[p], 0.0);
+    }
+    xavier(param_[kW1s], kD0 + kH);
+    xavier(param_[kW1n], kD0 + kH);
+    xavier(param_[kW2s], kH + kH);
+    xavier(param_[kW2n], kH + kH);
+    xavier(param_[kMw1], kH + kM);
+    xavier(param_[kMw2], kM + 1);
+  }
+
+  double predict(const Parts& parts) const {
+    Pass pass;
+    forward(parts, pass);
+    return pass.prob;
+  }
+
+  double train_epoch(const std::vector<Parts>& samples,
+                     const std::vector<double>& labels,
+                     const std::vector<std::size_t>& order) {
+    double loss_sum = 0.0;
+    std::size_t in_batch = 0;
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      const Parts& parts = samples[order[pos]];
+      const double label = labels[order[pos]];
+      Pass pass;
+      forward(parts, pass);
+      const double p = std::clamp(pass.prob, 1e-9, 1.0 - 1e-9);
+      loss_sum += -(label * std::log(p) + (1.0 - label) * std::log(1.0 - p));
+      backward(parts, pass,
+               (pass.prob - label) /
+                   static_cast<double>(GnnConfig::kBatchSize));
+      if (++in_batch == GnnConfig::kBatchSize || pos + 1 == order.size()) {
+        adam_step();
+        in_batch = 0;
+      }
+    }
+    return order.empty() ? 0.0 : loss_sum / static_cast<double>(order.size());
+  }
+
+ private:
+  static constexpr std::size_t kD0 = GnnConfig::kInputDim;
+  static constexpr std::size_t kH = GnnConfig::kHiddenDim;
+  static constexpr std::size_t kM = GnnConfig::kMlpDim;
+  // Parameters in Gnn's Adam order; the scalar output bias last.
+  enum { kW1s, kW1n, kB1, kW2s, kW2n, kB2, kMw1, kMb1, kMw2, kMb2, kParams };
+
+  struct Pass {
+    std::vector<double> agg0, z1, h1, agg1, z2, h2, pooled, mlp_z, mlp_h;
+    double prob = 0.0;
+  };
+
+  using Lists = std::vector<std::vector<std::uint32_t>>;
+
+  /// out(n x cols) = neighbour mean of in(n x cols), sums in list order.
+  static std::vector<double> mean_rows(const Lists& adjacency,
+                                       const std::vector<double>& in,
+                                       std::size_t cols) {
+    std::vector<double> out(adjacency.size() * cols, 0.0);
+    for (std::size_t i = 0; i < adjacency.size(); ++i) {
+      for (const std::uint32_t j : adjacency[i]) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          out[i * cols + c] += in[j * cols + c];
+        }
+      }
+      if (adjacency[i].empty()) continue;
+      const double inv = 1.0 / static_cast<double>(adjacency[i].size());
+      for (std::size_t c = 0; c < cols; ++c) out[i * cols + c] *= inv;
+    }
+    return out;
+  }
+
+  /// out(n x h) (+)= a(n x k) * w(k x h).
+  static void product(const std::vector<double>& a,
+                      const std::vector<double>& w, std::vector<double>& out,
+                      std::size_t n, std::size_t k, bool accumulate) {
+    out.resize(n * kH);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t q = 0; q < kH; ++q) {
+        double acc = accumulate ? out[i * kH + q] : 0.0;
+        for (std::size_t p = 0; p < k; ++p) acc += a[i * k + p] * w[p * kH + q];
+        out[i * kH + q] = acc;
+      }
+    }
+  }
+
+  /// g(k x h) += a(n x k)^T * d(n x h).
+  static void product_at(const std::vector<double>& a,
+                         const std::vector<double>& d, std::vector<double>& g,
+                         std::size_t n, std::size_t k) {
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t q = 0; q < kH; ++q) {
+        double acc = g[p * kH + q];
+        for (std::size_t i = 0; i < n; ++i) acc += a[i * k + p] * d[i * kH + q];
+        g[p * kH + q] = acc;
+      }
+    }
+  }
+
+  void bias_relu(std::vector<double>& z, const std::vector<double>& bias,
+                 std::vector<double>& out) const {
+    out.resize(z.size());
+    for (std::size_t e = 0; e < z.size(); ++e) {
+      z[e] += bias[e % kH];
+      out[e] = std::max(z[e], 0.0);
+    }
+  }
+
+  void forward(const Parts& parts, Pass& pass) const {
+    const std::size_t n = parts.adjacency.size();
+    pass.agg0 = mean_rows(parts.adjacency, parts.features, kD0);
+    product(parts.features, param_[kW1s], pass.z1, n, kD0, false);
+    product(pass.agg0, param_[kW1n], pass.z1, n, kD0, true);
+    bias_relu(pass.z1, param_[kB1], pass.h1);
+    pass.agg1 = mean_rows(parts.adjacency, pass.h1, kH);
+    product(pass.h1, param_[kW2s], pass.z2, n, kH, false);
+    product(pass.agg1, param_[kW2n], pass.z2, n, kH, true);
+    bias_relu(pass.z2, param_[kB2], pass.h2);
+    pass.pooled.assign(kH, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < kH; ++k) {
+        pass.pooled[k] += pass.h2[i * kH + k];
+      }
+    }
+    if (n > 0) {
+      for (double& value : pass.pooled) value /= static_cast<double>(n);
+    }
+    pass.mlp_z.assign(kM, 0.0);
+    for (std::size_t a = 0; a < kH; ++a) {
+      for (std::size_t k = 0; k < kM; ++k) {
+        pass.mlp_z[k] += pass.pooled[a] * param_[kMw1][a * kM + k];
+      }
+    }
+    for (std::size_t k = 0; k < kM; ++k) pass.mlp_z[k] += param_[kMb1][k];
+    pass.mlp_h = pass.mlp_z;
+    for (double& value : pass.mlp_h) value = std::max(value, 0.0);
+    double logit = param_[kMb2][0];
+    for (std::size_t k = 0; k < kM; ++k) {
+      logit += pass.mlp_h[k] * param_[kMw2][k];
+    }
+    pass.prob = 1.0 / (1.0 + std::exp(-logit));
+  }
+
+  void backward(const Parts& parts, const Pass& pass, double dlogit) {
+    const std::size_t n = parts.adjacency.size();
+    grad_[kMb2][0] += dlogit;
+    std::vector<double> d_mlp_z(kM);
+    for (std::size_t k = 0; k < kM; ++k) {
+      grad_[kMw2][k] += dlogit * pass.mlp_h[k];
+      const double d_mlp_h = dlogit * param_[kMw2][k];
+      d_mlp_z[k] = pass.mlp_z[k] > 0.0 ? d_mlp_h : 0.0;
+      grad_[kMb1][k] += d_mlp_z[k];
+    }
+    std::vector<double> d_pooled(kH, 0.0);
+    for (std::size_t k = 0; k < kM; ++k) {
+      for (std::size_t a = 0; a < kH; ++a) {
+        grad_[kMw1][a * kM + k] += pass.pooled[a] * d_mlp_z[k];
+        d_pooled[a] += param_[kMw1][a * kM + k] * d_mlp_z[k];
+      }
+    }
+    const double inv_n = n > 0 ? 1.0 / static_cast<double>(n) : 0.0;
+    std::vector<double> d_z2(n * kH);
+    for (std::size_t e = 0; e < d_z2.size(); ++e) {
+      d_z2[e] = pass.z2[e] > 0.0 ? d_pooled[e % kH] * inv_n : 0.0;
+    }
+    product_at(pass.h1, d_z2, grad_[kW2s], n, kH);
+    product_at(pass.agg1, d_z2, grad_[kW2n], n, kH);
+    for (std::size_t e = 0; e < d_z2.size(); ++e) grad_[kB2][e % kH] += d_z2[e];
+    // d_h1 = d_z2 W2s^T + aggregation transpose of d_z2 W2n^T.
+    std::vector<double> d_h1(n * kH), d_agg1(n * kH);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t q = 0; q < kH; ++q) {
+        double self = 0.0, neigh = 0.0;
+        for (std::size_t j = 0; j < kH; ++j) {
+          self += d_z2[i * kH + j] * param_[kW2s][q * kH + j];
+          neigh += d_z2[i * kH + j] * param_[kW2n][q * kH + j];
+        }
+        d_h1[i * kH + q] = self;
+        d_agg1[i * kH + q] = neigh;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (parts.adjacency[i].empty()) continue;
+      const double inv = 1.0 / static_cast<double>(parts.adjacency[i].size());
+      for (const std::uint32_t j : parts.adjacency[i]) {
+        for (std::size_t c = 0; c < kH; ++c) {
+          d_h1[j * kH + c] += d_agg1[i * kH + c] * inv;
+        }
+      }
+    }
+    std::vector<double> d_z1(n * kH);
+    for (std::size_t e = 0; e < d_z1.size(); ++e) {
+      d_z1[e] = pass.z1[e] > 0.0 ? d_h1[e] : 0.0;
+    }
+    product_at(parts.features, d_z1, grad_[kW1s], n, kD0);
+    product_at(pass.agg0, d_z1, grad_[kW1n], n, kD0);
+    for (std::size_t e = 0; e < d_z1.size(); ++e) grad_[kB1][e % kH] += d_z1[e];
+  }
+
+  void adam_step() {
+    ++adam_t_;
+    const double bias1 = 1.0 - std::pow(0.9, static_cast<double>(adam_t_));
+    const double bias2 = 1.0 - std::pow(0.999, static_cast<double>(adam_t_));
+    for (std::size_t p = 0; p < kParams; ++p) {
+      const double decay = p == kMb2 ? 0.0 : GnnConfig::kWeightDecay;
+      for (std::size_t i = 0; i < param_[p].size(); ++i) {
+        double& m = adam_m_[p][i];
+        double& v = adam_v_[p][i];
+        const double g = grad_[p][i];
+        m = 0.9 * m + (1.0 - 0.9) * g;
+        v = 0.999 * v + (1.0 - 0.999) * g * g;
+        const double step = (m / bias1) / (std::sqrt(v / bias2) + 1e-8);
+        param_[p][i] -= p == kMb2 ? config_.learning_rate * step
+                                  : config_.learning_rate *
+                                        (step + decay * param_[p][i]);
+        grad_[p][i] = 0.0;
+      }
+    }
+  }
+
+  GnnConfig config_;
+  std::vector<double> param_[kParams], grad_[kParams];
+  std::vector<double> adam_m_[kParams], adam_v_[kParams];
+  std::uint64_t adam_t_ = 0;
+};
+
+/// Random parts whose feature rows cycle through the shapes the packed
+/// path must get right: one-hot, dense, all zero, -0.0 entries, and
+/// signed entries whose neighbour means cancel to a zero the mean's mask
+/// still marks. Some nodes are isolated.
+Parts awkward_parts(std::size_t n, util::Rng& rng) {
+  Parts parts;
+  parts.adjacency.assign(n, {});
+  for (std::size_t e = 0; e < n; ++e) {
+    const auto a = static_cast<std::uint32_t>(rng.next_below(n));
+    const auto b = static_cast<std::uint32_t>(rng.next_below(n));
+    if (a == b || a % 5 == 4 || b % 5 == 4) continue;  // x % 5 == 4: isolated
+    parts.adjacency[a].push_back(b);
+    parts.adjacency[b].push_back(a);
+  }
+  parts.features.assign(n * kFeatureDim, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = &parts.features[i * kFeatureDim];
+    switch (i % 5) {
+      case 0:  // one-hot plus a degree-like tail
+        row[rng.next_below(kFeatureDim - 1)] = 1.0;
+        row[kFeatureDim - 1] = rng.next_double();
+        break;
+      case 1:  // dense
+        for (std::size_t p = 0; p < kFeatureDim; ++p) {
+          row[p] = rng.next_double() - 0.25;
+        }
+        break;
+      case 2:  // -0.0 entries beside a few values
+        for (std::size_t p = 0; p < kFeatureDim; ++p) {
+          row[p] = p % 4 == 0 ? rng.next_double() : -0.0;
+        }
+        break;
+      case 3:  // +-0.5 in fixed columns: neighbour means cancel to 0
+        row[3] = i % 2 ? 0.5 : -0.5;
+        row[7] = i % 2 ? -0.5 : 0.5;
+        break;
+      default:  // all zero (and isolated)
+        break;
+    }
+  }
+  return parts;
+}
+
+TEST(GnnPackedSamples, MatchDenseReferenceBitForBit) {
+  util::Rng rng(0xDE25E);
+  std::vector<Parts> parts;
+  std::vector<Subgraph> samples;
+  std::vector<double> labels;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const std::size_t n = i == 0 ? 1 : 2 + rng.next_below(30);
+    parts.push_back(i % 3 == 0 ? random_parts(n, rng) : awkward_parts(n, rng));
+    labels.push_back(static_cast<double>(i % 2));
+    samples.push_back(subgraph_of(parts.back(), labels.back()));
+  }
+  // Two nodes of one sample cancel exactly: its mean row marks a zero.
+  parts[1] = awkward_parts(9, rng);
+  parts[1].adjacency = {{3, 8}, {}, {}, {0}, {}, {}, {}, {}, {0}};
+  samples[1] = subgraph_of(parts[1], labels[1]);
+  ASSERT_NE(samples[1].neighbor_mean.mask[0] & (std::uint64_t{1} << 3), 0u);
+  EXPECT_EQ(samples[1].dense_features(), parts[1].features);
+
+  auto expect_same = [](double got, double want, const std::string& what) {
+    ASSERT_EQ(std::signbit(got), std::signbit(want)) << what;
+    ASSERT_EQ(got, want) << what;
+  };
+  Gnn model(GnnConfig{}, 4242);
+  DenseReference reference(GnnConfig{}, 4242);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    expect_same(model.predict(samples[i]), reference.predict(parts[i]),
+                "untrained predict " + std::to_string(i));
+  }
+  std::vector<std::size_t> order(samples.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  GnnScratch scratch;
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    rng.shuffle(order);
+    expect_same(model.train_epoch(samples, order, scratch),
+                reference.train_epoch(parts, labels, order),
+                "loss epoch " + std::to_string(epoch));
+  }
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    expect_same(model.predict(samples[i], scratch), reference.predict(parts[i]),
+                "trained predict " + std::to_string(i));
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +56,23 @@ TEST(NameTable, InternBatchMatchesSequentialIntern) {
   batched.intern_batch(views, hashes, ids);
   EXPECT_EQ(ids, expected);
   EXPECT_EQ(batched.size(), sequential.size());
+}
+
+TEST(NameTable, TextBatchMatchesText) {
+  NameTable table;
+  std::vector<NameId> ids;
+  for (int i = 0; i < 50; ++i) {
+    ids.push_back(table.intern("n" + std::to_string(i)));
+  }
+  ids.push_back(ids[7]);  // repeats are fine
+  std::vector<std::string_view> texts;
+  table.text_batch(ids, texts);
+  ASSERT_EQ(texts.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(texts[i], table.text(ids[i]));
+  }
+  ids.push_back(static_cast<NameId>(table.size()));  // never issued
+  EXPECT_THROW(table.text_batch(ids, texts), std::out_of_range);
 }
 
 TEST(NameTable, TextViewsSurviveGrowth) {
