@@ -3,7 +3,9 @@
 // Locks (K=64) and attacks synthetic 100k- and 1M-gate layered designs next
 // to the c880 reference, reporting for each scale:
 //
-//   - streaming .bench I/O throughput (stream_save_file / stream_load_file)
+//   - streaming .bench I/O throughput (stream_save_file once;
+//     stream_load_file as the median and interquartile range of repeated
+//     parses after one untimed warm-up)
 //   - one-time setup cost (SiteContext build) vs steady-state decode/s
 //     through a reused EvalWorkspace, with the DecodeTopo incremental
 //     reset counter surfaced so a silent fall-back to full O(N) resets
@@ -123,6 +125,14 @@ struct Timing {
   std::size_t reps = 0;
 };
 
+/// Median and interquartile range of `seconds` (at least one sample).
+Timing summarize(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  const std::size_t last = seconds.size() - 1;
+  return {seconds[last / 2], seconds[3 * last / 4] - seconds[last / 4],
+          seconds.size()};
+}
+
 /// Times `reps` calls of `run` after one untimed warm-up call.
 template <typename Run>
 Timing time_warm(std::size_t reps, Run&& run) {
@@ -133,13 +143,14 @@ Timing time_warm(std::size_t reps, Run&& run) {
     run();
     seconds.push_back(timer.elapsed_seconds());
   }
-  std::sort(seconds.begin(), seconds.end());
-  const std::size_t last = seconds.size() - 1;
-  return {seconds[last / 2], seconds[3 * last / 4] - seconds[last / 4], reps};
+  return summarize(std::move(seconds));
 }
 
 struct Tables {
-  util::Table io{{"circuit", "nodes", "phase", "seconds", "MB"}};
+  /// "seconds" is one sample, except on "stream parse" rows, where it is
+  /// the median of "reps" warm parses with their IQR.
+  util::Table io{{"circuit", "nodes", "phase", "seconds", "MB", "IQR s",
+                  "reps"}};
   util::Table decode{{"circuit", "K", "mode", "decodes/s", "seconds",
                       "incr resets", "touched/dec", "ns/touched",
                       "c880 ratio"}};
@@ -150,15 +161,26 @@ struct Tables {
   util::Table host{{"hardware_concurrency", "build_type"}};
 };
 
+/// An io-table row holding one timed sample.
+std::vector<std::string> io_row(const std::string& name,
+                                const std::string& nodes, const char* phase,
+                                double seconds, double mb) {
+  return {name, nodes, phase, util::fmt(seconds, 3), util::fmt(mb, 1), "-",
+          "1"};
+}
+
+/// `timed_reps` is the repetition count of every warm median (the parse
+/// and the recovered-key rows).
 void run_scale(const std::string& name, const netlist::Netlist& original,
                std::size_t decode_iters, std::size_t probe_reps,
-               std::size_t attack_reps, bool run_sat, double& c880_ns_touched,
+               std::size_t timed_reps, bool run_sat, double& c880_ns_touched,
                Tables& t) {
   const std::string nodes = std::to_string(original.size());
 
   // ---- streaming I/O round trip -------------------------------------------
-  // Written into the working directory (the build tree) and removed; the
-  // reparse must reproduce the design node-for-node.
+  // Written into the working directory (the build tree) and removed; every
+  // reparse must reproduce the design's interface. Each reparsed design is
+  // freed after its timer stops, so one is alive at a time.
   {
     const std::string path = name + "_bench_scale_tmp.bench";
     util::Timer write_timer;
@@ -169,28 +191,33 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
       std::ifstream size_probe(path, std::ios::binary | std::ios::ate);
       mb = static_cast<double>(size_probe.tellg()) / 1e6;
     }
-    util::Timer parse_timer;
-    const auto reparsed = netlist::bench::stream_load_file(path);
-    const double parse_s = parse_timer.elapsed_seconds();
-    std::remove(path.c_str());
-    // The reparse adds one BUF alias per output port whose name differs
-    // from its driver's node name, so compare interfaces, not node counts.
-    if (reparsed.outputs().size() != original.outputs().size() ||
-        reparsed.primary_inputs().size() != original.primary_inputs().size() ||
-        reparsed.size() < original.size()) {
-      std::abort();
+    std::vector<double> parse_seconds;
+    for (std::size_t r = 0; r <= timed_reps; ++r) {  // r = 0: warm-up
+      util::Timer parse_timer;
+      const auto reparsed = netlist::bench::stream_load_file(path);
+      if (r > 0) parse_seconds.push_back(parse_timer.elapsed_seconds());
+      // The reparse adds one BUF alias per output port whose name differs
+      // from its driver's node name, so compare interfaces, not node counts.
+      if (reparsed.outputs().size() != original.outputs().size() ||
+          reparsed.primary_inputs().size() !=
+              original.primary_inputs().size() ||
+          reparsed.size() < original.size()) {
+        std::abort();
+      }
     }
-    t.io.add_row({name, nodes, "stream write", util::fmt(write_s, 3),
-                  util::fmt(mb, 1)});
-    t.io.add_row({name, nodes, "stream parse", util::fmt(parse_s, 3),
-                  util::fmt(mb, 1)});
+    std::remove(path.c_str());
+    const Timing parse = summarize(std::move(parse_seconds));
+    t.io.add_row(io_row(name, nodes, "stream write", write_s, mb));
+    t.io.add_row({name, nodes, "stream parse", util::fmt(parse.median, 3),
+                  util::fmt(mb, 1), util::fmt(parse.iqr, 3),
+                  std::to_string(parse.reps)});
   }
 
   // ---- one-time site analysis + steady-state decode/s ---------------------
   util::Timer context_timer;
   const lock::SiteContext context(original);
-  t.io.add_row({name, nodes, "site context",
-                util::fmt(context_timer.elapsed_seconds(), 3), "0.0"});
+  t.io.add_row(io_row(name, nodes, "site context",
+                      context_timer.elapsed_seconds(), 0.0));
 
   util::Rng genes_rng(0xDECD0ULL);
   const auto genes = lock::random_genotype(context, kKeyBits, genes_rng);
@@ -250,7 +277,7 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
   {
     const attack::StructuralLinkPredictor predictor;
     eval::AttackReport report;
-    const Timing timing = time_warm(attack_reps, [&] {
+    const Timing timing = time_warm(timed_reps, [&] {
       report = eval::link_report(
           "structural", predictor.attack(design, workspace.attack), design.key);
     });
@@ -261,7 +288,7 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
   {
     const attack::ScopeAttack scope;
     eval::AttackReport report;
-    const Timing timing = time_warm(attack_reps, [&] {
+    const Timing timing = time_warm(timed_reps, [&] {
       report = eval::scope_report(scope.attack(design.netlist, workspace.attack),
                                   design.key);
     });
@@ -274,7 +301,7 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
   if (run_sat) {
     const attack::SatAttack sat;
     attack::SatAttackResult result;
-    const Timing timing = time_warm(attack_reps, [&] {
+    const Timing timing = time_warm(timed_reps, [&] {
       result = sat.attack(design.netlist, original);
     });
     add_attack_row("sat", timing, result.success ? 1.0 : 0.0,
@@ -295,8 +322,8 @@ int main(int argc, char** argv) {
     util::Timer gen_timer;
     const auto c880 =
         netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 1);
-    t.io.add_row({"c880", std::to_string(c880.size()), "generate",
-                  util::fmt(gen_timer.elapsed_seconds(), 3), "0.0"});
+    t.io.add_row(io_row("c880", std::to_string(c880.size()), "generate",
+                        gen_timer.elapsed_seconds(), 0.0));
     run_scale("c880", c880, args.quick ? 300 : 2000, args.quick ? 50 : 200,
               args.quick ? 5 : 11, /*run_sat=*/true, c880_ns_touched, t);
   }
@@ -306,14 +333,14 @@ int main(int argc, char** argv) {
     const std::string name(profile.name);
     util::Timer gen_timer;
     const auto original = netlist::gen::make_scale_profile(profile.name, 1);
-    t.io.add_row({name, std::to_string(original.size()), "generate",
-                  util::fmt(gen_timer.elapsed_seconds(), 3), "0.0"});
+    t.io.add_row(io_row(name, std::to_string(original.size()), "generate",
+                        gen_timer.elapsed_seconds(), 0.0));
     const bool million = profile.gates >= 1'000'000;
     const std::size_t decode_iters =
         million ? 25 : (args.quick ? 40 : 200);
     const std::size_t probe_reps = million ? 4 : (args.quick ? 5 : 20);
-    const std::size_t attack_reps = million || args.quick ? 5 : 11;
-    run_scale(name, original, decode_iters, probe_reps, attack_reps,
+    const std::size_t timed_reps = million || args.quick ? 5 : 11;
+    run_scale(name, original, decode_iters, probe_reps, timed_reps,
               /*run_sat=*/false, c880_ns_touched, t);
   }
 

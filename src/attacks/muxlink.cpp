@@ -16,11 +16,6 @@ MuxLinkAttack::MuxLinkAttack(MuxLinkConfig config) : config_(config) {}
 
 MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked) const {
   AttackScratch scratch;
-  return attack(locked, scratch);
-}
-
-MuxLinkResult MuxLinkAttack::attack(const netlist::Netlist& locked,
-                                    AttackScratch& scratch) const {
   scratch.graph.build(locked);
   return attack_view(scratch);
 }

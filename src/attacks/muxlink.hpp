@@ -78,10 +78,6 @@ class MuxLinkAttack {
   /// Runs the attack on a locked netlist (attacker knowledge only).
   MuxLinkResult attack(const netlist::Netlist& locked) const;
 
-  /// Scratch-reusing variant for evaluation loops; bit-identical results.
-  MuxLinkResult attack(const netlist::Netlist& locked,
-                       AttackScratch& scratch) const;
-
   /// Attacks a decoded design through `scratch`, whose attacker view of it
   /// is patched from the view of its original when it can be
   /// (AttackScratch::view); bit-identical to attack(design.netlist).

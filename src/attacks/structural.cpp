@@ -13,6 +13,10 @@ using netlist::NodeId;
 
 namespace {
 
+constexpr double kLearningRate = 0.1;
+constexpr double kL2 = 1e-4;
+constexpr double kDecisionThreshold = 0.05;
+
 std::array<double, StructuralLinkPredictor::kPairFeatureDim> pair_features(
     const AttackGraph& graph, const std::vector<std::size_t>& levels,
     NodeId u, NodeId v) {
@@ -94,11 +98,6 @@ StructuralLinkPredictor::StructuralLinkPredictor(
 MuxLinkResult StructuralLinkPredictor::attack(
     const netlist::Netlist& locked) const {
   AttackScratch scratch;
-  return attack(locked, scratch);
-}
-
-MuxLinkResult StructuralLinkPredictor::attack(const netlist::Netlist& locked,
-                                              AttackScratch& scratch) const {
   scratch.graph.build(locked);
   return attack_view(scratch);
 }
@@ -156,8 +155,7 @@ MuxLinkResult StructuralLinkPredictor::attack_view(
       }
       const double err = p - sample.y;
       for (std::size_t i = 0; i < w.size(); ++i) {
-        w[i] -= config_.learning_rate *
-                (err * sample.x[i] + config_.l2 * w[i]);
+        w[i] -= kLearningRate * (err * sample.x[i] + kL2 * w[i]);
       }
     }
     if (!reported) continue;
@@ -166,7 +164,7 @@ MuxLinkResult StructuralLinkPredictor::attack_view(
     result.last_epoch_loss = loss;
   }
 
-  decide_key_bits(graph, config_.decision_threshold,
+  decide_key_bits(graph, kDecisionThreshold,
                   [&](const CandidateLink& link) {
                     return predict_prob(
                         pair_features(graph, levels, link.u, link.v), w);

@@ -23,12 +23,11 @@
 
 namespace autolock::attack {
 
+/// The model's step size (0.1), L2 weight decay (1e-4) and decision
+/// threshold (0.05) are fixed in structural.cpp.
 struct StructuralPredictorConfig {
   std::size_t epochs = 40;
-  double learning_rate = 0.1;
-  double l2 = 1e-4;
   std::size_t max_train_links = 4000;
-  double decision_threshold = 0.05;
   std::uint64_t seed = 0x57A7ULL;
 };
 
@@ -37,10 +36,6 @@ class StructuralLinkPredictor {
   explicit StructuralLinkPredictor(StructuralPredictorConfig config = {});
 
   MuxLinkResult attack(const netlist::Netlist& locked) const;
-
-  /// Scratch-reusing variant for evaluation loops; bit-identical results.
-  MuxLinkResult attack(const netlist::Netlist& locked,
-                       AttackScratch& scratch) const;
 
   /// Attacks a decoded design through `scratch`, whose attacker view of it
   /// is patched from the view of its original when it can be

@@ -8,6 +8,13 @@
 
 namespace autolock::ga {
 
+namespace {
+
+/// Contenders drawn per tournament selection.
+constexpr std::size_t kTournamentSize = 3;
+
+}  // namespace
+
 GeneticAlgorithm::GeneticAlgorithm(const netlist::Netlist& original,
                                    GaConfig config)
     : original_(&original), config_(config) {
@@ -17,16 +24,13 @@ GeneticAlgorithm::GeneticAlgorithm(const netlist::Netlist& original,
   if (config_.elites >= config_.population) {
     throw std::invalid_argument("GaConfig: elites must be < population");
   }
-  if (config_.tournament_size == 0) {
-    throw std::invalid_argument("GaConfig: tournament_size must be >= 1");
-  }
 }
 
 Genotype GeneticAlgorithm::select_parent(
     const std::vector<Individual>& population, util::Rng& rng) const {
   if (config_.selection == SelectionOp::kTournament) {
     const Individual* best = nullptr;
-    for (std::size_t t = 0; t < config_.tournament_size; ++t) {
+    for (std::size_t t = 0; t < kTournamentSize; ++t) {
       const Individual& contender =
           population[rng.next_below(population.size())];
       if (best == nullptr || contender.eval.fitness > best->eval.fitness) {
@@ -110,13 +114,8 @@ GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
   };
   record_generation(0, cache_hits);
 
-  auto target_reached = [&] {
-    return config_.fitness_target.has_value() &&
-           population.front().eval.fitness >= *config_.fitness_target;
-  };
-
-  for (std::size_t generation = 1;
-       generation <= config_.generations && !target_reached(); ++generation) {
+  for (std::size_t generation = 1; generation <= config_.generations;
+       ++generation) {
     std::vector<Individual> next;
     next.reserve(config_.population);
     for (std::size_t e = 0; e < config_.elites; ++e) {
@@ -127,8 +126,8 @@ GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
       const Genotype parent_b = select_parent(population, rng);
       auto [child1, child2] = ops.crossover(
           parent_a, parent_b, config_.crossover, config_.crossover_rate, rng);
-      ops.mutate(child1, config_.mutation_rate, config_.key_flip_rate, rng);
-      ops.mutate(child2, config_.mutation_rate, config_.key_flip_rate, rng);
+      ops.mutate(child1, config_.mutation_rate, rng);
+      ops.mutate(child2, config_.mutation_rate, rng);
       next.push_back(Individual{std::move(child1), {}});
       if (next.size() < config_.population) {
         next.push_back(Individual{std::move(child2), {}});
@@ -142,7 +141,6 @@ GaResult GeneticAlgorithm::run(const lock::GenotypeSpec& spec,
   }
 
   result.best = population.front();
-  result.reached_target = target_reached();
   return result;
 }
 

@@ -10,12 +10,12 @@
 // spec ({.mux_sites = K}) is the paper's D-MUX genotype.
 //
 // Operators (paper §II: selection, crossover, mutation):
-//   selection: tournament or roulette-wheel
+//   selection: 3-way tournament or roulette-wheel
 //   crossover: one-point or uniform over the gene list
 //   mutation:  per-gene, dispatched on the gene kind by core/gene_ops.hpp —
 //              flip the key bit (cheap local move) or re-sample the gene
-//              (exploration); invalid offspring genes are repaired at
-//              decode time and written back.
+//              (exploration), one or the other with even odds; invalid
+//              offspring genes are repaired at decode time and written back.
 // Elitism preserves the best individuals.
 //
 // Evaluation (genotype decode, attack scoring, the collision-safe fitness
@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,16 +50,10 @@ struct GaConfig {
   std::size_t generations = 10;
   std::size_t elites = 2;
   SelectionOp selection = SelectionOp::kTournament;
-  std::size_t tournament_size = 3;
   CrossoverOp crossover = CrossoverOp::kOnePoint;
   double crossover_rate = 0.9;
   /// Per-gene mutation probability.
   double mutation_rate = 0.08;
-  /// Within a mutation: probability of flipping the key bit (otherwise the
-  /// entire site is re-sampled).
-  double key_flip_rate = 0.5;
-  /// Early stop once best fitness reaches this value (nullopt = disabled).
-  std::optional<double> fitness_target;
   std::uint64_t seed = 42;
 };
 
@@ -92,7 +85,6 @@ struct GaResult {
   Individual best;
   std::vector<GenerationStats> history;
   std::size_t evaluations = 0;  // fitness function invocations (cache misses)
-  bool reached_target = false;
 };
 
 class GeneticAlgorithm {
@@ -103,9 +95,8 @@ class GeneticAlgorithm {
   /// Runs the full loop of the paper's Fig. 1: N random lockings of
   /// `spec`'s shape (MUX + RLL + Anti-SAT genes; {.mux_sites = K} is the
   /// paper's D-MUX) seed the population, and every operator dispatches per
-  /// gene kind; evolve for `generations` or until the fitness target. All
-  /// evaluation goes through `pipeline`, which must have been built on the
-  /// same original netlist.
+  /// gene kind; evolve for `generations`. All evaluation goes through
+  /// `pipeline`, which must have been built on the same original netlist.
   GaResult run(const lock::GenotypeSpec& spec, eval::EvalPipeline& pipeline);
 
   const GaConfig& config() const noexcept { return config_; }

@@ -7,11 +7,19 @@ namespace autolock::ga {
 using lock::Gene;
 using lock::GeneKind;
 
+namespace {
+
+/// Probability that a MUX or RLL mutation flips the key bit rather than
+/// re-drawing the gene's site or wire.
+constexpr double kKeyFlipRate = 0.5;
+
+}  // namespace
+
 void GeneOps::mutate_gene(Genotype& genes, std::size_t i,
-                          double key_flip_rate, util::Rng& rng) const {
+                          util::Rng& rng) const {
   switch (genes[i].kind) {
     case GeneKind::kMux: {
-      if (rng.next_bool(key_flip_rate)) {
+      if (rng.next_bool(kKeyFlipRate)) {
         genes[i].key_bit = !genes[i].key_bit;
         return;
       }
@@ -25,7 +33,7 @@ void GeneOps::mutate_gene(Genotype& genes, std::size_t i,
       return;
     }
     case GeneKind::kRll: {
-      if (rng.next_bool(key_flip_rate)) {
+      if (rng.next_bool(kKeyFlipRate)) {
         genes[i].key_bit = !genes[i].key_bit;  // XOR <-> XNOR
         return;
       }
@@ -45,17 +53,16 @@ void GeneOps::mutate_gene(Genotype& genes, std::size_t i,
 }
 
 void GeneOps::mutate(Genotype& genes, double mutation_rate,
-                     double key_flip_rate, util::Rng& rng) const {
+                     util::Rng& rng) const {
   for (std::size_t i = 0; i < genes.size(); ++i) {
     if (!rng.next_bool(mutation_rate)) continue;
-    mutate_gene(genes, i, key_flip_rate, rng);
+    mutate_gene(genes, i, rng);
   }
 }
 
-void GeneOps::mutate_one(Genotype& genes, double key_flip_rate,
-                         util::Rng& rng) const {
+void GeneOps::mutate_one(Genotype& genes, util::Rng& rng) const {
   if (genes.empty()) return;
-  mutate_gene(genes, rng.next_below(genes.size()), key_flip_rate, rng);
+  mutate_gene(genes, rng.next_below(genes.size()), rng);
 }
 
 std::pair<Genotype, Genotype> GeneOps::crossover(const Genotype& a,

@@ -15,6 +15,8 @@
 //              and splice location in one move; width is a structural
 //              parameter and never mutated).
 //
+// A MUX or RLL move flips the key bit or re-draws with even odds.
+//
 // For MUX-only genotypes every operator consumes the exact RNG stream the
 // optimizers drew historically — the pinned trajectory tests hold.
 //
@@ -40,15 +42,12 @@ class GeneOps {
       : context_(&context) {}
 
   /// Per-gene mutation pass: each gene mutates with `mutation_rate`
-  /// probability; a mutating gene flips its key bit with `key_flip_rate`
-  /// probability and otherwise re-samples (see file comment).
-  void mutate(Genotype& genes, double mutation_rate, double key_flip_rate,
-              util::Rng& rng) const;
+  /// probability (one local move, see file comment).
+  void mutate(Genotype& genes, double mutation_rate, util::Rng& rng) const;
 
   /// Single-gene neighbourhood move (hill climbing / annealing): mutates
   /// one uniformly chosen gene. No-op on empty genotypes.
-  void mutate_one(Genotype& genes, double key_flip_rate,
-                  util::Rng& rng) const;
+  void mutate_one(Genotype& genes, util::Rng& rng) const;
 
   /// One-point or uniform crossover with probability `crossover_rate`;
   /// parents of unequal or sub-2 length pass through unchanged (and draw
@@ -59,8 +58,7 @@ class GeneOps {
                                           util::Rng& rng) const;
 
  private:
-  void mutate_gene(Genotype& genes, std::size_t i, double key_flip_rate,
-                   util::Rng& rng) const;
+  void mutate_gene(Genotype& genes, std::size_t i, util::Rng& rng) const;
 
   const lock::SiteContext* context_;
 };

@@ -9,6 +9,12 @@ namespace autolock::ga {
 
 namespace {
 
+/// Hill climbing restarts after this many consecutive non-improving moves.
+constexpr std::size_t kRestartAfter = 30;
+/// Annealing's starting temperature and per-evaluation cooling factor.
+constexpr double kInitialTemperature = 0.08;
+constexpr double kCooling = 0.97;
+
 /// All three heuristics share the pipeline's decode/repair/score path; this
 /// counter threads the per-proposal repair seed exactly as the heuristics
 /// always have (one deterministic repair RNG per evaluation index).
@@ -30,7 +36,7 @@ struct PipelineEvaluator {
 
 HeuristicResult random_search(eval::EvalPipeline& pipeline,
                               const lock::GenotypeSpec& spec,
-                              const RandomSearchConfig& config) {
+                              const HeuristicConfig& config) {
   util::Rng rng(config.seed);
   PipelineEvaluator evaluator(pipeline);
   HeuristicResult result;
@@ -42,7 +48,6 @@ HeuristicResult random_search(eval::EvalPipeline& pipeline,
     if (eval.fitness > result.best.eval.fitness) {
       result.best = Individual{std::move(genes), eval};
     }
-    result.trajectory.push_back(result.best.eval.fitness);
   }
   result.evaluations = evaluator.evaluations;
   return result;
@@ -50,7 +55,7 @@ HeuristicResult random_search(eval::EvalPipeline& pipeline,
 
 HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
                            const lock::GenotypeSpec& spec,
-                           const HillClimbConfig& config) {
+                           const HeuristicConfig& config) {
   util::Rng rng(config.seed ^ 0x41C9ULL);
   PipelineEvaluator evaluator(pipeline);
   const GeneOps ops(pipeline.context());
@@ -71,20 +76,19 @@ HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
       stale = 0;
     } else {
       Genotype candidate = current;
-      ops.mutate_one(candidate, config.key_flip_rate, rng);
+      ops.mutate_one(candidate, rng);
       const Evaluation eval = evaluator.evaluate(candidate);
       if (eval.fitness > current_eval.fitness) {
         current = std::move(candidate);
         current_eval = eval;
         stale = 0;
-      } else if (config.restart_after != 0 && ++stale >= config.restart_after) {
+      } else if (++stale >= kRestartAfter) {
         need_restart = true;
       }
     }
     if (current_eval.fitness > result.best.eval.fitness) {
       result.best = Individual{current, current_eval};
     }
-    result.trajectory.push_back(result.best.eval.fitness);
   }
   result.evaluations = evaluator.evaluations;
   return result;
@@ -92,7 +96,7 @@ HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
 
 HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
                                     const lock::GenotypeSpec& spec,
-                                    const AnnealingConfig& config) {
+                                    const HeuristicConfig& config) {
   util::Rng rng(config.seed ^ 0x5AULL);
   PipelineEvaluator evaluator(pipeline);
   const GeneOps ops(pipeline.context());
@@ -103,12 +107,11 @@ HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
   Genotype current = lock::random_genotype(pipeline.context(), spec, draw);
   Evaluation current_eval = evaluator.evaluate(current);
   result.best = Individual{current, current_eval};
-  result.trajectory.push_back(current_eval.fitness);
 
-  double temperature = config.initial_temperature;
+  double temperature = kInitialTemperature;
   while (evaluator.evaluations < config.evaluations) {
     Genotype candidate = current;
-    ops.mutate_one(candidate, config.key_flip_rate, rng);
+    ops.mutate_one(candidate, rng);
     const Evaluation eval = evaluator.evaluate(candidate);
     const double delta = eval.fitness - current_eval.fitness;
     const bool accept =
@@ -122,8 +125,7 @@ HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
     if (current_eval.fitness > result.best.eval.fitness) {
       result.best = Individual{current, current_eval};
     }
-    result.trajectory.push_back(result.best.eval.fitness);
-    temperature *= config.cooling;
+    temperature *= kCooling;
   }
   result.evaluations = evaluator.evaluations;
   return result;

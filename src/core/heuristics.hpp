@@ -9,12 +9,17 @@
 // run by `bench_campaign --spec heuristics`, where annealing is "anneal"):
 //
 //   RandomSearch     — i.i.d. random genotypes; the no-intelligence floor.
-//   HillClimb        — first-improvement local search over single-gene moves.
-//   SimulatedAnnealing — Metropolis acceptance with geometric cooling.
+//   HillClimb        — first-improvement local search over single-gene
+//                      moves, restarting from a fresh random genotype after
+//                      30 consecutive non-improving moves.
+//   SimulatedAnnealing — Metropolis acceptance, temperature 0.08 cooled
+//                      geometrically by 0.97 per evaluation.
+//
+// Each takes only an evaluation budget and a seed; the schedule constants
+// above are fixed in heuristics.cpp.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/ga.hpp"
 #include "locking/mux_lock.hpp"
@@ -27,15 +32,17 @@ namespace autolock::ga {
 
 struct HeuristicResult {
   Individual best;
-  /// Best-so-far fitness after every evaluation (length = evaluations).
-  std::vector<double> trajectory;
   std::size_t evaluations = 0;
 };
 
-struct RandomSearchConfig {
+struct HeuristicConfig {
   std::size_t evaluations = 100;
   std::uint64_t seed = 7;
 };
+
+/// Earlier per-heuristic names, still spelled by perfbench/stages.cpp.
+using RandomSearchConfig = HeuristicConfig;
+using HillClimbConfig = HeuristicConfig;
 
 /// Draws `evaluations` independent random genotypes and keeps the best.
 /// All heuristics evaluate through an eval::EvalPipeline (custom fitness
@@ -48,35 +55,16 @@ struct RandomSearchConfig {
 /// dispatched per gene kind.
 HeuristicResult random_search(eval::EvalPipeline& pipeline,
                               const lock::GenotypeSpec& spec,
-                              const RandomSearchConfig& config);
+                              const HeuristicConfig& config);
 
-struct HillClimbConfig {
-  std::size_t evaluations = 100;
-  /// Probability a mutation flips the key bit instead of re-siting.
-  double key_flip_rate = 0.5;
-  /// Restart from a fresh random genotype after this many consecutive
-  /// non-improving moves (0 = never restart).
-  std::size_t restart_after = 30;
-  std::uint64_t seed = 7;
-};
-
-/// Stochastic first-improvement hill climbing with optional restarts.
+/// Stochastic first-improvement hill climbing with restarts.
 HeuristicResult hill_climb(eval::EvalPipeline& pipeline,
                            const lock::GenotypeSpec& spec,
-                           const HillClimbConfig& config);
-
-struct AnnealingConfig {
-  std::size_t evaluations = 100;
-  double initial_temperature = 0.08;
-  /// Geometric cooling factor applied per evaluation.
-  double cooling = 0.97;
-  double key_flip_rate = 0.5;
-  std::uint64_t seed = 7;
-};
+                           const HeuristicConfig& config);
 
 /// Classic simulated annealing (Metropolis criterion on fitness delta).
 HeuristicResult simulated_annealing(eval::EvalPipeline& pipeline,
                                     const lock::GenotypeSpec& spec,
-                                    const AnnealingConfig& config);
+                                    const HeuristicConfig& config);
 
 }  // namespace autolock::ga

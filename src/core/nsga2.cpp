@@ -9,6 +9,13 @@
 
 namespace autolock::ga {
 
+namespace {
+
+constexpr double kCrossoverRate = 0.9;   // one-point
+constexpr double kMutationRate = 0.08;   // per gene
+
+}  // namespace
+
 Nsga2::Nsga2(const netlist::Netlist& original, Nsga2Config config)
     : original_(&original), config_(config) {
   if (config_.population < 4) {
@@ -118,10 +125,10 @@ Nsga2Result Nsga2::run(const lock::GenotypeSpec& spec,
   // RNG streams in benchmarks.
   const GeneOps ops(pipeline.context());
   auto crossover = [&](const Genotype& a, const Genotype& b) {
-    return ops.crossover(a, b, config_.crossover, config_.crossover_rate, rng);
+    return ops.crossover(a, b, CrossoverOp::kOnePoint, kCrossoverRate, rng);
   };
   auto mutate = [&](Genotype& genes) {
-    ops.mutate(genes, config_.mutation_rate, config_.key_flip_rate, rng);
+    ops.mutate(genes, kMutationRate, rng);
   };
   auto tournament = [&](const std::vector<MoIndividual>& pop) -> const MoIndividual& {
     const MoIndividual& a = pop[rng.next_below(pop.size())];

@@ -5,7 +5,9 @@
 // Implements the standard algorithm: fast non-dominated sorting, crowding
 // distance, binary tournament on (rank, crowding), elitist (mu + lambda)
 // environmental selection. Variation operators are shared with the
-// single-objective GA. All objectives are MINIMIZED; callers typically use
+// single-objective GA (core/gene_ops.hpp): one-point crossover at rate 0.9
+// and per-gene mutation at rate 0.08, the GA's defaults, fixed here. All
+// objectives are MINIMIZED; callers typically use
 //   { MuxLink accuracy, structural-attack accuracy, 1 - corruption }.
 //
 // Like the GA, NSGA-II only searches: eval::EvalPipeline decodes and scores
@@ -36,10 +38,6 @@ struct MoIndividual {
 struct Nsga2Config {
   std::size_t population = 24;
   std::size_t generations = 10;
-  CrossoverOp crossover = CrossoverOp::kOnePoint;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.08;
-  double key_flip_rate = 0.5;
   std::uint64_t seed = 1337;
 };
 

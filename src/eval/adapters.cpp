@@ -1,10 +1,14 @@
 // The report functions that score every attack's native result (declared
-// in eval/attack.hpp), and the adapters mapping each concrete attack onto
-// the unified eval::Attack interface: each forwards construction knobs from
-// AttackOptions, runs its attack and scores the result.
+// in eval/attack.hpp), the adapters mapping each concrete attack onto the
+// unified eval::Attack interface (each forwards construction knobs from
+// AttackOptions, runs its attack and scores the result), and the
+// registry's table of them (eval/registry.hpp).
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "attacks/muxlink.hpp"
 #include "attacks/sat_attack.hpp"
@@ -185,49 +189,107 @@ class SatAdapter : public Attack {
   const netlist::Netlist* oracle_;
 };
 
+attack::MuxLinkConfig seeded_muxlink(const AttackOptions& options) {
+  attack::MuxLinkConfig config = options.muxlink;
+  config.seed ^= options.seed;
+  return config;
+}
+
+struct Builtin {
+  std::string_view name;
+  std::unique_ptr<Attack> (*make)(const AttackOptions&);
+};
+
+/// Every attack the registry knows, strictly sorted by name: names() lists
+/// them in table order, and no name repeats.
+constexpr std::array<Builtin, 5> kBuiltins = {{
+    {"muxlink",
+     [](const AttackOptions& options) -> std::unique_ptr<Attack> {
+       return std::make_unique<LinkAdapter<attack::MuxLinkAttack>>(
+           "muxlink", attack::MuxLinkAttack(seeded_muxlink(options)));
+     }},
+    {"muxlink-ensemble",
+     [](const AttackOptions& options) -> std::unique_ptr<Attack> {
+       attack::MuxLinkConfig config = seeded_muxlink(options);
+       config.ensemble = std::max<std::size_t>(options.ensemble, 1);
+       return std::make_unique<LinkAdapter<attack::MuxLinkAttack>>(
+           "muxlink-ensemble", attack::MuxLinkAttack(config));
+     }},
+    {"sat",
+     [](const AttackOptions& options) -> std::unique_ptr<Attack> {
+       if (options.oracle == nullptr) {
+         throw std::invalid_argument(
+             "attack 'sat' is oracle-guided: AttackOptions.oracle must "
+             "point at the original netlist");
+       }
+       if (!options.oracle->key_inputs().empty()) {
+         // Fail at construction, not on the first evaluate(): a locked
+         // netlist is not an oracle (SatAttack::attack would throw anyway).
+         throw std::invalid_argument(
+             "attack 'sat': AttackOptions.oracle has key inputs — pass the "
+             "ORIGINAL (unlocked) netlist, not the locked one");
+       }
+       return std::make_unique<SatAdapter>(options.sat, options.oracle);
+     }},
+    {"scope",
+     [](const AttackOptions&) -> std::unique_ptr<Attack> {
+       return std::make_unique<ScopeAdapter>();
+     }},
+    {"structural",
+     [](const AttackOptions& options) -> std::unique_ptr<Attack> {
+       attack::StructuralPredictorConfig config = options.structural;
+       config.seed ^= options.seed;
+       return std::make_unique<LinkAdapter<attack::StructuralLinkPredictor>>(
+           "structural", attack::StructuralLinkPredictor(config));
+     }},
+}};
+static_assert(std::ranges::adjacent_find(kBuiltins,
+                                         std::ranges::greater_equal{},
+                                         &Builtin::name) == kBuiltins.end());
+
 }  // namespace
 
-void register_builtin_attacks(AttackRegistry& registry) {
-  const auto seeded_muxlink = [](const AttackOptions& options) {
-    attack::MuxLinkConfig config = options.muxlink;
-    config.seed ^= options.seed;
-    return config;
-  };
-  registry.add("muxlink", [seeded_muxlink](const AttackOptions& options) {
-    return std::make_unique<LinkAdapter<attack::MuxLinkAttack>>(
-        "muxlink", attack::MuxLinkAttack(seeded_muxlink(options)));
-  });
-  registry.add("muxlink-ensemble",
-               [seeded_muxlink](const AttackOptions& options) {
-                 attack::MuxLinkConfig config = seeded_muxlink(options);
-                 config.ensemble = std::max<std::size_t>(options.ensemble, 1);
-                 return std::make_unique<LinkAdapter<attack::MuxLinkAttack>>(
-                     "muxlink-ensemble", attack::MuxLinkAttack(config));
-               });
-  registry.add("structural", [](const AttackOptions& options) {
-    attack::StructuralPredictorConfig config = options.structural;
-    config.seed ^= options.seed;
-    return std::make_unique<LinkAdapter<attack::StructuralLinkPredictor>>(
-        "structural", attack::StructuralLinkPredictor(config));
-  });
-  registry.add("scope", [](const AttackOptions&) {
-    return std::make_unique<ScopeAdapter>();
-  });
-  registry.add("sat", [](const AttackOptions& options) {
-    if (options.oracle == nullptr) {
-      throw std::invalid_argument(
-          "attack 'sat' is oracle-guided: AttackOptions.oracle must point at "
-          "the original netlist");
-    }
-    if (!options.oracle->key_inputs().empty()) {
-      // Fail at registry time, not on the first evaluate(): a locked
-      // netlist is not an oracle (SatAttack::attack would throw anyway).
-      throw std::invalid_argument(
-          "attack 'sat': AttackOptions.oracle has key inputs — pass the "
-          "ORIGINAL (unlocked) netlist, not the locked one");
-    }
-    return std::make_unique<SatAdapter>(options.sat, options.oracle);
-  });
+const AttackRegistry& AttackRegistry::instance() {
+  static const AttackRegistry registry;
+  return registry;
+}
+
+std::vector<std::string> AttackRegistry::names() const {
+  std::vector<std::string> result;
+  result.reserve(kBuiltins.size());
+  for (const Builtin& builtin : kBuiltins) {
+    result.emplace_back(builtin.name);
+  }
+  return result;
+}
+
+std::unique_ptr<Attack> AttackRegistry::create(
+    const std::string& name, const AttackOptions& options) const {
+  for (const Builtin& builtin : kBuiltins) {
+    if (builtin.name == name) return builtin.make(options);
+  }
+  std::string known;
+  for (const Builtin& builtin : kBuiltins) {
+    if (!known.empty()) known += ", ";
+    known += builtin.name;
+  }
+  throw std::out_of_range("AttackRegistry: unknown attack '" + name +
+                          "' (known: " + known + ")");
+}
+
+std::unique_ptr<Attack> make_attack(const std::string& name,
+                                    const AttackOptions& options) {
+  return AttackRegistry::instance().create(name, options);
+}
+
+std::vector<std::unique_ptr<Attack>> make_attacks(
+    const std::vector<std::string>& names, const AttackOptions& options) {
+  std::vector<std::unique_ptr<Attack>> result;
+  result.reserve(names.size());
+  for (const std::string& name : names) {
+    result.push_back(make_attack(name, options));
+  }
+  return result;
 }
 
 }  // namespace autolock::eval

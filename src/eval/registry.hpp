@@ -8,17 +8,14 @@
 //     ...
 //   }
 //
-// Adding a new attack (see README.md "Adding a new attack"):
-//   1. implement eval::Attack for it (usually a thin adapter in
-//      src/eval/adapters.cpp);
-//   2. register a factory: either in register_builtin_attacks() for in-tree
-//      attacks, or at startup via AttackRegistry::instance().add(...).
+// The registry is a fixed, name-sorted table of the five built-in attacks
+// (muxlink, muxlink-ensemble, sat, scope, structural) in
+// src/eval/adapters.cpp. Adding a new attack (see README.md "Adding a new
+// attack"): implement eval::Attack for it (usually a thin adapter in that
+// file) and add a row for it to the table.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,28 +25,16 @@ namespace autolock::eval {
 
 class AttackRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Attack>(const AttackOptions&)>;
+  /// The registry of the built-in attacks.
+  static const AttackRegistry& instance();
 
-  /// Global registry, pre-populated with the built-in attacks.
-  static AttackRegistry& instance();
-
-  /// Registers a factory. Throws std::invalid_argument on an empty name or a
-  /// duplicate registration.
-  void add(std::string name, Factory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// All registered names, sorted.
+  /// All attack names, sorted.
   std::vector<std::string> names() const;
 
   /// Constructs the named attack. Throws std::out_of_range (message lists
-  /// the known names) if `name` is not registered.
+  /// the known names) if `name` is not in the table.
   std::unique_ptr<Attack> create(const std::string& name,
                                  const AttackOptions& options = {}) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
 };
 
 /// Convenience: AttackRegistry::instance().create(...).
@@ -59,10 +44,5 @@ std::unique_ptr<Attack> make_attack(const std::string& name,
 /// Constructs several attacks from a name list (order preserved).
 std::vector<std::unique_ptr<Attack>> make_attacks(
     const std::vector<std::string>& names, const AttackOptions& options = {});
-
-/// Registers the five built-in adapters (muxlink, muxlink-ensemble,
-/// structural, scope, sat). Called once by instance(); exposed for tests
-/// that build a private registry.
-void register_builtin_attacks(AttackRegistry& registry);
 
 }  // namespace autolock::eval

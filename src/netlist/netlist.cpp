@@ -102,6 +102,10 @@ void Netlist::reserve_nodes(std::size_t nodes, std::size_t input_nodes) {
   // New names intern densely at the end of the shared table, so the name
   // index grows to about (table size + new nodes) entries.
   node_of_name_.reserve(names_->size() + nodes);
+  note_issued_names();
+}
+
+void Netlist::note_issued_names() {
   issued_names_ = static_cast<NameId>(names_->size());
   empty_name_ = names_->find("");  // after size(): "" is below it if issued
 }
@@ -110,11 +114,18 @@ NodeId Netlist::add_node(Node node) {
   const auto id = static_cast<NodeId>(nodes_.size());
   if (node.name == kNoName) {
     node.name = fresh_name(id);
-  } else if (node.name < issued_names_ ? node.name == empty_name_
-                                       : names_->text(node.name).empty()) {
-    // text() also throws out_of_range for ids this table never issued —
-    // the NameId overloads must not accept symbols from a foreign table.
-    throw std::invalid_argument("Netlist: empty node name");
+  } else {
+    // A symbol interned since the last note (a decode's key names) moves
+    // the mark up once; the nodes after it pass without the table's lock.
+    if (node.name >= issued_names_) note_issued_names();
+    if (node.name >= issued_names_) {
+      // The NameId overloads must not accept symbols from a foreign table.
+      throw std::out_of_range("Netlist: unknown NameId " +
+                              std::to_string(node.name));
+    }
+    if (node.name == empty_name_) {
+      throw std::invalid_argument("Netlist: empty node name");
+    }
   }
   if (lookup_name(node.name) != kNoNode) {
     throw std::invalid_argument("Netlist: duplicate node name '" +

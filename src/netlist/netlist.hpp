@@ -239,6 +239,9 @@ class Netlist {
     return symbol < node_of_name_.size() ? node_of_name_[symbol] : kNoNode;
   }
   void index_name(NameId symbol, NodeId id);
+  /// Re-reads issued_names_ and empty_name_ from the table (two lock round
+  /// trips).
+  void note_issued_names();
   void invalidate_traversal_cache() noexcept;
   /// A structural version no netlist has held before (process-wide).
   static std::uint64_t fresh_version() noexcept;
@@ -264,7 +267,8 @@ class Netlist {
   std::vector<bool> port_names_;
   /// Symbols below issued_names_ were issued by names_ (which only grows),
   /// and among them only empty_name_ (kNoName if none) has empty text:
-  /// add_node's name check without the table's lock. Set by reserve_nodes.
+  /// add_node's name check without the table's lock. Set by reserve_nodes,
+  /// and by add_node when it meets a symbol at or above issued_names_.
   NameId issued_names_ = 0;
   NameId empty_name_ = kNoName;
 

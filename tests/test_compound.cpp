@@ -261,7 +261,7 @@ TEST(CompoundGa, OptimizersRefuseAKeylessSpec) {
                    .run(lock::GenotypeSpec{}, pipeline),
                std::invalid_argument);
   EXPECT_THROW(ga::random_search(pipeline, lock::GenotypeSpec{},
-                                 ga::RandomSearchConfig{}),
+                                 ga::HeuristicConfig{}),
                std::invalid_argument);
   EXPECT_EQ(calls, 0u);
 }

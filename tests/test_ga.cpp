@@ -61,9 +61,6 @@ TEST(Ga, ConfigValidation) {
   config.population = 4;
   config.elites = 4;
   EXPECT_THROW(GeneticAlgorithm(original, config), std::invalid_argument);
-  config.elites = 1;
-  config.tournament_size = 0;
-  EXPECT_THROW(GeneticAlgorithm(original, config), std::invalid_argument);
 }
 
 TEST(Ga, ImprovesSyntheticFitness) {
@@ -101,19 +98,6 @@ TEST(Ga, DeterministicForSameSeed) {
   for (std::size_t i = 0; i < ra.best.genes.size(); ++i) {
     EXPECT_EQ(ra.best.genes[i], rb.best.genes[i]);
   }
-}
-
-TEST(Ga, FitnessTargetStopsEarly) {
-  const Netlist original =
-      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
-  GaConfig config = small_config(17);
-  config.generations = 50;
-  config.fitness_target = 0.6;
-  GeneticAlgorithm engine(original, config);
-  const GaResult result = evolve_ones(engine, original, {.mux_sites = 10});
-  EXPECT_TRUE(result.reached_target);
-  EXPECT_LT(result.history.size(), 51u);
-  EXPECT_GE(result.best.eval.fitness, 0.6);
 }
 
 TEST(Ga, CacheAvoidsReevaluatingElites) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "eval/pipeline.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
@@ -31,84 +35,136 @@ eval::EvalPipelineConfig counting_ones(std::uint64_t seed) {
   return config;
 }
 
-TEST(RandomSearch, RespectsBudgetAndTrajectoryMonotone) {
+/// counting_ones that also appends every evaluated fitness to `seen`, in
+/// evaluation order.
+eval::EvalPipelineConfig recording_ones(std::uint64_t seed,
+                                        std::vector<double>& seen) {
+  eval::EvalPipelineConfig config = counting_ones(seed);
+  config.fitness_override = [&seen](const lock::LockedDesign& design) {
+    const Evaluation eval = count_ones(design);
+    seen.push_back(eval.fitness);
+    return eval;
+  };
+  return config;
+}
+
+using Heuristic = HeuristicResult (*)(eval::EvalPipeline&,
+                                      const lock::GenotypeSpec&,
+                                      const HeuristicConfig&);
+
+/// Runs `search` on `original` and returns its result with every fitness
+/// it evaluated.
+std::pair<HeuristicResult, std::vector<double>> run_recorded(
+    Heuristic search, const Netlist& original, std::size_t sites,
+    const HeuristicConfig& config) {
+  std::vector<double> seen;
+  eval::EvalPipeline pipeline(original, recording_ones(config.seed, seen));
+  HeuristicResult result = search(pipeline, {.mux_sites = sites}, config);
+  return {std::move(result), std::move(seen)};
+}
+
+/// The budget is met exactly and `best` is the best fitness evaluated:
+/// neither a restart nor an accepted downhill move may lose it.
+void expect_budget_and_best(const HeuristicResult& result,
+                            const std::vector<double>& seen,
+                            std::size_t budget) {
+  EXPECT_EQ(result.evaluations, budget);
+  ASSERT_EQ(seen.size(), budget);
+  EXPECT_EQ(result.best.eval.fitness, *std::ranges::max_element(seen));
+}
+
+TEST(RandomSearch, RespectsBudgetAndKeepsBest) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 1);
-  RandomSearchConfig config;
-  config.evaluations = 30;
-  config.seed = 3;
-  eval::EvalPipeline pipeline(original, counting_ones(config.seed));
-  const HeuristicResult result =
-      random_search(pipeline, {.mux_sites = 12}, config);
-  EXPECT_EQ(result.evaluations, 30u);
-  EXPECT_EQ(result.trajectory.size(), 30u);
-  for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
-    EXPECT_GE(result.trajectory[i], result.trajectory[i - 1]);
-  }
+  const HeuristicConfig config{.evaluations = 30, .seed = 3};
+  const auto [result, seen] = run_recorded(random_search, original, 12, config);
+  expect_budget_and_best(result, seen, 30);
   EXPECT_EQ(result.best.genes.size(), 12u);
 }
 
 TEST(HillClimb, ImprovesOnSyntheticObjective) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 2);
-  HillClimbConfig config;
-  config.evaluations = 80;
-  config.seed = 5;
-  eval::EvalPipeline pipeline(original, counting_ones(config.seed));
-  const HeuristicResult result =
-      hill_climb(pipeline, {.mux_sites = 12}, config);
-  EXPECT_EQ(result.evaluations, 80u);
+  const HeuristicConfig config{.evaluations = 80, .seed = 5};
+  const auto [result, seen] = run_recorded(hill_climb, original, 12, config);
+  expect_budget_and_best(result, seen, 80);
   // Key-bit flipping is a perfect hill-climbing landscape: expect near-max.
   EXPECT_GT(result.best.eval.fitness, 0.8);
-  for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
-    EXPECT_GE(result.trajectory[i], result.trajectory[i - 1]);
-  }
 }
 
 TEST(HillClimb, RestartsDoNotLoseBest) {
+  // Ten key bits saturate the objective within the budget; 30 stale moves
+  // later the climber restarts from a fresh random genotype, whose fitness
+  // a single move from a saturated one (at most one key bit off) cannot
+  // reach.
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 3);
-  HillClimbConfig config;
-  config.evaluations = 60;
-  config.restart_after = 5;  // frequent restarts
-  config.seed = 7;
-  eval::EvalPipeline pipeline(original, counting_ones(config.seed));
-  const HeuristicResult result =
-      hill_climb(pipeline, {.mux_sites = 10}, config);
-  EXPECT_DOUBLE_EQ(result.trajectory.back(), result.best.eval.fitness);
+  const HeuristicConfig config{.evaluations = 300, .seed = 7};
+  const auto [result, seen] = run_recorded(hill_climb, original, 10, config);
+  expect_budget_and_best(result, seen, 300);
+  EXPECT_EQ(result.best.eval.fitness, 1.0);
+  const auto saturated = std::ranges::find(seen, 1.0);
+  const auto restart = std::find_if(
+      saturated, seen.end(), [](double fitness) { return fitness < 0.85; });
+  ASSERT_NE(restart, seen.end()) << "no restart after saturation";
+
+  // The same run cut off at the restart's first evaluation (a budget only
+  // shortens the run) still reports the saturated genotype.
+  const HeuristicConfig cut{
+      .evaluations = static_cast<std::size_t>(restart - seen.begin()) + 1,
+      .seed = config.seed};
+  const auto [cut_result, cut_seen] =
+      run_recorded(hill_climb, original, 10, cut);
+  expect_budget_and_best(cut_result, cut_seen, cut.evaluations);
+  EXPECT_EQ(cut_result.best.eval.fitness, 1.0);
 }
 
 TEST(SimulatedAnnealing, ImprovesOnSyntheticObjective) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 4);
-  AnnealingConfig config;
-  config.evaluations = 80;
-  config.seed = 9;
-  eval::EvalPipeline pipeline(original, counting_ones(config.seed));
-  const HeuristicResult result =
-      simulated_annealing(pipeline, {.mux_sites = 12}, config);
-  EXPECT_EQ(result.evaluations, 80u);
-  EXPECT_GT(result.best.eval.fitness, result.trajectory.front());
+  const HeuristicConfig config{.evaluations = 80, .seed = 9};
+  const auto [result, seen] =
+      run_recorded(simulated_annealing, original, 12, config);
+  expect_budget_and_best(result, seen, 80);
+  EXPECT_GT(result.best.eval.fitness, seen.front());
 }
 
-TEST(SimulatedAnnealing, DeterministicPerSeed) {
+TEST(Heuristics, DeterministicPerSeed) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 5);
-  AnnealingConfig config;
-  config.evaluations = 40;
-  config.seed = 11;
-  eval::EvalPipeline pipeline_a(original, counting_ones(config.seed));
-  eval::EvalPipeline pipeline_b(original, counting_ones(config.seed));
-  const auto a = simulated_annealing(pipeline_a, {.mux_sites = 8}, config);
-  const auto b = simulated_annealing(pipeline_b, {.mux_sites = 8}, config);
-  EXPECT_EQ(a.best.eval.fitness, b.best.eval.fitness);
-  EXPECT_EQ(a.trajectory, b.trajectory);
+  const HeuristicConfig config{.evaluations = 40, .seed = 11};
+  for (const Heuristic search :
+       {Heuristic{random_search}, Heuristic{hill_climb},
+        Heuristic{simulated_annealing}}) {
+    const auto [a, seen_a] = run_recorded(search, original, 8, config);
+    const auto [b, seen_b] = run_recorded(search, original, 8, config);
+    EXPECT_EQ(seen_a, seen_b);
+    EXPECT_EQ(a.best.eval.fitness, b.best.eval.fitness);
+    EXPECT_EQ(a.best.genes, b.best.genes);
+  }
+}
+
+TEST(Heuristics, BestIsTheMaximumAtEveryBudget) {
+  // A budget only shortens a run, so every cut-off point is checked: one
+  // that falls right after an accepted downhill move (annealing) or a
+  // restart (hill climbing) must still report the best fitness seen.
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 8);
+  for (const Heuristic search :
+       {Heuristic{random_search}, Heuristic{hill_climb},
+        Heuristic{simulated_annealing}}) {
+    for (std::size_t budget = 1; budget <= 40; ++budget) {
+      const auto [result, seen] = run_recorded(
+          search, original, 12, {.evaluations = budget, .seed = 21});
+      expect_budget_and_best(result, seen, budget);
+    }
+  }
 }
 
 TEST(Heuristics, BestGenotypesDecodeAndVerify) {
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 6);
-  RandomSearchConfig rs_config;
+  HeuristicConfig rs_config;
   rs_config.evaluations = 10;
   eval::EvalPipeline pipeline(original, counting_ones(rs_config.seed));
   const auto rs = random_search(pipeline, {.mux_sites = 8}, rs_config);
@@ -121,12 +177,8 @@ TEST(Heuristics, HillClimbBeatsRandomOnLocalStructure) {
   // (weakly) dominate blind sampling.
   const Netlist original =
       netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 7);
-  RandomSearchConfig rs_config;
-  rs_config.evaluations = 50;
-  rs_config.seed = 13;
-  HillClimbConfig hc_config;
-  hc_config.evaluations = 50;
-  hc_config.seed = 13;
+  const HeuristicConfig rs_config{.evaluations = 50, .seed = 13};
+  const HeuristicConfig hc_config = rs_config;
   eval::EvalPipeline rs_pipeline(original, counting_ones(rs_config.seed));
   eval::EvalPipeline hc_pipeline(original, counting_ones(hc_config.seed));
   const auto rs = random_search(rs_pipeline, {.mux_sites = 16}, rs_config);

@@ -250,6 +250,26 @@ TEST(Netlist, TruncateDropsTailNodesAndTheirNames) {
   EXPECT_EQ(n.size(), 8u);
 }
 
+TEST(Netlist, NamesInternedAfterReserveAreChecked) {
+  // reserve_nodes notes which symbols the table has issued; a symbol
+  // interned after that (as a decode's key names are) must still pass the
+  // same checks as one issued before.
+  Netlist n = small_example();
+  n.reserve_nodes(4, 2);
+  const NameId late = n.names()->intern("late");
+  const auto a = n.add_input(late);
+  EXPECT_EQ(n.find("late"), a);
+
+  const NameId empty = n.names()->intern("");
+  EXPECT_THROW(n.add_input(empty), std::invalid_argument);
+  EXPECT_THROW(n.add_gate(GateType::kNot, {a}, empty), std::invalid_argument)
+      << "refused again once the empty symbol is below the noted mark";
+
+  const auto unissued = static_cast<NameId>(n.names()->size());
+  EXPECT_THROW(n.add_gate(GateType::kNot, {a}, unissued), std::out_of_range);
+  EXPECT_EQ(n.size(), 7u) << "a refused name adds no node";
+}
+
 TEST(Netlist, DepthAndStats) {
   const Netlist n = small_example();
   EXPECT_EQ(n.depth(), 2u);
