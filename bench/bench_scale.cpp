@@ -289,7 +289,7 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
     const attack::ScopeAttack scope;
     eval::AttackReport report;
     const Timing timing = time_warm(timed_reps, [&] {
-      report = eval::scope_report(scope.attack(design.netlist, workspace.attack),
+      report = eval::scope_report(scope.attack(design, workspace.attack),
                                   design.key);
     });
     add_attack_row("scope", timing, report.accuracy,

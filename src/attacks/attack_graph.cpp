@@ -7,8 +7,6 @@
 
 namespace autolock::attack {
 
-using lock::AppliedGene;
-using lock::GeneKind;
 using lock::LockedDesign;
 using netlist::GateType;
 using netlist::Netlist;
@@ -255,141 +253,17 @@ void AttackGraph::roll_back() {
   patched_ = false;
 }
 
-bool AttackGraph::replay_records(const LockedDesign& design,
-                                 const Netlist& original) {
-  const Netlist& locked = design.netlist;
-  const std::size_t n0 = original.size();
-  if (design.applied.size() != design.genes.size()) return false;
-
-  // Each gene owns the consecutive tail ids its kind fixes, from the end of
-  // the original to the end of the design; collect the original gates its
-  // record says it rewired.
-  rewired_.clear();
-  std::size_t next = n0;
-  for (std::size_t t = 0; t < design.genes.size(); ++t) {
-    const AppliedGene& rec = design.applied[t];
-    const lock::Gene& gene = design.genes[t];
-    if (rec.kind != gene.kind || rec.first_node != next) return false;
-    std::size_t count = 0;
-    switch (rec.kind) {
-      case GeneKind::kMux:
-        count = 3;
-        if (gene.f_i >= n0 || gene.f_j >= n0 || gene.g_i >= n0 ||
-            gene.g_j >= n0) {
-          return false;
-        }
-        rewired_.push_back(gene.g_i);
-        rewired_.push_back(gene.g_j);
-        break;
-      case GeneKind::kRll:
-        count = 2;
-        if (rec.driver >= n0 || rec.sink >= n0) return false;
-        rewired_.push_back(rec.sink);
-        break;
-      case GeneKind::kAntiSat:
-        count = 4 * static_cast<std::size_t>(gene.width) + 4;
-        if (rec.width != gene.width ||
-            rec.splice_output != gene.splice_output) {
-          return false;
-        }
-        if (!rec.splice_output && rec.sink < n0) rewired_.push_back(rec.sink);
-        break;
-    }
-    if (rec.node_count != count) return false;
-    next += count;
-  }
-  if (next != locked.size()) return false;
-  std::sort(rewired_.begin(), rewired_.end());
-  rewired_.erase(std::unique(rewired_.begin(), rewired_.end()),
-                 rewired_.end());
-
-  // Replay every splice, in gene order, on the rewired gates' original
-  // fanin lists. Each must replace at least one fanin, and the replayed
-  // lists must come out exactly as the design's: then the records name
-  // every original gate decode rewired, and nothing else changed there.
-  rewired_begin_.clear();
-  rewired_fanins_.clear();
-  for (const NodeId gate : rewired_) {
-    rewired_begin_.push_back(static_cast<std::uint32_t>(rewired_fanins_.size()));
-    const auto& fanins = original.node(gate).fanins;
-    rewired_fanins_.insert(rewired_fanins_.end(), fanins.begin(), fanins.end());
-  }
-  rewired_begin_.push_back(static_cast<std::uint32_t>(rewired_fanins_.size()));
-  const auto replace = [&](NodeId gate, NodeId from, NodeId to) {
-    const std::size_t i =
-        std::lower_bound(rewired_.begin(), rewired_.end(), gate) -
-        rewired_.begin();
-    std::size_t replaced = 0;
-    for (std::uint32_t k = rewired_begin_[i]; k < rewired_begin_[i + 1]; ++k) {
-      if (rewired_fanins_[k] == from) {
-        rewired_fanins_[k] = to;
-        ++replaced;
-      }
-    }
-    return replaced != 0;
-  };
-  for (std::size_t t = 0; t < design.genes.size(); ++t) {
-    const AppliedGene& rec = design.applied[t];
-    const lock::Gene& gene = design.genes[t];
-    switch (rec.kind) {
-      case GeneKind::kMux:
-        if (!replace(gene.g_i, gene.f_i, rec.first_node + 1) ||
-            !replace(gene.g_j, gene.f_j, rec.first_node + 2)) {
-          return false;
-        }
-        break;
-      case GeneKind::kRll:
-        if (!replace(rec.sink, rec.driver, rec.first_node + 1)) return false;
-        break;
-      case GeneKind::kAntiSat: {
-        const NodeId mix = rec.first_node + rec.node_count - 1;
-        if (rec.splice_output) {
-          // No gate is rewired; the port must hold the block's output.
-          if (rec.port >= locked.outputs().size() ||
-              locked.outputs()[rec.port].driver != mix) {
-            return false;
-          }
-        } else if (rec.sink < n0) {
-          if (!replace(rec.sink, rec.driver, mix)) return false;
-        } else if (rec.sink >= rec.first_node ||
-                   !lists(locked.node(rec.sink).fanins, mix)) {
-          // A splice into an earlier gene's key logic: the tail rows come
-          // from the design itself, but the sink must be that logic and
-          // must still read the block.
-          return false;
-        }
-        break;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < rewired_.size(); ++i) {
-    const auto& fanins = locked.node(rewired_[i]).fanins;
-    if (!std::equal(fanins.begin(), fanins.end(),
-                    rewired_fanins_.begin() + rewired_begin_[i],
-                    rewired_fanins_.begin() + rewired_begin_[i + 1])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool AttackGraph::apply_patch(const LockedDesign& design,
                               const Netlist& original) {
   const Netlist& locked = design.netlist;
   const std::size_t n0 = original.size();
   const std::size_t n = locked.size();
-  // The family key. Structural versions are unique across netlist objects,
-  // so: the design was decoded from exactly the structure this graph was
-  // built from, and its netlist is exactly what decode left. The base must
-  // also be key-free (every node present), so the design's key inputs are
-  // all in its tail.
-  if (design.original_version != base_version_ ||
-      design.decoded_version != locked.structural_version() ||
-      locked.names() != original.names() || base_present_nodes_ != n0 ||
-      n < n0) {
+  // The base must be key-free (every node present), so the design's key
+  // inputs are all in its tail; the records must describe the design.
+  if (base_present_nodes_ != n0 ||
+      !lock::replay_records(design, original, replay_)) {
     return false;
   }
-  if (!replay_records(design, original)) return false;
 
   // Tail nodes: key inputs (numbered in creation order) and key MUXes are
   // absent, everything else present. Original nodes stay present: a
@@ -421,7 +295,7 @@ bool AttackGraph::apply_patch(const LockedDesign& design,
     }
   }
   cut_wires_.clear();
-  for (const NodeId gate : rewired_) {
+  for (const NodeId gate : replay_.rewired) {
     const auto& fanins = locked.node(gate).fanins;
     for (const NodeId fanin : fanins) {
       if (fanin >= n0) tail_wires_.emplace_back(fanin, gate);

@@ -40,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "locking/gene.hpp"
 #include "netlist/netlist.hpp"
 
 namespace autolock::lock {
@@ -158,11 +159,6 @@ class AttackGraph {
   /// partly written (patch() rolls back).
   bool apply_patch(const lock::LockedDesign& design,
                    const netlist::Netlist& original);
-  /// Replays the design's rewiring records on the original fanin lists of
-  /// the rewired original gates and checks the outcome against the
-  /// design's netlist; fills rewired_ and rewired_fanins_.
-  bool replay_records(const lock::LockedDesign& design,
-                      const netlist::Netlist& original);
   /// Clears the per-bit problem slots for `key_bit_count` bits.
   void begin_problems(int key_bit_count);
   /// Emits the non-empty per-bit slots into problems_, in bit order.
@@ -202,8 +198,8 @@ class AttackGraph {
   std::vector<std::uint32_t> mux_sink_offsets_;
   std::vector<netlist::NodeId> mux_sink_edges_;
   // Patch-time state, retained for reuse: the base rows a patch replaced
-  // (node, begin, size); the rewired original gates (ascending) with their
-  // replayed fanin lists (flat runs); the wires that enter or leave the
+  // (node, begin, size); the replay of the design's records (the rewired
+  // original gates, ascending); the wires that enter or leave the
   // tail; the original wires the rewiring cut; the row entries those cut
   // and the tail's present wires add (both ways round); per tail node,
   // present or not and its key bit (-1 unless a key input); and the
@@ -215,9 +211,7 @@ class AttackGraph {
     std::uint32_t size;
   };
   std::vector<SavedRow> saved_rows_;
-  std::vector<netlist::NodeId> rewired_;
-  std::vector<std::uint32_t> rewired_begin_;
-  std::vector<netlist::NodeId> rewired_fanins_;
+  lock::RecordReplay replay_;
   std::vector<Wire> tail_wires_;
   std::vector<Wire> cut_wires_;
   std::vector<Wire> cut_entries_;

@@ -12,4 +12,14 @@ const AttackGraph& AttackScratch::view(const lock::LockedDesign& design) {
   return graph;
 }
 
+netlist::KeyConeAreas& AttackScratch::scope_view(
+    const lock::LockedDesign& design) {
+  if (family != nullptr && lock::replay_records(design, *family, replay)) {
+    scope_areas.reset(design.netlist, *family, replay.rewired);
+  } else {
+    scope_areas.reset(design.netlist);
+  }
+  return scope_areas;
+}
+
 }  // namespace autolock::attack

@@ -4,7 +4,8 @@
 // evaluation loop: the CSR AttackGraph (the view of the design family's
 // original, patched per design), the epoch-stamped BFS marks used by
 // hard-negative sampling and subgraph extraction, the key-cone area oracle
-// behind SCOPE, and assorted reusable vectors. Every
+// behind SCOPE (the family's baseline, patched per design), and assorted
+// reusable vectors. Every
 // attack resets the pieces it uses, so a scratch can be handed from design
 // to design (and attack to attack) freely — results are bit-identical to a
 // fresh scratch. The one-shot attack(locked) overloads run on exactly that:
@@ -32,6 +33,13 @@ struct AttackScratch {
   /// is a full build. The view is identical either way.
   const AttackGraph& view(const lock::LockedDesign& design);
 
+  /// Points `scope_areas` at `design` and returns it. When the design was
+  /// decoded from `family` as it stands now and its records check out, the
+  /// areas patch their baseline of `family` (built here on the first such
+  /// design); otherwise they rewrite the design in full. The areas are
+  /// identical either way.
+  netlist::KeyConeAreas& scope_view(const lock::LockedDesign& design);
+
   /// The original the designs attacked through this scratch are decoded
   /// from, or null (EvalWorkspace::reserve binds it). It must outlive the
   /// scratch's use.
@@ -50,9 +58,11 @@ struct AttackScratch {
   /// sample — but each slot's adjacency/feature buffers are retained, so a
   /// warm scratch assembles a training set without allocating.
   std::vector<Subgraph> train_samples;
-  /// SCOPE's area oracle: baseline rewrite, fanout index, edit overlay and
-  /// rollback journal.
+  /// SCOPE's area oracle: the baseline rewrite (of `family`, patched per
+  /// design, or of the design), fanout index, edits and rollback journals.
   netlist::KeyConeAreas scope_areas;
+  /// The replay of the design's decode records behind scope_view.
+  lock::RecordReplay replay;
   /// GNN forward/backward buffers (MuxLink training and inference).
   GnnScratch gnn;
   // BFS / sampling buffers.

@@ -14,18 +14,9 @@ int decide_from_areas(std::size_t area0, std::size_t area1) {
   return -1;
 }
 
-}  // namespace
-
-ScopeResult ScopeAttack::attack(const netlist::Netlist& locked) const {
-  AttackScratch scratch;
-  return attack(locked, scratch);
-}
-
-ScopeResult ScopeAttack::attack(const netlist::Netlist& locked,
-                                AttackScratch& scratch) const {
+/// Both hypotheses of every key bit, on areas already reset to the design.
+ScopeResult decide(netlist::KeyConeAreas& areas) {
   ScopeResult result;
-  netlist::KeyConeAreas& areas = scratch.scope_areas;
-  areas.reset(locked);
   const std::size_t key_bits = areas.key_bits();
   result.predicted_bits.reserve(key_bits);
   result.areas.reserve(key_bits);
@@ -36,6 +27,24 @@ ScopeResult ScopeAttack::attack(const netlist::Netlist& locked,
     result.areas.emplace_back(area0, area1);
   }
   return result;
+}
+
+}  // namespace
+
+ScopeResult ScopeAttack::attack(const netlist::Netlist& locked) const {
+  AttackScratch scratch;
+  return attack(locked, scratch);
+}
+
+ScopeResult ScopeAttack::attack(const netlist::Netlist& locked,
+                                AttackScratch& scratch) const {
+  scratch.scope_areas.reset(locked);
+  return decide(scratch.scope_areas);
+}
+
+ScopeResult ScopeAttack::attack(const lock::LockedDesign& design,
+                                AttackScratch& scratch) const {
+  return decide(scratch.scope_view(design));
 }
 
 }  // namespace autolock::attack

@@ -8,7 +8,9 @@
 // bit b only changes part of b's fanout cone and the logic that dies behind
 // it, so each hypothesis edits just that part of the baseline and adjusts
 // its area by reference counting (netlist::KeyConeAreas), with results
-// identical to a full optimize_with_key_bit pass.
+// identical to a full optimize_with_key_bit pass. A design decoded from a
+// workspace's original does not even pay the one rewrite: the original's
+// is patched from the design's decode records.
 //
 // Expected behaviour (and the point of including it): this attack strips
 // classic XOR/XNOR RLL almost completely, but is *blind* against MUX-pair
@@ -22,6 +24,10 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
+
+namespace autolock::lock {
+struct LockedDesign;
+}
 
 namespace autolock::attack {
 
@@ -49,6 +55,13 @@ class ScopeAttack {
   /// netlist::optimize_with_key_bit for the same (bit, value), the
   /// reference the tests pin it against.
   ScopeResult attack(const netlist::Netlist& locked,
+                     AttackScratch& scratch) const;
+
+  /// The same attack on a decoded design: when it was decoded from the
+  /// scratch's family, the areas patch the family's baseline from the
+  /// design's records instead of rewriting the design
+  /// (AttackScratch::scope_view). The result is identical.
+  ScopeResult attack(const lock::LockedDesign& design,
                      AttackScratch& scratch) const;
 };
 

@@ -159,7 +159,7 @@ class ScopeAdapter : public Attack {
                         EvalWorkspace& workspace) const override {
     util::Timer timer;
     AttackReport report = scope_report(
-        attack::ScopeAttack().attack(design.netlist, workspace.attack),
+        attack::ScopeAttack().attack(design, workspace.attack),
         design.key);
     report.seconds = timer.elapsed_seconds();
     return report;

@@ -1,5 +1,6 @@
 #include "locking/compound.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,10 @@ using netlist::Netlist;
 using netlist::NodeId;
 
 namespace {
+
+bool lists(const std::vector<NodeId>& fanins, NodeId node) {
+  return std::find(fanins.begin(), fanins.end(), node) != fanins.end();
+}
 
 /// The interned {keyinput<t>, keymux<t>a, keymux<t>b, keyxor<t>} symbols
 /// for key bit `t`, from the scratch cache; interns only the first time a
@@ -528,6 +533,132 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   scratch.last_design_version = out.netlist.structural_version();
   out.original_version = original.structural_version();
   out.decoded_version = out.netlist.structural_version();
+}
+
+bool replay_records(const LockedDesign& design, const Netlist& original,
+                    RecordReplay& replay) {
+  const Netlist& locked = design.netlist;
+  const std::size_t n0 = original.size();
+  // Structural versions are unique across netlist objects, so: the design
+  // was decoded from exactly this structure, and its netlist is exactly
+  // what decode left.
+  if (design.original_version != original.structural_version() ||
+      design.decoded_version != locked.structural_version() ||
+      locked.names() != original.names() || locked.size() < n0 ||
+      design.applied.size() != design.genes.size()) {
+    return false;
+  }
+
+  // Each gene owns the consecutive tail ids its kind fixes, from the end of
+  // the original to the end of the design; collect the original gates its
+  // record says it rewired.
+  replay.rewired.clear();
+  std::size_t next = n0;
+  for (std::size_t t = 0; t < design.genes.size(); ++t) {
+    const AppliedGene& rec = design.applied[t];
+    const Gene& gene = design.genes[t];
+    if (rec.kind != gene.kind || rec.first_node != next) return false;
+    std::size_t count = 0;
+    switch (rec.kind) {
+      case GeneKind::kMux:
+        count = 3;
+        if (gene.f_i >= n0 || gene.f_j >= n0 || gene.g_i >= n0 ||
+            gene.g_j >= n0) {
+          return false;
+        }
+        replay.rewired.push_back(gene.g_i);
+        replay.rewired.push_back(gene.g_j);
+        break;
+      case GeneKind::kRll:
+        count = 2;
+        if (rec.driver >= n0 || rec.sink >= n0) return false;
+        replay.rewired.push_back(rec.sink);
+        break;
+      case GeneKind::kAntiSat:
+        count = 4 * static_cast<std::size_t>(gene.width) + 4;
+        if (rec.width != gene.width ||
+            rec.splice_output != gene.splice_output) {
+          return false;
+        }
+        if (!rec.splice_output && rec.sink < n0) replay.rewired.push_back(rec.sink);
+        break;
+    }
+    if (rec.node_count != count) return false;
+    next += count;
+  }
+  if (next != locked.size()) return false;
+  std::sort(replay.rewired.begin(), replay.rewired.end());
+  replay.rewired.erase(std::unique(replay.rewired.begin(), replay.rewired.end()),
+                 replay.rewired.end());
+
+  // Replay every splice, in gene order, on the rewired gates' original
+  // fanin lists. Each must replace at least one fanin, and the replayed
+  // lists must come out exactly as the design's: then the records name
+  // every original gate decode rewired, and nothing else changed there.
+  replay.begin.clear();
+  replay.fanins.clear();
+  for (const NodeId gate : replay.rewired) {
+    replay.begin.push_back(static_cast<std::uint32_t>(replay.fanins.size()));
+    const auto& fanins = original.node(gate).fanins;
+    replay.fanins.insert(replay.fanins.end(), fanins.begin(), fanins.end());
+  }
+  replay.begin.push_back(static_cast<std::uint32_t>(replay.fanins.size()));
+  const auto replace = [&](NodeId gate, NodeId from, NodeId to) {
+    const std::size_t i =
+        std::lower_bound(replay.rewired.begin(), replay.rewired.end(), gate) -
+        replay.rewired.begin();
+    std::size_t replaced = 0;
+    for (std::uint32_t k = replay.begin[i]; k < replay.begin[i + 1]; ++k) {
+      if (replay.fanins[k] == from) {
+        replay.fanins[k] = to;
+        ++replaced;
+      }
+    }
+    return replaced != 0;
+  };
+  for (std::size_t t = 0; t < design.genes.size(); ++t) {
+    const AppliedGene& rec = design.applied[t];
+    const Gene& gene = design.genes[t];
+    switch (rec.kind) {
+      case GeneKind::kMux:
+        if (!replace(gene.g_i, gene.f_i, rec.first_node + 1) ||
+            !replace(gene.g_j, gene.f_j, rec.first_node + 2)) {
+          return false;
+        }
+        break;
+      case GeneKind::kRll:
+        if (!replace(rec.sink, rec.driver, rec.first_node + 1)) return false;
+        break;
+      case GeneKind::kAntiSat: {
+        const NodeId mix = rec.first_node + rec.node_count - 1;
+        if (rec.splice_output) {
+          // No gate is rewired; the port must hold the block's output.
+          if (rec.port >= locked.outputs().size() ||
+              locked.outputs()[rec.port].driver != mix) {
+            return false;
+          }
+        } else if (rec.sink < n0) {
+          if (!replace(rec.sink, rec.driver, mix)) return false;
+        } else if (rec.sink >= rec.first_node ||
+                   !lists(locked.node(rec.sink).fanins, mix)) {
+          // A splice into an earlier gene's key logic: the tail rows come
+          // from the design itself, but the sink must be that logic and
+          // must still read the block.
+          return false;
+        }
+        break;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < replay.rewired.size(); ++i) {
+    const auto& fanins = locked.node(replay.rewired[i]).fanins;
+    if (!std::equal(fanins.begin(), fanins.end(),
+                    replay.fanins.begin() + replay.begin[i],
+                    replay.fanins.begin() + replay.begin[i + 1])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void warm_decode_names(const Netlist& original, std::size_t key_bits,

@@ -128,6 +128,17 @@ struct AppliedGene {
   friend bool operator==(const AppliedGene&, const AppliedGene&) = default;
 };
 
+/// Storage of lock::replay_records (locking/mux_lock.hpp), retained for
+/// reuse by the attackers that patch their views per design.
+struct RecordReplay {
+  /// The original gates the records say decode rewired, ascending.
+  std::vector<netlist::NodeId> rewired;
+  /// Their fanin lists as the records replay them: gate rewired[i]'s at
+  /// [begin[i], begin[i + 1]) of `fanins`.
+  std::vector<std::uint32_t> begin;
+  std::vector<netlist::NodeId> fanins;
+};
+
 /// Shape of a randomly drawn genotype: how many genes of each scheme
 /// random_genotype(context, spec, rng) emits (MUX sites first, then RLL
 /// gates, then one anti-SAT block — the decode key layout follows gene

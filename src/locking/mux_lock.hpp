@@ -90,6 +90,18 @@ void apply_genotype_into(LockedDesign& out, const netlist::Netlist& original,
                          const SiteContext& context, const Genotype& genes,
                          util::Rng& repair_rng, ReachScratch& scratch);
 
+/// True when `design` was decoded from `original` as it stands now, its
+/// netlist is as decode left it (both structural versions match), and its
+/// records (genes, applied) describe every difference between the two
+/// netlists: each gene owns the consecutive tail ids its kind fixes, from
+/// original.size() to the end of the design, and replaying every splice,
+/// in gene order, on the original fanin lists of the gates the records
+/// name gives exactly the design's lists. Fills `replay.rewired` with those
+/// gates. The attackers patch their views of the original from this
+/// (attack::AttackGraph::patch, netlist::KeyConeAreas::reset).
+bool replay_records(const LockedDesign& design,
+                    const netlist::Netlist& original, RecordReplay& replay);
+
 /// Pre-interns the decode-generated names ({keyinput<t>, keymux<t>a/b,
 /// keyxor<t>} for t in [0, key_bits)) into `original`'s name table and
 /// fills `scratch`'s cache, so even the very first apply_genotype_into

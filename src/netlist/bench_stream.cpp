@@ -538,44 +538,84 @@ void stream_write(const Netlist& netlist, std::ostream& out) {
       renamed.emplace(holder, std::move(fresh));
     }
   }
-  // Every printed name, fetched under one shared lock of the name table:
-  // node i's text at [i], then the output ports', then the aliases'.
-  const std::size_t nodes = netlist.size();
+  // Printed names are fetched one block of lines at a time, under one
+  // shared lock of the name table per block, so the write holds O(block)
+  // texts rather than one per node. A line's names are collected, then
+  // printed in the same order.
+  constexpr std::size_t kBlockNames = std::size_t{1} << 14;
   std::vector<NameId> ids;
-  ids.reserve(nodes + netlist.outputs().size() + aliases.size());
-  for (NodeId id = 0; id < nodes; ++id) ids.push_back(netlist.name_id(id));
-  for (const auto& port : netlist.outputs()) ids.push_back(port.name);
-  for (const auto& alias : aliases) ids.push_back(alias.first);
   std::vector<std::string_view> text;
-  netlist.names()->text_batch(ids, text);
-  for (const auto& [holder, fresh] : renamed) text[holder] = fresh;
-  const std::string_view* port_text = text.data() + nodes;
-  const std::string_view* alias_text = port_text + netlist.outputs().size();
+  const auto write_lines = [&](std::size_t count, auto collect, auto print) {
+    std::size_t next = 0;
+    while (next < count) {
+      const std::size_t first = next;
+      ids.clear();
+      while (next < count && ids.size() < kBlockNames) collect(next++);
+      netlist.names()->text_batch(ids, text);
+      const std::string_view* fetched = text.data();
+      for (std::size_t line = first; line < next; ++line) print(line, fetched);
+    }
+  };
+  const auto node_text = [&](NodeId id, std::string_view fetched) {
+    if (!renamed.empty()) {
+      if (const auto it = renamed.find(id); it != renamed.end()) {
+        return std::string_view(it->second);
+      }
+    }
+    return fetched;
+  };
 
-  for (const NodeId id : netlist.inputs()) {
-    out << "INPUT(" << text[id] << ")\n";
-  }
-  for (std::size_t j = 0; j < netlist.outputs().size(); ++j) {
-    out << "OUTPUT(" << port_text[j] << ")\n";
-  }
-  for (const NodeId id : netlist.topological_order()) {
-    const Node& node = netlist.node(id);
-    if (node.type == GateType::kInput) continue;
-    out << text[id] << " = ";
-    if (node.type == GateType::kConst0 || node.type == GateType::kConst1) {
-      out << gate_type_name(node.type) << "\n";
-      continue;
-    }
-    out << gate_type_name(node.type) << "(";
-    for (std::size_t i = 0; i < node.fanins.size(); ++i) {
-      if (i) out << ", ";
-      out << text[node.fanins[i]];
-    }
-    out << ")\n";
-  }
-  for (std::size_t j = 0; j < aliases.size(); ++j) {
-    out << alias_text[j] << " = BUF(" << text[aliases[j].second] << ")\n";
-  }
+  const auto& inputs = netlist.inputs();
+  write_lines(
+      inputs.size(),
+      [&](std::size_t i) { ids.push_back(netlist.name_id(inputs[i])); },
+      [&](std::size_t i, const std::string_view*& fetched) {
+        out << "INPUT(" << node_text(inputs[i], *fetched++) << ")\n";
+      });
+  const auto& outputs = netlist.outputs();
+  write_lines(
+      outputs.size(), [&](std::size_t j) { ids.push_back(outputs[j].name); },
+      [&](std::size_t, const std::string_view*& fetched) {
+        out << "OUTPUT(" << *fetched++ << ")\n";
+      });
+  const auto& order = netlist.topological_order();
+  write_lines(
+      order.size(),
+      [&](std::size_t i) {
+        const Node& node = netlist.node(order[i]);
+        if (node.type == GateType::kInput) return;
+        ids.push_back(netlist.name_id(order[i]));
+        for (const NodeId fanin : node.fanins) {
+          ids.push_back(netlist.name_id(fanin));
+        }
+      },
+      [&](std::size_t i, const std::string_view*& fetched) {
+        const NodeId id = order[i];
+        const Node& node = netlist.node(id);
+        if (node.type == GateType::kInput) return;
+        out << node_text(id, *fetched++) << " = ";
+        if (node.type == GateType::kConst0 || node.type == GateType::kConst1) {
+          out << gate_type_name(node.type) << "\n";
+          return;
+        }
+        out << gate_type_name(node.type) << "(";
+        for (std::size_t k = 0; k < node.fanins.size(); ++k) {
+          if (k) out << ", ";
+          out << node_text(node.fanins[k], *fetched++);
+        }
+        out << ")\n";
+      });
+  write_lines(
+      aliases.size(),
+      [&](std::size_t j) {
+        ids.push_back(aliases[j].first);
+        ids.push_back(netlist.name_id(aliases[j].second));
+      },
+      [&](std::size_t j, const std::string_view*& fetched) {
+        out << *fetched << " = BUF(";
+        out << node_text(aliases[j].second, fetched[1]) << ")\n";
+        fetched += 2;
+      });
 }
 
 void stream_save_file(const Netlist& netlist, const std::string& path) {

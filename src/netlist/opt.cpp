@@ -15,7 +15,8 @@ namespace {
 // NetlistBuilder produces a real Netlist (names, name index, validation)
 // for `optimize` / `optimize_with_key_bit`, AreaGraphBuilder appends to the
 // plain type/fanin arrays behind KeyConeAreas' baseline, and
-// KeyConeAreas::EditBuilder edits that baseline per hypothesis. All assign
+// KeyConeAreas::EditBuilder edits that baseline per design and per
+// hypothesis. All assign
 // ids in insertion order, so the instantiations build structurally
 // identical graphs — the SCOPE differentials in test_workspace.cpp pin
 // this.
@@ -71,8 +72,9 @@ class NetlistBuilder {
 
 /// Appends to the flat output graph in OptScratch. Construction does not
 /// clear it: KeyConeAreas first builds the baseline into an empty graph,
-/// then appends each hypothesis' fresh nodes behind it. Output ports land
-/// in `drivers` (null when the caller materializes them itself).
+/// then appends each design's and each hypothesis' fresh nodes behind it.
+/// Output ports land in `drivers` (null when the caller materializes them
+/// itself).
 class AreaGraphBuilder {
  public:
   AreaGraphBuilder(OptScratch& scratch, std::vector<NodeId>* drivers)
@@ -87,6 +89,7 @@ class AreaGraphBuilder {
   }
   void mark_output(NodeId driver, NameId) { drivers_->push_back(driver); }
   std::size_t size() const noexcept { return s_->out_types.size(); }
+  /// Reads the node's current row, so an in-place edit is seen.
   NodeId not_input(NodeId id) const {
     return static_cast<GateType>(s_->out_types[id]) == GateType::kNot
                ? s_->out_fanins[s_->out_fanin_begin[id]]
@@ -97,9 +100,10 @@ class AreaGraphBuilder {
   NodeId add_node(GateType type, const NodeId* fanins, std::size_t n) {
     const auto id = static_cast<NodeId>(s_->out_types.size());
     s_->out_types.push_back(static_cast<std::uint8_t>(type));
-    s_->out_fanins.insert(s_->out_fanins.end(), fanins, fanins + n);
     s_->out_fanin_begin.push_back(
         static_cast<std::uint32_t>(s_->out_fanins.size()));
+    s_->out_fanin_count.push_back(static_cast<std::uint32_t>(n));
+    s_->out_fanins.insert(s_->out_fanins.end(), fanins, fanins + n);
     return id;
   }
 
@@ -349,8 +353,16 @@ Netlist optimize_impl(const Netlist& input, OptStats* stats,
 }
 
 /// High bit of a KeyConeAreas reference count: the baseline count is
-/// already in the hypothesis' journal.
+/// already in the walk's journal.
 constexpr std::uint32_t kJournaled = 1U << 31;
+
+/// Value of an appended node the design's walk has not reached yet: the
+/// constant flag with node bits set, which no rewrite returns.
+constexpr PackedValue kUnset = ~PackedValue{0};
+
+bool lists(const std::vector<NodeId>& fanins, NodeId node) {
+  return std::find(fanins.begin(), fanins.end(), node) != fanins.end();
+}
 
 }  // namespace
 
@@ -369,11 +381,11 @@ Netlist optimize_with_key_bit(const Netlist& input, std::size_t bit,
 
 // ---- KeyConeAreas -----------------------------------------------------------
 
-/// Output-graph builder of one hypothesis. A gate that the input node being
+/// Output-graph builder of one walk. A gate that the input node being
 /// re-rewritten emitted in the baseline (the target), re-emitted with the
-/// same type, is edited in place: its new fanins go to the overlay and its
-/// id stays. Any other gate, and any constant, is appended behind the
-/// baseline.
+/// same type, is edited in place: its new fanins go to a row appended behind
+/// the graph and its id stays. Any other gate, and any constant, is
+/// appended behind the baseline.
 class KeyConeAreas::EditBuilder {
  public:
   explicit EditBuilder(KeyConeAreas& areas)
@@ -382,35 +394,32 @@ class KeyConeAreas::EditBuilder {
   /// The baseline node the next add_gate may edit; kNoNode for none.
   void set_target(NodeId node) noexcept { target_ = node; }
 
+  NodeId add_input(const Node& node) { return append_.add_input(node); }
   NodeId add_const(bool b) { return append_.add_const(b); }
 
   NodeId add_gate(GateType type, const NodeId* fanins, std::size_t n) {
-    KeyConeAreas& a = *areas_;
     if (target_ == kNoNode || type_of(target_) != type) {
       return append_.add_gate(type, fanins, n);
     }
-    const auto base = a.base_fanins(target_);
-    if (!std::equal(base.begin(), base.end(), fanins, fanins + n)) {
-      assert(a.edits_.empty() || a.edits_.back().node < target_);
-      a.edited_[target_] = true;
-      const auto begin = static_cast<std::uint32_t>(a.edit_fanins_.size());
-      a.edit_fanins_.insert(a.edit_fanins_.end(), fanins, fanins + n);
-      a.edits_.push_back(
-          {target_, begin, static_cast<std::uint32_t>(a.edit_fanins_.size()),
-           /*applied=*/false, /*was_live=*/false});
+    KeyConeAreas& a = *areas_;
+    OptScratch& s = a.rewrite_;
+    const auto row = a.fanins(target_);
+    if (!std::equal(row.begin(), row.end(), fanins, fanins + n)) {
+      const Row base{s.out_fanin_begin[target_], s.out_fanin_count[target_]};
+      a.edits_.push_back({target_, base, {}, /*was_live=*/false});
+      s.out_fanin_begin[target_] =
+          static_cast<std::uint32_t>(s.out_fanins.size());
+      s.out_fanin_count[target_] = static_cast<std::uint32_t>(n);
+      s.out_fanins.insert(s.out_fanins.end(), fanins, fanins + n);
     }
     return target_;
   }
 
-  /// NOT(NOT) record, read through the overlay.
-  NodeId not_input(NodeId id) const {
-    if (type_of(id) != GateType::kNot) return kNoNode;
-    const KeyConeAreas& a = *areas_;
-    return a.is_edited(id) ? a.edit_fanins(a.edit_of(id))[0]
-                           : a.base_fanins(id)[0];
-  }
+  std::size_t size() const noexcept { return append_.size(); }
+  /// NOT(NOT) record, read through the edits.
+  NodeId not_input(NodeId id) const { return append_.not_input(id); }
 
-  /// True when `id` is a NOT whose fanin this hypothesis edited.
+  /// True when `id` is a NOT whose fanin this walk edited.
   bool edited_not(NodeId id) const {
     return type_of(id) == GateType::kNot && areas_->is_edited(id);
   }
@@ -425,43 +434,235 @@ class KeyConeAreas::EditBuilder {
   NodeId target_ = kNoNode;
 };
 
+/// One event-driven re-rewrite over the baseline: seeds mark input nodes
+/// dirty or queue them, run() re-rewrites the queued nodes in topological
+/// order, and settle() counts the area the result has.
+class KeyConeAreas::Walk {
+ public:
+  explicit Walk(KeyConeAreas& areas)
+      : a_(&areas),
+        builder_(areas),
+        rewriter_(*areas.input_, areas.rewrite_, builder_, areas.base_.const0,
+                  areas.base_.const1) {}
+
+  /// Gives input node `v` the value `now` and queues its fanouts.
+  void mark_dirty(NodeId v, PackedValue now, bool own) {
+    KeyConeAreas& a = *a_;
+    a.changed_.push_back({v, a.rewrite_.values[v], (a.flags_[v] & kOwn) != 0});
+    set(v, now, own);
+    for (const NodeId user : a.fanouts(v)) queue(user);
+  }
+
+  /// Nodes from `first` on take their values quietly: no fanout queued,
+  /// nothing to roll back. The design's walk sets this for its appended
+  /// nodes, whose readers are all seeds of their own.
+  void set_quiet_from(NodeId first) noexcept { quiet_ = first; }
+
+  void queue(NodeId v) {
+    KeyConeAreas& a = *a_;
+    if ((a.flags_[v] & kQueued) != 0) return;
+    a.flags_[v] |= kQueued;
+    a.heap_.push_back(a.position_[v]);
+    std::push_heap(a.heap_.begin(), a.heap_.end(), std::greater<>());
+  }
+
+  /// Emits a fresh input node for appended input node `v`.
+  void add_input(NodeId v) {
+    set(v, pack_node(builder_.add_input(a_->input_->node(v))), /*own=*/false);
+  }
+
+  /// Re-rewrites the queued nodes: a node pops after all of its fanins.
+  void run() {
+    KeyConeAreas& a = *a_;
+    const auto& order = a.input_->topological_order();
+    while (!a.heap_.empty()) {
+      std::pop_heap(a.heap_.begin(), a.heap_.end(), std::greater<>());
+      const NodeId v = order[a.heap_.back()];
+      a.heap_.pop_back();
+      a.flags_[v] &= ~kQueued;
+      const PackedValue was = a.rewrite_.values[v];
+      const NodeId target = (a.flags_[v] & kOwn) != 0 ? node_of(was) : kNoNode;
+      builder_.set_target(target);
+      const std::size_t first_new = builder_.size();
+      const PackedValue now = rewriter_.rewrite(v);
+      const bool own = !is_const(now) &&
+                       (node_of(now) == target || node_of(now) >= first_new);
+      if (v >= quiet_) {
+        set(v, now, own);
+      } else if (now != was ||
+                 (!is_const(now) && builder_.edited_not(node_of(now)))) {
+        mark_dirty(v, now, own);
+      }
+    }
+  }
+
+  /// The area after the walk: the baseline's plus the delta along the
+  /// changed edges. Fills new_drivers_ with the ports whose driver changed,
+  /// from the dirty drivers and `moved` (ports the walk's input moved).
+  std::size_t settle(std::span<const std::uint32_t> moved) {
+    KeyConeAreas& a = *a_;
+    OptScratch& s = a.rewrite_;
+    // Ports driven by dirty nodes, materialized in ascending port order.
+    auto& drivers = a.new_drivers_;
+    drivers.clear();
+    for (const Changed& changed : a.changed_) {
+      const NodeId v = changed.node;
+      if ((a.flags_[v] & kPort) == 0) continue;
+      for (auto it = std::lower_bound(a.driver_ports_.begin(),
+                                      a.driver_ports_.end(),
+                                      std::pair{v, std::uint32_t{0}});
+           it != a.driver_ports_.end() && it->first == v; ++it) {
+        drivers.emplace_back(it->second, v);
+      }
+    }
+    for (const std::uint32_t port : moved) {
+      drivers.emplace_back(port, a.input_->outputs()[port].driver);
+    }
+    std::sort(drivers.begin(), drivers.end());
+    drivers.erase(std::unique(drivers.begin(), drivers.end()), drivers.end());
+    std::size_t kept = 0;
+    for (const auto& [port, v] : drivers) {
+      const NodeId driver = rewriter_.materialize(s.values[v]);
+      if (driver != a.drivers_[port]) drivers[kept++] = {port, driver};
+    }
+    drivers.resize(kept);
+
+    // References first, then releases. Every edit starts unapplied: its
+    // node reads the old row until the edit is reached.
+    a.refs_.resize(s.out_types.size(), 0);
+    for (Edit& edit : a.edits_) {
+      edit.edit = {s.out_fanin_begin[edit.node], s.out_fanin_count[edit.node]};
+      set_row(edit.node, edit.base);
+    }
+    std::size_t area = a.base_.area;
+    for (const auto& [port, driver] : drivers) area += a.ref(driver);
+    for (Edit& edit : a.edits_) {
+      edit.was_live = (a.refs_[edit.node] & ~kJournaled) != 0;
+      if (edit.was_live) {
+        for (const NodeId fanin : row(edit.edit)) area += a.ref(fanin);
+      }
+      set_row(edit.node, edit.edit);
+    }
+    for (const Edit& edit : a.edits_) {
+      if (!edit.was_live) continue;
+      for (const NodeId fanin : row(edit.base)) area -= a.deref(fanin);
+    }
+    for (const auto& [port, driver] : drivers) {
+      area -= a.deref(a.drivers_[port]);
+    }
+    return area;
+  }
+
+  NodeId const0() const noexcept { return rewriter_.const0(); }
+  NodeId const1() const noexcept { return rewriter_.const1(); }
+
+ private:
+  std::span<const NodeId> row(Row r) const {
+    return {a_->rewrite_.out_fanins.data() + r.begin, r.count};
+  }
+  void set_row(NodeId v, Row r) {
+    a_->rewrite_.out_fanin_begin[v] = r.begin;
+    a_->rewrite_.out_fanin_count[v] = r.count;
+  }
+  void set(NodeId v, PackedValue now, bool own) {
+    a_->rewrite_.values[v] = now;
+    a_->flags_[v] = static_cast<std::uint8_t>((a_->flags_[v] & ~kOwn) |
+                                              (own ? kOwn : 0));
+  }
+
+  KeyConeAreas* a_;
+  EditBuilder builder_;
+  RewriterT<EditBuilder> rewriter_;
+  NodeId quiet_ = kNoNode;
+};
+
 void KeyConeAreas::reset(const Netlist& input) {
+  build(input);
+  family_ = nullptr;
+}
+
+void KeyConeAreas::reset(const Netlist& design, const Netlist& original,
+                         std::span<const NodeId> rewired) {
+  if (design.size() < original.size() ||
+      design.outputs().size() != original.outputs().size()) {
+    reset(design);
+    return;
+  }
+  if (family_ == &original &&
+      family_version_ == original.structural_version()) {
+    roll_back_design();
+  } else {
+    build(original);
+    family_ = &original;
+    family_version_ = original.structural_version();
+    family_level_ = base_;
+  }
+  patch(design, rewired);
+}
+
+void KeyConeAreas::build(const Netlist& input) {
   input_ = &input;
   keys_ = input.key_inputs();
+  patched_ = false;
+  design_edits_.clear();
+  design_journal_.clear();
+  design_changed_.clear();
+  design_drivers_.clear();
+  moved_ports_.clear();
+  row_patches_.clear();
 
+  // The graph has at most a node per input node plus two constants, and at
+  // most the input's fanins. Reserving that, with room for what designs
+  // and hypotheses append, keeps growth from copying the arrays at their
+  // largest.
+  const std::size_t n = input.size();
+  std::size_t edges = 0;
+  for (NodeId v = 0; v < n; ++v) edges += input.node(v).fanins.size();
+  const std::size_t nodes_room = n + n / 32 + 1024;
   OptScratch& s = rewrite_;
+  s.values.reserve(nodes_room);
   s.out_types.clear();
+  s.out_types.reserve(nodes_room);
+  s.out_fanin_begin.clear();
+  s.out_fanin_begin.reserve(nodes_room);
+  s.out_fanin_count.clear();
+  s.out_fanin_count.reserve(nodes_room);
   s.out_fanins.clear();
-  s.out_fanin_begin.assign(1, 0);
+  s.out_fanins.reserve(edges + edges / 32 + 4096);
+  flags_.reserve(nodes_room);
+  refs_.reserve(nodes_room);
+  position_.reserve(nodes_room);
   drivers_.clear();
   AreaGraphBuilder builder(s, &drivers_);
   RewriterT<AreaGraphBuilder> rewriter(input, s, builder);
   rewriter.run(kNoNode, false, nullptr, &flags_);
-  const0_ = rewriter.const0();
-  const1_ = rewriter.const1();
-  base_nodes_ = s.out_types.size();
-  base_fanins_ = s.out_fanins.size();
-  edited_.assign(base_nodes_, false);
+  base_.nodes = s.out_types.size();
+  base_.fanins = s.out_fanins.size();
+  base_.const0 = rewriter.const0();
+  base_.const1 = rewriter.const1();
 
   // Reference counts = output ports + fanin edges of live nodes. The graph
   // is emitted fanins first, so a reverse sweep reaches every node after
   // all of its users.
-  refs_.assign(base_nodes_, 0);
+  refs_.assign(base_.nodes, 0);
   for (const NodeId driver : drivers_) ++refs_[driver];
-  base_area_ = 0;
-  for (std::size_t v = base_nodes_; v-- > 0;) {
+  base_.area = 0;
+  for (std::size_t v = base_.nodes; v-- > 0;) {
     if (refs_[v] == 0) continue;
-    if (!is_source(static_cast<GateType>(s.out_types[v]))) ++base_area_;
-    for (const NodeId fanin : base_fanins(static_cast<NodeId>(v))) {
-      ++refs_[fanin];
-    }
+    if (!is_source(static_cast<GateType>(s.out_types[v]))) ++base_.area;
+    for (const NodeId fanin : fanins(static_cast<NodeId>(v))) ++refs_[fanin];
   }
 
   fanouts_.build(input);
+  tail_ = static_cast<NodeId>(input.size());
   const auto& order = input.topological_order();
   position_.resize(order.size());
   for (std::uint32_t i = 0; i < order.size(); ++i) position_[order[i]] = i;
-  const auto& outputs = input.outputs();
+  index_ports(input);
+}
+
+void KeyConeAreas::index_ports(const Netlist& net) {
+  const auto& outputs = net.outputs();
   driver_ports_.clear();
   for (std::uint32_t p = 0; p < outputs.size(); ++p) {
     driver_ports_.emplace_back(outputs[p].driver, p);
@@ -470,28 +671,211 @@ void KeyConeAreas::reset(const Netlist& input) {
   std::sort(driver_ports_.begin(), driver_ports_.end());
 }
 
-std::span<const NodeId> KeyConeAreas::base_fanins(NodeId v) const {
-  const OptScratch& s = rewrite_;
-  return {s.out_fanins.data() + s.out_fanin_begin[v],
-          s.out_fanin_begin[v + 1] - s.out_fanin_begin[v]};
+void KeyConeAreas::patch(const Netlist& design,
+                         std::span<const NodeId> rewired) {
+  const Netlist& original = *family_;
+  const std::size_t n = design.size();
+  if (n >= kConstFlag / 2) {
+    throw std::length_error("netlist optimizer: design too large");
+  }
+  input_ = &design;
+  keys_ = design.key_inputs();
+  rewrite_.values.resize(n, kUnset);
+  flags_.resize(n, 0);
+  patch_fanouts(design, rewired);
+  const auto& order = design.topological_order();
+  position_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) position_[order[i]] = i;
+  for (std::uint32_t p = 0; p < design.outputs().size(); ++p) {
+    if (design.outputs()[p].driver != original.outputs()[p].driver) {
+      moved_ports_.push_back(p);
+    }
+  }
+  if (!moved_ports_.empty()) index_ports(design);
+
+  // The design's differences are the walk's seeds: every appended node,
+  // every rewired gate and every moved port. Only the rewired gates' changes
+  // spread through the original's fanouts; the appended nodes are read by
+  // appended nodes and rewired gates alone (what the records guarantee).
+  Walk walk(*this);
+  walk.set_quiet_from(tail_);
+  for (NodeId y = tail_; y < n; ++y) {
+    if (design.node(y).type == GateType::kInput) {
+      walk.add_input(y);
+    } else {
+      walk.queue(y);
+    }
+  }
+  for (const NodeId gate : rewired) walk.queue(gate);
+  walk.run();
+  const std::size_t area = walk.settle(moved_ports_);
+
+  // Keep the walk as the design's baseline, recording what it changed on
+  // the family's.
+  for (const auto& [port, driver] : new_drivers_) {
+    design_drivers_.emplace_back(port, drivers_[port]);
+    drivers_[port] = driver;
+  }
+  design_edits_.swap(edits_);
+  for (const auto& [v, count] : journal_) refs_[v] &= ~kJournaled;
+  design_journal_.swap(journal_);
+  design_changed_.swap(changed_);
+  base_ = {rewrite_.out_types.size(), rewrite_.out_fanins.size(), area,
+           walk.const0(), walk.const1()};
+  patched_ = true;
 }
 
-std::span<const NodeId> KeyConeAreas::edit_fanins(const Edit& edit) const {
-  return {edit_fanins_.data() + edit.begin, edit.end - edit.begin};
+void KeyConeAreas::patch_fanouts(const Netlist& design,
+                                 std::span<const NodeId> rewired) {
+  const Netlist& original = *family_;
+  const auto n0 = static_cast<NodeId>(original.size());
+  const auto n = static_cast<NodeId>(design.size());
+  // The wires the design adds and cuts, as (driver, sink) pairs: every
+  // fanin of an appended node, and the fanins a rewired gate gained or
+  // lost (every occurrence of a lost one goes).
+  added_.clear();
+  cut_.clear();
+  for (NodeId y = n0; y < n; ++y) {
+    for (const NodeId fanin : design.node(y).fanins) {
+      added_.emplace_back(fanin, y);
+    }
+  }
+  for (const NodeId gate : rewired) {
+    const auto& now = design.node(gate).fanins;
+    const auto& was = original.node(gate).fanins;
+    for (const NodeId fanin : now) {
+      if (!lists(was, fanin)) added_.emplace_back(fanin, gate);
+    }
+    for (const NodeId fanin : was) {
+      if (!lists(now, fanin)) cut_.emplace_back(fanin, gate);
+    }
+  }
+  std::sort(added_.begin(), added_.end());
+  std::sort(cut_.begin(), cut_.end());
+  cut_.erase(std::unique(cut_.begin(), cut_.end()), cut_.end());
+  touched_.clear();
+  for (const auto& [driver, sink] : added_) {
+    if (driver < n0) touched_.push_back(driver);
+  }
+  for (const auto& [driver, sink] : cut_) touched_.push_back(driver);
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
+
+  // A touched original row is its family row minus the cut sinks, then its
+  // added sinks; an appended node's row is its added sinks.
+  patched_fanouts_.clear();
+  auto add = added_.cbegin();
+  auto cut = cut_.cbegin();
+  for (const NodeId u : touched_) {
+    const auto begin = static_cast<std::uint32_t>(patched_fanouts_.size());
+    while (cut != cut_.cend() && cut->first < u) ++cut;
+    const auto cut_end = std::find_if(
+        cut, cut_.cend(), [u](const auto& wire) { return wire.first != u; });
+    for (const NodeId sink : fanouts_.fanouts(u)) {
+      const bool gone = std::any_of(cut, cut_end, [sink](const auto& wire) {
+        return wire.second == sink;
+      });
+      if (!gone) patched_fanouts_.push_back(sink);
+    }
+    cut = cut_end;
+    while (add != added_.cend() && add->first < u) ++add;
+    for (; add != added_.cend() && add->first == u; ++add) {
+      patched_fanouts_.push_back(add->second);
+    }
+    row_patches_.push_back(
+        {u, begin, static_cast<std::uint32_t>(patched_fanouts_.size())});
+    flags_[u] |= kRowPatched;
+  }
+  tail_ = n0;
+  tail_fanout_begin_.clear();
+  while (add != added_.cend() && add->first < n0) ++add;
+  for (NodeId y = n0; y < n; ++y) {
+    tail_fanout_begin_.push_back(
+        static_cast<std::uint32_t>(patched_fanouts_.size()));
+    for (; add != added_.cend() && add->first == y; ++add) {
+      patched_fanouts_.push_back(add->second);
+    }
+  }
+  tail_fanout_begin_.push_back(
+      static_cast<std::uint32_t>(patched_fanouts_.size()));
 }
 
-const KeyConeAreas::Edit& KeyConeAreas::edit_of(NodeId v) const {
-  return *std::lower_bound(
-      edits_.begin(), edits_.end(), v,
-      [](const Edit& edit, NodeId node) { return edit.node < node; });
+void KeyConeAreas::roll_back_design() {
+  if (!patched_) return;
+  OptScratch& s = rewrite_;
+  for (const Edit& edit : design_edits_) {
+    s.out_fanin_begin[edit.node] = edit.base.begin;
+    s.out_fanin_count[edit.node] = edit.base.count;
+  }
+  design_edits_.clear();
+  for (const auto& [v, count] : design_journal_) refs_[v] = count;
+  design_journal_.clear();
+  refs_.resize(family_level_.nodes);
+  s.out_types.resize(family_level_.nodes);
+  s.out_fanin_begin.resize(family_level_.nodes);
+  s.out_fanin_count.resize(family_level_.nodes);
+  s.out_fanins.resize(family_level_.fanins);
+  for (const Changed& changed : design_changed_) {
+    s.values[changed.node] = changed.value;
+    flags_[changed.node] = static_cast<std::uint8_t>(
+        (flags_[changed.node] & ~kOwn) | (changed.own ? kOwn : 0));
+  }
+  design_changed_.clear();
+  for (const auto& [port, driver] : design_drivers_) drivers_[port] = driver;
+  design_drivers_.clear();
+  const std::size_t n0 = family_->size();
+  s.values.resize(n0);
+  flags_.resize(n0);
+  for (const RowPatch& row : row_patches_) flags_[row.node] &= ~kRowPatched;
+  row_patches_.clear();
+  tail_ = static_cast<NodeId>(n0);
+  if (!moved_ports_.empty()) {
+    index_ports(*family_);
+    moved_ports_.clear();
+  }
+  input_ = family_;
+  base_ = family_level_;
+  patched_ = false;
+}
+
+void KeyConeAreas::roll_back_hypothesis() {
+  OptScratch& s = rewrite_;
+  for (const auto& [v, count] : journal_) refs_[v] = count;
+  journal_.clear();
+  refs_.resize(base_.nodes);
+  for (const Edit& edit : edits_) {
+    s.out_fanin_begin[edit.node] = edit.base.begin;
+    s.out_fanin_count[edit.node] = edit.base.count;
+  }
+  edits_.clear();
+  s.out_types.resize(base_.nodes);
+  s.out_fanin_begin.resize(base_.nodes);
+  s.out_fanin_count.resize(base_.nodes);
+  s.out_fanins.resize(base_.fanins);
+  for (const Changed& changed : changed_) {
+    s.values[changed.node] = changed.value;
+    flags_[changed.node] = static_cast<std::uint8_t>(
+        (flags_[changed.node] & ~kOwn) | (changed.own ? kOwn : 0));
+  }
+  changed_.clear();
+}
+
+std::span<const NodeId> KeyConeAreas::fanouts(NodeId v) const {
+  if (v >= tail_) {
+    const std::uint32_t begin = tail_fanout_begin_[v - tail_];
+    return {patched_fanouts_.data() + begin,
+            tail_fanout_begin_[v - tail_ + 1] - begin};
+  }
+  if ((flags_[v] & kRowPatched) == 0) return fanouts_.fanouts(v);
+  const RowPatch& row = *std::lower_bound(
+      row_patches_.begin(), row_patches_.end(), v,
+      [](const RowPatch& patch, NodeId node) { return patch.node < node; });
+  return {patched_fanouts_.data() + row.begin, row.end - row.begin};
 }
 
 std::span<const NodeId> KeyConeAreas::fanins(NodeId v) const {
-  if (is_edited(v)) {
-    const Edit& edit = edit_of(v);
-    if (edit.applied) return edit_fanins(edit);
-  }
-  return base_fanins(v);
+  const OptScratch& s = rewrite_;
+  return {s.out_fanins.data() + s.out_fanin_begin[v], s.out_fanin_count[v]};
 }
 
 std::size_t KeyConeAreas::ref(NodeId root) {
@@ -528,9 +912,9 @@ std::size_t KeyConeAreas::deref(NodeId root) {
 }
 
 void KeyConeAreas::journal(NodeId v) {
-  // Fresh nodes vanish on rollback; a baseline count is saved on its first
-  // change only.
-  if (v >= base_nodes_ || (refs_[v] & kJournaled) != 0) return;
+  // Nodes the walk appended vanish on rollback; a baseline count is saved
+  // on its first change only.
+  if (v >= base_.nodes || (refs_[v] & kJournaled) != 0) return;
   journal_.emplace_back(v, refs_[v]);
   refs_[v] |= kJournaled;
 }
@@ -539,88 +923,11 @@ std::size_t KeyConeAreas::area(std::size_t bit, bool value) {
   if (bit >= keys_.size()) {
     throw std::invalid_argument("KeyConeAreas::area: bit out of range");
   }
-  // Pin the key, then re-rewrite the nodes with a dirty fanin in
-  // topological order: a node turning dirty queues its fanouts on a
-  // min-heap of positions, and a node pops after all of its fanins.
-  OptScratch& s = rewrite_;
-  EditBuilder builder(*this);
-  RewriterT<EditBuilder> rewriter(*input_, s, builder, const0_, const1_);
-  const auto mark_dirty = [&](NodeId v, PackedValue now) {
-    changed_.emplace_back(v, s.values[v]);
-    s.values[v] = now;
-    flags_[v] |= kDirty;
-    for (const NodeId user : fanouts_.fanouts(v)) {
-      if ((flags_[user] & kQueued) != 0) continue;
-      flags_[user] |= kQueued;
-      heap_.push_back(position_[user]);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-    }
-  };
-  mark_dirty(keys_[bit], pack_const(value));
-  const auto& order = input_->topological_order();
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    const NodeId v = order[heap_.back()];
-    heap_.pop_back();
-    flags_[v] &= ~kQueued;
-    const PackedValue was = s.values[v];
-    builder.set_target((flags_[v] & kOwn) != 0 ? node_of(was) : kNoNode);
-    const PackedValue now = rewriter.rewrite(v);
-    if (now != was || (!is_const(now) && builder.edited_not(node_of(now)))) {
-      mark_dirty(v, now);
-    }
-  }
-
-  // Ports driven by dirty nodes, materialized in ascending port order.
-  new_drivers_.clear();
-  for (const auto& [v, was] : changed_) {
-    if ((flags_[v] & kPort) == 0) continue;
-    for (auto it = std::lower_bound(driver_ports_.begin(), driver_ports_.end(),
-                                    std::pair{v, std::uint32_t{0}});
-         it != driver_ports_.end() && it->first == v; ++it) {
-      new_drivers_.emplace_back(it->second, v);
-    }
-  }
-  std::sort(new_drivers_.begin(), new_drivers_.end());
-  std::size_t kept = 0;
-  for (const auto& [port, v] : new_drivers_) {
-    const NodeId driver = rewriter.materialize(s.values[v]);
-    if (driver != drivers_[port]) new_drivers_[kept++] = {port, driver};
-  }
-  new_drivers_.resize(kept);
-
-  // Area delta along the changed edges: references first, then releases.
-  refs_.resize(s.out_types.size(), 0);
-  std::size_t area = base_area_;
-  for (const auto& [port, driver] : new_drivers_) area += ref(driver);
-  for (Edit& edit : edits_) {
-    edit.was_live = (refs_[edit.node] & ~kJournaled) != 0;
-    if (edit.was_live) {
-      for (const NodeId fanin : edit_fanins(edit)) area += ref(fanin);
-    }
-    edit.applied = true;
-  }
-  for (const Edit& edit : edits_) {
-    if (!edit.was_live) continue;
-    for (const NodeId fanin : base_fanins(edit.node)) area -= deref(fanin);
-  }
-  for (const auto& [port, driver] : new_drivers_) area -= deref(drivers_[port]);
-
-  // Roll back to the baseline.
-  for (const auto& [v, count] : journal_) refs_[v] = count;
-  journal_.clear();
-  refs_.resize(base_nodes_);
-  for (const Edit& edit : edits_) edited_[edit.node] = false;
-  edits_.clear();
-  edit_fanins_.clear();
-  s.out_types.resize(base_nodes_);
-  s.out_fanin_begin.resize(base_nodes_ + 1);
-  s.out_fanins.resize(base_fanins_);
-  for (const auto& [v, was] : changed_) {
-    s.values[v] = was;
-    flags_[v] &= ~kDirty;
-  }
-  changed_.clear();
+  Walk walk(*this);
+  walk.mark_dirty(keys_[bit], pack_const(value), /*own=*/false);
+  walk.run();
+  const std::size_t area = walk.settle({});
+  roll_back_hypothesis();
   return area;
 }
 

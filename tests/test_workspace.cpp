@@ -805,6 +805,163 @@ TEST(CsrAttackGraph, PatchedViewMatchesFullBuild) {
   }
 }
 
+// ---- SCOPE's baseline patched from the family's -----------------------------
+
+/// `areas`, already reset to `locked` (patched or not), must answer every
+/// query exactly as a fresh full reset of `locked` and as the optimizer
+/// oracle: each bit for both values in ascending order, then again in
+/// descending order, so each query starts from the rollback of another.
+void expect_areas_match_fresh(netlist::KeyConeAreas& areas,
+                              const Netlist& locked) {
+  const AreaPairs reference = reference_areas(locked);
+  netlist::KeyConeAreas fresh;
+  fresh.reset(locked);
+  ASSERT_EQ(areas.key_bits(), reference.size());
+  EXPECT_EQ(areas.baseline_area(), netlist::optimize(locked).gate_count());
+  EXPECT_EQ(areas.baseline_area(), fresh.baseline_area());
+  const auto expect_bit = [&](std::size_t bit, bool value) {
+    SCOPED_TRACE("bit " + std::to_string(bit) + " = " + std::to_string(value));
+    const std::size_t expected =
+        value ? reference[bit].second : reference[bit].first;
+    EXPECT_EQ(areas.area(bit, value), expected);
+    EXPECT_EQ(fresh.area(bit, value), expected);
+  };
+  for (std::size_t bit = 0; bit < reference.size(); ++bit) {
+    expect_bit(bit, false);
+    expect_bit(bit, true);
+  }
+  for (std::size_t bit = reference.size(); bit-- > 0;) {
+    expect_bit(bit, true);
+    expect_bit(bit, false);
+  }
+}
+
+TEST(ScopeFamily, PatchedAreasMatchFreshReset) {
+  netlist::gen::RandomCircuitConfig random5k;
+  random5k.name = "random5k";
+  random5k.primary_inputs = 64;
+  random5k.outputs = 32;
+  random5k.gates = 5000;
+  std::vector<std::unique_ptr<Family>> families;
+  for (const auto id : {netlist::gen::ProfileId::kC432,
+                        netlist::gen::ProfileId::kC880,
+                        netlist::gen::ProfileId::kC1355}) {
+    families.push_back(std::make_unique<Family>(profile(id, 36)));
+  }
+  families.push_back(
+      std::make_unique<Family>(netlist::gen::make_random(random5k, 36)));
+
+  // One scratch across every design, switching families after every two
+  // designs (so each family's baseline is built afresh, then rolled back
+  // from one design to the next): each design's areas must be patched from
+  // its family's baseline, and match a fresh reset and the oracle.
+  attack::AttackScratch scratch;
+  const auto expect_patched = [&](const lock::LockedDesign& design,
+                                  const Family& family) {
+    scratch.family = &family.original;
+    netlist::KeyConeAreas& areas = scratch.scope_view(design);
+    EXPECT_TRUE(areas.patched());
+    expect_areas_match_fresh(areas, design.netlist);
+  };
+  const auto expect_full = [&](const lock::LockedDesign& design,
+                               const Family& family) {
+    scratch.family = &family.original;
+    netlist::KeyConeAreas& areas = scratch.scope_view(design);
+    EXPECT_FALSE(areas.patched());
+    expect_areas_match_fresh(areas, design.netlist);
+  };
+  util::Rng rng(36);
+  for (const std::size_t key_bits : {8, 16, 32}) {
+    std::vector<lock::GenotypeSpec> specs;
+    for (const auto& scheme : campaign::default_schemes(key_bits)) {
+      specs.push_back(scheme.spec);
+    }
+    // Compounds with an anti-SAT block spliced into an internal wire (which
+    // may be an earlier gene's key logic) and at an output port.
+    for (const bool splice_output : {false, true}) {
+      specs.push_back({.mux_sites = key_bits,
+                       .rll_gates = key_bits / 4,
+                       .antisat_width = 2,
+                       .antisat_splice_output = splice_output});
+    }
+    for (const auto& spec : specs) {
+      for (const auto& family : families) {
+        SCOPED_TRACE(family->original.name() + " K=" +
+                     std::to_string(spec.key_bits()));
+        for (int design = 0; design < 2; ++design) {
+          const auto genes = lock::random_genotype(family->context, spec, rng);
+          expect_patched(family->decode(genes, rng()), *family);
+        }
+      }
+    }
+  }
+
+  Family& c432 = *families.front();
+  const lock::GenotypeSpec compound{.mux_sites = 16,
+                                    .rll_gates = 4,
+                                    .antisat_width = 2,
+                                    .antisat_splice_output = false};
+  const auto decoded = [&] {
+    return c432.decode(lock::random_genotype(c432.context, compound, rng),
+                       rng());
+  };
+
+  // A design moved out of its workspace keeps its records and stamps, so
+  // its areas are still patched; the emptied workspace design is not.
+  {
+    (void)decoded();
+    const lock::LockedDesign moved = std::move(c432.workspace.design);
+    expect_patched(moved, c432);
+    expect_full(c432.workspace.design, c432);
+    expect_patched(decoded(), c432);
+  }
+
+  // Designs the records do not describe fall back to the full rewrite, and
+  // the next described design is patched again.
+  {
+    lock::LockedDesign design = decoded();
+    lock::Gene& gene = design.genes[0];
+    gene.g_i = gene.g_i == design.genes[1].g_i ? design.genes[2].g_i
+                                               : design.genes[1].g_i;
+    expect_full(design, c432);  // a MUX record moved to another gate
+    expect_patched(decoded(), c432);
+  }
+  {
+    lock::LockedDesign design = decoded();
+    lock::AppliedGene& rec = design.applied[compound.mux_sites];
+    ASSERT_EQ(rec.kind, lock::GeneKind::kRll);
+    rec.sink = rec.sink == design.genes[0].g_i ? design.genes[0].g_j
+                                               : design.genes[0].g_i;
+    expect_full(design, c432);  // an RLL record moved to another gate
+  }
+  {
+    lock::LockedDesign design = decoded();
+    ++design.applied[1].first_node;
+    expect_full(design, c432);
+  }
+  {
+    // The netlist edited after decode, records untouched.
+    lock::LockedDesign design = decoded();
+    NodeId gate = 0;
+    while (c432.original.node(gate).fanins.size() < 2 ||
+           c432.original.node(gate).fanins[0] ==
+               c432.original.node(gate).fanins[1]) {
+      ++gate;
+    }
+    const auto fanins = design.netlist.node(gate).fanins;
+    ASSERT_EQ(design.netlist.replace_fanin(gate, fanins[1], fanins[0]), 1u);
+    expect_full(design, c432);
+    expect_patched(decoded(), c432);
+  }
+  {
+    // A design of another original than the bound family.
+    const Family& c880 = *families[1];
+    const lock::LockedDesign& design = families[1]->decode(
+        lock::random_genotype(c880.context, compound, rng), rng());
+    expect_full(design, c432);
+  }
+}
+
 // ---- simulator scratch API -------------------------------------------------
 
 TEST(SimulatorScratch, RunWordIntoMatchesRunWord) {
