@@ -18,8 +18,12 @@
 // campaign::to_json / to_markdown (NOT through the benchx JSON sink): the
 // campaign report is deterministic by construction — two seeded runs are
 // byte-identical, and a quick cell equals the same cell of the committed
-// full baseline — so CI diffs it hard instead of tracking deltas. Exit
-// status is 0 only if every cell's verification passed.
+// full baseline — so CI diffs it hard instead of tracking deltas. The
+// stdout summary line also reports the process's peak RSS (VmHWM), which
+// stays out of the report files. Exit status is 0 only if every cell's
+// verification passed.
+#include "bench/common.hpp"
+
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
@@ -138,7 +142,8 @@ int main(int argc, char** argv) {
   std::cout << "\n" << campaign::to_markdown(result);
   std::cout << "\ntotal " << util::fmt(result.total_seconds, 1) << "s over "
             << result.cells.size() << " cells ("
-            << result.locks.size() << " lock jobs)\n";
+            << result.locks.size() << " lock jobs), peak RSS "
+            << util::fmt(benchx::peak_rss_mb(), 1) << " MB\n";
 
   std::string stem = "BENCH_bench_campaign";
   if (options.spec->name != "full") {

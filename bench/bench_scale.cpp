@@ -58,21 +58,6 @@ using benchx::BenchArgs;
 
 constexpr std::size_t kKeyBits = 64;
 
-/// Peak resident set size in MB (VmHWM — the high-water mark, monotone over
-/// the process lifetime). 0.0 when /proc is unavailable.
-double peak_rss_mb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      double kb = 0.0;
-      if (std::sscanf(line.c_str() + 6, "%lf", &kb) == 1) return kb / 1024.0;
-      return 0.0;
-    }
-  }
-  return 0.0;
-}
-
 struct DecodeStats {
   double rate = 0.0;
   double seconds = 0.0;
@@ -308,7 +293,7 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
                    result.success ? "proven key" : "failed");
   }
 
-  t.rss.add_row({name, nodes, "peak RSS", util::fmt(peak_rss_mb(), 1)});
+  t.rss.add_row({name, nodes, "peak RSS", util::fmt(benchx::peak_rss_mb(), 1)});
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 // sat::Solver::Stats via SatAttackResult.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -153,6 +154,21 @@ inline void emit(const util::Table& table, const BenchArgs& args,
   }
   if (args.json) detail::json_sink.record(table, title);
   std::cout.flush();
+}
+
+/// Peak resident set size in MB (VmHWM — the high-water mark, monotone over
+/// the process lifetime). 0.0 when /proc is unavailable.
+inline double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      double kb = 0.0;
+      if (std::sscanf(line.c_str() + 6, "%lf", &kb) == 1) return kb / 1024.0;
+      return 0.0;
+    }
+  }
+  return 0.0;
 }
 
 /// MuxLink preset used inside GA fitness loops (cheap, single-core budget).

@@ -75,7 +75,7 @@ struct AttackScratch {
   std::vector<CandidateLink> negatives;
   /// Structural predictor training samples, reused across designs.
   std::vector<StructuralLinkPredictor::Sample> pair_samples;
-  std::vector<std::size_t> levels;
+  std::vector<std::uint32_t> levels;
   std::vector<std::size_t> order;
 };
 

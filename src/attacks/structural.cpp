@@ -18,7 +18,7 @@ constexpr double kL2 = 1e-4;
 constexpr double kDecisionThreshold = 0.05;
 
 std::array<double, StructuralLinkPredictor::kPairFeatureDim> pair_features(
-    const AttackGraph& graph, const std::vector<std::size_t>& levels,
+    const AttackGraph& graph, const std::vector<std::uint32_t>& levels,
     NodeId u, NodeId v) {
   const auto nu = graph.neighbors(u);
   const auto nv = graph.neighbors(v);
@@ -117,7 +117,7 @@ MuxLinkResult StructuralLinkPredictor::attack_view(
 
   util::Rng rng(config_.seed ^ (locked.size() * 0xC0FFEEULL));
   netlist::node_levels_into(locked, scratch.levels);
-  const std::vector<std::size_t>& levels = scratch.levels;
+  const std::vector<std::uint32_t>& levels = scratch.levels;
 
   if (!sample_training_links(config_.max_train_links, rng, scratch)) {
     return result;

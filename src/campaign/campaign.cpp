@@ -111,12 +111,6 @@ CampaignSpec resolve(CampaignSpec spec) {
   return spec;
 }
 
-/// One evolved locking plus the decoded design its attack cells share.
-struct LockJob {
-  LockResult summary;
-  lock::LockedDesign design;
-};
-
 /// The key-layout round trip: key_layout(genes) must enumerate the decoded
 /// key exactly — gene-major, kind-tagged, bit offsets dense — and the
 /// netlist's key-input count must agree. Returns the first violation.
@@ -147,10 +141,13 @@ std::string check_key_layout(const lock::Genotype& genes,
   return {};
 }
 
-LockJob run_lock_job(const CampaignSpec& spec, const CircuitAxis& circuit,
-                     const SchemeAxis& scheme, const std::string& optimizer,
-                     const netlist::Netlist& original,
-                     eval::EvalPipeline& pipeline) {
+/// Evolves the lock of (circuit, scheme, optimizer) on `pipeline`, decodes
+/// the winner into the pipeline's workspace, where the job's attack cells
+/// then read it, and verifies it there.
+LockResult run_lock_job(const CampaignSpec& spec, const CircuitAxis& circuit,
+                        const SchemeAxis& scheme, const std::string& optimizer,
+                        const netlist::Netlist& original,
+                        eval::EvalPipeline& pipeline) {
   util::Timer timer;
   const std::uint64_t seed =
       axis_seed(spec.seed, circuit.name, scheme.name, optimizer);
@@ -207,51 +204,47 @@ LockJob run_lock_job(const CampaignSpec& spec, const CircuitAxis& circuit,
     evaluations = r.evaluations;
   }
 
-  LockJob job;
-  // Decode the winner in the shard's workspace and take the design over:
-  // the job keeps it for its attack cells, and the workspace regrows its
-  // own on the next decode, so no shard holds a second design copy.
   pipeline.decode_into(pipeline.workspace(), best);
-  job.design = std::move(pipeline.workspace().design);
+  const lock::LockedDesign& design = pipeline.workspace().design;
 
-  LockResult& lock = job.summary;
+  LockResult lock;
   lock.circuit = circuit.name;
   lock.scheme = scheme.name;
   lock.optimizer = optimizer;
-  lock.key_bits = job.design.key.size();
-  lock.genes = job.design.genes.size();
+  lock.key_bits = design.key.size();
+  lock.genes = design.genes.size();
   lock.original_gates = original.gate_count();
-  lock.locked_gates = job.design.netlist.gate_count();
+  lock.locked_gates = design.netlist.gate_count();
   lock.fitness = fitness;
   lock.optimizer_evaluations = evaluations;
   lock.lock_seconds = timer.elapsed_seconds();
 
   timer.reset();
   const lock::CorruptionReport corruption = lock::measure_corruption(
-      job.design, original, spec.corruption_keys, spec.corruption_vectors,
+      design, original, spec.corruption_keys, spec.corruption_vectors,
       axis_seed(spec.seed, circuit.name, scheme.name, optimizer,
                 "verify.corruption"));
   lock.corruption_mean = corruption.mean_error_rate;
   lock.corruption_min = corruption.min_error_rate;
   lock.silent_wrong_keys = corruption.silent_wrong_keys;
 
-  lock.key_layout_ok = check_key_layout(job.design.genes, job.design).empty();
+  lock.key_layout_ok = check_key_layout(design.genes, design).empty();
   if (spec.verify_equivalence) {
     lock.equivalence_checked = true;
     if (original.gate_count() <= spec.sat_equivalence_gate_limit) {
       lock.correct_key_equivalent =
-          sat::check_unlocks(job.design.netlist, job.design.key, original);
+          sat::check_unlocks(design.netlist, design.key, original);
     } else {
       // See CampaignSpec::sat_equivalence_gate_limit: seeded simulation
       // keeps the verdict deterministic in the axis seed.
       lock.correct_key_equivalent = lock::verify_unlocks(
-          job.design, original, lock::VerifyMode::kSimulation, 2048,
+          design, original, lock::VerifyMode::kSimulation, 2048,
           axis_seed(spec.seed, circuit.name, scheme.name, optimizer,
                     "verify.equivalence"));
     }
   }
   lock.verify_seconds = timer.elapsed_seconds();
-  return job;
+  return lock;
 }
 
 bool reports_equal(const eval::AttackReport& a, const eval::AttackReport& b) {
@@ -264,8 +257,10 @@ bool reports_equal(const eval::AttackReport& a, const eval::AttackReport& b) {
          a.key_recovery == b.key_recovery && a.key_recovered == b.key_recovered;
 }
 
+/// Runs `attack_name` against the lock job's design, which run_lock_job
+/// left decoded in `workspace`.
 CellResult run_cell(const CampaignSpec& spec, const CircuitAxis& circuit,
-                    const LockJob& job, const std::string& attack_name,
+                    const LockResult& job, const std::string& attack_name,
                     const netlist::Netlist& original,
                     eval::EvalWorkspace& workspace) {
   util::Timer timer;
@@ -273,18 +268,19 @@ CellResult run_cell(const CampaignSpec& spec, const CircuitAxis& circuit,
   options.oracle = &original;
   options.muxlink = spec.muxlink;
   options.sat.max_iterations = spec.sat_max_iterations;
-  options.seed = axis_seed(spec.seed, circuit.name, job.summary.scheme,
-                           job.summary.optimizer, attack_name);
+  options.seed = axis_seed(spec.seed, circuit.name, job.scheme,
+                           job.optimizer, attack_name);
 
+  const lock::LockedDesign& design = workspace.design;
   const auto attack = eval::make_attack(attack_name, options);
-  const eval::AttackReport report = attack->evaluate(job.design, workspace);
+  const eval::AttackReport report = attack->evaluate(design, workspace);
 
   CellResult cell;
   cell.circuit = circuit.name;
-  cell.scheme = job.summary.scheme;
-  cell.optimizer = job.summary.optimizer;
+  cell.scheme = job.scheme;
+  cell.optimizer = job.optimizer;
   cell.attack = attack_name;
-  cell.key_bits = job.design.key.size();
+  cell.key_bits = design.key.size();
   cell.accuracy = report.accuracy;
   cell.precision = report.precision;
   cell.attacked_fraction = report.attacked_fraction;
@@ -293,11 +289,10 @@ CellResult run_cell(const CampaignSpec& spec, const CircuitAxis& circuit,
   cell.resilience = 1.0 - report.accuracy;
 
   CellVerification& verification = cell.verification;
-  verification.equivalence_checked = job.summary.equivalence_checked;
-  verification.correct_key_equivalent = job.summary.correct_key_equivalent;
-  verification.key_layout_ok = job.summary.key_layout_ok;
-  const std::string sanity =
-      check_report_invariants(report, job.design.key.size());
+  verification.equivalence_checked = job.equivalence_checked;
+  verification.correct_key_equivalent = job.correct_key_equivalent;
+  verification.key_layout_ok = job.key_layout_ok;
+  const std::string sanity = check_report_invariants(report, design.key.size());
   verification.report_sane = sanity.empty();
   if (spec.verify_determinism) {
     verification.determinism_checked = true;
@@ -305,7 +300,7 @@ CellResult run_cell(const CampaignSpec& spec, const CircuitAxis& circuit,
     // construction determinism and workspace state leakage.
     const auto rerun = eval::make_attack(attack_name, options);
     verification.deterministic =
-        reports_equal(report, rerun->evaluate(job.design, workspace));
+        reports_equal(report, rerun->evaluate(design, workspace));
   }
 
   if (!verification.key_layout_ok) {
@@ -569,49 +564,40 @@ CampaignResult run(const CampaignSpec& spec_in) {
       return *pipelines[shard];
     };
 
-    // The lock jobs (scheme x optimizer) fan out across the pool; each
-    // writes its preallocated slot, so the job order is enumeration order
-    // no matter which shard runs which job.
+    // One task per lock job (scheme x optimizer): it evolves the job's lock
+    // on its shard's pipeline, which leaves the decoded winner in that
+    // pipeline's workspace, and then runs the job's attack cells on it
+    // there. So a shard holds one decoded design at a time, and the next
+    // job's decode reuses its storage. Each job and cell writes its
+    // preallocated slot (cells job-major), so the report is in enumeration
+    // order no matter which shard runs which job.
     struct JobPlan {
       const SchemeAxis* scheme;
       const std::string* optimizer;
     };
-    std::vector<JobPlan> job_plans;
-    job_plans.reserve(spec.schemes.size() * circuit.optimizers.size());
+    std::vector<JobPlan> plans;
+    plans.reserve(spec.schemes.size() * circuit.optimizers.size());
     for (const SchemeAxis& scheme : spec.schemes) {
       for (const std::string& optimizer : circuit.optimizers) {
-        job_plans.push_back({&scheme, &optimizer});
+        plans.push_back({&scheme, &optimizer});
       }
     }
-    std::vector<LockJob> jobs(job_plans.size());
-    fan_out(jobs.size(), [&](std::size_t shard, std::size_t index) {
-      jobs[index] = run_lock_job(spec, circuit, *job_plans[index].scheme,
-                                 *job_plans[index].optimizer, original,
-                                 shard_pipeline(shard));
-    });
-
-    // Then the circuit's attack cells fan out the same way, each running
-    // through its shard pipeline's warm workspace.
-    struct CellPlan {
-      const LockJob* job;
-      const std::string* attack;
-    };
-    std::vector<CellPlan> plans;
-    plans.reserve(jobs.size() * circuit.attacks.size());
-    for (const LockJob& job : jobs) {
-      for (const std::string& attack : circuit.attacks) {
-        plans.push_back({&job, &attack});
+    const std::size_t first_lock = result.locks.size();
+    const std::size_t first_cell = result.cells.size();
+    const std::size_t attacks = circuit.attacks.size();
+    result.locks.resize(first_lock + plans.size());
+    result.cells.resize(first_cell + plans.size() * attacks);
+    fan_out(plans.size(), [&](std::size_t shard, std::size_t index) {
+      eval::EvalPipeline& pipeline = shard_pipeline(shard);
+      LockResult& job = result.locks[first_lock + index];
+      job = run_lock_job(spec, circuit, *plans[index].scheme,
+                         *plans[index].optimizer, original, pipeline);
+      for (std::size_t a = 0; a < attacks; ++a) {
+        result.cells[first_cell + index * attacks + a] =
+            run_cell(spec, circuit, job, circuit.attacks[a], original,
+                     pipeline.workspace());
       }
-    }
-    std::vector<CellResult> cells(plans.size());
-    fan_out(cells.size(), [&](std::size_t shard, std::size_t index) {
-      cells[index] = run_cell(spec, circuit, *plans[index].job,
-                              *plans[index].attack, original,
-                              shard_pipeline(shard).workspace());
     });
-
-    for (LockJob& job : jobs) result.locks.push_back(std::move(job.summary));
-    for (CellResult& cell : cells) result.cells.push_back(std::move(cell));
   }
 
   result.cells_passed = 0;

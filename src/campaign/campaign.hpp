@@ -14,9 +14,10 @@
 // shard one pool-less EvalPipeline (SiteContext, oracle simulator, warm
 // EvalWorkspace). The lock jobs (circuit x scheme x optimizer) fan out on
 // the pool, each evolving a genotype on its shard's pipeline with the
-// population batches run sequentially; then the circuit's attack cells fan
-// out the same way, each through its shard pipeline's workspace. Every
-// cell runs lock -> decode -> attack -> verify:
+// population batches run sequentially and decoding the winner into that
+// pipeline's workspace; the job's attack cells then run on that design
+// there, so a shard holds one decoded design at a time. Every cell runs
+// lock -> decode -> attack -> verify:
 //
 //   - correct-key equivalence: a proof that the decoded design
 //     under its correct key matches the original (sat::check_unlocks);
@@ -100,9 +101,9 @@ struct CampaignSpec {
   OptimizerBudget budget;
 
   std::uint64_t seed = 1;
-  /// Worker threads the lock jobs and then the attack cells of each
-  /// circuit fan out over: 0 = hardware concurrency, 1 = sequential. The
-  /// report is identical either way.
+  /// Worker threads the lock jobs of each circuit (each followed by its
+  /// attack cells) fan out over: 0 = hardware concurrency, 1 = sequential.
+  /// The report is identical either way.
   std::size_t threads = 1;
 
   // ---- verification stage -------------------------------------------------

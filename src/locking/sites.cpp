@@ -55,7 +55,7 @@ SiteContext::SiteContext(const netlist::Netlist& original)
   // ordered — which keeps the relabel windows (dependencies ranked at or
   // above an inverted site gate) small. The original's topological order
   // is sorted by (level, id), so it is already sorted by (seed rank, id).
-  std::vector<std::size_t> level;
+  std::vector<std::uint32_t> level;
   netlist::node_levels_into(original, level);
   topo_rank_.resize(original.size());
   seed_ranks_.resize(original.size());
@@ -63,7 +63,7 @@ SiteContext::SiteContext(const netlist::Netlist& original)
   for (std::uint32_t i = 0; i < seed_order_.size(); ++i) {
     const NodeId v = seed_order_[i];
     topo_rank_[v] = i;
-    seed_ranks_[v] = (level[v] + 1) * DecodeTopo::kRankGap;
+    seed_ranks_[v] = (std::uint64_t{level[v]} + 1) * DecodeTopo::kRankGap;
     seed_order_ranks_[i] = seed_ranks_[v];
   }
   primary_inputs_ = original.primary_inputs();

@@ -423,15 +423,15 @@ std::vector<bool> Netlist::live_mask() const {
 }
 
 std::size_t Netlist::depth() const {
-  std::vector<std::size_t> level;
+  std::vector<std::uint32_t> level;
   node_levels_into(*this, level);
   return level.empty() ? 0 : *std::max_element(level.begin(), level.end());
 }
 
-void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out) {
+void node_levels_into(const Netlist& netlist, std::vector<std::uint32_t>& out) {
   out.assign(netlist.size(), 0);
   for (NodeId v : netlist.topological_order()) {
-    std::size_t best = 0;
+    std::uint32_t best = 0;
     for (NodeId fanin : netlist.node(v).fanins) {
       best = std::max(best, out[fanin] + 1);
     }

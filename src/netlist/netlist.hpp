@@ -288,7 +288,7 @@ class Netlist {
 /// Gate level of every node into `out` (sources at 0; level = 1 + max
 /// fanin level); depth() is the largest entry. Buffer-reusing, for attack
 /// hot paths that recompute levels for every candidate design.
-void node_levels_into(const Netlist& netlist, std::vector<std::size_t>& out);
+void node_levels_into(const Netlist& netlist, std::vector<std::uint32_t>& out);
 
 /// Node ids [0, level.size()) into `order`, ascending by (level[v], v): a
 /// counting sort in O(N + max level). Given every node's longest-path level

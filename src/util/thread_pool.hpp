@@ -1,6 +1,6 @@
 // Fixed-size thread pool with a blocking parallel_for, used to evaluate GA
 // population fitness concurrently (each individual's MuxLink attack run is
-// independent) and to fan out a campaign's lock jobs and attack cells.
+// independent) and to fan out a campaign's lock jobs.
 #pragma once
 
 #include <condition_variable>

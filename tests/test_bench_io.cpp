@@ -272,7 +272,7 @@ TEST(BenchRoundTrip, ReparsedLockedDesignIsInLevelThenIdOrder) {
   const auto design =
       lock::dmux_lock(gen::make_profile(gen::ProfileId::kC432, 5), 16, 5);
   const Netlist loaded = parse(write(design.netlist), "locked");
-  std::vector<std::size_t> level;
+  std::vector<std::uint32_t> level;
   node_levels_into(loaded, level);
   std::vector<NodeId> expected(loaded.size());
   for (NodeId v = 0; v < loaded.size(); ++v) expected[v] = v;

@@ -65,7 +65,7 @@ TEST_F(CampaignQuick, ReportIsByteDeterministicAcrossRunsAndThreads) {
   EXPECT_EQ(campaign::to_json(rerun), reference);
 
   // 2 is the benchmark's pool size; 9 gives more shards than the quick
-  // matrix has lock jobs (8), so some shards only ever run attack cells.
+  // matrix has lock jobs (8), so some shards never run a job.
   for (const std::size_t threads : {2u, 3u, 9u}) {
     campaign::CampaignSpec threaded = campaign::quick_spec();
     threaded.threads = threads;

@@ -147,7 +147,7 @@ TEST(Generator, ScaleProfilesAscendingAndLookupByName) {
 }
 
 TEST(Analysis, NodeLevelsMonotone) {
-  std::vector<std::size_t> levels;
+  std::vector<std::uint32_t> levels;
   for (const ProfileId id : {ProfileId::kC432, ProfileId::kC880}) {
     const Netlist n = make_profile(id, 3);
     node_levels_into(n, levels);

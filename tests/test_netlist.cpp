@@ -109,7 +109,7 @@ TEST(Netlist, TopologicalOrderRespectsDependencies) {
 // The cached order must be exactly the nodes sorted by (longest-path level,
 // id), whatever order the gates were created or rewired in.
 void expect_level_then_id_order(const Netlist& n) {
-  std::vector<std::size_t> level;
+  std::vector<std::uint32_t> level;
   node_levels_into(n, level);
   std::vector<NodeId> expected(n.size());
   for (NodeId v = 0; v < n.size(); ++v) expected[v] = v;
@@ -141,6 +141,22 @@ TEST(Netlist, TopologicalOrderIsByLevelThenId) {
   n.validate();
 
   expect_level_then_id_order(gen::make_profile(gen::ProfileId::kC880, 3));
+}
+
+// Levels are 32-bit: a BUF chain deeper than any 16-bit level must still
+// count every gate.
+TEST(Netlist, LevelsCountPastSixteenBits) {
+  constexpr std::uint32_t kDepth = 70000;
+  Netlist n("chain");
+  NodeId tail = n.add_input("a");
+  for (std::uint32_t i = 0; i < kDepth; ++i) {
+    tail = n.add_gate(GateType::kBuf, {tail});
+  }
+  n.mark_output(tail, "y");
+  std::vector<std::uint32_t> level;
+  node_levels_into(n, level);
+  EXPECT_EQ(level[tail], kDepth);
+  EXPECT_EQ(n.depth(), kDepth);
 }
 
 TEST(Netlist, CycleDetection) {

@@ -648,8 +648,8 @@ TEST(CsrAttackGraph, PatchedViewMatchesFullBuild) {
                                     .antisat_width = 2,
                                     .antisat_splice_output = false};
 
-  // The campaign-cell shape: a design moved out of its workspace keeps its
-  // records and stamps, so its view is still patched.
+  // A design moved out of its workspace keeps its records and stamps, so
+  // its view is still patched.
   {
     (void)c432.decode(lock::random_genotype(c432.context, compound, c432_rng),
                       1);
@@ -1130,7 +1130,7 @@ TEST(WorkspacePipeline, PatchedViewAttacksMatchOneShot) {
           lock::random_genotype(pipeline.context(), scheme.spec, rng), rng());
       expect_attacks_match(workspace.design, workspace);
     }
-    // A design moved out of the workspace, as campaign cells hold theirs.
+    // A design moved out of the workspace.
     pipeline.decode_into(
         workspace, lock::random_genotype(pipeline.context(), 16, rng), rng());
     const lock::LockedDesign moved = std::move(workspace.design);
