@@ -220,8 +220,14 @@ LockResult run_lock_job(const CampaignSpec& spec, const CircuitAxis& circuit,
   lock.lock_seconds = timer.elapsed_seconds();
 
   timer.reset();
+  // Corruption runs through the shard's own simulators: the pipeline's
+  // oracle and the workspace's simulator slot, buffers and key batch.
+  eval::EvalWorkspace& workspace = pipeline.workspace();
   const lock::CorruptionReport corruption = lock::measure_corruption(
-      design, original, spec.corruption_keys, spec.corruption_vectors,
+      design, pipeline.oracle(),
+      {workspace.locked_sim, workspace.sim, workspace.key_batch,
+       workspace.key_errors},
+      spec.corruption_keys, spec.corruption_vectors,
       axis_seed(spec.seed, circuit.name, scheme.name, optimizer,
                 "verify.corruption"));
   lock.corruption_mean = corruption.mean_error_rate;
@@ -551,15 +557,19 @@ CampaignResult run(const CampaignSpec& spec_in) {
     pipeline_config.cache = false;
     pipeline_config.seed = axis_seed(spec.seed, circuit.name, "", "pipeline");
 
-    // One pipeline per pool shard, built on the shard's first use. The
-    // pipelines are pool-less: the lock jobs already fan out over the pool,
-    // so the population batches inside a job run sequentially on their
-    // shard's pipeline (a nested fan-out on the same pool would throw).
+    // One pipeline per pool shard. Shard 0's is built here and builds the
+    // circuit's SiteContext and oracle simulator; every other shard's is
+    // built on the shard's first use and shares them. The pipelines are
+    // pool-less: the lock jobs already fan out over the pool, so the
+    // population batches inside a job run sequentially on their shard's
+    // pipeline (a nested fan-out on the same pool would throw).
     std::vector<std::unique_ptr<eval::EvalPipeline>> pipelines(shards);
+    pipelines[0] =
+        std::make_unique<eval::EvalPipeline>(original, pipeline_config);
     const auto shard_pipeline = [&](std::size_t shard) -> eval::EvalPipeline& {
       if (!pipelines[shard]) {
         pipelines[shard] =
-            std::make_unique<eval::EvalPipeline>(original, pipeline_config);
+            std::make_unique<eval::EvalPipeline>(*pipelines[0], pipeline_config);
       }
       return *pipelines[shard];
     };

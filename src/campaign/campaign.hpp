@@ -11,13 +11,20 @@
 // and runs it as one sweep. The experiments that are such sweeps are named
 // specs below (quick, full, scope, muxlink, heuristics), each run by
 // `bench_campaign --spec NAME`. Per circuit the runner gives each ThreadPool
-// shard one pool-less EvalPipeline (SiteContext, oracle simulator, warm
-// EvalWorkspace). The lock jobs (circuit x scheme x optimizer) fan out on
-// the pool, each evolving a genotype on its shard's pipeline with the
+// shard one pool-less EvalPipeline with a warm EvalWorkspace; the shards'
+// pipelines share one SiteContext and one oracle simulator, built once per
+// circuit. The lock jobs (circuit x scheme x optimizer) fan out on the
+// pool, each evolving a genotype on its shard's pipeline with the
 // population batches run sequentially and decoding the winner into that
-// pipeline's workspace; the job's attack cells then run on that design
-// there, so a shard holds one decoded design at a time. Every cell runs
-// lock -> decode -> attack -> verify:
+// pipeline's workspace; the job is verified there and its attack cells then
+// run on that design, so a shard holds one decoded design at a time.
+//
+// The verification stage of a lock job costs what its key reaches, not
+// what the circuit is: the correct-key proof hashes only the decode's
+// difference to the original (sat::check_unlocks), and the wrong-key
+// corruption runs through the shard's own simulators and sweeps the
+// key-independent logic once per input block (lock::measure_corruption).
+// Every cell runs lock -> decode -> attack -> verify:
 //
 //   - correct-key equivalence: a proof that the decoded design
 //     under its correct key matches the original (sat::check_unlocks);
@@ -107,7 +114,8 @@ struct CampaignSpec {
   std::size_t threads = 1;
 
   // ---- verification stage -------------------------------------------------
-  /// Proof of correct-key equivalence per lock job (sat::check_unlocks).
+  /// Proof of correct-key equivalence per lock job (sat::check_unlocks: the
+  /// decode delta, else the full strashed check).
   bool verify_equivalence = true;
   /// Above this original-gate count the equivalence check falls back from
   /// the proof to seeded random-vector simulation (lock::verify_unlocks).
@@ -119,7 +127,8 @@ struct CampaignSpec {
   /// Re-run every attack and require a field-identical report.
   bool verify_determinism = true;
   /// Wrong keys / shared vectors for the corruption measurement per lock
-  /// (both >= 1; run() rejects a zero budget).
+  /// (both >= 1; run() rejects a zero budget). Measured through the shard
+  /// workspace's simulators (lock::measure_corruption's CorruptionState).
   std::size_t corruption_keys = 16;
   std::size_t corruption_vectors = 128;
 

@@ -20,22 +20,37 @@ constexpr std::uint64_t kRepairSalt = 0xDEC0DEULL;
 
 EvalPipeline::EvalPipeline(const netlist::Netlist& original,
                            EvalPipelineConfig config)
-    : original_(&original), context_(original), config_(std::move(config)) {
+    : original_(&original),
+      context_(std::make_shared<const lock::SiteContext>(original)),
+      // One oracle simulator serves every corruption measurement; the
+      // netlist's cached topological order makes this cheap even when
+      // unused.
+      oracle_sim_(std::make_shared<const netlist::Simulator>(original)),
+      config_(std::move(config)) {
+  init_attacks();
+}
+
+EvalPipeline::EvalPipeline(const EvalPipeline& sibling,
+                           EvalPipelineConfig config)
+    : original_(sibling.original_),
+      context_(sibling.context_),
+      oracle_sim_(sibling.oracle_sim_),
+      config_(std::move(config)) {
+  init_attacks();
+}
+
+void EvalPipeline::init_attacks() {
   const bool has_override =
       static_cast<bool>(config_.fitness_override) ||
       static_cast<bool>(config_.objectives_override);
-  if (!has_override) {
-    if (config_.attacks.empty()) {
-      throw std::invalid_argument("EvalPipeline: no attacks configured");
-    }
-    if (config_.attack_options.oracle == nullptr) {
-      config_.attack_options.oracle = original_;
-    }
-    attacks_ = make_attacks(config_.attacks, config_.attack_options);
+  if (has_override) return;
+  if (config_.attacks.empty()) {
+    throw std::invalid_argument("EvalPipeline: no attacks configured");
   }
-  // One oracle simulator serves every corruption measurement; the netlist's
-  // cached topological order makes this cheap even when unused.
-  oracle_sim_ = std::make_unique<netlist::Simulator>(*original_);
+  if (config_.attack_options.oracle == nullptr) {
+    config_.attack_options.oracle = original_;
+  }
+  attacks_ = make_attacks(config_.attacks, config_.attack_options);
 }
 
 EvalPipeline::~EvalPipeline() = default;
@@ -48,14 +63,14 @@ std::size_t EvalPipeline::num_objectives() const noexcept {
 LockedDesign EvalPipeline::decode(const ga::Genotype& genes,
                                   std::uint64_t repair_seed) const {
   util::Rng repair_rng(config_.seed ^ repair_seed ^ kRepairSalt);
-  return lock::apply_genotype(*original_, context_, genes, repair_rng);
+  return lock::apply_genotype(*original_, *context_, genes, repair_rng);
 }
 
 void EvalPipeline::decode_into(EvalWorkspace& workspace,
                                const ga::Genotype& genes,
                                std::uint64_t repair_seed) const {
   util::Rng repair_rng(config_.seed ^ repair_seed ^ kRepairSalt);
-  lock::apply_genotype_into(workspace.design, *original_, context_, genes,
+  lock::apply_genotype_into(workspace.design, *original_, *context_, genes,
                             repair_rng, workspace.reach);
 }
 

@@ -13,7 +13,9 @@
 //   - population batches fan out over a util::ThreadPool (owned, borrowed,
 //     or none);
 //   - one shared oracle Simulator serves every corruption measurement and
-//     oracle-guided attack instead of being rebuilt per individual.
+//     oracle-guided attack instead of being rebuilt per individual; a
+//     sibling pipeline (campaign::run builds one per pool shard) shares it
+//     and the SiteContext with the pipeline it was built from.
 //
 // Custom fitness callbacks (tests, synthetic objectives) plug in through
 // fitness_override / objectives_override and ride the same cache and
@@ -108,13 +110,22 @@ class EvalPipeline {
   /// `original` must outlive the pipeline.
   explicit EvalPipeline(const netlist::Netlist& original,
                         EvalPipelineConfig config = {});
+  /// A pipeline over `sibling`'s original that shares its SiteContext and
+  /// oracle simulator instead of building its own. Both are read-only once
+  /// built (all scratch lives in workspaces), so pipelines on different
+  /// threads may share them; attacks, workspaces, caches and the pool stay
+  /// per pipeline.
+  EvalPipeline(const EvalPipeline& sibling, EvalPipelineConfig config);
   ~EvalPipeline();
 
   EvalPipeline(const EvalPipeline&) = delete;
   EvalPipeline& operator=(const EvalPipeline&) = delete;
 
   const netlist::Netlist& original() const noexcept { return *original_; }
-  const lock::SiteContext& context() const noexcept { return context_; }
+  const lock::SiteContext& context() const noexcept { return *context_; }
+  /// The simulator bound to the original that corruption measurements
+  /// compare against.
+  const netlist::Simulator& oracle() const noexcept { return *oracle_sim_; }
   const EvalPipelineConfig& config() const noexcept { return config_; }
   /// Objective count of the multi-objective path.
   std::size_t num_objectives() const noexcept;
@@ -253,11 +264,14 @@ class EvalPipeline {
                                     std::size_t vectors,
                                     util::Rng vec_rng) const;
 
+  /// Builds the attacks (the constructors' shared part).
+  void init_attacks();
+
   const netlist::Netlist* original_;
-  lock::SiteContext context_;
+  std::shared_ptr<const lock::SiteContext> context_;
+  std::shared_ptr<const netlist::Simulator> oracle_sim_;
   EvalPipelineConfig config_;
   std::vector<std::unique_ptr<Attack>> attacks_;
-  std::unique_ptr<netlist::Simulator> oracle_sim_;
   std::unique_ptr<util::ThreadPool> owned_pool_;
   std::vector<std::unique_ptr<EvalWorkspace>> workspaces_;
   FitnessCache<ga::Evaluation> scalar_cache_;

@@ -49,8 +49,10 @@ class EvalWorkspace {
   attack::AttackScratch attack;
   netlist::SimScratch sim;
   /// Reusable simulator slot for the design under evaluation: corruption
-  /// measurement rebinds it per design instead of constructing a fresh
-  /// Simulator (and its order/input vectors) every call.
+  /// measurement (the pipeline's fitness term, and the campaign's per-job
+  /// lock::measure_corruption) rebinds it per design instead of
+  /// constructing a fresh Simulator (and its order/input vectors) every
+  /// call.
   netlist::Simulator locked_sim;
   /// Wrong-key corruption state: the key batch, a reusable key buffer for
   /// rejection sampling, and per-key error rates.

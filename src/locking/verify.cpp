@@ -28,6 +28,21 @@ CorruptionReport measure_corruption(const LockedDesign& design,
                                     const netlist::Netlist& original,
                                     std::size_t key_trials,
                                     std::size_t vectors, std::uint64_t seed) {
+  const Simulator original_sim(original);
+  Simulator locked_sim;
+  netlist::SimScratch scratch;
+  netlist::KeyBatch batch;
+  std::vector<double> errors;
+  return measure_corruption(design, original_sim,
+                            {locked_sim, scratch, batch, errors}, key_trials,
+                            vectors, seed);
+}
+
+CorruptionReport measure_corruption(const LockedDesign& design,
+                                    const Simulator& original_sim,
+                                    const CorruptionState& state,
+                                    std::size_t key_trials,
+                                    std::size_t vectors, std::uint64_t seed) {
   util::Rng rng(seed);
   // Draw-order contract: the key stream and the vector stream are forked
   // independently (keys first), so rejection redraws while sampling wrong
@@ -35,8 +50,6 @@ CorruptionReport measure_corruption(const LockedDesign& design,
   // consumes exactly the same vector stream as a full one.
   util::Rng key_rng = rng.fork();
   util::Rng vec_rng = rng.fork();
-  const Simulator locked_sim(design.netlist);
-  const Simulator original_sim(original);
 
   CorruptionReport report;
   if (design.key.empty() || key_trials == 0) return report;
@@ -45,16 +58,16 @@ CorruptionReport measure_corruption(const LockedDesign& design,
     throw std::invalid_argument(
         "measure_corruption: wrong keys to probe but zero vectors");
   }
+  const netlist::Netlist& original = original_sim.netlist();
   if (design.netlist.primary_inputs().size() !=
           original.primary_inputs().size() ||
       design.netlist.outputs().size() != original.outputs().size()) {
     throw std::invalid_argument("measure_corruption: interface mismatch");
   }
+  state.locked_sim.rebind(design.netlist);
 
-  netlist::KeyBatch batch;
-  netlist::SimScratch scratch;
+  netlist::KeyBatch& batch = state.batch;
   std::vector<std::uint64_t> in_words, ref_words;
-  std::vector<double> errors;
   Key wrong = design.key;
   double sum = 0.0;
   bool first = true;
@@ -75,10 +88,10 @@ CorruptionReport measure_corruption(const LockedDesign& design,
       batch.push(wrong);
     }
     Simulator::draw_reference_blocks(original_sim, Key{}, vectors, vec_rng,
-                                     scratch, in_words, ref_words);
-    Simulator::key_error_rates(locked_sim, batch, in_words, ref_words, vectors,
-                               scratch, errors);
-    for (const double err : errors) {
+                                     state.scratch, in_words, ref_words);
+    Simulator::key_error_rates(state.locked_sim, batch, in_words, ref_words,
+                               vectors, state.scratch, state.errors);
+    for (const double err : state.errors) {
       sum += err;
       if (first) {
         report.min_error_rate = report.max_error_rate = err;

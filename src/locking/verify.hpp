@@ -3,12 +3,21 @@
 // Every locked design produced in this repo is expected to satisfy:
 //   correct key  -> locked netlist ≡ original   (functional preservation)
 //   wrong keys   -> observable output corruption (security requirement)
+//
+// Both checks cost what the lock changed rather than what the circuit is.
+// The proof (sat::check_unlocks) hashes only the decode's difference to the
+// original. The corruption measurement sweeps the steps no key input
+// reaches once per input block and re-evaluates only the key-dependent
+// ones per wrong key (Simulator::key_error_rates), through simulators the
+// caller can keep across designs.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "locking/mux_lock.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::lock {
@@ -19,7 +28,9 @@ enum class VerifyMode {
 };
 
 /// True iff the locked netlist under its correct key matches the original.
-/// The default is a proof; `vectors` and `seed` apply to kSimulation only.
+/// The default is a proof (sat::check_unlocks, which proves a decoded
+/// design from its decode delta); `vectors` and `seed` apply to kSimulation
+/// only, which throws std::invalid_argument on zero vectors.
 bool verify_unlocks(const LockedDesign& design,
                     const netlist::Netlist& original,
                     VerifyMode mode = VerifyMode::kSat,
@@ -49,5 +60,24 @@ CorruptionReport measure_corruption(const LockedDesign& design,
                                     std::size_t key_trials = 32,
                                     std::size_t vectors = 512,
                                     std::uint64_t seed = 11);
+
+/// The working state measure_corruption runs through; a worker keeps one
+/// of each across designs (eval::EvalWorkspace does).
+struct CorruptionState {
+  /// Rebound to the design under test (a no-op when it already is).
+  netlist::Simulator& locked_sim;
+  netlist::SimScratch& scratch;
+  netlist::KeyBatch& batch;
+  std::vector<double>& errors;
+};
+
+/// measure_corruption against `original_sim`, a simulator bound to the
+/// original, through `state`: the same report as the form above, which
+/// builds both simulators and the state per call.
+CorruptionReport measure_corruption(const LockedDesign& design,
+                                    const netlist::Simulator& original_sim,
+                                    const CorruptionState& state,
+                                    std::size_t key_trials,
+                                    std::size_t vectors, std::uint64_t seed);
 
 }  // namespace autolock::lock

@@ -257,6 +257,19 @@ class StrashGraph {
     return outputs;
   }
 
+  /// A fresh free input.
+  GLit add_input() {
+    kind_.push_back(Kind::kInput);
+    begin_.push_back(static_cast<std::uint32_t>(fanins_.size()));
+    return static_cast<GLit>(kind_.size() - 1) << 1;
+  }
+
+  /// The literal of a `type` gate over `fanins`.
+  GLit gate(GateType type, std::span<const GLit> fanins) {
+    ins_.assign(fanins.begin(), fanins.end());
+    return add_gate(type);
+  }
+
  private:
   /// The literal of `type` over the literals staged in ins_.
   GLit add_gate(GateType type) {
@@ -519,9 +532,99 @@ bool check_equivalent(const Netlist& a, const netlist::Key& a_key,
   return prove_residual(graph, residual);
 }
 
+namespace {
+
+/// Proves `locked` under `key` equivalent to `original` from what differs
+/// between the two, or returns false when this cannot be shown (the caller
+/// then runs the full check). Every original node is a free literal that
+/// stands for its function in `original`. Key logic (ids past the
+/// original's) and the original gates whose type or fanins changed are
+/// hashed over those literals, in `locked`'s topological order. If each
+/// changed gate hashes to its original gate over the same literals, then by
+/// induction over that order every original node computes in `locked` what
+/// it computes in `original`; the output ports then have to agree too.
+bool prove_delta(const Netlist& locked, const netlist::Key& key,
+                 const Netlist& original) {
+  const std::size_t n = original.size();
+  const auto& inputs = original.inputs();
+  const auto& locked_inputs = locked.inputs();
+  if (locked.size() < n ||
+      locked.outputs().size() != original.outputs().size() ||
+      locked_inputs.size() != inputs.size() + key.size() ||
+      !std::equal(inputs.begin(), inputs.end(), locked_inputs.begin())) {
+    return false;
+  }
+  for (const NodeId v : inputs) {
+    if (original.node(v).is_key_input) return false;
+  }
+  for (std::size_t j = inputs.size(); j < locked_inputs.size(); ++j) {
+    if (!locked.node(locked_inputs[j]).is_key_input) return false;
+  }
+  // A delta larger than the original costs about as much as the full check
+  // it would have to be followed by when it fails.
+  std::size_t delta = locked.size() - n;
+  if (delta > n) return false;
+  std::vector<std::uint8_t> rewired(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto& now = locked.node(v);
+    const auto& was = original.node(v);
+    if (now.type == was.type && now.is_key_input == was.is_key_input &&
+        now.fanins == was.fanins) {
+      continue;
+    }
+    if (now.type == GateType::kInput || was.type == GateType::kInput ||
+        ++delta > n) {
+      return false;
+    }
+    rewired[v] = 1;
+  }
+
+  constexpr GLit kUnset = ~GLit{0};
+  StrashGraph graph(0);
+  std::vector<GLit> lit(locked.size(), kUnset);
+  for (std::size_t j = 0; j < key.size(); ++j) {
+    lit[locked_inputs[inputs.size() + j]] = key[j] ? kTrue : kFalse;
+  }
+  // Original ids get their free literal on first use; key logic is set in
+  // topological order before any reader asks for it.
+  const auto literal = [&](NodeId v) {
+    if (lit[v] == kUnset) lit[v] = graph.add_input();
+    return lit[v];
+  };
+  std::vector<GLit> fanins;
+  for (const NodeId v : locked.topological_order()) {
+    if (v < n && rewired[v] == 0) continue;
+    const auto& node = locked.node(v);
+    if (node.type == GateType::kInput) continue;  // a key input, set above
+    fanins.clear();
+    for (const NodeId fanin : node.fanins) fanins.push_back(literal(fanin));
+    const GLit now = graph.gate(node.type, fanins);
+    if (v >= n) {
+      lit[v] = now;
+      continue;
+    }
+    const auto& was = original.node(v);
+    fanins.clear();
+    for (const NodeId fanin : was.fanins) fanins.push_back(literal(fanin));
+    if (graph.gate(was.type, fanins) != now) return false;
+  }
+  for (std::size_t o = 0; o < original.outputs().size(); ++o) {
+    const NodeId now = locked.outputs()[o].driver;
+    const NodeId was = original.outputs()[o].driver;
+    if (now != was && literal(now) != literal(was)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool check_unlocks(const Netlist& locked, const netlist::Key& key,
-                   const Netlist& original) {
-  return check_equivalent(locked, key, original, netlist::Key{});
+                   const Netlist& original, EquivalenceStats* stats) {
+  if (prove_delta(locked, key, original)) {
+    if (stats != nullptr) *stats = EquivalenceStats{.delta_proof = true};
+    return true;
+  }
+  return check_equivalent(locked, key, original, netlist::Key{}, stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
 // as free variables: the SAT attack solves for them. check_equivalent does
 // not encode netlists directly. It folds both sides, under their fixed keys,
 // into one structurally hashed graph and hands the SAT solver only the
-// output pairs that hashing did not merge.
+// output pairs that hashing did not merge. check_unlocks first tries to
+// prove a decoded design from its difference to the original alone.
 #pragma once
 
 #include <cstdint>
@@ -111,6 +112,8 @@ class ConeTemplate {
 struct EquivalenceStats {
   std::size_t residual_outputs = 0;  // output pairs hashing did not merge
   std::size_t sat_calls = 0;         // 0 or 1: the residual miter solve
+  /// check_unlocks only: the delta proof decided, and no full check ran.
+  bool delta_proof = false;
 };
 
 /// Proves or refutes equivalence of two netlists under fixed keys.
@@ -140,8 +143,30 @@ bool check_equivalent(const netlist::Netlist& a, const netlist::Key& a_key,
                       const netlist::Netlist& b, const netlist::Key& b_key,
                       EquivalenceStats* stats = nullptr);
 
-/// Convenience: locked netlist vs. its original under the correct key.
+/// Proves or refutes that `locked` under `key` is equivalent to its
+/// `original`, with the same verdict as check_equivalent(locked, key,
+/// original, {}), at a cost set by what the lock changed.
+///
+/// First it finds where `locked` differs from `original`, comparing every
+/// original id's node (type and fanin list), the inputs (the original's, in
+/// order, then only key inputs) and the output-port drivers in O(N + E),
+/// without hashing. It then hashes only the difference into a fresh strash
+/// graph: the key logic (ids from original.size() on, key inputs as their
+/// constants) and the original gates whose type or fanins changed, in
+/// `locked`'s topological order, with every original node as a free
+/// literal. It accepts when each changed gate merges with the original
+/// gate over the same literals and each moved port's driver with the
+/// original driver; by induction over that order every node then computes
+/// its original function. The compare is part of the proof, so it holds
+/// whatever produced `locked`.
+///
+/// Otherwise (a wrong key, a difference hashing cannot merge, ids that do
+/// not line up as after a .bench round trip, or a difference larger than
+/// the original itself) it runs the full check_equivalent. `stats`, if
+/// given, receives what the call did; `delta_proof` says which path
+/// decided.
 bool check_unlocks(const netlist::Netlist& locked, const netlist::Key& key,
-                   const netlist::Netlist& original);
+                   const netlist::Netlist& original,
+                   EquivalenceStats* stats = nullptr);
 
 }  // namespace autolock::sat

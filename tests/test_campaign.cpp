@@ -14,7 +14,10 @@
 //   - check_report_invariants accepts a sane report and names each
 //     violated invariant;
 //   - resolve-time validation rejects unknown circuit/attack/optimizer
-//     names and budgets the optimizers cannot run before any cell runs.
+//     names and budgets the optimizers cannot run before any cell runs;
+//   - two shard pipelines sharing one SiteContext and oracle simulator, as
+//     campaign::run builds them, decode, measure corruption and prove from
+//     two threads at once with the results of one sequential pipeline.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -23,6 +26,12 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "eval/pipeline.hpp"
+#include "eval/workspace.hpp"
+#include "locking/verify.hpp"
+#include "netlist/generator.hpp"
+#include "sat/cnf.hpp"
+#include "util/thread_pool.hpp"
 
 namespace autolock {
 namespace {
@@ -288,6 +297,63 @@ TEST(CampaignResolve, RejectsZeroCorruptionBudgets) {
   campaign::CampaignSpec no_vectors = base;
   no_vectors.corruption_vectors = 0;
   expect_rejected(no_vectors);
+}
+
+// campaign::run gives every pool shard its own pipeline, all sharing the
+// SiteContext and oracle simulator the first one built. Two such pipelines
+// driven from two threads at once (decode into the workspace, corruption
+// through the workspace's simulators and the shared oracle, the correct-key
+// proof) must reproduce one pipeline run sequentially. The ThreadSanitizer
+// lane runs this next to CampaignQuick.
+TEST(CampaignSharedContext, TwoShardPipelinesRunAtOnce) {
+  const netlist::Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC880);
+  eval::EvalPipelineConfig config;
+  config.cache = false;
+  eval::EvalPipeline first(original, config);
+  eval::EvalPipeline second(first, config);
+  ASSERT_EQ(&first.context(), &second.context());
+  ASSERT_EQ(&first.oracle(), &second.oracle());
+
+  struct Outcome {
+    std::vector<double> corruption;
+    std::vector<bool> unlocks;
+  };
+  const auto drive = [&original](eval::EvalPipeline& pipeline,
+                                 std::uint64_t seed) {
+    Outcome out;
+    util::Rng rng(seed);
+    eval::EvalWorkspace& workspace = pipeline.workspace();
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      const lock::Genotype genes = lock::random_genotype(
+          pipeline.context(),
+          {.mux_sites = 8, .rll_gates = 4, .antisat_width = 2}, rng);
+      pipeline.decode_into(workspace, genes, i);
+      const lock::LockedDesign& design = workspace.design;
+      out.corruption.push_back(
+          lock::measure_corruption(design, pipeline.oracle(),
+                                   {workspace.locked_sim, workspace.sim,
+                                    workspace.key_batch, workspace.key_errors},
+                                   16, 128, seed + i)
+              .mean_error_rate);
+      out.unlocks.push_back(
+          sat::check_unlocks(design.netlist, design.key, original));
+    }
+    return out;
+  };
+
+  eval::EvalPipeline reference(original, config);
+  const Outcome expected[2] = {drive(reference, 1), drive(reference, 2)};
+  Outcome got[2];
+  eval::EvalPipeline* pipelines[2] = {&first, &second};
+  util::ThreadPool pool(2);
+  pool.parallel_for_sharded(2, [&](std::size_t, std::size_t i) {
+    got[i] = drive(*pipelines[i], i + 1);
+  });
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(got[i].corruption, expected[i].corruption) << "pipeline " << i;
+    EXPECT_EQ(got[i].unlocks, std::vector<bool>(6, true)) << "pipeline " << i;
+  }
 }
 
 }  // namespace

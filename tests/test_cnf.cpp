@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "attacks/sat_attack.hpp"
 #include "campaign/campaign.hpp"
 #include "locking/compound.hpp"
 #include "locking/sites.hpp"
+#include "netlist/bench_stream.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
 #include "util/rng.hpp"
@@ -502,6 +505,173 @@ TEST(StrashChecker, AgreesWithExhaustiveSimulationOnLockedRandomCircuits) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Delta proof: check_unlocks proves a decoded design from its difference to
+// the original and must reach check_equivalent's verdict on every key.
+
+Netlist delta_circuit(const std::string& name) {
+  if (name != "random5k") {
+    return netlist::gen::make_profile(netlist::gen::profile_by_name(name), 1);
+  }
+  netlist::gen::RandomCircuitConfig config;
+  config.name = name;
+  config.primary_inputs = 40;
+  config.outputs = 24;
+  config.gates = 5000;
+  config.target_depth = 30;
+  return netlist::gen::make_random(config, 5);
+}
+
+/// test_scheme_fuzz's adversarial wrong key: every MUX select and RLL
+/// polarity flipped, and the first K1 bit of each Anti-SAT block.
+netlist::Key adversarial_key(const lock::LockedDesign& design) {
+  netlist::Key wrong = design.key;
+  const auto layout = lock::key_layout(design.genes);
+  for (std::size_t t = 0; t < layout.size(); ++t) {
+    if (layout[t].kind != lock::GeneKind::kAntiSat ||
+        layout[t].bit_in_gene == 0) {
+      wrong[t] = !wrong[t];
+    }
+  }
+  return wrong;
+}
+
+/// The correct key takes the delta path; a random and the adversarial
+/// wrong key get the full check's verdict.
+void expect_delta_verdicts(const lock::LockedDesign& design,
+                           const Netlist& original, util::Rng& rng) {
+  EquivalenceStats stats;
+  EXPECT_TRUE(check_unlocks(design.netlist, design.key, original, &stats));
+  EXPECT_TRUE(stats.delta_proof);
+  EXPECT_EQ(stats.sat_calls, 0u);
+  for (const netlist::Key& key :
+       {adversarial_key(design), random_key(design.key.size(), rng)}) {
+    EXPECT_EQ(check_unlocks(design.netlist, key, original),
+              check_equivalent(design.netlist, key, original, {}));
+  }
+}
+
+class DeltaProof : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DeltaProof, AgreesWithTheFullCheckOnEverySchemeAndSplice) {
+  const Netlist original = delta_circuit(GetParam());
+  const lock::SiteContext context(original);
+  util::Rng rng(0xDE17A);
+  for (const std::size_t k : {8, 16, 32}) {
+    std::vector<campaign::SchemeAxis> schemes = campaign::default_schemes(k);
+    // Compound locks whose Anti-SAT block splices an internal wire, which
+    // may run into or out of one of the same lock's key MUXes.
+    for (int variant = 0; variant < 4; ++variant) {
+      schemes.push_back(
+          {"compound-internal-" + std::to_string(variant),
+           lock::GenotypeSpec{.mux_sites = k / 2,
+                              .rll_gates = k / 4,
+                              .antisat_width = std::max<std::size_t>(2, k / 8),
+                              .antisat_splice_output = false}});
+    }
+    for (const auto& scheme : schemes) {
+      SCOPED_TRACE(std::string(GetParam()) + " K=" + std::to_string(k) + " " +
+                   scheme.name);
+      util::Rng draw = rng.fork();
+      const lock::Genotype genes =
+          lock::random_genotype(context, scheme.spec, draw);
+      util::Rng repair = rng.fork();
+      const lock::LockedDesign design =
+          lock::apply_genotype(original, context, genes, repair);
+      expect_delta_verdicts(design, original, rng);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, DeltaProof,
+                         ::testing::Values("c432", "c880", "c1355",
+                                           "random5k"));
+
+TEST(DeltaProofSplices, CoverWiresIntoAndOutOfKeyMuxes) {
+  // Internal Anti-SAT splices draw any wire that precedes the block, so on
+  // c432 some run into a key MUX (the sink is key logic) and some out of
+  // one (the displaced driver is). Both must take the delta path.
+  const Netlist original = delta_circuit("c432");
+  const lock::SiteContext context(original);
+  const lock::GenotypeSpec spec{.mux_sites = 16,
+                                .antisat_width = 3,
+                                .antisat_splice_output = false};
+  util::Rng rng(0x5B11CE);
+  std::size_t into_mux = 0;
+  std::size_t out_of_mux = 0;
+  for (int trial = 0; trial < 200 && (into_mux < 3 || out_of_mux < 3);
+       ++trial) {
+    util::Rng draw = rng.fork();
+    const lock::Genotype genes = lock::random_genotype(context, spec, draw);
+    util::Rng repair = rng.fork();
+    const lock::LockedDesign design =
+        lock::apply_genotype(original, context, genes, repair);
+    const lock::AppliedGene& block = design.applied.back();
+    ASSERT_EQ(block.kind, lock::GeneKind::kAntiSat);
+    const bool into = block.sink >= original.size();
+    const bool out_of = block.driver >= original.size();
+    if (!into && !out_of) continue;
+    into_mux += into ? 1 : 0;
+    out_of_mux += out_of ? 1 : 0;
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_delta_verdicts(design, original, rng);
+  }
+  EXPECT_GE(into_mux, 3u);
+  EXPECT_GE(out_of_mux, 3u);
+}
+
+TEST(DeltaProofFallback, EditsOutsideTheDecodeGetTheFullVerdict) {
+  const Netlist original = delta_circuit("c880");
+  const lock::SiteContext context(original);
+  util::Rng rng(0xFA11);
+  util::Rng draw = rng.fork();
+  const lock::Genotype genes =
+      lock::random_genotype(context, {.mux_sites = 8, .rll_gates = 4}, draw);
+  util::Rng repair = rng.fork();
+  const lock::LockedDesign design =
+      lock::apply_genotype(original, context, genes, repair);
+  const NodeId input = original.primary_inputs().front();
+
+  // An original gate rewired after decode, where no decode record says so:
+  // the compare finds it, and the full check refutes the design.
+  std::size_t refuted = 0;
+  for (NodeId g = 0; g < original.size() && refuted < 3; ++g) {
+    const auto& node = design.netlist.node(g);
+    if (node.type == GateType::kInput || node.fanins.size() < 2 ||
+        node.fanins[0] == input) {
+      continue;
+    }
+    Netlist edited = design.netlist;
+    edited.replace_fanin(g, node.fanins[0], input);
+    const bool full = check_equivalent(edited, design.key, original, {});
+    EquivalenceStats stats;
+    EXPECT_EQ(check_unlocks(edited, design.key, original, &stats), full);
+    EXPECT_FALSE(stats.delta_proof) << "gate " << g;
+    refuted += full ? 0 : 1;
+  }
+  EXPECT_EQ(refuted, 3u);
+
+  // An output port moved to another original node.
+  Netlist moved = design.netlist;
+  const NodeId other = original.outputs()[1].driver;
+  ASSERT_NE(other, moved.outputs()[0].driver);
+  moved.set_output_driver(0, other);
+  EquivalenceStats stats;
+  EXPECT_EQ(check_unlocks(moved, design.key, original, &stats),
+            check_equivalent(moved, design.key, original, {}));
+  EXPECT_FALSE(stats.delta_proof);
+  EXPECT_FALSE(check_unlocks(moved, design.key, original));
+
+  // A .bench round trip renumbers the nodes: no ids line up, and the full
+  // check still proves it.
+  std::ostringstream text;
+  netlist::bench::stream_write(design.netlist, text);
+  std::istringstream in(text.str());
+  const Netlist reparsed = netlist::bench::stream_parse(in);
+  EXPECT_TRUE(check_unlocks(reparsed, design.key, original, &stats));
+  EXPECT_FALSE(stats.delta_proof);
 }
 
 class CnfRandomEquivalence : public ::testing::TestWithParam<std::uint64_t> {};

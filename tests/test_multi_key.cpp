@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "locking/antisat.hpp"
 #include "locking/mux_lock.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
@@ -117,20 +120,18 @@ TEST(KeyBatch, GuardsWidthAndCapacity) {
 // 64-vector block), so seeding identical Rngs must make a per-key
 // output_error_rate loop reproduce every key's rate exactly. Returns the
 // estimator's pass count.
-std::size_t expect_error_rates_match(std::size_t batch_size,
+std::size_t expect_error_rates_match(const Simulator& locked,
+                                     const Simulator& reference,
+                                     std::size_t batch_size,
                                      std::size_t vectors) {
-  const Netlist original =
-      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 23);
-  const auto design = lock::dmux_lock(original, 16, 7);
-  const Simulator locked(design.netlist);
-  const Simulator reference(original);
+  const std::size_t key_bits = locked.netlist().key_inputs().size();
   util::Rng key_rng(0x5151 + batch_size + vectors);
 
   std::vector<Key> keys;
   for (std::size_t k = 0; k < batch_size; ++k) {
-    keys.push_back(random_key(design.key.size(), key_rng));
+    keys.push_back(random_key(key_bits, key_rng));
   }
-  const KeyBatch batch = batch_of(keys, design.key.size());
+  const KeyBatch batch = batch_of(keys, key_bits);
 
   const std::uint64_t vec_seed = 0xFEED + vectors;
   SimScratch scratch;
@@ -151,6 +152,16 @@ std::size_t expect_error_rates_match(std::size_t batch_size,
                                 << " on " << vectors << " vectors";
   }
   return passes;
+}
+
+// The c432 D-MUX design (K=16) most shapes below run on.
+std::size_t expect_error_rates_match(std::size_t batch_size,
+                                     std::size_t vectors) {
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 23);
+  const auto design = lock::dmux_lock(original, 16, 7);
+  return expect_error_rates_match(Simulator(design.netlist),
+                                  Simulator(original), batch_size, vectors);
 }
 
 // The estimator takes whichever orientation needs fewer columns:
@@ -251,6 +262,117 @@ TEST(KeyErrorRates, RatesIndependentOfBatchSize) {
   for (std::size_t k = 0; k < 5; ++k) EXPECT_EQ(rates_small[k], rates_large[k]);
 }
 
+// ---- the split sweep --------------------------------------------------------
+
+// Vectors in lanes, key_error_rates sweeps the key-independent steps once
+// per input block and only the key-dependent ones per pass. Every shape
+// must still equal the per-key loop: the campaign's (16 keys x 128
+// vectors, one block per pass), passes straddling two blocks (3 x 200),
+// and keys in lanes (64 x 4), which sweeps everything.
+void expect_split_sweep_matches(const Simulator& locked,
+                                const Simulator& reference) {
+  expect_error_rates_match(locked, reference, 16, 128);
+  expect_error_rates_match(locked, reference, 3, 200);
+  expect_error_rates_match(locked, reference, 5, 96);
+  expect_error_rates_match(locked, reference, 64, 4);
+}
+
+/// A keyed circuit in which a key input reaches every gate: each gate
+/// reads at least one key input or earlier gate.
+Netlist all_key_dependent_circuit(std::uint64_t seed) {
+  util::Rng rng(seed);
+  Netlist n("all_keyed");
+  std::vector<netlist::NodeId> free_inputs;
+  std::vector<netlist::NodeId> keyed;
+  for (int i = 0; i < 12; ++i) {
+    free_inputs.push_back(n.add_input("x" + std::to_string(i)));
+  }
+  for (int k = 0; k < 6; ++k) {
+    keyed.push_back(n.add_input("keyinput" + std::to_string(k), true));
+  }
+  const netlist::GateType types[] = {
+      netlist::GateType::kAnd, netlist::GateType::kNand,
+      netlist::GateType::kOr,  netlist::GateType::kNor,
+      netlist::GateType::kXor, netlist::GateType::kXnor,
+      netlist::GateType::kMux, netlist::GateType::kNot};
+  for (int g = 0; g < 300; ++g) {
+    const netlist::GateType type = types[rng.next_below(std::size(types))];
+    const netlist::Arity arity = netlist::gate_arity(type);
+    const std::size_t count =
+        arity.max != 0 ? arity.max : 2 + rng.next_below(3);
+    std::vector<netlist::NodeId> fanins{keyed[rng.next_below(keyed.size())]};
+    while (fanins.size() < count) {
+      fanins.push_back(rng.next_bool()
+                           ? keyed[rng.next_below(keyed.size())]
+                           : free_inputs[rng.next_below(free_inputs.size())]);
+    }
+    keyed.push_back(n.add_gate(type, std::move(fanins)));
+  }
+  for (int o = 0; o < 8; ++o) n.mark_output(keyed[keyed.size() - 1 - o]);
+  return n;
+}
+
+/// The keyless twin of all_key_dependent_circuit(seed) under `key`: the
+/// same circuit with the key inputs replaced by constants.
+Netlist unkeyed_twin(const Netlist& keyed, const Key& key) {
+  Netlist n("twin");
+  std::vector<netlist::NodeId> map(keyed.size());
+  std::size_t k = 0;
+  for (netlist::NodeId v = 0; v < keyed.size(); ++v) {
+    const auto& node = keyed.node(v);
+    if (node.type == netlist::GateType::kInput) {
+      map[v] = node.is_key_input ? n.add_const(key[k++])
+                                 : n.add_input(keyed.name(v));
+      continue;
+    }
+    std::vector<netlist::NodeId> fanins;
+    for (const netlist::NodeId f : node.fanins) fanins.push_back(map[f]);
+    map[v] = n.add_gate(node.type, std::move(fanins));
+  }
+  for (const auto& port : keyed.outputs()) n.mark_output(map[port.driver]);
+  return n;
+}
+
+TEST(KeyErrorRates, SplitSweepMatchesOnAFewKeyDependentGates) {
+  // An output-spliced Anti-SAT block: its 2n XORs, g1, g2n, b and the mix
+  // are all the key reaches.
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 23);
+  const auto design = lock::antisat_lock(original, {.width = 8}, 3);
+  const Simulator locked(design.netlist);
+  EXPECT_EQ(locked.key_dependent_steps(), 2u * 8u + 4u);
+  expect_split_sweep_matches(locked, Simulator(original));
+}
+
+TEST(KeyErrorRates, SplitSweepMatchesWhenEveryGateIsKeyDependent) {
+  const Netlist keyed = all_key_dependent_circuit(17);
+  const Simulator locked(keyed);
+  EXPECT_EQ(locked.key_dependent_steps(), keyed.gate_count());
+  const Netlist reference = unkeyed_twin(keyed, Key(6, true));
+  expect_split_sweep_matches(locked, Simulator(reference));
+}
+
+TEST(KeyErrorRates, SplitSweepMatchesAfterRebindToAnotherDesign) {
+  // One simulator slot bound to three designs in turn, as a workspace
+  // rebinds it per decoded design, and back to the first.
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 23);
+  const auto antisat = lock::antisat_lock(original, {.width = 8}, 3);
+  const auto dmux = lock::dmux_lock(original, 16, 7);
+  const Netlist keyed = all_key_dependent_circuit(29);
+  const Netlist twin = unkeyed_twin(keyed, Key(6, false));
+  const Simulator reference(original);
+  Simulator slot;
+  for (const Netlist* design :
+       {&antisat.netlist, &keyed, &dmux.netlist, &antisat.netlist}) {
+    slot.rebind(*design);
+    EXPECT_EQ(slot.key_dependent_steps(),
+              Simulator(*design).key_dependent_steps());
+    expect_split_sweep_matches(
+        slot, design == &keyed ? Simulator(twin) : reference);
+  }
+}
+
 // ---- tail accounting -------------------------------------------------------
 
 // output_error_rate must count exactly `vectors` lanes: the final partial
@@ -343,6 +465,23 @@ TEST(MeasureCorruption, ZeroVectorsThrow) {
   const auto unlocked = lock::measure_corruption(keyless, original, 16, 0, 5);
   EXPECT_EQ(unlocked.keys_sampled, 0u);
   EXPECT_EQ(unlocked.silent_wrong_keys, 0.0);
+}
+
+// A screen over zero vectors tests nothing, so it must not report a pass.
+TEST(VerifyUnlocks, ZeroVectorScreenThrows) {
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC432, 51);
+  const auto design = lock::dmux_lock(original, 16, 13);
+  EXPECT_THROW(lock::verify_unlocks(design, original,
+                                    lock::VerifyMode::kSimulation, 0),
+               std::invalid_argument);
+  util::Rng rng(1);
+  EXPECT_THROW(Simulator::equivalent_on_random_vectors(
+                   Simulator(design.netlist), design.key, Simulator(original),
+                   Key{}, 0, rng),
+               std::invalid_argument);
+  EXPECT_TRUE(lock::verify_unlocks(design, original,
+                                   lock::VerifyMode::kSimulation, 1));
 }
 
 // Pinned reports (c432 D-MUX K=16): the campaign's shape (16 keys x 128
