@@ -6,7 +6,9 @@
 // key length, and MUX locking costing at least as much as RLL at equal K.
 // The c432 Anti-SAT rows (X8) are the exception: there the DIP count grows
 // roughly as 2^n with the block width n, and a compound D-MUX + Anti-SAT
-// lock keeps that cost.
+// lock keeps that cost. On the XOR-heavy c1355 row the proof that no DIP
+// remains is the costly solve; "forced bits" counts the key bits the attack
+// fixed there before merging its two circuit copies on them.
 //
 // Two extra sections track the CDCL core itself across PRs:
 //  - "solver core": seeded hard instances (random 3-SAT at the phase
@@ -63,8 +65,8 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"circuit", "K", "scheme", "success", "DIP iters",
-                     "conflicts", "decisions", "props", "Mprops/s",
-                     "arena KB", "mean LBD", "time (s)"});
+                     "conflicts", "forced bits", "decisions", "props",
+                     "Mprops/s", "arena KB", "mean LBD", "time (s)"});
   const attack::SatAttack attacker;
   const auto add_row = [&](const netlist::Netlist& original,
                            const std::string& scheme,
@@ -79,6 +81,7 @@ int main(int argc, char** argv) {
                    scheme, result.success ? "yes" : "NO",
                    std::to_string(result.dip_iterations),
                    std::to_string(result.total_conflicts),
+                   std::to_string(result.forced_key_bits),
                    std::to_string(result.total_decisions),
                    std::to_string(result.total_propagations),
                    util::fmt(mprops, 2),
@@ -105,6 +108,15 @@ int main(int argc, char** argv) {
     const ga::GaResult result = ga::GeneticAlgorithm(original, config).run(
         {.mux_sites = test_case.key_bits}, pipeline);
     add_row(original, "AutoLock", pipeline.decode(result.best.genes));
+  }
+
+  // XOR-heavy c1355: the proof that no DIP remains outlasts the conflict
+  // allowance, so the attack fixes the forced key bits and merges the two
+  // copies on them ("forced bits" > 0).
+  {
+    const auto original =
+        netlist::gen::make_profile(netlist::gen::ProfileId::kC1355, 1);
+    add_row(original, "D-MUX", lock::dmux_lock(original, 8, 7));
   }
 
   // Anti-SAT widths on c432, a D-MUX reference of about the same key

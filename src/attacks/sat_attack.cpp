@@ -1,5 +1,7 @@
 #include "attacks/sat_attack.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -8,8 +10,10 @@
 
 namespace autolock::attack {
 
+using netlist::GateType;
 using netlist::Key;
 using netlist::Netlist;
+using netlist::NodeId;
 using netlist::Simulator;
 using sat::Encoding;
 using sat::Lit;
@@ -49,9 +53,6 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
   const Simulator oracle_sim(oracle);
 
   sat::Solver solver;
-  if (config_.conflict_budget != 0) {
-    solver.set_conflict_budget(config_.conflict_budget);
-  }
 
   // One growing formula for the whole attack: two copies of the locked
   // circuit sharing primary inputs with independent key sets K1/K2, the
@@ -74,6 +75,78 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
   const Lit miter_lit = make_lit(sat::make_miter(solver, enc1, enc2), false);
 
   const std::size_t primary_count = pi_vars.size();
+
+  // Key bits every key consistent with the DIPs so far shares, and the
+  // cone nodes whose two copies are merged on them. Both only grow: each
+  // DIP adds constraints, so a forced bit stays forced.
+  const std::size_t words = cone.support_words();
+  std::vector<std::uint64_t> forced(words, 0);
+  std::vector<std::uint8_t> merged(locked.size(), 0);
+
+  // Fixes the forced key bits on both copies and merges every cone gate
+  // whose key support is forced, spending at most `max_conflicts`. K1 and
+  // K2 obey the same DIP constraints, so a bit forced on K1 is forced on
+  // K2, and a gate whose support is forced computes one function of the
+  // inputs in both copies. Every clause added follows from the formula:
+  // the models, and so the consistent keys, stay as they were.
+  const auto fix_forced_bits = [&](std::uint64_t max_conflicts) {
+    std::vector<Var> open_vars;
+    std::vector<std::size_t> open_bits;
+    for (std::size_t b = 0; b < key_bits; ++b) {
+      if (((forced[b / 64] >> (b % 64)) & 1) != 0) continue;
+      open_vars.push_back(key1_vars[b]);
+      open_bits.push_back(b);
+    }
+    std::size_t j = 0;
+    for (const Lit lit :
+         sat::forced_literals(solver, open_vars, max_conflicts)) {
+      while (open_vars[j] != sat::lit_var(lit)) ++j;
+      const std::size_t b = open_bits[j];
+      forced[b / 64] |= std::uint64_t{1} << (b % 64);
+      solver.add_clause(lit);
+      solver.add_clause(make_lit(key2_vars[b], sat::lit_sign(lit)));
+      ++result.forced_key_bits;
+    }
+    for (NodeId v = 0; v < locked.size(); ++v) {
+      if (merged[v] != 0 || locked.node(v).type == GateType::kInput) continue;
+      const auto support = cone.key_support(v);
+      bool in_cone = false;
+      bool open = false;
+      for (std::size_t w = 0; w < words; ++w) {
+        in_cone = in_cone || support[w] != 0;
+        open = open || (support[w] & ~forced[w]) != 0;
+      }
+      if (!in_cone || open) continue;
+      const Lit a = make_lit(enc1.node_var[v]);
+      const Lit b = make_lit(enc2.node_var[v]);
+      solver.add_clause(sat::lit_neg(a), b);
+      solver.add_clause(a, sat::lit_neg(b));
+      merged[v] = 1;
+      ++result.merged_node_pairs;
+    }
+  };
+
+  // One DIP search: first under the allowance; a search that uses it up
+  // fixes the forced bits, merges, and resumes. The three parts together
+  // spend at most the conflict budget (no budget reads as the largest
+  // count, which no search reaches).
+  const std::uint64_t budget = config_.conflict_budget != 0
+                                   ? config_.conflict_budget
+                                   : std::numeric_limits<std::uint64_t>::max();
+  const auto find_dip = [&] {
+    const std::uint64_t start = solver.stats().conflicts;
+    const auto left = [&] {
+      return budget - (solver.stats().conflicts - start);
+    };
+    solver.set_conflict_budget(std::min(kMiterConflictAllowance, budget));
+    const SolveResult res = solver.solve({miter_lit});
+    if (res != SolveResult::kUnknown || left() == 0) return res;
+    ++result.escalated_searches;
+    fix_forced_bits(left());
+    if (left() == 0) return SolveResult::kUnknown;
+    solver.set_conflict_budget(left());
+    return solver.solve({miter_lit});
+  };
 
   auto record_stats = [&] {
     const sat::Solver::Stats& stats = solver.stats();
@@ -101,7 +174,7 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
     const std::uint64_t clauses_before = solver.num_clauses();
     const std::uint64_t conflicts_before = solver.stats().conflicts;
 
-    const SolveResult res = solver.solve({miter_lit});
+    const SolveResult res = find_dip();
     if (res == SolveResult::kUnknown) {
       result.budget_exhausted = true;
       return finish(std::move(result));
@@ -132,6 +205,9 @@ SatAttackResult SatAttack::attack(const Netlist& locked,
       return finish(std::move(result));
     }
   }
+
+  // The final solve and each canonicalization solve get the whole budget.
+  solver.set_conflict_budget(config_.conflict_budget);
 
   // Any key consistent with all IO constraints is correct. Solve without
   // the miter assumption to obtain one.

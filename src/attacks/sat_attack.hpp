@@ -16,6 +16,15 @@
 // canonicalized (lexicographically smallest consistent key) so it is a
 // function of the locked/oracle pair alone, not of the DIP trajectory.
 //
+// Each DIP search first runs under kMiterConflictAllowance conflicts. A
+// search that uses it up finds the key bits every key consistent with the
+// DIPs shares (sat::forced_literals), fixes them on both key copies, merges
+// the two copies of every cone gate whose key support is fixed, and
+// resumes. Those clauses follow from the DIP constraints, so the consistent
+// keys, the lex-min key and `success` are what they would be without them;
+// on XOR-heavy circuits the last search, the proof that no DIP remains,
+// gets much cheaper.
+//
 // In this repo the SAT attack serves the multi-objective extension (the
 // AutoLock research plan's "set of distinct attacks"): MUX locking is not
 // SAT-resilient by design, so the interesting measurement is attack *effort*
@@ -30,21 +39,28 @@
 
 namespace autolock::attack {
 
+/// Conflicts a DIP search may spend before it fixes the forced key bits and
+/// merges the two copies on them.
+inline constexpr std::uint64_t kMiterConflictAllowance = 256;
+
 struct SatAttackConfig {
   /// Abort after this many DIP iterations (0 = unlimited).
   std::size_t max_iterations = 0;
-  /// Per-solve conflict budget (0 = unlimited). When exhausted the attack
-  /// reports failure with `budget_exhausted` set.
+  /// Conflict budget (0 = unlimited) of each DIP search, its forced-bit
+  /// probes included, and of each solve after the last DIP. When exhausted
+  /// the attack reports failure with `budget_exhausted` set.
   std::uint64_t conflict_budget = 0;
 };
 
 /// Per-DIP-iteration formula growth, surfaced so benches and tests can see
-/// the incremental path's footprint (at most two key cones per DIP).
+/// the incremental path's footprint (at most two key cones per DIP; an
+/// escalated search adds merge clauses but no variables).
 struct DipIterationStats {
   std::uint64_t new_vars = 0;     // solver variables added by this DIP
   std::uint64_t new_clauses = 0;  // problem clauses added by this DIP
   std::uint64_t arena_bytes = 0;  // arena footprint after the iteration
-  std::uint64_t conflicts = 0;    // conflicts spent finding this DIP
+  std::uint64_t conflicts = 0;    // conflicts spent finding this DIP,
+                                  // the allowance attempt included
 };
 
 struct SatAttackResult {
@@ -69,6 +85,11 @@ struct SatAttackResult {
   std::uint64_t db_reductions = 0;
   std::uint64_t peak_arena_bytes = 0;
   double mean_lbd = 0.0;
+  // The forced-bit merge: DIP searches that used up the allowance, key
+  // bits found forced, and cone gates merged across the two copies.
+  std::size_t escalated_searches = 0;
+  std::size_t forced_key_bits = 0;
+  std::size_t merged_node_pairs = 0;
   /// One entry per DIP iteration (empty when the key count is zero).
   std::vector<DipIterationStats> iterations;
   double seconds = 0.0;

@@ -1,6 +1,5 @@
 #include "locking/sites.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 namespace autolock::lock {
@@ -71,23 +70,13 @@ SiteContext::SiteContext(const netlist::Netlist& original)
 
 const std::vector<std::pair<NodeId, NodeId>>& SiteContext::rll_wires() const {
   std::call_once(rll_wires_once_, [this] {
-    // Same pool rll_lock always built: every fanin edge of the original,
-    // constants excluded, sorted and deduplicated so each physical wire
-    // appears once.
-    std::vector<std::pair<NodeId, NodeId>> wires;
-    for (NodeId v = 0; v < original_->size(); ++v) {
-      for (const NodeId fanin : original_->node(v).fanins) {
-        const auto type = original_->node(fanin).type;
-        if (type == netlist::GateType::kConst0 ||
-            type == netlist::GateType::kConst1) {
-          continue;
-        }
-        wires.emplace_back(fanin, v);
-      }
+    // Every fanin edge of the original whose driver is not a constant, each
+    // physical wire once, ascending by (driver, sink): the candidate
+    // drivers' rows of the deduplicated ascending fanout CSR, in order.
+    rll_wires_.reserve(fanout_edges_.size());
+    for (const NodeId v : candidate_drivers_) {
+      for (const NodeId sink : fanouts(v)) rll_wires_.emplace_back(v, sink);
     }
-    std::sort(wires.begin(), wires.end());
-    wires.erase(std::unique(wires.begin(), wires.end()), wires.end());
-    rll_wires_ = std::move(wires);
   });
   return rll_wires_;
 }

@@ -680,16 +680,25 @@ ConeTemplate::ConeTemplate(const Netlist& netlist) : netlist_(&netlist) {
     input_index_[primary[i]] = static_cast<std::int32_t>(i);
   }
   const auto keys = netlist.key_inputs();
+  support_words_ = (keys.size() + 63) / 64;
+  support_.assign(n * support_words_, 0);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     input_index_[keys[i]] = static_cast<std::int32_t>(i);
+    support_[std::size_t{keys[i]} * support_words_ + i / 64] |=
+        std::uint64_t{1} << (i % 64);
   }
 
   for (const NodeId v : netlist.topological_order()) {
     const auto& node = netlist.node(v);
     max_fanin_ = std::max(max_fanin_, node.fanins.size());
     bool in_cone = node.type == GateType::kInput && node.is_key_input;
+    std::uint64_t* support = support_.data() + std::size_t{v} * support_words_;
     for (const NodeId fanin : node.fanins) {
-      in_cone = in_cone || in_cone_[fanin] != 0;
+      if (in_cone_[fanin] == 0) continue;
+      in_cone = true;
+      const std::uint64_t* from =
+          support_.data() + std::size_t{fanin} * support_words_;
+      for (std::size_t w = 0; w < support_words_; ++w) support[w] |= from[w];
     }
     in_cone_[v] = in_cone ? 1 : 0;
     cone_count_ += in_cone ? 1 : 0;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -65,6 +66,18 @@ class ConeTemplate {
   /// Nodes in the key-dependent cone (encoded per copy per DIP).
   std::size_t cone_size() const noexcept { return cone_count_; }
 
+  /// Words in one key-support bitset: ⌈K/64⌉ for K key inputs.
+  std::size_t support_words() const noexcept { return support_words_; }
+
+  /// The key inputs in node `v`'s transitive fanin, as a bitset over
+  /// key-input order (bit j % 64 of word j / 64 is key input j). Non-empty
+  /// exactly on the cone. Two copies whose keys agree on these bits
+  /// compute the same value at `v` for every input.
+  std::span<const std::uint64_t> key_support(netlist::NodeId v) const {
+    return {support_.data() + std::size_t{v} * support_words_,
+            support_words_};
+  }
+
   /// Encodes a second *symbolic* copy of the netlist that shares the
   /// key-independent remainder with `base` (one encoding of it serves both
   /// copies) and encodes only the key-dependent cone fresh, under fresh
@@ -95,6 +108,8 @@ class ConeTemplate {
   std::vector<std::int32_t> input_index_;   // PI order or key order, per node
   std::size_t cone_count_ = 0;
   std::size_t max_fanin_ = 0;
+  std::size_t support_words_ = 0;
+  std::vector<std::uint64_t> support_;  // support_words_ per node
 
   // bind_dip() state consumed by encode_copy().
   std::vector<std::uint8_t> value_;  // key-independent node values

@@ -652,4 +652,42 @@ bool Solver::model_value(Var var) const {
   return assign_[var] == LBool::kTrue;
 }
 
+std::vector<Lit> forced_literals(Solver& solver, std::span<const Var> vars,
+                                 std::uint64_t conflict_budget) {
+  const std::uint64_t own_budget = solver.conflict_budget();
+  const std::uint64_t start = solver.stats().conflicts;
+  // Arms the next solve with what is left of the budget; false once
+  // nothing is.
+  const auto arm = [&] {
+    const std::uint64_t spent = solver.stats().conflicts - start;
+    if (conflict_budget != 0 && spent >= conflict_budget) return false;
+    solver.set_conflict_budget(conflict_budget == 0 ? 0
+                                                    : conflict_budget - spent);
+    return true;
+  };
+  std::vector<Lit> forced;
+  if (arm() && solver.solve() == SolveResult::kSat) {
+    std::vector<Lit> witness(vars.size());
+    std::vector<std::uint8_t> open(vars.size(), 1);
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      witness[i] = make_lit(vars[i], !solver.model_value(vars[i]));
+    }
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      if (open[i] == 0) continue;
+      if (!arm()) break;
+      const SolveResult res = solver.solve({lit_neg(witness[i])});
+      if (res == SolveResult::kUnknown) break;
+      if (res == SolveResult::kUnsat) {
+        forced.push_back(witness[i]);
+        continue;
+      }
+      for (std::size_t j = i + 1; j < vars.size(); ++j) {
+        if (!solver.model_value_lit(witness[j])) open[j] = 0;
+      }
+    }
+  }
+  solver.set_conflict_budget(own_budget);
+  return forced;
+}
+
 }  // namespace autolock::sat

@@ -8,7 +8,8 @@
 // (literal block distance) tracking with LBD+activity learnt-DB reduction,
 // arena clause storage with compacting garbage collection
 // (sat/clause_allocator.hpp), solving under assumptions, and a conflict
-// budget for bounded ("best effort") queries.
+// budget for bounded ("best effort") queries. forced_literals probes which
+// variables every model fixes, under such a budget.
 //
 // This is the engine underneath netlist equivalence checking (sat/cnf.hpp)
 // and the oracle-guided SAT attack (attacks/sat_attack.hpp).
@@ -72,10 +73,12 @@ class Solver {
     return model_value(lit_var(lit)) != lit_sign(lit);
   }
 
-  /// 0 disables the budget (default).
+  /// Conflicts one solve() may spend before it returns kUnknown; 0
+  /// disables the budget (default).
   void set_conflict_budget(std::uint64_t max_conflicts) noexcept {
     conflict_budget_ = max_conflicts;
   }
+  std::uint64_t conflict_budget() const noexcept { return conflict_budget_; }
 
   /// Live-learnt-clause count that triggers the next reduce_db(). Mostly a
   /// test/bench knob: a tiny limit forces frequent DB reductions and arena
@@ -213,5 +216,17 @@ class Solver {
   std::uint64_t learnt_limit_ = 4096;
   Stats stats_;
 };
+
+/// The literals over `vars` that hold in every model of the formula (its
+/// backbone over `vars`), in `vars` order. One witness solve, then one
+/// solve per open variable under the assumption that it takes the other
+/// value: UNSAT means the witness value is forced, and a model clears every
+/// later variable where it differs from the witness. All solves together
+/// spend at most `conflict_budget` conflicts (0 = unlimited); a solve that
+/// runs out ends the search and its variable counts as not forced. Returns
+/// nothing when the formula has no model. The solver's own conflict budget
+/// is restored before returning.
+std::vector<Lit> forced_literals(Solver& solver, std::span<const Var> vars,
+                                 std::uint64_t conflict_budget);
 
 }  // namespace autolock::sat

@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
+#include "locking/antisat.hpp"
 #include "locking/mux_lock.hpp"
 #include "locking/rll.hpp"
 #include "netlist/generator.hpp"
@@ -277,6 +279,79 @@ TEST(SatAttack, RecoveredKeyIsBruteForceLexMin) {
         << "recovered key is not the lex-min correct key (seed " << w.seed
         << ")";
   }
+}
+
+// ---- forced-bit merge -------------------------------------------------------
+//
+// On XOR-heavy c1355 the last miter solve (the proof that no DIP remains)
+// outlasts the conflict allowance. The attack then fixes the key bits every
+// consistent key shares and merges the two copies' cone gates whose key
+// support is fixed. Those clauses follow from the DIP constraints, so the
+// consistent keys, and with them the lex-min key, cannot move.
+
+/// c1355-profile K=8 designs: D-MUX, RLL and a compound of 4 MUX bits and a
+/// width-2 Anti-SAT block.
+std::vector<lock::LockedDesign> c1355_k8_designs(const Netlist& original,
+                                                 std::uint64_t seed) {
+  lock::AntiSatOptions options;
+  options.width = 2;
+  std::vector<lock::LockedDesign> designs;
+  designs.push_back(lock::dmux_lock(original, 8, seed + 2));
+  designs.push_back(lock::rll_lock(original, 8, seed + 2));
+  designs.push_back(lock::compound_lock(original, 4, options, seed + 2));
+  return designs;
+}
+
+TEST(SatAttackForcedMerge, KeepsTheBruteForceLexMinKeyOnC1355) {
+  for (const std::uint64_t seed : {1, 2}) {
+    const Netlist original =
+        netlist::gen::make_profile(netlist::gen::ProfileId::kC1355, seed);
+    for (const auto& design : c1355_k8_designs(original, seed)) {
+      ASSERT_EQ(design.key.size(), 8u);
+      const auto result = SatAttack().attack(design.netlist, original);
+      ASSERT_TRUE(result.success) << "seed " << seed;
+      EXPECT_GE(result.escalated_searches, 1u) << "seed " << seed;
+      EXPECT_GE(result.forced_key_bits, 1u) << "seed " << seed;
+      EXPECT_GE(result.merged_node_pairs, 1u) << "seed " << seed;
+      EXPECT_EQ(result.recovered_key,
+                brute_force_lex_min_key(design.netlist, original))
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(SatAttackForcedMerge, BudgetCoversProbesAndResumedSearch) {
+  // A budget a little past the allowance: the search escalates, merges,
+  // and runs out in the resumed search. No key may be claimed, every DIP
+  // search (allowance, probes and resumed search together) stays inside
+  // the budget, and a second run reports the same.
+  constexpr std::uint64_t kBudget = kMiterConflictAllowance + 44;
+  const Netlist original =
+      netlist::gen::make_profile(netlist::gen::ProfileId::kC1355, 1);
+  const auto design = c1355_k8_designs(original, 1)[1];  // RLL
+  SatAttackConfig config;
+  config.conflict_budget = kBudget;
+  const auto result = SatAttack(config).attack(design.netlist, original);
+  EXPECT_TRUE(result.budget_exhausted);
+  EXPECT_FALSE(result.success);
+  EXPECT_TRUE(result.recovered_key.empty());
+  EXPECT_GE(result.escalated_searches, 1u);
+  EXPECT_GE(result.merged_node_pairs, 1u);
+  std::uint64_t found = 0;
+  for (const auto& it : result.iterations) {
+    EXPECT_LE(it.conflicts, kBudget);
+    found += it.conflicts;
+  }
+  EXPECT_LE(result.total_conflicts - found, kBudget);  // the search that ran out
+
+  const auto again = SatAttack(config).attack(design.netlist, original);
+  EXPECT_TRUE(again.budget_exhausted);
+  EXPECT_TRUE(again.recovered_key.empty());
+  EXPECT_EQ(again.dip_iterations, result.dip_iterations);
+  EXPECT_EQ(again.total_conflicts, result.total_conflicts);
+  EXPECT_EQ(again.escalated_searches, result.escalated_searches);
+  EXPECT_EQ(again.forced_key_bits, result.forced_key_bits);
+  EXPECT_EQ(again.merged_node_pairs, result.merged_node_pairs);
 }
 
 TEST(SatAttack, PerIterationStatsTrackFormulaGrowth) {

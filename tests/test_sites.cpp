@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "eval/fitness_cache.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/generator.hpp"
@@ -347,6 +351,48 @@ TEST(SiteContext, ConstantsNeverCandidates) {
   for (const NodeId v : context.candidate_drivers()) {
     EXPECT_NE(v, one);
   }
+}
+
+/// The RLL wire pool as it used to be built: every fanin edge with a
+/// non-constant driver, sorted and deduplicated.
+std::vector<std::pair<NodeId, NodeId>> sorted_rll_wires(const Netlist& n) {
+  std::vector<std::pair<NodeId, NodeId>> wires;
+  for (NodeId v = 0; v < n.size(); ++v) {
+    for (const NodeId fanin : n.node(v).fanins) {
+      const auto type = n.node(fanin).type;
+      if (type == GateType::kConst0 || type == GateType::kConst1) continue;
+      wires.emplace_back(fanin, v);
+    }
+  }
+  std::sort(wires.begin(), wires.end());
+  wires.erase(std::unique(wires.begin(), wires.end()), wires.end());
+  return wires;
+}
+
+TEST(SiteContext, RllWiresMatchTheSortedFaninEdges) {
+  // The pool walks the deduplicated fanout CSR; it must list the same
+  // wires in the same order as sorting every fanin edge would.
+  using netlist::gen::ProfileId;
+  for (const ProfileId id :
+       {ProfileId::kC432, ProfileId::kC880, ProfileId::kC1355}) {
+    const Netlist n = netlist::gen::make_profile(id, 3);
+    EXPECT_EQ(SiteContext(n).rll_wires(), sorted_rll_wires(n))
+        << n.name();
+  }
+  const Netlist big = netlist::gen::make_scale_profile("synth100k", 1);
+  EXPECT_EQ(SiteContext(big).rll_wires(), sorted_rll_wires(big));
+
+  // Constant drivers and a gate reading one wire twice.
+  Netlist n;
+  const auto a = n.add_input("a");
+  const auto one = n.add_const(true, "one");
+  const auto g = n.add_gate(GateType::kAnd, {a, a, one}, "g");
+  const auto h = n.add_gate(GateType::kXor, {g, a}, "h");
+  n.mark_output(h);
+  const std::vector<std::pair<NodeId, NodeId>> expected = {
+      {a, g}, {a, h}, {g, h}};
+  EXPECT_EQ(SiteContext(n).rll_wires(), expected);
+  EXPECT_EQ(sorted_rll_wires(n), expected);
 }
 
 }  // namespace

@@ -250,6 +250,77 @@ TEST(Solver, ConflictBudgetReturnsUnknown) {
   EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
 }
 
+// ---- forced_literals: the backbone probe the SAT attack merges on ---------
+
+TEST(ForcedLiterals, FindsExactlyTheBackbone) {
+  // x is a unit, y -> z, and y | z: z holds in every model, y does not.
+  Solver solver;
+  const Var x = solver.new_var();
+  const Var y = solver.new_var();
+  const Var z = solver.new_var();
+  const Var w = solver.new_var();  // unconstrained
+  solver.add_clause(make_lit(x));
+  solver.add_clause(make_lit(y, true), make_lit(z));
+  solver.add_clause(make_lit(y), make_lit(z));
+  solver.set_conflict_budget(17);
+  const std::vector<Var> vars = {w, x, y, z};
+  EXPECT_EQ(forced_literals(solver, vars, 0),
+            (std::vector<Lit>{make_lit(x), make_lit(z)}));
+  EXPECT_EQ(solver.conflict_budget(), 17u);  // restored
+}
+
+TEST(ForcedLiterals, UnsatFormulaForcesNothing) {
+  Solver solver;
+  add_pigeonhole(solver, 3);
+  const std::vector<Var> vars = {0, 1};
+  EXPECT_TRUE(forced_literals(solver, vars, 0).empty());
+}
+
+/// PHP(holes + 1, holes) guarded by `gate`: every clause gets ¬gate, so
+/// gate is forced false, but proving it takes a pigeonhole refutation.
+Var add_guarded_pigeonhole(Solver& solver, int holes) {
+  const Var gate = solver.new_var();
+  const int pigeons = holes + 1;
+  std::vector<std::vector<Var>> at(pigeons, std::vector<Var>(holes));
+  for (auto& row : at) {
+    for (Var& v : row) v = solver.new_var();
+  }
+  for (int p = 0; p < pigeons; ++p) {
+    std::vector<Lit> clause = {make_lit(gate, true)};
+    for (int h = 0; h < holes; ++h) clause.push_back(make_lit(at[p][h]));
+    solver.add_clause(clause);
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        solver.add_clause(make_lit(gate, true), make_lit(at[p1][h], true),
+                          make_lit(at[p2][h], true));
+      }
+    }
+  }
+  return gate;
+}
+
+TEST(ForcedLiterals, ProbeThatRunsOutCountsAsNotForced) {
+  // Unbudgeted, the guard is found forced. With 5 conflicts the witness
+  // (guard false) is free but the probe (guard true) cannot finish its
+  // refutation: the guard must then be reported open, and the probes
+  // together must stop at the budget.
+  {
+    Solver solver;
+    const Var gate = add_guarded_pigeonhole(solver, 6);
+    const std::vector<Var> vars = {gate};
+    EXPECT_EQ(forced_literals(solver, vars, 0),
+              (std::vector<Lit>{make_lit(gate, true)}));
+  }
+  Solver solver;
+  const Var gate = add_guarded_pigeonhole(solver, 6);
+  const std::vector<Var> vars = {gate};
+  EXPECT_TRUE(forced_literals(solver, vars, 5).empty());
+  EXPECT_EQ(solver.stats().conflicts, 5u);
+  EXPECT_EQ(solver.conflict_budget(), 0u);
+}
+
 TEST(Solver, StatsAccumulate) {
   Solver solver;
   add_pigeonhole(solver, 5);
