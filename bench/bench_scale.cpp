@@ -5,7 +5,8 @@
 //
 //   - streaming .bench I/O throughput (stream_save_file once;
 //     stream_load_file as the median and interquartile range of repeated
-//     parses after one untimed warm-up)
+//     parses after one untimed warm-up, and their median thread CPU time,
+//     which a busy host inflates less than the wall time)
 //   - one-time setup cost (SiteContext build) vs steady-state decode/s
 //     through a reused EvalWorkspace, with the DecodeTopo incremental
 //     reset counter surfaced so a silent fall-back to full O(N) resets
@@ -35,6 +36,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -118,6 +120,14 @@ Timing summarize(std::vector<double> seconds) {
           seconds.size()};
 }
 
+/// CPU time the calling thread has used so far, in seconds.
+double thread_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
 /// Times `reps` calls of `run` after one untimed warm-up call.
 template <typename Run>
 Timing time_warm(std::size_t reps, Run&& run) {
@@ -133,9 +143,10 @@ Timing time_warm(std::size_t reps, Run&& run) {
 
 struct Tables {
   /// "seconds" is one sample, except on "stream parse" rows, where it is
-  /// the median of "reps" warm parses with their IQR.
+  /// the median of "reps" warm parses with their IQR, and "CPU s" their
+  /// median thread CPU time.
   util::Table io{{"circuit", "nodes", "phase", "seconds", "MB", "IQR s",
-                  "reps"}};
+                  "reps", "CPU s"}};
   util::Table decode{{"circuit", "K", "mode", "decodes/s", "seconds",
                       "incr resets", "touched/dec", "ns/touched",
                       "c880 ratio"}};
@@ -151,7 +162,7 @@ std::vector<std::string> io_row(const std::string& name,
                                 const std::string& nodes, const char* phase,
                                 double seconds, double mb) {
   return {name, nodes, phase, util::fmt(seconds, 3), util::fmt(mb, 1), "-",
-          "1"};
+          "1", "-"};
 }
 
 /// `timed_reps` is the repetition count of every warm median (the parse
@@ -177,10 +188,15 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
       mb = static_cast<double>(size_probe.tellg()) / 1e6;
     }
     std::vector<double> parse_seconds;
+    std::vector<double> parse_cpu_seconds;
     for (std::size_t r = 0; r <= timed_reps; ++r) {  // r = 0: warm-up
+      const double cpu_start = thread_cpu_seconds();
       util::Timer parse_timer;
       const auto reparsed = netlist::bench::stream_load_file(path);
-      if (r > 0) parse_seconds.push_back(parse_timer.elapsed_seconds());
+      if (r > 0) {
+        parse_seconds.push_back(parse_timer.elapsed_seconds());
+        parse_cpu_seconds.push_back(thread_cpu_seconds() - cpu_start);
+      }
       // The reparse adds one BUF alias per output port whose name differs
       // from its driver's node name, so compare interfaces, not node counts.
       if (reparsed.outputs().size() != original.outputs().size() ||
@@ -192,10 +208,11 @@ void run_scale(const std::string& name, const netlist::Netlist& original,
     }
     std::remove(path.c_str());
     const Timing parse = summarize(std::move(parse_seconds));
+    const Timing parse_cpu = summarize(std::move(parse_cpu_seconds));
     t.io.add_row(io_row(name, nodes, "stream write", write_s, mb));
     t.io.add_row({name, nodes, "stream parse", util::fmt(parse.median, 3),
                   util::fmt(mb, 1), util::fmt(parse.iqr, 3),
-                  std::to_string(parse.reps)});
+                  std::to_string(parse.reps), util::fmt(parse_cpu.median, 3)});
   }
 
   // ---- one-time site analysis + steady-state decode/s ---------------------

@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "locking/mux_lock.hpp"
-
 namespace autolock::attack {
 
-using lock::LockedDesign;
 using netlist::GateType;
 using netlist::Netlist;
 using netlist::NodeId;
 
 namespace {
-
-bool lists(const std::vector<NodeId>& fanins, NodeId node) {
-  return std::find(fanins.begin(), fanins.end(), node) != fanins.end();
-}
 
 /// True for a MUX whose select is a key input: absent from the view.
 bool is_key_mux(const Netlist& locked, const netlist::Node& node) {
@@ -220,10 +213,11 @@ void AttackGraph::emit_problems(int key_bit_count) {
   problems_.resize(emitted);
 }
 
-bool AttackGraph::patch(const LockedDesign& design, const Netlist& original) {
+bool AttackGraph::patch(const Netlist& design, const Netlist& original,
+                        const netlist::DecodeDelta& delta) {
   if (!based_on(original)) return false;
   roll_back();
-  if (apply_patch(design, original)) return true;
+  if (apply_patch(design, original, delta)) return true;
   roll_back();
   return false;
 }
@@ -253,15 +247,13 @@ void AttackGraph::roll_back() {
   patched_ = false;
 }
 
-bool AttackGraph::apply_patch(const LockedDesign& design,
-                              const Netlist& original) {
-  const Netlist& locked = design.netlist;
+bool AttackGraph::apply_patch(const Netlist& locked, const Netlist& original,
+                              const netlist::DecodeDelta& delta) {
   const std::size_t n0 = original.size();
   const std::size_t n = locked.size();
   // The base must be key-free (every node present), so the design's key
-  // inputs are all in its tail; the records must describe the design.
-  if (base_present_nodes_ != n0 ||
-      !lock::replay_records(design, original, replay_)) {
+  // inputs are all in its tail; the delta must list this pair's wires.
+  if (base_present_nodes_ != n0 || !delta.lists_wires(locked, original)) {
     return false;
   }
 
@@ -283,48 +275,29 @@ bool AttackGraph::apply_patch(const LockedDesign& design,
   const auto present = [&](NodeId v) {
     return v < n0 || tail_present_[v - n0] != 0;
   };
+  // The delta lists a tail wire once per fanin slot; the view has it once.
+  const auto repeat = [&](std::vector<Wire>::const_iterator wire) {
+    return wire != delta.added.cbegin() && *wire == wire[-1];
+  };
 
-  // Every wire that enters or leaves the tail: the tail's fanins, and the
-  // tail fanins of the rewired gates (no other original gate reads the
-  // tail). Then the original wires the rewiring cut, and the row entries
-  // both sets change.
-  tail_wires_.clear();
-  for (NodeId y = static_cast<NodeId>(n0); y < n; ++y) {
-    for (const NodeId fanin : locked.node(y).fanins) {
-      tail_wires_.emplace_back(fanin, y);
-    }
-  }
-  cut_wires_.clear();
-  for (const NodeId gate : replay_.rewired) {
-    const auto& fanins = locked.node(gate).fanins;
-    for (const NodeId fanin : fanins) {
-      if (fanin >= n0) tail_wires_.emplace_back(fanin, gate);
-    }
-    for (const NodeId fanin : original.node(gate).fanins) {
-      if (!lists(fanins, fanin)) cut_wires_.emplace_back(fanin, gate);
-    }
-  }
-  std::sort(tail_wires_.begin(), tail_wires_.end());
-  tail_wires_.erase(std::unique(tail_wires_.begin(), tail_wires_.end()),
-                    tail_wires_.end());
-  std::sort(cut_wires_.begin(), cut_wires_.end());
-  cut_wires_.erase(std::unique(cut_wires_.begin(), cut_wires_.end()),
-                   cut_wires_.end());
+  // The row entries the cut wires and the tail's present wires change.
   cut_entries_.clear();
-  for (const auto& [driver, sink] : cut_wires_) {
+  for (const auto& [driver, sink] : delta.cut) {
     cut_entries_.emplace_back(driver, sink);
     cut_entries_.emplace_back(sink, driver);
   }
   std::sort(cut_entries_.begin(), cut_entries_.end());
   added_entries_.clear();
-  std::size_t added_links = 0;
-  for (const auto& [driver, sink] : tail_wires_) {
+  for (const auto& [driver, sink] : delta.added) {
     if (!present(driver) || !present(sink)) continue;
     added_entries_.emplace_back(driver, sink);
     added_entries_.emplace_back(sink, driver);
-    ++added_links;
   }
   std::sort(added_entries_.begin(), added_entries_.end());
+  added_entries_.erase(
+      std::unique(added_entries_.begin(), added_entries_.end()),
+      added_entries_.end());
+  const std::size_t added_links = added_entries_.size() / 2;
   touched_.clear();
   for (const auto& [row, neighbour] : cut_entries_) touched_.push_back(row);
   for (const auto& [row, neighbour] : added_entries_) {
@@ -393,17 +366,17 @@ bool AttackGraph::apply_patch(const LockedDesign& design,
   // Positives: the base's runs between changed drivers are copied whole; a
   // changed driver's run loses its cut sinks and gains its present tail
   // sinks (which sort last); tail drivers follow in id order.
-  patched_links_.resize(known_links_.size() - cut_wires_.size() +
-                        added_links);
+  patched_links_.resize(known_links_.size() - delta.cut.size() + added_links);
   std::size_t link = 0;
   auto base_link = known_links_.cbegin();
   const auto base_end = known_links_.cend();
-  auto cut_wire = cut_wires_.cbegin();
-  auto tail_wire = tail_wires_.cbegin();
+  auto cut_wire = delta.cut.cbegin();
+  auto tail_wire = delta.added.cbegin();
   const auto emit_tail_sinks = [&](NodeId driver) {
-    for (; tail_wire != tail_wires_.cend() && tail_wire->first == driver;
+    for (; tail_wire != delta.added.cend() && tail_wire->first == driver;
          ++tail_wire) {
-      if (present(driver) && present(tail_wire->second)) {
+      if (!repeat(tail_wire) && present(driver) &&
+          present(tail_wire->second)) {
         patched_links_[link++] = CandidateLink{driver, tail_wire->second};
       }
     }
@@ -416,23 +389,23 @@ bool AttackGraph::apply_patch(const LockedDesign& design,
            patched_links_.begin();
     for (base_link = run; base_link != base_end && base_link->u == u;
          ++base_link) {
-      if (cut_wire != cut_wires_.cend() && cut_wire->first == u &&
+      if (cut_wire != delta.cut.cend() && cut_wire->first == u &&
           cut_wire->second == base_link->v) {
         ++cut_wire;
         continue;
       }
       patched_links_[link++] = *base_link;
     }
-    while (tail_wire != tail_wires_.cend() && tail_wire->first < u) {
+    while (tail_wire != delta.added.cend() && tail_wire->first < u) {
       ++tail_wire;
     }
     emit_tail_sinks(u);
   }
   link = std::copy(base_link, base_end, patched_links_.begin() + link) -
          patched_links_.begin();
-  while (tail_wire != tail_wires_.cend() && tail_wire->first < n0) ++tail_wire;
+  while (tail_wire != delta.added.cend() && tail_wire->first < n0) ++tail_wire;
   for (NodeId y = static_cast<NodeId>(n0); y < n; ++y) emit_tail_sinks(y);
-  if (cut_wire != cut_wires_.cend() || link != patched_links_.size()) {
+  if (cut_wire != delta.cut.cend() || link != patched_links_.size()) {
     return false;
   }
 
@@ -448,10 +421,10 @@ bool AttackGraph::apply_patch(const LockedDesign& design,
     if (!present(in0) || !present(in1)) continue;  // chained key MUX
     auto& problem = slots_[bit];
     problem.key_bit_index = bit;
-    for (auto wire = std::lower_bound(tail_wires_.cbegin(), tail_wires_.cend(),
+    for (auto wire = std::lower_bound(delta.added.cbegin(), delta.added.cend(),
                                       Wire{m, 0});
-         wire != tail_wires_.cend() && wire->first == m; ++wire) {
-      if (!present(wire->second)) continue;
+         wire != delta.added.cend() && wire->first == m; ++wire) {
+      if (repeat(wire) || !present(wire->second)) continue;
       problem.if_zero.push_back(CandidateLink{in0, wire->second});
       problem.if_one.push_back(CandidateLink{in1, wire->second});
     }

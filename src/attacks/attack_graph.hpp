@@ -22,17 +22,17 @@
 // Two ways to build it:
 //   - build(locked) derives the view from the netlist alone, in O(N + E).
 //     One-shot attacks and .bench inputs take this path.
-//   - patch(design, original) derives the view of a design decoded from
-//     `original` from this graph's build(original). The design's decode
-//     records (LockedDesign::genes and ::applied) name every rewired fanin
-//     and the appended key-logic tail, so only the rows of rewired gates,
-//     of their old and new drivers and of the tail are written, in place:
-//     the original's rows of those nodes are journaled and new rows are
-//     appended, and the next patch rolls them back first. The positives
-//     are the original's, copied in runs between the changed drivers. The
-//     result equals build(design.netlist) exactly. AttackScratch::view
-//     keeps one graph per worker based on the design family's original and
-//     picks the path.
+//   - patch(design, original, delta) derives the view of a design decoded
+//     from `original` from this graph's build(original), given the
+//     design's checked decode delta (lock::replay_records, then
+//     DecodeDelta::fill_wires): only the rows
+//     of the rewired gates, of the drivers of the cut and added wires and
+//     of the tail are written, in place: the original's rows of those
+//     nodes are journaled and new rows are appended, and the next patch
+//     rolls them back first. The positives are the original's, copied in
+//     runs between the changed drivers. The result equals
+//     build(design) exactly. AttackScratch::view keeps one graph per
+//     worker based on the design family's original and picks the path.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +40,8 @@
 #include <utility>
 #include <vector>
 
-#include "locking/gene.hpp"
+#include "netlist/decode_delta.hpp"
 #include "netlist/netlist.hpp"
-
-namespace autolock::lock {
-struct LockedDesign;
-}
 
 namespace autolock::attack {
 
@@ -84,15 +80,16 @@ class AttackGraph {
 
   /// Turns this graph, a build() of the key-free `original` (possibly
   /// patched for another design since), into the view of `design`, decoded
-  /// from `original`: equal to build(design.netlist), in work proportional
-  /// to what the decode touched plus one copy of the positives. Returns
-  /// false, leaving the view of `original`, when this graph is not based on
-  /// `original` as it stands, when the design was decoded from another
-  /// structure or its netlist has changed since, or when its records do
-  /// not check out against the two netlists. `design` must outlive the view
-  /// (or the next build or patch).
-  bool patch(const lock::LockedDesign& design,
-             const netlist::Netlist& original);
+  /// from `original`, whose differences `delta` lists (the delta
+  /// lock::replay_records accepted for the two, with its wires filled):
+  /// equal to build(design), in work proportional to the delta plus one
+  /// copy of the positives. Returns false, leaving the view of `original`,
+  /// when this graph is not based on `original` as it stands, when `delta`
+  /// does not list the wires of this design and original as they stand
+  /// (DecodeDelta::lists_wires), or when it does not fit the rows.
+  /// `design` must outlive the view (or the next build or patch).
+  bool patch(const netlist::Netlist& design, const netlist::Netlist& original,
+             const netlist::DecodeDelta& delta);
 
   /// The netlist the view is of (the design's, once patched).
   const netlist::Netlist& locked() const noexcept { return *locked_; }
@@ -151,14 +148,15 @@ class AttackGraph {
   std::size_t key_bits() const noexcept { return problems_.size(); }
 
  private:
-  using Wire = std::pair<netlist::NodeId, netlist::NodeId>;
+  using Wire = netlist::DecodeDelta::Wire;
 
   /// Restores the view of the base after a patch.
   void roll_back();
   /// The patch behind patch() on the rolled-back base; false may leave it
   /// partly written (patch() rolls back).
-  bool apply_patch(const lock::LockedDesign& design,
-                   const netlist::Netlist& original);
+  bool apply_patch(const netlist::Netlist& design,
+                   const netlist::Netlist& original,
+                   const netlist::DecodeDelta& delta);
   /// Clears the per-bit problem slots for `key_bit_count` bits.
   void begin_problems(int key_bit_count);
   /// Emits the non-empty per-bit slots into problems_, in bit order.
@@ -198,22 +196,16 @@ class AttackGraph {
   std::vector<std::uint32_t> mux_sink_offsets_;
   std::vector<netlist::NodeId> mux_sink_edges_;
   // Patch-time state, retained for reuse: the base rows a patch replaced
-  // (node, begin, size); the replay of the design's records (the rewired
-  // original gates, ascending); the wires that enter or leave the
-  // tail; the original wires the rewiring cut; the row entries those cut
-  // and the tail's present wires add (both ways round); per tail node,
-  // present or not and its key bit (-1 unless a key input); and the
-  // original nodes whose rows change. Wire lists are (driver, sink) or
-  // (row, neighbour) pairs, sorted.
+  // (node, begin, size); the row entries the delta's cut wires and the
+  // tail's present wires change (both ways round), as sorted (row,
+  // neighbour) pairs; per tail node, present or not and its key bit (-1
+  // unless a key input); and the original nodes whose rows change.
   struct SavedRow {
     netlist::NodeId node;
     std::uint32_t begin;
     std::uint32_t size;
   };
   std::vector<SavedRow> saved_rows_;
-  lock::RecordReplay replay_;
-  std::vector<Wire> tail_wires_;
-  std::vector<Wire> cut_wires_;
   std::vector<Wire> cut_entries_;
   std::vector<Wire> added_entries_;
   std::vector<char> tail_present_;

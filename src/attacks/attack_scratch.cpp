@@ -2,11 +2,22 @@
 
 namespace autolock::attack {
 
+namespace {
+
+/// Checks `design`'s records against `family` into `delta` and lists the
+/// wires both patches read.
+bool replay(const lock::LockedDesign& design, const netlist::Netlist* family,
+            lock::DecodeDelta& delta) {
+  return family != nullptr && lock::replay_records(design, *family, delta) &&
+         delta.fill_wires(design.netlist, *family);
+}
+
+}  // namespace
+
 const AttackGraph& AttackScratch::view(const lock::LockedDesign& design) {
-  if (family != nullptr &&
-      design.original_version == family->structural_version()) {
+  if (replay(design, family, delta)) {
     if (!graph.based_on(*family)) graph.build(*family);
-    if (graph.patch(design, *family)) return graph;
+    if (graph.patch(design.netlist, *family, delta)) return graph;
   }
   graph.build(design.netlist);
   return graph;
@@ -14,8 +25,8 @@ const AttackGraph& AttackScratch::view(const lock::LockedDesign& design) {
 
 netlist::KeyConeAreas& AttackScratch::scope_view(
     const lock::LockedDesign& design) {
-  if (family != nullptr && lock::replay_records(design, *family, replay)) {
-    scope_areas.reset(design.netlist, *family, replay.rewired);
+  if (replay(design, family, delta)) {
+    scope_areas.reset(design.netlist, *family, delta);
   } else {
     scope_areas.reset(design.netlist);
   }

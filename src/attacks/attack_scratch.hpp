@@ -4,8 +4,8 @@
 // evaluation loop: the CSR AttackGraph (the view of the design family's
 // original, patched per design), the epoch-stamped BFS marks used by
 // hard-negative sampling and subgraph extraction, the key-cone area oracle
-// behind SCOPE (the family's baseline, patched per design), and assorted
-// reusable vectors. Every
+// behind SCOPE (the family's baseline, patched per design), the decode
+// delta both patches read, and assorted reusable vectors. Every
 // attack resets the pieces it uses, so a scratch can be handed from design
 // to design (and attack to attack) freely — results are bit-identical to a
 // fresh scratch. The one-shot attack(locked) overloads run on exactly that:
@@ -27,17 +27,18 @@ namespace autolock::attack {
 
 struct AttackScratch {
   /// Puts the attacker view of `design` into `graph` and returns it. When
-  /// the design was decoded from `family` as it stands now, `graph` is
-  /// patched from its view of `family` (built here on the first such
-  /// design); otherwise, or when the design's records do not check out, it
-  /// is a full build. The view is identical either way.
+  /// lock::replay_records accepts the design against `family` (into
+  /// `delta`, whose wires are then filled), `graph` is patched from its
+  /// view of `family` (built here, after the replay, on the first such
+  /// design); otherwise it is a full build. The view is identical either
+  /// way.
   const AttackGraph& view(const lock::LockedDesign& design);
 
-  /// Points `scope_areas` at `design` and returns it. When the design was
-  /// decoded from `family` as it stands now and its records check out, the
-  /// areas patch their baseline of `family` (built here on the first such
-  /// design); otherwise they rewrite the design in full. The areas are
-  /// identical either way.
+  /// Points `scope_areas` at `design` and returns it. When
+  /// lock::replay_records accepts the design against `family` (into
+  /// `delta`, whose wires are then filled), the areas patch their baseline
+  /// of `family` (built on the first such design) by the delta; otherwise
+  /// they rewrite the design in full. The areas are identical either way.
   netlist::KeyConeAreas& scope_view(const lock::LockedDesign& design);
 
   /// The original the designs attacked through this scratch are decoded
@@ -61,8 +62,9 @@ struct AttackScratch {
   /// SCOPE's area oracle: the baseline rewrite (of `family`, patched per
   /// design, or of the design), fanout index, edits and rollback journals.
   netlist::KeyConeAreas scope_areas;
-  /// The replay of the design's decode records behind scope_view.
-  lock::RecordReplay replay;
+  /// The decode delta, with its wires, of the design last replayed by view
+  /// or scope_view.
+  lock::DecodeDelta delta;
   /// GNN forward/backward buffers (MuxLink training and inference).
   GnnScratch gnn;
   // BFS / sampling buffers.

@@ -401,95 +401,32 @@ LockedDesign apply_genotype(const Netlist& original,
 void apply_genotype_into(LockedDesign& out, const Netlist& original,
                          const SiteContext& context, const Genotype& genes,
                          util::Rng& repair_rng, ReachScratch& scratch) {
-  // Warm path: when this (out, original) pair is the one the previous
-  // decode through this scratch produced, and nobody has mutated the design
-  // since, the previous rewiring is undone in place and its key-logic tail
-  // truncated away, skipping the netlist copy. Either way the genes then
-  // append their logic after the original's nodes, so both paths produce
-  // identical designs, whatever the two genotypes' shapes.
-  const std::size_t prev = out.applied.size();
-  // The structural-version comparison makes the netlist side watertight:
-  // ANY structural mutation of the netlist since the previous decode (by
-  // the caller, or by a decode through a different scratch) bumps the
-  // version and drops this call to the copy path.
-  bool warm =
-      scratch.last_design == &out && scratch.last_original == &original &&
-      scratch.last_design_version == out.netlist.structural_version() &&
-      out.genes.size() == prev && out.netlist.names() == original.names();
-  std::size_t expected_nodes = original.size();
-  for (std::size_t t = 0; warm && t < prev; ++t) {
-    expected_nodes += out.applied[t].node_count;
-  }
-  warm = warm && out.netlist.size() == expected_nodes;
-  // The version cannot see edits to the out.genes/out.applied metadata
-  // vectors themselves, so additionally require every recorded splice to
-  // still be wired exactly where its record says — otherwise the undo
-  // below would have nothing to revert. Any mismatch falls back to the
-  // copy.
-  for (std::size_t t = 0; warm && t < prev; ++t) {
-    const AppliedGene& rec = out.applied[t];
-    const auto wired = [&](NodeId gate, NodeId node) {
-      if (gate >= out.netlist.size()) return false;
-      for (NodeId f : out.netlist.node(gate).fanins) {
-        if (f == node) return true;
-      }
-      return false;
-    };
-    switch (rec.kind) {
-      case GeneKind::kMux:
-        warm = wired(out.genes[t].g_i, rec.first_node + 1) &&
-               wired(out.genes[t].g_j, rec.first_node + 2);
-        break;
-      case GeneKind::kRll:
-        warm = wired(rec.sink, rec.first_node + 1);
-        break;
-      case GeneKind::kAntiSat: {
-        const NodeId mix = rec.first_node + rec.node_count - 1;
-        if (rec.splice_output) {
-          warm = rec.port < out.netlist.outputs().size() &&
-                 out.netlist.outputs()[rec.port].driver == mix;
-        } else {
-          warm = wired(rec.sink, mix);
-        }
-        break;
+  // Warm path: when `out`'s records check out against `original` (it was
+  // decoded from this original as it stands, and its netlist is as decode
+  // left it), the previous decode is undone in place by its delta and the
+  // key-logic tail truncated away, skipping the netlist copy. Either way the
+  // genes then append their logic after the original's nodes, so both paths
+  // produce identical designs, whatever the two genotypes' shapes. The
+  // stamps are cleared first, so an exception can never leave a
+  // half-rewired design that still checks out.
+  DecodeDelta& delta = scratch.delta;
+  const bool warm = replay_records(out, original, delta);
+  out.original_version = 0;
+  out.decoded_version = 0;
+  if (warm) {
+    // A rewired gate's fanins are its original list with some slots
+    // replaced by tail ids. Each splice replaced every slot of its driver
+    // with a fresh node, so slots that held one node still hold one node,
+    // and replacing each tail id by its slot's original fanin restores it.
+    for (const NodeId gate : delta.rewired) {
+      const auto& was = original.node(gate).fanins;
+      for (std::size_t k = 0; k < was.size(); ++k) {
+        const NodeId now = out.netlist.node(gate).fanins[k];
+        if (now != was[k]) out.netlist.replace_fanin(gate, now, was[k]);
       }
     }
-  }
-  scratch.last_design = nullptr;
-  if (warm) {
-    // Revert the previous rewiring in reverse gene order: each splice
-    // occupies exactly the fanin slots (or output port) of the driver it
-    // displaced, and its key logic feeds nothing else.
-    for (std::size_t t = prev; t-- > 0;) {
-      const AppliedGene& rec = out.applied[t];
-      switch (rec.kind) {
-        case GeneKind::kMux: {
-          const Gene& g = out.genes[t];
-          if (out.netlist.replace_fanin(g.g_i, rec.first_node + 1, g.f_i) ==
-                  0 ||
-              out.netlist.replace_fanin(g.g_j, rec.first_node + 2, g.f_j) ==
-                  0) {
-            throw std::logic_error("apply_genotype_into: undo lost an edge");
-          }
-          break;
-        }
-        case GeneKind::kRll:
-          if (out.netlist.replace_fanin(rec.sink, rec.first_node + 1,
-                                        rec.driver) == 0) {
-            throw std::logic_error("apply_genotype_into: undo lost an edge");
-          }
-          break;
-        case GeneKind::kAntiSat: {
-          const NodeId mix = rec.first_node + rec.node_count - 1;
-          if (rec.splice_output) {
-            out.netlist.set_output_driver(rec.port, rec.driver);
-          } else if (out.netlist.replace_fanin(rec.sink, mix, rec.driver) ==
-                     0) {
-            throw std::logic_error("apply_genotype_into: undo lost an edge");
-          }
-          break;
-        }
-      }
+    for (const std::uint32_t port : delta.moved_ports) {
+      out.netlist.set_output_driver(port, original.outputs()[port].driver);
     }
     out.netlist.truncate(original.size());
   } else {
@@ -510,8 +447,6 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
       out.netlist.set_name(base + std::string(kSuffix));
     }
   }
-  out.original_version = 0;
-  out.decoded_version = 0;
   out.key.clear();
   out.genes.clear();
   out.applied.clear();
@@ -528,17 +463,17 @@ void apply_genotype_into(LockedDesign& out, const Netlist& original,
   scratch.topo.order_into(context.seed_order(), context.seed_order_ranks(),
                           context.seed_pos(), scratch.topo_order);
   out.netlist.prime_topological_order(scratch.topo_order);
-  scratch.last_design = &out;
-  scratch.last_original = &original;
-  scratch.last_design_version = out.netlist.structural_version();
   out.original_version = original.structural_version();
   out.decoded_version = out.netlist.structural_version();
 }
 
 bool replay_records(const LockedDesign& design, const Netlist& original,
-                    RecordReplay& replay) {
+                    DecodeDelta& delta) {
   const Netlist& locked = design.netlist;
   const std::size_t n0 = original.size();
+  delta.design_version = 0;
+  delta.original_version = 0;
+  delta.wired = false;
   // Structural versions are unique across netlist objects, so: the design
   // was decoded from exactly this structure, and its netlist is exactly
   // what decode left.
@@ -550,9 +485,15 @@ bool replay_records(const LockedDesign& design, const Netlist& original,
   }
 
   // Each gene owns the consecutive tail ids its kind fixes, from the end of
-  // the original to the end of the design; collect the original gates its
-  // record says it rewired.
-  replay.rewired.clear();
+  // the original to the end of the design. Collect the splices its record
+  // states: in an original gate, a driver replaced by a node of its logic,
+  // or an output port moved onto it.
+  delta.moved_ports.clear();
+  delta.splices.clear();
+  const auto splice = [&](NodeId gate, NodeId from, NodeId to) {
+    delta.splices.push_back(
+        {gate, static_cast<std::uint32_t>(delta.splices.size()), from, to});
+  };
   std::size_t next = n0;
   for (std::size_t t = 0; t < design.genes.size(); ++t) {
     const AppliedGene& rec = design.applied[t];
@@ -562,74 +503,34 @@ bool replay_records(const LockedDesign& design, const Netlist& original,
     switch (rec.kind) {
       case GeneKind::kMux:
         count = 3;
+        break;
+      case GeneKind::kRll:
+        count = 2;
+        break;
+      case GeneKind::kAntiSat:
+        count = 4 * static_cast<std::size_t>(gene.width) + 4;
+        break;
+    }
+    if (rec.node_count != count || count > locked.size() - next) return false;
+    next += count;
+    switch (rec.kind) {
+      case GeneKind::kMux:
         if (gene.f_i >= n0 || gene.f_j >= n0 || gene.g_i >= n0 ||
             gene.g_j >= n0) {
           return false;
         }
-        replay.rewired.push_back(gene.g_i);
-        replay.rewired.push_back(gene.g_j);
+        splice(gene.g_i, gene.f_i, rec.first_node + 1);
+        splice(gene.g_j, gene.f_j, rec.first_node + 2);
         break;
       case GeneKind::kRll:
-        count = 2;
         if (rec.driver >= n0 || rec.sink >= n0) return false;
-        replay.rewired.push_back(rec.sink);
+        splice(rec.sink, rec.driver, rec.first_node + 1);
         break;
-      case GeneKind::kAntiSat:
-        count = 4 * static_cast<std::size_t>(gene.width) + 4;
+      case GeneKind::kAntiSat: {
         if (rec.width != gene.width ||
             rec.splice_output != gene.splice_output) {
           return false;
         }
-        if (!rec.splice_output && rec.sink < n0) replay.rewired.push_back(rec.sink);
-        break;
-    }
-    if (rec.node_count != count) return false;
-    next += count;
-  }
-  if (next != locked.size()) return false;
-  std::sort(replay.rewired.begin(), replay.rewired.end());
-  replay.rewired.erase(std::unique(replay.rewired.begin(), replay.rewired.end()),
-                 replay.rewired.end());
-
-  // Replay every splice, in gene order, on the rewired gates' original
-  // fanin lists. Each must replace at least one fanin, and the replayed
-  // lists must come out exactly as the design's: then the records name
-  // every original gate decode rewired, and nothing else changed there.
-  replay.begin.clear();
-  replay.fanins.clear();
-  for (const NodeId gate : replay.rewired) {
-    replay.begin.push_back(static_cast<std::uint32_t>(replay.fanins.size()));
-    const auto& fanins = original.node(gate).fanins;
-    replay.fanins.insert(replay.fanins.end(), fanins.begin(), fanins.end());
-  }
-  replay.begin.push_back(static_cast<std::uint32_t>(replay.fanins.size()));
-  const auto replace = [&](NodeId gate, NodeId from, NodeId to) {
-    const std::size_t i =
-        std::lower_bound(replay.rewired.begin(), replay.rewired.end(), gate) -
-        replay.rewired.begin();
-    std::size_t replaced = 0;
-    for (std::uint32_t k = replay.begin[i]; k < replay.begin[i + 1]; ++k) {
-      if (replay.fanins[k] == from) {
-        replay.fanins[k] = to;
-        ++replaced;
-      }
-    }
-    return replaced != 0;
-  };
-  for (std::size_t t = 0; t < design.genes.size(); ++t) {
-    const AppliedGene& rec = design.applied[t];
-    const Gene& gene = design.genes[t];
-    switch (rec.kind) {
-      case GeneKind::kMux:
-        if (!replace(gene.g_i, gene.f_i, rec.first_node + 1) ||
-            !replace(gene.g_j, gene.f_j, rec.first_node + 2)) {
-          return false;
-        }
-        break;
-      case GeneKind::kRll:
-        if (!replace(rec.sink, rec.driver, rec.first_node + 1)) return false;
-        break;
-      case GeneKind::kAntiSat: {
         const NodeId mix = rec.first_node + rec.node_count - 1;
         if (rec.splice_output) {
           // No gate is rewired; the port must hold the block's output.
@@ -637,8 +538,9 @@ bool replay_records(const LockedDesign& design, const Netlist& original,
               locked.outputs()[rec.port].driver != mix) {
             return false;
           }
+          delta.moved_ports.push_back(rec.port);
         } else if (rec.sink < n0) {
-          if (!replace(rec.sink, rec.driver, mix)) return false;
+          splice(rec.sink, rec.driver, mix);
         } else if (rec.sink >= rec.first_node ||
                    !lists(locked.node(rec.sink).fanins, mix)) {
           // A splice into an earlier gene's key logic: the tail rows come
@@ -650,14 +552,37 @@ bool replay_records(const LockedDesign& design, const Netlist& original,
       }
     }
   }
-  for (std::size_t i = 0; i < replay.rewired.size(); ++i) {
-    const auto& fanins = locked.node(replay.rewired[i]).fanins;
-    if (!std::equal(fanins.begin(), fanins.end(),
-                    replay.fanins.begin() + replay.begin[i],
-                    replay.fanins.begin() + replay.begin[i + 1])) {
-      return false;
+  if (next != locked.size()) return false;
+  std::sort(delta.moved_ports.begin(), delta.moved_ports.end());
+
+  // Replay the splices gate by gate, each gate's in gene order, on its
+  // original fanin list. Each must replace at least one fanin, and the
+  // replayed list must come out exactly as the design's: then the records
+  // name every original gate decode rewired, and nothing else changed
+  // there.
+  std::sort(delta.splices.begin(), delta.splices.end(),
+            [](const DecodeDelta::Splice& a, const DecodeDelta::Splice& b) {
+              return a.gate != b.gate ? a.gate < b.gate : a.order < b.order;
+            });
+  delta.rewired.clear();
+  for (auto s = delta.splices.cbegin(); s != delta.splices.cend();) {
+    const NodeId gate = s->gate;
+    delta.rewired.push_back(gate);
+    delta.fanins = original.node(gate).fanins;
+    for (; s != delta.splices.cend() && s->gate == gate; ++s) {
+      bool replaced = false;
+      for (NodeId& fanin : delta.fanins) {
+        if (fanin == s->from) {
+          fanin = s->to;
+          replaced = true;
+        }
+      }
+      if (!replaced) return false;
     }
+    if (delta.fanins != locked.node(gate).fanins) return false;
   }
+  delta.design_version = locked.structural_version();
+  delta.original_version = original.structural_version();
   return true;
 }
 

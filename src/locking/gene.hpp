@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "netlist/decode_delta.hpp"
 #include "netlist/types.hpp"
 
 namespace autolock::lock {
@@ -105,9 +106,9 @@ using Genotype = std::vector<Gene>;
 
 /// Per-gene decode record: where the gene's nodes landed in the locked
 /// netlist and which original edge (or output port) its splice displaced.
-/// apply_genotype_into uses the records to undo the previous decode's
-/// rewiring in place and truncate its tail before appending the next
-/// decode's key logic (append after undo).
+/// Written by the forward decode; after it, only lock::replay_records
+/// reads the records, checking them against the design and turning them
+/// into a DecodeDelta.
 struct AppliedGene {
   GeneKind kind = GeneKind::kMux;
   std::uint16_t width = 0;
@@ -128,16 +129,9 @@ struct AppliedGene {
   friend bool operator==(const AppliedGene&, const AppliedGene&) = default;
 };
 
-/// Storage of lock::replay_records (locking/mux_lock.hpp), retained for
-/// reuse by the attackers that patch their views per design.
-struct RecordReplay {
-  /// The original gates the records say decode rewired, ascending.
-  std::vector<netlist::NodeId> rewired;
-  /// Their fanin lists as the records replay them: gate rewired[i]'s at
-  /// [begin[i], begin[i + 1]) of `fanins`.
-  std::vector<std::uint32_t> begin;
-  std::vector<netlist::NodeId> fanins;
-};
+/// What a decode changed on its original (netlist/decode_delta.hpp);
+/// lock::replay_records fills it from the records.
+using DecodeDelta = netlist::DecodeDelta;
 
 /// Shape of a randomly drawn genotype: how many genes of each scheme
 /// random_genotype(context, spec, rng) emits (MUX sites first, then RLL

@@ -46,9 +46,9 @@ struct LockedDesign {
   /// from, and of `netlist` as decode left it (0 = not decoded). Versions
   /// travel with moves, so a design moved out of its workspace keeps both.
   /// While they still match, the records above describe every difference
-  /// between `netlist` and the original, which is what lets an attack
-  /// patch its view of the original instead of rebuilding it
-  /// (attack::AttackScratch::view).
+  /// between `netlist` and the original (replay_records checks them), which
+  /// is what lets the next decode undo this one in place and an attack
+  /// patch its view of the original instead of rebuilding it.
   std::uint64_t original_version = 0;
   std::uint64_t decoded_version = 0;
 };
@@ -78,14 +78,16 @@ LockedDesign apply_genotype(const netlist::Netlist& original,
 /// those ranks rather than re-sorted: the original's (level, id) order
 /// with the decode's touched nodes merged in by (rank, id).
 ///
-/// Keep the (out, scratch) pairing stable across calls: when consecutive
-/// decodes reuse the same pair against the same original, the previous
-/// rewiring is undone in place and its key-logic tail truncated, instead of
-/// re-copying the netlist; the genes then append their logic exactly as a
-/// cold decode does (append after undo), whatever the two genotypes'
-/// shapes. A structural mutation of `out` between decodes safely falls back
-/// to the copy. Cycle checks run against an incrementally maintained
-/// dynamic topological order — see locking/decode_topo.hpp.
+/// Decoding into a design that already holds a decode of the same
+/// original is warm: when replay_records accepts `out`, its delta undoes the
+/// previous rewiring in place (each rewired gate's fanins and each moved
+/// port restored from the original) and the key-logic tail is truncated,
+/// instead of re-copying the netlist; the genes then append their logic
+/// exactly as a cold decode does (append after undo), whatever the two
+/// genotypes' shapes. Any other `out` (fresh, moved from, structurally
+/// mutated since, or with records that no longer check out) takes the
+/// copy. Cycle checks run against an incrementally maintained dynamic
+/// topological order — see locking/decode_topo.hpp.
 void apply_genotype_into(LockedDesign& out, const netlist::Netlist& original,
                          const SiteContext& context, const Genotype& genes,
                          util::Rng& repair_rng, ReachScratch& scratch);
@@ -96,11 +98,16 @@ void apply_genotype_into(LockedDesign& out, const netlist::Netlist& original,
 /// netlists: each gene owns the consecutive tail ids its kind fixes, from
 /// original.size() to the end of the design, and replaying every splice,
 /// in gene order, on the original fanin lists of the gates the records
-/// name gives exactly the design's lists. Fills `replay.rewired` with those
-/// gates. The attackers patch their views of the original from this
-/// (attack::AttackGraph::patch, netlist::KeyConeAreas::reset).
+/// name gives exactly the design's lists. Then fills `delta` with those
+/// gates and the moved output ports, and stamps it with the two netlists'
+/// structural versions. This is the one place after decode that reads the
+/// records: the warm decode (apply_genotype_into) undoes a design by its
+/// delta, and the attackers patch their views of the original with it once
+/// DecodeDelta::fill_wires has listed its wires (attack::AttackGraph::patch,
+/// netlist::KeyConeAreas::reset). On false the stamps are 0, so no
+/// consumer takes the delta for any design.
 bool replay_records(const LockedDesign& design,
-                    const netlist::Netlist& original, RecordReplay& replay);
+                    const netlist::Netlist& original, DecodeDelta& delta);
 
 /// Pre-interns the decode-generated names ({keyinput<t>, keymux<t>a/b,
 /// keyxor<t>} for t in [0, key_bits)) into `original`'s name table and

@@ -28,8 +28,10 @@ namespace autolock::lock {
 /// checks (every site-validity query otherwise allocates an O(V) visited
 /// vector; decode repairs and GA mutations run hundreds per genotype), the
 /// decode-local dynamic topological order, the buffer for the merged
-/// cache-priming topological order, and the interned ids of the
-/// decode-generated names.
+/// cache-priming topological order, the warm decode's delta storage, and
+/// the interned ids of the decode-generated names. It holds no state that
+/// ties it to a design: whether a decode is warm is the design's own
+/// business (lock::replay_records).
 struct ReachScratch {
   util::EpochFlags visited;
   std::vector<netlist::NodeId> stack;
@@ -41,18 +43,9 @@ struct ReachScratch {
   /// The decode-final topological order DecodeTopo::order_into merges and
   /// the decode primes the design's traversal cache with.
   std::vector<netlist::NodeId> topo_order;
-  /// Fast-path token: the (design, original) pair the previous successful
-  /// apply_genotype_into decoded through this scratch, plus the design
-  /// netlist's structural version at that moment. When the next decode sees
-  /// the same pair with the version unchanged (i.e. nobody mutated the
-  /// design in between), it undoes the previous rewiring in place and
-  /// truncates the key-logic tail instead of re-copying the original
-  /// netlist, then appends the new genes' logic (append after undo).
-  /// Cleared while a decode is in flight, so an exception can never leave
-  /// a half-rewired netlist trusted.
-  const void* last_design = nullptr;
-  const netlist::Netlist* last_original = nullptr;
-  std::uint64_t last_design_version = 0;
+  /// The previous design's decode delta, which the warm decode undoes
+  /// (see apply_genotype_into); storage only, refilled per decode.
+  DecodeDelta delta;
   /// key_names[t] = interned {keyinput<t>, keymux<t>a, keymux<t>b,
   /// keyxor<t>}, built lazily against `key_name_table` (and rebuilt if the
   /// scratch moves to a different design family). With the cache warm,

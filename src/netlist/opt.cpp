@@ -360,10 +360,6 @@ constexpr std::uint32_t kJournaled = 1U << 31;
 /// constant flag with node bits set, which no rewrite returns.
 constexpr PackedValue kUnset = ~PackedValue{0};
 
-bool lists(const std::vector<NodeId>& fanins, NodeId node) {
-  return std::find(fanins.begin(), fanins.end(), node) != fanins.end();
-}
-
 }  // namespace
 
 Netlist optimize(const Netlist& input, OptStats* stats) {
@@ -582,9 +578,8 @@ void KeyConeAreas::reset(const Netlist& input) {
 }
 
 void KeyConeAreas::reset(const Netlist& design, const Netlist& original,
-                         std::span<const NodeId> rewired) {
-  if (design.size() < original.size() ||
-      design.outputs().size() != original.outputs().size()) {
+                         const DecodeDelta& delta) {
+  if (!delta.lists_wires(design, original)) {
     reset(design);
     return;
   }
@@ -597,7 +592,7 @@ void KeyConeAreas::reset(const Netlist& design, const Netlist& original,
     family_version_ = original.structural_version();
     family_level_ = base_;
   }
-  patch(design, rewired);
+  patch(design, delta);
 }
 
 void KeyConeAreas::build(const Netlist& input) {
@@ -608,7 +603,7 @@ void KeyConeAreas::build(const Netlist& input) {
   design_journal_.clear();
   design_changed_.clear();
   design_drivers_.clear();
-  moved_ports_.clear();
+  ports_moved_ = false;
   row_patches_.clear();
 
   // The graph has at most a node per input node plus two constants, and at
@@ -672,8 +667,7 @@ void KeyConeAreas::index_ports(const Netlist& net) {
 }
 
 void KeyConeAreas::patch(const Netlist& design,
-                         std::span<const NodeId> rewired) {
-  const Netlist& original = *family_;
+                         const DecodeDelta& delta) {
   const std::size_t n = design.size();
   if (n >= kConstFlag / 2) {
     throw std::length_error("netlist optimizer: design too large");
@@ -682,21 +676,17 @@ void KeyConeAreas::patch(const Netlist& design,
   keys_ = design.key_inputs();
   rewrite_.values.resize(n, kUnset);
   flags_.resize(n, 0);
-  patch_fanouts(design, rewired);
+  patch_fanouts(delta);
   const auto& order = design.topological_order();
   position_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) position_[order[i]] = i;
-  for (std::uint32_t p = 0; p < design.outputs().size(); ++p) {
-    if (design.outputs()[p].driver != original.outputs()[p].driver) {
-      moved_ports_.push_back(p);
-    }
-  }
-  if (!moved_ports_.empty()) index_ports(design);
+  ports_moved_ = !delta.moved_ports.empty();
+  if (ports_moved_) index_ports(design);
 
   // The design's differences are the walk's seeds: every appended node,
   // every rewired gate and every moved port. Only the rewired gates' changes
   // spread through the original's fanouts; the appended nodes are read by
-  // appended nodes and rewired gates alone (what the records guarantee).
+  // appended nodes and rewired gates alone (what the checked delta says).
   Walk walk(*this);
   walk.set_quiet_from(tail_);
   for (NodeId y = tail_; y < n; ++y) {
@@ -706,9 +696,9 @@ void KeyConeAreas::patch(const Netlist& design,
       walk.queue(y);
     }
   }
-  for (const NodeId gate : rewired) walk.queue(gate);
+  for (const NodeId gate : delta.rewired) walk.queue(gate);
   walk.run();
-  const std::size_t area = walk.settle(moved_ports_);
+  const std::size_t area = walk.settle(delta.moved_ports);
 
   // Keep the walk as the design's baseline, recording what it changed on
   // the family's.
@@ -725,52 +715,28 @@ void KeyConeAreas::patch(const Netlist& design,
   patched_ = true;
 }
 
-void KeyConeAreas::patch_fanouts(const Netlist& design,
-                                 std::span<const NodeId> rewired) {
-  const Netlist& original = *family_;
-  const auto n0 = static_cast<NodeId>(original.size());
-  const auto n = static_cast<NodeId>(design.size());
-  // The wires the design adds and cuts, as (driver, sink) pairs: every
-  // fanin of an appended node, and the fanins a rewired gate gained or
-  // lost (every occurrence of a lost one goes).
-  added_.clear();
-  cut_.clear();
-  for (NodeId y = n0; y < n; ++y) {
-    for (const NodeId fanin : design.node(y).fanins) {
-      added_.emplace_back(fanin, y);
-    }
-  }
-  for (const NodeId gate : rewired) {
-    const auto& now = design.node(gate).fanins;
-    const auto& was = original.node(gate).fanins;
-    for (const NodeId fanin : now) {
-      if (!lists(was, fanin)) added_.emplace_back(fanin, gate);
-    }
-    for (const NodeId fanin : was) {
-      if (!lists(now, fanin)) cut_.emplace_back(fanin, gate);
-    }
-  }
-  std::sort(added_.begin(), added_.end());
-  std::sort(cut_.begin(), cut_.end());
-  cut_.erase(std::unique(cut_.begin(), cut_.end()), cut_.end());
+void KeyConeAreas::patch_fanouts(const DecodeDelta& delta) {
+  const auto n0 = static_cast<NodeId>(family_->size());
+  const auto n = static_cast<NodeId>(input_->size());
   touched_.clear();
-  for (const auto& [driver, sink] : added_) {
+  for (const auto& [driver, sink] : delta.added) {
     if (driver < n0) touched_.push_back(driver);
   }
-  for (const auto& [driver, sink] : cut_) touched_.push_back(driver);
+  for (const auto& [driver, sink] : delta.cut) touched_.push_back(driver);
   std::sort(touched_.begin(), touched_.end());
   touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
 
   // A touched original row is its family row minus the cut sinks, then its
   // added sinks; an appended node's row is its added sinks.
   patched_fanouts_.clear();
-  auto add = added_.cbegin();
-  auto cut = cut_.cbegin();
+  auto add = delta.added.cbegin();
+  auto cut = delta.cut.cbegin();
   for (const NodeId u : touched_) {
     const auto begin = static_cast<std::uint32_t>(patched_fanouts_.size());
-    while (cut != cut_.cend() && cut->first < u) ++cut;
-    const auto cut_end = std::find_if(
-        cut, cut_.cend(), [u](const auto& wire) { return wire.first != u; });
+    while (cut != delta.cut.cend() && cut->first < u) ++cut;
+    const auto cut_end =
+        std::find_if(cut, delta.cut.cend(),
+                     [u](const auto& wire) { return wire.first != u; });
     for (const NodeId sink : fanouts_.fanouts(u)) {
       const bool gone = std::any_of(cut, cut_end, [sink](const auto& wire) {
         return wire.second == sink;
@@ -778,8 +744,8 @@ void KeyConeAreas::patch_fanouts(const Netlist& design,
       if (!gone) patched_fanouts_.push_back(sink);
     }
     cut = cut_end;
-    while (add != added_.cend() && add->first < u) ++add;
-    for (; add != added_.cend() && add->first == u; ++add) {
+    while (add != delta.added.cend() && add->first < u) ++add;
+    for (; add != delta.added.cend() && add->first == u; ++add) {
       patched_fanouts_.push_back(add->second);
     }
     row_patches_.push_back(
@@ -788,11 +754,11 @@ void KeyConeAreas::patch_fanouts(const Netlist& design,
   }
   tail_ = n0;
   tail_fanout_begin_.clear();
-  while (add != added_.cend() && add->first < n0) ++add;
+  while (add != delta.added.cend() && add->first < n0) ++add;
   for (NodeId y = n0; y < n; ++y) {
     tail_fanout_begin_.push_back(
         static_cast<std::uint32_t>(patched_fanouts_.size()));
-    for (; add != added_.cend() && add->first == y; ++add) {
+    for (; add != delta.added.cend() && add->first == y; ++add) {
       patched_fanouts_.push_back(add->second);
     }
   }
@@ -829,9 +795,9 @@ void KeyConeAreas::roll_back_design() {
   for (const RowPatch& row : row_patches_) flags_[row.node] &= ~kRowPatched;
   row_patches_.clear();
   tail_ = static_cast<NodeId>(n0);
-  if (!moved_ports_.empty()) {
+  if (ports_moved_) {
     index_ports(*family_);
-    moved_ports_.clear();
+    ports_moved_ = false;
   }
   input_ = family_;
   base_ = family_level_;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "netlist/csr.hpp"
+#include "netlist/decode_delta.hpp"
 #include "netlist/netlist.hpp"
 
 namespace autolock::netlist {
@@ -73,12 +74,12 @@ struct OptScratch {
 /// graph, its live nodes reference-counted, a flag per input node that
 /// emitted its own baseline value (or drives a port), and the input's
 /// fanouts and topological positions. reset(input) builds all of it from
-/// scratch. reset(design, original, rewired) builds it once per design
-/// family, from the original, and then patches the design's differences
+/// scratch. reset(design, original, delta) builds it once per design
+/// family, from the original, and then patches the design's decode delta
 /// onto it: the appended key logic and the rewired original gates are
-/// re-rewritten as seeds and the ports the design moved re-driven, the
-/// fanout rows of the changed drivers and of the appended nodes are
-/// replaced, and the counts move along the changed edges only. The next
+/// re-rewritten as seeds and the moved ports re-driven, the fanout rows of
+/// the drivers of the delta's added and cut wires and of the appended nodes
+/// are replaced, and the counts move along the changed edges only. The next
 /// design of the family rolls those edits back first. Only the positions
 /// are scattered afresh per design, from the design's own topological
 /// order.
@@ -111,16 +112,18 @@ class KeyConeAreas {
   /// area() query on it.
   void reset(const Netlist& input);
 
-  /// Indexes `design`, decoded from `original`: the original gates listed in
-  /// `rewired` (ascending) have new fanins, every other original node is
-  /// unchanged, and the design's nodes from original.size() on are the
-  /// appended key logic (lock::replay_records checks exactly this). Builds
-  /// the baseline of `original` on the first call for it as it stands (and
-  /// after a one-shot reset), then patches the design onto it. Falls back
-  /// to reset(design) when the two do not have the same output ports.
-  /// Both netlists must outlive every area() query on the design.
+  /// Indexes `design`, decoded from `original`, whose differences `delta`
+  /// lists (the delta lock::replay_records accepted for the two, with its
+  /// wires filled): the rewired original gates have new fanins, the moved
+  /// ports new drivers, every other original node is unchanged, and the
+  /// design's nodes from original.size() on are the appended key logic.
+  /// Builds the baseline of `original` on the first call for it as it
+  /// stands (and after a one-shot reset), then patches the design onto it.
+  /// Falls back to reset(design) when `delta` does not list the wires of
+  /// the two as they stand (DecodeDelta::lists_wires). Both netlists must
+  /// outlive every area() query on the design.
   void reset(const Netlist& design, const Netlist& original,
-             std::span<const NodeId> rewired);
+             const DecodeDelta& delta);
 
   /// True when the last reset patched a family's baseline.
   bool patched() const noexcept { return patched_; }
@@ -183,9 +186,9 @@ class KeyConeAreas {
   /// The full rewrite behind both resets.
   void build(const Netlist& input);
   /// Patches the design onto the family baseline (which build() made).
-  void patch(const Netlist& design, std::span<const NodeId> rewired);
+  void patch(const Netlist& design, const DecodeDelta& delta);
   /// Replaces the fanout rows the design changes.
-  void patch_fanouts(const Netlist& design, std::span<const NodeId> rewired);
+  void patch_fanouts(const DecodeDelta& delta);
   /// Restores the family baseline after a patch.
   void roll_back_design();
   /// Restores the design's baseline after a hypothesis.
@@ -232,25 +235,23 @@ class KeyConeAreas {
   Level base_;
   // The family's level, and what the design changed on it: edited rows,
   // journaled counts, changed values, port drivers (port, family driver),
-  // and the ports it moved to another node.
+  // and whether it moved a port to another node.
   Level family_level_;
   std::vector<Edit> design_edits_;
   std::vector<std::pair<NodeId, std::uint32_t>> design_journal_;
   std::vector<Changed> design_changed_;
   std::vector<std::pair<std::uint32_t, NodeId>> design_drivers_;
-  std::vector<std::uint32_t> moved_ports_;
+  bool ports_moved_ = false;
   // Per-walk state, undone before area() returns: the heap of queued
   // positions, changed input nodes, edits, ports with their new drivers,
-  // and the refcount journal. Patch-time scratch: the wires the design
-  // adds and cuts as (driver, sink) pairs, and the drivers they touch.
+  // and the refcount journal. Patch-time scratch: the original drivers the
+  // delta's added and cut wires touch.
   std::vector<std::uint32_t> heap_;
   std::vector<Changed> changed_;
   std::vector<Edit> edits_;
   std::vector<std::pair<std::uint32_t, NodeId>> new_drivers_;
   std::vector<std::pair<NodeId, std::uint32_t>> journal_;
   std::vector<NodeId> stack_;
-  std::vector<std::pair<NodeId, NodeId>> added_;
-  std::vector<std::pair<NodeId, NodeId>> cut_;
   std::vector<NodeId> touched_;
 };
 

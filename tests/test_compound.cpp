@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "eval/registry.hpp"
 #include "eval/workspace.hpp"
 #include "locking/antisat.hpp"
+#include "locking/mux_lock.hpp"
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 #include "util/rng.hpp"
@@ -203,6 +205,119 @@ TEST(CompoundDecode, WarmDecodeAcrossGenotypeShapesMatchesColdDecode) {
     EXPECT_EQ(warm.netlist.topological_order(),
               cold.netlist.topological_order());
     EXPECT_NO_THROW(warm.netlist.validate());
+    // The next decode is warm only if the records check out.
+    lock::DecodeDelta delta;
+    EXPECT_TRUE(lock::replay_records(warm, original, delta));
+  }
+}
+
+/// `warm` must be the design `cold` is, node for node.
+void expect_same_design(const lock::LockedDesign& warm,
+                        const lock::LockedDesign& cold) {
+  ASSERT_EQ(warm.netlist.size(), cold.netlist.size());
+  for (NodeId v = 0; v < cold.netlist.size(); ++v) {
+    const auto& w = warm.netlist.node(v);
+    const auto& c = cold.netlist.node(v);
+    ASSERT_EQ(w.type, c.type) << "node " << v;
+    ASSERT_EQ(w.is_key_input, c.is_key_input) << "node " << v;
+    ASSERT_EQ(w.name, c.name) << "node " << v;
+    ASSERT_EQ(w.fanins, c.fanins) << "node " << v;
+  }
+  EXPECT_EQ(warm.netlist.inputs(), cold.netlist.inputs());
+  ASSERT_EQ(warm.netlist.outputs().size(), cold.netlist.outputs().size());
+  for (std::size_t o = 0; o < cold.netlist.outputs().size(); ++o) {
+    EXPECT_EQ(warm.netlist.outputs()[o].driver,
+              cold.netlist.outputs()[o].driver);
+  }
+  EXPECT_EQ(warm.key, cold.key);
+  EXPECT_EQ(warm.genes, cold.genes);
+  EXPECT_EQ(warm.applied, cold.applied);
+  EXPECT_EQ(warm.netlist.topological_order(),
+            cold.netlist.topological_order());
+  EXPECT_NO_THROW(warm.netlist.validate());
+}
+
+TEST(CompoundDecode, WarmDecodeAfterRecordTamperingMatchesColdDecode) {
+  // The netlist is left as decode made it; only the records (genes or
+  // applied) are edited before the next decode into the same (design,
+  // scratch) pair. Records that no longer describe the netlist must not be
+  // trusted by the undo: each next decode must equal a cold one. A record
+  // moved to another fanout of its driver still replays (the driver is
+  // there to replace), so only the comparison of the replayed fanin lists
+  // with the design's can reject it.
+  const Netlist original = profile(netlist::gen::ProfileId::kC880, 23);
+  const lock::SiteContext context(original);
+  util::Rng rng(23);
+  const lock::GenotypeSpec spec{.mux_sites = 8,
+                                .rll_gates = 4,
+                                .antisat_width = 2,
+                                .antisat_splice_output = false};
+  /// Another original fanout of `driver` than `gate` (kNoNode if none).
+  const auto other_fanout = [&](NodeId driver, NodeId gate) {
+    for (const NodeId sink : context.fanouts(driver)) {
+      if (sink != gate) return sink;
+    }
+    return netlist::kNoNode;
+  };
+  const std::vector<std::pair<std::string,
+                              std::function<bool(lock::LockedDesign&)>>>
+      tamperings = {
+          {"MUX record moved to another fanout of its driver",
+           [&](lock::LockedDesign& design) {
+             for (Gene& gene : design.genes) {
+               if (gene.kind != GeneKind::kMux) continue;
+               const NodeId gate = other_fanout(gene.f_i, gene.g_i);
+               if (gate == netlist::kNoNode || gate == gene.g_j) continue;
+               gene.g_i = gate;
+               return true;
+             }
+             return false;
+           }},
+          {"RLL sink moved to another fanout of its driver",
+           [&](lock::LockedDesign& design) {
+             for (lock::AppliedGene& rec : design.applied) {
+               if (rec.kind != GeneKind::kRll) continue;
+               const NodeId gate = other_fanout(rec.driver, rec.sink);
+               if (gate == netlist::kNoNode) continue;
+               rec.sink = gate;
+               return true;
+             }
+             return false;
+           }},
+          {"first_node bumped",
+           [](lock::LockedDesign& design) {
+             ++design.applied[1].first_node;
+             return true;
+           }},
+          {"last gene popped",
+           [](lock::LockedDesign& design) {
+             design.genes.pop_back();
+             design.applied.pop_back();
+             return true;
+           }},
+      };
+  lock::LockedDesign warm;
+  lock::ReachScratch scratch;
+  lock::DecodeDelta delta;
+  for (std::uint64_t trial = 0; trial < 3; ++trial) {
+    for (const auto& [name, tamper] : tamperings) {
+      SCOPED_TRACE(name + ", trial " + std::to_string(trial));
+      util::Rng repair_first(trial);
+      lock::apply_genotype_into(warm, original, context,
+                                lock::random_genotype(context, spec, rng),
+                                repair_first, scratch);
+      ASSERT_TRUE(tamper(warm));
+      EXPECT_FALSE(lock::replay_records(warm, original, delta));
+
+      const auto genes = lock::random_genotype(context, spec, rng);
+      util::Rng repair_warm(trial);
+      lock::apply_genotype_into(warm, original, context, genes, repair_warm,
+                                scratch);
+      util::Rng repair_cold(trial);
+      expect_same_design(
+          warm, lock::apply_genotype(original, context, genes, repair_cold));
+      EXPECT_TRUE(lock::replay_records(warm, original, delta));
+    }
   }
 }
 

@@ -711,21 +711,27 @@ TEST(CsrAttackGraph, PatchedViewMatchesFullBuild) {
     EXPECT_TRUE(read_twice);
   }
 
-  // A graph based on c432 patched for design after design, and designs
-  // the records do not describe: their patch fails and leaves the view of
-  // the original, and view() falls back to the full build.
+  // A graph based on c432 patched for design after design by their decode
+  // deltas, and designs the records do not describe: replay_records
+  // rejects them, their patch fails and leaves the view of the original,
+  // and view() falls back to the full build.
   attack::AttackGraph patched(c432.original);
   const attack::AttackGraph c432_view(c432.original);
+  lock::DecodeDelta delta;
   const auto expect_full = [&](const lock::LockedDesign& design) {
-    EXPECT_FALSE(patched.patch(design, c432.original));
+    EXPECT_FALSE(lock::replay_records(design, c432.original, delta));
+    EXPECT_FALSE(patched.patch(design.netlist, c432.original, delta));
     expect_same_view(patched, c432_view);
     scratch.family = &c432.original;
     expect_same_view(scratch.view(design), attack::AttackGraph(design.netlist));
+    EXPECT_FALSE(scratch.graph.patched());
   };
   const auto decoded = [&] {
     lock::LockedDesign design = c432.decode(
         lock::random_genotype(c432.context, compound, c432_rng), 5);
-    EXPECT_TRUE(patched.patch(design, c432.original));
+    EXPECT_TRUE(lock::replay_records(design, c432.original, delta));
+    EXPECT_TRUE(delta.fill_wires(design.netlist, c432.original));
+    EXPECT_TRUE(patched.patch(design.netlist, c432.original, delta));
     expect_same_view(patched, attack::AttackGraph(design.netlist));
     return design;
   };
@@ -802,6 +808,28 @@ TEST(CsrAttackGraph, PatchedViewMatchesFullBuild) {
     const lock::LockedDesign design = lock::apply_genotype(
         sibling, context, lock::random_genotype(context, 12, c432_rng), repair);
     expect_full(design);
+  }
+  {
+    // A delta stamped for another design, then one replayed but without its
+    // wires listed: neither patch takes it.
+    (void)decoded();
+    const lock::LockedDesign design = c432.decode(
+        lock::random_genotype(c432.context, compound, c432_rng), 6);
+    netlist::KeyConeAreas areas;
+    const auto expect_unpatched = [&] {
+      EXPECT_FALSE(patched.patch(design.netlist, c432.original, delta));
+      expect_same_view(patched, c432_view);
+      areas.reset(design.netlist, c432.original, delta);
+      EXPECT_FALSE(areas.patched());
+    };
+    expect_unpatched();
+    ASSERT_TRUE(lock::replay_records(design, c432.original, delta));
+    expect_unpatched();
+    ASSERT_TRUE(delta.fill_wires(design.netlist, c432.original));
+    EXPECT_TRUE(patched.patch(design.netlist, c432.original, delta));
+    expect_same_view(patched, attack::AttackGraph(design.netlist));
+    areas.reset(design.netlist, c432.original, delta);
+    EXPECT_TRUE(areas.patched());
   }
 }
 
