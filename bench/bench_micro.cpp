@@ -63,11 +63,14 @@ void BM_SubgraphExtraction(benchmark::State& state) {
   const auto design = lock::dmux_lock(circuit, 32, 1);
   const attack::AttackGraph graph(design.netlist);
   const auto& links = graph.known_links();
+  attack::SubgraphScratch scratch;
+  attack::Subgraph sub;
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& link = links[i++ % links.size()];
-    benchmark::DoNotOptimize(
-        attack::extract_subgraph(graph, link.u, link.v, {}));
+    attack::extract_subgraph_into(graph, link.u, link.v, {}, scratch, sub);
+    benchmark::DoNotOptimize(sub.features.values.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SubgraphExtraction);
@@ -78,10 +81,13 @@ void BM_GnnPredict(benchmark::State& state) {
   const auto design = lock::dmux_lock(circuit, 16, 1);
   const attack::AttackGraph graph(design.netlist);
   const auto& link = graph.known_links().front();
-  const auto sub = attack::extract_subgraph(graph, link.u, link.v, {});
+  attack::SubgraphScratch extraction;
+  attack::Subgraph sub;
+  attack::extract_subgraph_into(graph, link.u, link.v, {}, extraction, sub);
   const attack::Gnn model(attack::GnnConfig{}, 7);
+  attack::GnnScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict(sub));
+    benchmark::DoNotOptimize(model.predict(sub, scratch));
   }
 }
 BENCHMARK(BM_GnnPredict);
@@ -96,12 +102,13 @@ void BM_GnnTrainEpoch(benchmark::State& state) {
   const auto& links = graph.known_links();
   attack::SubgraphConfig subgraph;
   subgraph.max_nodes = 32;
-  std::vector<attack::Subgraph> samples;
-  for (std::size_t i = 0; i < 240; ++i) {
+  attack::SubgraphScratch extraction;
+  std::vector<attack::Subgraph> samples(240);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
     const auto& link = links[(i * 7) % links.size()];
-    samples.push_back(
-        attack::extract_subgraph(graph, link.u, link.v, subgraph));
-    samples.back().label = static_cast<double>(i % 2);
+    attack::extract_subgraph_into(graph, link.u, link.v, subgraph, extraction,
+                                  samples[i]);
+    samples[i].label = static_cast<double>(i % 2);
   }
   std::vector<std::size_t> order(samples.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;

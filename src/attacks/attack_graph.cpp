@@ -433,13 +433,4 @@ bool AttackGraph::apply_patch(const Netlist& locked, const Netlist& original,
   return true;
 }
 
-std::vector<std::vector<NodeId>> AttackGraph::adjacency_lists() const {
-  std::vector<std::vector<NodeId>> lists(present_.size());
-  for (NodeId v = 0; v < present_.size(); ++v) {
-    const auto row = neighbors(v);
-    lists[v].assign(row.begin(), row.end());
-  }
-  return lists;
-}
-
 }  // namespace autolock::attack

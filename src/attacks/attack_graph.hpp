@@ -118,11 +118,6 @@ class AttackGraph {
     return row_size_[v];
   }
 
-  /// Materializes the adjacency as a list of lists (identical content to
-  /// the pre-CSR representation). Allocates; meant for tests and cold
-  /// callers, not the evaluation hot path.
-  std::vector<std::vector<netlist::NodeId>> adjacency_lists() const;
-
   /// All existing directed wires (driver, sink) between present nodes —
   /// the self-supervision positives — ascending by driver, then sink.
   const std::vector<CandidateLink>& known_links() const noexcept {

@@ -89,17 +89,6 @@ LocalAdjacency LocalAdjacency::from_lists(
   return adjacency;
 }
 
-std::vector<double> Subgraph::dense_features() const {
-  std::vector<double> dense(node_count * kFeatureDim, 0.0);
-  const double* value = features.values.data();
-  for (std::size_t i = 0; i < node_count; ++i) {
-    for (std::uint64_t bits = features.mask[i]; bits != 0; bits &= bits - 1) {
-      dense[i * kFeatureDim + std::countr_zero(bits)] = *value++;
-    }
-  }
-  return dense;
-}
-
 const std::vector<std::uint32_t>& drnl_labels(const LocalAdjacency& adjacency,
                                               SubgraphScratch& scratch) {
   const std::size_t n = adjacency.size();
@@ -124,14 +113,6 @@ const std::vector<std::uint32_t>& drnl_labels(const LocalAdjacency& adjacency,
     labels[x] = std::min(label, kDrnlCap);
   }
   return labels;
-}
-
-Subgraph extract_subgraph(const AttackGraph& graph, NodeId u, NodeId v,
-                          const SubgraphConfig& config) {
-  SubgraphScratch scratch;
-  Subgraph sub;
-  extract_subgraph_into(graph, u, v, config, scratch, sub);
-  return sub;
 }
 
 void extract_subgraph_into(const AttackGraph& graph, NodeId u, NodeId v,

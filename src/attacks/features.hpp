@@ -70,9 +70,6 @@ struct Subgraph {
   std::size_t node_count = 0;
   /// Training label (1 = link exists); ignored for inference samples.
   double label = 0.0;
-
-  /// The feature matrix unpacked, row-major n x kFeatureDim.
-  std::vector<double> dense_features() const;
 };
 
 struct SubgraphConfig {
@@ -83,8 +80,8 @@ struct SubgraphConfig {
 };
 
 /// Reusable extraction state (one per worker): epoch-stamped membership
-/// marks plus the member/hop/label staging vectors and the DRNL BFS buffers
-/// that the allocating variant re-creates per call.
+/// marks plus the member/hop/label staging vectors and the DRNL BFS
+/// buffers.
 struct SubgraphScratch {
   util::EpochFlags member_marks;
   std::vector<std::uint32_t> local_of;  // valid only where member_marks set
@@ -95,15 +92,10 @@ struct SubgraphScratch {
   std::vector<std::uint32_t> row_start;  // features.values offset per row
 };
 
-/// Extracts the enclosing subgraph for link (u, v) over `graph`. The (u, v)
-/// edge is omitted from the local adjacency in both directions (SEAL rule:
-/// the model must never see the edge it is asked to predict).
-Subgraph extract_subgraph(const AttackGraph& graph, netlist::NodeId u,
-                          netlist::NodeId v, const SubgraphConfig& config);
-
-/// Allocation-reusing variant: writes into `out` (buffers retained across
-/// calls) using `scratch`. Produces exactly the same subgraph as
-/// extract_subgraph.
+/// Extracts the enclosing subgraph for link (u, v) over `graph` into `out`
+/// (buffers retained across calls), using `scratch`. The (u, v) edge is
+/// omitted from the local adjacency in both directions (SEAL rule: the
+/// model must never see the edge it is asked to predict).
 void extract_subgraph_into(const AttackGraph& graph, netlist::NodeId u,
                            netlist::NodeId v, const SubgraphConfig& config,
                            SubgraphScratch& scratch, Subgraph& out);

@@ -433,11 +433,6 @@ double Gnn::predict(const Subgraph& sample, GnnScratch& scratch) const {
   return scratch.prob;
 }
 
-double Gnn::predict(const Subgraph& sample) const {
-  GnnScratch scratch;
-  return predict(sample, scratch);
-}
-
 void Gnn::backward(const Subgraph& sample, GnnScratch& scratch,
                    double dlogit) {
   const std::size_t n = sample.node_count;
@@ -599,12 +594,6 @@ double Gnn::train_epoch(const std::vector<Subgraph>& samples,
     }
   }
   return order.empty() ? 0.0 : loss_sum / static_cast<double>(order.size());
-}
-
-double Gnn::train_epoch(const std::vector<Subgraph>& samples,
-                        const std::vector<std::size_t>& order) {
-  GnnScratch scratch;
-  return train_epoch(samples, order, scratch);
 }
 
 }  // namespace autolock::attack

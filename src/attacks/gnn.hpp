@@ -134,19 +134,12 @@ class Gnn {
   /// working buffers come from `scratch`.
   double predict(const Subgraph& sample, GnnScratch& scratch) const;
 
-  /// Allocating convenience (one-shot callers and tests); identical result.
-  double predict(const Subgraph& sample) const;
-
   /// One epoch of minibatch Adam over `samples` in the given order
   /// (shuffle outside). Returns mean BCE loss; all per-sample buffers come
   /// from `scratch`.
   double train_epoch(const std::vector<Subgraph>& samples,
                      const std::vector<std::size_t>& order,
                      GnnScratch& scratch);
-
-  /// Allocating convenience; identical result.
-  double train_epoch(const std::vector<Subgraph>& samples,
-                     const std::vector<std::size_t>& order);
 
  private:
   struct Layer {

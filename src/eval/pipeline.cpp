@@ -113,17 +113,14 @@ double EvalPipeline::corruption(const LockedDesign& design,
   util::Rng rng(0xC0441ULL ^ (config_.seed * 0x9E3779B97F4A7C15ULL) ^
                 design.netlist.size());
   // Draw-order contract: the key stream and the vector stream are forked
-  // independently (keys first), so neither the configured key count nor
-  // rejection redraws can shift the vector draws. The vector stream is then
+  // independently (keys first), so neither the key count nor rejection
+  // redraws can shift the vector draws. The vector stream is then
   // a pure function of (seed, netlist size) — which is what lets every
   // same-size design in a batch share one cached oracle response.
   util::Rng key_rng = rng.fork();
   util::Rng vec_rng = rng.fork();
-  const std::size_t want_keys =
-      design.key.empty()
-          ? 1
-          : std::max<std::size_t>(
-                1, std::min<std::size_t>(config_.corruption_keys, 64));
+  // One wrong key per bit lane of the batch; a keyless design has one.
+  const std::size_t want_keys = design.key.empty() ? 1 : 64;
   const std::size_t vectors =
       std::max<std::size_t>(1, config_.corruption_vectors / want_keys);
 

@@ -12,10 +12,11 @@
 //     elites and duplicate offspring;
 //   - population batches fan out over a util::ThreadPool (owned, borrowed,
 //     or none);
-//   - one shared oracle Simulator serves every corruption measurement and
-//     oracle-guided attack instead of being rebuilt per individual; a
-//     sibling pipeline (campaign::run builds one per pool shard) shares it
-//     and the SiteContext with the pipeline it was built from.
+//   - one shared oracle Simulator serves every corruption measurement
+//     instead of being rebuilt per individual (oracle-guided attacks get
+//     the original netlist and build their own); a sibling pipeline
+//     (campaign::run builds one per pool shard) shares it and the
+//     SiteContext with the pipeline it was built from.
 //
 // Custom fitness callbacks (tests, synthetic objectives) plug in through
 // fitness_override / objectives_override and ride the same cache and
@@ -67,15 +68,10 @@ struct EvalPipelineConfig {
   /// (0 = attack accuracy only, the paper's behaviour).
   double corruption_weight = 0.0;
   /// Total (wrong key, vector) probe budget per corruption estimate: the
-  /// budget is spread over `corruption_keys` wrong keys, each probed on
-  /// max(1, corruption_vectors / corruption_keys) shared random vectors via
-  /// Simulator::key_error_rates.
+  /// budget is spread over 64 wrong keys (one per bit lane of a KeyBatch),
+  /// each probed on max(1, corruption_vectors / 64) shared random vectors
+  /// via Simulator::key_error_rates.
   std::size_t corruption_vectors = 256;
-  /// Wrong keys sampled per corruption estimate (capped at 64 — one key
-  /// per bit lane). Lane 0 is the all-bits-flipped adversarial key (the
-  /// historical single-key proxy); the remaining lanes are uniform random
-  /// wrong keys.
-  std::size_t corruption_keys = 64;
   /// Append `1 - min(corruption, 0.5) / 0.5` as an extra minimized
   /// objective (multi-objective runs only).
   bool corruption_objective = false;
@@ -154,12 +150,12 @@ class EvalPipeline {
       const lock::LockedDesign& design,
       EvalWorkspace* workspace = nullptr) const;
   /// Mean wrong-key output corruption against the shared oracle simulator,
-  /// over `corruption_keys` wrong keys (lane 0 = all bits flipped, the rest
-  /// uniform random) probed on shared random vectors through
-  /// Simulator::key_error_rates. The key and vector streams mix the
-  /// configured seed and are forked independently (keys first), so distinct
-  /// pipeline seeds probe distinct sets, equal seeds reproduce exactly, and
-  /// the key count never shifts the vector draws.
+  /// over 64 wrong keys (lane 0 = all bits flipped, the historical
+  /// single-key proxy; the rest uniform random) probed on shared random
+  /// vectors through Simulator::key_error_rates. The key and vector streams
+  /// mix the configured seed and are forked independently (keys first), so
+  /// distinct pipeline seeds probe distinct sets, equal seeds reproduce
+  /// exactly, and the key draws never shift the vector draws.
   double corruption(const lock::LockedDesign& design,
                     EvalWorkspace* workspace = nullptr) const;
 

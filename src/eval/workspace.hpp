@@ -9,7 +9,10 @@
 // the key gates each decode appends:
 //
 //   design   — the decode target; its netlist reuses node/name storage
-//   reach    — epoch-stamped DFS marks for decode-time cycle checks
+//   reach    — the decode's working state (lock::ReachScratch): DFS marks,
+//              the incremental topological order (DecodeTopo) and the
+//              merged order it primes, the warm decode's delta and the
+//              interned key-gate names
 //   attack   — CSR AttackGraph (patched per design from the bound
 //              family's view) + BFS/sampling buffers + SCOPE's area oracle
 //   sim      — simulator value/output buffers for corruption measurement

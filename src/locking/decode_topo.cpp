@@ -127,30 +127,6 @@ void DecodeTopo::reserve(std::size_t base_nodes, std::size_t base_edges,
   window_.reserve(64);
 }
 
-bool DecodeTopo::depends_on(NodeId from, NodeId target) {
-  if (from == target) return true;
-  const std::uint64_t floor = rank_[target];
-  if (floor > rank_[from]) return false;  // a path would force floor < rank
-  // Backward DFS from `from`: only nodes ranked strictly above `target`
-  // can sit on a path target ~> v ~> from, so everything at or below the
-  // floor is pruned (ties are unordered, hence unreachable from target).
-  visited_.begin_epoch(node_count());
-  stack_.clear();
-  stack_.push_back(from);
-  visited_.mark(from);
-  while (!stack_.empty()) {
-    const NodeId v = stack_.back();
-    stack_.pop_back();
-    ++touched_;
-    for (NodeId f : fanins(v)) {
-      if (f == target) return true;
-      if (rank_[f] <= floor) continue;
-      if (visited_.try_mark(f)) stack_.push_back(f);
-    }
-  }
-  return false;
-}
-
 bool DecodeTopo::ensure_order(NodeId node, NodeId pivot) {
   if (node == pivot) return false;
   if (rank_[node] < rank_[pivot]) return true;  // ordered => no path possible

@@ -34,7 +34,8 @@
 //
 // Verdict equivalence with the legacy DFS (same accepts, same rejects, in
 // the same order — decode repair RNG consumption is bit-identical) is pinned
-// by the property test in tests/test_sites.cpp.
+// by the property test in tests/test_sites.cpp, against the from-scratch
+// check in tests/support/decode.hpp.
 #pragma once
 
 #include <cstdint>
@@ -109,18 +110,12 @@ class DecodeTopo {
     return false;
   }
 
-  /// True iff `target` is in the transitive fanin of `from` in the working
-  /// netlist — the same verdict as a from-scratch backward DFS. O(1) when
-  /// rank(target) > rank(from); otherwise a backward DFS over the CSR
-  /// mirror pruned to the [rank(target), rank(from)] window.
-  bool depends_on(netlist::NodeId from, netlist::NodeId target);
-
   /// Fused cycle check + ordering guarantee for one prospective cross edge:
-  /// returns false iff `pivot` is a dependency of `node` (identical verdict
-  /// to !depends_on(node, pivot) — the site must be rejected). On true,
-  /// additionally guarantees rank(node) < rank(pivot), relabelling node's
-  /// bounded dependency window below pivot when the ranks were inverted —
-  /// the DFS that proves pivot unreachable IS the window collection, so
+  /// returns false iff `pivot` is a dependency of `node` (a path
+  /// pivot ~> node, so the site must be rejected). On true, additionally
+  /// guarantees rank(node) < rank(pivot), relabelling node's bounded
+  /// dependency window below pivot when the ranks were inverted — the DFS
+  /// that proves pivot unreachable IS the window collection, so
   /// check and relabel share a single traversal. A relabel performed for a
   /// site its second check later rejects is harmless: relabels never touch
   /// the graph, only pick another equally valid linearization.
@@ -131,8 +126,8 @@ class DecodeTopo {
   /// replacing the f_i fanin of g_i and m2 = {sel, a1, a0} replacing the
   /// f_j fanin of g_j, where {a0, a1} is {f_i, f_j} in key-bit order. The
   /// three ids must be consecutive, in that order, starting at
-  /// node_count(). Precondition (checked by the caller via depends_on): the
-  /// working netlist has no path g_i ~> f_j and no path g_j ~> f_i.
+  /// node_count(). Precondition (checked by the caller via ensure_order):
+  /// the working netlist has no path g_i ~> f_j and no path g_j ~> f_i.
   void insert_mux_pair(netlist::NodeId f_i, netlist::NodeId f_j,
                        netlist::NodeId g_i, netlist::NodeId g_j,
                        netlist::NodeId a0, netlist::NodeId a1,

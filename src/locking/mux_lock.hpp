@@ -129,18 +129,6 @@ LockedDesign dmux_lock(const netlist::Netlist& original, std::size_t key_bits,
 /// range (decode guarantees this via SiteContext::structurally_valid).
 bool applicable_to_working_ranks(DecodeTopo& topo, const Gene& site);
 
-namespace testing {
-
-/// Test-only hook: the pre-incremental applicability check — from-scratch
-/// backward-DFS cycle checks over the working netlist's per-gate fanin
-/// vectors. Kept compiled so tests/test_sites.cpp can cross-check the
-/// incremental rank-based path against it on random genotypes; decode never
-/// calls it. Site ids must be in range for `working`.
-bool applicable_to_working_dfs(const netlist::Netlist& working,
-                               const Gene& site, ReachScratch& scratch);
-
-}  // namespace testing
-
 /// Random MUX-only genotype of `key_bits` valid, pairwise edge-disjoint
 /// sites (the paper's population initialisation: "lock the provided ON with
 /// a key of size K ... repeated N times with random keys").

@@ -10,6 +10,10 @@ namespace autolock::netlist::gen {
 
 namespace {
 
+/// Probability that make_random draws a fanin from the recent-node window
+/// (locality) rather than uniformly from all earlier nodes.
+constexpr double kLocalityBias = 0.7;
+
 GateType sample_type(const GateMix& mix, util::Rng& rng) {
   struct Entry {
     GateType type;
@@ -90,7 +94,7 @@ Netlist make_random(const RandomCircuitConfig& config, std::uint64_t seed) {
     // does not occur in real netlists.
     for (int attempt = 0; attempt < 16; ++attempt) {
       std::size_t idx;
-      if (rng.next_bool(config.locality_bias) && pool.size() > window) {
+      if (rng.next_bool(kLocalityBias) && pool.size() > window) {
         idx = pool.size() - 1 - rng.next_below(window);
       } else {
         idx = rng.next_below(pool.size());

@@ -37,9 +37,6 @@ struct RandomCircuitConfig {
   std::size_t gates = 100;
   /// Approximate target logic depth; controls how local fanin selection is.
   std::size_t target_depth = 12;
-  /// Probability that a fanin is drawn from the recent-node window (locality)
-  /// rather than uniformly from all earlier nodes.
-  double locality_bias = 0.7;
   /// Probability that a gate's non-first fanin is drawn from the 2-hop
   /// neighbourhood of its first fanin (triadic closure). Real circuits are
   /// built from modules (adders, decoders) whose wires reconverge heavily;

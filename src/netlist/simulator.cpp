@@ -289,48 +289,6 @@ std::uint64_t tail_mask(std::size_t vectors, std::size_t block) noexcept {
 
 }  // namespace
 
-double Simulator::output_error_rate(const Simulator& dut, const Key& dut_key,
-                                    const Simulator& reference,
-                                    const Key& reference_key,
-                                    std::size_t vectors, util::Rng& rng) {
-  SimScratch scratch;
-  return output_error_rate(dut, dut_key, reference, reference_key, vectors,
-                           rng, scratch);
-}
-
-double Simulator::output_error_rate(const Simulator& dut, const Key& dut_key,
-                                    const Simulator& reference,
-                                    const Key& reference_key,
-                                    std::size_t vectors, util::Rng& rng,
-                                    SimScratch& scratch) {
-  if (dut.primary_inputs_.size() != reference.primary_inputs_.size() ||
-      dut.netlist_->outputs().size() != reference.netlist_->outputs().size()) {
-    throw std::invalid_argument(
-        "Simulator::output_error_rate: interface mismatch");
-  }
-  if (vectors == 0) return 0.0;
-  const std::size_t words = (vectors + 63) / 64;
-  std::size_t diff_bits = 0;
-  std::vector<std::uint64_t>& in = scratch.in;
-  in.resize(dut.primary_inputs_.size());
-  for (std::size_t w = 0; w < words; ++w) {
-    for (auto& word : in) word = rng();
-    dut.run_word_into(in, dut_key, scratch, scratch.out_a);
-    reference.run_word_into(in, reference_key, scratch, scratch.out_b);
-    // Only the first `vectors` lanes count; the final word is masked so a
-    // ragged vector count is not silently rounded up.
-    const std::uint64_t valid = tail_mask(vectors, w);
-    for (std::size_t o = 0; o < scratch.out_a.size(); ++o) {
-      diff_bits += static_cast<std::size_t>(
-          std::popcount((scratch.out_a[o] ^ scratch.out_b[o]) & valid));
-    }
-  }
-  const double total =
-      static_cast<double>(vectors) *
-      static_cast<double>(dut.netlist_->outputs().size());
-  return static_cast<double>(diff_bits) / total;
-}
-
 void Simulator::draw_reference_blocks(const Simulator& reference,
                                       const Key& reference_key,
                                       std::size_t vectors, util::Rng& rng,
@@ -346,8 +304,7 @@ void Simulator::draw_reference_blocks(const Simulator& reference,
   in.resize(num_in);
   for (std::size_t b = 0; b < blocks; ++b) {
     // Draw-order contract: one rng() word per primary input per 64-vector
-    // block, exactly like output_error_rate — a partial tail block draws
-    // the same words as a full one.
+    // block — a partial tail block draws the same words as a full one.
     for (auto& word : in) word = rng();
     reference.run_word_into(in, reference_key, scratch, scratch.out_b);
     std::copy(in.begin(), in.end(), in_words.begin() + b * num_in);
@@ -502,40 +459,6 @@ bool Simulator::equivalent_on_random_vectors(const Simulator& a,
     b.run_word_into(scratch.in, b_key, scratch, scratch.out_b);
     for (std::size_t o = 0; o < scratch.out_a.size(); ++o) {
       if (scratch.out_a[o] != scratch.out_b[o]) return false;
-    }
-  }
-  return true;
-}
-
-bool Simulator::equivalent_exhaustive(const Simulator& a, const Key& a_key,
-                                      const Simulator& b, const Key& b_key) {
-  const std::size_t n = a.primary_inputs_.size();
-  if (n != b.primary_inputs_.size() ||
-      a.netlist_->outputs().size() != b.netlist_->outputs().size()) {
-    return false;
-  }
-  if (n > 24) {
-    throw std::invalid_argument(
-        "Simulator::equivalent_exhaustive: too many inputs");
-  }
-  const std::uint64_t total = 1ULL << n;
-  SimScratch scratch;
-  scratch.in.resize(n);
-  for (std::uint64_t base = 0; base < total; base += 64) {
-    // Vector (base + i) occupies bit i of the word.
-    for (std::size_t bit = 0; bit < n; ++bit) {
-      std::uint64_t word = 0;
-      for (std::uint64_t i = 0; i < 64 && base + i < total; ++i) {
-        if (((base + i) >> bit) & 1ULL) word |= (1ULL << i);
-      }
-      scratch.in[bit] = word;
-    }
-    const std::uint64_t valid =
-        (total - base >= 64) ? ~0ULL : ((1ULL << (total - base)) - 1);
-    a.run_word_into(scratch.in, a_key, scratch, scratch.out_a);
-    b.run_word_into(scratch.in, b_key, scratch, scratch.out_b);
-    for (std::size_t o = 0; o < scratch.out_a.size(); ++o) {
-      if (((scratch.out_a[o] ^ scratch.out_b[o]) & valid) != 0) return false;
     }
   }
   return true;

@@ -6,10 +6,10 @@
 // for run_word_into and every caller built on it, C = 4 for the wrong-key
 // corruption estimator.
 //
-//   - lanes = input patterns (run_word_into, output_error_rate, the
-//     equivalence screens): bit i of every signal word belongs to test
-//     vector i, and the key is broadcast (`key[j] ? ~0 : 0`). One column
-//     answers 64 input vectors for ONE key.
+//   - lanes = input patterns (run_word_into and the equivalence screen):
+//     bit i of every signal word belongs to test vector i, and the key is
+//     broadcast (`key[j] ? ~0 : 0`). One column answers 64 input vectors
+//     for ONE key.
 //   - lanes = keys (inside key_error_rates): the primary inputs are
 //     broadcast (one fixed vector) and bit k of every key-input word belongs
 //     to wrong key k of a KeyBatch. One column answers ONE input vector for
@@ -29,8 +29,9 @@
 // the caller can share across designs (draw_reference_blocks). Vectors in
 // lanes, the key-independent steps do not depend on the column's key, so
 // they are swept once per input block and only the key-dependent steps run
-// per pass. A per-key output_error_rate loop instead pays K * 2 * ceil(V/64)
-// full sweeps.
+// per pass. A per-key loop of run_word_into sweeps instead pays
+// K * 2 * ceil(V/64) full sweeps (tests/support/simulation.hpp's
+// output_error_rate, the reference the estimator is pinned against).
 #pragma once
 
 #include <cstdint>
@@ -132,31 +133,12 @@ class Simulator {
   std::vector<bool> run_single(const std::vector<bool>& primary_bits,
                                const Key& key) const;
 
-  /// Draws `vectors` random input vectors and returns the fraction of
-  /// (vector, output) pairs on which this netlist under `key` differs from
-  /// `reference` under `reference_key`. Exactly `vectors` lanes count: the
-  /// final word is masked when `vectors` is not a multiple of 64 (the rng
-  /// still draws one word per primary input per 64-vector block, so the
-  /// draw stream is independent of the tail). Both netlists must have
-  /// identical primary-input and output counts.
-  static double output_error_rate(const Simulator& dut, const Key& dut_key,
-                                  const Simulator& reference,
-                                  const Key& reference_key,
-                                  std::size_t vectors, util::Rng& rng);
-
-  /// Allocation-free variant: all working buffers come from `scratch`.
-  static double output_error_rate(const Simulator& dut, const Key& dut_key,
-                                  const Simulator& reference,
-                                  const Key& reference_key,
-                                  std::size_t vectors, util::Rng& rng,
-                                  SimScratch& scratch);
-
   // ---- wrong-key corruption -------------------------------------------------
 
   /// Draws ceil(vectors/64) input blocks and the reference response in one
   /// pass: `in_words` receives blocks * primary_inputs words (one rng()
-  /// draw per primary input per block — the exact stream output_error_rate
-  /// consumes, so the draw-order contract is shared) and `ref_words`
+  /// draw per primary input per block, a partial tail block included) and
+  /// `ref_words`
   /// receives blocks * outputs words of `reference` under `reference_key`.
   /// The pair can be reused across many key_error_rates calls — this is how
   /// a population batch amortizes oracle sweeps over every wrong-key sample
@@ -171,9 +153,10 @@ class Simulator {
   /// Per-key corruption against precomputed reference blocks: `rates[k]` is
   /// the fraction of the `vectors` * outputs (vector, output) pairs where
   /// `dut` under key k of `keys` differs from the reference response.
-  /// Exactly `vectors` vectors count (same tail contract as
-  /// output_error_rate), and the results are bit-identical to a per-key
-  /// output_error_rate loop over the same input blocks.
+  /// Exactly `vectors` vectors count (the tail block is masked), and the
+  /// results are bit-identical to a per-key error-rate loop over the same
+  /// input blocks (the reference output_error_rate in
+  /// tests/support/simulation.hpp).
   ///
   /// The orientation follows the shape, whichever needs fewer columns:
   /// keys in lanes costs `vectors` columns, vectors in lanes (key k
@@ -200,11 +183,6 @@ class Simulator {
                                            const Simulator& b, const Key& b_key,
                                            std::size_t vectors,
                                            util::Rng& rng);
-
-  /// Exhaustive equivalence over all input vectors; only valid when the
-  /// primary input count is <= 24 (2^24 vectors).
-  static bool equivalent_exhaustive(const Simulator& a, const Key& a_key,
-                                    const Simulator& b, const Key& b_key);
 
  private:
   /// Sweeps steps [begin, end) of the flattened arrays, C word columns per

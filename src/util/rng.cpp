@@ -1,19 +1,6 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-#include <numbers>
-
 namespace autolock::util {
-
-double Rng::next_gaussian() noexcept {
-  // Box–Muller transform; discard the second variate for simplicity.
-  double u1 = next_double();
-  // Guard against log(0).
-  while (u1 <= 0.0) u1 = next_double();
-  const double u2 = next_double();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   if (k > n) throw std::invalid_argument("Rng::sample_indices: k > n");

@@ -89,9 +89,6 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool next_bool(double p = 0.5) noexcept { return next_double() < p; }
 
-  /// Standard normal via Box–Muller (one value per call; simple, adequate).
-  double next_gaussian() noexcept;
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> items) {

@@ -15,8 +15,6 @@ class Timer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  double elapsed_ms() const noexcept { return elapsed_seconds() * 1e3; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

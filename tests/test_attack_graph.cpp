@@ -5,6 +5,7 @@
 #include "locking/mux_lock.hpp"
 #include "locking/rll.hpp"
 #include "netlist/generator.hpp"
+#include "support/gnn.hpp"
 
 namespace autolock::attack {
 namespace {
@@ -86,7 +87,7 @@ TEST(AttackGraph, AdjacencySymmetricAndPresentOnly) {
       netlist::gen::make_profile(netlist::gen::ProfileId::kC880, 11);
   const lock::LockedDesign design = lock::dmux_lock(original, 20, 11);
   const AttackGraph graph(design.netlist);
-  const auto adjacency = graph.adjacency_lists();
+  const auto adjacency = test_support::adjacency_lists(graph);
   for (NodeId v = 0; v < design.netlist.size(); ++v) {
     if (!graph.in_graph(v)) {
       EXPECT_TRUE(adjacency[v].empty());

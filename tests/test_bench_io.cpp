@@ -9,6 +9,7 @@
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "support/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::netlist::bench {
@@ -197,7 +198,7 @@ TEST(BenchRoundTrip, C17PreservesStructureAndFunction) {
   EXPECT_EQ(reparsed.stats().gates, original.stats().gates);
   const Simulator sim_a(original);
   const Simulator sim_b(reparsed);
-  EXPECT_TRUE(Simulator::equivalent_exhaustive(sim_a, {}, sim_b, {}));
+  EXPECT_TRUE(test_support::equivalent_exhaustive(sim_a, {}, sim_b, {}));
 }
 
 class BenchRoundTripSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -249,7 +250,7 @@ TEST(BenchWrite, DisplacedDriverHoldingPortNameIsRenamed) {
   EXPECT_EQ(reparsed.outputs().size(), 1u);
   const Simulator sim_a(n);
   const Simulator sim_b(reparsed);
-  EXPECT_TRUE(Simulator::equivalent_exhaustive(sim_a, {}, sim_b, {}));
+  EXPECT_TRUE(test_support::equivalent_exhaustive(sim_a, {}, sim_b, {}));
 }
 
 TEST(BenchRoundTrip, AntiSatOutputSpliceSurvivesReparse) {

@@ -14,6 +14,7 @@
 #include "netlist/bench_stream.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "support/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::sat {
@@ -457,7 +458,7 @@ TEST(StrashChecker, AgreesWithExhaustiveSimulationOnRandomKeyedCircuits) {
       EquivalenceStats stats;
       const bool strashed =
           check_equivalent(*lhs, lhs_key, *rhs, rhs_key, &stats);
-      const bool exhaustive = Simulator::equivalent_exhaustive(
+      const bool exhaustive = test_support::equivalent_exhaustive(
           Simulator(*lhs), lhs_key, Simulator(*rhs), rhs_key);
       ASSERT_EQ(strashed, exhaustive) << "trial " << trial;
       if (stats.sat_calls == 1) {
@@ -500,8 +501,8 @@ TEST(StrashChecker, AgreesWithExhaustiveSimulationOnLockedRandomCircuits) {
       for (int trial = 0; trial < 8; ++trial) {
         const netlist::Key key = random_key(design.key.size(), rng);
         EXPECT_EQ(check_equivalent(design.netlist, key, original, {}),
-                  Simulator::equivalent_exhaustive(locked_sim, key,
-                                                   original_sim, {}));
+                  test_support::equivalent_exhaustive(locked_sim, key,
+                                                      original_sim, {}));
       }
     }
   }
@@ -721,7 +722,7 @@ TEST_P(CnfRandomEquivalence, SimulatorAgreesWithSatOnRandomCircuits) {
   // Cross-check: SAT equivalence must agree exactly with exhaustive
   // simulation (8 primary inputs -> 256 vectors, cheap).
   const bool sat_equivalent = check_equivalent(original, {}, mutated, {});
-  const bool sim_equivalent = Simulator::equivalent_exhaustive(
+  const bool sim_equivalent = test_support::equivalent_exhaustive(
       Simulator(original), {}, Simulator(mutated), {});
   EXPECT_EQ(sat_equivalent, sim_equivalent);
 }

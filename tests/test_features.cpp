@@ -4,6 +4,7 @@
 
 #include "locking/mux_lock.hpp"
 #include "netlist/generator.hpp"
+#include "support/gnn.hpp"
 
 namespace autolock::attack {
 namespace {
@@ -70,10 +71,11 @@ TEST(Subgraph, EndpointsOccupySlots01) {
   const lock::LockedDesign design = lock::dmux_lock(original, 8, 3);
   const AttackGraph graph(design.netlist);
   const auto& link = graph.known_links().front();
-  const Subgraph sub = extract_subgraph(graph, link.u, link.v, {});
+  const Subgraph sub =
+      test_support::extract_subgraph(graph, link.u, link.v, {});
   ASSERT_GE(sub.node_count, 2u);
   // Endpoints carry DRNL label 1 -> feature index 1 set.
-  const std::vector<double> features = sub.dense_features();
+  const std::vector<double> features = test_support::dense_features(sub);
   EXPECT_EQ(features[0 * kFeatureDim + 1], 1.0);
   EXPECT_EQ(features[1 * kFeatureDim + 1], 1.0);
 }
@@ -85,7 +87,8 @@ TEST(Subgraph, TargetEdgeExcluded) {
   const AttackGraph graph(design.netlist);
   // Pick an existing link; the subgraph must not contain the 0-1 edge.
   const auto& link = graph.known_links()[3];
-  const Subgraph sub = extract_subgraph(graph, link.u, link.v, {});
+  const Subgraph sub =
+      test_support::extract_subgraph(graph, link.u, link.v, {});
   for (std::uint32_t neighbor : sub.adjacency.neighbors(0)) {
     EXPECT_NE(neighbor, 1u);
   }
@@ -103,7 +106,8 @@ TEST(Subgraph, MaxNodesRespected) {
   config.hops = 4;
   config.max_nodes = 20;
   const auto& link = graph.known_links().front();
-  const Subgraph sub = extract_subgraph(graph, link.u, link.v, config);
+  const Subgraph sub =
+      test_support::extract_subgraph(graph, link.u, link.v, config);
   EXPECT_LE(sub.node_count, 20u);
 }
 
@@ -113,8 +117,9 @@ TEST(Subgraph, FeatureRowsWellFormed) {
   const lock::LockedDesign design = lock::dmux_lock(original, 8, 9);
   const AttackGraph graph(design.netlist);
   const auto& link = graph.known_links().front();
-  const Subgraph sub = extract_subgraph(graph, link.u, link.v, {});
-  const std::vector<double> features = sub.dense_features();
+  const Subgraph sub =
+      test_support::extract_subgraph(graph, link.u, link.v, {});
+  const std::vector<double> features = test_support::dense_features(sub);
   ASSERT_EQ(features.size(), sub.node_count * kFeatureDim);
   for (std::size_t i = 0; i < sub.node_count; ++i) {
     const double* row = &features[i * kFeatureDim];
@@ -136,7 +141,8 @@ TEST(Subgraph, LocalAdjacencySymmetric) {
   const lock::LockedDesign design = lock::dmux_lock(original, 8, 11);
   const AttackGraph graph(design.netlist);
   const auto& link = graph.known_links()[1];
-  const Subgraph sub = extract_subgraph(graph, link.u, link.v, {});
+  const Subgraph sub =
+      test_support::extract_subgraph(graph, link.u, link.v, {});
   for (std::size_t x = 0; x < sub.node_count; ++x) {
     for (std::uint32_t y : sub.adjacency.neighbors(x)) {
       const auto back = sub.adjacency.neighbors(y);
@@ -150,7 +156,7 @@ TEST(Subgraph, LocalAdjacencySymmetric) {
 TEST(Subgraph, SelfLinkDegenerate) {
   const Netlist original = netlist::gen::c17();
   const AttackGraph graph(original);
-  const Subgraph sub = extract_subgraph(graph, 0, 0, {});
+  const Subgraph sub = test_support::extract_subgraph(graph, 0, 0, {});
   EXPECT_EQ(sub.node_count >= 1, true);
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <string>
 
+#include "support/gnn.hpp"
 #include "util/rng.hpp"
 
 namespace autolock::attack {
@@ -53,7 +54,7 @@ TEST(Gnn, PredictsInUnitInterval) {
   const Gnn model(GnnConfig{}, 7);
   for (int i = 0; i < 10; ++i) {
     const Subgraph sub = random_subgraph(5 + i, 0.0, rng);
-    const double p = model.predict(sub);
+    const double p = test_support::predict(model, sub);
     EXPECT_GT(p, 0.0);
     EXPECT_LT(p, 1.0);
   }
@@ -64,9 +65,10 @@ TEST(Gnn, DeterministicForSameSeed) {
   const Subgraph sub = random_subgraph(8, 1.0, rng);
   const Gnn a(GnnConfig{}, 99);
   const Gnn b(GnnConfig{}, 99);
-  EXPECT_DOUBLE_EQ(a.predict(sub), b.predict(sub));
+  EXPECT_DOUBLE_EQ(test_support::predict(a, sub),
+                   test_support::predict(b, sub));
   const Gnn c(GnnConfig{}, 100);
-  EXPECT_NE(a.predict(sub), c.predict(sub));
+  EXPECT_NE(test_support::predict(a, sub), test_support::predict(c, sub));
 }
 
 TEST(Gnn, OverfitsTinyDataset) {
@@ -91,14 +93,14 @@ TEST(Gnn, OverfitsTinyDataset) {
   double first_loss = 0.0, last_loss = 0.0;
   for (int epoch = 0; epoch < 150; ++epoch) {
     rng.shuffle(order);
-    const double loss = model.train_epoch(samples, order);
+    const double loss = test_support::train_epoch(model, samples, order);
     if (epoch == 0) first_loss = loss;
     last_loss = loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.5);
   int correct = 0;
   for (const auto& sample : samples) {
-    const double p = model.predict(sample);
+    const double p = test_support::predict(model, sample);
     if ((p > 0.5) == (sample.label > 0.5)) ++correct;
   }
   EXPECT_GE(correct, 11);
@@ -116,7 +118,8 @@ TEST(Gnn, GradientMatchesFiniteDifference) {
   GnnConfig config;
   const Gnn model(config, 11);
   auto loss_of = [&](const Subgraph& s) {
-    const double p = std::clamp(model.predict(s), 1e-9, 1.0 - 1e-9);
+    const double p =
+        std::clamp(test_support::predict(model, s), 1e-9, 1.0 - 1e-9);
     return -(s.label * std::log(p) + (1.0 - s.label) * std::log(1.0 - p));
   };
   // Finite-difference smoke test: loss must respond smoothly to features.
@@ -145,11 +148,11 @@ TEST(Gnn, TrainingReducesLossOnSeparableData) {
   Gnn model(GnnConfig{}, 13);
   std::vector<std::size_t> order(samples.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const double first = model.train_epoch(samples, order);
+  const double first = test_support::train_epoch(model, samples, order);
   double last = first;
   for (int epoch = 0; epoch < 60; ++epoch) {
     rng.shuffle(order);
-    last = model.train_epoch(samples, order);
+    last = test_support::train_epoch(model, samples, order);
   }
   EXPECT_LT(last, first);
 }
@@ -159,14 +162,14 @@ TEST(Gnn, HandlesSingleNodeSubgraph) {
       make_subgraph(std::vector<std::vector<std::uint32_t>>(1),
                     std::vector<double>(kFeatureDim, 0.3), 1.0);
   const Gnn model(GnnConfig{}, 17);
-  const double p = model.predict(sub);
+  const double p = test_support::predict(model, sub);
   EXPECT_GT(p, 0.0);
   EXPECT_LT(p, 1.0);
 }
 
 TEST(Gnn, EmptyEpochIsZeroLoss) {
   Gnn model(GnnConfig{}, 19);
-  EXPECT_EQ(model.train_epoch({}, {}), 0.0);
+  EXPECT_EQ(test_support::train_epoch(model, {}, {}), 0.0);
 }
 
 // ---- masked micro-kernels vs naive reference --------------------------------
@@ -295,7 +298,7 @@ TEST(GnnPackedSamples, FeatureMasksMarkExactlyTheNonzeros) {
   }
   EXPECT_EQ(mask[3], std::uint64_t{1} << (k - 1));  // only the last column
   EXPECT_EQ(mask[4], 0u);                           // all -0.0
-  EXPECT_EQ(sub.dense_features(), a);
+  EXPECT_EQ(test_support::dense_features(sub), a);
 }
 
 TEST(GnnKernels, GemmMaskedMatchesNaiveReferenceExactly) {
@@ -713,7 +716,7 @@ TEST(GnnPackedSamples, MatchDenseReferenceBitForBit) {
   parts[1].adjacency = {{3, 8}, {}, {}, {0}, {}, {}, {}, {}, {0}};
   samples[1] = subgraph_of(parts[1], labels[1]);
   ASSERT_NE(samples[1].neighbor_mean.mask[0] & (std::uint64_t{1} << 3), 0u);
-  EXPECT_EQ(samples[1].dense_features(), parts[1].features);
+  EXPECT_EQ(test_support::dense_features(samples[1]), parts[1].features);
 
   auto expect_same = [](double got, double want, const std::string& what) {
     ASSERT_EQ(std::signbit(got), std::signbit(want)) << what;
@@ -722,7 +725,8 @@ TEST(GnnPackedSamples, MatchDenseReferenceBitForBit) {
   Gnn model(GnnConfig{}, 4242);
   DenseReference reference(GnnConfig{}, 4242);
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    expect_same(model.predict(samples[i]), reference.predict(parts[i]),
+    expect_same(test_support::predict(model, samples[i]),
+                reference.predict(parts[i]),
                 "untrained predict " + std::to_string(i));
   }
   std::vector<std::size_t> order(samples.size());
@@ -748,7 +752,7 @@ TEST(GnnScratchReuse, PredictMatchesAllocatingPath) {
   GnnScratch scratch;  // deliberately reused across differently-sized graphs
   for (int i = 0; i < 8; ++i) {
     const Subgraph sub = random_subgraph(3 + 5 * i, i % 2, rng);
-    EXPECT_EQ(model.predict(sub, scratch), model.predict(sub));
+    EXPECT_EQ(model.predict(sub, scratch), test_support::predict(model, sub));
   }
 }
 
@@ -766,11 +770,12 @@ TEST(GnnScratchReuse, TrainEpochMatchesAllocatingPath) {
   GnnScratch scratch;
   for (int epoch = 0; epoch < 3; ++epoch) {
     const double a = with_scratch.train_epoch(samples, order, scratch);
-    const double b = allocating.train_epoch(samples, order);
+    const double b = test_support::train_epoch(allocating, samples, order);
     ASSERT_EQ(a, b) << "epoch " << epoch;
   }
   const Subgraph probe = random_subgraph(9, 1.0, rng);
-  EXPECT_EQ(with_scratch.predict(probe), allocating.predict(probe));
+  EXPECT_EQ(test_support::predict(with_scratch, probe),
+            test_support::predict(allocating, probe));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "support/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace autolock {
@@ -146,7 +147,7 @@ std::size_t expect_error_rates_match(const Simulator& locked,
 
   for (std::size_t k = 0; k < rates.size(); ++k) {
     util::Rng per_key_rng(vec_seed);  // same stream as the reference draw
-    const double single = Simulator::output_error_rate(
+    const double single = test_support::output_error_rate(
         locked, keys[k], reference, Key{}, vectors, per_key_rng, scratch);
     EXPECT_EQ(rates[k], single) << "key " << k << " of " << batch_size
                                 << " on " << vectors << " vectors";
@@ -391,7 +392,7 @@ TEST(OutputErrorRate, CountsExactlyTheRequestedVectors) {
         std::size_t{128}, std::size_t{200}}) {
     SimScratch scratch;
     util::Rng rng(0xD00D);
-    const double rate = Simulator::output_error_rate(
+    const double rate = test_support::output_error_rate(
         locked, wrong, reference, Key{}, vectors, rng, scratch);
 
     // Recount: replay the identical draw stream (one word per input per

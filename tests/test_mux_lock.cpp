@@ -6,6 +6,7 @@
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
 #include "sat/cnf.hpp"
+#include "support/simulation.hpp"
 
 namespace autolock::lock {
 namespace {
@@ -106,7 +107,7 @@ TEST(MuxLock, KeyBitPolarityActuallyMatters) {
   for (std::size_t b = 0; b < design.key.size(); ++b) {
     Key flipped = design.key;
     flipped[b] = !flipped[b];
-    const double err = Simulator::output_error_rate(
+    const double err = test_support::output_error_rate(
         locked_sim, flipped, original_sim, Key{}, 2048, rng);
     if (err > 0.0) ++corrupting_bits;
   }

@@ -14,6 +14,7 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/simulator.hpp"
+#include "support/simulation.hpp"
 
 namespace autolock::netlist {
 namespace {
@@ -193,7 +194,7 @@ TEST(NetlistNames, CompactedPreservesNamesForAutoNamedNets) {
   EXPECT_NO_THROW(reparsed.validate());
   const Simulator sim_a(compact);
   const Simulator sim_b(reparsed);
-  EXPECT_TRUE(Simulator::equivalent_exhaustive(sim_a, {}, sim_b, {}));
+  EXPECT_TRUE(test_support::equivalent_exhaustive(sim_a, {}, sim_b, {}));
 }
 
 TEST(NetlistNames, CollisionProneNamesSurviveCompactAndRoundTrip) {
@@ -222,7 +223,7 @@ TEST(NetlistNames, CollisionProneNamesSurviveCompactAndRoundTrip) {
   EXPECT_NE(reparsed.find("n5_"), kNoNode);
   const Simulator sim_a(compact);
   const Simulator sim_b(reparsed);
-  EXPECT_TRUE(Simulator::equivalent_exhaustive(sim_a, {}, sim_b, {}));
+  EXPECT_TRUE(test_support::equivalent_exhaustive(sim_a, {}, sim_b, {}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "locking/verify.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "support/simulation.hpp"
 
 namespace autolock::lock {
 namespace {
@@ -66,7 +67,7 @@ TEST(Rll, MostWrongSingleBitsCorrupt) {
   for (std::size_t b = 0; b < design.key.size(); ++b) {
     Key flipped = design.key;
     flipped[b] = !flipped[b];
-    const double err = Simulator::output_error_rate(
+    const double err = test_support::output_error_rate(
         locked_sim, flipped, original_sim, Key{}, 4096, rng);
     if (err > 0.0) ++corrupting;
   }

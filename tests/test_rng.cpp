@@ -87,19 +87,6 @@ TEST(Rng, NextBoolRespectsProbability) {
   EXPECT_NEAR(rate, 0.25, 0.02);
 }
 
-TEST(Rng, GaussianMomentsRoughlyStandard) {
-  Rng rng(19);
-  double sum = 0.0, sum_sq = 0.0;
-  constexpr int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i) {
-    const double x = rng.next_gaussian();
-    sum += x;
-    sum_sq += x * x;
-  }
-  EXPECT_NEAR(sum / kTrials, 0.0, 0.05);
-  EXPECT_NEAR(sum_sq / kTrials, 1.0, 0.06);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(23);
   std::vector<int> values(100);

@@ -4,6 +4,7 @@
 
 #include "netlist/bench_io.hpp"
 #include "netlist/generator.hpp"
+#include "support/simulation.hpp"
 
 namespace autolock::netlist {
 namespace {
@@ -79,8 +80,8 @@ TEST(Simulator, ExhaustiveEquivalenceDetectsDifference) {
     o.mark_output(o.add_gate(GateType::kOr, {a, b}, "g"));
   }
   const Simulator sx(x), so(o);
-  EXPECT_FALSE(Simulator::equivalent_exhaustive(sx, {}, so, {}));
-  EXPECT_TRUE(Simulator::equivalent_exhaustive(sx, {}, sx, {}));
+  EXPECT_FALSE(test_support::equivalent_exhaustive(sx, {}, so, {}));
+  EXPECT_TRUE(test_support::equivalent_exhaustive(sx, {}, sx, {}));
 }
 
 TEST(Simulator, ExhaustiveMatchesDeMorgan) {
@@ -99,15 +100,15 @@ TEST(Simulator, ExhaustiveMatchesDeMorgan) {
     const auto nb = rhs.add_gate(GateType::kNot, {b}, "nb");
     rhs.mark_output(rhs.add_gate(GateType::kOr, {na, nb}, "g"));
   }
-  EXPECT_TRUE(
-      Simulator::equivalent_exhaustive(Simulator(lhs), {}, Simulator(rhs), {}));
+  EXPECT_TRUE(test_support::equivalent_exhaustive(Simulator(lhs), {},
+                                                  Simulator(rhs), {}));
 }
 
 TEST(Simulator, ErrorRateZeroForIdenticalCircuits) {
   const Netlist circuit = gen::make_profile(gen::ProfileId::kC432, 5);
   const Simulator sim(circuit);
   util::Rng rng(1);
-  EXPECT_EQ(Simulator::output_error_rate(sim, {}, sim, {}, 512, rng), 0.0);
+  EXPECT_EQ(test_support::output_error_rate(sim, {}, sim, {}, 512, rng), 0.0);
 }
 
 TEST(Simulator, ErrorRateHalfForInvertedOutput) {
@@ -123,8 +124,8 @@ TEST(Simulator, ErrorRateHalfForInvertedOutput) {
   }
   util::Rng rng(2);
   // Inverted output differs on every vector: error rate 1.0.
-  EXPECT_DOUBLE_EQ(Simulator::output_error_rate(Simulator(a), {}, Simulator(b),
-                                                {}, 256, rng),
+  EXPECT_DOUBLE_EQ(test_support::output_error_rate(Simulator(a), {},
+                                                   Simulator(b), {}, 256, rng),
                    1.0);
 }
 

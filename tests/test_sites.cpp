@@ -9,6 +9,7 @@
 #include "eval/fitness_cache.hpp"
 #include "locking/mux_lock.hpp"
 #include "netlist/generator.hpp"
+#include "support/decode.hpp"
 
 namespace autolock::lock {
 namespace {
@@ -281,7 +282,8 @@ TEST(IncrementalCycleCheck, AgreesWithLegacyDfsOn200RandomGenotypes) {
         const Gene probe = Gene::mux(f_i, f_j, g_i, g_j, rng.next_bool());
         for (const Gene& candidate : {gene, probe}) {
           const bool legacy =
-              testing::applicable_to_working_dfs(working, candidate, scratch);
+              test_support::applicable_to_working_dfs(working, candidate,
+                                                      scratch);
           const bool ranks =
               applicable_to_working_ranks(topo, candidate);
           ASSERT_EQ(legacy, ranks)
@@ -327,7 +329,7 @@ TEST(IncrementalCycleCheck, DependsOnMatchesEnsureOrderVerdicts) {
   for (int i = 0; i < 2000; ++i) {
     const auto a = static_cast<NodeId>(rng.next_below(original.size()));
     const auto b = static_cast<NodeId>(rng.next_below(original.size()));
-    const bool dependent = topo.depends_on(a, b);
+    const bool dependent = test_support::depends_on(topo, a, b);
     EXPECT_EQ(topo.ensure_order(a, b), !dependent);
     if (!dependent) {
       // ensure_order's postcondition.

@@ -23,6 +23,8 @@
 #include "netlist/generator.hpp"
 #include "netlist/opt.hpp"
 #include "netlist/simulator.hpp"
+#include "support/gnn.hpp"
+#include "support/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace autolock {
@@ -392,7 +394,7 @@ void expect_graph_matches_reference(const attack::AttackGraph& graph,
     std::sort(row.begin(), row.end());
     row.erase(std::unique(row.begin(), row.end()), row.end());
   }
-  EXPECT_EQ(graph.adjacency_lists(), reference);
+  EXPECT_EQ(test_support::adjacency_lists(graph), reference);
   for (NodeId v = 0; v < n; ++v) {
     const auto span = graph.neighbors(v);
     ASSERT_EQ(std::vector<NodeId>(span.begin(), span.end()), reference[v]);
@@ -509,7 +511,8 @@ TEST(CsrAttackGraph, RebuildReusesStorageAndMatchesFreshBuild) {
   reused.build(design_b.netlist);   // then rebuild for the design under test
   const attack::AttackGraph fresh(design_b.netlist);
 
-  EXPECT_EQ(reused.adjacency_lists(), fresh.adjacency_lists());
+  EXPECT_EQ(test_support::adjacency_lists(reused),
+            test_support::adjacency_lists(fresh));
   ASSERT_EQ(reused.known_links().size(), fresh.known_links().size());
   for (std::size_t i = 0; i < fresh.known_links().size(); ++i) {
     EXPECT_EQ(reused.known_links()[i].u, fresh.known_links()[i].u);
@@ -1017,9 +1020,9 @@ TEST(SimulatorScratch, ScratchErrorRateMatchesAllocatingErrorRate) {
   util::Rng rng_a(7);
   util::Rng rng_b(7);
   netlist::SimScratch scratch;
-  const double with_scratch = netlist::Simulator::output_error_rate(
+  const double with_scratch = test_support::output_error_rate(
       locked, wrong, oracle, netlist::Key{}, 256, rng_a, scratch);
-  const double without = netlist::Simulator::output_error_rate(
+  const double without = test_support::output_error_rate(
       locked, wrong, oracle, netlist::Key{}, 256, rng_b);
   EXPECT_EQ(with_scratch, without);
 }
